@@ -298,7 +298,7 @@ def _replicate(args):
         d = model.dimension
         p_max = max(degrees)
         basis_max = _basis_for_degree(d, p_max, exclusions)
-        center, scale = standardization_from_chain(fit_chain)
+        center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
         cv_fit_max = eval_control_variates(fit_chain, basis_max, center=center, scale=scale)
         cv_eval_max = cv_fit_max if eval_chain is fit_chain else eval_control_variates(
             eval_chain, basis_max, center=center, scale=scale)
@@ -608,7 +608,7 @@ def run_diagnose(config: ExperimentConfig):
     chain = sample_chain(model, chain_cfg, method=method)
     p_max = max(config.degrees)
     basis = _basis_for_degree(model.dimension, p_max, exclusions)
-    center, scale = standardization_from_chain(chain)
+    center, scale = standardization_from_chain(chain, model.constrained_coordinates)
     cv = eval_control_variates(chain, basis, center=center, scale=scale)
     zero_mean = cv_zero_mean_test(cv)
     linnik = linnik_estimate(chain)

@@ -7,15 +7,22 @@ Toy 1-d targets (gaussian, exponential, gamma) and three Bayesian posteriors
     in_support(beta) -> bool
     log_density(beta) -> float        (additive constants dropped consistently)
     grad_log_density(beta) -> (d,)    (beta strictly interior to the support)
+    grad_log_density(B) -> (m, d)     (the same, row by row, for an (m, d) batch)
     rough_scale() -> (d,)             (crude posterior scale, proposal sizing)
     default_init() -> (d,)
+
+log_density and grad_log_density raise SupportError outside the support
+(the strict interior for gradients; one offending row fails a whole batch)
+and ValueError on a wrongly shaped argument.  Samplers rely on the former:
+random-walk Metropolis calls log_density on every proposal and reads
+SupportError as a rejection, so each proposal is validated once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import blas, lapack
 from scipy.special import expit, log_ndtr
 
 __all__ = [
@@ -46,6 +53,24 @@ def _as_param(beta, d):
         beta = beta.reshape(1)
     if beta.shape != (d,):
         raise ValueError(f"parameter must have shape ({d},), got {beta.shape}")
+    return beta
+
+
+def _as_points(beta, d):
+    """beta as one (d,) point or an (m, d) batch of points."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim == 2:
+        if beta.shape[1] != d:
+            raise ValueError(f"a batch of parameters must have shape (m, {d}), got {beta.shape}")
+        return beta
+    return _as_param(beta, d)
+
+
+def _require(violation, beta):
+    """beta itself, or SupportError with the message violation(beta) returns."""
+    v = violation(beta)
+    if v is not None:
+        raise SupportError(v)
     return beta
 
 
@@ -148,6 +173,17 @@ class GarchPrior:
 
 # ---------------------------------------------------------------------------
 # toy targets
+#
+# Each toy's formulas broadcast, so one expression serves a (1,) point and an
+# (m, 1) batch.
+
+
+def _positive_violation(beta):
+    if not np.isfinite(beta).all():
+        return "parameter must be finite"
+    if (beta <= 0.0).any():
+        return "x must be > 0"
+    return None
 
 
 class GaussianTarget:
@@ -165,7 +201,7 @@ class GaussianTarget:
         self.sigma2 = float(sigma2)
 
     def _violation(self, beta):
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             return "parameter must be finite"
         return None
 
@@ -173,13 +209,13 @@ class GaussianTarget:
         return self._violation(_as_param(beta, 1)) is None
 
     def log_density(self, beta):
-        beta = _require_interior(self, beta)
+        beta = _require(self._violation, _as_param(beta, 1))
         d = beta[0] - self.mu
         return float(-0.5 * d * d / self.sigma2)
 
     def grad_log_density(self, beta):
-        beta = _require_interior(self, beta)
-        return np.array([(self.mu - beta[0]) / self.sigma2])
+        beta = _require(self._violation, _as_points(beta, 1))
+        return (self.mu - beta) / self.sigma2
 
     def rough_scale(self):
         return np.array([np.sqrt(self.sigma2)])
@@ -204,23 +240,18 @@ class ExponentialTarget:
             raise ValueError(f"lam must be finite and > 0, got {lam}")
         self.lam = float(lam)
 
-    def _violation(self, beta):
-        if not np.all(np.isfinite(beta)):
-            return "parameter must be finite"
-        if beta[0] <= 0.0:
-            return "x must be > 0"
-        return None
+    _violation = staticmethod(_positive_violation)
 
     def in_support(self, beta):
         return self._violation(_as_param(beta, 1)) is None
 
     def log_density(self, beta):
-        beta = _require_interior(self, beta)
+        beta = _require(self._violation, _as_param(beta, 1))
         return float(-self.lam * beta[0])
 
     def grad_log_density(self, beta):
-        beta = _require_interior(self, beta)
-        return np.array([-self.lam])
+        beta = _require(self._violation, _as_points(beta, 1))
+        return np.full(beta.shape, -self.lam)
 
     def rough_scale(self):
         return np.array([1.0 / self.lam])
@@ -245,25 +276,19 @@ class GammaTarget:
         self.shape = float(shape)
         self.scale = float(scale)
 
-    def _violation(self, beta):
-        if not np.all(np.isfinite(beta)):
-            return "parameter must be finite"
-        if beta[0] <= 0.0:
-            return "x must be > 0"
-        return None
+    _violation = staticmethod(_positive_violation)
 
     def in_support(self, beta):
         return self._violation(_as_param(beta, 1)) is None
 
     def log_density(self, beta):
-        beta = _require_interior(self, beta)
+        beta = _require(self._violation, _as_param(beta, 1))
         x = beta[0]
         return float((self.shape - 1.0) * np.log(x) - x / self.scale)
 
     def grad_log_density(self, beta):
-        beta = _require_interior(self, beta)
-        x = beta[0]
-        return np.array([(self.shape - 1.0) / x - 1.0 / self.scale])
+        beta = _require(self._violation, _as_points(beta, 1))
+        return (self.shape - 1.0) / beta - 1.0 / self.scale
 
     def rough_scale(self):
         return np.array([np.sqrt(self.shape) * self.scale])
@@ -274,6 +299,9 @@ class GammaTarget:
 
 # ---------------------------------------------------------------------------
 # regression posteriors, flat prior on the coefficients
+#
+# Gradients take the linear predictor as beta @ X', (n,) for one point and
+# (m, n) for a batch, and contract it back with @ X.
 
 
 class _RegressionTarget:
@@ -287,7 +315,7 @@ class _RegressionTarget:
         self._xtx_inv = np.linalg.inv(xtx)
 
     def _violation(self, beta):
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             return "parameter must be finite"
         return None
 
@@ -306,21 +334,26 @@ class ProbitTarget(_RegressionTarget):
 
     tag = "probit"
 
+    def __init__(self, data: BinaryRegressionData):
+        super().__init__(data)
+        self._sign = 2.0 * data.response - 1.0
+
     def log_density(self, beta):
-        beta = _require_interior(self, beta)
+        beta = _require(self._violation, _as_param(beta, self.dimension))
         t = self.data.design @ beta
         y = self.data.response
         return float(y @ log_ndtr(t) + (1.0 - y) @ log_ndtr(-t))
 
     def grad_log_density(self, beta):
-        beta = _require_interior(self, beta)
-        t = self.data.design @ beta
-        y = self.data.response
-        lpdf = _log_normal_pdf(t)
+        beta = _require(self._violation, _as_points(beta, self.dimension))
+        # s_i x_i'beta with s_i = 2 y_i - 1: the score of row i is
+        # s_i phi(x_i'beta) / Phi(s_i x_i'beta), and phi is even
+        st = beta @ self.data.design.T
+        st *= self._sign
         # phi/Phi in log space stays finite deep in both tails
-        ratio_pos = np.exp(lpdf - log_ndtr(t))
-        ratio_neg = np.exp(lpdf - log_ndtr(-t))
-        return self.data.design.T @ (y * ratio_pos - (1.0 - y) * ratio_neg)
+        score = np.exp(_log_normal_pdf(st) - log_ndtr(st))
+        score *= self._sign
+        return score @ self.data.design
 
     def rough_scale(self):
         return np.sqrt(np.diag(self._xtx_inv))
@@ -335,15 +368,16 @@ class LogitTarget(_RegressionTarget):
     tag = "logit"
 
     def log_density(self, beta):
-        beta = _require_interior(self, beta)
+        beta = _require(self._violation, _as_param(beta, self.dimension))
         t = self.data.design @ beta
         y = self.data.response
         return float(y @ t - np.sum(np.logaddexp(0.0, t)))
 
     def grad_log_density(self, beta):
-        beta = _require_interior(self, beta)
-        t = self.data.design @ beta
-        return self.data.design.T @ (self.data.response - expit(t))
+        beta = _require(self._violation, _as_points(beta, self.dimension))
+        resid = expit(beta @ self.data.design.T)
+        np.subtract(self.data.response, resid, out=resid)
+        return resid @ self.data.design
 
     def rough_scale(self):
         # logistic noise is wider than probit by about pi/sqrt(3)
@@ -363,6 +397,11 @@ class GarchTarget:
     The likelihood is the Gaussian one over all T returns, the prior the
     product of truncated normals from GarchPrior.  Support: omega_1 > 0,
     omega_2 >= 0, omega_3 >= 0.
+
+    For one omega the recursions for h and dh/domega are solves with the
+    unit lower-bidiagonal matrix that has -omega_3 below its diagonal.  A
+    batch gradient runs the recursions forward in t on (m,) vectors instead,
+    so its memory does not grow with T.
     """
 
     tag = "garch"
@@ -379,13 +418,13 @@ class GarchTarget:
         self._r2_lag = np.concatenate(([0.0], self._r2[:-1]))
 
     def _violation(self, omega):
-        if not np.all(np.isfinite(omega)):
+        if not np.isfinite(omega).all():
             return "parameter must be finite"
-        if omega[0] <= 0.0:
+        if (omega[..., 0] <= 0.0).any():
             return "omega_1 must be > 0"
-        if omega[1] < 0.0:
+        if (omega[..., 1] < 0.0).any():
             return "omega_2 must be >= 0"
-        if omega[2] < 0.0:
+        if (omega[..., 2] < 0.0).any():
             return "omega_3 must be >= 0"
         return None
 
@@ -396,33 +435,80 @@ class GarchTarget:
         v = self._violation(omega)
         if v is not None:
             return v
-        if omega[1] == 0.0:
+        if (omega[..., 1] == 0.0).any():
             return "omega_2 must be > 0 strictly inside the support"
-        if omega[2] == 0.0:
+        if (omega[..., 2] == 0.0).any():
             return "omega_3 must be > 0 strictly inside the support"
         return None
 
-    def _h_path(self, omega):
+    def _band(self, omega):
+        # LAPACK lower band storage (2, T) of the recursion matrix: the unit
+        # diagonal in row 0 (the solves take diag "U" and skip it), -omega_3
+        # below it in row 1
+        band = np.ones((2, self.series.length), order="F")
+        band[1] = -omega[2]
+        return band
+
+    def _h_path(self, omega, band):
         forcing = omega[0] + omega[1] * self._r2_lag
-        h, _ = lfilter([1.0], [1.0, -omega[2]], forcing, zi=[omega[2] * self.series.h0])
-        return h
+        forcing[0] += omega[2] * self.series.h0
+        return blas.dtbsv(1, band, forcing, lower=1, diag=1, overwrite_x=1)
+
+    def _h_derivatives(self, h, band):
+        # each recursion d_t = forcing_t + omega_3 d_{t-1} starts from d_0 = 0
+        # because h_0 is a data constant; the omega_3 forcing still sees h_0
+        forcing = np.empty((self.series.length, 3), order="F")
+        forcing[:, 0] = 1.0
+        forcing[:, 1] = self._r2_lag
+        forcing[0, 2] = self.series.h0
+        forcing[1:, 2] = h[:-1]
+        dh, info = lapack.dtbtrs(band, forcing, uplo="L", diag="U", overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
+        return dh
 
     def log_density(self, omega):
-        omega = _require_interior(self, omega)
-        h = self._h_path(omega)
+        omega = _require(self._violation, _as_param(omega, 3))
+        h = self._h_path(omega, self._band(omega))
         loglik = -0.5 * float(np.sum(np.log(h) + self._r2 / h))
         logprior = -0.5 * float(np.sum(omega * omega / self._prior_var))
         return loglik + logprior
 
     def grad_log_density(self, omega):
-        omega = _as_param(omega, 3)
-        v = self._interior_violation(omega)
-        if v is not None:
-            raise SupportError(v)
-        h = self._h_path(omega)
-        dh = _h_derivatives(self, omega, h)
+        omega = _require(self._interior_violation, _as_points(omega, 3))
+        if omega.ndim == 2:
+            return -omega / self._prior_var + self._loglik_grad_rows(omega)
+        band = self._band(omega)
+        h = self._h_path(omega, band)
+        dh = self._h_derivatives(h, band)
         w = 0.5 * (self._r2 / (h * h) - 1.0 / h)
         return -omega / self._prior_var + dh.T @ w
+
+    def _loglik_grad_rows(self, omega):
+        # sum_t w_t dh_t with the h and dh recursions stepped together; a
+        # per-row loop over the banded solves is slower than this
+        m = omega.shape[0]
+        w1, w2, w3 = (np.ascontiguousarray(c) for c in omega.T)
+        h = np.full(m, self.series.h0)
+        dh = np.zeros((3, m))
+        grad = np.zeros((3, m))
+        forcing = np.empty(m)
+        step = np.empty(m)
+        for r2_lag, r2 in zip(self._r2_lag, self._r2):
+            dh *= w3
+            dh[0] += 1.0
+            dh[1] += r2_lag
+            dh[2] += h
+            np.multiply(w2, r2_lag, out=forcing)
+            forcing += w1
+            h *= w3
+            h += forcing
+            # 2 w_t = r2_t / h_t^2 - 1 / h_t, halved once at the end
+            np.divide(r2, h, out=step)
+            step -= 1.0
+            step /= h
+            grad += step * dh
+        return 0.5 * grad.T
 
     def rough_scale(self):
         # crude, order of magnitude only; shipped configs override proposals
@@ -432,30 +518,14 @@ class GarchTarget:
         return np.array([0.2 * self.series.h0, 0.1, 0.6])
 
 
-def _h_derivatives(model, omega, h):
-    w3 = omega[2]
-    T = h.size
-    dh = np.empty((T, 3))
-    # each recursion d_t = forcing_t + omega_3 d_{t-1} starts from d_0 = 0
-    # because h_0 is a data constant; the omega_3 forcing still sees h_0
-    dh[:, 0], _ = lfilter([1.0], [1.0, -w3], np.ones(T), zi=[0.0])
-    dh[:, 1], _ = lfilter([1.0], [1.0, -w3], model._r2_lag, zi=[0.0])
-    h_lag = np.concatenate(([model.series.h0], h[:-1]))
-    dh[:, 2], _ = lfilter([1.0], [1.0, -w3], h_lag, zi=[0.0])
-    return dh
-
-
 def garch_variance_path(series: ReturnsSeries, omega) -> np.ndarray:
     """Conditional variance path h_1..h_T for the given omega.
 
     Raises SupportError outside {omega_1 > 0, omega_2 >= 0, omega_3 >= 0}.
     """
     model = GarchTarget(series)
-    omega = _as_param(omega, 3)
-    v = model._violation(omega)
-    if v is not None:
-        raise SupportError(v)
-    return model._h_path(omega)
+    omega = _require(model._violation, _as_param(omega, 3))
+    return model._h_path(omega, model._band(omega))
 
 
 def garch_h_derivatives(series: ReturnsSeries, omega) -> np.ndarray:
@@ -465,16 +535,6 @@ def garch_h_derivatives(series: ReturnsSeries, omega) -> np.ndarray:
     dh_t/domega_1 sums the geometric series (1 - omega_3^t)/(1 - omega_3).
     """
     model = GarchTarget(series)
-    omega = _as_param(omega, 3)
-    v = model._violation(omega)
-    if v is not None:
-        raise SupportError(v)
-    return _h_derivatives(model, omega, model._h_path(omega))
-
-
-def _require_interior(model, beta):
-    beta = _as_param(beta, model.dimension)
-    v = model._violation(beta)
-    if v is not None:
-        raise SupportError(v)
-    return beta
+    omega = _require(model._violation, _as_param(omega, 3))
+    band = model._band(omega)
+    return model._h_derivatives(model._h_path(omega, band), band)

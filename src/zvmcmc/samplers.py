@@ -1,9 +1,15 @@
-"""Samplers producing chains with cached log-density gradients.
+"""Samplers producing chains with the log-density gradient at every draw.
 
 Every retained draw carries grad log pi evaluated at that draw, so the
-control variate stage never re-touches the model.  All randomness flows
-through a numpy Generator seeded from SamplerConfig.seed; identical
-configs give bit-identical output.
+control variate stage never re-touches the model.  The sampling loops store
+draws only.  After the loop, and still inside the sampler call, the chain's
+gradients are computed with the model's batch form grad_log_density((m, d))
+in blocks of _GRADIENT_BLOCK rows, at the draws where the chain moved; a
+repeated (rejected) draw copies the gradient of the draw it repeats.
+Random-walk Metropolis validates each proposal once, by calling log_density
+and reading SupportError as a rejection.  All randomness flows through a
+numpy Generator seeded from SamplerConfig.seed; identical configs give
+bit-identical output.
 """
 from __future__ import annotations
 
@@ -24,6 +30,10 @@ __all__ = [
 ]
 
 _PILOT_STEPS = 500
+# rows per batched gradient call: large enough that GARCH's per-t recursion
+# amortizes its Python overhead, small enough that the regression models'
+# (rows, n) temporaries stay a few MB
+_GRADIENT_BLOCK = 1024
 
 
 @dataclass
@@ -38,8 +48,10 @@ class SamplerConfig:
                  None means 2.4/sqrt(d) times model.rough_scale()
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
-    compute_gradients  False skips gradient evaluation (the output then
-              cannot feed the control variate stage)
+    compute_gradients  True computes grad log pi at every retained draw
+              once sampling is done, in batches over the distinct draws;
+              False skips it (the output then cannot feed the control
+              variate stage)
     """
 
     length: int
@@ -170,12 +182,30 @@ def _resolve_init(model, config):
     return init
 
 
+def _chain_gradients(model, config, draws, moved):
+    """grad log pi at every row of draws, or (0, d) when config skips them.
+
+    The model is called only at rows where moved is True.  Row 0 must be
+    marked moved; every other unmoved row repeats the row before it and
+    copies its gradient.
+    """
+    if not config.compute_gradients:
+        return np.empty((0, draws.shape[1]))
+    rows = np.flatnonzero(moved)
+    distinct = np.empty((rows.size, draws.shape[1]))
+    for start in range(0, rows.size, _GRADIENT_BLOCK):
+        block = rows[start:start + _GRADIENT_BLOCK]
+        distinct[start:start + block.size] = model.grad_log_density(draws[block])
+    return distinct[np.cumsum(moved) - 1]
+
+
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    Proposals outside the support, or with log-density underflowing to -inf,
-    are rejected; NaN log-density is fatal.  The acceptance rate is measured
-    over the retained phase, the first min(500, burn_in) steps double as a
+    Proposals outside the support (log_density raises SupportError), or with
+    log-density underflowing to -inf, are rejected without drawing a uniform;
+    NaN log-density is fatal.  The acceptance rate is measured over the
+    retained phase, the first min(500, burn_in) steps double as a
     reporting-only pilot.
     """
     rng = np.random.default_rng(config.seed)
@@ -187,8 +217,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 
     draws = np.empty((config.length, d))
-    grads = np.empty((config.length if config.compute_gradients else 0, d))
-    grad_cache = None
+    # moved[i]: the chain accepted a proposal since retained draw i - 1
+    moved = np.empty(config.length, dtype=bool)
+    since_kept = True
     pilot_steps = min(_PILOT_STEPS, config.burn_in)
     pilot_accepts = 0
     retained_accepts = 0
@@ -197,20 +228,22 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
 
     for step in range(total):
         prop = x + sd * rng.standard_normal(d)
-        accept = False
-        if model.in_support(prop):
+        try:
             lp = model.log_density(prop)
-            if np.isnan(lp):
-                raise FloatingPointError(f"NaN log-density at proposal {prop}")
-            delta = lp - logp
-            if delta >= 0.0:
-                accept = True
-            elif delta > -np.inf:
-                accept = np.log(rng.random()) < delta
+        except SupportError:
+            lp = -np.inf
+        if np.isnan(lp):
+            raise FloatingPointError(f"NaN log-density at proposal {prop}")
+        delta = lp - logp
+        accept = False
+        if delta >= 0.0:
+            accept = True
+        elif delta > -np.inf:
+            accept = np.log(rng.random()) < delta
         if accept:
             x = prop
             logp = lp
-            grad_cache = None
+            since_kept = True
             if step < pilot_steps:
                 pilot_accepts += 1
             if step >= config.burn_in:
@@ -219,14 +252,12 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         if offset >= 0 and offset % config.thin == 0:
             i = offset // config.thin
             draws[i] = x
-            if config.compute_gradients:
-                if grad_cache is None:
-                    grad_cache = model.grad_log_density(x)
-                grads[i] = grad_cache
+            moved[i] = since_kept
+            since_kept = False
 
     return ChainOutput(
         draws=draws,
-        gradients=grads,
+        gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
         seed_used=config.seed,
         model_tag=model.tag,
@@ -243,7 +274,8 @@ def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutp
 
     Latent u_i ~ N(x_i'beta, 1) truncated to (0, inf) when y_i = 1 and to
     (-inf, 0) when y_i = 0, then beta ~ N((X'X)^{-1} X'u, (X'X)^{-1}).
-    Gradients of the probit log-posterior are cached per retained sweep.
+    Every sweep moves beta, so the probit log-posterior gradient is computed
+    at every retained draw, in batches after the last sweep.
     """
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
@@ -265,7 +297,6 @@ def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutp
 
     beta = _resolve_init(model, config)
     draws = np.empty((config.length, d))
-    grads = np.empty((config.length if config.compute_gradients else 0, d))
 
     for step in range(config.burn_in + config.length * config.thin):
         t = X @ beta
@@ -275,14 +306,11 @@ def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutp
         beta = mean + chol_cov @ rng.standard_normal(d)
         offset = step - config.burn_in
         if offset >= 0 and offset % config.thin == 0:
-            i = offset // config.thin
-            draws[i] = beta
-            if config.compute_gradients:
-                grads[i] = model.grad_log_density(beta)
+            draws[offset // config.thin] = beta
 
     return ChainOutput(
         draws=draws,
-        gradients=grads,
+        gradients=_chain_gradients(model, config, draws, np.ones(config.length, dtype=bool)),
         accept_rate=1.0,
         seed_used=config.seed,
         model_tag=model.tag,

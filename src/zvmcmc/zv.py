@@ -155,13 +155,16 @@ class ControlVariateMatrix:
         return self.values.shape[1]
 
 
-def standardization_from_chain(chain: ChainOutput):
+def standardization_from_chain(chain: ChainOutput, uncentered=()):
     """Per-coordinate center and scale for conditioning the moment system.
 
     Coordinates with zero sample spread keep scale 1 so constant directions
-    stay untouched.
+    stay untouched.  Coordinates listed in uncentered keep center 0: pass a
+    model's constrained_coordinates, whose boundary term default_exclusions
+    removes only from monomials in the uncentered coordinate.
     """
     center = chain.draws.mean(axis=0)
+    center[list(uncentered)] = 0.0
     scale = chain.draws.std(axis=0, ddof=1) if chain.length > 1 else np.ones(chain.dimension)
     scale = np.where(scale > 0.0, scale, 1.0)
     return center, scale
@@ -369,7 +372,10 @@ def zv_estimate(
     if exclusions is None:
         exclusions = default_exclusions(model)
     basis = monomial_basis(model.dimension, degree, exclusions)
-    center, scale = standardization_from_chain(fit_chain) if standardize else (None, None)
+    if standardize:
+        center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
+    else:
+        center, scale = None, None
     cv_fit = eval_control_variates(fit_chain, basis, center=center, scale=scale)
     fit = fit_coefficients(cv_fit, _resolve_f(f, fit_chain.draws))
     if eval_chain is None or eval_chain is fit_chain:

@@ -1,7 +1,12 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import zvmcmc
 from zvmcmc import ExperimentConfig, run_diagnose
 from zvmcmc.cli import main
 
@@ -64,3 +69,12 @@ def test_diagnose_returned_report_equals_written(tmp_path):
     with open(tmp_path / "out" / "diagnose.json") as fh:
         written = json.load(fh)
     assert without_timing(returned) == without_timing(written)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about a second to import, in every process and pool worker
+    src = str(Path(zvmcmc.__file__).resolve().parents[1])
+    code = "import sys, zvmcmc.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -449,6 +449,13 @@ class TestRunDiagnose:
         assert report["reference"]["lower"][0] < report["reference"]["upper"][0]
         assert report["timing"]["total_seconds"] > 0
 
+    def test_exponential_degree2_control_variate_has_zero_mean(self):
+        # centering x would leak the boundary term of pi(0) > 0 into (x - c)^2
+        cfg = ExperimentConfig(model_kind="exponential", degrees=(2,), diagnose_length=20000)
+        report = run_diagnose(cfg)
+        assert report["basis"]["exponents"] == [[2]]
+        assert max(abs(z) for z in report["zero_mean"]["z_scores"]) < 4
+
     def test_probit_diagnose_uses_gibbs(self):
         cfg = ExperimentConfig(model_kind="probit", synthetic_seed=101,
                                burn_in=200, diagnose_length=1200, degrees=(1,))

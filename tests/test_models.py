@@ -202,6 +202,91 @@ def test_garch_h_derivatives_match_finite_differences():
         assert np.allclose(dh[:, j], fd, rtol=1e-4, atol=1e-10)
 
 
+def hand_garch_recursions(series, omega):
+    """h_t and dh_t/domega by the literal recursions, one t at a time."""
+    h_prev, r_prev, d_prev = series.h0, 0.0, np.zeros(3)
+    h, dh = [], []
+    for r in series.returns:
+        d_t = np.array([1.0, r_prev**2, h_prev]) + omega[2] * d_prev
+        h_t = omega[0] + omega[2] * h_prev + omega[1] * r_prev**2
+        h.append(h_t)
+        dh.append(d_t)
+        h_prev, r_prev, d_prev = h_t, r, d_t
+    return np.array(h), np.array(dh)
+
+
+def test_garch_recursions_match_hand_loop_when_explosive():
+    # omega_3 > 1 grows h geometrically; the banded solves must still follow it
+    series = small_series()
+    omega = np.array([0.3 * series.h0, 0.25, 1.05])
+    h_hand, dh_hand = hand_garch_recursions(series, omega)
+    assert h_hand[-1] > 10 * h_hand[0]
+    assert np.allclose(garch_variance_path(series, omega), h_hand, rtol=1e-12)
+    assert np.allclose(garch_h_derivatives(series, omega), dh_hand, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched gradients
+
+
+def batch_cases():
+    data = small_regression_data()
+    series = small_series()
+    h0 = series.h0
+    garch_rows = np.array([[0.7 * h0, 0.15, 0.55], [0.3 * h0, 0.25, 1.05], [2.0 * h0, 0.01, 0.2]])
+    coef_rows = np.array([[0.25, -0.4, 0.6], [-1.0, 0.3, 2.5], [0.0, 0.0, 0.0]])
+    # tolerance relative to each row's largest entry: the toys use the point
+    # formula itself, the regressions' matrix products may sum in another
+    # order, GARCH's batch recursion sums over t in another order
+    return [
+        (GaussianTarget(mu=2.0, sigma2=3.0), np.array([[0.7], [-1.2], [4.0]]), 0.0),
+        (ExponentialTarget(lam=1.5), np.array([[0.9], [0.01], [3.0]]), 0.0),
+        (GammaTarget(shape=3.0, scale=1.0), np.array([[2.2], [0.3], [5.0]]), 0.0),
+        (ProbitTarget(data), coef_rows, 1e-12),
+        (LogitTarget(data), coef_rows, 1e-12),
+        (GarchTarget(series), garch_rows, 1e-10),
+    ]
+
+
+@pytest.mark.parametrize("model,rows,tol", batch_cases(), ids=lambda v: getattr(v, "tag", None))
+def test_batched_gradient_equals_row_by_row(model, rows, tol):
+    batch = model.grad_log_density(rows)
+    assert batch.shape == rows.shape
+    for got, row in zip(batch, rows):
+        want = model.grad_log_density(row)
+        assert want.shape == (model.dimension,)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want).max())
+    assert model.grad_log_density(rows[:1]).shape == (1, model.dimension)
+
+
+def test_batched_gradient_rejects_any_row_outside_strict_interior():
+    m = GarchTarget(small_series())
+    good = [0.5 * m.series.h0, 0.2, 0.5]
+    with pytest.raises(SupportError):
+        m.grad_log_density(np.array([good, [0.5 * m.series.h0, 0.0, 0.5]]))
+    with pytest.raises(SupportError):
+        m.grad_log_density(np.array([good, [-0.1, 0.2, 0.5]]))
+    for x in (0.0, -0.5, np.nan):
+        with pytest.raises(SupportError):
+            ExponentialTarget().grad_log_density(np.array([[1.0], [x]]))
+
+
+def test_batched_gradient_shape_errors():
+    with pytest.raises(ValueError):
+        GaussianTarget().grad_log_density(np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        GarchTarget(small_series()).grad_log_density(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        GarchTarget(small_series()).grad_log_density(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        GaussianTarget().grad_log_density(np.ones(4))
+    # log_density and in_support stay one-point calls
+    with pytest.raises(ValueError):
+        GaussianTarget().log_density(np.ones((4, 1)))
+    with pytest.raises(ValueError):
+        GaussianTarget().in_support(np.ones((4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # support handling
 

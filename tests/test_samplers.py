@@ -6,6 +6,7 @@ from scipy import stats
 
 from zvmcmc import (
     ExponentialTarget,
+    GammaTarget,
     GaussianTarget,
     ProbitTarget,
     SamplerConfig,
@@ -121,6 +122,67 @@ def test_chain_respects_support():
         SamplerConfig(length=2000, burn_in=0, seed=8, init=np.array([0.01]), proposal_sd=1.0),
     )
     assert np.all(out.draws > 0.0)
+
+
+class SpyGamma(GammaTarget):
+    """Counts model calls and records the shape of every gradient argument."""
+
+    def __init__(self):
+        super().__init__(shape=3.0, scale=1.0)
+        self.calls = {"in_support": 0, "log_density": 0}
+        self.grad_shapes = []
+
+    def in_support(self, beta):
+        self.calls["in_support"] += 1
+        return super().in_support(beta)
+
+    def log_density(self, beta):
+        self.calls["log_density"] += 1
+        return super().log_density(beta)
+
+    def grad_log_density(self, beta):
+        self.grad_shapes.append(np.shape(beta))
+        return super().grad_log_density(beta)
+
+
+def test_rw_metropolis_validates_once_and_batches_gradients(monkeypatch):
+    import zvmcmc.samplers
+
+    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 7)
+    model = SpyGamma()
+    # a wide step from near the boundary: many proposals land at x <= 0
+    cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]), proposal_sd=1.0)
+    out = rw_metropolis(model, cfg)
+    steps = cfg.burn_in + cfg.length * cfg.thin
+    assert model.calls == {"in_support": 1, "log_density": steps + 1}
+    assert np.all(out.draws > 0.0)
+    distinct = 1 + np.count_nonzero(np.any(np.diff(out.draws, axis=0) != 0.0, axis=1))
+    assert distinct < out.length  # some retained draws repeat
+    assert model.grad_shapes == [(min(7, distinct - k), 1) for k in range(0, distinct, 7)]
+    for draw, grad in zip(out.draws, out.gradients):
+        assert np.array_equal(grad, GammaTarget.grad_log_density(model, draw))
+    same = rw_metropolis(GammaTarget(shape=3.0, scale=1.0), cfg)
+    assert np.array_equal(out.draws, same.draws) and out.accept_rate == same.accept_rate
+
+
+def test_gibbs_probit_batches_gradients(monkeypatch):
+    import zvmcmc.samplers
+
+    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    calls = []
+    original = ProbitTarget.grad_log_density
+
+    def spy(self, beta):
+        calls.append(np.shape(beta))
+        return original(self, beta)
+
+    monkeypatch.setattr(ProbitTarget, "grad_log_density", spy)
+    data = synthetic_banknote(seed=101, n=80)
+    out = gibbs_probit(data, SamplerConfig(length=20, burn_in=5, seed=4))
+    assert calls == [(8, 4), (8, 4), (4, 4)]
+    model = ProbitTarget(data)
+    for i in range(out.length):
+        assert np.allclose(out.gradients[i], model.grad_log_density(out.draws[i]), rtol=1e-12)
 
 
 def test_chain_output_immutable():
