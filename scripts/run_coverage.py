@@ -9,11 +9,10 @@ so the ZV estimator's own noise stays well under the reference interval width
 cheap without inflating the residual variance.  The acceptance suite runs the
 same settings.
 """
-import json
 import pathlib
 import sys
 
-from zvmcmc import ExperimentConfig, run_coverage
+from zvmcmc import ExperimentConfig, export_study, run_coverage
 
 PROBIT_COVERAGE = {
     "model_kind": "probit",
@@ -56,7 +55,7 @@ def main(argv):
         cfg = ExperimentConfig.from_dict(raw)
         _, report = run_coverage(cfg)
         path = outdir / f"coverage_{name}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True))
+        export_study(report, path)
         print(f"{name}: reference ({report['timing']['reference_seconds']:.0f}s)"
               f" study ({report['timing']['study_seconds']:.0f}s)")
         for degree, block in sorted(report["coverage"].items()):

@@ -12,7 +12,6 @@ Exit codes: 0 success (including a partial study, flagged in the report),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,13 +24,11 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     build_model,
+    control_variate_bases,
     run_coverage,
     run_diagnose,
     run_study,
     write_study_csv,
-    _basis_for_degree,
-    _resolve_exclusions,
-    _sampler_method,
 )
 
 __all__ = ["main", "entry"]
@@ -83,37 +80,24 @@ def _add_config_arguments(sub_parser) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}:{exc.lineno}: malformed JSON ({exc.msg})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object")
-
-    overrides = {
+    keys = {
         "seed": "base_seed",
         "out": "output_dir",
         "replications": "replications",
         "threads": "threads",
         "length": "diagnose_length",
     }
-    for arg_name, key in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            raw[key] = value
-    for flag, key in (("single_chain", "single_chain"), ("keep_chains", "keep_chains"),
-                      ("add_intercept", "add_intercept")):
+    overrides = {key: getattr(args, arg_name) for arg_name, key in keys.items()
+                 if getattr(args, arg_name, None) is not None}
+    for flag in ("single_chain", "keep_chains", "add_intercept"):
         if getattr(args, flag, None):
-            raw[key] = True
+            overrides[flag] = True
     if getattr(args, "degrees", None) is not None:
         try:
-            raw["degrees"] = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
+            overrides["degrees"] = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"--degrees expects comma-separated integers, got {args.degrees!r}") from None
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_file(args.config, overrides)
 
 
 def _fmt_float(v) -> str:
@@ -229,11 +213,10 @@ def _cmd_diagnose(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     model = build_model(config)
-    exclusions = _resolve_exclusions(config, model)
-    sizes = {p: _basis_for_degree(model.dimension, p, exclusions).size for p in config.degrees}
-    size_text = ", ".join(f"degree {p}: {k} terms" for p, k in sizes.items())
+    bases = control_variate_bases(config, model)
+    size_text = ", ".join(f"degree {p}: {b.size} terms" for p, b in bases.items())
     print(f"config ok: model {config.model_kind} (dimension {model.dimension}), "
-          f"sampler {_sampler_method(config)}, {size_text}")
+          f"sampler {config.sampler}, {size_text}")
     return 0
 
 

@@ -155,14 +155,11 @@ def export_chain(chain: ChainOutput, path) -> None:
     """Write iter,beta_1..beta_d,grad_1..grad_d with round-trippable floats."""
     d = chain.dimension
     header = ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
+    rows = np.column_stack([np.arange(chain.length), chain.draws, chain.gradients])
+    # csv.writer's dialect: comma separated, \r\n line ends, the header unprefixed
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(chain.length):
-            row = [str(i)]
-            row += [f"{v:.17g}" for v in chain.draws[i]]
-            row += [f"{v:.17g}" for v in chain.gradients[i]]
-            writer.writerow(row)
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (2 * d), delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def import_chain(path) -> ChainOutput:

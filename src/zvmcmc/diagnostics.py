@@ -1,7 +1,7 @@
 """Diagnostics for chains, control variates and replication studies."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +61,13 @@ class ReplicationStudy:
     """Across-replication estimates for the ordinary and ZV estimators.
 
     ordinary_estimates is (R, P); zv_estimates maps degree -> (R, P); seeds
-    holds the per-replication fit-chain seeds; timings wall-clock seconds per
-    arm of the study.
+    holds the per-replication fit-chain seeds.
     """
 
     ordinary_estimates: np.ndarray
     zv_estimates: dict[int, np.ndarray]
     seeds: np.ndarray
     parameter_names: tuple[str, ...]
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def replications(self):

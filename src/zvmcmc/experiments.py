@@ -12,7 +12,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .models import (
 from .samplers import SamplerConfig, sample_chain
 from .zv import (
     ControlVariateMatrix,
+    MonomialBasis,
     default_exclusions,
     eval_control_variates,
     fit_coefficients,
@@ -54,8 +56,8 @@ from .zv import (
     standardization_from_chain,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "build_model", "run_study", "run_coverage",
-           "run_diagnose", "write_study_csv"]
+__all__ = ["ConfigError", "ExperimentConfig", "build_model", "control_variate_bases", "run_study",
+           "run_coverage", "run_diagnose", "write_study_csv"]
 
 MODEL_KINDS = ("gaussian", "exponential", "gamma", "probit", "logit", "garch")
 SAMPLER_TYPES = ("auto", "rwmh", "gibbs")
@@ -188,7 +190,8 @@ class ExperimentConfig:
         return cls(**raw)
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides=None) -> "ExperimentConfig":
+        """Read a JSON config; keys in overrides replace the file's values."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
@@ -196,7 +199,16 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
+        return cls.from_dict({**raw, **(overrides or {})})
+
+    @property
+    def sampler(self) -> str:
+        """The sampler method that runs: sampler_type with "auto" resolved per model."""
+        if self.sampler_type == "auto":
+            return "gibbs" if self.model_kind == "probit" else "rwmh"
+        return self.sampler_type
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -238,12 +250,6 @@ def build_model(config: ExperimentConfig):
     raise ConfigError(f"unhandled model kind {kind!r}")
 
 
-def _sampler_method(config: ExperimentConfig) -> str:
-    if config.sampler_type == "auto":
-        return "gibbs" if config.model_kind == "probit" else "rwmh"
-    return config.sampler_type
-
-
 def _transform_by_name(name):
     if name == "identity":
         return (lambda v: v), (lambda s: s)
@@ -252,42 +258,59 @@ def _transform_by_name(name):
     return np.exp, (lambda s: f"exp({s})")
 
 
-def _resolve_exclusions(config: ExperimentConfig, model):
-    if config.exclusions == "default":
-        return default_exclusions(model)
-    return config.exclusions
+def _model_entry(config: ExperimentConfig, model, parameters) -> dict:
+    return {"kind": model.tag, "dimension": model.dimension, "parameters": list(parameters),
+            "sampler": config.sampler}
 
 
-def _basis_for_degree(dimension, degree, exclusions):
-    usable = tuple(e for e in exclusions if sum(e) <= degree)
-    return monomial_basis(dimension, degree, usable)
+def _summary(estimates) -> dict:
+    # across-replication mean and variance; one replication has no variance
+    return {"estimate_mean": float(estimates.mean()),
+            "variance": float(estimates.var(ddof=1)) if estimates.size > 1 else None}
 
 
-def _replicate(args):
-    (model, method, r, base_seed, burn_in, fit_length, eval_length, proposal_sd,
-     init, degrees, exclusions, single_chain, transform_name, chains_dir, thin) = args
-    apply_f, _ = _transform_by_name(transform_name)
-    fit_seed = base_seed + 2 * r
-    eval_seed = base_seed + 2 * r + 1
+def control_variate_bases(config: ExperimentConfig, model) -> dict[int, MonomialBasis]:
+    """The monomial basis of each configured degree, keyed in config.degrees order.
+
+    Each basis keeps the configured exclusions (model defaults for "default")
+    of total degree up to its own.  Raises ValueError for an exclusion that
+    names no basis exponent, so callers learn of it before any sampling.
+    """
+    exclusions = default_exclusions(model) if config.exclusions == "default" else config.exclusions
+    return {p: monomial_basis(model.dimension, p, tuple(e for e in exclusions if sum(e) <= p))
+            for p in config.degrees}
+
+
+def _proposal_sd(config: ExperimentConfig):
+    # the Gibbs sampler draws from full conditionals and takes no step size
+    return config.proposal_sd if config.sampler == "rwmh" else None
+
+
+def _chain_config(config: ExperimentConfig, length, seed, thin=1) -> SamplerConfig:
+    return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
+                         thin=thin, proposal_sd=_proposal_sd(config))
+
+
+def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
+    apply_f, _ = _transform_by_name(config.f_transform)
+    fit_seed = config.base_seed + 2 * r
+    eval_seed = config.base_seed + 2 * r + 1
     out = {"r": r, "error": None, "fit_seed": fit_seed, "eval_seed": eval_seed}
     try:
         t0 = time.perf_counter()
-        if single_chain:
-            chain_cfg = SamplerConfig(length=eval_length, burn_in=burn_in, seed=fit_seed,
-                                      init=init, thin=thin,
-                                      proposal_sd=proposal_sd if method == "rwmh" else None)
-            fit_chain = eval_chain = sample_chain(model, chain_cfg, method=method)
+        if config.single_chain:
+            fit_chain = eval_chain = sample_chain(
+                model, _chain_config(config, config.eval_length, fit_seed, config.thin),
+                method=config.sampler)
             t1 = t2 = time.perf_counter()
         else:
-            fit_cfg = SamplerConfig(length=fit_length, burn_in=burn_in, seed=fit_seed,
-                                    init=init, thin=thin,
-                                    proposal_sd=proposal_sd if method == "rwmh" else None)
-            fit_chain = sample_chain(model, fit_cfg, method=method)
+            fit_chain = sample_chain(
+                model, _chain_config(config, config.fit_length, fit_seed, config.thin),
+                method=config.sampler)
             t1 = time.perf_counter()
-            eval_cfg = SamplerConfig(length=eval_length, burn_in=burn_in, seed=eval_seed,
-                                     init=init, thin=thin,
-                                     proposal_sd=proposal_sd if method == "rwmh" else None)
-            eval_chain = sample_chain(model, eval_cfg, method=method)
+            eval_chain = sample_chain(
+                model, _chain_config(config, config.eval_length, eval_seed, config.thin),
+                method=config.sampler)
             t2 = time.perf_counter()
 
         if chains_dir is not None:
@@ -295,9 +318,8 @@ def _replicate(args):
             if eval_chain is not fit_chain:
                 export_chain(eval_chain, os.path.join(chains_dir, f"rep{r:04d}_eval.csv"))
 
-        d = model.dimension
-        p_max = max(degrees)
-        basis_max = _basis_for_degree(d, p_max, exclusions)
+        # every lower-degree basis is a column prefix of the top-degree one
+        basis_max = bases[max(bases)]
         center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
         cv_fit_max = eval_control_variates(fit_chain, basis_max, center=center, scale=scale)
         cv_eval_max = cv_fit_max if eval_chain is fit_chain else eval_control_variates(
@@ -305,33 +327,19 @@ def _replicate(args):
         f_fit = apply_f(fit_chain.draws)
         f_eval = apply_f(eval_chain.draws)
 
-        out["ordinary"] = f_eval.mean(axis=0)
-        zv = {}
-        dropped_any = {}
-        ridge_any = {}
-        for p in degrees:
-            basis_p = _basis_for_degree(d, p, exclusions)
+        out.update(ordinary=f_eval.mean(axis=0), zv={}, dropped={}, ridge={})
+        for p, basis_p in bases.items():
             k_p = basis_p.size
             cv_fit_p = ControlVariateMatrix(values=cv_fit_max.values[:, :k_p], basis=basis_p,
                                             center=center, scale=scale)
             cv_eval_p = ControlVariateMatrix(values=cv_eval_max.values[:, :k_p], basis=basis_p,
                                              center=center, scale=scale)
-            est = np.empty(d)
-            dropped = False
-            ridge = False
-            for j in range(d):
-                fit = fit_coefficients(cv_fit_p, f_fit[:, j])
-                est[j] = renormalize(f_eval[:, j], cv_eval_p, fit).mean()
-                dropped = dropped or bool(fit.dropped_columns)
-                ridge = ridge or fit.ridge_applied
-            zv[p] = est
-            dropped_any[p] = dropped
-            ridge_any[p] = ridge
+            fit = fit_coefficients(cv_fit_p, f_fit)
+            out["zv"][p] = renormalize(f_eval, cv_eval_p, fit).mean(axis=0)
+            out["dropped"][p] = bool(fit.dropped_columns)
+            out["ridge"][p] = fit.ridge_applied
         t3 = time.perf_counter()
 
-        out["zv"] = zv
-        out["dropped"] = dropped_any
-        out["ridge"] = ridge_any
         out["fit_accept"] = fit_chain.accept_rate
         out["eval_accept"] = eval_chain.accept_rate
         out["pilot_accept"] = fit_chain.pilot_accept_rate
@@ -359,31 +367,20 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     ratio and its bounds are None and ratio_method is "unavailable".
     """
     model = build_model(config)
-    method = _sampler_method(config)
-    exclusions = _resolve_exclusions(config, model)
-    # fail fast on exclusions that do not name basis exponents
-    for p in config.degrees:
-        _basis_for_degree(model.dimension, p, exclusions)
+    replicate = partial(_replicate, config, model, control_variate_bases(config, model), chains_dir)
     _, name_f = _transform_by_name(config.f_transform)
     parameter_names = tuple(name_f(n) for n in model.parameter_names)
     if chains_dir is not None:
         os.makedirs(chains_dir, exist_ok=True)
-    init = np.asarray(config.init, dtype=float) if config.init is not None else None
-    proposal_sd = np.asarray(config.proposal_sd, dtype=float) if config.proposal_sd is not None else None
 
     t_start = time.perf_counter()
-    tasks = [
-        (model, method, r, config.base_seed, config.burn_in, config.fit_length,
-         config.eval_length, proposal_sd, init, config.degrees, exclusions,
-         config.single_chain, config.f_transform, chains_dir, config.thin)
-        for r in range(config.replications)
-    ]
+    reps = range(config.replications)
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
     if workers > 1 and config.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_replicate, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:
-        rows = [_replicate(t) for t in tasks]
+        rows = [replicate(r) for r in reps]
     rows.sort(key=lambda row: row["r"])
     total_seconds = time.perf_counter() - t_start
 
@@ -405,30 +402,14 @@ def run_study(config: ExperimentConfig, chains_dir=None):
         zv_estimates=zv_estimates,
         seeds=seeds,
         parameter_names=parameter_names,
-        timings={
-            "fit_chain_seconds": t_fit,
-            "eval_chain_seconds": t_eval,
-            "post_seconds": t_post,
-            "total_seconds": total_seconds,
-        },
     )
 
     results = {}
     boot_seed = config.base_seed + _BOOTSTRAP_SEED_OFFSET
     for j, name in enumerate(parameter_names):
-        entry = {
-            "ordinary": {
-                "estimate_mean": float(ordinary[:, j].mean()),
-                "variance": float(ordinary[:, j].var(ddof=1)) if len(good) > 1 else None,
-            },
-            "zv": {},
-        }
+        entry = {"ordinary": _summary(ordinary[:, j]), "zv": {}}
         for p in config.degrees:
-            zj = zv_estimates[p][:, j]
-            deg_entry = {
-                "estimate_mean": float(zj.mean()),
-                "variance": float(zj.var(ddof=1)) if len(good) > 1 else None,
-            }
+            deg_entry = _summary(zv_estimates[p][:, j])
             if len(good) > 1:
                 rep = variance_ratio(study, j, p, resamples=config.bootstrap_resamples,
                                      seed=boot_seed + j * 10 + p, min_replications=2)
@@ -456,12 +437,7 @@ def run_study(config: ExperimentConfig, chains_dir=None):
         "schema": "zvmcmc-study-v1",
         "package_version": __version__,
         "config": config.to_dict(),
-        "model": {
-            "kind": model.tag,
-            "dimension": model.dimension,
-            "parameters": list(parameter_names),
-            "sampler": method,
-        },
+        "model": _model_entry(config, model, parameter_names),
         "protocol": "single-chain" if config.single_chain else "two-chain",
         "degrees": list(config.degrees),
         "replications_requested": config.replications,
@@ -501,7 +477,6 @@ def write_study_csv(report: dict, path) -> None:
     """One row per replication, parameter and estimator."""
     import csv as _csv
 
-    config = report["config"]
     degrees = report["degrees"]
     params = report["model"]["parameters"]
     fit_seeds = report["seeds"]["fit"]
@@ -533,27 +508,20 @@ def run_coverage(config: ExperimentConfig):
     if config.f_transform != "identity":
         raise ConfigError("coverage compares coordinate means; f_transform must be 'identity'")
     model = build_model(config)
-    method = _sampler_method(config)
-    proposal_sd = np.asarray(config.proposal_sd, dtype=float) if config.proposal_sd is not None else None
 
     t0 = time.perf_counter()
     ref_seed = config.base_seed + _REFERENCE_SEED_OFFSET
     reference = long_chain_reference(
-        model, config.reference_length, ref_seed, method=method,
-        burn_in=config.burn_in, proposal_sd=proposal_sd,
+        model, config.reference_length, ref_seed, method=config.sampler,
+        burn_in=config.burn_in, proposal_sd=_proposal_sd(config),
     )
     t_reference = time.perf_counter() - t0
 
     study, study_report = run_study(config)
-    inside = {}
-    for p in config.degrees:
-        est = study.zv_estimates[p]
-        inside[p] = (est >= reference.lower[None, :]) & (est <= reference.upper[None, :])
-
     names = study.parameter_names
     coverage = {}
-    for p in config.degrees:
-        mask = inside[p]
+    for p, est in study.zv_estimates.items():
+        mask = (est >= reference.lower[None, :]) & (est <= reference.upper[None, :])
         coverage[str(p)] = {
             "fraction": float(mask.mean()),
             "events_inside": int(mask.sum()),
@@ -597,17 +565,11 @@ def run_diagnose(config: ExperimentConfig):
     strings "inf" and "-inf".
     """
     model = build_model(config)
-    method = _sampler_method(config)
-    exclusions = _resolve_exclusions(config, model)
-    proposal_sd = np.asarray(config.proposal_sd, dtype=float) if config.proposal_sd is not None else None
-    init = np.asarray(config.init, dtype=float) if config.init is not None else None
-    t0 = time.perf_counter()
-    chain_cfg = SamplerConfig(length=config.diagnose_length, burn_in=config.burn_in,
-                              seed=config.base_seed, init=init,
-                              proposal_sd=proposal_sd if method == "rwmh" else None)
-    chain = sample_chain(model, chain_cfg, method=method)
     p_max = max(config.degrees)
-    basis = _basis_for_degree(model.dimension, p_max, exclusions)
+    basis = control_variate_bases(config, model)[p_max]
+    t0 = time.perf_counter()
+    chain = sample_chain(model, _chain_config(config, config.diagnose_length, config.base_seed),
+                         method=config.sampler)
     center, scale = standardization_from_chain(chain, model.constrained_coordinates)
     cv = eval_control_variates(chain, basis, center=center, scale=scale)
     zero_mean = cv_zero_mean_test(cv)
@@ -620,12 +582,7 @@ def run_diagnose(config: ExperimentConfig):
         "schema": "zvmcmc-diagnose-v1",
         "package_version": __version__,
         "config": config.to_dict(),
-        "model": {
-            "kind": model.tag,
-            "dimension": model.dimension,
-            "parameters": list(model.parameter_names),
-            "sampler": method,
-        },
+        "model": _model_entry(config, model, model.parameter_names),
         "chain": {
             "length": chain.length,
             "burn_in": config.burn_in,

@@ -228,10 +228,11 @@ def eval_control_variates(
 class ZVFit:
     """Fitted coefficients plus the moments and conditioning evidence.
 
-    coefficients has one entry per active basis element, zeros at dropped
-    (degenerate) columns.  sigma_gg and sigma_gf hold the centered sample
-    moments the solve used.  condition_estimate is the eigenvalue ratio of
-    the equilibrated kept block of sigma_gg before any ridge.
+    coefficients has one row per active basis element, zeros at dropped
+    (degenerate) columns; it is (K,) for an (N,) f and (K, m) for an (N, m) f.
+    sigma_gg and sigma_gf hold the centered sample moments the solve used.
+    condition_estimate is the eigenvalue ratio of the equilibrated kept block
+    of sigma_gg before any ridge; it and the other flags depend on G only.
     """
 
     coefficients: np.ndarray
@@ -246,6 +247,8 @@ class ZVFit:
 def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     """Solve a = -Sigma_gg^{-1} sigma_gf from centered sample moments.
 
+    f_values is (N,) or (N, m); Sigma_gg does not depend on f, so the m
+    columns share one solve and each gets the coefficients of its own fit.
     Columns whose sample variance is below DEGENERATE_REL_TOL times their mean
     square are dropped with zero coefficient.  The kept system is equilibrated
     to unit diagonal before solving; equilibration only reorders the floating
@@ -256,8 +259,8 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     G = cv.values
     f = np.asarray(f_values, dtype=float)
     N, K = G.shape
-    if f.shape != (N,):
-        raise ValueError(f"f_values must have shape ({N},), got {f.shape}")
+    if f.ndim not in (1, 2) or f.shape[0] != N:
+        raise ValueError(f"f_values must have shape ({N},) or ({N}, m), got {f.shape}")
     if not np.all(np.isfinite(G)) or not np.all(np.isfinite(f)):
         raise ValueError("control variates and f values must be finite")
 
@@ -267,7 +270,7 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     # chance fluctuations of the g means, badly distorting the coefficients.
     g_mean = G.mean(axis=0)
     Gc = G - g_mean
-    fc = f - f.mean()
+    fc = f - f.mean(axis=0)
     sigma_gg = (Gc.T @ Gc) / N
     sigma_gg = 0.5 * (sigma_gg + sigma_gg.T)
     sigma_gf = (Gc.T @ fc) / N
@@ -276,38 +279,29 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     col_msq = (G * G).mean(axis=0)
     dropped = col_var <= DEGENERATE_REL_TOL * col_msq
     keep = ~dropped
-    coefficients = np.zeros(K)
+    coefficients = np.zeros((K,) + f.shape[1:])
+    condition, ridge_applied = 1.0, False
 
-    if not keep.any():
-        return ZVFit(
-            coefficients=coefficients,
-            sigma_gg=sigma_gg,
-            sigma_gf=sigma_gf,
-            condition_estimate=1.0,
-            dropped_columns=tuple(int(i) for i in np.flatnonzero(dropped)),
-            all_degenerate=True,
-        )
-
-    ka = int(keep.sum())
-    if N <= ka:
-        raise InsufficientSampleError(
-            f"{N} draws cannot identify {ka} control variate coefficients"
-        )
-
-    S = sigma_gg[np.ix_(keep, keep)]
-    s = sigma_gf[keep]
-    d = np.sqrt(np.diag(S))
-    Se = S / np.outer(d, d)
-    se = s / d
-    w, V = np.linalg.eigh(Se)
-    condition = float(w[-1] / w[0]) if w[0] > 0.0 else np.inf
-    ridge_applied = False
-    if condition > CONDITION_LIMIT:
-        lam = RIDGE_REL * float(np.trace(Se)) / ka
-        w = w + lam
-        ridge_applied = True
-    ae = -V @ ((V.T @ se) / w)
-    coefficients[keep] = ae / d
+    if keep.any():
+        ka = int(keep.sum())
+        if N <= ka:
+            raise InsufficientSampleError(
+                f"{N} draws cannot identify {ka} control variate coefficients"
+            )
+        S = sigma_gg[np.ix_(keep, keep)]
+        d = np.sqrt(np.diag(S))
+        Se = S / np.outer(d, d)
+        # per-row scalings broadcast over the m right-hand sides of an (N, m) f
+        rows = (slice(None),) + (None,) * (f.ndim - 1)
+        se = sigma_gf[keep] / d[rows]
+        w, V = np.linalg.eigh(Se)
+        condition = float(w[-1] / w[0]) if w[0] > 0.0 else np.inf
+        if condition > CONDITION_LIMIT:
+            lam = RIDGE_REL * float(np.trace(Se)) / ka
+            w = w + lam
+            ridge_applied = True
+        ae = -V @ ((V.T @ se) / w[rows])
+        coefficients[keep] = ae / d[rows]
 
     return ZVFit(
         coefficients=coefficients,
@@ -316,15 +310,20 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
         condition_estimate=condition,
         dropped_columns=tuple(int(i) for i in np.flatnonzero(dropped)),
         ridge_applied=ridge_applied,
+        all_degenerate=not keep.any(),
     )
 
 
 def renormalize(f_values, cv: ControlVariateMatrix, fit: ZVFit) -> np.ndarray:
-    """ftilde = f + G a, same mean as f under pi, hopefully far less variance."""
+    """ftilde = f + G a, same mean as f under pi, hopefully far less variance.
+
+    f_values is (N,) or (N, m), as it was passed to fit_coefficients.
+    """
     f = np.asarray(f_values, dtype=float)
-    if f.shape != (cv.draw_count,):
-        raise ValueError(f"f_values must have shape ({cv.draw_count},), got {f.shape}")
-    if fit.coefficients.shape != (cv.column_count,):
+    expected = (cv.draw_count,) + fit.coefficients.shape[1:]
+    if f.shape != expected:
+        raise ValueError(f"f_values must have shape {expected}, got {f.shape}")
+    if fit.coefficients.shape[0] != cv.column_count:
         raise ValueError("fit and control variate matrix disagree on column count")
     return f + cv.values @ fit.coefficients
 

@@ -78,3 +78,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp"):
+        assert main(["validate", "--config", str(configs / f"{name}.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
+        "config ok: model probit (dimension 4), sampler gibbs, degree 1: 4 terms, degree 2: 14 terms",
+        "config ok: model gaussian (dimension 1), sampler rwmh, degree 1: 1 terms, degree 2: 2 terms",
+        "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
+        "degree 3: 19 terms",
+    ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zvmcmc import (
+    ChainOutput,
     DataLoadError,
     GaussianTarget,
     PriceSeries,
@@ -94,6 +95,19 @@ def test_chain_roundtrip_is_exact(tmp_path):
     back = import_chain(path)
     assert np.array_equal(back.draws, chain.draws)
     assert np.array_equal(back.gradients, chain.gradients)
+
+
+def test_export_chain_bytes(tmp_path):
+    chain = ChainOutput(draws=np.array([[-0.0, 1e-320], [5e300, 0.1]]),
+                        gradients=np.array([[1.0, -2.5], [0.5, 3.0]]),
+                        accept_rate=1.0, seed_used=0, model_tag="test")
+    path = tmp_path / "chain.csv"
+    export_chain(chain, path)
+    assert path.read_bytes() == (
+        b"iter,beta_1,beta_2,grad_1,grad_2\r\n"
+        b"0,-0,9.9998886718268301e-321,1,-2.5\r\n"
+        b"1,5.0000000000000003e+300,0.10000000000000001,0.5,3\r\n"
+    )
 
 
 def test_import_chain_rejects_malformed(tmp_path):

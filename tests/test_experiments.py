@@ -13,6 +13,7 @@ from zvmcmc import (
     GaussianTarget,
     LogitTarget,
     ProbitTarget,
+    fit_coefficients,
     run_coverage,
     run_diagnose,
     run_study,
@@ -148,6 +149,15 @@ class TestConfigValidation:
         p.write_text(json.dumps(gaussian_dict()))
         cfg = ExperimentConfig.from_file(p)
         assert cfg.mu == 2.0 and cfg.base_seed == 7
+
+    def test_from_file_overrides(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(gaussian_dict()))
+        cfg = ExperimentConfig.from_file(p, {"base_seed": 3, "degrees": [2]})
+        assert cfg.base_seed == 3 and cfg.degrees == (2,) and cfg.mu == 2.0
+        p.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_file(p, {"base_seed": 3})
 
     def test_from_file_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -377,6 +387,21 @@ class TestRunStudyVariants:
         with pytest.raises(ValueError, match="not a basis exponent"):
             run_study(cfg)
 
+    def test_one_fit_per_replication_and_degree(self, monkeypatch):
+        # all d coordinates share one fit per degree; Sigma_gg depends only on G
+        shapes = []
+
+        def spy(cv, f_values):
+            shapes.append(np.shape(f_values))
+            return fit_coefficients(cv, f_values)
+
+        monkeypatch.setattr("zvmcmc.experiments.fit_coefficients", spy)
+        cfg = ExperimentConfig(model_kind="logit", synthetic_seed=101, burn_in=100, fit_length=200,
+                               eval_length=200, degrees=(1, 2), replications=3, threads=1)
+        _, report = run_study(cfg)
+        assert report["replications_completed"] == 3
+        assert shapes == [(200, 4)] * (3 * 2)
+
     def test_thinning_changes_estimates_not_schema(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict(thin=3, replications=2))
         _, report = run_study(cfg)
@@ -421,6 +446,16 @@ class TestRunCoverage:
         assert "timing" not in report["study"]
         assert report["study"]["schema"] == "zvmcmc-study-v1"
         assert set(report["timing"]) == {"reference_seconds", "study_seconds", "total_seconds"}
+
+
+    def test_gibbs_coverage_ignores_proposal_sd(self):
+        # proposal_sd tunes only the random walk; a probit config may carry it
+        cfg = ExperimentConfig(model_kind="probit", synthetic_seed=101, single_chain=True,
+                               burn_in=100, eval_length=200, degrees=(1,), replications=2,
+                               reference_length=2000, proposal_sd=(0.1, 0.1, 0.1, 0.1), threads=1)
+        _, report = run_coverage(cfg)
+        assert report["model"]["sampler"] == "gibbs"
+        assert report["coverage"]["1"]["events_total"] == 2 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,62 @@ def test_renormalize_validation():
 
 
 # ---------------------------------------------------------------------------
+# several functions of the chain in one fit
+
+
+def matrix_fit_cases():
+    rng = np.random.default_rng(20)
+    draws = rng.normal(size=(400, 3))
+    grads = -draws + 0.3 * rng.normal(size=(400, 3))
+    full = eval_control_variates(make_chain(draws, grads), monomial_basis(3, 2))
+    f = np.column_stack([draws, draws[:, 0] * draws[:, 1], np.exp(0.5 * draws[:, 2])])
+    # a constant gradient coordinate makes its linear column degenerate
+    grads_const = grads.copy()
+    grads_const[:, 1] = 0.7
+    dropped = eval_control_variates(make_chain(draws, grads_const), monomial_basis(3, 1))
+    g = rng.normal(size=400)
+    ridge = ControlVariateMatrix(
+        values=np.column_stack([g, g * (1.0 + 1e-14 * rng.normal(size=g.size)), rng.normal(size=400)]),
+        basis=monomial_basis(3, 1))
+    return {"full": (full, f), "dropped": (dropped, f), "ridge": (ridge, f + g[:, None])}
+
+
+@pytest.mark.parametrize("case", ["full", "dropped", "ridge"])
+def test_matrix_f_fit_equals_column_fits(case):
+    cv, f = matrix_fit_cases()[case]
+    fit = fit_coefficients(cv, f)
+    assert fit.coefficients.shape == fit.sigma_gf.shape == (cv.column_count, f.shape[1])
+    ftilde = renormalize(f, cv, fit)
+    assert ftilde.shape == f.shape
+    for j in range(f.shape[1]):
+        one = fit_coefficients(cv, f[:, j])
+        assert (fit.dropped_columns, fit.ridge_applied, fit.condition_estimate) == \
+            (one.dropped_columns, one.ridge_applied, one.condition_estimate)
+        col = renormalize(f[:, j], cv, one)
+        assert np.abs(ftilde[:, j] - col).max() <= 1e-12 * np.abs(col).max()
+        if case != "ridge":
+            # under the ridge, how two near-duplicate columns share a coefficient
+            # is set by rounding; only their combination G a is determined
+            scale = np.abs(one.coefficients).max()
+            assert np.abs(fit.coefficients[:, j] - one.coefficients).max() <= 1e-12 * scale
+    assert fit.dropped_columns == ((1,) if case == "dropped" else ())
+    assert fit.ridge_applied == (case == "ridge")
+
+
+def test_matrix_f_shape_validation():
+    cv, f = matrix_fit_cases()["full"]
+    with pytest.raises(ValueError):
+        fit_coefficients(cv, f[:, :, None])
+    with pytest.raises(ValueError):
+        fit_coefficients(cv, f[:-1])
+    fit = fit_coefficients(cv, f)
+    with pytest.raises(ValueError):
+        renormalize(f[:-1], cv, fit)
+    with pytest.raises(ValueError):
+        renormalize(f[:, 0], cv, fit)
+
+
+# ---------------------------------------------------------------------------
 # least-squares invariants
 
 
