@@ -77,6 +77,13 @@ class ConfigError(ValueError):
     """Configuration rejected before any sampling started."""
 
 
+def _numbers(name, value) -> tuple:
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; one JSON object, every field overridable.
@@ -166,14 +173,14 @@ class ExperimentConfig:
                 raise ConfigError(f"exclusions must be 'default' or a list of exponent lists") from None
         elif self.exclusions != "default":
             raise ConfigError(f"exclusions must be 'default' or a list of exponent lists, got {self.exclusions!r}")
-        prior_sd = tuple(float(v) for v in self.prior_sd)
+        prior_sd = _numbers("prior_sd", self.prior_sd)
         if len(prior_sd) != 3 or any(not np.isfinite(v) or v <= 0 for v in prior_sd):
             raise ConfigError(f"prior_sd must be 3 positive numbers, got {self.prior_sd!r}")
         self.prior_sd = prior_sd
         if self.proposal_sd is not None:
-            self.proposal_sd = tuple(float(v) for v in self.proposal_sd)
+            self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
         if self.init is not None:
-            self.init = tuple(float(v) for v in self.init)
+            self.init = _numbers("init", self.init)
         if self.notes is not None and not isinstance(self.notes, str):
             raise ConfigError(f"notes must be a string, got {type(self.notes).__name__}")
 
@@ -221,7 +228,31 @@ class ExperimentConfig:
 
 
 def build_model(config: ExperimentConfig):
-    """Construct the target described by the config, loading or generating data."""
+    """Construct the target described by the config, loading or generating data.
+
+    Every driver and `zvmcmc validate` build the model before anything else, so
+    this is also where the fields sized by the model are checked, once and
+    before any sampling: proposal_sd (rwmh only) must have 1 or d entries,
+    each finite and > 0, and init must have d entries and lie in the model's
+    support.  Raises ConfigError otherwise.
+    """
+    model = _target(config)
+    d = model.dimension
+    if config.sampler == "rwmh" and config.proposal_sd is not None:
+        if len(config.proposal_sd) not in (1, d):
+            raise ConfigError(f"proposal_sd must have 1 or {d} entries for model {model.tag}, "
+                              f"got {len(config.proposal_sd)}")
+        if not all(np.isfinite(v) and v > 0.0 for v in config.proposal_sd):
+            raise ConfigError(f"proposal_sd entries must be finite and > 0, got {list(config.proposal_sd)}")
+    if config.init is not None:
+        if len(config.init) != d:
+            raise ConfigError(f"init must have {d} entries for model {model.tag}, got {len(config.init)}")
+        if not model.in_support(config.init):
+            raise ConfigError(f"init {list(config.init)} is outside the support of {model.tag}")
+    return model
+
+
+def _target(config: ExperimentConfig):
     kind = config.model_kind
     if kind == "gaussian":
         return GaussianTarget(config.mu, config.sigma2)

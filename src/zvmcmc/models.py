@@ -16,9 +16,17 @@ log_density and grad_log_density raise SupportError outside the support
 and ValueError on a wrongly shaped argument.  Samplers rely on the former:
 random-walk Metropolis calls log_density on every proposal and reads
 SupportError as a rejection, so each proposal is validated once.
+
+Every support is "all coordinates finite" plus lower bounds of 0 on some
+coordinates, and one helper, _violation, checks it for every model.  A
+one-point call checks the point's Python floats, which costs far less than
+numpy reductions over a few numbers; an (m, d) batch is checked with numpy
+reductions.  Both make the same checks in the same order and fail with the
+same messages.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +74,35 @@ def _as_points(beta, d):
     return _as_param(beta, d)
 
 
-def _require(violation, beta):
-    """beta itself, or SupportError with the message violation(beta) returns."""
-    v = violation(beta)
+def _violation(beta, bounds=()):
+    """Why beta is outside a support, or None when it is inside.
+
+    The support is "every entry finite" followed by bounds, a sequence of
+    (j, strict, message): coordinate j must be > 0 when strict, >= 0
+    otherwise.  The first failed check names the message.  beta is one (d,)
+    point, checked on Python floats, or an (m, d) batch, checked with numpy
+    reductions, which fails when any row fails.
+    """
+    if beta.ndim == 1:
+        values = beta.tolist()
+        if not all(map(math.isfinite, values)):
+            return "parameter must be finite"
+        for j, strict, message in bounds:
+            if values[j] <= 0.0 if strict else values[j] < 0.0:
+                return message
+        return None
+    if not np.isfinite(beta).all():
+        return "parameter must be finite"
+    for j, strict, message in bounds:
+        column = beta[:, j]
+        if ((column <= 0.0) if strict else (column < 0.0)).any():
+            return message
+    return None
+
+
+def _require(beta, bounds=()):
+    """beta itself, or SupportError with the message _violation(beta, bounds) returns."""
+    v = _violation(beta, bounds)
     if v is not None:
         raise SupportError(v)
     return beta
@@ -178,12 +212,7 @@ class GarchPrior:
 # (m, 1) batch.
 
 
-def _positive_violation(beta):
-    if not np.isfinite(beta).all():
-        return "parameter must be finite"
-    if (beta <= 0.0).any():
-        return "x must be > 0"
-    return None
+_POSITIVE = ((0, True, "x must be > 0"),)
 
 
 class GaussianTarget:
@@ -200,21 +229,16 @@ class GaussianTarget:
         self.mu = float(mu)
         self.sigma2 = float(sigma2)
 
-    def _violation(self, beta):
-        if not np.isfinite(beta).all():
-            return "parameter must be finite"
-        return None
-
     def in_support(self, beta):
-        return self._violation(_as_param(beta, 1)) is None
+        return _violation(_as_param(beta, 1)) is None
 
     def log_density(self, beta):
-        beta = _require(self._violation, _as_param(beta, 1))
+        beta = _require(_as_param(beta, 1))
         d = beta[0] - self.mu
         return float(-0.5 * d * d / self.sigma2)
 
     def grad_log_density(self, beta):
-        beta = _require(self._violation, _as_points(beta, 1))
+        beta = _require(_as_points(beta, 1))
         return (self.mu - beta) / self.sigma2
 
     def rough_scale(self):
@@ -240,17 +264,15 @@ class ExponentialTarget:
             raise ValueError(f"lam must be finite and > 0, got {lam}")
         self.lam = float(lam)
 
-    _violation = staticmethod(_positive_violation)
-
     def in_support(self, beta):
-        return self._violation(_as_param(beta, 1)) is None
+        return _violation(_as_param(beta, 1), _POSITIVE) is None
 
     def log_density(self, beta):
-        beta = _require(self._violation, _as_param(beta, 1))
+        beta = _require(_as_param(beta, 1), _POSITIVE)
         return float(-self.lam * beta[0])
 
     def grad_log_density(self, beta):
-        beta = _require(self._violation, _as_points(beta, 1))
+        beta = _require(_as_points(beta, 1), _POSITIVE)
         return np.full(beta.shape, -self.lam)
 
     def rough_scale(self):
@@ -276,18 +298,16 @@ class GammaTarget:
         self.shape = float(shape)
         self.scale = float(scale)
 
-    _violation = staticmethod(_positive_violation)
-
     def in_support(self, beta):
-        return self._violation(_as_param(beta, 1)) is None
+        return _violation(_as_param(beta, 1), _POSITIVE) is None
 
     def log_density(self, beta):
-        beta = _require(self._violation, _as_param(beta, 1))
+        beta = _require(_as_param(beta, 1), _POSITIVE)
         x = beta[0]
         return float((self.shape - 1.0) * np.log(x) - x / self.scale)
 
     def grad_log_density(self, beta):
-        beta = _require(self._violation, _as_points(beta, 1))
+        beta = _require(_as_points(beta, 1), _POSITIVE)
         return (self.shape - 1.0) / beta - 1.0 / self.scale
 
     def rough_scale(self):
@@ -314,13 +334,8 @@ class _RegressionTarget:
         xtx = data.design.T @ data.design
         self._xtx_inv = np.linalg.inv(xtx)
 
-    def _violation(self, beta):
-        if not np.isfinite(beta).all():
-            return "parameter must be finite"
-        return None
-
     def in_support(self, beta):
-        return self._violation(_as_param(beta, self.dimension)) is None
+        return _violation(_as_param(beta, self.dimension)) is None
 
     def default_init(self):
         return np.zeros(self.dimension)
@@ -339,13 +354,13 @@ class ProbitTarget(_RegressionTarget):
         self._sign = 2.0 * data.response - 1.0
 
     def log_density(self, beta):
-        beta = _require(self._violation, _as_param(beta, self.dimension))
+        beta = _require(_as_param(beta, self.dimension))
         t = self.data.design @ beta
         y = self.data.response
         return float(y @ log_ndtr(t) + (1.0 - y) @ log_ndtr(-t))
 
     def grad_log_density(self, beta):
-        beta = _require(self._violation, _as_points(beta, self.dimension))
+        beta = _require(_as_points(beta, self.dimension))
         # s_i x_i'beta with s_i = 2 y_i - 1: the score of row i is
         # s_i phi(x_i'beta) / Phi(s_i x_i'beta), and phi is even
         st = beta @ self.data.design.T
@@ -368,13 +383,13 @@ class LogitTarget(_RegressionTarget):
     tag = "logit"
 
     def log_density(self, beta):
-        beta = _require(self._violation, _as_param(beta, self.dimension))
+        beta = _require(_as_param(beta, self.dimension))
         t = self.data.design @ beta
         y = self.data.response
         return float(y @ t - np.sum(np.logaddexp(0.0, t)))
 
     def grad_log_density(self, beta):
-        beta = _require(self._violation, _as_points(beta, self.dimension))
+        beta = _require(_as_points(beta, self.dimension))
         resid = expit(beta @ self.data.design.T)
         np.subtract(self.data.response, resid, out=resid)
         return resid @ self.data.design
@@ -386,6 +401,18 @@ class LogitTarget(_RegressionTarget):
 
 # ---------------------------------------------------------------------------
 # GARCH(1,1)
+
+_GARCH_SUPPORT = (
+    (0, True, "omega_1 must be > 0"),
+    (1, False, "omega_2 must be >= 0"),
+    (2, False, "omega_3 must be >= 0"),
+)
+# the gradient also needs the open faces omega_2 > 0 and omega_3 > 0, checked
+# after the whole support
+_GARCH_INTERIOR = _GARCH_SUPPORT + (
+    (1, True, "omega_2 must be > 0 strictly inside the support"),
+    (2, True, "omega_3 must be > 0 strictly inside the support"),
+)
 
 
 class GarchTarget:
@@ -417,41 +444,22 @@ class GarchTarget:
         # r_0 := 0 puts a zero in front of the lagged squared returns
         self._r2_lag = np.concatenate(([0.0], self._r2[:-1]))
 
-    def _violation(self, omega):
-        if not np.isfinite(omega).all():
-            return "parameter must be finite"
-        if (omega[..., 0] <= 0.0).any():
-            return "omega_1 must be > 0"
-        if (omega[..., 1] < 0.0).any():
-            return "omega_2 must be >= 0"
-        if (omega[..., 2] < 0.0).any():
-            return "omega_3 must be >= 0"
-        return None
-
     def in_support(self, omega):
-        return self._violation(_as_param(omega, 3)) is None
+        return _violation(_as_param(omega, 3), _GARCH_SUPPORT) is None
 
-    def _interior_violation(self, omega):
-        v = self._violation(omega)
-        if v is not None:
-            return v
-        if (omega[..., 1] == 0.0).any():
-            return "omega_2 must be > 0 strictly inside the support"
-        if (omega[..., 2] == 0.0).any():
-            return "omega_3 must be > 0 strictly inside the support"
-        return None
-
-    def _band(self, omega):
-        # LAPACK lower band storage (2, T) of the recursion matrix: the unit
-        # diagonal in row 0 (the solves take diag "U" and skip it), -omega_3
-        # below it in row 1
-        band = np.ones((2, self.series.length), order="F")
-        band[1] = -omega[2]
+    def _band(self, w3):
+        # LAPACK lower band storage (2, T) of the recursion matrix, -omega_3
+        # below the diagonal in row 1.  Row 0 would hold the unit diagonal,
+        # but under diag "U" dtbsv and dtbtrs never read it, so it is left
+        # unwritten
+        band = np.empty((2, self.series.length), order="F")
+        band[1] = -w3
         return band
 
     def _h_path(self, omega, band):
-        forcing = omega[0] + omega[1] * self._r2_lag
-        forcing[0] += omega[2] * self.series.h0
+        w1, w2, w3 = omega
+        forcing = w1 + w2 * self._r2_lag
+        forcing[0] += w3 * self.series.h0
         return blas.dtbsv(1, band, forcing, lower=1, diag=1, overwrite_x=1)
 
     def _h_derivatives(self, h, band):
@@ -468,17 +476,20 @@ class GarchTarget:
         return dh
 
     def log_density(self, omega):
-        omega = _require(self._violation, _as_param(omega, 3))
-        h = self._h_path(omega, self._band(omega))
+        omega = _require(_as_param(omega, 3), _GARCH_SUPPORT).tolist()
+        w1, w2, w3 = omega
+        h = self._h_path(omega, self._band(w3))
         loglik = -0.5 * float(np.sum(np.log(h) + self._r2 / h))
-        logprior = -0.5 * float(np.sum(omega * omega / self._prior_var))
+        v1, v2, v3 = self._prior_var.tolist()
+        # left to right, the order numpy's sum over three numbers takes
+        logprior = -0.5 * (w1 * w1 / v1 + w2 * w2 / v2 + w3 * w3 / v3)
         return loglik + logprior
 
     def grad_log_density(self, omega):
-        omega = _require(self._interior_violation, _as_points(omega, 3))
+        omega = _require(_as_points(omega, 3), _GARCH_INTERIOR)
         if omega.ndim == 2:
             return -omega / self._prior_var + self._loglik_grad_rows(omega)
-        band = self._band(omega)
+        band = self._band(omega[2])
         h = self._h_path(omega, band)
         dh = self._h_derivatives(h, band)
         w = 0.5 * (self._r2 / (h * h) - 1.0 / h)
@@ -524,8 +535,8 @@ def garch_variance_path(series: ReturnsSeries, omega) -> np.ndarray:
     Raises SupportError outside {omega_1 > 0, omega_2 >= 0, omega_3 >= 0}.
     """
     model = GarchTarget(series)
-    omega = _require(model._violation, _as_param(omega, 3))
-    return model._h_path(omega, model._band(omega))
+    omega = _require(_as_param(omega, 3), _GARCH_SUPPORT)
+    return model._h_path(omega, model._band(omega[2]))
 
 
 def garch_h_derivatives(series: ReturnsSeries, omega) -> np.ndarray:
@@ -535,6 +546,6 @@ def garch_h_derivatives(series: ReturnsSeries, omega) -> np.ndarray:
     dh_t/domega_1 sums the geometric series (1 - omega_3^t)/(1 - omega_3).
     """
     model = GarchTarget(series)
-    omega = _require(model._violation, _as_param(omega, 3))
-    band = model._band(omega)
+    omega = _require(_as_param(omega, 3), _GARCH_SUPPORT)
+    band = model._band(omega[2])
     return model._h_derivatives(model._h_path(omega, band), band)

@@ -13,6 +13,7 @@ bit-identical output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,13 +233,16 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
             lp = model.log_density(prop)
         except SupportError:
             lp = -np.inf
-        if np.isnan(lp):
+        # log_density returns a Python float; math.isnan is the cheaper test
+        if math.isnan(lp):
             raise FloatingPointError(f"NaN log-density at proposal {prop}")
         delta = lp - logp
         accept = False
         if delta >= 0.0:
             accept = True
         elif delta > -np.inf:
+            # np.log, not math.log: the two differ in the last bit on some
+            # uniforms, and that would flip accept decisions
             accept = np.log(rng.random()) < delta
         if accept:
             x = prop
@@ -292,17 +296,22 @@ def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutp
     xtx_inv = np.linalg.inv(xtx)
     proj = xtx_inv @ X.T
     chol_cov = np.linalg.cholesky(xtx_inv)
-    # y = 1 truncates the latent below at 0, y = 0 above at 0
+    # y = 1 truncates the latent below at 0, y = 0 above at 0.  With s = sign
+    # folded into the design and the projection, a sweep works on
+    # s * latent = s t - q, q = ndtri_exp(log_ndtr(s t) + log1p(-u)), where
+    # t = X beta and latent = t + s * _std_lower(-s t, u); multiplying by +-1
+    # is exact, so the draws equal those of the unfolded latent
     sign = np.where(y == 1.0, 1.0, -1.0)
+    s_design = sign[:, None] * X
+    s_proj = proj * sign
 
     beta = _resolve_init(model, config)
     draws = np.empty((config.length, d))
 
     for step in range(config.burn_in + config.length * config.thin):
-        t = X @ beta
+        st = s_design @ beta
         u = rng.random(n)
-        latent = t + sign * _std_lower(-sign * t, u)
-        mean = proj @ latent
+        mean = s_proj @ (st - ndtri_exp(log_ndtr(st) + np.log1p(-u)))
         beta = mean + chol_cov @ rng.standard_normal(d)
         offset = step - config.burn_in
         if offset >= 0 and offset % config.thin == 0:

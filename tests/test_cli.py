@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zvmcmc
+import zvmcmc.samplers
 from zvmcmc import ExperimentConfig, run_diagnose
 from zvmcmc.cli import main
 
@@ -91,3 +94,39 @@ def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
         "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
         "degree 3: 19 terms",
     ]
+
+
+MODEL_SIZED_FIELD_ERRORS = [
+    ({"model_kind": "logit", "proposal_sd": 0.1}, "proposal_sd must be a list of numbers, got 0.1"),
+    ({"model_kind": "logit", "proposal_sd": [0.1, 0.1, 0.1]},
+     "proposal_sd must have 1 or 4 entries for model logit, got 3"),
+    ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]},
+     "proposal_sd entries must be finite and > 0"),
+    ({"model_kind": "logit", "init": [0.0, 0.0]}, "init must have 4 entries for model logit, got 2"),
+    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]}, "init [-1.0, 0.1, 0.5] is outside the support of garch"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "coverage", "diagnose"])
+@pytest.mark.parametrize("fields,message", MODEL_SIZED_FIELD_ERRORS,
+                         ids=["proposal-scalar", "proposal-length", "proposal-zero", "init-length", "init-support"])
+def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
+                                                         fields, message):
+    sampled = []
+    for name in ("rw_metropolis", "gibbs_probit"):
+        monkeypatch.setattr(zvmcmc.samplers, name, lambda *args, **kwargs: sampled.append(args))
+    path = write_config(tmp_path, single_chain=True, **fields)
+    assert main([command, "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert sampled == []
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
+    # one proposal sd serves every coordinate; gibbs takes no proposal at all
+    for fields in ({"model_kind": "logit", "proposal_sd": [0.1], "init": [0.0, 0.0, 0.0, 0.0]},
+                   {"model_kind": "probit", "proposal_sd": [0.1, 0.1]},
+                   {"model_kind": "garch", "init": [1e-5, 0.0, 0.5]}):
+        path = write_config(tmp_path, **fields)
+        assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.count("config ok") == 3

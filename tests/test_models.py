@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import fd_gradient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import blas
 
 from zvmcmc import (
     BinaryRegressionData,
@@ -306,6 +309,110 @@ def test_log_density_raises_outside_support():
         ExponentialTarget().log_density([-0.5])
     with pytest.raises(SupportError):
         GarchTarget(small_series()).log_density([-1.0, 0.1, 0.1])
+
+
+FINITE = "parameter must be finite"
+
+
+def support_cases():
+    """(model, point, message of the support check, message of the interior check).
+
+    A message of None means the point passes that check.  Every point differs
+    from the model's default init, which is strictly interior, in the
+    coordinates it names.
+    """
+    data = small_regression_data()
+    series = small_series()
+    models = [GaussianTarget(mu=2.0, sigma2=3.0), ExponentialTarget(lam=1.5),
+              GammaTarget(shape=3.0, scale=1.0), ProbitTarget(data), LogitTarget(data),
+              GarchTarget(series)]
+    cases = []
+    for model in models:
+        for j in range(model.dimension):
+            for bad in (np.nan, np.inf, -np.inf):
+                point = model.default_init()
+                point[j] = bad
+                cases.append((model, point, FINITE, FINITE))
+    for model in models[1:3]:
+        for x in (0.0, -0.0, -1.0):
+            cases.append((model, np.array([x]), "x must be > 0", "x must be > 0"))
+    garch = models[-1]
+    h = series.h0
+
+    def at(*omega):
+        return np.array(omega, dtype=float)
+
+    omega_1 = "omega_1 must be > 0"
+    omega_2, omega_3 = "omega_2 must be >= 0", "omega_3 must be >= 0"
+    cases += [
+        (garch, at(0.0, 0.1, 0.6), omega_1, omega_1),
+        (garch, at(-1e-3 * h, 0.1, 0.6), omega_1, omega_1),
+        (garch, at(0.2 * h, -1e-9, 0.6), omega_2, omega_2),
+        (garch, at(0.2 * h, 0.1, -1e-9), omega_3, omega_3),
+        # the checks run in order: finiteness, then coordinate by coordinate
+        (garch, at(-1.0, np.nan, -1.0), FINITE, FINITE),
+        (garch, at(-1.0, -1.0, -1.0), omega_1, omega_1),
+        (garch, at(0.2 * h, -1.0, -1.0), omega_2, omega_2),
+        # the faces are in the support but not in the strict interior, and the
+        # interior checks run after the whole support
+        (garch, at(0.2 * h, 0.0, 0.6), None, "omega_2 must be > 0 strictly inside the support"),
+        (garch, at(0.2 * h, -0.0, 0.6), None, "omega_2 must be > 0 strictly inside the support"),
+        (garch, at(0.2 * h, 0.1, 0.0), None, "omega_3 must be > 0 strictly inside the support"),
+        (garch, at(0.2 * h, 0.0, 0.0), None, "omega_2 must be > 0 strictly inside the support"),
+        (garch, at(0.2 * h, 0.0, -1.0), omega_3, omega_3),
+    ]
+    return cases
+
+
+def raises_exactly(message):
+    return pytest.raises(SupportError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize("model,point,support,interior", support_cases(),
+                         ids=lambda v: getattr(v, "tag", None))
+def test_one_point_and_batch_checks_reject_alike(model, point, support, interior):
+    assert model.in_support(point) is (support is None)
+    if support is None:
+        assert np.isfinite(model.log_density(point))
+    else:
+        with raises_exactly(support):
+            model.log_density(point)
+    inside = model.default_init()
+    # the one-point gradient, and a batch with the point in either row
+    for arg in (point, np.array([inside, point]), np.array([point, inside])):
+        with raises_exactly(interior):
+            model.grad_log_density(arg)
+
+
+def old_garch_log_density(model, omega):
+    """The log-density as written before its scalar rewrite: a band of ones,
+    numpy scalars in the forcing and a numpy sum for the prior."""
+    r2 = model.series.returns**2
+    r2_lag = np.concatenate(([0.0], r2[:-1]))
+    band = np.ones((2, model.series.length), order="F")
+    band[1] = -omega[2]
+    forcing = omega[0] + omega[1] * r2_lag
+    forcing[0] += omega[2] * model.series.h0
+    h = blas.dtbsv(1, band, forcing, lower=1, diag=1, overwrite_x=1)
+    loglik = -0.5 * float(np.sum(np.log(h) + r2 / h))
+    prior_var = model.prior.prior_sd**2
+    logprior = -0.5 * float(np.sum(omega * omega / prior_var))
+    return loglik + logprior
+
+
+def test_garch_log_density_equals_the_old_form_exactly():
+    series = small_series()
+    # prior sds near the parameter scales keep the prior's rounding visible
+    model = GarchTarget(series, GarchPrior(prior_sd=np.array([series.h0, 0.3, 0.5])))
+    rng = np.random.default_rng(19)
+    points = np.column_stack([rng.uniform(0.01, 2.0, 200) * series.h0,
+                              rng.uniform(0.0, 0.5, 200), rng.uniform(0.0, 1.2, 200)])
+    points[:2, 1] = 0.0
+    points[2:4, 2] = 0.0
+    points[4, 1:] = 0.0
+    for omega in points:
+        assert model.log_density(omega) == old_garch_log_density(model, omega)
+    assert model.log_density(points[0].tolist()) == old_garch_log_density(model, points[0])
 
 
 def test_garch_gradient_needs_strict_interior():

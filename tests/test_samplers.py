@@ -185,6 +185,29 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
         assert np.allclose(out.gradients[i], model.grad_log_density(out.draws[i]), rtol=1e-12)
 
 
+def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
+    from zvmcmc.samplers import _std_lower
+
+    data = synthetic_banknote(seed=101)
+    cfg = SamplerConfig(length=300, seed=23)
+    out = gibbs_probit(data, cfg)
+    # the sweep written with the signs applied to the latent draw itself
+    X, y = data.design, data.response
+    n, d = X.shape
+    xtx_inv = np.linalg.inv(X.T @ X)
+    proj = xtx_inv @ X.T
+    chol_cov = np.linalg.cholesky(xtx_inv)
+    sign = np.where(y == 1.0, 1.0, -1.0)
+    rng = np.random.default_rng(cfg.seed)
+    beta = np.zeros(d)
+    for i in range(cfg.length):
+        t = X @ beta
+        u = rng.random(n)
+        latent = t + sign * _std_lower(-sign * t, u)
+        beta = proj @ latent + chol_cov @ rng.standard_normal(d)
+        assert np.array_equal(out.draws[i], beta), i
+
+
 def test_chain_output_immutable():
     out = rw_metropolis(GaussianTarget(), SamplerConfig(length=20, seed=0))
     with pytest.raises(ValueError):
