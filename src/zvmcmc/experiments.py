@@ -43,10 +43,12 @@ from .models import (
     GaussianTarget,
     LogitTarget,
     ProbitTarget,
+    SupportError,
 )
 from .samplers import SamplerConfig, sample_chain
 from .zv import (
     ControlVariateMatrix,
+    InsufficientSampleError,
     MonomialBasis,
     default_exclusions,
     eval_control_variates,
@@ -317,9 +319,17 @@ def _proposal_sd(config: ExperimentConfig):
     return config.proposal_sd if config.sampler == "rwmh" else None
 
 
-def _chain_config(config: ExperimentConfig, length, seed, thin=1) -> SamplerConfig:
+def _chain_config(config: ExperimentConfig, length, seed, thin=1,
+                  compute_gradients=True) -> SamplerConfig:
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
-                         thin=thin, proposal_sd=_proposal_sd(config))
+                         thin=thin, proposal_sd=_proposal_sd(config),
+                         compute_gradients=compute_gradients)
+
+
+# the numerical failures that cost one replication; anything else is a bug
+# and fails the whole study
+_REPLICATION_FAILURES = (SupportError, FloatingPointError, InsufficientSampleError,
+                         np.linalg.LinAlgError)
 
 
 def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
@@ -377,7 +387,7 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
         out["t_fit"] = t1 - t0
         out["t_eval"] = t2 - t1
         out["t_post"] = t3 - t2
-    except Exception as exc:  # a failed replication is recorded, not fatal
+    except _REPLICATION_FAILURES as exc:  # recorded, not fatal
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
 
@@ -388,6 +398,10 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     Returns (study, report): the ReplicationStudy with one row per successful
     replication and a JSON-ready report dict.  Wall-clock numbers live only
     under report["timing"] so the rest is reproducible byte for byte.
+
+    A replication that fails numerically (SupportError, FloatingPointError,
+    InsufficientSampleError, LinAlgError) is listed under replication_errors
+    and the report is marked partial; any other exception fails the study.
 
     Every coordinate and degree carries the variance ratio var(ordinary) /
     var(ZV).  With R >= 2 completed replications its ratio_method is
@@ -542,10 +556,10 @@ def run_coverage(config: ExperimentConfig):
 
     t0 = time.perf_counter()
     ref_seed = config.base_seed + _REFERENCE_SEED_OFFSET
-    reference = long_chain_reference(
-        model, config.reference_length, ref_seed, method=config.sampler,
-        burn_in=config.burn_in, proposal_sd=_proposal_sd(config),
-    )
+    ref_chain = sample_chain(
+        model, _chain_config(config, config.reference_length, ref_seed, compute_gradients=False),
+        method=config.sampler)
+    reference = long_chain_reference(model, ref_chain.length, ref_seed, chain=ref_chain)
     t_reference = time.perf_counter() - t0
 
     study, study_report = run_study(config)

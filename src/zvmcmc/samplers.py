@@ -221,43 +221,52 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     # moved[i]: the chain accepted a proposal since retained draw i - 1
     moved = np.empty(config.length, dtype=bool)
     since_kept = True
-    pilot_steps = min(_PILOT_STEPS, config.burn_in)
+    burn_in = config.burn_in
+    thin = config.thin
+    pilot_steps = min(_PILOT_STEPS, burn_in)
     pilot_accepts = 0
     retained_accepts = 0
-    retained_steps = config.length * config.thin
-    total = config.burn_in + retained_steps
+    retained_steps = config.length * thin
+    # the loop runs on locals, which saves an attribute or global lookup per
+    # name per step
+    log_density = model.log_density
+    normal = rng.standard_normal
+    uniform = rng.random
+    # np.log, not math.log: the two differ in the last bit on some uniforms,
+    # and that would flip accept decisions
+    log = np.log
+    isnan = math.isnan
+    neg_inf = -math.inf
+    i = 0
+    next_kept = burn_in  # the step whose state is retained draw i
 
-    for step in range(total):
-        prop = x + sd * rng.standard_normal(d)
+    for step in range(burn_in + retained_steps):
+        # not built in place: on d = 1 targets `z *= sd; z += x` costs more
+        # than these two temporaries
+        prop = x + sd * normal(d)
         try:
-            lp = model.log_density(prop)
+            lp = log_density(prop)
         except SupportError:
-            lp = -np.inf
+            lp = neg_inf
         # log_density returns a Python float; math.isnan is the cheaper test
-        if math.isnan(lp):
+        if isnan(lp):
             raise FloatingPointError(f"NaN log-density at proposal {prop}")
         delta = lp - logp
-        accept = False
-        if delta >= 0.0:
-            accept = True
-        elif delta > -np.inf:
-            # np.log, not math.log: the two differ in the last bit on some
-            # uniforms, and that would flip accept decisions
-            accept = np.log(rng.random()) < delta
-        if accept:
+        # a uniform is drawn only when -inf < delta < 0
+        if delta >= 0.0 or (delta > neg_inf and log(uniform()) < delta):
             x = prop
             logp = lp
             since_kept = True
             if step < pilot_steps:
                 pilot_accepts += 1
-            if step >= config.burn_in:
+            if step >= burn_in:
                 retained_accepts += 1
-        offset = step - config.burn_in
-        if offset >= 0 and offset % config.thin == 0:
-            i = offset // config.thin
+        if step == next_kept:
             draws[i] = x
             moved[i] = since_kept
             since_kept = False
+            i += 1
+            next_kept += thin
 
     return ChainOutput(
         draws=draws,

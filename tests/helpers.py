@@ -73,3 +73,79 @@ def hand_control_variate(alpha, x, z):
             down2[j] -= 2
             total -= 0.5 * alpha[j] * (alpha[j] - 1) * np.prod(x**down2)
     return total
+
+
+def reference_rw_metropolis(model, config):
+    """Random-walk Metropolis written as a plain per-step loop, an oracle for
+    the sampler's optimised loop.
+
+    The proposal is x + sd * z, one uniform is drawn per finite negative
+    log-density difference, and retained draws are picked by step % thin.
+    Proposal sizing, the start point and the chain's gradients come from the
+    package, so only the loop itself is under test.
+    """
+    import math
+
+    from zvmcmc.models import SupportError
+    from zvmcmc.samplers import (
+        _PILOT_STEPS,
+        ChainOutput,
+        _chain_gradients,
+        _resolve_init,
+        _resolve_proposal_sd,
+    )
+
+    rng = np.random.default_rng(config.seed)
+    d = model.dimension
+    sd = _resolve_proposal_sd(model, config)
+    x = _resolve_init(model, config)
+    logp = model.log_density(x)
+    if not np.isfinite(logp):
+        raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
+
+    draws = np.empty((config.length, d))
+    moved = np.empty(config.length, dtype=bool)
+    since_kept = True
+    pilot_steps = min(_PILOT_STEPS, config.burn_in)
+    pilot_accepts = 0
+    retained_accepts = 0
+    retained_steps = config.length * config.thin
+    total = config.burn_in + retained_steps
+
+    for step in range(total):
+        prop = x + sd * rng.standard_normal(d)
+        try:
+            lp = model.log_density(prop)
+        except SupportError:
+            lp = -np.inf
+        if math.isnan(lp):
+            raise FloatingPointError(f"NaN log-density at proposal {prop}")
+        delta = lp - logp
+        accept = False
+        if delta >= 0.0:
+            accept = True
+        elif delta > -np.inf:
+            accept = np.log(rng.random()) < delta
+        if accept:
+            x = prop
+            logp = lp
+            since_kept = True
+            if step < pilot_steps:
+                pilot_accepts += 1
+            if step >= config.burn_in:
+                retained_accepts += 1
+        offset = step - config.burn_in
+        if offset >= 0 and offset % config.thin == 0:
+            i = offset // config.thin
+            draws[i] = x
+            moved[i] = since_kept
+            since_kept = False
+
+    return ChainOutput(
+        draws=draws,
+        gradients=_chain_gradients(model, config, draws, moved),
+        accept_rate=retained_accepts / retained_steps,
+        seed_used=config.seed,
+        model_tag=model.tag,
+        pilot_accept_rate=(pilot_accepts / pilot_steps) if pilot_steps else None,
+    )

@@ -11,12 +11,15 @@ from zvmcmc import (
     GammaTarget,
     GarchTarget,
     GaussianTarget,
+    InsufficientSampleError,
     LogitTarget,
     ProbitTarget,
+    SupportError,
     fit_coefficients,
     run_coverage,
     run_diagnose,
     run_study,
+    sample_chain,
 )
 from zvmcmc.experiments import build_model, write_study_csv
 
@@ -410,6 +413,43 @@ class TestRunStudyVariants:
         assert report["per_replication_estimates"] != base["per_replication_estimates"]
 
 
+def fail_one_replication(monkeypatch, exc, seed):
+    """Make the chain with the given seed raise exc inside run_study."""
+
+    def chain(model, config, method="rwmh"):
+        if config.seed == seed:
+            raise exc
+        return sample_chain(model, config, method=method)
+
+    monkeypatch.setattr("zvmcmc.experiments.sample_chain", chain)
+
+
+class TestReplicationFailures:
+    @pytest.mark.parametrize("exc", [
+        FloatingPointError("NaN log-density"),
+        SupportError("x must be > 0"),
+        InsufficientSampleError("too few draws"),
+        np.linalg.LinAlgError("singular matrix"),
+    ], ids=lambda e: type(e).__name__)
+    def test_numerical_failure_makes_a_partial_study(self, monkeypatch, exc):
+        cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
+        # replication 1 fails on its fit chain
+        fail_one_replication(monkeypatch, exc, cfg.base_seed + 2)
+        _, report = run_study(cfg)
+        assert report["partial"] is True
+        assert report["replications_completed"] == cfg.replications - 1
+        assert report["replication_errors"] == [
+            {"replication": 1, "error": f"{type(exc).__name__}: {exc}"}]
+
+    @pytest.mark.parametrize("exc", [TypeError("unsupported operand"), KeyError("zv")],
+                             ids=lambda e: type(e).__name__)
+    def test_programming_error_fails_the_study(self, monkeypatch, exc):
+        cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
+        fail_one_replication(monkeypatch, exc, cfg.base_seed + 2)
+        with pytest.raises(type(exc)):
+            run_study(cfg)
+
+
 # ---------------------------------------------------------------------------
 # run_coverage
 
@@ -447,6 +487,23 @@ class TestRunCoverage:
         assert report["study"]["schema"] == "zvmcmc-study-v1"
         assert set(report["timing"]) == {"reference_seconds", "study_seconds", "total_seconds"}
 
+
+    def test_reference_chain_starts_at_the_configured_init(self, monkeypatch):
+        starts = []
+
+        def spy(model, config, method="rwmh"):
+            starts.append((config.length, None if config.init is None else list(config.init)))
+            return sample_chain(model, config, method=method)
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
+        # a step of 1e-9 keeps every chain at its start, so the reference
+        # point shows where the reference chain began
+        cfg = ExperimentConfig.from_dict(gaussian_dict(
+            single_chain=True, replications=2, reference_length=3000, init=[9.0],
+            proposal_sd=[1e-9], threads=1))
+        _, report = run_coverage(cfg)
+        assert starts == [(3000, [9.0]), (400, [9.0]), (400, [9.0])]
+        assert report["reference"]["point"][0] == pytest.approx(9.0, abs=1e-6)
 
     def test_gibbs_coverage_ignores_proposal_sd(self):
         # proposal_sd tunes only the random walk; a probit config may carry it

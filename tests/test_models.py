@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -18,9 +19,11 @@ from zvmcmc import (
     LogitTarget,
     ProbitTarget,
     ReturnsSeries,
+    SamplerConfig,
     SupportError,
     garch_h_derivatives,
     garch_variance_path,
+    rw_metropolis,
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
@@ -89,6 +92,58 @@ def test_logit_log_density_matches_explicit_sum():
         t = xi @ beta
         expected += yi * t - np.log1p(np.exp(t))
     assert m.log_density(beta) == pytest.approx(expected, rel=1e-10)
+
+
+def fsum_logit_log_density(data, beta):
+    """sum_i log sigmoid(s_i x_i'beta), s_i = 2 y_i - 1, on Python floats,
+    each linear predictor and the total summed exactly with math.fsum."""
+    beta = [float(b) for b in beta]
+    terms = []
+    for xi, yi in zip(data.design.tolist(), data.response.tolist()):
+        u = math.fsum(x * b for x, b in zip(xi, beta))
+        if yi == 0.0:
+            u = -u
+        terms.append(-math.log1p(math.exp(-u)) if u >= 0.0 else u - math.log1p(math.exp(u)))
+    return math.fsum(terms)
+
+
+def logit_chain_points():
+    model = LogitTarget(synthetic_banknote(seed=101))
+    cfg = SamplerConfig(length=100, burn_in=500, thin=5, seed=4,
+                        proposal_sd=[0.63, 1.03, 0.78, 0.035], compute_gradients=False)
+    return model, rw_metropolis(model, cfg).draws
+
+
+@pytest.mark.parametrize("factor", [1.0, 100.0])
+def test_logit_log_density_matches_an_exact_sum(factor):
+    model, points = logit_chain_points()
+    for beta in factor * points:
+        expected = fsum_logit_log_density(model.data, beta)
+        assert abs(model.log_density(beta) - expected) <= 1e-13 * abs(expected)
+
+
+def test_logit_log_density_agrees_with_the_logaddexp_form():
+    # the form log_density took before its log-sigmoid rewrite
+    model = LogitTarget(synthetic_banknote(seed=101))
+    X, y = model.data.design, model.data.response
+    rng = np.random.default_rng(23)
+    for beta in rng.standard_normal((1000, 4)) * (3.0 * model.rough_scale()):
+        t = X @ beta
+        old = float(y @ t - np.sum(np.logaddexp(0.0, t)))
+        assert abs(model.log_density(beta) - old) <= 1e-13 * abs(old)
+
+
+def test_logit_log_density_is_quiet_far_in_the_tails():
+    data = small_regression_data()
+    model = LogitTarget(data)
+    # |x_i'beta| of order 1e3: exp(-|u|) underflows to 0 but nothing overflows
+    beta = np.array([0.0, 1e3, -1e3])
+    assert np.abs(data.design @ beta).max() > 700.0
+    with np.errstate(over="raise", invalid="raise"):
+        value = model.log_density(beta)
+        flipped = model.log_density(-beta)
+    assert math.isfinite(value) and value < 0.0 and math.isfinite(flipped)
+    assert value == pytest.approx(fsum_logit_log_density(data, beta), rel=1e-13)
 
 
 def test_garch_log_density_matches_hand_recursion():

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from helpers import reference_rw_metropolis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -7,7 +10,9 @@ from scipy import stats
 from zvmcmc import (
     ExponentialTarget,
     GammaTarget,
+    GarchTarget,
     GaussianTarget,
+    LogitTarget,
     ProbitTarget,
     SamplerConfig,
     batch_means_asvar,
@@ -15,6 +20,7 @@ from zvmcmc import (
     rw_metropolis,
     sample_chain,
     synthetic_banknote,
+    synthetic_demgbp_returns,
     truncated_normal_draw,
 )
 
@@ -122,6 +128,42 @@ def test_chain_respects_support():
         SamplerConfig(length=2000, burn_in=0, seed=8, init=np.array([0.01]), proposal_sd=1.0),
     )
     assert np.all(out.draws > 0.0)
+
+
+class SteppedGaussian(GaussianTarget):
+    """A gaussian whose log-density is rounded down to an integer."""
+
+    def log_density(self, beta):
+        return float(math.floor(super().log_density(beta)))
+
+
+def oracle_cases():
+    # (model, proposal_sd, init): the shipped logit and GARCH step sizes, a
+    # wide exponential step from near 0 whose proposals often leave the
+    # support, a plain gaussian, and a stepped gaussian whose flat steps
+    # make many deltas exactly 0
+    return [
+        pytest.param(LogitTarget(synthetic_banknote(seed=101)), [0.63, 1.03, 0.78, 0.035], None,
+                     id="logit"),
+        pytest.param(GarchTarget(synthetic_demgbp_returns(seed=333)), [0.0022, 0.0233, 0.0269],
+                     None, id="garch"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, id="gaussian"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, id="stepped-gaussian"),
+    ]
+
+
+@pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
+@pytest.mark.parametrize("model,proposal_sd,init", oracle_cases())
+def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, burn_in, thin):
+    cfg = SamplerConfig(length=150, burn_in=burn_in, thin=thin, seed=21, proposal_sd=proposal_sd,
+                        init=None if init is None else np.array(init))
+    out = rw_metropolis(model, cfg)
+    ref = reference_rw_metropolis(model, cfg)
+    assert np.array_equal(out.draws, ref.draws)
+    assert np.array_equal(out.gradients, ref.gradients)
+    assert out.accept_rate == ref.accept_rate
+    assert out.pilot_accept_rate == ref.pilot_accept_rate
 
 
 class SpyGamma(GammaTarget):
