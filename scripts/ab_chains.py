@@ -10,7 +10,9 @@ both sides sample the fit chain of replication 0 (the seed, length, thinning
 and sampler a study gives it, gradients included) once untimed, then --pairs
 times each, alternately, the side that goes first switching every pair.
 Interleaving in one process lets a kernel change be ranked on a busy machine,
-where separate runs drift by more than the change.
+where separate runs drift by more than the change.  Chains are timed in this
+one process only, so effects of a study's worker pool, such as BLAS helper
+threads competing with the other workers for CPUs, do not show here.
 
 Prints, per config, each side's median and quartiles in ms, in how many
 pairs the working tree was faster, and whether the two sides' draws,

@@ -33,7 +33,6 @@ from .samplers import (
     gibbs_probit,
     rw_metropolis,
     sample_chain,
-    truncated_normal_draw,
 )
 from .zv import (
     ControlVariateMatrix,

@@ -74,7 +74,8 @@ def _add_config_arguments(sub_parser) -> None:
     sub_parser.add_argument("--degrees", default=None,
                             help="comma-separated polynomial degrees, e.g. 1,2,3")
     sub_parser.add_argument("--threads", type=int, default=None,
-                            help="worker processes (0 = one per CPU)")
+                            help="worker processes (0 = one per CPU); pool workers run BLAS "
+                                 "single-threaded, one process keeps the library default")
     sub_parser.add_argument("--add-intercept", action="store_true", default=None,
                             help="prepend an intercept column to loaded regression data")
 

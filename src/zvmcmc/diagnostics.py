@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import ChainOutput, SamplerConfig, sample_chain
+from .samplers import ChainOutput
 from .zv import ControlVariateMatrix, DEGENERATE_REL_TOL
 
 __all__ = [
@@ -297,25 +297,12 @@ class ReferenceReport:
     asvar: np.ndarray
 
 
-def long_chain_reference(
-    model,
-    length: int,
-    seed: int,
-    method: str = "rwmh",
-    burn_in: int = 1000,
-    proposal_sd=None,
-    batch_count: int | None = None,
-    chain: ChainOutput | None = None,
-) -> ReferenceReport:
-    """Ordinary estimates of all coordinate means from one long chain.
+def long_chain_reference(chain: ChainOutput, batch_count: int | None = None) -> ReferenceReport:
+    """Ordinary estimates of all coordinate means from one long sampled chain.
 
-    Pass chain to reuse an already sampled chain; otherwise one is drawn with
-    the given method and seed.  Intervals are mean +- 1.96 sqrt(asvar/N).
+    Intervals are mean +- 1.96 sqrt(asvar/N), with batch-means asymptotic
+    variances over batch_count batches (by default chosen from N).
     """
-    if chain is None:
-        config = SamplerConfig(length=length, burn_in=burn_in, seed=seed,
-                               proposal_sd=proposal_sd, compute_gradients=False)
-        chain = sample_chain(model, config, method=method)
     N, d = chain.draws.shape
     bc = batch_count if batch_count is not None else _default_batch_count(N)
     point = chain.draws.mean(axis=0)

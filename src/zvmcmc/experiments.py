@@ -12,6 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
@@ -392,6 +393,57 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
     return out
 
 
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    Libraries are found by path in /proc/self/maps; numpy and scipy each ship
+    their own, under prefixed and 64-bit-suffixed symbol names.  Returns []
+    where the maps cannot be read or no library exports both functions.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+    return controls
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold every loaded OpenBLAS at one thread; give back the caller's counts on exit.
+
+    Entered in the parent before a process pool forks, so each worker inherits
+    a count of 1 and never starts a BLAS thread pool of its own, whose helper
+    threads would busy-wait on CPUs the other workers need.  Setting the count
+    inside a freshly forked worker instead starts that pool there.  With no
+    OpenBLAS found this does nothing; results are the same either way.
+    """
+    saved = [(put, get()) for get, put in _openblas_thread_controls()]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
+
+
 def run_study(config: ExperimentConfig, chains_dir=None):
     """Run the full replication study.
 
@@ -410,6 +462,11 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     config.bootstrap_resamples resamples; that function's default floor of 20
     replications does not apply to studies.  With a single replication the
     ratio and its bounds are None and ratio_method is "unavailable".
+
+    With more than one worker (config.threads, 0 = one per CPU) replications
+    run in a process pool whose workers compute BLAS single-threaded; a
+    one-process run keeps the BLAS library's default thread count.  Either way
+    the report outside "timing" is the same.
     """
     model = build_model(config)
     replicate = partial(_replicate, config, model, control_variate_bases(config, model), chains_dir)
@@ -422,7 +479,7 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     reps = range(config.replications)
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
     if workers > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _single_threaded_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:
         rows = [replicate(r) for r in reps]
@@ -559,7 +616,7 @@ def run_coverage(config: ExperimentConfig):
     ref_chain = sample_chain(
         model, _chain_config(config, config.reference_length, ref_seed, compute_gradients=False),
         method=config.sampler)
-    reference = long_chain_reference(model, ref_chain.length, ref_seed, chain=ref_chain)
+    reference = long_chain_reference(ref_chain)
     t_reference = time.perf_counter() - t0
 
     study, study_report = run_study(config)
@@ -620,7 +677,7 @@ def run_diagnose(config: ExperimentConfig):
     zero_mean = cv_zero_mean_test(cv)
     linnik = linnik_estimate(chain)
     moments = moment_diagnostic(cv)
-    reference = long_chain_reference(model, chain.length, chain.seed_used, chain=chain)
+    reference = long_chain_reference(chain)
     elapsed = time.perf_counter() - t0
 
     return _jsonable({

@@ -17,14 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
 from .models import BinaryRegressionData, ProbitTarget, SupportError
 
 __all__ = [
     "SamplerConfig",
     "ChainOutput",
-    "truncated_normal_draw",
     "rw_metropolis",
     "gibbs_probit",
     "sample_chain",
@@ -108,55 +107,6 @@ class ChainOutput:
     @property
     def has_gradients(self):
         return self.gradients.shape[0] == self.draws.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# truncated normal
-
-
-def _std_lower(a, u):
-    # quantile of a standard normal conditioned on (a, inf); computed through
-    # the survival function in log space so bounds far beyond 5 sd stay exact
-    return -ndtri_exp(log_ndtr(-a) + np.log1p(-u))
-
-
-def _std_two_sided(a, b, u):
-    if a >= 0.0:
-        la = log_ndtr(-a)
-        lb = log_ndtr(-b)
-        return -ndtri_exp(la + np.log1p(-u * (-np.expm1(lb - la))))
-    if b <= 0.0:
-        return -_std_two_sided(-b, -a, 1.0 - u)
-    q = ndtr(a) + u * (ndtr(b) - ndtr(a))
-    return ndtri(min(q, np.nextafter(1.0, 0.0)))
-
-
-def truncated_normal_draw(mean, sd, lower, upper, rng) -> float:
-    """One draw from N(mean, sd^2) restricted to (lower, upper).
-
-    Inverse-CDF in the numerically stable tail, so one-sided bounds tens of
-    standard deviations out are handled without rejection loops.
-    """
-    if not (np.isfinite(mean) and np.isfinite(sd) and sd > 0.0):
-        raise ValueError(f"need finite mean and sd > 0, got mean={mean}, sd={sd}")
-    if not lower < upper:
-        raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
-    a = (lower - mean) / sd
-    b = (upper - mean) / sd
-    while True:
-        u = rng.random()
-        if a == -np.inf and b == np.inf:
-            z = rng.standard_normal()
-        elif b == np.inf:
-            z = _std_lower(a, u)
-        elif a == -np.inf:
-            z = -_std_lower(-b, u)
-        else:
-            z = _std_two_sided(a, b, u)
-        value = mean + sd * z
-        # u == 0 can land exactly on a bound; the interval is open
-        if lower < value < upper:
-            return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +255,12 @@ def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutp
     xtx_inv = np.linalg.inv(xtx)
     proj = xtx_inv @ X.T
     chol_cov = np.linalg.cholesky(xtx_inv)
-    # y = 1 truncates the latent below at 0, y = 0 above at 0.  With s = sign
-    # folded into the design and the projection, a sweep works on
-    # s * latent = s t - q, q = ndtri_exp(log_ndtr(s t) + log1p(-u)), where
-    # t = X beta and latent = t + s * _std_lower(-s t, u); multiplying by +-1
-    # is exact, so the draws equal those of the unfolded latent
+    # y = 1 truncates the latent below at 0, y = 0 above at 0: with t = X beta,
+    # latent = t + s z, where z = -q, q = ndtri_exp(log_ndtr(s t) + log1p(-u)),
+    # is a standard normal conditioned on (-s t, inf), drawn through the
+    # survival function in log space.  With s = sign folded into the design
+    # and the projection, a sweep works on s * latent = s t - q; multiplying
+    # by +-1 is exact, so the draws equal those of the unfolded latent
     sign = np.where(y == 1.0, 1.0, -1.0)
     s_design = sign[:, None] * X
     s_proj = proj * sign

@@ -249,7 +249,10 @@ def test_moment_diagnostic_stable_for_gaussian():
 
 def test_long_chain_reference_brackets_truth():
     model = GaussianTarget(mu=3.0, sigma2=1.5)
-    rep = long_chain_reference(model, 40000, seed=45)
+    chain = sample_chain(
+        model, SamplerConfig(length=40000, burn_in=1000, seed=45, compute_gradients=False)
+    )
+    rep = long_chain_reference(chain)
     assert rep.length == 40000
     assert rep.lower[0] < 3.0 < rep.upper[0]
     assert rep.upper[0] - rep.point[0] == pytest.approx(rep.point[0] - rep.lower[0])
@@ -261,12 +264,16 @@ def test_long_chain_reference_accepts_existing_chain():
     chain = rw_metropolis(
         model, SamplerConfig(length=5000, burn_in=200, seed=46, compute_gradients=False)
     )
-    rep = long_chain_reference(model, 5000, seed=46, chain=chain)
+    rep = long_chain_reference(chain)
     assert rep.point[0] == pytest.approx(chain.draws[:, 0].mean())
 
 
 def test_long_chain_reference_gibbs_method():
     model = ProbitTarget(synthetic_banknote(seed=101, n=80))
-    rep = long_chain_reference(model, 2000, seed=47, method="gibbs", burn_in=200)
+    chain = sample_chain(
+        model, SamplerConfig(length=2000, burn_in=200, seed=47, compute_gradients=False),
+        method="gibbs",
+    )
+    rep = long_chain_reference(chain)
     assert rep.point.shape == (4,)
     assert np.all(rep.upper > rep.lower)

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from zvmcmc import (
     run_study,
     sample_chain,
 )
-from zvmcmc.experiments import build_model, write_study_csv
+from zvmcmc import experiments
+from zvmcmc.experiments import (
+    _openblas_thread_controls,
+    _single_threaded_blas,
+    build_model,
+    write_study_csv,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # ---------------------------------------------------------------------------
 # config construction and validation
@@ -336,6 +345,57 @@ class TestRunStudy:
         assert first[:3] == ["0", "x", "ordinary"]
         assert float(first[3]) == study.ordinary_estimates[0, 0]
         assert first[4:] == ["7", "8"]
+
+
+def blas_study(kind, threads):
+    # 1100-draw chains give each chain one full 1024-row gradient block, whose
+    # products are large enough for a multi-threaded OpenBLAS to split
+    config = ExperimentConfig.from_file(CONFIGS / f"{kind}_banknote.json", {
+        "burn_in": 200, "fit_length": 1100, "eval_length": 1100, "replications": 4,
+        "bootstrap_resamples": 50, "threads": threads})
+    _, report = run_study(config)
+    report = without_timing(report)
+    report["config"].pop("threads")
+    return json.dumps(report, sort_keys=True)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("kind", ["logit", "probit"])
+    def test_worker_count_does_not_change_blas_models(self, kind):
+        counts = blas_thread_counts()
+        serial = blas_study(kind, 1)
+        pooled = blas_study(kind, 2)
+        assert serial == pooled
+        assert blas_thread_counts() == counts
+
+    def test_pool_gives_the_same_report_when_no_openblas_is_found(self, monkeypatch):
+        found = blas_study("logit", 2)
+        monkeypatch.setattr(experiments, "_openblas_thread_controls", lambda: [])
+        assert blas_study("logit", 2) == found
+
+    def test_holds_one_thread_and_restores_the_callers_counts(self):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        before = blas_thread_counts()
+        try:
+            for _, put in controls:
+                put(2)
+            with _single_threaded_blas():
+                assert blas_thread_counts() == [1] * len(controls)
+            assert blas_thread_counts() == [2] * len(controls)
+            with pytest.raises(RuntimeError, match="body failed"):
+                with _single_threaded_blas():
+                    assert blas_thread_counts() == [1] * len(controls)
+                    raise RuntimeError("body failed")
+            assert blas_thread_counts() == [2] * len(controls)
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
 
 
 class TestRunStudyVariants:

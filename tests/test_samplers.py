@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import reference_rw_metropolis
+from helpers import reference_rw_metropolis, std_lower, truncated_normal_draw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -21,7 +21,6 @@ from zvmcmc import (
     sample_chain,
     synthetic_banknote,
     synthetic_demgbp_returns,
-    truncated_normal_draw,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,8 +227,6 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
 
 
 def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
-    from zvmcmc.samplers import _std_lower
-
     data = synthetic_banknote(seed=101)
     cfg = SamplerConfig(length=300, seed=23)
     out = gibbs_probit(data, cfg)
@@ -245,7 +242,7 @@ def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
     for i in range(cfg.length):
         t = X @ beta
         u = rng.random(n)
-        latent = t + sign * _std_lower(-sign * t, u)
+        latent = t + sign * std_lower(-sign * t, u)
         beta = proj @ latent + chol_cov @ rng.standard_normal(d)
         assert np.array_equal(out.draws[i], beta), i
 
