@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Check that a git revision and the working tree write the same reports.
+
+    python scripts/check_identity.py --rev HEAD~1 [--config configs/toys.json ...] [--replications 2]
+
+Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev,
+extracted with scripts/ab_chains.py's extract_revision, and once with the
+working tree's, each command in a fresh process:
+
+  run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
+  --threads 1 and at --threads 2;
+  diagnose --seed 7 on logit (--length 50000) and on GARCH (--length 20000).
+
+--config limits the protocol to the given configs; a config outside the
+shipped four gets the runs at 4 replications and no diagnose.
+--replications replaces every run's replication count.  Both sides read the
+working tree's config files.
+
+Each pair of reports is compared with compare_reports.differences, which
+skips every timing block and config.output_dir, and each pair of study CSVs
+must be byte-identical.  Prints one line per command.  Exits 0 when every
+pair is equal, 1 when a pair differs or a command fails, and 2 when the
+revision cannot be extracted.
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from ab_chains import REV_PACKAGE, ROOT, extract_revision
+from compare_reports import differences
+
+SEED = 7
+THREADS = (1, 2)
+DEFAULT_REPLICATIONS = 4
+# shipped config -> replications per run
+STUDIES = {
+    "configs/logit_banknote.json": 4,
+    "configs/probit_banknote.json": 4,
+    "configs/toys.json": 4,
+    "configs/garch_demgbp.json": 2,
+}
+# shipped config -> diagnose chain length
+DIAGNOSES = {
+    "configs/logit_banknote.json": 50_000,
+    "configs/garch_demgbp.json": 20_000,
+}
+
+
+def protocol(configs, replications):
+    """(CLI arguments but the seed, files to compare) for each command of the protocol."""
+    steps = []
+    for config in configs:
+        # relative to the repository root, where the commands run
+        key = os.path.relpath(Path(config).resolve(), ROOT)
+        reps = replications or STUDIES.get(key, DEFAULT_REPLICATIONS)
+        for threads in THREADS:
+            steps.append((["run", "--config", key, "--replications", str(reps),
+                           "--threads", str(threads)], ("study.json", "study.csv")))
+        if key in DIAGNOSES:
+            steps.append((["diagnose", "--config", key, "--length", str(DIAGNOSES[key])],
+                          ("diagnose.json",)))
+    return steps
+
+
+def run_side(package, python_path, argv, out_dir):
+    """Run one CLI command; None on success, else the tail of its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [python_path, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", f"{package}.cli", *argv, "--out", out_dir],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return None if done.returncode == 0 else (done.stderr.strip().splitlines() or ["no output"])[-1]
+
+
+def first_difference(rev_dir, tree_dir, files):
+    """Where the two output directories first differ, or None when they are equal."""
+    for name in files:
+        a, b = Path(rev_dir, name), Path(tree_dir, name)
+        if name.endswith(".csv"):
+            if a.read_bytes() != b.read_bytes():
+                return f"{name} bytes"
+            continue
+        with open(a) as fa, open(b) as fb:
+            for path, rel in differences(json.load(fa), json.load(fb)):
+                if rel != 0.0:
+                    return f"{name} at {'.'.join(map(str, path))} (relative {rel:.3g})"
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", required=True, help="git revision to compare the working tree with")
+    parser.add_argument("--config", action="append", default=None,
+                        help="config file (repeatable; default the four shipped configs)")
+    parser.add_argument("--replications", type=int, default=None,
+                        help="replications of every run (default 4, GARCH 2)")
+    args = parser.parse_args(argv)
+    if args.replications is not None and args.replications < 1:
+        parser.error("--replications must be >= 1")
+    configs = args.config or [str(ROOT / key) for key in STUDIES]
+
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            extract_revision(args.rev, tmp)
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract src/zvmcmc at {args.rev}: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        sides = {"rev": (REV_PACKAGE, tmp), "tree": ("zvmcmc", str(ROOT / "src"))}
+        for k, (cli_argv, files) in enumerate(protocol(configs, args.replications)):
+            dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
+            errors = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
+                      for side in sides}
+            failed = [f"{side} failed: {err}" for side, err in errors.items() if err is not None]
+            verdict = "; ".join(failed) or first_difference(dirs["rev"], dirs["tree"], files)
+            failures += verdict is not None
+            print(" ".join(cli_argv) + ": " + (f"DIFFERS, {verdict}" if verdict else "identical"),
+                  flush=True)
+    print(f"{failures} command(s) differ or fail" if failures else
+          f"every report equals {args.rev}'s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,8 +24,6 @@ from .models import (
     ProbitTarget,
     ReturnsSeries,
     SupportError,
-    garch_h_derivatives,
-    garch_variance_path,
 )
 from .samplers import (
     ChainOutput,
@@ -40,9 +38,9 @@ from .zv import (
     MonomialBasis,
     ZVFit,
     ZvResult,
-    control_variate_z,
     default_exclusions,
     eval_control_variates,
+    fit_and_renormalize,
     fit_coefficients,
     monomial_basis,
     renormalize,

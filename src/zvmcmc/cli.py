@@ -7,7 +7,8 @@ Subcommands:
   version   print the package version
 
 Exit codes: 0 success (including a partial study, flagged in the report),
-1 runtime failure, 2 bad usage or bad config.
+1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
+or any value of the wrong type or out of range, found before any sampling.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +64,27 @@ def _parse_float(text, path, line_no, col_name):
         ) from None
 
 
+@contextmanager
+def _csv_rows(path):
+    """Open a CSV file for a with statement, giving (header, rows): rows yields
+    (line number, fields) for every row with a non-blank field.  An empty
+    file raises DataLoadError naming line 1."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataLoadError(f"{path}:1: file is empty")
+        yield header, ((line_no, row) for line_no, row in enumerate(reader, start=2)
+                       if any(c.strip() for c in row))
+
+
 def load_design_matrix(path, add_intercept: bool = False) -> BinaryRegressionData:
     """Read a CSV with a 0/1 column named y, all other columns regressors.
 
     Regressors keep file order; add_intercept prepends a column of ones.
     Validation failures name the file and line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataLoadError(f"{path}:1: file is empty") from None
+    with _csv_rows(path) as (header, body):
         header = [h.strip() for h in header]
         if "y" not in header:
             raise DataLoadError(f"{path}:1: header must contain a response column named 'y'")
@@ -84,9 +94,7 @@ def load_design_matrix(path, add_intercept: bool = False) -> BinaryRegressionDat
             raise DataLoadError(f"{path}:1: no regressor columns besides 'y'")
         rows = []
         ys = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line_no, row in body:
             if len(row) != len(header):
                 raise DataLoadError(
                     f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
@@ -96,14 +104,13 @@ def load_design_matrix(path, add_intercept: bool = False) -> BinaryRegressionDat
                 raise DataLoadError(f"{path}:{line_no}: response must be 0 or 1, got {row[y_col]!r}")
             ys.append(y_val)
             rows.append([_parse_float(row[i], path, line_no, header[i]) for i in x_cols])
+            if not (add_intercept or any(rows[-1])):
+                raise DataLoadError(f"{path}:{line_no}: design row is all zeros")
     if not rows:
         raise DataLoadError(f"{path}:2: no data rows")
     X = np.asarray(rows, dtype=float)
     if add_intercept:
         X = np.hstack([np.ones((X.shape[0], 1)), X])
-    zero_rows = np.flatnonzero(~np.any(X != 0.0, axis=1))
-    if zero_rows.size:
-        raise DataLoadError(f"{path}:{int(zero_rows[0]) + 2}: design row is all zeros")
     try:
         return BinaryRegressionData(design=X, response=np.asarray(ys, dtype=float))
     except ValueError as exc:
@@ -112,19 +119,15 @@ def load_design_matrix(path, add_intercept: bool = False) -> BinaryRegressionDat
 
 def load_price_series(path) -> PriceSeries:
     """CSV with columns date,price in that order (header required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataLoadError(f"{path}:1: file is empty") from None
+    with _csv_rows(path) as (header, body):
+        header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "date" or header[1] != "price":
             raise DataLoadError(f"{path}:1: expected header date,price, got {header}")
         dates = []
         prices = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line_no, row in body:
+            if len(row) < 2:
+                raise DataLoadError(f"{path}:{line_no}: expected at least 2 fields, got {len(row)}")
             dates.append(row[0].strip())
             prices.append(_parse_float(row[1], path, line_no, "price"))
     try:
@@ -151,36 +154,29 @@ def prices_to_returns(series: PriceSeries) -> ReturnsSeries:
 # chain CSV round trip
 
 
+def _chain_header(d):
+    return ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
+
+
 def export_chain(chain: ChainOutput, path) -> None:
     """Write iter,beta_1..beta_d,grad_1..grad_d with round-trippable floats."""
     d = chain.dimension
-    header = ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
     rows = np.column_stack([np.arange(chain.length), chain.draws, chain.gradients])
     # csv.writer's dialect: comma separated, \r\n line ends, the header unprefixed
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (2 * d), delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+                   header=",".join(_chain_header(d)), comments="")
 
 
 def import_chain(path) -> ChainOutput:
     """Read a chain written by export_chain; sampler metadata is not stored."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataLoadError(f"{path}:1: file is empty") from None
-        if not header or header[0] != "iter" or (len(header) - 1) % 2 != 0:
-            raise DataLoadError(f"{path}:1: malformed chain header {header}")
+    with _csv_rows(path) as (header, body):
         d = (len(header) - 1) // 2
-        expected = ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
-        if header != expected:
+        if header != _chain_header(d):
             raise DataLoadError(f"{path}:1: malformed chain header {header}")
         draws = []
         grads = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line_no, row in body:
             if len(row) != 1 + 2 * d:
                 raise DataLoadError(f"{path}:{line_no}: expected {1 + 2 * d} fields, got {len(row)}")
             draws.append([_parse_float(v, path, line_no, "beta") for v in row[1 : 1 + d]])

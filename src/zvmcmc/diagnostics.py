@@ -26,26 +26,33 @@ __all__ = [
 MIN_BATCH_COUNT = 10
 
 
-def batch_means_asvar(series, batch_count: int) -> float:
+def batch_means_asvar(series, batch_count: int) -> float | np.ndarray:
     """Batch-means estimate of the asymptotic variance of the series mean.
 
     Splits the first batch_count * floor(N / batch_count) entries into equal
     batches and returns batch_size * var(batch means, ddof=1).  Dividing by N
-    gives the squared standard error of the overall mean.
+    gives the squared standard error of the overall mean.  An (N,) series
+    gives a float; an (N, k) array gives a (k,) array, one estimate per
+    column, equal to the k one-column calls.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be 1-d")
+    if x.ndim not in (1, 2):
+        raise ValueError("series must be 1-d or 2-d")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite entries")
     if int(batch_count) != batch_count or batch_count < MIN_BATCH_COUNT:
         raise ValueError(f"batch_count must be an integer >= {MIN_BATCH_COUNT}, got {batch_count}")
     batch_count = int(batch_count)
-    if x.size < 2 * batch_count:
-        raise ValueError(f"need at least {2 * batch_count} points for {batch_count} batches, got {x.size}")
-    batch_size = x.size // batch_count
-    means = x[: batch_size * batch_count].reshape(batch_count, batch_size).mean(axis=1)
-    return float(batch_size * means.var(ddof=1))
+    n = x.shape[0]
+    if n < 2 * batch_count:
+        raise ValueError(f"need at least {2 * batch_count} points for {batch_count} batches, got {n}")
+    batch_size = n // batch_count
+    # one contiguous row per column, reduced along the last axis: the sums
+    # then run in the order a lone 1-d series takes, bit for bit
+    rows = np.ascontiguousarray(x[: batch_size * batch_count].T)
+    batches = rows.reshape(-1, batch_count, batch_size)
+    asvar = batch_size * batches.mean(axis=-1).var(axis=-1, ddof=1)
+    return float(asvar[0]) if x.ndim == 1 else asvar
 
 
 def _default_batch_count(n):
@@ -121,48 +128,39 @@ def variance_ratio(
     if R < 2:
         raise ValueError(f"need at least 2 replications for a variance ratio, got {R}")
 
-    def ratio(o, z):
-        vo = o.var(ddof=1)
-        vz = z.var(ddof=1)
-        return np.inf if vz == 0.0 else vo / vz
-
-    point = ratio(ord_est, zv_est)
-    if R < min_replications:
-        return RatioReport(
-            point=float(point),
-            lower=float("nan"),
-            upper=float("nan"),
-            resamples=0,
-            method="point-only",
-            infinite=bool(np.isinf(point)),
-        )
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, R, size=(resamples, R))
-    # a resample of one replication drawn R times has zero variance in both
-    # arms, up to rounding in the mean, so its ratio is undefined
-    idx = idx[(idx != idx[:, :1]).any(axis=1)]
-    o = ord_est[idx]
-    z = zv_est[idx]
-    vo = o.var(axis=1, ddof=1)
-    vz = z.var(axis=1, ddof=1)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(vz == 0.0, np.inf, vo / np.where(vz == 0.0, 1.0, vz))
-    # the point estimate is itself a member of the bootstrap distribution;
-    # widen the interval in the rare resampling runs that leave it outside
-    lower = upper = float(point)
-    if ratios.size:
-        # order statistics, not interpolation: resampled ratios can be inf when
-        # a control variate is exact, and interpolating across inf gives nan
-        lower = min(float(np.percentile(ratios, 2.5, method="lower")), lower)
-        upper = max(float(np.percentile(ratios, 97.5, method="higher")), upper)
+    point = float(_variance_ratios(ord_est, zv_est))
+    lower = upper = float("nan")
+    bootstrapped = R >= min_replications
+    if bootstrapped:
+        idx = np.random.default_rng(seed).integers(0, R, size=(resamples, R))
+        # a resample of one replication drawn R times has zero variance in both
+        # arms, up to rounding in the mean, so its ratio is undefined
+        idx = idx[(idx != idx[:, :1]).any(axis=1)]
+        ratios = _variance_ratios(ord_est[idx], zv_est[idx])
+        # the point estimate is itself a member of the bootstrap distribution;
+        # widen the interval in the rare resampling runs that leave it outside
+        lower = upper = point
+        if ratios.size:
+            # order statistics, not interpolation: resampled ratios can be inf when
+            # a control variate is exact, and interpolating across inf gives nan
+            lower = min(float(np.percentile(ratios, 2.5, method="lower")), lower)
+            upper = max(float(np.percentile(ratios, 97.5, method="higher")), upper)
     return RatioReport(
-        point=float(point),
-        lower=float(lower),
-        upper=float(upper),
-        resamples=resamples,
-        method="paired-percentile-bootstrap",
+        point=point,
+        lower=lower,
+        upper=upper,
+        resamples=resamples if bootstrapped else 0,
+        method="paired-percentile-bootstrap" if bootstrapped else "point-only",
         infinite=bool(np.isinf(point)),
     )
+
+
+def _variance_ratios(o, z):
+    """var(o) / var(z), ddof 1, along the last axis; +inf where var(z) is 0."""
+    vo = o.var(axis=-1, ddof=1)
+    vz = z.var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore"):
+        return np.where(vz == 0.0, np.inf, vo / np.where(vz == 0.0, 1.0, vz))
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +191,13 @@ def cv_zero_mean_test(cv: ControlVariateMatrix, batch_count: int | None = None) 
     if N < MIN_ZERO_MEAN_DRAWS:
         raise ValueError(f"need at least {MIN_ZERO_MEAN_DRAWS} draws, got {N}")
     bc = batch_count if batch_count is not None else _default_batch_count(N)
-    z = np.empty(K)
-    degenerate = np.zeros(K, dtype=bool)
-    for k in range(K):
-        col = G[:, k]
-        if col.var() <= DEGENERATE_REL_TOL * np.mean(col * col):
-            degenerate[k] = True
-            z[k] = np.nan
-            continue
-        asvar = batch_means_asvar(col, bc)
-        if asvar == 0.0:
-            degenerate[k] = True
-            z[k] = np.nan
-            continue
-        z[k] = col.mean() / np.sqrt(asvar / N)
+    # contiguous rows, as in batch_means_asvar: each column's sums as on its own
+    rows = np.ascontiguousarray(G.T)
+    asvar = batch_means_asvar(G, bc)
+    degenerate = (rows.var(axis=-1) <= DEGENERATE_REL_TOL * (rows * rows).mean(axis=-1)) | (asvar == 0.0)
+    z = np.full(K, np.nan)
+    keep = ~degenerate
+    z[keep] = rows[keep].mean(axis=-1) / np.sqrt(asvar[keep] / N)
     return ZeroMeanReport(z_scores=z, degenerate=degenerate, batch_count=bc)
 
 
@@ -303,10 +294,10 @@ def long_chain_reference(chain: ChainOutput, batch_count: int | None = None) -> 
     Intervals are mean +- 1.96 sqrt(asvar/N), with batch-means asymptotic
     variances over batch_count batches (by default chosen from N).
     """
-    N, d = chain.draws.shape
+    N = chain.length
     bc = batch_count if batch_count is not None else _default_batch_count(N)
     point = chain.draws.mean(axis=0)
-    asvar = np.array([batch_means_asvar(chain.draws[:, j], bc) for j in range(d)])
+    asvar = batch_means_asvar(chain.draws, bc)
     half = 1.96 * np.sqrt(asvar / N)
     return ReferenceReport(
         point=point,

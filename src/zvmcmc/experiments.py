@@ -9,6 +9,8 @@ variances of those averages give the variance-reduction ratios.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,14 +50,12 @@ from .models import (
 )
 from .samplers import SamplerConfig, sample_chain
 from .zv import (
-    ControlVariateMatrix,
     InsufficientSampleError,
     MonomialBasis,
     default_exclusions,
     eval_control_variates,
-    fit_coefficients,
+    fit_and_renormalize,
     monomial_basis,
-    renormalize,
     standardization_from_chain,
 )
 
@@ -78,6 +78,13 @@ STUDY_RATIO_METHOD = "bootstrap-percentile"
 
 class ConfigError(ValueError):
     """Configuration rejected before any sampling started."""
+
+
+def _is_integer(value) -> bool:
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _numbers(name, value) -> tuple:
@@ -149,24 +156,28 @@ class ExperimentConfig:
         if len(set(degrees)) != len(degrees):
             raise ConfigError(f"degrees must not repeat, got {list(degrees)}")
         self.degrees = degrees
-        for name in ("burn_in", "fit_length", "eval_length", "replications", "bootstrap_resamples",
-                     "reference_length", "diagnose_length", "threads", "base_seed"):
+        for name, least in (("burn_in", 0), ("fit_length", 0), ("eval_length", 0), ("thin", 1),
+                            ("replications", 1), ("bootstrap_resamples", 1), ("reference_length", 0),
+                            ("diagnose_length", 0), ("threads", 0), ("base_seed", 0)):
             v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
+            if not _is_integer(v) or v < least:
+                what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+                raise ConfigError(f"{name} must be {what}, got {v!r}")
             setattr(self, name, int(v))
-        if int(self.thin) != self.thin or self.thin < 1:
-            raise ConfigError(f"thin must be an integer >= 1, got {self.thin!r}")
-        self.thin = int(self.thin)
+        if self.synthetic_seed is not None:
+            if not _is_integer(self.synthetic_seed) or self.synthetic_seed < 0:
+                raise ConfigError(f"synthetic_seed must be null or a non-negative integer, "
+                                  f"got {self.synthetic_seed!r}")
+            self.synthetic_seed = int(self.synthetic_seed)
+        for name in ("mu", "sigma2", "lam", "gamma_shape", "gamma_scale"):
+            v, positive = getattr(self, name), name != "mu"
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and (v > 0.0 or not positive)):
+                raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
         if self.fit_length < 100 or self.eval_length < 100:
             raise ConfigError(
                 f"phase lengths must be >= 100, got fit_length={self.fit_length}, "
                 f"eval_length={self.eval_length}"
             )
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.bootstrap_resamples < 1:
-            raise ConfigError("bootstrap_resamples must be >= 1")
         if self.base_seed >= 2**63:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
         if not isinstance(self.exclusions, str):
@@ -184,8 +195,10 @@ class ExperimentConfig:
             self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
         if self.init is not None:
             self.init = _numbers("init", self.init)
-        if self.notes is not None and not isinstance(self.notes, str):
-            raise ConfigError(f"notes must be a string, got {type(self.notes).__name__}")
+        for name in ("data_path", "output_dir", "notes"):
+            v = getattr(self, name)
+            if not (isinstance(v, str) or (v is None and name != "output_dir")):
+                raise ConfigError(f"{name} must be a string, got {type(v).__name__}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -263,10 +276,11 @@ def _target(config: ExperimentConfig):
         return ExponentialTarget(config.lam)
     if kind == "gamma":
         return GammaTarget(config.gamma_shape, config.gamma_scale)
+    # only the regression and GARCH targets read a data file
+    if config.data_path is not None and not os.path.exists(config.data_path):
+        raise ConfigError(f"data file not found: {config.data_path}")
     if kind in ("probit", "logit"):
         if config.data_path is not None:
-            if not os.path.exists(config.data_path):
-                raise ConfigError(f"data file not found: {config.data_path}")
             data = load_design_matrix(config.data_path, add_intercept=config.add_intercept)
         else:
             seed = config.synthetic_seed if config.synthetic_seed is not None else 101
@@ -274,8 +288,6 @@ def _target(config: ExperimentConfig):
         return ProbitTarget(data) if kind == "probit" else LogitTarget(data)
     if kind == "garch":
         if config.data_path is not None:
-            if not os.path.exists(config.data_path):
-                raise ConfigError(f"data file not found: {config.data_path}")
             series = prices_to_returns(load_price_series(config.data_path))
         else:
             seed = config.synthetic_seed if config.synthetic_seed is not None else 333
@@ -307,7 +319,9 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
     """The monomial basis of each configured degree, keyed in config.degrees order.
 
     Each basis keeps the configured exclusions (model defaults for "default")
-    of total degree up to its own.  Raises ValueError for an exclusion that
+    of total degree up to its own.  Bases list monomials in graded order, so
+    every lower-degree basis is a column prefix of the top-degree one, as
+    zv.fit_and_renormalize requires.  Raises ValueError for an exclusion that
     names no basis exponent, so callers learn of it before any sampling.
     """
     exclusions = default_exclusions(model) if config.exclusions == "default" else config.exclusions
@@ -315,15 +329,11 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
             for p in config.degrees}
 
 
-def _proposal_sd(config: ExperimentConfig):
-    # the Gibbs sampler draws from full conditionals and takes no step size
-    return config.proposal_sd if config.sampler == "rwmh" else None
-
-
 def _chain_config(config: ExperimentConfig, length, seed, thin=1,
                   compute_gradients=True) -> SamplerConfig:
+    # the Gibbs sampler draws from full conditionals and takes no step size
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
-                         thin=thin, proposal_sd=_proposal_sd(config),
+                         thin=thin, proposal_sd=config.proposal_sd if config.sampler == "rwmh" else None,
                          compute_gradients=compute_gradients)
 
 
@@ -360,26 +370,14 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
             if eval_chain is not fit_chain:
                 export_chain(eval_chain, os.path.join(chains_dir, f"rep{r:04d}_eval.csv"))
 
-        # every lower-degree basis is a column prefix of the top-degree one
-        basis_max = bases[max(bases)]
         center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
-        cv_fit_max = eval_control_variates(fit_chain, basis_max, center=center, scale=scale)
-        cv_eval_max = cv_fit_max if eval_chain is fit_chain else eval_control_variates(
-            eval_chain, basis_max, center=center, scale=scale)
-        f_fit = apply_f(fit_chain.draws)
         f_eval = apply_f(eval_chain.draws)
-
-        out.update(ordinary=f_eval.mean(axis=0), zv={}, dropped={}, ridge={})
-        for p, basis_p in bases.items():
-            k_p = basis_p.size
-            cv_fit_p = ControlVariateMatrix(values=cv_fit_max.values[:, :k_p], basis=basis_p,
-                                            center=center, scale=scale)
-            cv_eval_p = ControlVariateMatrix(values=cv_eval_max.values[:, :k_p], basis=basis_p,
-                                             center=center, scale=scale)
-            fit = fit_coefficients(cv_fit_p, f_fit)
-            out["zv"][p] = renormalize(f_eval, cv_eval_p, fit).mean(axis=0)
-            out["dropped"][p] = bool(fit.dropped_columns)
-            out["ridge"][p] = fit.ridge_applied
+        fits = fit_and_renormalize(fit_chain, eval_chain, bases, apply_f(fit_chain.draws), f_eval,
+                                   center, scale)
+        out.update(ordinary=f_eval.mean(axis=0),
+                   zv={p: ftilde.mean(axis=0) for p, (_, ftilde) in fits.items()},
+                   dropped={p: bool(fit.dropped_columns) for p, (fit, _) in fits.items()},
+                   ridge={p: fit.ridge_applied for p, (fit, _) in fits.items()})
         t3 = time.perf_counter()
 
         out["fit_accept"] = fit_chain.accept_rate

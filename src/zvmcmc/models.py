@@ -44,8 +44,6 @@ __all__ = [
     "ProbitTarget",
     "LogitTarget",
     "GarchTarget",
-    "garch_variance_path",
-    "garch_h_derivatives",
 ]
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -106,10 +104,6 @@ def _require(beta, bounds=()):
     if v is not None:
         raise SupportError(v)
     return beta
-
-
-def _log_normal_pdf(t):
-    return -0.5 * t * t - _LOG_SQRT_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +325,9 @@ class _RegressionTarget:
         self.data = data
         self.dimension = data.dimension
         self.parameter_names = tuple(f"beta_{j + 1}" for j in range(self.dimension))
-        xtx = data.design.T @ data.design
-        self._xtx_inv = np.linalg.inv(xtx)
+        # the probit Gibbs sweep draws with both; the inverse also sizes proposals
+        self.xtx = data.design.T @ data.design
+        self.xtx_inv = np.linalg.inv(self.xtx)
 
     def in_support(self, beta):
         return _violation(_as_param(beta, self.dimension)) is None
@@ -351,7 +346,8 @@ class ProbitTarget(_RegressionTarget):
 
     def __init__(self, data: BinaryRegressionData):
         super().__init__(data)
-        self._sign = 2.0 * data.response - 1.0
+        # s_i = 2 y_i - 1, the +-1 response signs
+        self.sign = 2.0 * data.response - 1.0
 
     def log_density(self, beta):
         beta = _require(_as_param(beta, self.dimension))
@@ -364,14 +360,14 @@ class ProbitTarget(_RegressionTarget):
         # s_i x_i'beta with s_i = 2 y_i - 1: the score of row i is
         # s_i phi(x_i'beta) / Phi(s_i x_i'beta), and phi is even
         st = beta @ self.data.design.T
-        st *= self._sign
+        st *= self.sign
         # phi/Phi in log space stays finite deep in both tails
-        score = np.exp(_log_normal_pdf(st) - log_ndtr(st))
-        score *= self._sign
+        score = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - log_ndtr(st))
+        score *= self.sign
         return score @ self.data.design
 
     def rough_scale(self):
-        return np.sqrt(np.diag(self._xtx_inv))
+        return np.sqrt(np.diag(self.xtx_inv))
 
 
 class LogitTarget(_RegressionTarget):
@@ -414,7 +410,7 @@ class LogitTarget(_RegressionTarget):
 
     def rough_scale(self):
         # logistic noise is wider than probit by about pi/sqrt(3)
-        return 1.8 * np.sqrt(np.diag(self._xtx_inv))
+        return 1.8 * np.sqrt(np.diag(self.xtx_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +541,3 @@ class GarchTarget:
 
     def default_init(self):
         return np.array([0.2 * self.series.h0, 0.1, 0.6])
-
-
-def garch_variance_path(series: ReturnsSeries, omega) -> np.ndarray:
-    """Conditional variance path h_1..h_T for the given omega.
-
-    Raises SupportError outside {omega_1 > 0, omega_2 >= 0, omega_3 >= 0}.
-    """
-    model = GarchTarget(series)
-    omega = _require(_as_param(omega, 3), _GARCH_SUPPORT)
-    return model._h_path(omega, model._band(omega[2]))
-
-
-def garch_h_derivatives(series: ReturnsSeries, omega) -> np.ndarray:
-    """(T, 3) array of dh_t/domega_i under the same seed convention as the path.
-
-    With h_1 = omega_1 + omega_3 h_0 (r_0 = 0) the first row is (1, 0, h0) and
-    dh_t/domega_1 sums the geometric series (1 - omega_3^t)/(1 - omega_3).
-    """
-    model = GarchTarget(series)
-    omega = _require(_as_param(omega, 3), _GARCH_SUPPORT)
-    band = model._band(omega[2])
-    return model._h_derivatives(model._h_path(omega, band), band)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .models import BinaryRegressionData, ProbitTarget, SupportError
+from .models import ProbitTarget, SupportError
 
 __all__ = [
     "SamplerConfig",
@@ -63,18 +63,14 @@ class SamplerConfig:
     compute_gradients: bool = True
 
     def __post_init__(self):
-        if int(self.length) != self.length or self.length < 1:
-            raise ValueError(f"length must be an integer >= 1, got {self.length}")
-        if int(self.burn_in) != self.burn_in or self.burn_in < 0:
-            raise ValueError(f"burn_in must be an integer >= 0, got {self.burn_in}")
+        for name, least in (("length", 1), ("burn_in", 0), ("thin", 1)):
+            v = getattr(self, name)
+            if int(v) != v or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v}")
+            setattr(self, name, int(v))
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a u64, got {self.seed}")
-        if int(self.thin) != self.thin or self.thin < 1:
-            raise ValueError(f"thin must be an integer >= 1, got {self.thin}")
-        self.length = int(self.length)
-        self.burn_in = int(self.burn_in)
         self.seed = int(self.seed)
-        self.thin = int(self.thin)
 
 
 @dataclass(frozen=True)
@@ -232,38 +228,35 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
 # probit Gibbs (latent variable data augmentation)
 
 
-def gibbs_probit(data: BinaryRegressionData, config: SamplerConfig) -> ChainOutput:
+def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     """Gibbs sampler for the flat-prior probit posterior.
 
     Latent u_i ~ N(x_i'beta, 1) truncated to (0, inf) when y_i = 1 and to
     (-inf, 0) when y_i = 0, then beta ~ N((X'X)^{-1} X'u, (X'X)^{-1}).
+    X'X, (X'X)^{-1} and the response signs are the model's xtx, xtx_inv and sign.
     Every sweep moves beta, so the probit log-posterior gradient is computed
     at every retained draw, in batches after the last sweep.
     """
+    if model.tag != "probit":
+        raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
-    model = ProbitTarget(data)
     rng = np.random.default_rng(config.seed)
-    X = data.design
-    y = data.response
+    X = model.data.design
     n, d = X.shape
-    xtx = X.T @ X
     try:
-        np.linalg.cholesky(xtx)
+        np.linalg.cholesky(model.xtx)
     except np.linalg.LinAlgError:
         raise ValueError("design is numerically rank deficient") from None
-    xtx_inv = np.linalg.inv(xtx)
-    proj = xtx_inv @ X.T
-    chol_cov = np.linalg.cholesky(xtx_inv)
+    chol_cov = np.linalg.cholesky(model.xtx_inv)
     # y = 1 truncates the latent below at 0, y = 0 above at 0: with t = X beta,
     # latent = t + s z, where z = -q, q = ndtri_exp(log_ndtr(s t) + log1p(-u)),
     # is a standard normal conditioned on (-s t, inf), drawn through the
     # survival function in log space.  With s = sign folded into the design
     # and the projection, a sweep works on s * latent = s t - q; multiplying
     # by +-1 is exact, so the draws equal those of the unfolded latent
-    sign = np.where(y == 1.0, 1.0, -1.0)
-    s_design = sign[:, None] * X
-    s_proj = proj * sign
+    s_design = model.sign[:, None] * X
+    s_proj = (model.xtx_inv @ X.T) * model.sign
 
     beta = _resolve_init(model, config)
     draws = np.empty((config.length, d))
@@ -292,7 +285,5 @@ def sample_chain(model, config: SamplerConfig, method: str = "rwmh") -> ChainOut
     if method == "rwmh":
         return rw_metropolis(model, config)
     if method == "gibbs":
-        if model.tag != "probit":
-            raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
-        return gibbs_probit(model.data, config)
+        return gibbs_probit(model, config)
     raise ValueError(f"unknown sampler method {method!r}, expected 'rwmh' or 'gibbs'")

@@ -10,10 +10,12 @@ from centered sample moments (sample covariances), and the renormalized
 function is
 
     ftilde = f + G a.
+
+fit_and_renormalize is the one fit path: studies and zv_estimate both use it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "eval_control_variates",
     "fit_coefficients",
     "renormalize",
+    "fit_and_renormalize",
     "zv_estimate",
 ]
 
@@ -91,16 +94,12 @@ def monomial_basis(dimension: int, degree: int, exclusions=()) -> MonomialBasis:
     exponents = tuple(
         alpha for total in range(1, degree + 1) for alpha in _compositions(dimension, total)
     )
-    seen = set()
-    cleaned = []
-    for e in exclusions:
-        e = tuple(int(k) for k in e)
+    # duplicates dropped, first occurrences kept in order
+    cleaned = tuple(dict.fromkeys(tuple(int(k) for k in e) for e in exclusions))
+    for e in cleaned:
         if e not in exponents:
             raise ValueError(f"exclusion {e} is not a basis exponent for d={dimension}, p={degree}")
-        if e not in seen:
-            seen.add(e)
-            cleaned.append(e)
-    return MonomialBasis(dimension, degree, exponents, tuple(cleaned))
+    return MonomialBasis(dimension, degree, exponents, cleaned)
 
 
 def default_exclusions(model) -> tuple[tuple[int, ...], ...]:
@@ -110,26 +109,8 @@ def default_exclusions(model) -> tuple[tuple[int, ...], ...]:
     gamma) leak a boundary term through the linear monomial, so models flag
     those coordinates and everything else keeps the full basis.
     """
-    d = model.dimension
-    out = []
-    for j in model.constrained_coordinates:
-        alpha = [0] * d
-        alpha[j] = 1
-        out.append(tuple(alpha))
-    return tuple(out)
-
-
-def control_variate_z(gradient) -> np.ndarray:
-    """z = -0.5 * grad log pi, the building block of every control variate.
-
-    For a linear monomial the control variate IS z_j, so this vector doubles
-    as a convergence monitor: its components have exactly zero mean under the
-    target whenever the unbiasedness conditions hold.
-    """
-    g = np.asarray(gradient, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient must be finite")
-    return -0.5 * g
+    return tuple(tuple(int(i == j) for i in range(model.dimension))
+                 for j in model.constrained_coordinates)
 
 
 @dataclass(frozen=True)
@@ -328,6 +309,32 @@ def renormalize(f_values, cv: ControlVariateMatrix, fit: ZVFit) -> np.ndarray:
     return f + cv.values @ fit.coefficients
 
 
+def fit_and_renormalize(fit_chain: ChainOutput, eval_chain: ChainOutput, bases, f_fit, f_eval,
+                        center=None, scale=None) -> dict:
+    """{degree: (fit, ftilde)}: coefficients fitted on fit_chain, f renormalized on eval_chain.
+
+    bases maps degree -> MonomialBasis; f_fit and f_eval are f at each chain's
+    draws, (N,) or (N, m); center and scale go to eval_control_variates.  Each
+    chain's control variates are built once, with the top-degree basis, and a
+    lower degree uses their column prefix, so every basis must be a prefix of
+    the top one (ValueError otherwise).  eval_chain = fit_chain is the
+    single-chain protocol, which builds them once in all.
+    """
+    top = bases[max(bases)]
+    if any(b.active != top.active[:b.size] for b in bases.values()):
+        raise ValueError("every basis must be a column prefix of the top-degree basis")
+    cv_fit = eval_control_variates(fit_chain, top, center=center, scale=scale)
+    cv_eval = cv_fit if eval_chain is fit_chain else eval_control_variates(
+        eval_chain, top, center=center, scale=scale)
+    out = {}
+    for p, basis in bases.items():
+        fit_p, eval_p = (replace(cv, values=cv.values[:, :basis.size], basis=basis)
+                         for cv in (cv_fit, cv_eval))
+        fit = fit_coefficients(fit_p, f_fit)
+        out[p] = (fit, renormalize(f_eval, eval_p, fit))
+    return out
+
+
 @dataclass(frozen=True)
 class ZvResult:
     """Zero-variance estimate with the evidence used to produce it."""
@@ -371,25 +378,16 @@ def zv_estimate(
     if exclusions is None:
         exclusions = default_exclusions(model)
     basis = monomial_basis(model.dimension, degree, exclusions)
-    if standardize:
-        center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
-    else:
-        center, scale = None, None
-    cv_fit = eval_control_variates(fit_chain, basis, center=center, scale=scale)
-    fit = fit_coefficients(cv_fit, _resolve_f(f, fit_chain.draws))
-    if eval_chain is None or eval_chain is fit_chain:
-        protocol = "single-chain"
-        cv_eval = cv_fit
-        f_eval = _resolve_f(f, fit_chain.draws)
-    else:
-        protocol = "two-chain"
-        cv_eval = eval_control_variates(eval_chain, basis, center=center, scale=scale)
-        f_eval = _resolve_f(f, eval_chain.draws)
-    ftilde = renormalize(f_eval, cv_eval, fit)
+    center, scale = (standardization_from_chain(fit_chain, model.constrained_coordinates)
+                     if standardize else (None, None))
+    eval_chain = fit_chain if eval_chain is None else eval_chain
+    fit, ftilde = fit_and_renormalize(
+        fit_chain, eval_chain, {degree: basis}, _resolve_f(f, fit_chain.draws),
+        _resolve_f(f, eval_chain.draws), center, scale)[degree]
     return ZvResult(
         estimate=float(ftilde.mean()),
         fit=fit,
         ftilde=ftilde,
         basis=basis,
-        protocol=protocol,
+        protocol="single-chain" if eval_chain is fit_chain else "two-chain",
     )

@@ -10,6 +10,19 @@ from scipy import integrate
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 
+def in_git_checkout():
+    """True inside a git checkout with a HEAD commit, for the scripts that compare revisions."""
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    try:
+        return subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "HEAD"],
+                              capture_output=True, timeout=30).returncode == 0
+    except (OSError, subprocess.SubprocessError):
+        return False
+
+
 def fd_gradient(fn, x, rel_h=1e-5):
     """Central finite-difference gradient with per-coordinate relative step.
 
@@ -200,3 +213,30 @@ def truncated_normal_draw(mean, sd, lower, upper, rng) -> float:
         # u == 0 can land exactly on a bound; the interval is open
         if lower < value < upper:
             return float(value)
+
+
+def garch_variance_path(series, omega):
+    """Conditional variance path h_1..h_T of GarchTarget's banded solve at omega.
+
+    Exposes the model's own recursion, for tests that check it against a hand
+    loop and against finite differences of garch_h_derivatives.
+    """
+    from zvmcmc import GarchTarget
+
+    model = GarchTarget(series)
+    omega = np.asarray(omega, dtype=float)
+    return model._h_path(omega, model._band(omega[2]))
+
+
+def garch_h_derivatives(series, omega):
+    """(T, 3) array of dh_t/domega_i from GarchTarget's banded solves at omega.
+
+    With h_1 = omega_1 + omega_3 h_0 (r_0 = 0) the first row is (1, 0, h0) and
+    dh_t/domega_1 sums the geometric series (1 - omega_3^t)/(1 - omega_3).
+    """
+    from zvmcmc import GarchTarget
+
+    model = GarchTarget(series)
+    omega = np.asarray(omega, dtype=float)
+    band = model._band(omega[2])
+    return model._h_derivatives(model._h_path(omega, band), band)

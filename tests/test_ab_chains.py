@@ -3,17 +3,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import in_git_checkout
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ab_chains.py"
-
-
-def in_git_checkout():
-    try:
-        return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
-                              capture_output=True, timeout=30).returncode == 0
-    except (OSError, subprocess.SubprocessError):
-        return False
 
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")

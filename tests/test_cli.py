@@ -106,10 +106,32 @@ MODEL_SIZED_FIELD_ERRORS = [
     ({"model_kind": "garch", "init": [-1, 0.1, 0.5]}, "init [-1.0, 0.1, 0.5] is outside the support of garch"),
 ]
 
+# malformed values of plain config fields, each a ConfigError naming the field
+MALFORMED_FIELD_ERRORS = [
+    ({"burn_in": None}, "burn_in must be a non-negative integer, got None"),
+    ({"burn_in": "abc"}, "burn_in must be a non-negative integer, got 'abc'"),
+    ({"thin": None}, "thin must be an integer >= 1, got None"),
+    ({"replications": None}, "replications must be an integer >= 1, got None"),
+    ({"mu": None}, "mu must be a finite number, got None"),
+    ({"sigma2": "abc"}, "sigma2 must be a finite number > 0, got 'abc'"),
+    ({"sigma2": -1}, "sigma2 must be a finite number > 0, got -1"),
+    ({"model_kind": "gamma", "gamma_shape": -2}, "gamma_shape must be a finite number > 0, got -2"),
+    ({"model_kind": "exponential", "lam": 0}, "lam must be a finite number > 0, got 0"),
+    ({"model_kind": "logit", "synthetic_seed": 1.5},
+     "synthetic_seed must be null or a non-negative integer, got 1.5"),
+    ({"model_kind": "logit", "synthetic_seed": -1},
+     "synthetic_seed must be null or a non-negative integer, got -1"),
+    ({"model_kind": "logit", "data_path": 7}, "data_path must be a string, got int"),
+    ({"output_dir": 5}, "output_dir must be a string, got int"),
+]
+
 
 @pytest.mark.parametrize("command", ["validate", "run", "coverage", "diagnose"])
-@pytest.mark.parametrize("fields,message", MODEL_SIZED_FIELD_ERRORS,
-                         ids=["proposal-scalar", "proposal-length", "proposal-zero", "init-length", "init-support"])
+@pytest.mark.parametrize("fields,message", MODEL_SIZED_FIELD_ERRORS + MALFORMED_FIELD_ERRORS, ids=[
+    "proposal-scalar", "proposal-length", "proposal-zero", "init-length", "init-support",
+    "burn-in-null", "burn-in-text", "thin-null", "replications-null", "mu-null", "sigma2-text",
+    "sigma2-negative", "gamma-shape-negative", "lam-zero", "synthetic-seed-fraction",
+    "synthetic-seed-negative", "data-path-number", "output-dir-number"])
 def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
                                                          fields, message):
     sampled = []

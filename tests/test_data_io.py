@@ -60,6 +60,26 @@ def test_load_design_matrix_errors(tmp_path):
         load_design_matrix(write(tmp_path, "e.csv", "x1,y\n1,2\n2,0\n"))  # y not 0/1
 
 
+@pytest.mark.parametrize("load", [load_design_matrix, load_price_series, import_chain])
+def test_csv_readers_reject_an_empty_file_at_line_1(tmp_path, load):
+    p = write(tmp_path, "empty.csv", "")
+    with pytest.raises(DataLoadError, match=r"empty\.csv:1: file is empty"):
+        load(p)
+
+
+def test_csv_readers_skip_blank_rows_and_keep_line_numbers(tmp_path):
+    with pytest.raises(DataLoadError, match=r"d\.csv:5: design row is all zeros"):
+        load_design_matrix(write(tmp_path, "d.csv", "x1,y\n1,1\n\n , \n0,0\n"))
+    with pytest.raises(DataLoadError, match=r"p\.csv:4: could not parse price='abc'"):
+        load_price_series(write(tmp_path, "p.csv", "date,price\n\n2020-01-01,1.0\n2020-01-02,abc\n"))
+    with pytest.raises(DataLoadError, match=r"q\.csv:4: expected at least 2 fields, got 1"):
+        load_price_series(write(tmp_path, "q.csv", "date,price\n2020-01-01,1.0\n\n2020-01-02\n"))
+    with pytest.raises(DataLoadError, match=r"c\.csv:4: expected 3 fields, got 2"):
+        import_chain(write(tmp_path, "c.csv", "iter,beta_1,grad_1\n0,1.0,2.0\n\n1,1.0\n"))
+    data = load_design_matrix(write(tmp_path, "ok.csv", "x1,y\n\n1,1\n,\n2,0\n"))
+    assert np.array_equal(data.design[:, 0], [1.0, 2.0])
+
+
 def test_load_price_series_and_returns(tmp_path):
     p = write(tmp_path, "p.csv", "date,price\n2001-01-01,100.0\n2001-01-02,101.0\n2001-01-03,99.99\n")
     series = load_price_series(p)

@@ -53,9 +53,32 @@ def test_batch_means_asvar_affine_behavior(seed, shift, scale):
     assert batch_means_asvar(scale * x, 10) == pytest.approx(scale**2 * base, rel=1e-9)
 
 
+def one_column_batch_means(x, batch_count):
+    """batch_means_asvar's formula for one series, written out on its own."""
+    size = x.size // batch_count
+    means = x[: size * batch_count].reshape(batch_count, size).mean(axis=1)
+    return float(size * means.var(ddof=1))
+
+
+@pytest.mark.parametrize("n,k,batch_count", [(1003, 3, 10), (5000, 11, 70), (47, 1, 10), (60_001, 4, 244)])
+def test_batch_means_asvar_over_columns_equals_one_column_calls(n, k, batch_count):
+    rng = np.random.default_rng(n + k)
+    # a strided slice: neither its rows nor its columns are contiguous
+    x = rng.normal(3.0, 2.0, size=(2 * n, k + 2))[::2, 1:k + 1]
+    assert n % batch_count != 0
+    columns = batch_means_asvar(x, batch_count)
+    assert columns.shape == (k,)
+    singles = [batch_means_asvar(x[:, j], batch_count) for j in range(k)]
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(columns, singles)
+    assert np.array_equal(columns, [one_column_batch_means(x[:, j], batch_count) for j in range(k)])
+
+
 def test_batch_means_asvar_validation():
     with pytest.raises(ValueError):
         batch_means_asvar(np.ones((4, 4)), 10)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        batch_means_asvar(np.ones((40, 2, 2)), 10)
     with pytest.raises(ValueError):
         batch_means_asvar(np.array([1.0, np.nan] * 50), 10)
     with pytest.raises(ValueError):

@@ -458,7 +458,7 @@ class TestRunStudyVariants:
             shapes.append(np.shape(f_values))
             return fit_coefficients(cv, f_values)
 
-        monkeypatch.setattr("zvmcmc.experiments.fit_coefficients", spy)
+        monkeypatch.setattr("zvmcmc.zv.fit_coefficients", spy)
         cfg = ExperimentConfig(model_kind="logit", synthetic_seed=101, burn_in=100, fit_length=200,
                                eval_length=200, degrees=(1, 2), replications=3, threads=1)
         _, report = run_study(cfg)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import fd_gradient
+from helpers import fd_gradient, garch_h_derivatives, garch_variance_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -21,8 +21,6 @@ from zvmcmc import (
     ReturnsSeries,
     SamplerConfig,
     SupportError,
-    garch_h_derivatives,
-    garch_variance_path,
     rw_metropolis,
     synthetic_banknote,
     synthetic_demgbp_returns,

@@ -219,7 +219,7 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
 
     monkeypatch.setattr(ProbitTarget, "grad_log_density", spy)
     data = synthetic_banknote(seed=101, n=80)
-    out = gibbs_probit(data, SamplerConfig(length=20, burn_in=5, seed=4))
+    out = gibbs_probit(ProbitTarget(data), SamplerConfig(length=20, burn_in=5, seed=4))
     assert calls == [(8, 4), (8, 4), (4, 4)]
     model = ProbitTarget(data)
     for i in range(out.length):
@@ -229,7 +229,7 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
 def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
     data = synthetic_banknote(seed=101)
     cfg = SamplerConfig(length=300, seed=23)
-    out = gibbs_probit(data, cfg)
+    out = gibbs_probit(ProbitTarget(data), cfg)
     # the sweep written with the signs applied to the latent draw itself
     X, y = data.design, data.response
     n, d = X.shape
@@ -260,7 +260,7 @@ def test_chain_output_immutable():
 def test_gibbs_probit_agrees_with_random_walk():
     data = synthetic_banknote(seed=101, n=120)
     model = ProbitTarget(data)
-    gi = gibbs_probit(data, SamplerConfig(length=4000, burn_in=500, seed=21))
+    gi = gibbs_probit(ProbitTarget(data), SamplerConfig(length=4000, burn_in=500, seed=21))
     rw = rw_metropolis(model, SamplerConfig(length=20000, burn_in=2000, seed=22, thin=1))
     assert gi.accept_rate == 1.0
     for j in range(model.dimension):
@@ -276,9 +276,36 @@ def test_gibbs_probit_agrees_with_random_walk():
 def test_gibbs_gradients_match_model():
     data = synthetic_banknote(seed=101, n=80)
     model = ProbitTarget(data)
-    out = gibbs_probit(data, SamplerConfig(length=30, burn_in=20, seed=4))
+    out = gibbs_probit(ProbitTarget(data), SamplerConfig(length=30, burn_in=20, seed=4))
     for i in (0, 29):
         assert np.allclose(out.gradients[i], model.grad_log_density(out.draws[i]))
+
+
+def test_gibbs_reads_the_model_and_builds_no_second_one(monkeypatch):
+    model = ProbitTarget(synthetic_banknote(seed=101, n=80))
+    cfg = SamplerConfig(length=30, burn_in=20, seed=4)
+    built = []
+    original = ProbitTarget.__init__
+
+    def spy(self, data):
+        built.append(data)
+        original(self, data)
+
+    monkeypatch.setattr(ProbitTarget, "__init__", spy)
+    out = sample_chain(model, cfg, method="gibbs")
+    assert built == []
+    assert np.array_equal(out.draws, gibbs_probit(model, cfg).draws)
+
+
+def test_gibbs_rejects_a_numerically_rank_deficient_design(monkeypatch):
+    # X'X without a Cholesky factor, as rounding can leave a nearly collinear
+    # design that matrix_rank still calls full rank
+    model = ProbitTarget(synthetic_banknote(seed=101, n=80))
+    model.xtx = model.xtx.copy()
+    model.xtx[0, 0] = -1.0
+    monkeypatch.setattr("zvmcmc.samplers._resolve_init", lambda *args: pytest.fail("sampling started"))
+    with pytest.raises(ValueError, match="numerically rank deficient"):
+        sample_chain(model, SamplerConfig(length=10, seed=0), method="gibbs")
 
 
 def test_sample_chain_dispatch():

@@ -14,9 +14,9 @@ from zvmcmc import (
     GaussianTarget,
     InsufficientSampleError,
     SamplerConfig,
-    control_variate_z,
     default_exclusions,
     eval_control_variates,
+    fit_and_renormalize,
     fit_coefficients,
     monomial_basis,
     renormalize,
@@ -86,12 +86,6 @@ def test_default_exclusions_per_model():
 
 # ---------------------------------------------------------------------------
 # control variate evaluation
-
-
-def test_control_variate_z_value_and_validation():
-    assert np.allclose(control_variate_z([2.0, -4.0]), [-1.0, 2.0])
-    with pytest.raises(ValueError):
-        control_variate_z([np.inf])
 
 
 def test_eval_matches_hand_formula():
@@ -377,3 +371,45 @@ def test_zv_estimate_deterministic():
     b = zv_estimate(model, 0, chain, degree=2)
     assert a.estimate == b.estimate
     assert abs(a.estimate - 3.0) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# the one fit path
+
+
+def gaussian_like_chain(seed, n=400, d=3):
+    rng = np.random.default_rng(seed)
+    draws = rng.normal(1.0, 2.0, size=(n, d))
+    return make_chain(draws, -(draws - 1.0) / 4.0 + 0.1 * rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("single_chain", [False, True])
+def test_fit_and_renormalize_equals_single_degree_calls(single_chain):
+    fit_chain = gaussian_like_chain(1)
+    eval_chain = fit_chain if single_chain else gaussian_like_chain(2)
+    # the excluded linear monomial keeps every lower basis a prefix of the top one
+    exclusions = ((1, 0, 0),)
+    bases = {p: monomial_basis(3, p, exclusions) for p in (1, 2, 3)}
+    center, scale = standardization_from_chain(fit_chain, uncentered=(0,))
+    f_fit, f_eval = fit_chain.draws ** 2, eval_chain.draws ** 2
+    together = fit_and_renormalize(fit_chain, eval_chain, bases, f_fit, f_eval, center, scale)
+    assert list(together) == [1, 2, 3]
+    for p, basis in bases.items():
+        fit, ftilde = fit_and_renormalize(fit_chain, eval_chain, {p: basis}, f_fit, f_eval,
+                                          center, scale)[p]
+        assert np.array_equal(together[p][0].coefficients, fit.coefficients)
+        assert together[p][0].condition_estimate == fit.condition_estimate
+        assert np.array_equal(together[p][1], ftilde)
+        # and the single-degree call is the written-out recipe
+        cv_fit = eval_control_variates(fit_chain, basis, center=center, scale=scale)
+        cv_eval = eval_control_variates(eval_chain, basis, center=center, scale=scale)
+        direct = fit_coefficients(cv_fit, f_fit)
+        assert np.array_equal(direct.coefficients, fit.coefficients)
+        assert np.array_equal(renormalize(f_eval, cv_eval, direct), ftilde)
+
+
+def test_fit_and_renormalize_needs_prefix_bases():
+    chain = gaussian_like_chain(3, d=2)
+    bases = {1: monomial_basis(2, 1, ((1, 0),)), 2: monomial_basis(2, 2)}
+    with pytest.raises(ValueError, match="column prefix"):
+        fit_and_renormalize(chain, chain, bases, chain.draws, chain.draws)
