@@ -9,12 +9,14 @@ working tree's, each command in a fresh process:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
   --threads 1 and at --threads 2;
-  diagnose --seed 7 on logit (--length 50000) and on GARCH (--length 20000).
+  diagnose --seed 7 on logit (--length 50000) and on GARCH (--length 20000);
+  coverage --seed 7, 4 replications, on a temporary copy of configs/toys.json
+  with single_chain true and a 20,000-draw reference chain.
 
---config limits the protocol to the given configs; a config outside the
-shipped four gets the runs at 4 replications and no diagnose.
---replications replaces every run's replication count.  Both sides read the
-working tree's config files.
+--config limits the run and diagnose commands to the given configs and
+leaves out the coverage command; a config outside the shipped four gets the
+runs at 4 replications and no diagnose.  --replications replaces every run's
+replication count.  Both sides read the working tree's config files.
 
 Each pair of reports is compared with compare_reports.differences, which
 skips every timing block and config.output_dir, and each pair of study CSVs
@@ -48,6 +50,8 @@ DIAGNOSES = {
     "configs/logit_banknote.json": 50_000,
     "configs/garch_demgbp.json": 20_000,
 }
+# the coverage command's config: a shipped config with these keys replaced
+COVERAGE = ("configs/toys.json", {"single_chain": True, "reference_length": 20_000})
 
 
 def protocol(configs, replications):
@@ -64,6 +68,15 @@ def protocol(configs, replications):
             steps.append((["diagnose", "--config", key, "--length", str(DIAGNOSES[key])],
                           ("diagnose.json",)))
     return steps
+
+
+def coverage_step(tmp):
+    """(CLI arguments but the seed, files to compare) of the coverage command."""
+    key, overrides = COVERAGE
+    config = Path(tmp, "coverage_" + Path(key).name)
+    config.write_text(json.dumps({**json.loads((ROOT / key).read_text()), **overrides}))
+    return (["coverage", "--config", str(config), "--replications", str(DEFAULT_REPLICATIONS)],
+            ("coverage.json",))
 
 
 def run_side(package, python_path, argv, out_dir):
@@ -111,7 +124,10 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
         sides = {"rev": (REV_PACKAGE, tmp), "tree": ("zvmcmc", str(ROOT / "src"))}
-        for k, (cli_argv, files) in enumerate(protocol(configs, args.replications)):
+        steps = protocol(configs, args.replications)
+        if args.config is None:
+            steps.append(coverage_step(tmp))
+        for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
             errors = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
                       for side in sides}

@@ -2,6 +2,7 @@
 
 Subcommands:
   run       execute a replication study from a JSON config
+  coverage  check single-chain ZV estimates against a long reference chain
   diagnose  single-chain diagnostics for a config
   validate  check a config (and its data file) without sampling
   version   print the package version

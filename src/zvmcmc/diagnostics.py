@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import ChainOutput
-from .zv import ControlVariateMatrix, DEGENERATE_REL_TOL
+from .zv import ControlVariateMatrix, degenerate_columns
 
 __all__ = [
     "batch_means_asvar",
@@ -75,10 +75,6 @@ class ReplicationStudy:
     zv_estimates: dict[int, np.ndarray]
     seeds: np.ndarray
     parameter_names: tuple[str, ...]
-
-    @property
-    def replications(self):
-        return self.ordinary_estimates.shape[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def cv_zero_mean_test(cv: ControlVariateMatrix, batch_count: int | None = None) 
     # contiguous rows, as in batch_means_asvar: each column's sums as on its own
     rows = np.ascontiguousarray(G.T)
     asvar = batch_means_asvar(G, bc)
-    degenerate = (rows.var(axis=-1) <= DEGENERATE_REL_TOL * (rows * rows).mean(axis=-1)) | (asvar == 0.0)
+    degenerate = degenerate_columns(G) | (asvar == 0.0)
     z = np.full(K, np.nan)
     keep = ~degenerate
     z[keep] = rows[keep].mean(axis=-1) / np.sqrt(asvar[keep] / N)
@@ -215,40 +211,22 @@ def _running_mean_flags(series_matrix):
     return running, tail_max > 2.0 * median
 
 
-def _thin_indices(n, points):
-    step = max(1, n // points)
-    idx = np.arange(0, n, step)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
 @dataclass(frozen=True)
 class LinnikReport:
     """Mean squared gradient per coordinate with divergence flags.
 
     estimates targets E_pi[(d log pi / dx_j)^2], which is finite only when
     the target has enough tail regularity; divergent marks coordinates whose
-    running mean fails the stability heuristic.  trace holds a thinned
-    running-mean trace at trace_indices for inspection.
+    running mean fails the stability heuristic.
     """
 
     estimates: np.ndarray
     divergent: np.ndarray
-    trace: np.ndarray
-    trace_indices: np.ndarray
 
 
-def linnik_estimate(chain: ChainOutput, trace_points: int = 512) -> LinnikReport:
-    sq = chain.gradients**2
-    running, divergent = _running_mean_flags(sq)
-    idx = _thin_indices(sq.shape[0], trace_points)
-    return LinnikReport(
-        estimates=running[-1].copy(),
-        divergent=divergent,
-        trace=running[idx].copy(),
-        trace_indices=idx,
-    )
+def linnik_estimate(chain: ChainOutput) -> LinnikReport:
+    running, divergent = _running_mean_flags(chain.gradients**2)
+    return LinnikReport(estimates=running[-1].copy(), divergent=divergent)
 
 
 @dataclass(frozen=True)

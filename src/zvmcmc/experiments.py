@@ -321,10 +321,15 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
     Each basis keeps the configured exclusions (model defaults for "default")
     of total degree up to its own.  Bases list monomials in graded order, so
     every lower-degree basis is a column prefix of the top-degree one, as
-    zv.fit_and_renormalize requires.  Raises ValueError for an exclusion that
-    names no basis exponent, so callers learn of it before any sampling.
+    zv.fit_and_renormalize requires.  Raises ConfigError for an exclusion that
+    names no exponent of the model's degree-3 basis, so callers learn of it
+    before any sampling.
     """
     exclusions = default_exclusions(model) if config.exclusions == "default" else config.exclusions
+    try:
+        monomial_basis(model.dimension, 3, exclusions)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return {p: monomial_basis(model.dimension, p, tuple(e for e in exclusions if sum(e) <= p))
             for p in config.degrees}
 
@@ -467,7 +472,12 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     the report outside "timing" is the same.
     """
     model = build_model(config)
-    replicate = partial(_replicate, config, model, control_variate_bases(config, model), chains_dir)
+    return _study(config, model, control_variate_bases(config, model), chains_dir)
+
+
+def _study(config: ExperimentConfig, model, bases, chains_dir):
+    """run_study on a built model and its control_variate_bases."""
+    replicate = partial(_replicate, config, model, bases, chains_dir)
     _, name_f = _transform_by_name(config.f_transform)
     parameter_names = tuple(name_f(n) for n in model.parameter_names)
     if chains_dir is not None:
@@ -608,6 +618,7 @@ def run_coverage(config: ExperimentConfig):
     if config.f_transform != "identity":
         raise ConfigError("coverage compares coordinate means; f_transform must be 'identity'")
     model = build_model(config)
+    bases = control_variate_bases(config, model)
 
     t0 = time.perf_counter()
     ref_seed = config.base_seed + _REFERENCE_SEED_OFFSET
@@ -617,7 +628,7 @@ def run_coverage(config: ExperimentConfig):
     reference = long_chain_reference(ref_chain)
     t_reference = time.perf_counter() - t0
 
-    study, study_report = run_study(config)
+    study, study_report = _study(config, model, bases, None)
     names = study.parameter_names
     coverage = {}
     for p, est in study.zv_estimates.items():

@@ -18,11 +18,16 @@ random-walk Metropolis calls log_density on every proposal and reads
 SupportError as a rejection, so each proposal is validated once.
 
 Every support is "all coordinates finite" plus lower bounds of 0 on some
-coordinates, and one helper, _violation, checks it for every model.  A
-one-point call checks the point's Python floats, which costs far less than
-numpy reductions over a few numbers; an (m, d) batch is checked with numpy
-reductions.  Both make the same checks in the same order and fail with the
-same messages.
+coordinates.  Each target declares its bounds once, as the support tuple of
+(j, strict, message) entries on its class, and the _Target base checks them
+with one helper, _violation, for in_support and for every density and
+gradient call.  A one-point call checks the point's Python floats, which
+costs far less than numpy reductions over a few numbers; an (m, d) batch is
+checked with numpy reductions.  Both make the same checks in the same order
+and fail with the same messages.  The base also serves rough_scale and
+default_init from values each target sets when it is built, so a target
+writes only its data, its log_density and its grad_log_density; the toys
+share a 1-d base on top of that.
 """
 from __future__ import annotations
 
@@ -62,16 +67,6 @@ def _as_param(beta, d):
     return beta
 
 
-def _as_points(beta, d):
-    """beta as one (d,) point or an (m, d) batch of points."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim == 2:
-        if beta.shape[1] != d:
-            raise ValueError(f"a batch of parameters must have shape (m, {d}), got {beta.shape}")
-        return beta
-    return _as_param(beta, d)
-
-
 def _violation(beta, bounds=()):
     """Why beta is outside a support, or None when it is inside.
 
@@ -104,6 +99,48 @@ def _require(beta, bounds=()):
     if v is not None:
         raise SupportError(v)
     return beta
+
+
+def _positive(name, value):
+    """value as a float, or ValueError unless it is finite and > 0."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return float(value)
+
+
+class _Target:
+    """The protocol around a target's two formulas, written once.
+
+    A subclass sets dimension and support, the (j, strict, message) bounds
+    _violation reads, and in __init__ _crude_scale and _start, the values
+    rough_scale and default_init return.  Its log_density validates the
+    argument with _point, its grad_log_density with _points.
+    """
+
+    support = ()
+    constrained_coordinates = ()
+
+    def in_support(self, beta):
+        return _violation(_as_param(beta, self.dimension), self.support) is None
+
+    def rough_scale(self):
+        return np.array(self._crude_scale, dtype=float)
+
+    def default_init(self):
+        return np.array(self._start, dtype=float)
+
+    def _point(self, beta):
+        return _require(_as_param(beta, self.dimension), self.support)
+
+    def _points(self, beta):
+        """beta as one (d,) point, as _point returns it, or an (m, d) batch."""
+        beta = np.asarray(beta, dtype=float)
+        if beta.ndim != 2:
+            return self._point(beta)
+        if beta.shape[1] != self.dimension:
+            raise ValueError(f"a batch of parameters must have shape (m, {self.dimension}), "
+                             f"got {beta.shape}")
+        return _require(beta, self.support)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +182,6 @@ class BinaryRegressionData:
         object.__setattr__(self, "response", y)
 
     @property
-    def n(self):
-        return self.design.shape[0]
-
-    @property
     def dimension(self):
         return self.design.shape[1]
 
@@ -166,12 +199,11 @@ class ReturnsSeries:
             raise ValueError("returns must be a 1-d array with at least 2 entries")
         if not np.all(np.isfinite(r)):
             raise ValueError("returns contain non-finite entries")
-        if not (np.isfinite(self.h0) and self.h0 > 0.0):
-            raise ValueError(f"h0 must be finite and > 0, got {self.h0}")
+        h0 = _positive("h0", self.h0)
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "returns", r)
-        object.__setattr__(self, "h0", float(self.h0))
+        object.__setattr__(self, "h0", h0)
 
     @property
     def length(self):
@@ -206,120 +238,86 @@ class GarchPrior:
 # (m, 1) batch.
 
 
+class _Toy(_Target):
+    dimension = 1
+    parameter_names = ("x",)
+
+
 _POSITIVE = ((0, True, "x must be > 0"),)
 
 
-class GaussianTarget:
+class GaussianTarget(_Toy):
     """1-d normal with mean mu and variance sigma2, log pi = -(x-mu)^2/(2 sigma2)."""
 
     tag = "gaussian"
-    dimension = 1
-    parameter_names = ("x",)
-    constrained_coordinates = ()
 
     def __init__(self, mu=0.0, sigma2=1.0):
-        if not (np.isfinite(sigma2) and sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be finite and > 0, got {sigma2}")
+        self.sigma2 = _positive("sigma2", sigma2)
         self.mu = float(mu)
-        self.sigma2 = float(sigma2)
-
-    def in_support(self, beta):
-        return _violation(_as_param(beta, 1)) is None
+        self._crude_scale = [np.sqrt(self.sigma2)]
+        self._start = [self.mu]
 
     def log_density(self, beta):
-        beta = _require(_as_param(beta, 1))
-        d = beta[0] - self.mu
+        d = self._point(beta)[0] - self.mu
         return float(-0.5 * d * d / self.sigma2)
 
     def grad_log_density(self, beta):
-        beta = _require(_as_points(beta, 1))
-        return (self.mu - beta) / self.sigma2
-
-    def rough_scale(self):
-        return np.array([np.sqrt(self.sigma2)])
-
-    def default_init(self):
-        return np.array([self.mu])
+        return (self.mu - self._points(beta)) / self.sigma2
 
 
-class ExponentialTarget:
+class ExponentialTarget(_Toy):
     """Exponential(lambda) on (0, inf), unnormalized log pi = -lambda x."""
 
     tag = "exponential"
-    dimension = 1
-    parameter_names = ("x",)
+    support = _POSITIVE
     # plain x is excluded from the default basis: the density is positive at
     # the boundary x = 0, so the linear control variate picks up a boundary
     # term and its population mean is not zero
     constrained_coordinates = (0,)
 
     def __init__(self, lam=1.0):
-        if not (np.isfinite(lam) and lam > 0.0):
-            raise ValueError(f"lam must be finite and > 0, got {lam}")
-        self.lam = float(lam)
-
-    def in_support(self, beta):
-        return _violation(_as_param(beta, 1), _POSITIVE) is None
+        self.lam = _positive("lam", lam)
+        self._crude_scale = self._start = [1.0 / self.lam]
 
     def log_density(self, beta):
-        beta = _require(_as_param(beta, 1), _POSITIVE)
-        return float(-self.lam * beta[0])
+        return float(-self.lam * self._point(beta)[0])
 
     def grad_log_density(self, beta):
-        beta = _require(_as_points(beta, 1), _POSITIVE)
-        return np.full(beta.shape, -self.lam)
-
-    def rough_scale(self):
-        return np.array([1.0 / self.lam])
-
-    def default_init(self):
-        return np.array([1.0 / self.lam])
+        return np.full(self._points(beta).shape, -self.lam)
 
 
-class GammaTarget:
+class GammaTarget(_Toy):
     """Gamma(shape, scale) on (0, inf), log pi = (shape-1) log x - x/scale."""
 
     tag = "gamma"
-    dimension = 1
-    parameter_names = ("x",)
+    support = _POSITIVE
     constrained_coordinates = (0,)
 
     def __init__(self, shape=3.0, scale=1.0):
-        if not (np.isfinite(shape) and shape > 0.0):
-            raise ValueError(f"shape must be finite and > 0, got {shape}")
-        if not (np.isfinite(scale) and scale > 0.0):
-            raise ValueError(f"scale must be finite and > 0, got {scale}")
-        self.shape = float(shape)
-        self.scale = float(scale)
-
-    def in_support(self, beta):
-        return _violation(_as_param(beta, 1), _POSITIVE) is None
+        self.shape = _positive("shape", shape)
+        self.scale = _positive("scale", scale)
+        self._crude_scale = [np.sqrt(self.shape) * self.scale]
+        self._start = [self.shape * self.scale]
 
     def log_density(self, beta):
-        beta = _require(_as_param(beta, 1), _POSITIVE)
-        x = beta[0]
+        x = self._point(beta)[0]
         return float((self.shape - 1.0) * np.log(x) - x / self.scale)
 
     def grad_log_density(self, beta):
-        beta = _require(_as_points(beta, 1), _POSITIVE)
-        return (self.shape - 1.0) / beta - 1.0 / self.scale
-
-    def rough_scale(self):
-        return np.array([np.sqrt(self.shape) * self.scale])
-
-    def default_init(self):
-        return np.array([self.shape * self.scale])
+        return (self.shape - 1.0) / self._points(beta) - 1.0 / self.scale
 
 
 # ---------------------------------------------------------------------------
 # regression posteriors, flat prior on the coefficients
 #
 # Gradients take the linear predictor as beta @ X', (n,) for one point and
-# (m, n) for a batch, and contract it back with @ X.
+# (m, n) for a batch, and contract it back with @ X; probit does both with
+# the sign-folded design in place of X.
 
 
-class _RegressionTarget:
-    constrained_coordinates = ()
+class _RegressionTarget(_Target):
+    # the crude posterior scale is this times sqrt(diag((X'X)^{-1}))
+    _noise_scale = 1.0
 
     def __init__(self, data: BinaryRegressionData):
         self.data = data
@@ -328,46 +326,32 @@ class _RegressionTarget:
         # the probit Gibbs sweep draws with both; the inverse also sizes proposals
         self.xtx = data.design.T @ data.design
         self.xtx_inv = np.linalg.inv(self.xtx)
-
-    def in_support(self, beta):
-        return _violation(_as_param(beta, self.dimension)) is None
-
-    def default_init(self):
-        return np.zeros(self.dimension)
+        self._crude_scale = self._noise_scale * np.sqrt(np.diag(self.xtx_inv))
+        self._start = np.zeros(self.dimension)
+        # rows s_i x_i with s_i = 2 y_i - 1: s_i x_i'beta is the signed linear
+        # predictor both likelihoods are written in.  A +-1 factor is exact,
+        # so products with it equal the unfolded ones with the sign applied
+        self.s_design = (2.0 * data.response - 1.0)[:, None] * data.design
 
 
 class ProbitTarget(_RegressionTarget):
     """Bayesian probit regression, flat prior.
 
-    log pi(beta) = sum_i [ y_i log Phi(x_i'beta) + (1-y_i) log Phi(-x_i'beta) ].
+    log pi(beta) = sum_i [ y_i log Phi(x_i'beta) + (1-y_i) log Phi(-x_i'beta) ]
+                 = sum_i log Phi(s_i x_i'beta),  s_i = 2 y_i - 1.
     """
 
     tag = "probit"
 
-    def __init__(self, data: BinaryRegressionData):
-        super().__init__(data)
-        # s_i = 2 y_i - 1, the +-1 response signs
-        self.sign = 2.0 * data.response - 1.0
-
     def log_density(self, beta):
-        beta = _require(_as_param(beta, self.dimension))
-        t = self.data.design @ beta
-        y = self.data.response
-        return float(y @ log_ndtr(t) + (1.0 - y) @ log_ndtr(-t))
+        return float(log_ndtr(self.s_design @ self._point(beta)).sum())
 
     def grad_log_density(self, beta):
-        beta = _require(_as_points(beta, self.dimension))
-        # s_i x_i'beta with s_i = 2 y_i - 1: the score of row i is
-        # s_i phi(x_i'beta) / Phi(s_i x_i'beta), and phi is even
-        st = beta @ self.data.design.T
-        st *= self.sign
-        # phi/Phi in log space stays finite deep in both tails
+        # the score of row i is s_i phi(x_i'beta) / Phi(s_i x_i'beta), and
+        # phi is even; phi/Phi in log space stays finite deep in both tails
+        st = self._points(beta) @ self.s_design.T
         score = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - log_ndtr(st))
-        score *= self.sign
-        return score @ self.data.design
-
-    def rough_scale(self):
-        return np.sqrt(np.diag(self.xtx_inv))
+        return score @ self.s_design
 
 
 class LogitTarget(_RegressionTarget):
@@ -386,14 +370,11 @@ class LogitTarget(_RegressionTarget):
     """
 
     tag = "logit"
-
-    def __init__(self, data: BinaryRegressionData):
-        super().__init__(data)
-        self._s_design = (2.0 * data.response - 1.0)[:, None] * data.design
+    # logistic noise is wider than probit by about pi/sqrt(3)
+    _noise_scale = 1.8
 
     def log_density(self, beta):
-        beta = _require(_as_param(beta, self.dimension))
-        u = self._s_design @ beta
+        u = self.s_design @ self._point(beta)
         tail = np.abs(u)
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
@@ -403,14 +384,9 @@ class LogitTarget(_RegressionTarget):
         return float(u.sum())
 
     def grad_log_density(self, beta):
-        beta = _require(_as_points(beta, self.dimension))
-        resid = expit(beta @ self.data.design.T)
+        resid = expit(self._points(beta) @ self.data.design.T)
         np.subtract(self.data.response, resid, out=resid)
         return resid @ self.data.design
-
-    def rough_scale(self):
-        # logistic noise is wider than probit by about pi/sqrt(3)
-        return 1.8 * np.sqrt(np.diag(self.xtx_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +399,13 @@ _GARCH_SUPPORT = (
 )
 # the gradient also needs the open faces omega_2 > 0 and omega_3 > 0, checked
 # after the whole support
-_GARCH_INTERIOR = _GARCH_SUPPORT + (
+_GARCH_OPEN_FACES = (
     (1, True, "omega_2 must be > 0 strictly inside the support"),
     (2, True, "omega_3 must be > 0 strictly inside the support"),
 )
 
 
-class GarchTarget:
+class GarchTarget(_Target):
     """GARCH(1,1) posterior for omega = (omega_1, omega_2, omega_3).
 
     Conditional variances follow
@@ -448,7 +424,7 @@ class GarchTarget:
     tag = "garch"
     dimension = 3
     parameter_names = ("omega_1", "omega_2", "omega_3")
-    constrained_coordinates = ()
+    support = _GARCH_SUPPORT
 
     def __init__(self, series: ReturnsSeries, prior: GarchPrior | None = None):
         self.series = series
@@ -457,9 +433,9 @@ class GarchTarget:
         self._r2 = series.returns**2
         # r_0 := 0 puts a zero in front of the lagged squared returns
         self._r2_lag = np.concatenate(([0.0], self._r2[:-1]))
-
-    def in_support(self, omega):
-        return _violation(_as_param(omega, 3), _GARCH_SUPPORT) is None
+        # crude, order of magnitude only; shipped configs override proposals
+        self._crude_scale = [0.05 * series.h0, 0.1, 0.1]
+        self._start = [0.2 * series.h0, 0.1, 0.6]
 
     def _band(self, w3):
         # LAPACK lower band storage (2, T) of the recursion matrix, -omega_3
@@ -490,7 +466,7 @@ class GarchTarget:
         return dh
 
     def log_density(self, omega):
-        omega = _require(_as_param(omega, 3), _GARCH_SUPPORT).tolist()
+        omega = self._point(omega).tolist()
         w1, w2, w3 = omega
         h = self._h_path(omega, self._band(w3))
         loglik = -0.5 * float((np.log(h) + self._r2 / h).sum())
@@ -500,7 +476,7 @@ class GarchTarget:
         return loglik + logprior
 
     def grad_log_density(self, omega):
-        omega = _require(_as_points(omega, 3), _GARCH_INTERIOR)
+        omega = _require(self._points(omega), _GARCH_OPEN_FACES)
         if omega.ndim == 2:
             return -omega / self._prior_var + self._loglik_grad_rows(omega)
         band = self._band(omega[2])
@@ -534,10 +510,3 @@ class GarchTarget:
             step /= h
             grad += step * dh
         return 0.5 * grad.T
-
-    def rough_scale(self):
-        # crude, order of magnitude only; shipped configs override proposals
-        return np.array([0.05 * self.series.h0, 0.1, 0.1])
-
-    def default_init(self):
-        return np.array([0.2 * self.series.h0, 0.1, 0.6])

@@ -233,7 +233,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
 
     Latent u_i ~ N(x_i'beta, 1) truncated to (0, inf) when y_i = 1 and to
     (-inf, 0) when y_i = 0, then beta ~ N((X'X)^{-1} X'u, (X'X)^{-1}).
-    X'X, (X'X)^{-1} and the response signs are the model's xtx, xtx_inv and sign.
+    X'X, (X'X)^{-1} and the sign-folded design come from the model.
     Every sweep moves beta, so the probit log-posterior gradient is computed
     at every retained draw, in batches after the last sweep.
     """
@@ -242,8 +242,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
     rng = np.random.default_rng(config.seed)
-    X = model.data.design
-    n, d = X.shape
+    s_design = model.s_design
+    n, d = s_design.shape
     try:
         np.linalg.cholesky(model.xtx)
     except np.linalg.LinAlgError:
@@ -255,8 +255,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # survival function in log space.  With s = sign folded into the design
     # and the projection, a sweep works on s * latent = s t - q; multiplying
     # by +-1 is exact, so the draws equal those of the unfolded latent
-    s_design = model.sign[:, None] * X
-    s_proj = (model.xtx_inv @ X.T) * model.sign
+    s_proj = model.xtx_inv @ s_design.T
 
     beta = _resolve_init(model, config)
     draws = np.empty((config.length, d))

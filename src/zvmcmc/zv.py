@@ -31,6 +31,7 @@ __all__ = [
     "default_exclusions",
     "standardization_from_chain",
     "eval_control_variates",
+    "degenerate_columns",
     "fit_coefficients",
     "renormalize",
     "fit_and_renormalize",
@@ -205,6 +206,16 @@ def eval_control_variates(
     return ControlVariateMatrix(values=G, basis=basis, center=center, scale=scale)
 
 
+def degenerate_columns(G) -> np.ndarray:
+    """(K,) flags of the columns of an (N, K) G whose variance is at most
+    DEGENERATE_REL_TOL times their mean square, both as sums over the N rows:
+    fit_coefficients drops these columns, cv_zero_mean_test gives them no z-score.
+    """
+    centered = G - G.mean(axis=0)
+    squares = np.einsum("ij,ij->j", centered, centered)
+    return squares <= DEGENERATE_REL_TOL * np.einsum("ij,ij->j", G, G)
+
+
 @dataclass(frozen=True)
 class ZVFit:
     """Fitted coefficients plus the moments and conditioning evidence.
@@ -230,12 +241,12 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
 
     f_values is (N,) or (N, m); Sigma_gg does not depend on f, so the m
     columns share one solve and each gets the coefficients of its own fit.
-    Columns whose sample variance is below DEGENERATE_REL_TOL times their mean
-    square are dropped with zero coefficient.  The kept system is equilibrated
-    to unit diagonal before solving; equilibration only reorders the floating
-    point work and leaves the solution unchanged in exact arithmetic.  A
-    condition estimate above CONDITION_LIMIT triggers one ridge refit with
-    RIDGE_REL * trace/K on the diagonal, flagged on the result.
+    Columns that degenerate_columns flags are dropped with zero coefficient.
+    The kept system is equilibrated to unit diagonal before solving;
+    equilibration only reorders the floating point work and leaves the
+    solution unchanged in exact arithmetic.  A condition estimate above
+    CONDITION_LIMIT triggers one ridge refit with RIDGE_REL * trace/K on the
+    diagonal, flagged on the result.
     """
     G = cv.values
     f = np.asarray(f_values, dtype=float)
@@ -256,9 +267,7 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     sigma_gg = 0.5 * (sigma_gg + sigma_gg.T)
     sigma_gf = (Gc.T @ fc) / N
 
-    col_var = np.diag(sigma_gg)
-    col_msq = (G * G).mean(axis=0)
-    dropped = col_var <= DEGENERATE_REL_TOL * col_msq
+    dropped = degenerate_columns(G)
     keep = ~dropped
     coefficients = np.zeros((K,) + f.shape[1:])
     condition, ridge_applied = 1.0, False

@@ -85,12 +85,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
     configs = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp"):
+    for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp", "coverage_probit",
+                 "coverage_garch"):
         assert main(["validate", "--config", str(configs / f"{name}.json")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
         "config ok: model probit (dimension 4), sampler gibbs, degree 1: 4 terms, degree 2: 14 terms",
         "config ok: model gaussian (dimension 1), sampler rwmh, degree 1: 1 terms, degree 2: 2 terms",
+        "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
+        "degree 3: 19 terms",
+        "config ok: model probit (dimension 4), sampler gibbs, degree 1: 4 terms, degree 2: 14 terms",
         "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
         "degree 3: 19 terms",
     ]
@@ -123,6 +127,9 @@ MALFORMED_FIELD_ERRORS = [
      "synthetic_seed must be null or a non-negative integer, got -1"),
     ({"model_kind": "logit", "data_path": 7}, "data_path must be a string, got int"),
     ({"output_dir": 5}, "output_dir must be a string, got int"),
+    ({"exclusions": [[5]]}, "exclusion (5,) is not a basis exponent for d=1, p=3"),
+    ({"exclusions": [[3, 1]]}, "exclusion (3, 1) is not a basis exponent for d=1, p=3"),
+    ({"exclusions": [[2, 0]]}, "exclusion (2, 0) is not a basis exponent for d=1, p=3"),
 ]
 
 
@@ -131,7 +138,8 @@ MALFORMED_FIELD_ERRORS = [
     "proposal-scalar", "proposal-length", "proposal-zero", "init-length", "init-support",
     "burn-in-null", "burn-in-text", "thin-null", "replications-null", "mu-null", "sigma2-text",
     "sigma2-negative", "gamma-shape-negative", "lam-zero", "synthetic-seed-fraction",
-    "synthetic-seed-negative", "data-path-number", "output-dir-number"])
+    "synthetic-seed-negative", "data-path-number", "output-dir-number", "exclusion-above-degree-3",
+    "exclusion-long-above-degree-3", "exclusion-long"])
 def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
                                                          fields, message):
     sampled = []

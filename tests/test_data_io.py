@@ -33,7 +33,7 @@ def write(tmp_path, name, text):
 def test_load_design_matrix_roundtrip(tmp_path):
     p = write(tmp_path, "d.csv", "x1,y,x2\n1.5,0,2.0\n-0.5,1,0.25\n3.0,1,1.0\n0.0,0,4.0\n")
     data = load_design_matrix(p)
-    assert data.n == 4 and data.dimension == 2
+    assert data.design.shape[0] == 4 and data.dimension == 2
     # y column removed, regressor order preserved
     assert np.allclose(data.design[:, 0], [1.5, -0.5, 3.0, 0.0])
     assert np.allclose(data.design[:, 1], [2.0, 0.25, 1.0, 4.0])
@@ -160,7 +160,7 @@ def test_export_study_sanitizes_nonfinite(tmp_path):
 def test_synthetic_banknote_shape_and_determinism():
     a = synthetic_banknote(seed=101)
     b = synthetic_banknote(seed=101)
-    assert a.n == 200 and a.dimension == 4
+    assert a.design.shape[0] == 200 and a.dimension == 4
     assert np.array_equal(a.design, b.design)
     assert np.array_equal(a.response, b.response)
     assert a.response.sum() == 100  # balanced classes

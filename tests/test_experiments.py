@@ -21,6 +21,7 @@ from zvmcmc import (
     run_diagnose,
     run_study,
     sample_chain,
+    synthetic_banknote,
 )
 from zvmcmc import experiments
 from zvmcmc.experiments import (
@@ -573,6 +574,19 @@ class TestRunCoverage:
         _, report = run_coverage(cfg)
         assert report["model"]["sampler"] == "gibbs"
         assert report["coverage"]["1"]["events_total"] == 2 * 4
+
+    def test_builds_the_model_once(self, monkeypatch):
+        calls = []
+
+        def spy(seed):
+            calls.append(seed)
+            return synthetic_banknote(seed=seed)
+
+        monkeypatch.setattr("zvmcmc.experiments.synthetic_banknote", spy)
+        cfg = ExperimentConfig(model_kind="probit", single_chain=True, burn_in=100, eval_length=200,
+                               degrees=(1,), replications=2, reference_length=2000, threads=1)
+        run_coverage(cfg)
+        assert calls == [101]
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,7 @@ def test_binary_regression_data_validation():
     X[:, 1] = np.arange(5.0)
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     data = BinaryRegressionData(design=X, response=y)
-    assert data.n == 5 and data.dimension == 2
+    assert data.design.shape[0] == 5 and data.dimension == 2
     with pytest.raises(ValueError):
         BinaryRegressionData(design=X, response=y[:4])
     with pytest.raises(ValueError):
