@@ -20,7 +20,9 @@ replication count.  Both sides read the working tree's config files.
 
 Each pair of reports is compared with compare_reports.differences, which
 skips every timing block and config.output_dir, and each pair of study CSVs
-must be byte-identical.  Prints one line per command.  Exits 0 when every
+must be byte-identical.  Prints one line per command; a command whose
+outputs differ names the largest relative difference in each JSON report
+and says whether the CSV bytes differ.  Exits 0 when every
 pair is equal, 1 when a pair differs or a command fails, and 2 when the
 revision cannot be extracted.
 """
@@ -88,19 +90,25 @@ def run_side(package, python_path, argv, out_dir):
     return None if done.returncode == 0 else (done.stderr.strip().splitlines() or ["no output"])[-1]
 
 
-def first_difference(rev_dir, tree_dir, files):
-    """Where the two output directories first differ, or None when they are equal."""
+def largest_differences(rev_dir, tree_dir, files):
+    """How the two output directories differ, or None when they are equal.
+
+    Names, for each JSON report, the largest relative difference and where
+    it occurs, and each CSV whose bytes differ.
+    """
+    found = []
     for name in files:
         a, b = Path(rev_dir, name), Path(tree_dir, name)
         if name.endswith(".csv"):
             if a.read_bytes() != b.read_bytes():
-                return f"{name} bytes"
+                found.append(f"{name} bytes differ")
             continue
         with open(a) as fa, open(b) as fb:
-            for path, rel in differences(json.load(fa), json.load(fb)):
-                if rel != 0.0:
-                    return f"{name} at {'.'.join(map(str, path))} (relative {rel:.3g})"
-    return None
+            path, rel = max(differences(json.load(fa), json.load(fb)),
+                            key=lambda leaf: leaf[1], default=((), 0.0))
+        if rel != 0.0:
+            found.append(f"{name} largest at {'.'.join(map(str, path))} (relative {rel:.3g})")
+    return "; ".join(found) or None
 
 
 def main(argv=None):
@@ -132,7 +140,7 @@ def main(argv=None):
             errors = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
                       for side in sides}
             failed = [f"{side} failed: {err}" for side, err in errors.items() if err is not None]
-            verdict = "; ".join(failed) or first_difference(dirs["rev"], dirs["tree"], files)
+            verdict = "; ".join(failed) or largest_differences(dirs["rev"], dirs["tree"], files)
             failures += verdict is not None
             print(" ".join(cli_argv) + ": " + (f"DIFFERS, {verdict}" if verdict else "identical"),
                   flush=True)

@@ -88,8 +88,6 @@ class RatioReport:
     point: float
     lower: float
     upper: float
-    resamples: int
-    method: str
     infinite: bool
 
 
@@ -108,7 +106,7 @@ def variance_ratio(
 
     The same resampled replication indices feed numerator and denominator.
     Intervals are reported only when the study has at least min_replications
-    replications; below that the bounds are NaN and the method "point-only".
+    replications; below that the bounds are NaN and only the point is given.
     The default floor is MIN_INTERVAL_REPLICATIONS (20); a caller that wants
     an interval from a smaller study may pass a lower floor, down to 2.
     Resamples that draw a single replication R times leave both arms with
@@ -126,8 +124,7 @@ def variance_ratio(
 
     point = float(_variance_ratios(ord_est, zv_est))
     lower = upper = float("nan")
-    bootstrapped = R >= min_replications
-    if bootstrapped:
+    if R >= min_replications:
         idx = np.random.default_rng(seed).integers(0, R, size=(resamples, R))
         # a resample of one replication drawn R times has zero variance in both
         # arms, up to rounding in the mean, so its ratio is undefined
@@ -145,8 +142,6 @@ def variance_ratio(
         point=point,
         lower=lower,
         upper=upper,
-        resamples=resamples if bootstrapped else 0,
-        method="paired-percentile-bootstrap" if bootstrapped else "point-only",
         infinite=bool(np.isinf(point)),
     )
 

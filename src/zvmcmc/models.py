@@ -339,6 +339,11 @@ class ProbitTarget(_RegressionTarget):
 
     log pi(beta) = sum_i [ y_i log Phi(x_i'beta) + (1-y_i) log Phi(-x_i'beta) ]
                  = sum_i log Phi(s_i x_i'beta),  s_i = 2 y_i - 1.
+
+    The gradient depends on beta only through st = s_design beta and
+    log Phi(st), and grad_from_predictor takes those rows to gradient rows.
+    grad_log_density computes both from beta.  The Gibbs sampler has both
+    from its sweeps and calls grad_from_predictor itself.
     """
 
     tag = "probit"
@@ -347,10 +352,19 @@ class ProbitTarget(_RegressionTarget):
         return float(log_ndtr(self.s_design @ self._point(beta)).sum())
 
     def grad_log_density(self, beta):
+        st = self._points(beta) @ self.s_design.T
+        return self.grad_from_predictor(st, log_ndtr(st))
+
+    def grad_from_predictor(self, st, log_phi):
+        """grad log pi from st = s_design beta and log_phi = log Phi(st).
+
+        st and log_phi are one (n,) row, giving (d,), or (m, n) rows, giving
+        (m, d); neither is written to.  The point is not checked: the rows
+        must come from finite coefficients.
+        """
         # the score of row i is s_i phi(x_i'beta) / Phi(s_i x_i'beta), and
         # phi is even; phi/Phi in log space stays finite deep in both tails
-        st = self._points(beta) @ self.s_design.T
-        score = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - log_ndtr(st))
+        score = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - log_phi)
         return score @ self.s_design
 
 
@@ -374,14 +388,15 @@ class LogitTarget(_RegressionTarget):
     _noise_scale = 1.8
 
     def log_density(self, beta):
-        u = self.s_design @ self._point(beta)
-        tail = np.abs(u)
-        np.negative(tail, out=tail)
+        # ndarray.dot, copysign and add.reduce give the values of @, -abs
+        # and .sum() bit for bit, with less call overhead
+        u = self.s_design.dot(self._point(beta))
+        tail = np.copysign(u, -1.0)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
         np.minimum(u, 0.0, out=u)
         u -= tail
-        return float(u.sum())
+        return float(np.add.reduce(u))
 
     def grad_log_density(self, beta):
         resid = expit(self._points(beta) @ self.data.design.T)

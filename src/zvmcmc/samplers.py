@@ -1,11 +1,15 @@
 """Samplers producing chains with the log-density gradient at every draw.
 
 Every retained draw carries grad log pi evaluated at that draw, so the
-control variate stage never re-touches the model.  The sampling loops store
-draws only.  After the loop, and still inside the sampler call, the chain's
-gradients are computed with the model's batch form grad_log_density((m, d))
-in blocks of _GRADIENT_BLOCK rows, at the draws where the chain moved; a
-repeated (rejected) draw copies the gradient of the draw it repeats.
+control variate stage never re-touches the model.  Random-walk Metropolis
+stores draws only in its loop.  After the loop, and still inside the sampler
+call, its gradients are computed with the model's batch form
+grad_log_density((m, d)) in blocks of _GRADIENT_BLOCK rows, at the draws
+where the chain moved; a repeated (rejected) draw copies the gradient of the
+draw it repeats.  The probit Gibbs sampler takes its gradients from its own
+sweeps: the sweep after a retained draw computes that draw's signed linear
+predictor s_i x_i'beta and its log Phi, and ProbitTarget.grad_from_predictor
+turns blocks of _GRADIENT_BLOCK such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection.  All randomness flows through a
 numpy Generator seeded from SamplerConfig.seed; identical configs give
@@ -48,10 +52,9 @@ class SamplerConfig:
                  None means 2.4/sqrt(d) times model.rough_scale()
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
-    compute_gradients  True computes grad log pi at every retained draw
-              once sampling is done, in batches over the distinct draws;
-              False skips it (the output then cannot feed the control
-              variate stage)
+    compute_gradients  True computes grad log pi at every retained draw,
+              in blocks of rows (see the module docstring); False skips it
+              (the output then cannot feed the control variate stage)
     """
 
     length: int
@@ -234,8 +237,12 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     Latent u_i ~ N(x_i'beta, 1) truncated to (0, inf) when y_i = 1 and to
     (-inf, 0) when y_i = 0, then beta ~ N((X'X)^{-1} X'u, (X'X)^{-1}).
     X'X, (X'X)^{-1} and the sign-folded design come from the model.
-    Every sweep moves beta, so the probit log-posterior gradient is computed
-    at every retained draw, in batches after the last sweep.
+    The gradient at a draw needs st = s_design beta and log Phi(st), which
+    the next sweep computes anyway.  A sweep that follows a retained draw
+    writes them into a row of two (_GRADIENT_BLOCK, n) buffers; each full
+    block, and the last partial one, goes through model.grad_from_predictor,
+    and grad_log_density is never called.  The pair is computed once more
+    after the last sweep, for the last draw.
     """
     if model.tag != "probit":
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
@@ -258,20 +265,50 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     s_proj = model.xtx_inv @ s_design.T
 
     beta = _resolve_init(model, config)
-    draws = np.empty((config.length, d))
-
-    for step in range(config.burn_in + config.length * config.thin):
-        st = s_design @ beta
+    length, burn_in, thin = config.length, config.burn_in, config.thin
+    draws = np.empty((length, d))
+    # (st, log Phi(st)) rows of retained draws whose gradients are pending
+    block = min(_GRADIENT_BLOCK, length) if config.compute_gradients else 0
+    st_rows = np.empty((block, n))
+    log_phi_rows = np.empty((block, n))
+    gradients = np.empty((length if block else 0, d))
+    st_free = st = np.empty(n)
+    log_phi_free = log_phi = np.empty(n)
+    # ndarray.dot makes the same cblas_dgemv call as @, so the draws are
+    # those of the @ form bit for bit
+    s_design.dot(beta, out=st)
+    log_ndtr(st, out=log_phi)
+    for step in range(burn_in + length * thin):
         u = rng.random(n)
-        mean = s_proj @ (st - ndtri_exp(log_ndtr(st) + np.log1p(-u)))
-        beta = mean + chol_cov @ rng.standard_normal(d)
-        offset = step - config.burn_in
-        if offset >= 0 and offset % config.thin == 0:
-            draws[offset // config.thin] = beta
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u += log_phi
+        ndtri_exp(u, out=u)
+        np.subtract(st, u, out=u)
+        beta = s_proj.dot(u) + chol_cov.dot(rng.standard_normal(d))
+        offset = step - burn_in
+        kept = offset >= 0 and offset % thin == 0
+        if kept:
+            i = offset // thin
+            draws[i] = beta
+        # the next sweep's st and log Phi(st) belong to this draw: a kept
+        # draw gets a buffer row.  After the last sweep they are needed only
+        # when its draw is kept
+        record = kept and block > 0
+        if record:
+            r = i % block
+            st, log_phi = st_rows[r], log_phi_rows[r]
+        else:
+            st, log_phi = st_free, log_phi_free
+        s_design.dot(beta, out=st)
+        log_ndtr(st, out=log_phi)
+        if record and (r == block - 1 or i == length - 1):
+            gradients[i - r:i + 1] = model.grad_from_predictor(st_rows[:r + 1],
+                                                               log_phi_rows[:r + 1])
 
     return ChainOutput(
         draws=draws,
-        gradients=_chain_gradients(model, config, draws, np.ones(config.length, dtype=bool)),
+        gradients=gradients,
         accept_rate=1.0,
         seed_used=config.seed,
         model_tag=model.tag,

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,25 @@ def test_check_identity_against_head_on_the_toy_config():
         "run --config configs/toys.json --replications 2 --threads 2: identical",
     ]
     assert lines[2] == "every report equals HEAD's"
+
+
+def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import largest_differences
+
+    report = {"accept": [0.25, 0.5], "timing": {"wall_s": 1.0},
+              "per_replication_estimates": {"zv": {"2": [[1.0, 2.0]]}}}
+    # the first leaf that differs, accept.0, is not the largest difference
+    changed = json.loads(json.dumps(report))
+    changed["accept"][0] = 0.25 * (1.0 + 1e-12)
+    changed["per_replication_estimates"]["zv"]["2"][0][1] = 2.0 * (1.0 - 1e-6)
+    changed["timing"]["wall_s"] = 2.0
+    for side, study, csv in (("rev", report, "a,b\n1,2\n"), ("tree", changed, "a,b\n1,3\n")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "study.json").write_text(json.dumps(study))
+        (tmp_path / side / "study.csv").write_text(csv)
+    files = ("study.json", "study.csv")
+    assert largest_differences(tmp_path / "rev", tmp_path / "tree", files) == (
+        "study.json largest at per_replication_estimates.zv.2.0.1 (relative 1e-06); "
+        "study.csv bytes differ")
+    assert largest_differences(tmp_path / "rev", tmp_path / "rev", files) is None

@@ -123,7 +123,6 @@ def test_variance_ratio_interval_contains_point():
     study = toy_study(rng)
     rep = variance_ratio(study, 0, 1, resamples=500, seed=7)
     assert isinstance(rep, RatioReport)
-    assert rep.method == "paired-percentile-bootstrap"
     assert 0 < rep.lower <= rep.point <= rep.upper
     assert not rep.infinite
     # same seed, same interval
@@ -135,9 +134,8 @@ def test_variance_ratio_small_study_is_point_only():
     rng = np.random.default_rng(35)
     study = toy_study(rng, R=10)
     rep = variance_ratio(study, 1, 1)
-    assert rep.method == "point-only"
+    assert 0 < rep.point < np.inf
     assert np.isnan(rep.lower) and np.isnan(rep.upper)
-    assert rep.resamples == 0
 
 
 def test_variance_ratio_small_study_with_lower_floor_skips_undefined_resamples():
@@ -147,10 +145,8 @@ def test_variance_ratio_small_study_with_lower_floor_skips_undefined_resamples()
     rng = np.random.default_rng(38)
     study = toy_study(rng, R=3)
     rep = variance_ratio(study, 0, 1, resamples=1000, seed=5, min_replications=2)
-    assert rep.method == "paired-percentile-bootstrap"
-    assert rep.resamples == 1000
     assert np.isfinite(rep.lower) and np.isfinite(rep.upper)
-    assert 0 < rep.lower <= rep.point <= rep.upper
+    assert 0 < rep.lower < rep.point < rep.upper
     assert not rep.infinite
 
 

@@ -120,6 +120,35 @@ def test_logit_log_density_matches_an_exact_sum(factor):
         assert abs(model.log_density(beta) - expected) <= 1e-13 * abs(expected)
 
 
+def abs_negative_logit_log_density(model, beta):
+    """LogitTarget.log_density as written with @, abs then negative, and .sum()."""
+    u = model.s_design @ beta
+    tail = np.abs(u)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.minimum(u, 0.0, out=u)
+    u -= tail
+    return float(u.sum())
+
+
+def test_logit_log_density_equals_the_abs_negative_form_bit_for_bit():
+    model, points = logit_chain_points()
+    for factor in (1.0, 100.0, 1000.0):
+        for beta in factor * points:
+            assert model.log_density(beta) == abs_negative_logit_log_density(model, beta)
+    # zeros in u: every row at beta = 0, and rows 0 and 1 where the two
+    # slopes cancel exactly
+    data = BinaryRegressionData(design=[[1.0, 2.0, -1.0], [1.0, -2.0, 1.0], [1.0, 3.0, 5.0],
+                                        [1.0, -1.0, 2.0]],
+                                response=[0.0, 1.0, 1.0, 0.0])
+    model = LogitTarget(data)
+    for beta in (np.zeros(3), np.array([0.0, 0.5, 1.0])):
+        u = model.s_design @ beta
+        assert np.any(u == 0.0)
+        assert model.log_density(beta) == abs_negative_logit_log_density(model, beta)
+
+
 def test_logit_log_density_agrees_with_the_logaddexp_form():
     # the form log_density took before its log-sigmoid rewrite
     model = LogitTarget(synthetic_banknote(seed=101))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,32 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
 
     monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
     calls = []
+    original = ProbitTarget.grad_from_predictor
+
+    def spy(self, st, log_phi):
+        calls.append(np.shape(st))
+        return original(self, st, log_phi)
+
+    monkeypatch.setattr(ProbitTarget, "grad_from_predictor", spy)
+    data = synthetic_banknote(seed=101, n=80)
+    out = gibbs_probit(ProbitTarget(data), SamplerConfig(length=20, burn_in=5, seed=4))
+    assert calls == [(8, 80), (8, 80), (4, 80)]
+    model = ProbitTarget(data)
+    for i in range(out.length):
+        assert np.allclose(out.gradients[i], model.grad_log_density(out.draws[i]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("burn_in", [0, 5])
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 17])
+def test_gibbs_probit_gradients_come_from_the_sweeps(monkeypatch, length, thin, burn_in):
+    # blocks of 8 rows: lengths below, at, just above and at two blocks plus one
+    import zvmcmc.samplers
+
+    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    model = ProbitTarget(synthetic_banknote(seed=101, n=80))
+    cfg = SamplerConfig(length=length, burn_in=burn_in, thin=thin, seed=4)
+    calls = []
     original = ProbitTarget.grad_log_density
 
     def spy(self, beta):
@@ -218,19 +245,22 @@ def test_gibbs_probit_batches_gradients(monkeypatch):
         return original(self, beta)
 
     monkeypatch.setattr(ProbitTarget, "grad_log_density", spy)
-    data = synthetic_banknote(seed=101, n=80)
-    out = gibbs_probit(ProbitTarget(data), SamplerConfig(length=20, burn_in=5, seed=4))
-    assert calls == [(8, 4), (8, 4), (4, 4)]
-    model = ProbitTarget(data)
-    for i in range(out.length):
-        assert np.allclose(out.gradients[i], model.grad_log_density(out.draws[i]), rtol=1e-12)
+    out = gibbs_probit(model, cfg)
+    bare = gibbs_probit(model, dataclasses.replace(cfg, compute_gradients=False))
+    assert calls == []
+    # the sweeps' products are dgemv rows where grad_log_density's are one
+    # dgemm, so the two agree to rounding, relative to each row's scale
+    expected = original(model, out.draws)
+    scale = np.abs(expected).max(axis=1, keepdims=True)
+    assert out.gradients.shape == (length, 4)
+    assert np.all(np.abs(out.gradients - expected) <= 1e-12 * scale)
+    assert bare.gradients.shape == (0, 4)
+    assert np.array_equal(bare.draws, out.draws)
 
 
-def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
-    data = synthetic_banknote(seed=101)
-    cfg = SamplerConfig(length=300, seed=23)
-    out = gibbs_probit(ProbitTarget(data), cfg)
-    # the sweep written with the signs applied to the latent draw itself
+def unfolded_gibbs_draws(data, cfg):
+    """The probit Gibbs sweep written with the signs applied to the latent
+    draw itself, retained draws picked by step offset % thin."""
     X, y = data.design, data.response
     n, d = X.shape
     xtx_inv = np.linalg.inv(X.T @ X)
@@ -239,12 +269,33 @@ def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
     sign = np.where(y == 1.0, 1.0, -1.0)
     rng = np.random.default_rng(cfg.seed)
     beta = np.zeros(d)
-    for i in range(cfg.length):
+    draws = []
+    for step in range(cfg.burn_in + cfg.length * cfg.thin):
         t = X @ beta
         u = rng.random(n)
         latent = t + sign * std_lower(-sign * t, u)
         beta = proj @ latent + chol_cov @ rng.standard_normal(d)
-        assert np.array_equal(out.draws[i], beta), i
+        offset = step - cfg.burn_in
+        if offset >= 0 and offset % cfg.thin == 0:
+            draws.append(beta)
+    return np.array(draws)
+
+
+def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
+    data = synthetic_banknote(seed=101)
+    cfg = SamplerConfig(length=300, seed=23)
+    out = gibbs_probit(ProbitTarget(data), cfg)
+    assert np.array_equal(out.draws, unfolded_gibbs_draws(data, cfg))
+
+
+def test_gibbs_probit_burn_in_and_thinning_equal_the_unfolded_sweep_exactly(monkeypatch):
+    import zvmcmc.samplers
+
+    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    data = synthetic_banknote(seed=101, n=80)
+    cfg = SamplerConfig(length=17, burn_in=5, thin=3, seed=4)
+    out = gibbs_probit(ProbitTarget(data), cfg)
+    assert np.array_equal(out.draws, unfolded_gibbs_draws(data, cfg))
 
 
 def test_chain_output_immutable():
