@@ -37,7 +37,6 @@ from .zv import (
     InsufficientSampleError,
     MonomialBasis,
     ZVFit,
-    ZvResult,
     default_exclusions,
     eval_control_variates,
     fit_and_renormalize,
@@ -45,7 +44,6 @@ from .zv import (
     monomial_basis,
     renormalize,
     standardization_from_chain,
-    zv_estimate,
 )
 from .diagnostics import (
     LinnikReport,
@@ -63,13 +61,10 @@ from .diagnostics import (
 )
 from .data_io import (
     DataLoadError,
-    PriceSeries,
     export_chain,
     export_study,
-    import_chain,
     load_design_matrix,
-    load_price_series,
-    prices_to_returns,
+    load_returns,
     synthetic_banknote,
     synthetic_demgbp_returns,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +17,9 @@ from .samplers import ChainOutput
 
 __all__ = [
     "DataLoadError",
-    "PriceSeries",
     "load_design_matrix",
-    "load_price_series",
-    "prices_to_returns",
+    "load_returns",
     "export_chain",
-    "import_chain",
     "export_study",
     "synthetic_banknote",
     "synthetic_demgbp_returns",
@@ -32,27 +28,6 @@ __all__ = [
 
 class DataLoadError(ValueError):
     """A data file failed validation; the message carries file and line."""
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Price level series with string date labels."""
-
-    dates: tuple[str, ...]
-    prices: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.prices, dtype=float)
-        if p.ndim != 1 or p.size < 3:
-            raise ValueError("prices must be a 1-d array with at least 3 entries")
-        if not np.all(np.isfinite(p) & (p > 0.0)):
-            raise ValueError("prices must be finite and > 0")
-        if len(self.dates) != p.size:
-            raise ValueError("dates and prices must have the same length")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "prices", p)
-        object.__setattr__(self, "dates", tuple(self.dates))
 
 
 def _parse_float(text, path, line_no, col_name):
@@ -117,80 +92,49 @@ def load_design_matrix(path, add_intercept: bool = False) -> BinaryRegressionDat
         raise DataLoadError(f"{path}: {exc}") from None
 
 
-def load_price_series(path) -> PriceSeries:
-    """CSV with columns date,price in that order (header required)."""
+def load_returns(path) -> ReturnsSeries:
+    """Simple returns of a CSV with columns date,price in that order (header required).
+
+    r_t = (p_t - p_{t-1}) / p_{t-1}, and h0 is their sample variance with
+    ddof=1.  At least 3 prices, each finite and > 0, are required; a constant
+    price series has zero return variance and is rejected because the GARCH
+    recursion cannot be seeded from it.  Validation failures name the file,
+    and the line where there is one.
+    """
     with _csv_rows(path) as (header, body):
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "date" or header[1] != "price":
             raise DataLoadError(f"{path}:1: expected header date,price, got {header}")
-        dates = []
         prices = []
         for line_no, row in body:
             if len(row) < 2:
                 raise DataLoadError(f"{path}:{line_no}: expected at least 2 fields, got {len(row)}")
-            dates.append(row[0].strip())
             prices.append(_parse_float(row[1], path, line_no, "price"))
-    try:
-        return PriceSeries(dates=tuple(dates), prices=np.asarray(prices, dtype=float))
-    except ValueError as exc:
-        raise DataLoadError(f"{path}: {exc}") from None
-
-
-def prices_to_returns(series: PriceSeries) -> ReturnsSeries:
-    """Simple returns r_t = (p_t - p_{t-1}) / p_{t-1}, h0 = sample variance.
-
-    h0 uses ddof=1; a constant price series has zero variance and is rejected
-    because the GARCH recursion cannot be seeded from it.
-    """
-    p = series.prices
+    p = np.asarray(prices, dtype=float)
+    if p.size < 3:
+        raise DataLoadError(f"{path}: need at least 3 prices, got {p.size}")
+    if not np.all(np.isfinite(p) & (p > 0.0)):
+        raise DataLoadError(f"{path}: prices must be finite and > 0")
     returns = np.diff(p) / p[:-1]
     h0 = float(np.var(returns, ddof=1))
     if h0 <= 0.0:
-        raise DataLoadError("returns have zero sample variance, cannot seed h0")
+        raise DataLoadError(f"{path}: returns have zero sample variance, cannot seed h0")
     return ReturnsSeries(returns=returns, h0=h0)
 
 
 # ---------------------------------------------------------------------------
-# chain CSV round trip
-
-
-def _chain_header(d):
-    return ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
+# chain CSV export
 
 
 def export_chain(chain: ChainOutput, path) -> None:
     """Write iter,beta_1..beta_d,grad_1..grad_d with round-trippable floats."""
     d = chain.dimension
+    header = ["iter"] + [f"beta_{j + 1}" for j in range(d)] + [f"grad_{j + 1}" for j in range(d)]
     rows = np.column_stack([np.arange(chain.length), chain.draws, chain.gradients])
     # csv.writer's dialect: comma separated, \r\n line ends, the header unprefixed
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (2 * d), delimiter=",", newline="\r\n",
-                   header=",".join(_chain_header(d)), comments="")
-
-
-def import_chain(path) -> ChainOutput:
-    """Read a chain written by export_chain; sampler metadata is not stored."""
-    with _csv_rows(path) as (header, body):
-        d = (len(header) - 1) // 2
-        if header != _chain_header(d):
-            raise DataLoadError(f"{path}:1: malformed chain header {header}")
-        draws = []
-        grads = []
-        for line_no, row in body:
-            if len(row) != 1 + 2 * d:
-                raise DataLoadError(f"{path}:{line_no}: expected {1 + 2 * d} fields, got {len(row)}")
-            draws.append([_parse_float(v, path, line_no, "beta") for v in row[1 : 1 + d]])
-            grads.append([_parse_float(v, path, line_no, "grad") for v in row[1 + d :]])
-    if not draws:
-        raise DataLoadError(f"{path}:2: no data rows")
-    return ChainOutput(
-        draws=np.asarray(draws, dtype=float),
-        gradients=np.asarray(grads, dtype=float),
-        accept_rate=float("nan"),
-        seed_used=0,
-        model_tag="imported",
-        pilot_accept_rate=None,
-    )
+                   header=",".join(header), comments="")
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .data_io import (
     _jsonable,
     export_chain,
     load_design_matrix,
-    load_price_series,
-    prices_to_returns,
+    load_returns,
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
@@ -81,17 +80,33 @@ class ConfigError(ValueError):
 
 
 def _is_integer(value) -> bool:
+    # JSON true and false are Python ints, but never a count or a seed
     try:
-        return int(value) == value
+        return not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _numbers(name, value) -> tuple:
     try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from None
+        if all(_is_real(v) for v in value):
+            return tuple(float(v) for v in value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+
+
+def _integers(name, value) -> tuple:
+    try:
+        if not isinstance(value, str) and all(_is_integer(v) for v in value):
+            return tuple(int(v) for v in value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be a list of integers, got {value!r}")
 
 
 @dataclass
@@ -145,12 +160,7 @@ class ExperimentConfig:
             raise ConfigError("sampler_type 'gibbs' is only available for model_kind 'probit'")
         if self.f_transform not in F_TRANSFORMS:
             raise ConfigError(f"f_transform must be one of {F_TRANSFORMS}, got {self.f_transform!r}")
-        if isinstance(self.degrees, str):
-            raise ConfigError(f"degrees must be a list of integers, got {self.degrees!r}")
-        try:
-            degrees = tuple(int(p) for p in self.degrees)
-        except (TypeError, ValueError):
-            raise ConfigError(f"degrees must be a list of integers, got {self.degrees!r}") from None
+        degrees = _integers("degrees", self.degrees)
         if not degrees or any(p not in (1, 2, 3) for p in degrees):
             raise ConfigError(f"degrees must be a non-empty subset of [1, 2, 3], got {list(degrees)}")
         if len(set(degrees)) != len(degrees):
@@ -169,9 +179,12 @@ class ExperimentConfig:
                 raise ConfigError(f"synthetic_seed must be null or a non-negative integer, "
                                   f"got {self.synthetic_seed!r}")
             self.synthetic_seed = int(self.synthetic_seed)
+        for name in ("add_intercept", "single_chain", "keep_chains"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("mu", "sigma2", "lam", "gamma_shape", "gamma_scale"):
             v, positive = getattr(self, name), name != "mu"
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and (v > 0.0 or not positive)):
+            if not (_is_real(v) and math.isfinite(v) and (v > 0.0 or not positive)):
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
         if self.fit_length < 100 or self.eval_length < 100:
             raise ConfigError(
@@ -182,8 +195,8 @@ class ExperimentConfig:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
         if not isinstance(self.exclusions, str):
             try:
-                self.exclusions = tuple(tuple(int(k) for k in e) for e in self.exclusions)
-            except (TypeError, ValueError):
+                self.exclusions = tuple(_integers("exclusions", e) for e in self.exclusions)
+            except (TypeError, ConfigError):
                 raise ConfigError(f"exclusions must be 'default' or a list of exponent lists") from None
         elif self.exclusions != "default":
             raise ConfigError(f"exclusions must be 'default' or a list of exponent lists, got {self.exclusions!r}")
@@ -288,7 +301,7 @@ def _target(config: ExperimentConfig):
         return ProbitTarget(data) if kind == "probit" else LogitTarget(data)
     if kind == "garch":
         if config.data_path is not None:
-            series = prices_to_returns(load_price_series(config.data_path))
+            series = load_returns(config.data_path)
         else:
             seed = config.synthetic_seed if config.synthetic_seed is not None else 333
             series = synthetic_demgbp_returns(seed=seed)
@@ -584,7 +597,11 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
 
 
 def write_study_csv(report: dict, path) -> None:
-    """One row per replication, parameter and estimator."""
+    """One row per completed replication, parameter and estimator.
+
+    The replication column holds the replication's id r, the one
+    replication_errors uses, recovered from its fit seed base_seed + 2r.
+    """
     import csv as _csv
 
     degrees = report["degrees"]
@@ -596,11 +613,12 @@ def write_study_csv(report: dict, path) -> None:
         writer = _csv.writer(fh)
         writer.writerow(["replication", "parameter", "method", "estimate", "fit_seed", "eval_seed"])
         for i in range(len(fit_seeds)):
+            r = (fit_seeds[i] - report["seeds"]["base"]) // 2
             for j, name in enumerate(params):
-                writer.writerow([i, name, "ordinary", f"{per_rep['ordinary'][i][j]:.17g}",
+                writer.writerow([r, name, "ordinary", f"{per_rep['ordinary'][i][j]:.17g}",
                                  fit_seeds[i], eval_seeds[i]])
                 for p in degrees:
-                    writer.writerow([i, name, f"zv{p}", f"{per_rep['zv'][str(p)][i][j]:.17g}",
+                    writer.writerow([r, name, f"zv{p}", f"{per_rep['zv'][str(p)][i][j]:.17g}",
                                      fit_seeds[i], eval_seeds[i]])
 
 

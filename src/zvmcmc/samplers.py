@@ -88,7 +88,6 @@ class ChainOutput:
     gradients: np.ndarray
     accept_rate: float
     seed_used: int
-    model_tag: str
     pilot_accept_rate: float | None = None
 
     def __post_init__(self):
@@ -222,7 +221,6 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
         seed_used=config.seed,
-        model_tag=model.tag,
         pilot_accept_rate=(pilot_accepts / pilot_steps) if pilot_steps else None,
     )
 
@@ -311,7 +309,6 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
         gradients=gradients,
         accept_rate=1.0,
         seed_used=config.seed,
-        model_tag=model.tag,
         pilot_accept_rate=None,
     )
 

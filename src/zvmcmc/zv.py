@@ -11,11 +11,11 @@ function is
 
     ftilde = f + G a.
 
-fit_and_renormalize is the one fit path: studies and zv_estimate both use it.
+fit_and_renormalize is the one fit path: every study replication goes through it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "MonomialBasis",
     "ControlVariateMatrix",
     "ZVFit",
-    "ZvResult",
     "monomial_basis",
     "default_exclusions",
     "standardization_from_chain",
@@ -35,7 +34,6 @@ __all__ = [
     "fit_coefficients",
     "renormalize",
     "fit_and_renormalize",
-    "zv_estimate",
 ]
 
 SUPPORTED_DEGREES = (1, 2, 3)
@@ -116,17 +114,10 @@ def default_exclusions(model) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ControlVariateMatrix:
-    """Columns of control variate values, one per active basis element.
-
-    center and scale record the affine change of coordinates the monomials
-    were built in (None means raw coordinates); a fit is only exchangeable
-    between matrices that share them.
-    """
+    """Columns of control variate values, one per active basis element."""
 
     values: np.ndarray
     basis: MonomialBasis
-    center: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     @property
     def draw_count(self):
@@ -180,7 +171,6 @@ def eval_control_variates(
         X = (X - c) / s
         # z of the transformed density: z'_j = scale_j * z_j
         Z = Z * s
-        center, scale = c.copy(), s.copy()
     # powers 0..degree per coordinate, reused across columns
     pw = [[np.ones(N)] for _ in range(d)]
     for j in range(d):
@@ -203,7 +193,7 @@ def eval_control_variates(
                     prod2 *= pw[k][alpha[k] - (2 if k == j else 0)]
                 acc += prod2
         G[:, col] = acc
-    return ControlVariateMatrix(values=G, basis=basis, center=center, scale=scale)
+    return ControlVariateMatrix(values=G, basis=basis)
 
 
 def degenerate_columns(G) -> np.ndarray:
@@ -211,29 +201,28 @@ def degenerate_columns(G) -> np.ndarray:
     DEGENERATE_REL_TOL times their mean square, both as sums over the N rows:
     fit_coefficients drops these columns, cv_zero_mean_test gives them no z-score.
     """
-    centered = G - G.mean(axis=0)
-    squares = np.einsum("ij,ij->j", centered, centered)
-    return squares <= DEGENERATE_REL_TOL * np.einsum("ij,ij->j", G, G)
+    return _degenerate(G, G - G.mean(axis=0))
+
+
+def _degenerate(G, Gc):
+    # degenerate_columns on G and its column-centered copy Gc
+    return np.einsum("ij,ij->j", Gc, Gc) <= DEGENERATE_REL_TOL * np.einsum("ij,ij->j", G, G)
 
 
 @dataclass(frozen=True)
 class ZVFit:
-    """Fitted coefficients plus the moments and conditioning evidence.
+    """Fitted coefficients plus the conditioning evidence.
 
     coefficients has one row per active basis element, zeros at dropped
     (degenerate) columns; it is (K,) for an (N,) f and (K, m) for an (N, m) f.
-    sigma_gg and sigma_gf hold the centered sample moments the solve used.
     condition_estimate is the eigenvalue ratio of the equilibrated kept block
-    of sigma_gg before any ridge; it and the other flags depend on G only.
+    of Sigma_gg before any ridge; it and the other flags depend on G only.
     """
 
     coefficients: np.ndarray
-    sigma_gg: np.ndarray
-    sigma_gf: np.ndarray
     condition_estimate: float
     dropped_columns: tuple[int, ...]
     ridge_applied: bool = False
-    all_degenerate: bool = False
 
 
 def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
@@ -267,7 +256,7 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     sigma_gg = 0.5 * (sigma_gg + sigma_gg.T)
     sigma_gf = (Gc.T @ fc) / N
 
-    dropped = degenerate_columns(G)
+    dropped = _degenerate(G, Gc)
     keep = ~dropped
     coefficients = np.zeros((K,) + f.shape[1:])
     condition, ridge_applied = 1.0, False
@@ -295,12 +284,9 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
 
     return ZVFit(
         coefficients=coefficients,
-        sigma_gg=sigma_gg,
-        sigma_gf=sigma_gf,
         condition_estimate=condition,
         dropped_columns=tuple(int(i) for i in np.flatnonzero(dropped)),
         ridge_applied=ridge_applied,
-        all_degenerate=not keep.any(),
     )
 
 
@@ -337,66 +323,8 @@ def fit_and_renormalize(fit_chain: ChainOutput, eval_chain: ChainOutput, bases, 
         eval_chain, top, center=center, scale=scale)
     out = {}
     for p, basis in bases.items():
-        fit_p, eval_p = (replace(cv, values=cv.values[:, :basis.size], basis=basis)
+        fit_p, eval_p = (ControlVariateMatrix(cv.values[:, :basis.size], basis)
                          for cv in (cv_fit, cv_eval))
         fit = fit_coefficients(fit_p, f_fit)
         out[p] = (fit, renormalize(f_eval, eval_p, fit))
     return out
-
-
-@dataclass(frozen=True)
-class ZvResult:
-    """Zero-variance estimate with the evidence used to produce it."""
-
-    estimate: float
-    fit: ZVFit
-    ftilde: np.ndarray
-    basis: MonomialBasis
-    protocol: str  # "two-chain" or "single-chain"
-
-
-def _resolve_f(f, draws):
-    if callable(f):
-        vals = np.asarray(f(draws), dtype=float)
-        if vals.shape != (draws.shape[0],):
-            raise ValueError("f must map (N, d) draws to (N,) values")
-        return vals
-    j = int(f)
-    if not 0 <= j < draws.shape[1]:
-        raise ValueError(f"coordinate index {j} out of range for dimension {draws.shape[1]}")
-    return draws[:, j].astype(float)
-
-
-def zv_estimate(
-    model,
-    f,
-    fit_chain: ChainOutput,
-    eval_chain: ChainOutput | None = None,
-    degree: int = 1,
-    exclusions=None,
-    standardize: bool = True,
-) -> ZvResult:
-    """Fit coefficients on one chain, average the renormalized f on another.
-
-    f is a coordinate index or a callable on the draws.  eval_chain = None
-    selects the single-chain protocol (fit and evaluate on fit_chain), which
-    introduces a small adaptation bias and is off by default in the CLI.
-    standardize builds the monomials in fit-chain-standardized coordinates;
-    turn it off to work with the raw monomial coefficients directly.
-    """
-    if exclusions is None:
-        exclusions = default_exclusions(model)
-    basis = monomial_basis(model.dimension, degree, exclusions)
-    center, scale = (standardization_from_chain(fit_chain, model.constrained_coordinates)
-                     if standardize else (None, None))
-    eval_chain = fit_chain if eval_chain is None else eval_chain
-    fit, ftilde = fit_and_renormalize(
-        fit_chain, eval_chain, {degree: basis}, _resolve_f(f, fit_chain.draws),
-        _resolve_f(f, eval_chain.draws), center, scale)[degree]
-    return ZvResult(
-        estimate=float(ftilde.mean()),
-        fit=fit,
-        ftilde=ftilde,
-        basis=basis,
-        protocol="single-chain" if eval_chain is fit_chain else "two-chain",
-    )

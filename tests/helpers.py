@@ -160,7 +160,6 @@ def reference_rw_metropolis(model, config):
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
         seed_used=config.seed,
-        model_tag=model.tag,
         pilot_accept_rate=(pilot_accepts / pilot_steps) if pilot_steps else None,
     )
 

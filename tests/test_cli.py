@@ -130,6 +130,15 @@ MALFORMED_FIELD_ERRORS = [
     ({"exclusions": [[5]]}, "exclusion (5,) is not a basis exponent for d=1, p=3"),
     ({"exclusions": [[3, 1]]}, "exclusion (3, 1) is not a basis exponent for d=1, p=3"),
     ({"exclusions": [[2, 0]]}, "exclusion (2, 0) is not a basis exponent for d=1, p=3"),
+    # values of the wrong JSON type that Python would otherwise coerce
+    ({"single_chain": "false"}, "single_chain must be true or false, got 'false'"),
+    ({"keep_chains": 1}, "keep_chains must be true or false, got 1"),
+    ({"model_kind": "logit", "add_intercept": "true"}, "add_intercept must be true or false, got 'true'"),
+    ({"degrees": [1.5, 2]}, "degrees must be a list of integers, got [1.5, 2]"),
+    ({"replications": True}, "replications must be an integer >= 1, got True"),
+    ({"sigma2": True}, "sigma2 must be a finite number > 0, got True"),
+    ({"prior_sd": [True, 1.0, 1.0]}, "prior_sd must be a list of numbers, got [True, 1.0, 1.0]"),
+    ({"exclusions": [[1.5]]}, "exclusions must be 'default' or a list of exponent lists"),
 ]
 
 
@@ -139,13 +148,15 @@ MALFORMED_FIELD_ERRORS = [
     "burn-in-null", "burn-in-text", "thin-null", "replications-null", "mu-null", "sigma2-text",
     "sigma2-negative", "gamma-shape-negative", "lam-zero", "synthetic-seed-fraction",
     "synthetic-seed-negative", "data-path-number", "output-dir-number", "exclusion-above-degree-3",
-    "exclusion-long-above-degree-3", "exclusion-long"])
+    "exclusion-long-above-degree-3", "exclusion-long", "single-chain-text", "keep-chains-number",
+    "add-intercept-text", "degrees-fraction", "replications-bool", "sigma2-bool", "prior-sd-bool",
+    "exclusion-fraction"])
 def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
                                                          fields, message):
     sampled = []
     for name in ("rw_metropolis", "gibbs_probit"):
         monkeypatch.setattr(zvmcmc.samplers, name, lambda *args, **kwargs: sampled.append(args))
-    path = write_config(tmp_path, single_chain=True, **fields)
+    path = write_config(tmp_path, **{"single_chain": True, **fields})
     assert main([command, "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert sampled == []

@@ -7,14 +7,11 @@ from zvmcmc import (
     ChainOutput,
     DataLoadError,
     GaussianTarget,
-    PriceSeries,
     SamplerConfig,
     export_chain,
     export_study,
-    import_chain,
     load_design_matrix,
-    load_price_series,
-    prices_to_returns,
+    load_returns,
     rw_metropolis,
     synthetic_banknote,
     synthetic_demgbp_returns,
@@ -60,7 +57,7 @@ def test_load_design_matrix_errors(tmp_path):
         load_design_matrix(write(tmp_path, "e.csv", "x1,y\n1,2\n2,0\n"))  # y not 0/1
 
 
-@pytest.mark.parametrize("load", [load_design_matrix, load_price_series, import_chain])
+@pytest.mark.parametrize("load", [load_design_matrix, load_returns])
 def test_csv_readers_reject_an_empty_file_at_line_1(tmp_path, load):
     p = write(tmp_path, "empty.csv", "")
     with pytest.raises(DataLoadError, match=r"empty\.csv:1: file is empty"):
@@ -71,20 +68,16 @@ def test_csv_readers_skip_blank_rows_and_keep_line_numbers(tmp_path):
     with pytest.raises(DataLoadError, match=r"d\.csv:5: design row is all zeros"):
         load_design_matrix(write(tmp_path, "d.csv", "x1,y\n1,1\n\n , \n0,0\n"))
     with pytest.raises(DataLoadError, match=r"p\.csv:4: could not parse price='abc'"):
-        load_price_series(write(tmp_path, "p.csv", "date,price\n\n2020-01-01,1.0\n2020-01-02,abc\n"))
+        load_returns(write(tmp_path, "p.csv", "date,price\n\n2020-01-01,1.0\n2020-01-02,abc\n"))
     with pytest.raises(DataLoadError, match=r"q\.csv:4: expected at least 2 fields, got 1"):
-        load_price_series(write(tmp_path, "q.csv", "date,price\n2020-01-01,1.0\n\n2020-01-02\n"))
-    with pytest.raises(DataLoadError, match=r"c\.csv:4: expected 3 fields, got 2"):
-        import_chain(write(tmp_path, "c.csv", "iter,beta_1,grad_1\n0,1.0,2.0\n\n1,1.0\n"))
+        load_returns(write(tmp_path, "q.csv", "date,price\n2020-01-01,1.0\n\n2020-01-02\n"))
     data = load_design_matrix(write(tmp_path, "ok.csv", "x1,y\n\n1,1\n,\n2,0\n"))
     assert np.array_equal(data.design[:, 0], [1.0, 2.0])
 
 
 def test_load_price_series_and_returns(tmp_path):
     p = write(tmp_path, "p.csv", "date,price\n2001-01-01,100.0\n2001-01-02,101.0\n2001-01-03,99.99\n")
-    series = load_price_series(p)
-    assert series.dates == ("2001-01-01", "2001-01-02", "2001-01-03")
-    returns = prices_to_returns(series)
+    returns = load_returns(p)
     assert returns.length == 2
     assert returns.returns[0] == pytest.approx(0.01)
     assert returns.returns[1] == pytest.approx((99.99 - 101.0) / 101.0)
@@ -92,16 +85,19 @@ def test_load_price_series_and_returns(tmp_path):
 
 
 def test_load_price_series_errors(tmp_path):
-    with pytest.raises(DataLoadError):
-        load_price_series(write(tmp_path, "a.csv", "time,price\n1,2\n"))
-    with pytest.raises(DataLoadError):
-        load_price_series(write(tmp_path, "b.csv", "date,price\nd1,-3\nd2,2\nd3,2\n"))
+    for text, message in [
+        ("time,price\n1,2\n", r"a\.csv:1: expected header date,price"),
+        ("date,price\nd1,-3\nd2,2\nd3,2\n", r"a\.csv: prices must be finite and > 0"),
+        ("date,price\nd1,inf\nd2,2\nd3,2\n", r"a\.csv: prices must be finite and > 0"),
+        ("date,price\nd1,1\nd2,2\n", r"a\.csv: need at least 3 prices, got 2"),
+    ]:
+        with pytest.raises(DataLoadError, match=message):
+            load_returns(write(tmp_path, "a.csv", text))
 
 
-def test_constant_prices_rejected():
-    series = PriceSeries(dates=("a", "b", "c", "d"), prices=np.array([5.0, 5.0, 5.0, 5.0]))
-    with pytest.raises(DataLoadError):
-        prices_to_returns(series)
+def test_constant_prices_rejected(tmp_path):
+    with pytest.raises(DataLoadError, match=r"c\.csv: returns have zero sample variance"):
+        load_returns(write(tmp_path, "c.csv", "date,price\na,5\nb,5\nc,5\nd,5\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +106,20 @@ def test_constant_prices_rejected():
 
 def test_chain_roundtrip_is_exact(tmp_path):
     chain = rw_metropolis(GaussianTarget(), SamplerConfig(length=50, burn_in=10, seed=3))
+    draws, gradients = chain.draws.copy(), chain.gradients.copy()
+    draws[:3, 0] = gradients[-3:, 0] = [-0.0, 1e-320, 5e300]
     path = tmp_path / "chain.csv"
-    export_chain(chain, path)
-    back = import_chain(path)
-    assert np.array_equal(back.draws, chain.draws)
-    assert np.array_equal(back.gradients, chain.gradients)
+    export_chain(ChainOutput(draws, gradients, accept_rate=1.0, seed_used=3), path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], np.arange(50))
+    # bit for bit: the sign of -0.0 and the subnormal survive
+    assert back[:, 1:].tobytes() == np.hstack([draws, gradients]).tobytes()
 
 
 def test_export_chain_bytes(tmp_path):
     chain = ChainOutput(draws=np.array([[-0.0, 1e-320], [5e300, 0.1]]),
                         gradients=np.array([[1.0, -2.5], [0.5, 3.0]]),
-                        accept_rate=1.0, seed_used=0, model_tag="test")
+                        accept_rate=1.0, seed_used=0)
     path = tmp_path / "chain.csv"
     export_chain(chain, path)
     assert path.read_bytes() == (
@@ -128,12 +127,6 @@ def test_export_chain_bytes(tmp_path):
         b"0,-0,9.9998886718268301e-321,1,-2.5\r\n"
         b"1,5.0000000000000003e+300,0.10000000000000001,0.5,3\r\n"
     )
-
-
-def test_import_chain_rejects_malformed(tmp_path):
-    p = write(tmp_path, "bad.csv", "iter,beta_1\n0,1.0\n")
-    with pytest.raises(DataLoadError):
-        import_chain(p)
 
 
 # ---------------------------------------------------------------------------

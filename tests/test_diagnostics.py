@@ -202,7 +202,7 @@ def test_zero_mean_flags_wrong_gradients():
     # gaussian; the quadratic control variate x^2/4 - 1 then has mean -3/4
     model = GaussianTarget(mu=0.0, sigma2=1.0)
     chain = rw_metropolis(model, SamplerConfig(length=6000, burn_in=500, seed=39))
-    wrong = make_chain(chain.draws, -chain.draws / 4.0, tag="gaussian")
+    wrong = make_chain(chain.draws, -chain.draws / 4.0)
     cv = eval_control_variates(wrong, monomial_basis(1, 2))
     rep = cv_zero_mean_test(cv)
     assert abs(rep.z_scores[1]) > 10.0

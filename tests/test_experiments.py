@@ -502,6 +502,16 @@ class TestReplicationFailures:
         assert report["replication_errors"] == [
             {"replication": 1, "error": f"{type(exc).__name__}: {exc}"}]
 
+    def test_study_csv_labels_rows_by_replication_id(self, monkeypatch, tmp_path):
+        cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
+        fail_one_replication(monkeypatch, FloatingPointError("NaN log-density"), cfg.base_seed + 2)
+        _, report = run_study(cfg)
+        path = tmp_path / "study.csv"
+        write_study_csv(report, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        # replication 1 failed, so its id appears nowhere and 2 and 3 keep theirs
+        assert sorted({(r[0], r[4]) for r in rows}) == [("0", "7"), ("2", "11"), ("3", "13")]
+
     @pytest.mark.parametrize("exc", [TypeError("unsupported operand"), KeyError("zv")],
                              ids=lambda e: type(e).__name__)
     def test_programming_error_fails_the_study(self, monkeypatch, exc):

@@ -22,16 +22,13 @@ from zvmcmc import (
     renormalize,
     rw_metropolis,
     standardization_from_chain,
-    zv_estimate,
 )
 
 
-def make_chain(draws, gradients, tag="test"):
+def make_chain(draws, gradients):
     draws = np.asarray(draws, dtype=float)
     gradients = np.asarray(gradients, dtype=float)
-    return ChainOutput(
-        draws=draws, gradients=gradients, accept_rate=1.0, seed_used=0, model_tag=tag
-    )
+    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0, seed_used=0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +114,6 @@ def test_eval_with_standardization_matches_transformed_chain():
     mapped = make_chain((draws - center) / scale, grads * scale)
     cv2 = eval_control_variates(mapped, basis)
     assert np.allclose(cv.values, cv2.values, rtol=1e-12)
-    assert np.allclose(cv.center, center) and np.allclose(cv.scale, scale)
 
 
 def test_eval_requires_gradients_and_matching_dimension():
@@ -146,33 +142,39 @@ def test_standardization_from_chain():
 def test_gaussian_linear_control_variate_is_exact():
     model = GaussianTarget(mu=2.0, sigma2=3.0)
     chain = rw_metropolis(model, SamplerConfig(length=3000, burn_in=200, seed=13))
-    res = zv_estimate(model, 0, chain, degree=1, standardize=False)
+    f = chain.draws[:, 0]
+    fit, ftilde = fit_and_renormalize(chain, chain, {1: monomial_basis(1, 1)}, f, f)[1]
     # f = x and g = (x - mu)/(2 sigma2) are exactly collinear, so the sample
     # fit recovers the population coefficient -2 sigma2 and the renormalized
     # values collapse to the constant mu
-    assert res.fit.coefficients[0] == pytest.approx(-6.0, rel=1e-9)
-    assert res.ftilde.var() < 1e-18
-    assert res.estimate == pytest.approx(2.0, abs=1e-12)
+    assert fit.coefficients[0] == pytest.approx(-6.0, rel=1e-9)
+    assert ftilde.var() < 1e-18
+    assert ftilde.mean() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exponential_square_control_variate_is_exact():
     model = ExponentialTarget(lam=1.0)
     chain = rw_metropolis(model, SamplerConfig(length=3000, burn_in=200, seed=14))
-    res = zv_estimate(model, 0, chain, degree=2, standardize=False)
+    basis = monomial_basis(1, 2, default_exclusions(model))
+    f = chain.draws[:, 0]
+    fit, ftilde = fit_and_renormalize(chain, chain, {2: basis}, f, f)[2]
     # default exclusions leave only x^2; its control variate is lam x - 1
-    assert res.basis.active == ((2,),)
-    assert res.fit.coefficients[0] == pytest.approx(-1.0, rel=1e-9)
-    assert res.ftilde.var() < 1e-18
-    assert res.estimate == pytest.approx(1.0, abs=1e-12)
+    assert basis.active == ((2,),)
+    assert fit.coefficients[0] == pytest.approx(-1.0, rel=1e-9)
+    assert ftilde.var() < 1e-18
+    assert ftilde.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exponential_linear_basis_is_empty_after_exclusions():
     model = ExponentialTarget(lam=1.0)
     chain = rw_metropolis(model, SamplerConfig(length=500, burn_in=100, seed=15))
-    res = zv_estimate(model, 0, chain, degree=1)
-    assert res.basis.size == 0
-    assert res.fit.all_degenerate
-    assert res.estimate == pytest.approx(chain.draws[:, 0].mean())
+    basis = monomial_basis(1, 1, default_exclusions(model))
+    center, scale = standardization_from_chain(chain, model.constrained_coordinates)
+    f = chain.draws[:, 0]
+    fit, ftilde = fit_and_renormalize(chain, chain, {1: basis}, f, f, center, scale)[1]
+    assert basis.size == 0
+    assert fit.coefficients.shape == (0,) and fit.dropped_columns == ()
+    assert np.array_equal(ftilde, f)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,6 @@ def test_constant_gradient_makes_linear_columns_degenerate():
     chain = make_chain(draws, grads)
     cv = eval_control_variates(chain, monomial_basis(2, 1))
     fit = fit_coefficients(cv, draws[:, 0])
-    assert fit.all_degenerate
     assert fit.dropped_columns == (0, 1)
     assert np.all(fit.coefficients == 0.0)
     assert np.array_equal(renormalize(draws[:, 0], cv, fit), draws[:, 0])
@@ -202,7 +203,6 @@ def test_partial_degeneracy_keeps_live_columns():
     assert fit.dropped_columns == (0,)
     assert fit.coefficients[0] == 0.0
     assert fit.coefficients[1] != 0.0
-    assert not fit.all_degenerate
 
 
 def test_near_duplicate_columns_trigger_ridge():
@@ -274,7 +274,7 @@ def matrix_fit_cases():
 def test_matrix_f_fit_equals_column_fits(case):
     cv, f = matrix_fit_cases()[case]
     fit = fit_coefficients(cv, f)
-    assert fit.coefficients.shape == fit.sigma_gf.shape == (cv.column_count, f.shape[1])
+    assert fit.coefficients.shape == (cv.column_count, f.shape[1])
     ftilde = renormalize(f, cv, fit)
     assert ftilde.shape == f.shape
     for j in range(f.shape[1]):
@@ -345,32 +345,16 @@ def test_scale_equivariance():
 # end-to-end estimates
 
 
-def test_zv_estimate_accepts_callable_f():
-    model = GaussianTarget(mu=0.0, sigma2=1.0)
-    chain = rw_metropolis(model, SamplerConfig(length=1500, burn_in=200, seed=16))
-    by_index = zv_estimate(model, 0, chain, degree=2)
-    by_callable = zv_estimate(model, lambda d: d[:, 0], chain, degree=2)
-    assert by_index.estimate == by_callable.estimate
-
-
-def test_zv_estimate_protocols():
-    model = GaussianTarget()
-    fit_chain = rw_metropolis(model, SamplerConfig(length=800, burn_in=100, seed=17))
-    eval_chain = rw_metropolis(model, SamplerConfig(length=800, burn_in=100, seed=18))
-    single = zv_estimate(model, 0, fit_chain)
-    assert single.protocol == "single-chain"
-    two = zv_estimate(model, 0, fit_chain, eval_chain)
-    assert two.protocol == "two-chain"
-    assert zv_estimate(model, 0, fit_chain, fit_chain).protocol == "single-chain"
-
-
 def test_zv_estimate_deterministic():
     model = GammaTarget(shape=3.0, scale=1.0)
     chain = rw_metropolis(model, SamplerConfig(length=2000, burn_in=300, seed=19))
-    a = zv_estimate(model, 0, chain, degree=2)
-    b = zv_estimate(model, 0, chain, degree=2)
-    assert a.estimate == b.estimate
-    assert abs(a.estimate - 3.0) < 0.2
+    basis = monomial_basis(1, 2, default_exclusions(model))
+    center, scale = standardization_from_chain(chain, model.constrained_coordinates)
+    f = chain.draws[:, 0]
+    a, b = (fit_and_renormalize(chain, chain, {2: basis}, f, f, center, scale)[2][1].mean()
+            for _ in range(2))
+    assert a == b
+    assert abs(a - 3.0) < 0.2
 
 
 # ---------------------------------------------------------------------------
