@@ -33,7 +33,6 @@ from .samplers import (
     sample_chain,
 )
 from .zv import (
-    ControlVariateMatrix,
     InsufficientSampleError,
     MonomialBasis,
     ZVFit,

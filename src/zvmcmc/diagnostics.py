@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import ChainOutput
-from .zv import ControlVariateMatrix, degenerate_columns
+from .zv import degenerate_columns
 
 __all__ = [
     "batch_means_asvar",
@@ -170,14 +170,13 @@ class ZeroMeanReport:
 MIN_ZERO_MEAN_DRAWS = 1000
 
 
-def cv_zero_mean_test(cv: ControlVariateMatrix, batch_count: int | None = None) -> ZeroMeanReport:
-    """Check that every control variate column averages to zero.
+def cv_zero_mean_test(G, batch_count: int | None = None) -> ZeroMeanReport:
+    """Check that every column of the (N, K) control variate array G averages to zero.
 
     |z| persistently above about 4 points at a violated unbiasedness condition
     (wrong gradient, unhandled boundary) rather than bad luck.  Degenerate
     (constant) columns get NaN and a flag instead of a z-score.
     """
-    G = cv.values
     N, K = G.shape
     if N < MIN_ZERO_MEAN_DRAWS:
         raise ValueError(f"need at least {MIN_ZERO_MEAN_DRAWS} draws, got {N}")
@@ -233,15 +232,15 @@ class MomentReport:
     delta: float
 
 
-def moment_diagnostic(cv: ControlVariateMatrix, delta: float = 0.5) -> MomentReport:
-    """Check the 2+delta moments that variance-ratio asymptotics lean on.
+def moment_diagnostic(G, delta: float = 0.5) -> MomentReport:
+    """Check the 2+delta moments of G's (N, K) columns that variance-ratio asymptotics lean on.
 
     A column whose running mean of |g|^(2+delta) keeps drifting signals that
     the CLT behind the ratio intervals is on thin ice for this target.
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    series = np.abs(cv.values) ** (2.0 + delta)
+    series = np.abs(G) ** (2.0 + delta)
     running, divergent = _running_mean_flags(series)
     return MomentReport(means=running[-1].copy(), stable=~divergent, delta=delta)
 

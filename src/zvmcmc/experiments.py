@@ -263,7 +263,9 @@ def build_model(config: ExperimentConfig):
     this is also where the fields sized by the model are checked, once and
     before any sampling: proposal_sd (rwmh only) must have 1 or d entries,
     each finite and > 0, and init must have d entries and lie in the model's
-    support.  Raises ConfigError otherwise.
+    support.  Last, a key set away from its default that the model kind, data
+    source or sampler never reads is rejected by name.  Raises ConfigError
+    otherwise.
     """
     model = _target(config)
     d = model.dimension
@@ -278,7 +280,33 @@ def build_model(config: ExperimentConfig):
             raise ConfigError(f"init must have {d} entries for model {model.tag}, got {len(config.init)}")
         if not model.in_support(config.init):
             raise ConfigError(f"init {list(config.init)} is outside the support of {model.tag}")
+    unread = _unread_keys(config)
+    for field in fields(ExperimentConfig):
+        if field.name in unread and getattr(config, field.name) != field.default:
+            raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     return model
+
+
+_TOY_PARAMETERS = {"gaussian": ("mu", "sigma2"), "exponential": ("lam",),
+                   "gamma": ("gamma_shape", "gamma_scale")}
+
+
+def _unread_keys(config: ExperimentConfig) -> dict:
+    """{key: why} for each model, data or sampler key that this config's run never reads."""
+    kind = config.model_kind
+    unread = {key: f"only model {toy} reads it" for toy, keys in _TOY_PARAMETERS.items()
+              if toy != kind for key in keys}
+    if kind in _TOY_PARAMETERS:
+        unread.update(data_path="toy models read no data", synthetic_seed="toy models read no data")
+    elif config.data_path is not None:
+        unread["synthetic_seed"] = "data_path replaces the synthetic data"
+    if kind not in ("probit", "logit") or config.data_path is None:
+        unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
+    if kind != "garch":
+        unread["prior_sd"] = "only model garch reads it"
+    if config.sampler == "gibbs":
+        unread["proposal_sd"] = "the gibbs sampler takes no proposal"
+    return unread
 
 
 def _target(config: ExperimentConfig):
@@ -349,9 +377,9 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
 
 def _chain_config(config: ExperimentConfig, length, seed, thin=1,
                   compute_gradients=True) -> SamplerConfig:
-    # the Gibbs sampler draws from full conditionals and takes no step size
+    # build_model has rejected a proposal_sd on the Gibbs sampler, which takes none
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
-                         thin=thin, proposal_sd=config.proposal_sd if config.sampler == "rwmh" else None,
+                         thin=thin, proposal_sd=config.proposal_sd,
                          compute_gradients=compute_gradients)
 
 
@@ -479,10 +507,11 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     replications does not apply to studies.  With a single replication the
     ratio and its bounds are None and ratio_method is "unavailable".
 
-    With more than one worker (config.threads, 0 = one per CPU) replications
-    run in a process pool whose workers compute BLAS single-threaded; a
-    one-process run keeps the BLAS library's default thread count.  Either way
-    the report outside "timing" is the same.
+    With more than one worker (config.threads, 0 = one per CPU, but never
+    more than config.replications) replications run in a process pool whose
+    workers compute BLAS single-threaded; a one-process run keeps the BLAS
+    library's default thread count.  Either way the report outside "timing"
+    is the same.
     """
     model = build_model(config)
     return _study(config, model, control_variate_bases(config, model), chains_dir)
@@ -498,8 +527,8 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
 
     t_start = time.perf_counter()
     reps = range(config.replications)
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    if workers > 1 and config.replications > 1:
+    workers = min(config.threads if config.threads > 0 else (os.cpu_count() or 1), config.replications)
+    if workers > 1:
         with _single_threaded_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:

@@ -24,7 +24,6 @@ from .samplers import ChainOutput
 __all__ = [
     "InsufficientSampleError",
     "MonomialBasis",
-    "ControlVariateMatrix",
     "ZVFit",
     "monomial_basis",
     "default_exclusions",
@@ -112,22 +111,6 @@ def default_exclusions(model) -> tuple[tuple[int, ...], ...]:
                  for j in model.constrained_coordinates)
 
 
-@dataclass(frozen=True)
-class ControlVariateMatrix:
-    """Columns of control variate values, one per active basis element."""
-
-    values: np.ndarray
-    basis: MonomialBasis
-
-    @property
-    def draw_count(self):
-        return self.values.shape[0]
-
-    @property
-    def column_count(self):
-        return self.values.shape[1]
-
-
 def standardization_from_chain(chain: ChainOutput, uncentered=()):
     """Per-coordinate center and scale for conditioning the moment system.
 
@@ -145,8 +128,8 @@ def standardization_from_chain(chain: ChainOutput, uncentered=()):
 
 def eval_control_variates(
     chain: ChainOutput, basis: MonomialBasis, center=None, scale=None
-) -> ControlVariateMatrix:
-    """Evaluate every active control variate on the chain, (N, K).
+) -> np.ndarray:
+    """G, the (N, K) control variates on the chain, one column per basis.active entry.
 
     With center/scale the monomials are taken in x' = (x - center)/scale and
     the gradient term is rescaled accordingly; that is the same method applied
@@ -193,7 +176,7 @@ def eval_control_variates(
                     prod2 *= pw[k][alpha[k] - (2 if k == j else 0)]
                 acc += prod2
         G[:, col] = acc
-    return ControlVariateMatrix(values=G, basis=basis)
+    return G
 
 
 def degenerate_columns(G) -> np.ndarray:
@@ -225,11 +208,12 @@ class ZVFit:
     ridge_applied: bool = False
 
 
-def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
+def fit_coefficients(G, f_values) -> ZVFit:
     """Solve a = -Sigma_gg^{-1} sigma_gf from centered sample moments.
 
-    f_values is (N,) or (N, m); Sigma_gg does not depend on f, so the m
-    columns share one solve and each gets the coefficients of its own fit.
+    G is the (N, K) control variate array and f_values is (N,) or (N, m);
+    Sigma_gg does not depend on f, so the m columns share one solve and each
+    gets the coefficients of its own fit.
     Columns that degenerate_columns flags are dropped with zero coefficient.
     The kept system is equilibrated to unit diagonal before solving;
     equilibration only reorders the floating point work and leaves the
@@ -237,7 +221,6 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     CONDITION_LIMIT triggers one ridge refit with RIDGE_REL * trace/K on the
     diagonal, flagged on the result.
     """
-    G = cv.values
     f = np.asarray(f_values, dtype=float)
     N, K = G.shape
     if f.ndim not in (1, 2) or f.shape[0] != N:
@@ -290,18 +273,19 @@ def fit_coefficients(cv: ControlVariateMatrix, f_values) -> ZVFit:
     )
 
 
-def renormalize(f_values, cv: ControlVariateMatrix, fit: ZVFit) -> np.ndarray:
+def renormalize(f_values, G, fit: ZVFit) -> np.ndarray:
     """ftilde = f + G a, same mean as f under pi, hopefully far less variance.
 
-    f_values is (N,) or (N, m), as it was passed to fit_coefficients.
+    G is the (N, K) control variate array; f_values is (N,) or (N, m), as it
+    was passed to fit_coefficients.
     """
     f = np.asarray(f_values, dtype=float)
-    expected = (cv.draw_count,) + fit.coefficients.shape[1:]
+    expected = G.shape[:1] + fit.coefficients.shape[1:]
     if f.shape != expected:
         raise ValueError(f"f_values must have shape {expected}, got {f.shape}")
-    if fit.coefficients.shape[0] != cv.column_count:
-        raise ValueError("fit and control variate matrix disagree on column count")
-    return f + cv.values @ fit.coefficients
+    if fit.coefficients.shape[0] != G.shape[1]:
+        raise ValueError("fit and control variates disagree on column count")
+    return f + G @ fit.coefficients
 
 
 def fit_and_renormalize(fit_chain: ChainOutput, eval_chain: ChainOutput, bases, f_fit, f_eval,
@@ -323,8 +307,6 @@ def fit_and_renormalize(fit_chain: ChainOutput, eval_chain: ChainOutput, bases, 
         eval_chain, top, center=center, scale=scale)
     out = {}
     for p, basis in bases.items():
-        fit_p, eval_p = (ControlVariateMatrix(cv.values[:, :basis.size], basis)
-                         for cv in (cv_fit, cv_eval))
-        fit = fit_coefficients(fit_p, f_fit)
-        out[p] = (fit, renormalize(f_eval, eval_p, fit))
+        fit = fit_coefficients(cv_fit[:, :basis.size], f_fit)
+        out[p] = (fit, renormalize(f_eval, cv_eval[:, :basis.size], fit))
     return out

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,9 @@ def write_config(tmp_path, **overrides):
         "diagnose_length": 2000,
         "output_dir": str(tmp_path / "out"),
     }
+    if overrides.get("model_kind", "gaussian") != "gaussian":
+        # the Gaussian parameters would be keys the model never reads
+        del raw["mu"], raw["sigma2"]
     raw.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -164,10 +168,97 @@ def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monke
 
 
 def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
-    # one proposal sd serves every coordinate; gibbs takes no proposal at all
+    # one proposal sd serves every coordinate
     for fields in ({"model_kind": "logit", "proposal_sd": [0.1], "init": [0.0, 0.0, 0.0, 0.0]},
-                   {"model_kind": "probit", "proposal_sd": [0.1, 0.1]},
+                   {"model_kind": "probit", "init": [0.0, 0.0, 0.0, 0.0]},
                    {"model_kind": "garch", "init": [1e-5, 0.0, 0.5]}):
         path = write_config(tmp_path, **fields)
         assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.count("config ok") == 3
+
+
+def data_files(tmp_path):
+    design = tmp_path / "design.csv"
+    design.write_text("x1,y\n1.0,1\n-1.0,0\n2.0,1\n-2.0,0\n0.5,1\n-0.5,0\n")
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,price\n" + "".join(f"d{i},{1.0 + 0.01 * (i % 3)}\n" for i in range(30)))
+    return {"design": str(design), "prices": str(prices)}
+
+
+# keys set away from their default that the model kind, data source or sampler never reads
+UNREAD_KEYS = [
+    ({"model_kind": "gaussian", "data_path": "no/such/file.csv", "add_intercept": True,
+      "prior_sd": [1, 2, 3], "synthetic_seed": 9}, "data_path"),
+    ({"model_kind": "gaussian", "add_intercept": True}, "add_intercept"),
+    ({"model_kind": "exponential", "synthetic_seed": 9}, "synthetic_seed"),
+    ({"model_kind": "gamma", "prior_sd": [1, 2, 3]}, "prior_sd"),
+    ({"model_kind": "exponential", "mu": 1.0}, "mu"),
+    ({"model_kind": "probit", "sigma2": 2.0}, "sigma2"),
+    ({"model_kind": "gamma", "lam": 2.0}, "lam"),
+    ({"model_kind": "logit", "gamma_shape": 2.0}, "gamma_shape"),
+    ({"model_kind": "garch", "gamma_scale": 2.0}, "gamma_scale"),
+    ({"model_kind": "logit", "prior_sd": [1, 2, 3]}, "prior_sd"),
+    ({"model_kind": "probit", "proposal_sd": [0.1, 0.1]}, "proposal_sd"),
+    ({"model_kind": "probit", "sampler_type": "gibbs", "proposal_sd": [0.1]}, "proposal_sd"),
+    ({"model_kind": "logit", "add_intercept": True}, "add_intercept"),
+    ({"model_kind": "garch", "data_path": "prices", "add_intercept": True}, "add_intercept"),
+    ({"model_kind": "logit", "data_path": "design", "synthetic_seed": 3}, "synthetic_seed"),
+    ({"model_kind": "garch", "data_path": "prices", "synthetic_seed": 3}, "synthetic_seed"),
+]
+
+
+@pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
+    "toy-data-path", "toy-add-intercept", "toy-synthetic-seed", "toy-prior-sd", "mu-off-gaussian",
+    "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
+    "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
+    "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices"])
+def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
+    files = data_files(tmp_path)
+    fields = {k: files.get(v, v) if k == "data_path" else v for k, v in fields.items()}
+    path = write_config(tmp_path, **fields)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"error: {key} is set but never read" in capsys.readouterr().err
+
+
+def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):
+    files = data_files(tmp_path)
+    cases = [{"model_kind": "logit", "data_path": files["design"], "add_intercept": True},
+             {"model_kind": "probit", "data_path": files["design"]},
+             {"model_kind": "garch", "data_path": files["prices"], "prior_sd": [1, 2, 3]},
+             {"model_kind": "garch", "synthetic_seed": 5, "proposal_sd": [0.01]},
+             {"model_kind": "gamma", "gamma_shape": 2.0, "gamma_scale": 0.5},
+             {"model_kind": "exponential", "lam": 2.0},
+             # written out at their defaults, keys count as unset
+             {"model_kind": "probit", "mu": 0.0, "lam": 1, "add_intercept": False,
+              "proposal_sd": None, "prior_sd": [1000, 1000, 1000], "data_path": None}]
+    for fields in cases:
+        assert main(["validate", "--config", str(write_config(tmp_path, **fields))]) == 0
+    # the benchmark's shortened GARCH chains
+    garch = Path(__file__).resolve().parents[1] / "configs" / "garch_demgbp.json"
+    shortened = tmp_path / "garch_short.json"
+    shortened.write_text(json.dumps({**json.loads(garch.read_text()),
+                                     "fit_length": 1000, "eval_length": 2000}))
+    assert main(["validate", "--config", str(shortened)]) == 0
+    assert capsys.readouterr().out.count("config ok") == len(cases) + 1
+
+
+def test_pool_starts_no_more_workers_than_replications(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("zvmcmc.experiments.ProcessPoolExecutor", RecordingPool)
+    path = write_config(tmp_path, replications=2)
+    outputs = {}
+    for threads in ("6", "1"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", "--config", str(path), "--threads", threads, "--out", str(out)]) == 0
+        report = without_timing(json.loads((out / "study.json").read_text()))
+        for key in ("threads", "output_dir"):
+            report["config"].pop(key)
+        outputs[threads] = (report, (out / "study.csv").read_bytes())
+    assert sizes == [2]
+    assert outputs["6"] == outputs["1"]

@@ -576,14 +576,16 @@ class TestRunCoverage:
         assert starts == [(3000, [9.0]), (400, [9.0]), (400, [9.0])]
         assert report["reference"]["point"][0] == pytest.approx(9.0, abs=1e-6)
 
-    def test_gibbs_coverage_ignores_proposal_sd(self):
-        # proposal_sd tunes only the random walk; a probit config may carry it
+    def test_gibbs_coverage_rejects_proposal_sd(self, monkeypatch):
+        # proposal_sd tunes only the random walk, so a Gibbs config carrying it is an error
+        sampled = []
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", lambda *a, **k: sampled.append(a))
         cfg = ExperimentConfig(model_kind="probit", synthetic_seed=101, single_chain=True,
                                burn_in=100, eval_length=200, degrees=(1,), replications=2,
                                reference_length=2000, proposal_sd=(0.1, 0.1, 0.1, 0.1), threads=1)
-        _, report = run_coverage(cfg)
-        assert report["model"]["sampler"] == "gibbs"
-        assert report["coverage"]["1"]["events_total"] == 2 * 4
+        with pytest.raises(ConfigError, match="proposal_sd is set but never read"):
+            run_coverage(cfg)
+        assert sampled == []
 
     def test_builds_the_model_once(self, monkeypatch):
         calls = []
