@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Time one fit chain per config at a git revision and in the working tree, in one process.
+"""Time the chains of one replication per config at a git revision and in the working tree, in one process.
 
     python scripts/ab_chains.py --rev HEAD~1 [--config configs/logit_banknote.json ...] [--pairs 12]
 
 src/zvmcmc at --rev is extracted with git archive into a temporary package
 under another name, next to the working tree's zvmcmc; the sources import
 each other only relatively, so the two copies do not mix.  For each config
-both sides sample the fit chain of replication 0 (the seed, length, thinning
-and sampler a study gives it, gradients included) once untimed, then --pairs
-times each, alternately, the side that goes first switching every pair.
-Interleaving in one process lets a kernel change be ranked on a busy machine,
-where separate runs drift by more than the change.  Chains are timed in this
-one process only, so effects of a study's worker pool, such as BLAS helper
-threads competing with the other workers for CPUs, do not show here.
+both sides sample the chains of replication 0 as a study samples them: the
+fit chain and then the eval chain, or the one chain of a single-chain config,
+each with the seed, length, thinning and sampler the study gives it,
+gradients included.  Each side does so once untimed, then --pairs times,
+alternately, the side that goes first switching every pair; a timing is the
+whole replication's sampling, so a fixed cost per chain weighs as a study
+pays it.  Interleaving in one process lets a kernel change be ranked on a
+busy machine, where separate runs drift by more than the change.  Chains are
+timed in this one process only, so effects of a study's worker pool, such as
+BLAS helper threads competing with the other workers for CPUs, do not show
+here.
 
 Prints, per config, each side's median and quartiles in ms, in how many
 pairs the working tree was faster, and whether the two sides' draws,
-gradients and accept rates are bit-identical.  Exits 1 when they differ on
-any config, 2 when the revision cannot be extracted.
+gradients and accept rates are bit-identical, chain by chain.  Exits 1 when
+they differ on any config, 2 when the revision cannot be extracted.
 """
 import argparse
 import importlib
@@ -44,23 +48,37 @@ def extract_revision(rev, into):
     (Path(into) / "src" / "zvmcmc").rename(Path(into) / REV_PACKAGE)
 
 
-def fit_chain(package, config_path):
-    """(package, model, sampler config, method) of replication 0's fit chain."""
-    cfg = package.experiments.ExperimentConfig.from_file(config_path)
-    model = package.experiments.build_model(cfg)
-    chain_config = package.experiments._chain_config(cfg, cfg.fit_length, cfg.base_seed, cfg.thin)
-    return package, model, chain_config, cfg.sampler
+def replication_chains(package, config_path):
+    """(package, model, sampler configs, method) of replication 0's chains.
+
+    The sampler configs are those of the fit and eval chains, in that order,
+    or of the one chain of a single-chain config, with the seeds, lengths and
+    thinning that the study's replication 0 gives them.
+    """
+    experiments = package.experiments
+    cfg = experiments.ExperimentConfig.from_file(config_path)
+    model = experiments.build_model(cfg)
+    fit_seed, eval_seed = cfg.base_seed, cfg.base_seed + 1
+    if cfg.single_chain:
+        lengths_and_seeds = [(cfg.eval_length, fit_seed)]
+    else:
+        lengths_and_seeds = [(cfg.fit_length, fit_seed), (cfg.eval_length, eval_seed)]
+    chain_configs = [experiments._chain_config(cfg, length, seed, cfg.thin)
+                     for length, seed in lengths_and_seeds]
+    return package, model, chain_configs, cfg.sampler
 
 
-def timed(package, model, chain_config, method):
+def timed(package, model, chain_configs, method):
+    """Seconds to sample every chain of chain_configs in turn, and the chains."""
     t0 = time.perf_counter()
-    chain = package.samplers.sample_chain(model, chain_config, method=method)
-    return time.perf_counter() - t0, chain
+    chains = [package.samplers.sample_chain(model, c, method=method) for c in chain_configs]
+    return time.perf_counter() - t0, chains
 
 
 def identical(a, b):
-    return (np.array_equal(a.draws, b.draws) and np.array_equal(a.gradients, b.gradients)
-            and a.accept_rate == b.accept_rate and a.pilot_accept_rate == b.pilot_accept_rate)
+    return all(np.array_equal(x.draws, y.draws) and np.array_equal(x.gradients, y.gradients)
+               and x.accept_rate == y.accept_rate and x.pilot_accept_rate == y.pilot_accept_rate
+               for x, y in zip(a, b, strict=True))
 
 
 def spread(seconds):
@@ -69,7 +87,8 @@ def spread(seconds):
 
 
 def compare(old, new, config_path, pairs, rev):
-    sides = {"rev": fit_chain(old, config_path), "tree": fit_chain(new, config_path)}
+    sides = {"rev": replication_chains(old, config_path),
+             "tree": replication_chains(new, config_path)}
     same = identical(timed(*sides["rev"])[1], timed(*sides["tree"])[1])
     seconds = {"rev": [], "tree": []}
     for k in range(pairs):
@@ -77,7 +96,9 @@ def compare(old, new, config_path, pairs, rev):
             seconds[side].append(timed(*sides[side])[0])
     wins = sum(t < r for r, t in zip(seconds["rev"], seconds["tree"]))
     ratio = np.median(seconds["tree"]) / np.median(seconds["rev"])
-    print(config_path)
+    chains = len(sides["tree"][2])
+    print(f"{config_path}: replication 0, "
+          + ("fit and eval chains" if chains == 2 else "the one chain of a single-chain config"))
     print(f"  {rev:>12}  {spread(seconds['rev'])}")
     print(f"  {'working tree':>12}  {spread(seconds['tree'])}")
     print(f"  working tree faster in {wins}/{pairs} pairs, ratio of medians {ratio:.3f}; "

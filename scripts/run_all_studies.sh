@@ -3,16 +3,29 @@
 # the three models and the toy smoke test (study.json / study.csv under
 # out/<name>/), then the probit and GARCH coverage checks (coverage.json under
 # out/coverage_<model>/).  Extra arguments go to every command, e.g.
-# --threads 2.  PYTHON names the interpreter (default python3).
+# --threads 2.  --out DIR writes each report to DIR/<config name>/ instead.
+# PYTHON names the interpreter (default python3).
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 root=$(dirname "$here")
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+out=""
+args=()
+while (($#)); do
+    case $1 in
+        --out) (($# >= 2)) || { echo "--out needs a directory" >&2; exit 2; }
+               out=$2; shift 2 ;;
+        --out=*) out=${1#--out=}; shift ;;
+        *) args+=("$1"); shift ;;
+    esac
+done
 for name in toys probit_banknote logit_banknote garch_demgbp; do
     echo "== run $name =="
-    "${PYTHON:-python3}" -m zvmcmc.cli run --config "$root/configs/$name.json" "$@"
+    "${PYTHON:-python3}" -m zvmcmc.cli run --config "$root/configs/$name.json" \
+        ${out:+--out "$out/$name"} "${args[@]}"
 done
 for name in coverage_probit coverage_garch; do
     echo "== coverage $name =="
-    "${PYTHON:-python3}" -m zvmcmc.cli coverage --config "$root/configs/$name.json" "$@"
+    "${PYTHON:-python3}" -m zvmcmc.cli coverage --config "$root/configs/$name.json" \
+        ${out:+--out "$out/$name"} "${args[@]}"
 done

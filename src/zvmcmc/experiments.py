@@ -117,7 +117,8 @@ class ExperimentConfig:
     fit chains, replications with paired seeds, two-chain estimation.
 
     With single_chain the one chain per replication has eval_length draws and
-    serves both roles; fit_length is not used by that protocol.
+    serves both roles; fit_length is not used by that protocol, and
+    build_model rejects one set away from its default.
     """
 
     model_kind: str
@@ -306,6 +307,8 @@ def _unread_keys(config: ExperimentConfig) -> dict:
         unread["prior_sd"] = "only model garch reads it"
     if config.sampler == "gibbs":
         unread["proposal_sd"] = "the gibbs sampler takes no proposal"
+    if config.single_chain:
+        unread["fit_length"] = "a single-chain run samples one chain of eval_length draws"
     return unread
 
 

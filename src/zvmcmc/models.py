@@ -433,7 +433,15 @@ class GarchTarget(_Target):
     For one omega the recursions for h and dh/domega are solves with the
     unit lower-bidiagonal matrix that has -omega_3 below its diagonal.  A
     batch gradient runs the recursions forward in t on (m,) vectors instead,
-    so its memory does not grow with T.
+    so its memory does not grow with T, and allocates nothing inside that
+    loop.
+
+    log_density writes into work arrays the instance allocates once: the
+    (2, T) band of that matrix, h and the per-t log-likelihood terms.  The
+    support check runs before any of them is written, so a proposal outside
+    the support leaves them as they were.  Because every call overwrites
+    them, one instance must not serve two threads at once; each pool worker
+    holds its own copy, unpickled from the one the parent ships.
     """
 
     tag = "garch"
@@ -451,6 +459,8 @@ class GarchTarget(_Target):
         # crude, order of magnitude only; shipped configs override proposals
         self._crude_scale = [0.05 * series.h0, 0.1, 0.1]
         self._start = [0.2 * series.h0, 0.1, 0.6]
+        # log_density's work arrays: the band, h and the log-likelihood terms
+        self._work = (self._band(0.0), np.empty(series.length), np.empty(series.length))
 
     def _band(self, w3):
         # LAPACK lower band storage (2, T) of the recursion matrix, -omega_3
@@ -461,11 +471,14 @@ class GarchTarget(_Target):
         band[1] = -w3
         return band
 
-    def _h_path(self, omega, band):
+    def _h_path(self, omega, band, h):
+        """h_1..h_T at omega, solved in the (T,) vector h, which is returned."""
         w1, w2, w3 = omega
-        forcing = w1 + w2 * self._r2_lag
-        forcing[0] += w3 * self.series.h0
-        return blas.dtbsv(1, band, forcing, lower=1, diag=1, overwrite_x=1)
+        # the forcing w1 + w2 r2_lag, with w3 h_0 added at t = 1
+        np.multiply(self._r2_lag, w2, out=h)
+        np.add(h, w1, out=h)
+        h[0] += w3 * self.series.h0
+        return blas.dtbsv(1, band, h, lower=1, diag=1, overwrite_x=1)
 
     def _h_derivatives(self, h, band):
         # each recursion d_t = forcing_t + omega_3 d_{t-1} starts from d_0 = 0
@@ -483,8 +496,14 @@ class GarchTarget(_Target):
     def log_density(self, omega):
         omega = self._point(omega).tolist()
         w1, w2, w3 = omega
-        h = self._h_path(omega, self._band(w3))
-        loglik = -0.5 * float((np.log(h) + self._r2 / h).sum())
+        band, h, terms = self._work
+        band[1] = -w3
+        h = self._h_path(omega, band, h)
+        # log h_t + r2_t / h_t, summed by add.reduce as .sum() would
+        np.log(h, out=terms)
+        np.divide(self._r2, h, out=h)
+        np.add(terms, h, out=terms)
+        loglik = -0.5 * float(np.add.reduce(terms))
         v1, v2, v3 = self._prior_var.tolist()
         # left to right, the order numpy's sum over three numbers takes
         logprior = -0.5 * (w1 * w1 / v1 + w2 * w2 / v2 + w3 * w3 / v3)
@@ -495,26 +514,31 @@ class GarchTarget(_Target):
         if omega.ndim == 2:
             return -omega / self._prior_var + self._loglik_grad_rows(omega)
         band = self._band(omega[2])
-        h = self._h_path(omega, band)
+        h = self._h_path(omega, band, np.empty(self.series.length))
         dh = self._h_derivatives(h, band)
         w = 0.5 * (self._r2 / (h * h) - 1.0 / h)
         return -omega / self._prior_var + dh.T @ w
 
     def _loglik_grad_rows(self, omega):
         # sum_t w_t dh_t with the h and dh recursions stepped together; a
-        # per-row loop over the banded solves is slower than this
+        # per-row loop over the banded solves is slower than this.  Nothing
+        # is allocated in the loop: gain holds the rows 1, r2_{t-1} and h
+        # itself, the three forcings of dh, so one add steps all three
         m = omega.shape[0]
         w1, w2, w3 = (np.ascontiguousarray(c) for c in omega.T)
-        h = np.full(m, self.series.h0)
+        gain = np.empty((3, m))
+        gain[0] = 1.0
+        lag, h = gain[1], gain[2]
+        h.fill(self.series.h0)
         dh = np.zeros((3, m))
         grad = np.zeros((3, m))
+        term = np.empty((3, m))
         forcing = np.empty(m)
         step = np.empty(m)
-        for r2_lag, r2 in zip(self._r2_lag, self._r2):
+        for r2_lag, r2 in zip(self._r2_lag.tolist(), self._r2.tolist()):
+            lag.fill(r2_lag)
             dh *= w3
-            dh[0] += 1.0
-            dh[1] += r2_lag
-            dh[2] += h
+            dh += gain
             np.multiply(w2, r2_lag, out=forcing)
             forcing += w1
             h *= w3
@@ -523,5 +547,6 @@ class GarchTarget(_Target):
             np.divide(r2, h, out=step)
             step -= 1.0
             step /= h
-            grad += step * dh
+            np.multiply(step, dh, out=term)
+            grad += term
         return 0.5 * grad.T

@@ -179,6 +179,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     # name per step
     log_density = model.log_density
     normal = rng.standard_normal
+    z = np.empty(d)
     uniform = rng.random
     # np.log, not math.log: the two differ in the last bit on some uniforms,
     # and that would flip accept decisions
@@ -189,9 +190,12 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     next_kept = burn_in  # the step whose state is retained draw i
 
     for step in range(burn_in + retained_steps):
-        # not built in place: on d = 1 targets `z *= sd; z += x` costs more
-        # than these two temporaries
-        prop = x + sd * normal(d)
+        # the normals fill one reused buffer, the same stream as normal(d);
+        # the proposal is not built in place in it, since on d = 1 targets
+        # `z *= sd; z += x` costs more than these two temporaries, and an
+        # accepted proposal becomes x
+        normal(out=z)
+        prop = x + sd * z
         try:
             lp = log_density(prop)
         except SupportError:

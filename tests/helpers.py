@@ -224,7 +224,7 @@ def garch_variance_path(series, omega):
 
     model = GarchTarget(series)
     omega = np.asarray(omega, dtype=float)
-    return model._h_path(omega, model._band(omega[2]))
+    return model._h_path(omega, model._band(omega[2]), np.empty(series.length))
 
 
 def garch_h_derivatives(series, omega):
@@ -238,4 +238,55 @@ def garch_h_derivatives(series, omega):
     model = GarchTarget(series)
     omega = np.asarray(omega, dtype=float)
     band = model._band(omega[2])
-    return model._h_derivatives(model._h_path(omega, band), band)
+    return model._h_derivatives(model._h_path(omega, band, np.empty(series.length)), band)
+
+
+def reference_garch_grad_rows(model, omega):
+    """GarchTarget._loglik_grad_rows written with a temporary per step, an
+    oracle for the allocation-free loop.
+
+    The h and dh recursions are stepped on (m,) rows in the same order of
+    operations, so the two agree bit for bit.
+    """
+    series = model.series
+    r2 = series.returns**2
+    r2_lag = np.concatenate(([0.0], r2[:-1]))
+    m = omega.shape[0]
+    w1, w2, w3 = (np.ascontiguousarray(c) for c in omega.T)
+    h = np.full(m, series.h0)
+    dh = np.zeros((3, m))
+    grad = np.zeros((3, m))
+    forcing = np.empty(m)
+    step = np.empty(m)
+    for lag, now in zip(r2_lag, r2):
+        dh *= w3
+        dh[0] += 1.0
+        dh[1] += lag
+        dh[2] += h
+        np.multiply(w2, lag, out=forcing)
+        forcing += w1
+        h *= w3
+        h += forcing
+        np.divide(now, h, out=step)
+        step -= 1.0
+        step /= h
+        grad += step * dh
+    return 0.5 * grad.T
+
+
+def reference_demgbp_returns(seed, length):
+    """(returns, h0) of the synthetic GARCH(1,1) series drawn one scalar at a
+    time with numpy scalars, an oracle for synthetic_demgbp_returns.
+    """
+    rng = np.random.default_rng(seed)
+    om1, om2, om3 = 0.01, 0.15, 0.80
+    warmup = 200
+    h = om1 / (1.0 - om2 - om3)
+    r = 0.0
+    out = np.empty(length)
+    for t in range(-warmup, length):
+        h = om1 + om3 * h + om2 * r * r
+        r = np.sqrt(h) * rng.standard_normal()
+        if t >= 0:
+            out[t] = r
+    return out, float(np.var(out, ddof=1))

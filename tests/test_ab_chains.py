@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,51 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ab_chains.py"
 
 
+def ab_chains(config):
+    return subprocess.run([sys.executable, str(SCRIPT), "--rev", "HEAD", "--config", str(config),
+                           "--pairs", "1"], capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
 def test_ab_chains_against_head_on_the_toy_config():
-    config = ROOT / "configs" / "toys.json"
-    done = subprocess.run([sys.executable, str(SCRIPT), "--rev", "HEAD", "--config", str(config),
-                           "--pairs", "1"], capture_output=True, text=True, timeout=300)
+    done = ab_chains(ROOT / "configs" / "toys.json")
     assert done.returncode == 0, done.stdout + done.stderr
+    assert "replication 0, fit and eval chains" in done.stdout
     assert "bit-identical" in done.stdout
     assert "faster in" in done.stdout and "/1 pairs" in done.stdout
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
+def test_ab_chains_times_the_one_chain_of_a_single_chain_config(tmp_path):
+    config = tmp_path / "toys_single.json"
+    config.write_text(json.dumps({**json.loads((ROOT / "configs" / "toys.json").read_text()),
+                                  "single_chain": True}))
+    done = ab_chains(config)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "replication 0, the one chain of a single-chain config" in done.stdout
+    assert "bit-identical" in done.stdout
+
+
+@pytest.mark.parametrize("single_chain", [False, True])
+def test_replication_chains_are_those_a_study_samples(tmp_path, monkeypatch, single_chain):
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    import ab_chains as script
+    import zvmcmc
+    from zvmcmc import experiments
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**json.loads((ROOT / "configs" / "toys.json").read_text()),
+                                  "base_seed": 4, "single_chain": single_chain}))
+    _, _, chain_configs, method = script.replication_chains(zvmcmc, config)
+    sampled = []
+
+    def spy(model, chain_config, method="rwmh"):
+        sampled.append((chain_config, method))
+        return zvmcmc.sample_chain(model, chain_config, method=method)
+
+    monkeypatch.setattr(experiments, "sample_chain", spy)
+    cfg = experiments.ExperimentConfig.from_file(config)
+    model = experiments.build_model(cfg)
+    experiments._replicate(cfg, model, experiments.control_variate_bases(cfg, model), None, 0)
+    assert sampled == [(c, method) for c in chain_configs]
+    assert len(chain_configs) == (1 if single_chain else 2)

@@ -34,6 +34,9 @@ def write_config(tmp_path, **overrides):
     if overrides.get("model_kind", "gaussian") != "gaussian":
         # the Gaussian parameters would be keys the model never reads
         del raw["mu"], raw["sigma2"]
+    if overrides.get("single_chain"):
+        # a single-chain run never reads fit_length
+        del raw["fit_length"]
     raw.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -204,6 +207,7 @@ UNREAD_KEYS = [
     ({"model_kind": "garch", "data_path": "prices", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "logit", "data_path": "design", "synthetic_seed": 3}, "synthetic_seed"),
     ({"model_kind": "garch", "data_path": "prices", "synthetic_seed": 3}, "synthetic_seed"),
+    ({"single_chain": True, "fit_length": 500}, "fit_length"),
 ]
 
 
@@ -211,7 +215,8 @@ UNREAD_KEYS = [
     "toy-data-path", "toy-add-intercept", "toy-synthetic-seed", "toy-prior-sd", "mu-off-gaussian",
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
     "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
-    "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices"])
+    "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices",
+    "fit-length-single-chain"])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
     files = data_files(tmp_path)
     fields = {k: files.get(v, v) if k == "data_path" else v for k, v in fields.items()}
@@ -228,6 +233,7 @@ def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):
              {"model_kind": "garch", "synthetic_seed": 5, "proposal_sd": [0.01]},
              {"model_kind": "gamma", "gamma_shape": 2.0, "gamma_scale": 0.5},
              {"model_kind": "exponential", "lam": 2.0},
+             {"single_chain": True, "fit_length": 2000},
              # written out at their defaults, keys count as unset
              {"model_kind": "probit", "mu": 0.0, "lam": 1, "add_intercept": False,
               "proposal_sd": None, "prior_sd": [1000, 1000, 1000], "data_path": None}]

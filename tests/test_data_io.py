@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import reference_demgbp_returns
 
 from zvmcmc import (
     ChainOutput,
@@ -179,3 +180,12 @@ def test_synthetic_demgbp_returns_frozen():
     assert a.h0 == pytest.approx(np.var(a.returns, ddof=1))
     short = synthetic_demgbp_returns(seed=333, length=50)
     assert short.length == 50
+
+
+@pytest.mark.parametrize("seed", [333, 1, 2, 99])
+@pytest.mark.parametrize("length", [1974, 50, 2])
+def test_synthetic_demgbp_returns_equal_the_scalar_draw_loop(seed, length):
+    series = synthetic_demgbp_returns(seed=seed, length=length)
+    returns, h0 = reference_demgbp_returns(seed, length)
+    assert np.array_equal(series.returns, returns)
+    assert series.h0 == h0

@@ -50,6 +50,9 @@ def gaussian_dict(**overrides):
         "bootstrap_resamples": 200,
         "base_seed": 7,
     }
+    if overrides.get("single_chain"):
+        # a single-chain run never reads fit_length
+        del base["fit_length"]
     base.update(overrides)
     return base
 
@@ -401,10 +404,10 @@ class TestBlasThreads:
 
 class TestRunStudyVariants:
     def test_single_chain_protocol(self, tmp_path):
-        # eval_length governs the one chain; fit_length is idle in this mode
+        # eval_length governs the one chain; build_model rejects a fit_length
         chains = tmp_path / "chains"
         cfg = ExperimentConfig.from_dict(gaussian_dict(
-            single_chain=True, fit_length=100, eval_length=500, replications=2))
+            single_chain=True, eval_length=500, replications=2))
         _, report = run_study(cfg, chains_dir=str(chains))
         assert report["protocol"] == "single-chain"
         assert report["accept"]["fit_rate_mean"] == report["accept"]["eval_rate_mean"]

@@ -1,9 +1,15 @@
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
-from helpers import fd_gradient, garch_h_derivatives, garch_variance_path
+from helpers import (
+    fd_gradient,
+    garch_h_derivatives,
+    garch_variance_path,
+    reference_garch_grad_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -495,6 +501,69 @@ def test_garch_log_density_equals_the_old_form_exactly():
     for omega in points:
         assert model.log_density(omega) == old_garch_log_density(model, omega)
     assert model.log_density(points[0].tolist()) == old_garch_log_density(model, points[0])
+
+
+def interior_garch_points(series, m, seed=23):
+    """m random points strictly inside the GARCH support, around its posterior scale."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0.05, 1.5, m) * series.h0,
+                            rng.uniform(0.01, 0.4, m), rng.uniform(0.05, 0.95, m)])
+
+
+def test_garch_log_density_work_arrays_do_not_carry_over():
+    # two instances called alternately, and the pickled copy a worker pool
+    # ships, each give a fresh instance's value bit for bit
+    series = synthetic_demgbp_returns(seed=333, length=300)
+    prior = GarchPrior(prior_sd=np.array([series.h0, 0.3, 0.5]))
+    a, b = GarchTarget(series), GarchTarget(series, prior)
+    a.log_density(a.default_init())
+    copy = pickle.loads(pickle.dumps(a))
+    assert all(w is not v for w, v in zip(copy._work, a._work))
+    assert copy._work[0].flags.f_contiguous
+    points = interior_garch_points(series, 40)
+    for p, q in zip(points[::2], points[1::2]):
+        assert a.log_density(p) == GarchTarget(series).log_density(p)
+        assert b.log_density(q) == GarchTarget(series, prior).log_density(q)
+        assert copy.log_density(q) == GarchTarget(series).log_density(q)
+        assert b.log_density(p) == GarchTarget(series, prior).log_density(p)
+        assert a.log_density(q) == copy.log_density(q)
+
+
+def test_garch_support_error_comes_before_any_work_array_is_written():
+    series = small_series()
+    m = GarchTarget(series)
+    inside, after = interior_garch_points(series, 2)
+    m.log_density(inside)
+    before = [w.tobytes() for w in m._work]
+    h = series.h0
+    for bad in ([-h, 0.1, 0.5], [h, -0.1, 0.5], [h, 0.1, -0.5], [h, np.nan, 0.5], [np.inf, 0.1, 0.5]):
+        with pytest.raises(SupportError):
+            m.log_density(bad)
+        assert [w.tobytes() for w in m._work] == before
+    with pytest.raises(ValueError):
+        m.log_density([h, 0.1])
+    assert [w.tobytes() for w in m._work] == before
+    assert m.log_density(after) == GarchTarget(series).log_density(after)
+
+
+def test_garch_gradients_do_not_see_log_density_calls():
+    series = synthetic_demgbp_returns(seed=333, length=300)
+    m, fresh = GarchTarget(series), GarchTarget(series)
+    points = interior_garch_points(series, 9)
+    for p, q in zip(points, points[::-1]):
+        m.log_density(q)
+        assert np.array_equal(m.grad_log_density(p), fresh.grad_log_density(p))
+    for p in points:
+        m.log_density(p)
+    assert np.array_equal(m.grad_log_density(points), fresh.grad_log_density(points))
+
+
+@pytest.mark.parametrize("m", [1, 7, 1024])
+def test_garch_batch_gradient_loop_equals_the_reference_loop(m):
+    series = synthetic_demgbp_returns(seed=333)
+    model = GarchTarget(series)
+    omega = interior_garch_points(series, m, seed=m)
+    assert np.array_equal(model._loglik_grad_rows(omega), reference_garch_grad_rows(model, omega))
 
 
 def test_garch_gradient_needs_strict_interior():
