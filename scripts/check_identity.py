@@ -19,14 +19,17 @@ runs at 4 replications and no diagnose.  --replications replaces every run's
 replication count.  Both sides read the working tree's config files.
 
 Each pair of reports is compared with compare_reports.differences, which
-skips every timing block and config.output_dir, and each pair of study CSVs
-must be byte-identical.  Prints one line per command; a command whose
-outputs differ names the largest relative difference in each JSON report
-and says whether the CSV bytes differ.  Exits 0 when every
-pair is equal, 1 when a pair differs or a command fails, and 2 when the
-revision cannot be extracted.
+skips every timing block and config.output_dir, each pair of study CSVs
+must be byte-identical, and the two sides must print the same lines once
+each side's output directory is replaced by one placeholder.  Prints one
+line per command; a command whose outputs differ names the largest relative
+difference in each JSON report, says whether the CSV bytes differ and names
+the first printed line that differs.  Exits 0 when every pair is equal, 1
+when a pair differs or a command fails, and 2 when the revision cannot be
+extracted.
 """
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -82,12 +85,24 @@ def coverage_step(tmp):
 
 
 def run_side(package, python_path, argv, out_dir):
-    """Run one CLI command; None on success, else the tail of its stderr."""
+    """Run one CLI command: (its stdout with out_dir replaced by "<out>", None) on
+    success, else (None, the tail of its stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [python_path, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", f"{package}.cli", *argv, "--out", out_dir],
                           cwd=ROOT, env=env, capture_output=True, text=True)
-    return None if done.returncode == 0 else (done.stderr.strip().splitlines() or ["no output"])[-1]
+    if done.returncode == 0:
+        return done.stdout.replace(out_dir, "<out>"), None
+    return None, (done.stderr.strip().splitlines() or ["no output"])[-1]
+
+
+def stdout_difference(rev_out, tree_out):
+    """The first line the two sides print differently, or None when they print the same."""
+    lines = itertools.zip_longest(rev_out.splitlines(), tree_out.splitlines())
+    for k, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return f"stdout differs at line {k}: {a!r} vs {b!r}"
+    return None
 
 
 def largest_differences(rev_dir, tree_dir, files):
@@ -137,12 +152,14 @@ def main(argv=None):
             steps.append(coverage_step(tmp))
         for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
-            errors = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
-                      for side in sides}
-            failed = [f"{side} failed: {err}" for side, err in errors.items() if err is not None]
-            verdict = "; ".join(failed) or largest_differences(dirs["rev"], dirs["tree"], files)
-            failures += verdict is not None
-            print(" ".join(cli_argv) + ": " + (f"DIFFERS, {verdict}" if verdict else "identical"),
+            done = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
+                    for side in sides}
+            found = [f"{side} failed: {err}" for side, (_, err) in done.items() if err is not None]
+            if not found:
+                found = [d for d in (largest_differences(dirs["rev"], dirs["tree"], files),
+                                     stdout_difference(done["rev"][0], done["tree"][0])) if d]
+            failures += bool(found)
+            print(" ".join(cli_argv) + ": " + ("DIFFERS, " + "; ".join(found) if found else "identical"),
                   flush=True)
     print(f"{failures} command(s) differ or fail" if failures else
           f"every report equals {args.rev}'s")

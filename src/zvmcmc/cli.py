@@ -10,6 +10,8 @@ Subcommands:
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
 or any value of the wrong type or out of range, found before any sampling.
+Out of range includes a diagnose or reference chain too short for its own
+checks and an empty output directory.
 """
 from __future__ import annotations
 
@@ -124,11 +126,8 @@ def _fmt_ratio(entry: dict) -> str:
     return f"{point} (point only)"
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    chains_dir = os.path.join(out_dir, "chains") if config.keep_chains else None
+def _cmd_run(config) -> dict:
+    chains_dir = os.path.join(config.output_dir, "chains") if config.keep_chains else None
     _, report = run_study(config, chains_dir=chains_dir)
 
     print(f"model {report['model']['kind']} (dimension {report['model']['dimension']}), "
@@ -147,20 +146,10 @@ def _cmd_run(args) -> int:
         for p in report["degrees"]:
             parts.append(f"degree {p} ratio {_fmt_ratio(entry['zv'][str(p)])}")
         print(f"  {name}: " + "; ".join(parts))
-
-    json_path = os.path.join(out_dir, "study.json")
-    csv_path = os.path.join(out_dir, "study.csv")
-    export_study(report, json_path)
-    write_study_csv(report, csv_path)
-    print(f"wrote {json_path}")
-    print(f"wrote {csv_path}")
-    return 0
+    return report
 
 
-def _cmd_coverage(args) -> int:
-    config = _load_config(args)
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+def _cmd_coverage(config) -> dict:
     _, report = run_coverage(config)
 
     print(f"model {report['model']['kind']} (dimension {report['model']['dimension']}), "
@@ -171,17 +160,10 @@ def _cmd_coverage(args) -> int:
         per = ", ".join(f"{n} {entry['per_parameter'][n]:.0%}" for n in names)
         print(f"  degree {p}: {entry['events_inside']}/{entry['events_total']} inside "
               f"({entry['fraction']:.1%}; {per})")
-
-    json_path = os.path.join(out_dir, "coverage.json")
-    export_study(report, json_path)
-    print(f"wrote {json_path}")
-    return 0
+    return report
 
 
-def _cmd_diagnose(args) -> int:
-    config = _load_config(args)
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+def _cmd_diagnose(config) -> dict:
     report = run_diagnose(config)
 
     print(f"model {report['model']['kind']} (dimension {report['model']['dimension']}), "
@@ -206,46 +188,50 @@ def _cmd_diagnose(args) -> int:
     for i, name in enumerate(names):
         print(f"  {name}: mean {_fmt_float(ref_point[i])} "
               f"[{_fmt_float(ref_lo[i])}, {_fmt_float(ref_hi[i])}]")
-
-    json_path = os.path.join(out_dir, "diagnose.json")
-    export_study(report, json_path)
-    print(f"wrote {json_path}")
-    return 0
+    return report
 
 
-def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    model = build_model(config)
-    bases = control_variate_bases(config, model)
-    size_text = ", ".join(f"degree {p}: {b.size} terms" for p, b in bases.items())
-    print(f"config ok: model {config.model_kind} (dimension {model.dimension}), "
-          f"sampler {config.sampler}, {size_text}")
-    return 0
+# command -> (runs it, prints a summary, returns the report; files written from
+# the report).  The writers are looked up by name at write time, so a wrapper
+# bound to the module attribute sees every write
+_COMMANDS = {
+    "run": (_cmd_run, ("study.json", "study.csv")),
+    "coverage": (_cmd_coverage, ("coverage.json",)),
+    "diagnose": (_cmd_diagnose, ("diagnose.json",)),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "version":
         print(f"zvmcmc {__version__}")
         return 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "coverage":
-            return _cmd_coverage(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
+        config = _load_config(args)
         if args.command == "validate":
-            return _cmd_validate(args)
+            model = build_model(config)
+            bases = control_variate_bases(config, model)
+            size_text = ", ".join(f"degree {p}: {b.size} terms" for p, b in bases.items())
+            print(f"config ok: model {config.model_kind} (dimension {model.dimension}), "
+                  f"sampler {config.sampler}, {size_text}")
+            return 0
+        command, files = _COMMANDS[args.command]
+        os.makedirs(config.output_dir, exist_ok=True)
+        report = command(config)
+        for name in files:
+            path = os.path.join(config.output_dir, name)
+            if name.endswith(".csv"):
+                write_study_csv(report, path)
+            else:
+                export_study(report, path)
+            print(f"wrote {path}")
     except (ConfigError, DataLoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return 0
 
 
 def entry() -> None:

@@ -30,6 +30,8 @@ from .data_io import (
     synthetic_demgbp_returns,
 )
 from .diagnostics import (
+    MIN_BATCH_COUNT,
+    MIN_ZERO_MEAN_DRAWS,
     ReplicationStudy,
     cv_zero_mean_test,
     linnik_estimate,
@@ -47,7 +49,7 @@ from .models import (
     ProbitTarget,
     SupportError,
 )
-from .samplers import SamplerConfig, sample_chain
+from .samplers import SamplerConfig, resolve_init, resolve_proposal_sd, sample_chain
 from .zv import (
     InsufficientSampleError,
     MonomialBasis,
@@ -167,9 +169,11 @@ class ExperimentConfig:
         if len(set(degrees)) != len(degrees):
             raise ConfigError(f"degrees must not repeat, got {list(degrees)}")
         self.degrees = degrees
+        # a reference or diagnose chain must be long enough for its own checks
         for name, least in (("burn_in", 0), ("fit_length", 0), ("eval_length", 0), ("thin", 1),
-                            ("replications", 1), ("bootstrap_resamples", 1), ("reference_length", 0),
-                            ("diagnose_length", 0), ("threads", 0), ("base_seed", 0)):
+                            ("replications", 1), ("bootstrap_resamples", 1),
+                            ("reference_length", 2 * MIN_BATCH_COUNT),
+                            ("diagnose_length", MIN_ZERO_MEAN_DRAWS), ("threads", 0), ("base_seed", 0)):
             v = getattr(self, name)
             if not _is_integer(v) or v < least:
                 what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
@@ -213,6 +217,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (isinstance(v, str) or (v is None and name != "output_dir")):
                 raise ConfigError(f"{name} must be a string, got {type(v).__name__}")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must not be empty")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -261,26 +267,19 @@ def build_model(config: ExperimentConfig):
     """Construct the target described by the config, loading or generating data.
 
     Every driver and `zvmcmc validate` build the model before anything else, so
-    this is also where the fields sized by the model are checked, once and
-    before any sampling: proposal_sd (rwmh only) must have 1 or d entries,
-    each finite and > 0, and init must have d entries and lie in the model's
-    support.  Last, a key set away from its default that the model kind, data
-    source or sampler never reads is rejected by name.  Raises ConfigError
-    otherwise.
+    this is also where the chain inputs sized by the model are checked, once
+    and before any sampling, through the samplers' own resolve_proposal_sd
+    (rwmh only) and resolve_init.  Last, a key set away from its default that
+    the model kind, data source or sampler never reads is rejected by name.
+    Raises ConfigError otherwise.
     """
     model = _target(config)
-    d = model.dimension
-    if config.sampler == "rwmh" and config.proposal_sd is not None:
-        if len(config.proposal_sd) not in (1, d):
-            raise ConfigError(f"proposal_sd must have 1 or {d} entries for model {model.tag}, "
-                              f"got {len(config.proposal_sd)}")
-        if not all(np.isfinite(v) and v > 0.0 for v in config.proposal_sd):
-            raise ConfigError(f"proposal_sd entries must be finite and > 0, got {list(config.proposal_sd)}")
-    if config.init is not None:
-        if len(config.init) != d:
-            raise ConfigError(f"init must have {d} entries for model {model.tag}, got {len(config.init)}")
-        if not model.in_support(config.init):
-            raise ConfigError(f"init {list(config.init)} is outside the support of {model.tag}")
+    try:
+        if config.sampler == "rwmh":
+            resolve_proposal_sd(model, config.proposal_sd)
+        resolve_init(model, config.init)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     unread = _unread_keys(config)
     for field in fields(ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
@@ -288,16 +287,18 @@ def build_model(config: ExperimentConfig):
     return model
 
 
-_TOY_PARAMETERS = {"gaussian": ("mu", "sigma2"), "exponential": ("lam",),
-                   "gamma": ("gamma_shape", "gamma_scale")}
+# toy kind -> (target class, the config keys its constructor takes in order)
+_TOYS = {"gaussian": (GaussianTarget, ("mu", "sigma2")),
+         "exponential": (ExponentialTarget, ("lam",)),
+         "gamma": (GammaTarget, ("gamma_shape", "gamma_scale"))}
 
 
 def _unread_keys(config: ExperimentConfig) -> dict:
     """{key: why} for each model, data or sampler key that this config's run never reads."""
     kind = config.model_kind
-    unread = {key: f"only model {toy} reads it" for toy, keys in _TOY_PARAMETERS.items()
+    unread = {key: f"only model {toy} reads it" for toy, (_, keys) in _TOYS.items()
               if toy != kind for key in keys}
-    if kind in _TOY_PARAMETERS:
+    if kind in _TOYS:
         unread.update(data_path="toy models read no data", synthetic_seed="toy models read no data")
     elif config.data_path is not None:
         unread["synthetic_seed"] = "data_path replaces the synthetic data"
@@ -314,12 +315,9 @@ def _unread_keys(config: ExperimentConfig) -> dict:
 
 def _target(config: ExperimentConfig):
     kind = config.model_kind
-    if kind == "gaussian":
-        return GaussianTarget(config.mu, config.sigma2)
-    if kind == "exponential":
-        return ExponentialTarget(config.lam)
-    if kind == "gamma":
-        return GammaTarget(config.gamma_shape, config.gamma_scale)
+    if kind in _TOYS:
+        target, keys = _TOYS[kind]
+        return target(*(getattr(config, key) for key in keys))
     # only the regression and GARCH targets read a data file
     if config.data_path is not None and not os.path.exists(config.data_path):
         raise ConfigError(f"data file not found: {config.data_path}")

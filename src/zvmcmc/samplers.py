@@ -47,9 +47,11 @@ class SamplerConfig:
     length    retained draws after burn-in and thinning, >= 1
     burn_in   discarded initial steps, >= 0
     seed      u64 seed for the Generator stream
-    init      starting point, model.default_init() when None
-    proposal_sd  per-coordinate random walk step, scalar or (d,);
-                 None means 2.4/sqrt(d) times model.rough_scale()
+    init      starting point, model.default_init() when None; resolve_init
+              checks it
+    proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
+                 None means 2.4/sqrt(d) times model.rough_scale();
+                 resolve_proposal_sd checks it
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw,
@@ -111,24 +113,30 @@ class ChainOutput:
 # random walk Metropolis-Hastings
 
 
-def _resolve_proposal_sd(model, config):
-    if config.proposal_sd is None:
-        sd = (2.4 / np.sqrt(model.dimension)) * model.rough_scale()
+def resolve_proposal_sd(model, proposal_sd):
+    """proposal_sd as the model's (d,) step; ValueError unless it fits (see SamplerConfig)."""
+    d = model.dimension
+    if proposal_sd is None:
+        sd = (2.4 / np.sqrt(d)) * model.rough_scale()
     else:
-        sd = np.broadcast_to(np.asarray(config.proposal_sd, dtype=float), (model.dimension,)).copy()
+        sd = np.asarray(proposal_sd, dtype=float)
+        if sd.ndim > 1 or sd.size not in (1, d):
+            raise ValueError(f"proposal_sd must have 1 or {d} entries for model {model.tag}, "
+                             f"got {sd.size}")
     if not np.all(np.isfinite(sd) & (sd > 0.0)):
-        raise ValueError(f"proposal_sd must be finite and > 0, got {sd}")
-    return sd
+        raise ValueError(f"proposal_sd entries must be finite and > 0, got {sd.ravel().tolist()}")
+    return np.broadcast_to(sd, (d,)).copy()
 
 
-def _resolve_init(model, config):
-    init = config.init if config.init is not None else model.default_init()
-    init = np.asarray(init, dtype=float)
-    if init.shape != (model.dimension,):
-        raise ValueError(f"init must have shape ({model.dimension},), got {init.shape}")
-    if not model.in_support(init):
-        raise SupportError(f"init {init} is outside the support of {model.tag}")
-    return init
+def resolve_init(model, init):
+    """init, or the model's default, as a (d,) point; SupportError outside the support."""
+    x = np.asarray(model.default_init() if init is None else init, dtype=float)
+    if x.shape != (model.dimension,):
+        raise ValueError(f"init must have {model.dimension} entries for model {model.tag}, "
+                         f"got {x.size}")
+    if not model.in_support(x):
+        raise SupportError(f"init {x.tolist()} is outside the support of {model.tag}")
+    return x
 
 
 def _chain_gradients(model, config, draws, moved):
@@ -159,8 +167,8 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """
     rng = np.random.default_rng(config.seed)
     d = model.dimension
-    sd = _resolve_proposal_sd(model, config)
-    x = _resolve_init(model, config)
+    sd = resolve_proposal_sd(model, config.proposal_sd)
+    x = resolve_init(model, config.init)
     logp = model.log_density(x)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
@@ -266,7 +274,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # by +-1 is exact, so the draws equal those of the unfolded latent
     s_proj = model.xtx_inv @ s_design.T
 
-    beta = _resolve_init(model, config)
+    beta = resolve_init(model, config.init)
     length, burn_in, thin = config.length, config.burn_in, config.thin
     draws = np.empty((length, d))
     # (st, log Phi(st)) rows of retained draws whose gradients are pending

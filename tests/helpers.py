@@ -105,14 +105,14 @@ def reference_rw_metropolis(model, config):
         _PILOT_STEPS,
         ChainOutput,
         _chain_gradients,
-        _resolve_init,
-        _resolve_proposal_sd,
+        resolve_init,
+        resolve_proposal_sd,
     )
 
     rng = np.random.default_rng(config.seed)
     d = model.dimension
-    sd = _resolve_proposal_sd(model, config)
-    x = _resolve_init(model, config)
+    sd = resolve_proposal_sd(model, config.proposal_sd)
+    x = resolve_init(model, config.init)
     logp = model.log_density(x)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")

@@ -44,3 +44,15 @@ def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch)
         "study.json largest at per_replication_estimates.zv.2.0.1 (relative 1e-06); "
         "study.csv bytes differ")
     assert largest_differences(tmp_path / "rev", tmp_path / "rev", files) is None
+
+
+def test_a_differing_printed_line_is_named(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import stdout_difference
+
+    printed = "replications 2/2\nwrote <out>/study.json\nwrote <out>/study.csv\n"
+    assert stdout_difference(printed, printed) is None
+    assert stdout_difference(printed, printed.replace("2/2", "1/2")) == (
+        "stdout differs at line 1: 'replications 2/2' vs 'replications 1/2'")
+    assert stdout_difference(printed, printed.rsplit("wrote", 1)[0]) == (
+        "stdout differs at line 3: 'wrote <out>/study.csv' vs None")

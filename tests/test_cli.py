@@ -11,8 +11,9 @@ import pytest
 
 import zvmcmc
 import zvmcmc.samplers
-from zvmcmc import ExperimentConfig, run_diagnose
+from zvmcmc import ExperimentConfig, SamplerConfig, SupportError, run_diagnose, sample_chain
 from zvmcmc.cli import main
+from zvmcmc.experiments import build_model
 
 
 def write_config(tmp_path, **overrides):
@@ -134,6 +135,10 @@ MALFORMED_FIELD_ERRORS = [
      "synthetic_seed must be null or a non-negative integer, got -1"),
     ({"model_kind": "logit", "data_path": 7}, "data_path must be a string, got int"),
     ({"output_dir": 5}, "output_dir must be a string, got int"),
+    ({"output_dir": ""}, "output_dir must not be empty"),
+    # chains too short for the checks that read them
+    ({"diagnose_length": 999}, "diagnose_length must be an integer >= 1000, got 999"),
+    ({"reference_length": 10}, "reference_length must be an integer >= 20, got 10"),
     ({"exclusions": [[5]]}, "exclusion (5,) is not a basis exponent for d=1, p=3"),
     ({"exclusions": [[3, 1]]}, "exclusion (3, 1) is not a basis exponent for d=1, p=3"),
     ({"exclusions": [[2, 0]]}, "exclusion (2, 0) is not a basis exponent for d=1, p=3"),
@@ -154,7 +159,8 @@ MALFORMED_FIELD_ERRORS = [
     "proposal-scalar", "proposal-length", "proposal-zero", "init-length", "init-support",
     "burn-in-null", "burn-in-text", "thin-null", "replications-null", "mu-null", "sigma2-text",
     "sigma2-negative", "gamma-shape-negative", "lam-zero", "synthetic-seed-fraction",
-    "synthetic-seed-negative", "data-path-number", "output-dir-number", "exclusion-above-degree-3",
+    "synthetic-seed-negative", "data-path-number", "output-dir-number", "output-dir-empty", "diagnose-length-short",
+    "reference-length-short", "exclusion-above-degree-3",
     "exclusion-long-above-degree-3", "exclusion-long", "single-chain-text", "keep-chains-number",
     "add-intercept-text", "degrees-fraction", "replications-bool", "sigma2-bool", "prior-sd-bool",
     "exclusion-fraction"])
@@ -178,6 +184,24 @@ def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
         path = write_config(tmp_path, **fields)
         assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.count("config ok") == 3
+
+
+@pytest.mark.parametrize("fields,error", [
+    ({"model_kind": "logit", "proposal_sd": [0.1, 0.1, 0.1]}, ValueError),
+    ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]}, ValueError),
+    ({"model_kind": "logit", "init": [0.0, 0.0]}, ValueError),
+    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]}, SupportError),
+], ids=["proposal-length", "proposal-zero", "init-length", "init-support"])
+def test_validate_and_the_sampler_reject_a_chain_input_with_one_message(tmp_path, capsys, fields,
+                                                                          error):
+    assert main(["validate", "--config", str(write_config(tmp_path, **fields))]) == 2
+    printed = capsys.readouterr().err
+    model = build_model(ExperimentConfig(model_kind=fields["model_kind"]))
+    chain = {key: value for key, value in fields.items() if key != "model_kind"}
+    with pytest.raises(error) as raised:
+        sample_chain(model, SamplerConfig(length=10, **chain))
+    assert type(raised.value) is error
+    assert printed == f"error: {raised.value}\n"
 
 
 def data_files(tmp_path):

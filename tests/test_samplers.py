@@ -353,7 +353,7 @@ def test_gibbs_rejects_a_numerically_rank_deficient_design(monkeypatch):
     model = ProbitTarget(synthetic_banknote(seed=101, n=80))
     model.xtx = model.xtx.copy()
     model.xtx[0, 0] = -1.0
-    monkeypatch.setattr("zvmcmc.samplers._resolve_init", lambda *args: pytest.fail("sampling started"))
+    monkeypatch.setattr("zvmcmc.samplers.resolve_init", lambda *args: pytest.fail("sampling started"))
     with pytest.raises(ValueError, match="numerically rank deficient"):
         sample_chain(model, SamplerConfig(length=10, seed=0), method="gibbs")
 
