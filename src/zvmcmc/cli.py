@@ -45,43 +45,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zvmcmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but version reads a config; validate takes only these two
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("--config", required=True, help="path to a JSON config file")
+    config_args.add_argument("--add-intercept", action="store_true", default=None,
+                             help="prepend an intercept column to loaded regression data")
+    # what run, coverage and diagnose also take
+    run_args = argparse.ArgumentParser(add_help=False, parents=[config_args])
+    run_args.add_argument("--out", default=None, help="output directory (default from config)")
+    run_args.add_argument("--seed", type=int, default=None, help="override base_seed")
+    run_args.add_argument("--degrees", default=None,
+                          help="comma-separated polynomial degrees, e.g. 1,2,3")
+    run_args.add_argument("--threads", type=int, default=None,
+                          help="worker processes (0 = one per CPU); pool workers run BLAS "
+                               "single-threaded, one process keeps the library default")
 
-    run_p = sub.add_parser("run", help="run a replication study")
-    _add_config_arguments(run_p)
+    run_p = sub.add_parser("run", parents=[run_args], help="run a replication study")
     run_p.add_argument("--replications", type=int, default=None, help="override replication count")
     run_p.add_argument("--single-chain", action="store_true", default=None,
                        help="fit and evaluate on the same chain")
     run_p.add_argument("--keep-chains", action="store_true", default=None,
                        help="write every sampled chain to CSV under the output directory")
 
-    cov_p = sub.add_parser("coverage", help="check ZV estimates against a long reference chain")
-    _add_config_arguments(cov_p)
+    cov_p = sub.add_parser("coverage", parents=[run_args],
+                           help="check ZV estimates against a long reference chain")
     cov_p.add_argument("--replications", type=int, default=None, help="override replication count")
 
-    diag_p = sub.add_parser("diagnose", help="run single-chain diagnostics")
-    _add_config_arguments(diag_p)
+    diag_p = sub.add_parser("diagnose", parents=[run_args], help="run single-chain diagnostics")
     diag_p.add_argument("--length", type=int, default=None, help="override diagnostic chain length")
 
-    val_p = sub.add_parser("validate", help="validate a config without sampling")
-    val_p.add_argument("--config", required=True, help="path to a JSON config file")
-    val_p.add_argument("--add-intercept", action="store_true", default=None,
-                       help="prepend an intercept column to loaded regression data")
+    sub.add_parser("validate", parents=[config_args], help="validate a config without sampling")
 
     sub.add_parser("version", help="print the package version")
     return parser
-
-
-def _add_config_arguments(sub_parser) -> None:
-    sub_parser.add_argument("--config", required=True, help="path to a JSON config file")
-    sub_parser.add_argument("--out", default=None, help="output directory (default from config)")
-    sub_parser.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sub_parser.add_argument("--degrees", default=None,
-                            help="comma-separated polynomial degrees, e.g. 1,2,3")
-    sub_parser.add_argument("--threads", type=int, default=None,
-                            help="worker processes (0 = one per CPU); pool workers run BLAS "
-                                 "single-threaded, one process keeps the library default")
-    sub_parser.add_argument("--add-intercept", action="store_true", default=None,
-                            help="prepend an intercept column to loaded regression data")
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -169,8 +169,9 @@ class ExperimentConfig:
         if len(set(degrees)) != len(degrees):
             raise ConfigError(f"degrees must not repeat, got {list(degrees)}")
         self.degrees = degrees
-        # a reference or diagnose chain must be long enough for its own checks
-        for name, least in (("burn_in", 0), ("fit_length", 0), ("eval_length", 0), ("thin", 1),
+        # a fit or eval phase needs 100 draws, and a reference or diagnose
+        # chain must be long enough for its own checks
+        for name, least in (("burn_in", 0), ("fit_length", 100), ("eval_length", 100), ("thin", 1),
                             ("replications", 1), ("bootstrap_resamples", 1),
                             ("reference_length", 2 * MIN_BATCH_COUNT),
                             ("diagnose_length", MIN_ZERO_MEAN_DRAWS), ("threads", 0), ("base_seed", 0)):
@@ -191,11 +192,6 @@ class ExperimentConfig:
             v, positive = getattr(self, name), name != "mu"
             if not (_is_real(v) and math.isfinite(v) and (v > 0.0 or not positive)):
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
-        if self.fit_length < 100 or self.eval_length < 100:
-            raise ConfigError(
-                f"phase lengths must be >= 100, got fit_length={self.fit_length}, "
-                f"eval_length={self.eval_length}"
-            )
         if self.base_seed >= 2**63:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
         if not isinstance(self.exclusions, str):
@@ -328,14 +324,13 @@ def _target(config: ExperimentConfig):
             seed = config.synthetic_seed if config.synthetic_seed is not None else 101
             data = synthetic_banknote(seed=seed)
         return ProbitTarget(data) if kind == "probit" else LogitTarget(data)
-    if kind == "garch":
-        if config.data_path is not None:
-            series = load_returns(config.data_path)
-        else:
-            seed = config.synthetic_seed if config.synthetic_seed is not None else 333
-            series = synthetic_demgbp_returns(seed=seed)
-        return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
-    raise ConfigError(f"unhandled model kind {kind!r}")
+    # garch, the one kind left: __post_init__ rejects any other
+    if config.data_path is not None:
+        series = load_returns(config.data_path)
+    else:
+        seed = config.synthetic_seed if config.synthetic_seed is not None else 333
+        series = synthetic_demgbp_returns(seed=seed)
+    return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
 
 
 def _transform_by_name(name):

@@ -20,14 +20,14 @@ SupportError as a rejection, so each proposal is validated once.
 Every support is "all coordinates finite" plus lower bounds of 0 on some
 coordinates.  Each target declares its bounds once, as the support tuple of
 (j, strict, message) entries on its class, and the _Target base checks them
-with one helper, _violation, for in_support and for every density and
-gradient call.  A one-point call checks the point's Python floats, which
-costs far less than numpy reductions over a few numbers; an (m, d) batch is
-checked with numpy reductions.  Both make the same checks in the same order
-and fail with the same messages.  The base also serves rough_scale and
-default_init from values each target sets when it is built, so a target
-writes only its data, its log_density and its grad_log_density; the toys
-share a 1-d base on top of that.
+for in_support and for every density and gradient call: _point checks one
+point on its Python floats, which costs far less than numpy reductions over
+a few numbers, and _points checks an (m, d) batch with numpy reductions.
+Both make the same checks in the same order and fail with the same
+messages.  The base also serves rough_scale and default_init from values
+each target sets when it is built, so a target writes only its data, its
+log_density and its grad_log_density; the toys share a 1-d base on top of
+that.
 """
 from __future__ import annotations
 
@@ -58,47 +58,11 @@ class SupportError(ValueError):
     """A parameter value violates a target's support constraints."""
 
 
-def _as_param(beta, d):
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape == () and d == 1:
-        beta = beta.reshape(1)
-    if beta.shape != (d,):
-        raise ValueError(f"parameter must have shape ({d},), got {beta.shape}")
-    return beta
-
-
-def _violation(beta, bounds=()):
-    """Why beta is outside a support, or None when it is inside.
-
-    The support is "every entry finite" followed by bounds, a sequence of
-    (j, strict, message): coordinate j must be > 0 when strict, >= 0
-    otherwise.  The first failed check names the message.  beta is one (d,)
-    point, checked on Python floats, or an (m, d) batch, checked with numpy
-    reductions, which fails when any row fails.
-    """
-    if beta.ndim == 1:
-        values = beta.tolist()
-        if not all(map(math.isfinite, values)):
-            return "parameter must be finite"
-        for j, strict, message in bounds:
-            if values[j] <= 0.0 if strict else values[j] < 0.0:
-                return message
-        return None
-    if not np.isfinite(beta).all():
-        return "parameter must be finite"
-    for j, strict, message in bounds:
-        column = beta[:, j]
-        if ((column <= 0.0) if strict else (column < 0.0)).any():
-            return message
-    return None
-
-
-def _require(beta, bounds=()):
-    """beta itself, or SupportError with the message _violation(beta, bounds) returns."""
-    v = _violation(beta, bounds)
-    if v is not None:
-        raise SupportError(v)
-    return beta
+_FINITE = "parameter must be finite"
+# rows per block of the regression targets' batch gradients, which keeps
+# their (rows, n) temporaries a few MB; the probit Gibbs sampler buffers its
+# gradient rows in blocks of the same size
+_GRADIENT_BLOCK = 1024
 
 
 def _positive(name, value):
@@ -112,16 +76,20 @@ class _Target:
     """The protocol around a target's two formulas, written once.
 
     A subclass sets dimension and support, the (j, strict, message) bounds
-    _violation reads, and in __init__ _crude_scale and _start, the values
-    rough_scale and default_init return.  Its log_density validates the
-    argument with _point, its grad_log_density with _points.
+    _point and _points check, and in __init__ _crude_scale and _start, the
+    values rough_scale and default_init return.  Its log_density validates
+    the argument with _point, its grad_log_density with _points.
     """
 
     support = ()
     constrained_coordinates = ()
 
     def in_support(self, beta):
-        return _violation(_as_param(beta, self.dimension), self.support) is None
+        try:
+            self._point(beta)
+        except SupportError:
+            return False
+        return True
 
     def rough_scale(self):
         return np.array(self._crude_scale, dtype=float)
@@ -129,18 +97,52 @@ class _Target:
     def default_init(self):
         return np.array(self._start, dtype=float)
 
-    def _point(self, beta):
-        return _require(_as_param(beta, self.dimension), self.support)
+    def _point(self, beta, bounds=None):
+        """beta as a (d,) float array, checked against the support.
 
-    def _points(self, beta):
-        """beta as one (d,) point, as _point returns it, or an (m, d) batch."""
+        A 0-d beta counts as (1,) when d = 1; any other shape raises
+        ValueError.  Then SupportError names the first failed check: every
+        entry finite, then bounds (the support when None) in order, each
+        (j, strict, message) requiring coordinate j > 0 when strict, >= 0
+        otherwise.  The checks run on the point's Python floats, which costs
+        far less than numpy reductions over a few numbers.
+        """
+        # dtype goes in positionally, which numpy parses faster
+        beta = np.asarray(beta, float)
+        d = self.dimension
+        if beta.shape != (d,):
+            if beta.shape != () or d != 1:
+                raise ValueError(f"parameter must have shape ({d},), got {beta.shape}")
+            beta = beta.reshape(1)
+        values = beta.tolist()
+        # a finite sum means every entry is finite; only a sum that is not
+        # (an entry is not, or finite entries overflowed) needs the entries
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+            raise SupportError(_FINITE)
+        for j, strict, message in self.support if bounds is None else bounds:
+            if values[j] <= 0.0 if strict else values[j] < 0.0:
+                raise SupportError(message)
+        return beta
+
+    def _points(self, beta, bounds=None):
+        """beta as one (d,) point, as _point returns it, or an (m, d) batch.
+
+        A batch is checked as _point checks a point, with numpy reductions,
+        and fails with the message of the first check any row fails.
+        """
         beta = np.asarray(beta, dtype=float)
         if beta.ndim != 2:
-            return self._point(beta)
+            return self._point(beta, bounds)
         if beta.shape[1] != self.dimension:
             raise ValueError(f"a batch of parameters must have shape (m, {self.dimension}), "
                              f"got {beta.shape}")
-        return _require(beta, self.support)
+        if not np.isfinite(beta).all():
+            raise SupportError(_FINITE)
+        for j, strict, message in self.support if bounds is None else bounds:
+            column = beta[:, j]
+            if ((column <= 0.0) if strict else (column < 0.0)).any():
+                raise SupportError(message)
+        return beta
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +335,18 @@ class _RegressionTarget(_Target):
         # so products with it equal the unfolded ones with the sign applied
         self.s_design = (2.0 * data.response - 1.0)[:, None] * data.design
 
+    def grad_log_density(self, beta):
+        # each subclass writes _grad_rows, the gradient at a checked (d,)
+        # point or at (m, d) rows; blocks of rows bound its (m, n) temporaries
+        beta = self._points(beta)
+        if beta.ndim == 1:
+            return self._grad_rows(beta)
+        grad = np.empty_like(beta)
+        for start in range(0, beta.shape[0], _GRADIENT_BLOCK):
+            block = slice(start, start + _GRADIENT_BLOCK)
+            grad[block] = self._grad_rows(beta[block])
+        return grad
+
 
 class ProbitTarget(_RegressionTarget):
     """Bayesian probit regression, flat prior.
@@ -351,8 +365,8 @@ class ProbitTarget(_RegressionTarget):
     def log_density(self, beta):
         return float(log_ndtr(self.s_design @ self._point(beta)).sum())
 
-    def grad_log_density(self, beta):
-        st = self._points(beta) @ self.s_design.T
+    def _grad_rows(self, beta):
+        st = beta @ self.s_design.T
         return self.grad_from_predictor(st, log_ndtr(st))
 
     def grad_from_predictor(self, st, log_phi):
@@ -363,8 +377,14 @@ class ProbitTarget(_RegressionTarget):
         must come from finite coefficients.
         """
         # the score of row i is s_i phi(x_i'beta) / Phi(s_i x_i'beta), and
-        # phi is even; phi/Phi in log space stays finite deep in both tails
-        score = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - log_phi)
+        # phi is even; phi/Phi in log space stays finite deep in both tails.
+        # exp(-0.5 st st - log sqrt(2 pi) - log_phi), left to right in one
+        # buffer
+        score = np.multiply(st, -0.5)
+        score *= st
+        score -= _LOG_SQRT_2PI
+        score -= log_phi
+        np.exp(score, score)
         return score @ self.s_design
 
 
@@ -381,26 +401,45 @@ class LogitTarget(_RegressionTarget):
     vectorised (SIMD) exp and log1p loops: with AVX-512 they take about
     3 us for 200 rows where np.logaddexp's scalar loop takes about 7 us.
     On a CPU without those loops expect roughly logaddexp's cost.
+
+    log_density writes into two (n,) work arrays the instance allocates
+    once, u and the log1p term.  Because every call overwrites them, one
+    instance must not serve two threads at once; each pool worker holds its
+    own copy, unpickled from the one the parent ships.  The -1 and 0 it
+    takes the sign from and clips at are (n,) arrays too: numpy handles an
+    array operand faster than it converts a Python scalar on every call.
     """
 
     tag = "logit"
     # logistic noise is wider than probit by about pi/sqrt(3)
     _noise_scale = 1.8
 
+    def __init__(self, data: BinaryRegressionData):
+        super().__init__(data)
+        n = data.design.shape[0]
+        self._work = (np.empty(n), np.empty(n))
+        self._minus_one, self._zero = np.full(n, -1.0), np.zeros(n)
+        self._minus_one.setflags(write=False)
+        self._zero.setflags(write=False)
+
     def log_density(self, beta):
         # ndarray.dot, copysign and add.reduce give the values of @, -abs
-        # and .sum() bit for bit, with less call overhead
-        u = self.s_design.dot(self._point(beta))
-        tail = np.copysign(u, -1.0)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        np.minimum(u, 0.0, out=u)
-        u -= tail
+        # and .sum() bit for bit, with less call overhead; out goes in
+        # positionally, which numpy parses faster than the keyword, but
+        # np.minimum takes it only as a keyword
+        u, tail = self._work
+        self.s_design.dot(self._point(beta), u)
+        np.copysign(u, self._minus_one, tail)
+        np.exp(tail, tail)
+        np.log1p(tail, tail)
+        np.minimum(u, self._zero, out=u)
+        np.subtract(u, tail, u)
         return float(np.add.reduce(u))
 
-    def grad_log_density(self, beta):
-        resid = expit(self._points(beta) @ self.data.design.T)
-        np.subtract(self.data.response, resid, out=resid)
+    def _grad_rows(self, beta):
+        resid = beta @ self.data.design.T
+        expit(resid, resid)
+        np.subtract(self.data.response, resid, resid)
         return resid @ self.data.design
 
 
@@ -414,7 +453,7 @@ _GARCH_SUPPORT = (
 )
 # the gradient also needs the open faces omega_2 > 0 and omega_3 > 0, checked
 # after the whole support
-_GARCH_OPEN_FACES = (
+_GARCH_INTERIOR = _GARCH_SUPPORT + (
     (1, True, "omega_2 must be > 0 strictly inside the support"),
     (2, True, "omega_3 must be > 0 strictly inside the support"),
 )
@@ -475,8 +514,8 @@ class GarchTarget(_Target):
         """h_1..h_T at omega, solved in the (T,) vector h, which is returned."""
         w1, w2, w3 = omega
         # the forcing w1 + w2 r2_lag, with w3 h_0 added at t = 1
-        np.multiply(self._r2_lag, w2, out=h)
-        np.add(h, w1, out=h)
+        np.multiply(self._r2_lag, w2, h)
+        np.add(h, w1, h)
         h[0] += w3 * self.series.h0
         return blas.dtbsv(1, band, h, lower=1, diag=1, overwrite_x=1)
 
@@ -500,9 +539,9 @@ class GarchTarget(_Target):
         band[1] = -w3
         h = self._h_path(omega, band, h)
         # log h_t + r2_t / h_t, summed by add.reduce as .sum() would
-        np.log(h, out=terms)
-        np.divide(self._r2, h, out=h)
-        np.add(terms, h, out=terms)
+        np.log(h, terms)
+        np.divide(self._r2, h, h)
+        np.add(terms, h, terms)
         loglik = -0.5 * float(np.add.reduce(terms))
         v1, v2, v3 = self._prior_var.tolist()
         # left to right, the order numpy's sum over three numbers takes
@@ -510,7 +549,7 @@ class GarchTarget(_Target):
         return loglik + logprior
 
     def grad_log_density(self, omega):
-        omega = _require(self._points(omega), _GARCH_OPEN_FACES)
+        omega = self._points(omega, _GARCH_INTERIOR)
         if omega.ndim == 2:
             return -omega / self._prior_var + self._loglik_grad_rows(omega)
         band = self._band(omega[2])
@@ -539,14 +578,14 @@ class GarchTarget(_Target):
             lag.fill(r2_lag)
             dh *= w3
             dh += gain
-            np.multiply(w2, r2_lag, out=forcing)
+            np.multiply(w2, r2_lag, forcing)
             forcing += w1
             h *= w3
             h += forcing
             # 2 w_t = r2_t / h_t^2 - 1 / h_t, halved once at the end
-            np.divide(r2, h, out=step)
+            np.divide(r2, h, step)
             step -= 1.0
             step /= h
-            np.multiply(step, dh, out=term)
+            np.multiply(step, dh, term)
             grad += term
         return 0.5 * grad.T

@@ -3,13 +3,14 @@
 Every retained draw carries grad log pi evaluated at that draw, so the
 control variate stage never re-touches the model.  Random-walk Metropolis
 stores draws only in its loop.  After the loop, and still inside the sampler
-call, its gradients are computed with the model's batch form
-grad_log_density((m, d)) in blocks of _GRADIENT_BLOCK rows, at the draws
-where the chain moved; a repeated (rejected) draw copies the gradient of the
-draw it repeats.  The probit Gibbs sampler takes its gradients from its own
-sweeps: the sweep after a retained draw computes that draw's signed linear
-predictor s_i x_i'beta and its log Phi, and ProbitTarget.grad_from_predictor
-turns blocks of _GRADIENT_BLOCK such rows into gradient rows.
+call, its gradients are computed with one call of the model's batch form
+grad_log_density((m, d)) at the draws where the chain moved (a model whose
+batch form needs (m, n) temporaries bounds them itself); a repeated
+(rejected) draw copies the gradient of the draw it repeats.  The probit
+Gibbs sampler takes its gradients from its own sweeps: the sweep after a
+retained draw computes that draw's signed linear predictor s_i x_i'beta and
+its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
+_GRADIENT_BLOCK such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection.  All randomness flows through a
 numpy Generator seeded from SamplerConfig.seed; identical configs give
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .models import ProbitTarget, SupportError
+from .models import _GRADIENT_BLOCK, ProbitTarget, SupportError
 
 __all__ = [
     "SamplerConfig",
@@ -34,10 +35,6 @@ __all__ = [
 ]
 
 _PILOT_STEPS = 500
-# rows per batched gradient call: large enough that GARCH's per-t recursion
-# amortizes its Python overhead, small enough that the regression models'
-# (rows, n) temporaries stay a few MB
-_GRADIENT_BLOCK = 1024
 
 
 @dataclass
@@ -54,8 +51,8 @@ class SamplerConfig:
                  resolve_proposal_sd checks it
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
-    compute_gradients  True computes grad log pi at every retained draw,
-              in blocks of rows (see the module docstring); False skips it
+    compute_gradients  True computes grad log pi at every retained draw
+              (see the module docstring); False skips it
               (the output then cannot feed the control variate stage)
     """
 
@@ -142,18 +139,13 @@ def resolve_init(model, init):
 def _chain_gradients(model, config, draws, moved):
     """grad log pi at every row of draws, or (0, d) when config skips them.
 
-    The model is called only at rows where moved is True.  Row 0 must be
-    marked moved; every other unmoved row repeats the row before it and
+    The model is called once, on the rows where moved is True.  Row 0 must
+    be marked moved; every other unmoved row repeats the row before it and
     copies its gradient.
     """
     if not config.compute_gradients:
         return np.empty((0, draws.shape[1]))
-    rows = np.flatnonzero(moved)
-    distinct = np.empty((rows.size, draws.shape[1]))
-    for start in range(0, rows.size, _GRADIENT_BLOCK):
-        block = rows[start:start + _GRADIENT_BLOCK]
-        distinct[start:start + block.size] = model.grad_log_density(draws[block])
-    return distinct[np.cumsum(moved) - 1]
+    return model.grad_log_density(draws[moved])[np.cumsum(moved) - 1]
 
 
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
@@ -198,10 +190,12 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     next_kept = burn_in  # the step whose state is retained draw i
 
     for step in range(burn_in + retained_steps):
-        # the normals fill one reused buffer, the same stream as normal(d);
-        # the proposal is not built in place in it, since on d = 1 targets
-        # `z *= sd; z += x` costs more than these two temporaries, and an
-        # accepted proposal becomes x
+        # the normals fill one reused buffer, the same stream as normal(d).
+        # The proposal keeps its two temporaries: timed with
+        # scripts/ab_chains.py, the one-temporary forms `multiply(z, sd, z);
+        # add(x, z)` and `p = sd * z; p += x` made the d = 1 toy chains
+        # 17% and 25% slower and the logit chain no faster; on arrays this
+        # small numpy's in-place path costs more than the allocation it saves
         normal(out=z)
         prop = x + sd * z
         try:
@@ -284,12 +278,14 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     gradients = np.empty((length if block else 0, d))
     st_free = st = np.empty(n)
     log_phi_free = log_phi = np.empty(n)
+    # the uniforms fill one reused buffer, the same stream as rng.random(n)
+    u = np.empty(n)
     # ndarray.dot makes the same cblas_dgemv call as @, so the draws are
     # those of the @ form bit for bit
     s_design.dot(beta, out=st)
     log_ndtr(st, out=log_phi)
     for step in range(burn_in + length * thin):
-        u = rng.random(n)
+        rng.random(out=u)
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u += log_phi

@@ -91,6 +91,23 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsys):
+    from zvmcmc.cli import _build_parser
+
+    parser = _build_parser()
+    for command in ("validate", "run", "coverage", "diagnose"):
+        args = parser.parse_args([command, "--config", "c.json", "--add-intercept"])
+        assert (args.command, args.config, args.add_intercept) == (command, "c.json", True)
+    assert sorted(vars(args)) == ["add_intercept", "command", "config", "degrees", "length", "out",
+                                  "seed", "threads"]
+    assert sorted(vars(parser.parse_args(["validate", "--config", "c.json"]))) == [
+        "add_intercept", "command", "config"]
+    for flag in (["--out", "x"], ["--seed", "3"], ["--degrees", "1"], ["--threads", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["validate", "--config", "c.json", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp", "coverage_probit",

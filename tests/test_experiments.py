@@ -105,9 +105,9 @@ class TestConfigValidation:
         assert cfg.degrees == (3, 1)
 
     def test_short_phase_rejected(self):
-        with pytest.raises(ConfigError, match="phase lengths"):
+        with pytest.raises(ConfigError, match="^fit_length must be an integer >= 100, got 99$"):
             ExperimentConfig(model_kind="gaussian", fit_length=99)
-        with pytest.raises(ConfigError, match="phase lengths"):
+        with pytest.raises(ConfigError, match="^eval_length must be an integer >= 100, got 50$"):
             ExperimentConfig(model_kind="gaussian", eval_length=50)
 
     def test_negative_counts_rejected(self):

@@ -472,6 +472,89 @@ def test_one_point_and_batch_checks_reject_alike(model, point, support, interior
             model.grad_log_density(arg)
 
 
+def shape_error(d, shape):
+    return ValueError, f"parameter must have shape ({d},), got {shape}"
+
+
+def one_point_contract():
+    """(model, argument, outcome) for the one-point argument forms.
+
+    The outcome is None when log_density takes the argument as the (d,)
+    float array np.array(argument, dtype=float).reshape(d) and in_support
+    is True, else the (exception type, message) both calls raise, except
+    that in_support returns False where log_density raises SupportError.
+    """
+    data = small_regression_data()
+    series = small_series()
+    gaussian, exponential, gamma = (GaussianTarget(mu=2.0, sigma2=3.0), ExponentialTarget(lam=1.5),
+                                    GammaTarget(shape=3.0, scale=1.0))
+    probit, logit, garch = ProbitTarget(data), LogitTarget(data), GarchTarget(series)
+    cases = []
+    for model in (gaussian, exponential, gamma, probit, logit, garch):
+        d = model.dimension
+        inside = model.default_init()
+        cases += [(model, inside.tolist(), None), (model, tuple(inside.tolist()), None),
+                  (model, inside.astype(np.float32), None),
+                  (model, [1.0] * (d + 1), shape_error(d, (d + 1,))),
+                  (model, [inside.tolist()], shape_error(d, (1, d))),
+                  (model, [], shape_error(d, (0,))),
+                  # the shape is checked before finiteness
+                  (model, [np.nan] * (d + 1), shape_error(d, (d + 1,)))]
+        for j in range(d):
+            for bad in (np.nan, np.inf, -np.inf):
+                point = inside.tolist()
+                point[j] = bad
+                cases.append((model, point, (SupportError, FINITE)))
+    for model in (gaussian, exponential, gamma):
+        cases += [(model, 1.25, None), (model, np.float64(1.25), None), (model, np.array(1.25), None),
+                  (model, 1, None), (model, np.nan, (SupportError, FINITE)),
+                  (model, np.array([[1.25]]), shape_error(1, (1, 1)))]
+    for model in (probit, logit, garch):
+        cases.append((model, 0.5, shape_error(model.dimension, ())))
+    positive = (SupportError, "x must be > 0")
+    for model in (exponential, gamma):
+        cases += [(model, [0.0], positive), (model, -0.0, positive), (model, [-1.0], positive),
+                  (model, [5e-324], None), (model, [np.inf], (SupportError, FINITE))]
+    h = series.h0
+    cases += [
+        (garch, [0.0, 0.1, 0.6], (SupportError, "omega_1 must be > 0")),
+        (garch, [-0.0, 0.1, 0.6], (SupportError, "omega_1 must be > 0")),
+        (garch, [0.2 * h, -1e-300, 0.6], (SupportError, "omega_2 must be >= 0")),
+        (garch, [0.2 * h, 0.1, -1e-300], (SupportError, "omega_3 must be >= 0")),
+        (garch, [0.2 * h, 0.0, 0.6], None),
+        (garch, [0.2 * h, -0.0, 0.6], None),
+        (garch, [0.2 * h, 0.1, 0.0], None),
+        (garch, [0.2 * h, 0.0, -0.0], None),
+        (garch, [1, 0, 0], None),
+        # finiteness first, then the bounds coordinate by coordinate
+        (garch, [-1.0, -1.0, np.inf], (SupportError, FINITE)),
+        (garch, [0.0, -1.0, -1.0], (SupportError, "omega_1 must be > 0")),
+        (garch, [0.2 * h, -1.0, -1.0], (SupportError, "omega_2 must be >= 0")),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("model,argument,outcome", one_point_contract(),
+                         ids=lambda v: getattr(v, "tag", None))
+def test_one_point_argument_contract(model, argument, outcome):
+    if outcome is None:
+        as_array = np.array(argument, dtype=float).reshape(model.dimension)
+        value = model.log_density(argument)
+        assert type(value) is float and value == model.log_density(as_array)
+        assert model.in_support(argument) is True
+        return
+    kind, message = outcome
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+        model.log_density(argument)
+    assert type(raised.value) is kind
+    if kind is SupportError:
+        assert model.in_support(argument) is False
+    else:
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+            model.in_support(argument)
+        assert type(raised.value) is kind
+
+
 def old_garch_log_density(model, omega):
     """The log-density as written before its scalar rewrite: a band of ones,
     numpy scalars in the forcing and a numpy sum for the prior."""
@@ -527,6 +610,44 @@ def test_garch_log_density_work_arrays_do_not_carry_over():
         assert copy.log_density(q) == GarchTarget(series).log_density(q)
         assert b.log_density(p) == GarchTarget(series, prior).log_density(p)
         assert a.log_density(q) == copy.log_density(q)
+
+
+def test_logit_log_density_work_arrays_do_not_carry_over():
+    # two instances called alternately, and the pickled copy a worker pool
+    # ships, each give a fresh instance's value bit for bit
+    data, other = synthetic_banknote(seed=101), small_regression_data(n=60, d=4)
+    a, b = LogitTarget(data), LogitTarget(other)
+    a.log_density(a.default_init())
+    copy = pickle.loads(pickle.dumps(a))
+    assert all(w is not v for w, v in zip(copy._work, a._work))
+    points = np.random.default_rng(29).normal(scale=0.5, size=(40, 4))
+    for p, q in zip(points[::2], points[1::2]):
+        assert a.log_density(p) == LogitTarget(data).log_density(p)
+        assert b.log_density(q) == LogitTarget(other).log_density(q)
+        assert copy.log_density(q) == LogitTarget(data).log_density(q)
+        assert b.log_density(p) == LogitTarget(other).log_density(p)
+        assert a.log_density(q) == copy.log_density(q)
+
+
+@pytest.mark.parametrize("target", [ProbitTarget, LogitTarget])
+def test_regression_batch_gradients_run_in_blocks(monkeypatch, target):
+    import zvmcmc.models
+
+    model = target(small_regression_data())
+    rows = np.random.default_rng(31).normal(scale=0.5, size=(8, 3))
+    # each block is one matrix product, whose rounding may depend on its rows
+    blocks = np.concatenate([model.grad_log_density(rows[k:k + 3]) for k in (0, 3, 6)])
+    monkeypatch.setattr(zvmcmc.models, "_GRADIENT_BLOCK", 3)
+    shapes = []
+    original = target._grad_rows
+
+    def spy(self, beta):
+        shapes.append(beta.shape)
+        return original(self, beta)
+
+    monkeypatch.setattr(target, "_grad_rows", spy)
+    assert np.array_equal(model.grad_log_density(rows), blocks)
+    assert shapes == [(3, 3), (3, 3), (2, 3)]
 
 
 def test_garch_support_error_comes_before_any_work_array_is_written():

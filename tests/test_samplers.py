@@ -186,10 +186,7 @@ class SpyGamma(GammaTarget):
         return super().grad_log_density(beta)
 
 
-def test_rw_metropolis_validates_once_and_batches_gradients(monkeypatch):
-    import zvmcmc.samplers
-
-    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 7)
+def test_rw_metropolis_validates_once_and_batches_gradients():
     model = SpyGamma()
     # a wide step from near the boundary: many proposals land at x <= 0
     cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]), proposal_sd=1.0)
@@ -199,11 +196,32 @@ def test_rw_metropolis_validates_once_and_batches_gradients(monkeypatch):
     assert np.all(out.draws > 0.0)
     distinct = 1 + np.count_nonzero(np.any(np.diff(out.draws, axis=0) != 0.0, axis=1))
     assert distinct < out.length  # some retained draws repeat
-    assert model.grad_shapes == [(min(7, distinct - k), 1) for k in range(0, distinct, 7)]
+    # one batched call, on the distinct draws
+    assert model.grad_shapes == [(distinct, 1)]
     for draw, grad in zip(out.draws, out.gradients):
         assert np.array_equal(grad, GammaTarget.grad_log_density(model, draw))
     same = rw_metropolis(GammaTarget(shape=3.0, scale=1.0), cfg)
     assert np.array_equal(out.draws, same.draws) and out.accept_rate == same.accept_rate
+
+
+def test_garch_chain_makes_one_gradient_call(monkeypatch):
+    # more moved draws than a regression target's gradient block: GARCH's
+    # batch gradient holds (3, m) state, so the chain needs no blocks
+    calls = []
+    original = GarchTarget.grad_log_density
+
+    def spy(self, omega):
+        calls.append(np.shape(omega))
+        return original(self, omega)
+
+    monkeypatch.setattr(GarchTarget, "grad_log_density", spy)
+    model = GarchTarget(synthetic_demgbp_returns(seed=333, length=80))
+    cfg = SamplerConfig(length=2000, seed=6, proposal_sd=0.3 * model.rough_scale())
+    out = rw_metropolis(model, cfg)
+    moved = np.concatenate(([True], np.any(np.diff(out.draws, axis=0) != 0.0, axis=1)))
+    assert np.count_nonzero(moved) > 1024
+    assert calls == [(np.count_nonzero(moved), 3)]
+    assert np.array_equal(out.gradients[moved], original(model, out.draws[moved]))
 
 
 def test_gibbs_probit_batches_gradients(monkeypatch):
