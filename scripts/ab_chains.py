@@ -10,18 +10,21 @@ both sides sample the chains of replication 0 as a study samples them: the
 fit chain and then the eval chain, or the one chain of a single-chain config,
 each with the seed, length, thinning and sampler the study gives it,
 gradients included.  Each side does so once untimed, then --pairs times,
-alternately, the side that goes first switching every pair; a timing is the
-whole replication's sampling, so a fixed cost per chain weighs as a study
-pays it.  Interleaving in one process lets a kernel change be ranked on a
-busy machine, where separate runs drift by more than the change.  Chains are
+alternately, the side that goes first switching every pair.  A timing
+repeats the whole replication's sampling until at least MIN_TIMING_S
+seconds have passed and gives the seconds per replication, so a fixed cost
+per chain weighs as a study pays it, and a replication of a few ms is
+still timed over a window that the machine's noise does not swamp.
+Interleaving in one process lets a kernel change be ranked on a busy
+machine, where separate runs drift by more than the change.  Chains are
 timed in this one process only, so effects of a study's worker pool, such as
 BLAS helper threads competing with the other workers for CPUs, do not show
 here.
 
-Prints, per config, each side's median and quartiles in ms, in how many
-pairs the working tree was faster, and whether the two sides' draws,
-gradients and accept rates are bit-identical, chain by chain.  Exits 1 when
-they differ on any config, 2 when the revision cannot be extracted.
+Prints, per config, each side's median and quartiles in ms per replication,
+in how many pairs the working tree was faster, and whether the two sides'
+draws, gradients and accept rates are bit-identical, chain by chain.  Exits
+1 when they differ on any config, 2 when the revision cannot be extracted.
 """
 import argparse
 import importlib
@@ -37,6 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REV_PACKAGE = "zvmcmc_at_rev"
+MIN_TIMING_S = 0.2
 
 
 def extract_revision(rev, into):
@@ -69,10 +73,16 @@ def replication_chains(package, config_path):
 
 
 def timed(package, model, chain_configs, method):
-    """Seconds to sample every chain of chain_configs in turn, and the chains."""
+    """Seconds per replication to sample every chain of chain_configs in turn,
+    over as many replications as fill MIN_TIMING_S, and the last one's chains."""
+    runs = 0
     t0 = time.perf_counter()
-    chains = [package.samplers.sample_chain(model, c, method=method) for c in chain_configs]
-    return time.perf_counter() - t0, chains
+    while True:
+        chains = [package.samplers.sample_chain(model, c, method=method) for c in chain_configs]
+        runs += 1
+        elapsed = time.perf_counter() - t0
+        if elapsed >= MIN_TIMING_S:
+            return elapsed / runs, chains
 
 
 def identical(a, b):
@@ -83,7 +93,7 @@ def identical(a, b):
 
 def spread(seconds):
     q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-    return f"median {1e3 * median:9.1f} ms  (q1 {1e3 * q1:.1f}, q3 {1e3 * q3:.1f})"
+    return f"median {1e3 * median:9.1f} ms per replication  (q1 {1e3 * q1:.1f}, q3 {1e3 * q3:.1f})"
 
 
 def compare(old, new, config_path, pairs, rev):

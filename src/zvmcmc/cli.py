@@ -57,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_args.add_argument("--degrees", default=None,
                           help="comma-separated polynomial degrees, e.g. 1,2,3")
     run_args.add_argument("--threads", type=int, default=None,
-                          help="worker processes (0 = one per CPU); pool workers run BLAS "
-                               "single-threaded, one process keeps the library default")
+                          help="worker processes (0 = one per CPU this process may use); pool "
+                               "workers run BLAS single-threaded, one process keeps the library "
+                               "default")
 
     run_p = sub.add_parser("run", parents=[run_args], help="run a replication study")
     run_p.add_argument("--replications", type=int, default=None, help="override replication count")

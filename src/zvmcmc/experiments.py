@@ -503,14 +503,22 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     replications does not apply to studies.  With a single replication the
     ratio and its bounds are None and ratio_method is "unavailable".
 
-    With more than one worker (config.threads, 0 = one per CPU, but never
-    more than config.replications) replications run in a process pool whose
-    workers compute BLAS single-threaded; a one-process run keeps the BLAS
-    library's default thread count.  Either way the report outside "timing"
-    is the same.
+    With more than one worker (config.threads, 0 = one per CPU this process
+    may use, but never more than config.replications) replications run in a
+    process pool whose workers compute BLAS single-threaded; a one-process
+    run keeps the BLAS library's default thread count.  Either way the report
+    outside "timing" is the same.
     """
     model = build_model(config)
     return _study(config, model, control_variate_bases(config, model), chains_dir)
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _study(config: ExperimentConfig, model, bases, chains_dir):
@@ -523,7 +531,7 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
 
     t_start = time.perf_counter()
     reps = range(config.replications)
-    workers = min(config.threads if config.threads > 0 else (os.cpu_count() or 1), config.replications)
+    workers = min(config.threads if config.threads > 0 else _usable_cpus(), config.replications)
     if workers > 1:
         with _single_threaded_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))

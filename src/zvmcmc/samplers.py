@@ -12,9 +12,12 @@ retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GRADIENT_BLOCK such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
-and reading SupportError as a rejection.  All randomness flows through a
-numpy Generator seeded from SamplerConfig.seed; identical configs give
-bit-identical output.
+and reading SupportError as a rejection.  All randomness comes from
+SamplerConfig.seed: random-walk Metropolis spawns two numpy Generators from
+SeedSequence(seed), one for its proposal normals and one for its accept
+uniforms, and draws each in blocks of _RNG_BLOCK steps (the draws do not
+depend on the block size); the Gibbs sampler uses one Generator seeded with
+seed.  Identical configs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ __all__ = [
 ]
 
 _PILOT_STEPS = 500
+# steps per block of random-walk normals and uniforms; the chain's draws are
+# the same for any block size
+_RNG_BLOCK = 4096
 
 
 @dataclass
@@ -43,7 +49,9 @@ class SamplerConfig:
 
     length    retained draws after burn-in and thinning, >= 1
     burn_in   discarded initial steps, >= 0
-    seed      u64 seed for the Generator stream
+    seed      u64 seed of the chain's random numbers: random-walk
+              Metropolis draws normals and uniforms from the two Generators
+              of SeedSequence(seed).spawn(2), Gibbs from default_rng(seed)
     init      starting point, model.default_init() when None; resolve_init
               checks it
     proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
@@ -148,16 +156,25 @@ def _chain_gradients(model, config, draws, moved):
     return model.grad_log_density(draws[moved])[np.cumsum(moved) - 1]
 
 
+def _streams(seed):
+    """A random-walk chain's two Generators: proposal normals, accept uniforms."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    Proposals outside the support (log_density raises SupportError), or with
-    log-density underflowing to -inf, are rejected without drawing a uniform;
+    Step k proposes x + sd * z_k and accepts iff log u_k < log pi(proposal) -
+    log pi(x), where z_k is row k of the first stream's normals and u_k the
+    k-th uniform of the second (see _streams); every step takes one of each,
+    whether it needs the uniform or not.  A proposal outside the support
+    (log_density raises SupportError), or whose log-density underflows to
+    -inf, has difference -inf and is never accepted, even when u_k = 0;
     NaN log-density is fatal.  The acceptance rate is measured over the
     retained phase, the first min(500, burn_in) steps double as a
     reporting-only pilot.
     """
-    rng = np.random.default_rng(config.seed)
+    normals, uniforms = _streams(config.seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
     x = resolve_init(model, config.init)
@@ -175,52 +192,47 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     pilot_accepts = 0
     retained_accepts = 0
     retained_steps = config.length * thin
+    total = burn_in + retained_steps
     # the loop runs on locals, which saves an attribute or global lookup per
     # name per step
     log_density = model.log_density
-    normal = rng.standard_normal
-    z = np.empty(d)
-    uniform = rng.random
-    # np.log, not math.log: the two differ in the last bit on some uniforms,
-    # and that would flip accept decisions
-    log = np.log
     isnan = math.isnan
     neg_inf = -math.inf
     i = 0
     next_kept = burn_in  # the step whose state is retained draw i
 
-    for step in range(burn_in + retained_steps):
-        # the normals fill one reused buffer, the same stream as normal(d).
-        # The proposal keeps its two temporaries: timed with
-        # scripts/ab_chains.py, the one-temporary forms `multiply(z, sd, z);
-        # add(x, z)` and `p = sd * z; p += x` made the d = 1 toy chains
-        # 17% and 25% slower and the logit chain no faster; on arrays this
-        # small numpy's in-place path costs more than the allocation it saves
-        normal(out=z)
-        prop = x + sd * z
-        try:
-            lp = log_density(prop)
-        except SupportError:
-            lp = neg_inf
-        # log_density returns a Python float; math.isnan is the cheaper test
-        if isnan(lp):
-            raise FloatingPointError(f"NaN log-density at proposal {prop}")
-        delta = lp - logp
-        # a uniform is drawn only when -inf < delta < 0
-        if delta >= 0.0 or (delta > neg_inf and log(uniform()) < delta):
-            x = prop
-            logp = lp
-            since_kept = True
-            if step < pilot_steps:
-                pilot_accepts += 1
-            if step >= burn_in:
-                retained_accepts += 1
-        if step == next_kept:
-            draws[i] = x
-            moved[i] = since_kept
-            since_kept = False
-            i += 1
-            next_kept += thin
+    for start in range(0, total, _RNG_BLOCK):
+        n = min(_RNG_BLOCK, total - start)
+        # one (n, d) block of normals, scaled once, gives the steps' moves;
+        # the log-uniforms become Python floats, so the accept test compares
+        # floats.  np.log, not math.log: the two differ in the last bit on
+        # some uniforms
+        moves = normals.standard_normal((n, d))
+        moves *= sd
+        log_u = np.log(uniforms.random(n)).tolist()
+        for step, move, lu in zip(range(start, start + n), moves, log_u):
+            prop = x + move
+            try:
+                lp = log_density(prop)
+            except SupportError:
+                lp = neg_inf
+            # log_density returns a Python float; math.isnan is the cheaper test
+            if isnan(lp):
+                raise FloatingPointError(f"NaN log-density at proposal {prop}")
+            if lu < lp - logp:
+                x = prop
+                logp = lp
+                since_kept = True
+                if step < pilot_steps:
+                    pilot_accepts += 1
+                if step >= burn_in:
+                    retained_accepts += 1
+            if step == next_kept:
+                draws[i] = x
+                moved[i] = since_kept
+                since_kept = False
+                i += 1
+                next_kept += thin
 
     return ChainOutput(
         draws=draws,

@@ -93,10 +93,12 @@ def reference_rw_metropolis(model, config):
     """Random-walk Metropolis written as a plain per-step loop, an oracle for
     the sampler's optimised loop.
 
-    The proposal is x + sd * z, one uniform is drawn per finite negative
-    log-density difference, and retained draws are picked by step % thin.
-    Proposal sizing, the start point and the chain's gradients come from the
-    package, so only the loop itself is under test.
+    The two generators are spawned from SeedSequence(config.seed).  Each
+    step draws one normal row z from the first and one uniform u from the
+    second, without blocks; the proposal is x + sd * z and is accepted when
+    log u < log pi(proposal) - log pi(x).  Retained draws are picked by
+    step % thin.  Proposal sizing, the start point and the chain's gradients
+    come from the package, so only the loop itself is under test.
     """
     import math
 
@@ -109,7 +111,9 @@ def reference_rw_metropolis(model, config):
         resolve_proposal_sd,
     )
 
-    rng = np.random.default_rng(config.seed)
+    normal_seed, uniform_seed = np.random.SeedSequence(config.seed).spawn(2)
+    normal_rng = np.random.default_rng(normal_seed)
+    uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
     x = resolve_init(model, config.init)
@@ -127,20 +131,15 @@ def reference_rw_metropolis(model, config):
     total = config.burn_in + retained_steps
 
     for step in range(total):
-        prop = x + sd * rng.standard_normal(d)
+        prop = x + sd * normal_rng.standard_normal(d)
+        u = uniform_rng.random()
         try:
             lp = model.log_density(prop)
         except SupportError:
             lp = -np.inf
         if math.isnan(lp):
             raise FloatingPointError(f"NaN log-density at proposal {prop}")
-        delta = lp - logp
-        accept = False
-        if delta >= 0.0:
-            accept = True
-        elif delta > -np.inf:
-            accept = np.log(rng.random()) < delta
-        if accept:
+        if np.log(u) < lp - logp:
             x = prop
             logp = lp
             since_kept = True

@@ -337,6 +337,22 @@ class TestRunStudy:
         pooled["config"].pop("threads")
         assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
+    def test_threads_0_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a study on one usable CPU started a process pool")
+
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig.from_dict(gaussian_dict(replications=2, threads=0))
+        _, report = run_study(cfg)
+        assert report["replications_completed"] == 2
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        assert experiments._usable_cpus() == 3
+
     def test_study_csv(self, gaussian_run, tmp_path):
         study, report = gaussian_run
         path = tmp_path / "study.csv"

@@ -165,6 +165,84 @@ def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, ini
     assert out.pilot_accept_rate == ref.pilot_accept_rate
 
 
+@pytest.mark.parametrize("model,proposal_sd,init", oracle_cases()[::2])
+def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init):
+    import zvmcmc.samplers
+
+    # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
+    cfg = SamplerConfig(length=150, burn_in=11, thin=3, seed=21, proposal_sd=proposal_sd,
+                        init=None if init is None else np.array(init))
+    chains = []
+    for block in (7, 4096):
+        monkeypatch.setattr(zvmcmc.samplers, "_RNG_BLOCK", block)
+        chains.append(rw_metropolis(model, cfg))
+    small, large = chains
+    assert np.array_equal(small.draws, large.draws)
+    assert np.array_equal(small.gradients, large.gradients)
+    assert small.accept_rate == large.accept_rate
+    assert small.pilot_accept_rate == large.pilot_accept_rate
+
+
+class ZeroUniforms:
+    """A uniform stream that returns u = 0, so log u = -inf, on every draw."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+def test_a_zero_uniform_never_accepts_a_proposal_outside_the_support(monkeypatch):
+    import zvmcmc.samplers
+
+    streams = zvmcmc.samplers._streams
+    monkeypatch.setattr(zvmcmc.samplers, "_streams",
+                        lambda seed: [streams(seed)[0], ZeroUniforms()])
+    # a wide step from near 0: some proposals land at x <= 0
+    cfg = SamplerConfig(length=2000, seed=8, init=np.array([0.05]), proposal_sd=1.0)
+    with np.errstate(divide="ignore"):
+        out = rw_metropolis(ExponentialTarget(lam=1.0), cfg)
+    # log u = -inf accepts every proposal inside the support and no other
+    x, expected = 0.05, []
+    for z in streams(cfg.seed)[0].standard_normal(cfg.length):
+        if x + z > 0.0:
+            x += z
+        expected.append(x)
+    assert np.array_equal(out.draws[:, 0], expected)
+    assert 0.0 < out.accept_rate < 1.0
+
+
+class FlatLogit(LogitTarget):
+    """Logit support and shape with a constant log-density: every proposal is accepted."""
+
+    def log_density(self, beta):
+        return 0.0
+
+
+def test_a_flat_target_walks_by_the_first_streams_normals():
+    model = FlatLogit(synthetic_banknote(seed=101, n=80))
+    sd = np.array([0.63, 1.03, 0.78, 0.035])
+    # more steps than one block of random numbers
+    cfg = SamplerConfig(length=5000, seed=13, proposal_sd=sd, compute_gradients=False)
+    out = rw_metropolis(model, cfg)
+    normal_seed, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    moves = sd * np.random.default_rng(normal_seed).standard_normal((cfg.length, 4))
+    # the cumulative sum adds the moves one at a time, as the chain does
+    expected = np.cumsum(np.vstack([model.default_init(), moves]), axis=0)[1:]
+    assert out.accept_rate == 1.0
+    assert np.array_equal(out.draws, expected)
+
+
+class NanAwayFromInit(GaussianTarget):
+    """A gaussian whose log-density is NaN everywhere but at the init."""
+
+    def log_density(self, beta):
+        return super().log_density(beta) if beta[0] == 0.0 else math.nan
+
+
+def test_nan_log_density_at_a_proposal_is_fatal():
+    with pytest.raises(FloatingPointError, match="NaN log-density at proposal"):
+        rw_metropolis(NanAwayFromInit(), SamplerConfig(length=10, seed=0, init=np.array([0.0])))
+
+
 class SpyGamma(GammaTarget):
     """Counts model calls and records the shape of every gradient argument."""
 
