@@ -60,8 +60,7 @@ class SupportError(ValueError):
 
 _FINITE = "parameter must be finite"
 # rows per block of the regression targets' batch gradients, which keeps
-# their (rows, n) temporaries a few MB; the probit Gibbs sampler buffers its
-# gradient rows in blocks of the same size
+# their (rows, n) temporaries a few MB
 _GRADIENT_BLOCK = 1024
 
 

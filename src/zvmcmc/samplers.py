@@ -10,14 +10,14 @@ batch form needs (m, n) temporaries bounds them itself); a repeated
 Gibbs sampler takes its gradients from its own sweeps: the sweep after a
 retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
-_GRADIENT_BLOCK such rows into gradient rows.
+_GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection.  All randomness comes from
-SamplerConfig.seed: random-walk Metropolis spawns two numpy Generators from
-SeedSequence(seed), one for its proposal normals and one for its accept
-uniforms, and draws each in blocks of _RNG_BLOCK steps (the draws do not
-depend on the block size); the Gibbs sampler uses one Generator seeded with
-seed.  Identical configs give bit-identical output.
+SamplerConfig.seed: both samplers spawn two numpy Generators from
+SeedSequence(seed) (_streams), one for normals and one for uniforms, and
+draw each in blocks, random-walk Metropolis of _RNG_BLOCK steps and Gibbs of
+_GIBBS_UNIFORMS // n sweeps (the draws do not depend on the block sizes).
+Identical configs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .models import _GRADIENT_BLOCK, ProbitTarget, SupportError
+from .models import ProbitTarget, SupportError
 
 __all__ = [
     "SamplerConfig",
@@ -41,6 +41,11 @@ _PILOT_STEPS = 500
 # steps per block of random-walk normals and uniforms; the chain's draws are
 # the same for any block size
 _RNG_BLOCK = 4096
+# uniforms per block of probit Gibbs sweeps, _GIBBS_UNIFORMS // n sweeps of n
+# (at least one): 512 KB, a block of 327 sweeps on the 200-row design
+_GIBBS_UNIFORMS = 1 << 16
+# retained draws whose gradients the Gibbs sampler computes in one call
+_GIBBS_GRADIENT_ROWS = 64
 
 
 @dataclass
@@ -49,9 +54,9 @@ class SamplerConfig:
 
     length    retained draws after burn-in and thinning, >= 1
     burn_in   discarded initial steps, >= 0
-    seed      u64 seed of the chain's random numbers: random-walk
-              Metropolis draws normals and uniforms from the two Generators
-              of SeedSequence(seed).spawn(2), Gibbs from default_rng(seed)
+    seed      u64 seed of the chain's random numbers: each sampler draws
+              its normals from the first and its uniforms from the second
+              Generator of SeedSequence(seed).spawn(2)
     init      starting point, model.default_init() when None; resolve_init
               checks it
     proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
@@ -157,7 +162,7 @@ def _chain_gradients(model, config, draws, moved):
 
 
 def _streams(seed):
-    """A random-walk chain's two Generators: proposal normals, accept uniforms."""
+    """A chain's two Generators: normals, then uniforms."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
 
@@ -253,18 +258,22 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     Latent u_i ~ N(x_i'beta, 1) truncated to (0, inf) when y_i = 1 and to
     (-inf, 0) when y_i = 0, then beta ~ N((X'X)^{-1} X'u, (X'X)^{-1}).
     X'X, (X'X)^{-1} and the sign-folded design come from the model.
+    Sweep k takes the k-th n uniforms of the second stream for its latents
+    and the k-th d normals z_k of the first for its noise chol((X'X)^{-1}) z_k
+    (see _streams).  Both are drawn in blocks of _GIBBS_UNIFORMS // n sweeps,
+    and the draws do not depend on that size.
     The gradient at a draw needs st = s_design beta and log Phi(st), which
     the next sweep computes anyway.  A sweep that follows a retained draw
-    writes them into a row of two (_GRADIENT_BLOCK, n) buffers; each full
-    block, and the last partial one, goes through model.grad_from_predictor,
-    and grad_log_density is never called.  The pair is computed once more
-    after the last sweep, for the last draw.
+    writes them into a row of two (_GIBBS_GRADIENT_ROWS, n) buffers; each
+    full block, and the last partial one, goes through
+    model.grad_from_predictor, and grad_log_density is never called.  The
+    pair is computed once more after the last sweep, for the last draw.
     """
     if model.tag != "probit":
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
-    rng = np.random.default_rng(config.seed)
+    normals, uniforms = _streams(config.seed)
     s_design = model.s_design
     n, d = s_design.shape
     try:
@@ -282,47 +291,55 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
 
     beta = resolve_init(model, config.init)
     length, burn_in, thin = config.length, config.burn_in, config.thin
+    total = burn_in + length * thin
     draws = np.empty((length, d))
     # (st, log Phi(st)) rows of retained draws whose gradients are pending
-    block = min(_GRADIENT_BLOCK, length) if config.compute_gradients else 0
+    block = min(_GIBBS_GRADIENT_ROWS, length) if config.compute_gradients else 0
     st_rows = np.empty((block, n))
     log_phi_rows = np.empty((block, n))
     gradients = np.empty((length if block else 0, d))
     st_free = st = np.empty(n)
     log_phi_free = log_phi = np.empty(n)
-    # the uniforms fill one reused buffer, the same stream as rng.random(n)
-    u = np.empty(n)
     # ndarray.dot makes the same cblas_dgemv call as @, so the draws are
     # those of the @ form bit for bit
     s_design.dot(beta, out=st)
     log_ndtr(st, out=log_phi)
-    for step in range(burn_in + length * thin):
-        rng.random(out=u)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u += log_phi
-        ndtri_exp(u, out=u)
-        np.subtract(st, u, out=u)
-        beta = s_proj.dot(u) + chol_cov.dot(rng.standard_normal(d))
-        offset = step - burn_in
-        kept = offset >= 0 and offset % thin == 0
-        if kept:
-            i = offset // thin
-            draws[i] = beta
-        # the next sweep's st and log Phi(st) belong to this draw: a kept
-        # draw gets a buffer row.  After the last sweep they are needed only
-        # when its draw is kept
-        record = kept and block > 0
-        if record:
-            r = i % block
-            st, log_phi = st_rows[r], log_phi_rows[r]
-        else:
-            st, log_phi = st_free, log_phi_free
-        s_design.dot(beta, out=st)
-        log_ndtr(st, out=log_phi)
-        if record and (r == block - 1 or i == length - 1):
-            gradients[i - r:i + 1] = model.grad_from_predictor(st_rows[:r + 1],
-                                                               log_phi_rows[:r + 1])
+    sweeps = max(1, _GIBBS_UNIFORMS // n)
+    for start in range(0, total, sweeps):
+        m = min(sweeps, total - start)
+        # log1p(-u) for the whole block in one pass.  The stacked matmul
+        # makes one dgemv per row, the call chol_cov.dot(z_k) makes; an
+        # (m, d) @ chol_cov.T dgemm can round differently, and differently
+        # for different m
+        log_v = uniforms.random((m, n))
+        np.negative(log_v, out=log_v)
+        np.log1p(log_v, out=log_v)
+        noise = np.matmul(chol_cov, normals.standard_normal((m, d))[:, :, None])[:, :, 0]
+        for step, q, z in zip(range(start, start + m), log_v, noise):
+            q += log_phi
+            ndtri_exp(q, out=q)
+            np.subtract(st, q, out=q)
+            beta = s_proj.dot(q)
+            beta += z
+            offset = step - burn_in
+            kept = offset >= 0 and offset % thin == 0
+            if kept:
+                i = offset // thin
+                draws[i] = beta
+            # the next sweep's st and log Phi(st) belong to this draw: a
+            # kept draw gets a buffer row.  After the last sweep they are
+            # needed only when its draw is kept
+            record = kept and block > 0
+            if record:
+                r = i % block
+                st, log_phi = st_rows[r], log_phi_rows[r]
+            else:
+                st, log_phi = st_free, log_phi_free
+            s_design.dot(beta, out=st)
+            log_ndtr(st, out=log_phi)
+            if record and (r == block - 1 or i == length - 1):
+                gradients[i - r:i + 1] = model.grad_from_predictor(st_rows[:r + 1],
+                                                                   log_phi_rows[:r + 1])
 
     return ChainOutput(
         draws=draws,

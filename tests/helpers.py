@@ -23,6 +23,28 @@ def in_git_checkout():
         return False
 
 
+def head_checkout_with_these_scripts(into):
+    """A clone of this checkout's HEAD at into, with the working tree's scripts copied in.
+
+    The clone shares the repository's objects (git clone --shared) and
+    writes nothing to the repository.  A script run from the clone with
+    --rev HEAD compares HEAD with HEAD, so its identity checks hold whatever
+    uncommitted changes the working tree carries, while the scripts under
+    test are the working tree's.
+    """
+    import shutil
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    clone = Path(into)
+    subprocess.run(["git", "clone", "--quiet", "--shared", str(root), str(clone)],
+                   capture_output=True, check=True, timeout=120)
+    for script in (root / "scripts").glob("*.py"):
+        shutil.copy(script, clone / "scripts" / script.name)
+    return clone
+
+
 def fd_gradient(fn, x, rel_h=1e-5):
     """Central finite-difference gradient with per-coordinate relative step.
 

@@ -4,20 +4,22 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import in_git_checkout
+from helpers import head_checkout_with_these_scripts, in_git_checkout
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ab_chains.py"
 
 
-def ab_chains(config):
-    return subprocess.run([sys.executable, str(SCRIPT), "--rev", "HEAD", "--config", str(config),
-                           "--pairs", "1"], capture_output=True, text=True, timeout=300)
+def ab_chains(clone, config):
+    return subprocess.run([sys.executable, str(clone / "scripts" / "ab_chains.py"), "--rev", "HEAD",
+                           "--config", str(config), "--pairs", "1"],
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
-def test_ab_chains_against_head_on_the_toy_config():
-    done = ab_chains(ROOT / "configs" / "toys.json")
+def test_ab_chains_against_head_on_the_toy_config(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
+    done = ab_chains(clone, clone / "configs" / "toys.json")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "replication 0, fit and eval chains" in done.stdout
     assert "bit-identical" in done.stdout
@@ -26,10 +28,11 @@ def test_ab_chains_against_head_on_the_toy_config():
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
 def test_ab_chains_times_the_one_chain_of_a_single_chain_config(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
     config = tmp_path / "toys_single.json"
-    config.write_text(json.dumps({**json.loads((ROOT / "configs" / "toys.json").read_text()),
+    config.write_text(json.dumps({**json.loads((clone / "configs" / "toys.json").read_text()),
                                   "single_chain": True}))
-    done = ab_chains(config)
+    done = ab_chains(clone, config)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "replication 0, the one chain of a single-chain config" in done.stdout
     assert "bit-identical" in done.stdout

@@ -4,16 +4,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import in_git_checkout
+from helpers import head_checkout_with_these_scripts, in_git_checkout
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "check_identity.py"
 
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
-def test_check_identity_against_head_on_the_toy_config():
-    config = ROOT / "configs" / "toys.json"
-    done = subprocess.run([sys.executable, str(SCRIPT), "--rev", "HEAD", "--config", str(config),
+def test_check_identity_against_head_on_the_toy_config(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
+    done = subprocess.run([sys.executable, str(clone / "scripts" / "check_identity.py"),
+                           "--rev", "HEAD", "--config", str(clone / "configs" / "toys.json"),
                            "--replications", "2"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()

@@ -305,7 +305,7 @@ def test_garch_chain_makes_one_gradient_call(monkeypatch):
 def test_gibbs_probit_batches_gradients(monkeypatch):
     import zvmcmc.samplers
 
-    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    monkeypatch.setattr(zvmcmc.samplers, "_GIBBS_GRADIENT_ROWS", 8)
     calls = []
     original = ProbitTarget.grad_from_predictor
 
@@ -329,7 +329,7 @@ def test_gibbs_probit_gradients_come_from_the_sweeps(monkeypatch, length, thin, 
     # blocks of 8 rows: lengths below, at, just above and at two blocks plus one
     import zvmcmc.samplers
 
-    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    monkeypatch.setattr(zvmcmc.samplers, "_GIBBS_GRADIENT_ROWS", 8)
     model = ProbitTarget(synthetic_banknote(seed=101, n=80))
     cfg = SamplerConfig(length=length, burn_in=burn_in, thin=thin, seed=4)
     calls = []
@@ -355,21 +355,25 @@ def test_gibbs_probit_gradients_come_from_the_sweeps(monkeypatch, length, thin, 
 
 def unfolded_gibbs_draws(data, cfg):
     """The probit Gibbs sweep written with the signs applied to the latent
-    draw itself, retained draws picked by step offset % thin."""
+    draw itself, retained draws picked by step offset % thin.  Each sweep
+    draws its n uniforms and d normals from the two spawned streams, one
+    sweep at a time."""
     X, y = data.design, data.response
     n, d = X.shape
     xtx_inv = np.linalg.inv(X.T @ X)
     proj = xtx_inv @ X.T
     chol_cov = np.linalg.cholesky(xtx_inv)
     sign = np.where(y == 1.0, 1.0, -1.0)
-    rng = np.random.default_rng(cfg.seed)
+    normal_seed, uniform_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    normals = np.random.default_rng(normal_seed)
+    uniforms = np.random.default_rng(uniform_seed)
     beta = np.zeros(d)
     draws = []
     for step in range(cfg.burn_in + cfg.length * cfg.thin):
         t = X @ beta
-        u = rng.random(n)
+        u = uniforms.random(n)
         latent = t + sign * std_lower(-sign * t, u)
-        beta = proj @ latent + chol_cov @ rng.standard_normal(d)
+        beta = proj @ latent + chol_cov @ normals.standard_normal(d)
         offset = step - cfg.burn_in
         if offset >= 0 and offset % cfg.thin == 0:
             draws.append(beta)
@@ -386,11 +390,28 @@ def test_gibbs_probit_equals_the_unfolded_sweep_exactly():
 def test_gibbs_probit_burn_in_and_thinning_equal_the_unfolded_sweep_exactly(monkeypatch):
     import zvmcmc.samplers
 
-    monkeypatch.setattr(zvmcmc.samplers, "_GRADIENT_BLOCK", 8)
+    monkeypatch.setattr(zvmcmc.samplers, "_GIBBS_GRADIENT_ROWS", 8)
     data = synthetic_banknote(seed=101, n=80)
     cfg = SamplerConfig(length=17, burn_in=5, thin=3, seed=4)
     out = gibbs_probit(ProbitTarget(data), cfg)
     assert np.array_equal(out.draws, unfolded_gibbs_draws(data, cfg))
+
+
+def test_gibbs_probit_draws_do_not_depend_on_the_block_size(monkeypatch):
+    import zvmcmc.samplers
+
+    # 83 rows do not line up with the SIMD width, so the block's log1p pass
+    # splits rows across vector and tail lanes differently for each size
+    model = ProbitTarget(synthetic_banknote(seed=101, n=83))
+    cfg = SamplerConfig(length=150, burn_in=11, thin=3, seed=21)
+    chains = []
+    # one sweep per block, 7 sweeps per block (dividing neither phase), default
+    for uniforms in (1, 7 * 83, zvmcmc.samplers._GIBBS_UNIFORMS):
+        monkeypatch.setattr(zvmcmc.samplers, "_GIBBS_UNIFORMS", uniforms)
+        chains.append(gibbs_probit(model, cfg))
+    for chain in chains[:2]:
+        assert np.array_equal(chain.draws, chains[2].draws)
+        assert np.array_equal(chain.gradients, chains[2].gradients)
 
 
 def test_chain_output_immutable():
