@@ -33,9 +33,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH_COMMAND = [sys.executable, "perfbench/run.py"]
 
 
-def extract_tree(rev, into):
-    """Write the whole tree of rev to into."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def extract_tree(rev, into, path=None):
+    """Write the tree of rev to into, or only path (relative to the root) in it."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev,
+                              *([path] if path else [])],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")

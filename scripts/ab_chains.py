@@ -3,14 +3,15 @@
 
     python scripts/ab_chains.py --rev HEAD~1 [--config configs/logit_banknote.json ...] [--pairs 12]
 
-src/zvmcmc at --rev is extracted with git archive into a temporary package
-under another name, next to the working tree's zvmcmc; the sources import
-each other only relatively, so the two copies do not mix.  For each config
-both sides sample the chains of replication 0 as a study samples them: the
-fit chain and then the eval chain, or the one chain of a single-chain config,
-each with the seed, length, thinning and sampler the study gives it,
-gradients included.  Each side does so once untimed, then --pairs times,
-alternately, the side that goes first switching every pair.  A timing
+src/zvmcmc at --rev is extracted with ab_bench.py's extract_tree into a
+temporary package under another name, next to the working tree's zvmcmc;
+the sources import each other only relatively, so the two copies do not
+mix.  For each config both sides sample the chains of replication 0 as a
+study samples them: the fit chain and then the eval chain, or the one chain
+of a single-chain config, each with the seed, length, thinning and sampler
+the study gives it, gradients included.  Each side does so once untimed,
+then --pairs times, alternately, the side that goes first switching every
+pair.  A timing
 repeats the whole replication's sampling until at least MIN_TIMING_S
 seconds have passed and gives the seconds per replication, so a fixed cost
 per chain weighs as a study pays it, and a replication of a few ms is
@@ -28,28 +29,17 @@ draws, gradients and accept rates are bit-identical, chain by chain.  Exits
 """
 import argparse
 import importlib
-import io
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+from ab_bench import ROOT, extract_tree
 
-ROOT = Path(__file__).resolve().parents[1]
 REV_PACKAGE = "zvmcmc_at_rev"
 MIN_TIMING_S = 0.2
-
-
-def extract_revision(rev, into):
-    """Write src/zvmcmc at rev to into/REV_PACKAGE."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/zvmcmc"],
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
-    (Path(into) / "src" / "zvmcmc").rename(Path(into) / REV_PACKAGE)
 
 
 def replication_chains(package, config_path):
@@ -129,11 +119,12 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            extract_revision(args.rev, tmp)
+            extract_tree(args.rev, tmp, "src/zvmcmc")
         except subprocess.CalledProcessError as exc:
             print(f"cannot extract src/zvmcmc at {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
+        (Path(tmp) / "src" / "zvmcmc").rename(Path(tmp) / REV_PACKAGE)
         sys.path[:0] = [tmp, str(ROOT / "src")]
         old = importlib.import_module(REV_PACKAGE)
         new = importlib.import_module("zvmcmc")

@@ -4,7 +4,7 @@
     python scripts/check_identity.py --rev HEAD~1 [--config configs/toys.json ...] [--replications 2]
 
 Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev,
-extracted with scripts/ab_chains.py's extract_revision, and once with the
+extracted with scripts/ab_bench.py's extract_tree, and once with the
 working tree's, each command in a fresh process:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
@@ -37,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ab_chains import REV_PACKAGE, ROOT, extract_revision
+from ab_bench import ROOT, extract_tree
 from compare_reports import differences
 
 SEED = 7
@@ -84,12 +84,13 @@ def coverage_step(tmp):
             ("coverage.json",))
 
 
-def run_side(package, python_path, argv, out_dir):
-    """Run one CLI command: (its stdout with out_dir replaced by "<out>", None) on
-    success, else (None, the tail of its stderr)."""
+def run_side(python_path, argv, out_dir):
+    """Run one CLI command with the zvmcmc under python_path: (its stdout with
+    out_dir replaced by "<out>", None) on success, else (None, the tail of its
+    stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [python_path, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", f"{package}.cli", *argv, "--out", out_dir],
+    done = subprocess.run([sys.executable, "-m", "zvmcmc.cli", *argv, "--out", out_dir],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     if done.returncode == 0:
         return done.stdout.replace(out_dir, "<out>"), None
@@ -141,18 +142,19 @@ def main(argv=None):
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            extract_revision(args.rev, tmp)
+            extract_tree(args.rev, tmp, "src/zvmcmc")
         except subprocess.CalledProcessError as exc:
             print(f"cannot extract src/zvmcmc at {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
-        sides = {"rev": (REV_PACKAGE, tmp), "tree": ("zvmcmc", str(ROOT / "src"))}
+        # each side runs in its own processes, so both packages keep their name
+        sides = {"rev": str(Path(tmp, "src")), "tree": str(ROOT / "src")}
         steps = protocol(configs, args.replications)
         if args.config is None:
             steps.append(coverage_step(tmp))
         for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
-            done = {side: run_side(*sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
+            done = {side: run_side(sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
                     for side in sides}
             found = [f"{side} failed: {err}" for side, (_, err) in done.items() if err is not None]
             if not found:

@@ -157,6 +157,12 @@ def _cmd_coverage(config) -> dict:
         per = ", ".join(f"{n} {entry['per_parameter'][n]:.0%}" for n in names)
         print(f"  degree {p}: {entry['events_inside']}/{entry['events_total']} inside "
               f"({entry['fraction']:.1%}; {per})")
+    worst = []
+    for p, entry in report["coverage"].items():
+        z = np.abs([entry["z_scores"][n] for n in names])
+        j = int(np.nanargmax(z)) if not np.all(np.isnan(z)) else None
+        worst.append(f"degree {p} " + ("n/a" if j is None else f"{_fmt_float(z[j])} ({names[j]})"))
+    print("mean ZV estimate against the reference point, worst |z|: " + ", ".join(worst))
     return report
 
 

@@ -48,8 +48,10 @@ def batch_means_asvar(series, batch_count: int) -> float | np.ndarray:
         raise ValueError(f"need at least {2 * batch_count} points for {batch_count} batches, got {n}")
     batch_size = n // batch_count
     # one contiguous row per column, reduced along the last axis: the sums
-    # then run in the order a lone 1-d series takes, bit for bit
-    rows = np.ascontiguousarray(x[: batch_size * batch_count].T)
+    # then run in the order a lone 1-d series takes, bit for bit.  A series
+    # whose transpose is contiguous is not copied, and splitting the last
+    # axis into batches is a view
+    rows = np.ascontiguousarray(x.T)[..., : batch_size * batch_count]
     batches = rows.reshape(-1, batch_count, batch_size)
     asvar = batch_size * batches.mean(axis=-1).var(axis=-1, ddof=1)
     return float(asvar[0]) if x.ndim == 1 else asvar
@@ -181,9 +183,10 @@ def cv_zero_mean_test(G, batch_count: int | None = None) -> ZeroMeanReport:
     if N < MIN_ZERO_MEAN_DRAWS:
         raise ValueError(f"need at least {MIN_ZERO_MEAN_DRAWS} draws, got {N}")
     bc = batch_count if batch_count is not None else _default_batch_count(N)
-    # contiguous rows, as in batch_means_asvar: each column's sums as on its own
+    # contiguous rows, as in batch_means_asvar: each column's sums as on its
+    # own; batch_means_asvar takes their transpose without a second copy
     rows = np.ascontiguousarray(G.T)
-    asvar = batch_means_asvar(G, bc)
+    asvar = batch_means_asvar(rows.T, bc)
     degenerate = degenerate_columns(G) | (asvar == 0.0)
     z = np.full(K, np.nan)
     keep = ~degenerate

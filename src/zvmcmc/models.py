@@ -6,8 +6,8 @@ Toy 1-d targets (gaussian, exponential, gamma) and three Bayesian posteriors
     dimension, tag, parameter_names, constrained_coordinates
     in_support(beta) -> bool
     log_density(beta) -> float        (additive constants dropped consistently)
-    grad_log_density(beta) -> (d,)    (beta strictly interior to the support)
-    grad_log_density(B) -> (m, d)     (the same, row by row, for an (m, d) batch)
+    grad_log_density(B) -> (m, d)     (row by row, each strictly interior to the support)
+    grad_log_density(beta) -> (d,)    (row 0 of the gradient of the batch of one beta[None])
     rough_scale() -> (d,)             (crude posterior scale, proposal sizing)
     default_init() -> (d,)
 
@@ -22,12 +22,13 @@ coordinates.  Each target declares its bounds once, as the support tuple of
 (j, strict, message) entries on its class, and the _Target base checks them
 for in_support and for every density and gradient call: _point checks one
 point on its Python floats, which costs far less than numpy reductions over
-a few numbers, and _points checks an (m, d) batch with numpy reductions.
-Both make the same checks in the same order and fail with the same
-messages.  The base also serves rough_scale and default_init from values
-each target sets when it is built, so a target writes only its data, its
-log_density and its grad_log_density; the toys share a 1-d base on top of
-that.
+a few numbers, and grad_log_density checks an (m, d) batch with numpy
+reductions.  Both make the same checks in the same order and fail with the
+same messages.  The base's grad_log_density hands the target's _grad_batch
+the checked batch, a point as the batch of one, and the base serves
+rough_scale and default_init from values each target sets when it is built.
+So a target writes only its data, its log_density and its batch gradient
+rows; the toys share a 1-d base on top of that.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from scipy.special import expit, log_ndtr
 
 __all__ = [
@@ -75,13 +76,38 @@ class _Target:
     """The protocol around a target's two formulas, written once.
 
     A subclass sets dimension and support, the (j, strict, message) bounds
-    _point and _points check, and in __init__ _crude_scale and _start, the
-    values rough_scale and default_init return.  Its log_density validates
-    the argument with _point, its grad_log_density with _points.
+    its densities and gradients check, and in __init__ _crude_scale and
+    _start, the values rough_scale and default_init return.  Its
+    log_density validates the argument with _point; its _grad_batch takes
+    checked (m, d) rows.
     """
 
     support = ()
+    # the bounds a gradient's argument must meet, the support's when None
+    interior = None
     constrained_coordinates = ()
+
+    def grad_log_density(self, beta):
+        """grad log pi at an (m, d) batch, row by row, or at one (d,) point.
+
+        A point is checked by _point and is the batch of one beta[None]: its
+        gradient is that batch's row 0, bit for bit.  A batch is checked as
+        _point checks a point, with numpy reductions, and fails with the
+        message of the first check any row fails.
+        """
+        beta = np.asarray(beta, dtype=float)
+        if beta.ndim != 2:
+            return self._grad_batch(self._point(beta, self.interior)[None])[0]
+        if beta.shape[1] != self.dimension:
+            raise ValueError(f"a batch of parameters must have shape (m, {self.dimension}), "
+                             f"got {beta.shape}")
+        if not np.isfinite(beta).all():
+            raise SupportError(_FINITE)
+        for j, strict, message in self.support if self.interior is None else self.interior:
+            column = beta[:, j]
+            if ((column <= 0.0) if strict else (column < 0.0)).any():
+                raise SupportError(message)
+        return self._grad_batch(beta)
 
     def in_support(self, beta):
         try:
@@ -120,26 +146,6 @@ class _Target:
             raise SupportError(_FINITE)
         for j, strict, message in self.support if bounds is None else bounds:
             if values[j] <= 0.0 if strict else values[j] < 0.0:
-                raise SupportError(message)
-        return beta
-
-    def _points(self, beta, bounds=None):
-        """beta as one (d,) point, as _point returns it, or an (m, d) batch.
-
-        A batch is checked as _point checks a point, with numpy reductions,
-        and fails with the message of the first check any row fails.
-        """
-        beta = np.asarray(beta, dtype=float)
-        if beta.ndim != 2:
-            return self._point(beta, bounds)
-        if beta.shape[1] != self.dimension:
-            raise ValueError(f"a batch of parameters must have shape (m, {self.dimension}), "
-                             f"got {beta.shape}")
-        if not np.isfinite(beta).all():
-            raise SupportError(_FINITE)
-        for j, strict, message in self.support if bounds is None else bounds:
-            column = beta[:, j]
-            if ((column <= 0.0) if strict else (column < 0.0)).any():
                 raise SupportError(message)
         return beta
 
@@ -235,8 +241,7 @@ class GarchPrior:
 # ---------------------------------------------------------------------------
 # toy targets
 #
-# Each toy's formulas broadcast, so one expression serves a (1,) point and an
-# (m, 1) batch.
+# Each toy's gradient is one expression on its (m, 1) rows.
 
 
 class _Toy(_Target):
@@ -262,8 +267,8 @@ class GaussianTarget(_Toy):
         d = self._point(beta)[0] - self.mu
         return float(-0.5 * d * d / self.sigma2)
 
-    def grad_log_density(self, beta):
-        return (self.mu - self._points(beta)) / self.sigma2
+    def _grad_batch(self, beta):
+        return (self.mu - beta) / self.sigma2
 
 
 class ExponentialTarget(_Toy):
@@ -283,8 +288,8 @@ class ExponentialTarget(_Toy):
     def log_density(self, beta):
         return float(-self.lam * self._point(beta)[0])
 
-    def grad_log_density(self, beta):
-        return np.full(self._points(beta).shape, -self.lam)
+    def _grad_batch(self, beta):
+        return np.full(beta.shape, -self.lam)
 
 
 class GammaTarget(_Toy):
@@ -304,16 +309,16 @@ class GammaTarget(_Toy):
         x = self._point(beta)[0]
         return float((self.shape - 1.0) * np.log(x) - x / self.scale)
 
-    def grad_log_density(self, beta):
-        return (self.shape - 1.0) / self._points(beta) - 1.0 / self.scale
+    def _grad_batch(self, beta):
+        return (self.shape - 1.0) / beta - 1.0 / self.scale
 
 
 # ---------------------------------------------------------------------------
 # regression posteriors, flat prior on the coefficients
 #
-# Gradients take the linear predictor as beta @ X', (n,) for one point and
-# (m, n) for a batch, and contract it back with @ X; probit does both with
-# the sign-folded design in place of X.
+# Gradients take the linear predictor of (m, d) rows as beta @ X', (m, n),
+# and contract it back with @ X; probit does both with the sign-folded
+# design in place of X.
 
 
 class _RegressionTarget(_Target):
@@ -334,12 +339,9 @@ class _RegressionTarget(_Target):
         # so products with it equal the unfolded ones with the sign applied
         self.s_design = (2.0 * data.response - 1.0)[:, None] * data.design
 
-    def grad_log_density(self, beta):
-        # each subclass writes _grad_rows, the gradient at a checked (d,)
-        # point or at (m, d) rows; blocks of rows bound its (m, n) temporaries
-        beta = self._points(beta)
-        if beta.ndim == 1:
-            return self._grad_rows(beta)
+    def _grad_batch(self, beta):
+        # each subclass writes _grad_rows, the gradient at (m, d) rows; blocks
+        # of rows bound its (m, n) temporaries
         grad = np.empty_like(beta)
         for start in range(0, beta.shape[0], _GRADIENT_BLOCK):
             block = slice(start, start + _GRADIENT_BLOCK)
@@ -371,9 +373,9 @@ class ProbitTarget(_RegressionTarget):
     def grad_from_predictor(self, st, log_phi):
         """grad log pi from st = s_design beta and log_phi = log Phi(st).
 
-        st and log_phi are one (n,) row, giving (d,), or (m, n) rows, giving
-        (m, d); neither is written to.  The point is not checked: the rows
-        must come from finite coefficients.
+        st and log_phi are (m, n) rows, giving (m, d); neither is written
+        to.  The point is not checked: the rows must come from finite
+        coefficients.
         """
         # the score of row i is s_i phi(x_i'beta) / Phi(s_i x_i'beta), and
         # phi is even; phi/Phi in log space stays finite deep in both tails.
@@ -468,11 +470,11 @@ class GarchTarget(_Target):
     product of truncated normals from GarchPrior.  Support: omega_1 > 0,
     omega_2 >= 0, omega_3 >= 0.
 
-    For one omega the recursions for h and dh/domega are solves with the
-    unit lower-bidiagonal matrix that has -omega_3 below its diagonal.  A
-    batch gradient runs the recursions forward in t on (m,) vectors instead,
-    so its memory does not grow with T, and allocates nothing inside that
-    loop.
+    log_density solves the recursion for h as one banded triangular solve,
+    with the unit lower-bidiagonal matrix that has -omega_3 below its
+    diagonal.  The gradient runs the recursions for h and dh/domega forward
+    in t on (m,) vectors, one entry per row of the batch, so its memory does
+    not grow with T, and allocates nothing inside that loop.
 
     log_density writes into work arrays the instance allocates once: the
     (2, T) band of that matrix, h and the per-t log-likelihood terms.  The
@@ -486,6 +488,7 @@ class GarchTarget(_Target):
     dimension = 3
     parameter_names = ("omega_1", "omega_2", "omega_3")
     support = _GARCH_SUPPORT
+    interior = _GARCH_INTERIOR
 
     def __init__(self, series: ReturnsSeries, prior: GarchPrior | None = None):
         self.series = series
@@ -498,44 +501,25 @@ class GarchTarget(_Target):
         self._crude_scale = [0.05 * series.h0, 0.1, 0.1]
         self._start = [0.2 * series.h0, 0.1, 0.6]
         # log_density's work arrays: the band, h and the log-likelihood terms
-        self._work = (self._band(0.0), np.empty(series.length), np.empty(series.length))
-
-    def _band(self, w3):
-        # LAPACK lower band storage (2, T) of the recursion matrix, -omega_3
-        # below the diagonal in row 1.  Row 0 would hold the unit diagonal,
-        # but under diag "U" dtbsv and dtbtrs never read it, so it is left
-        # unwritten
-        band = np.empty((2, self.series.length), order="F")
-        band[1] = -w3
-        return band
+        T = series.length
+        self._work = (np.zeros((2, T), order="F"), np.empty(T), np.empty(T))
 
     def _h_path(self, omega, band, h):
         """h_1..h_T at omega, solved in the (T,) vector h, which is returned."""
         w1, w2, w3 = omega
+        # LAPACK lower band storage (2, T) of the recursion matrix, -omega_3
+        # below the diagonal in row 1; dtbsv under diag "U" never reads row 0
+        band[1] = -w3
         # the forcing w1 + w2 r2_lag, with w3 h_0 added at t = 1
         np.multiply(self._r2_lag, w2, h)
         np.add(h, w1, h)
         h[0] += w3 * self.series.h0
         return blas.dtbsv(1, band, h, lower=1, diag=1, overwrite_x=1)
 
-    def _h_derivatives(self, h, band):
-        # each recursion d_t = forcing_t + omega_3 d_{t-1} starts from d_0 = 0
-        # because h_0 is a data constant; the omega_3 forcing still sees h_0
-        forcing = np.empty((self.series.length, 3), order="F")
-        forcing[:, 0] = 1.0
-        forcing[:, 1] = self._r2_lag
-        forcing[0, 2] = self.series.h0
-        forcing[1:, 2] = h[:-1]
-        dh, info = lapack.dtbtrs(band, forcing, uplo="L", diag="U", overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
-        return dh
-
     def log_density(self, omega):
         omega = self._point(omega).tolist()
         w1, w2, w3 = omega
         band, h, terms = self._work
-        band[1] = -w3
         h = self._h_path(omega, band, h)
         # log h_t + r2_t / h_t, summed by add.reduce as .sum() would
         np.log(h, terms)
@@ -547,21 +531,12 @@ class GarchTarget(_Target):
         logprior = -0.5 * (w1 * w1 / v1 + w2 * w2 / v2 + w3 * w3 / v3)
         return loglik + logprior
 
-    def grad_log_density(self, omega):
-        omega = self._points(omega, _GARCH_INTERIOR)
-        if omega.ndim == 2:
-            return -omega / self._prior_var + self._loglik_grad_rows(omega)
-        band = self._band(omega[2])
-        h = self._h_path(omega, band, np.empty(self.series.length))
-        dh = self._h_derivatives(h, band)
-        w = 0.5 * (self._r2 / (h * h) - 1.0 / h)
-        return -omega / self._prior_var + dh.T @ w
-
-    def _loglik_grad_rows(self, omega):
-        # sum_t w_t dh_t with the h and dh recursions stepped together; a
-        # per-row loop over the banded solves is slower than this.  Nothing
-        # is allocated in the loop: gain holds the rows 1, r2_{t-1} and h
-        # itself, the three forcings of dh, so one add steps all three
+    def _grad_batch(self, omega):
+        # the prior's rows plus sum_t w_t dh_t, with the h and dh recursions
+        # stepped together; each d_t = forcing_t + omega_3 d_{t-1} starts
+        # from d_0 = 0 because h_0 is a data constant.  Nothing is allocated
+        # in the loop: gain holds the rows 1, r2_{t-1} and h_{t-1}, the
+        # three forcings of dh, so one add steps all three
         m = omega.shape[0]
         w1, w2, w3 = (np.ascontiguousarray(c) for c in omega.T)
         gain = np.empty((3, m))
@@ -587,4 +562,4 @@ class GarchTarget(_Target):
             step /= h
             np.multiply(step, dh, term)
             grad += term
-        return 0.5 * grad.T
+        return -omega / self._prior_var + 0.5 * grad.T

@@ -238,33 +238,19 @@ def truncated_normal_draw(mean, sd, lower, upper, rng) -> float:
 def garch_variance_path(series, omega):
     """Conditional variance path h_1..h_T of GarchTarget's banded solve at omega.
 
-    Exposes the model's own recursion, for tests that check it against a hand
-    loop and against finite differences of garch_h_derivatives.
+    Exposes the model's own recursion, for tests that check it against a
+    hand loop.
     """
     from zvmcmc import GarchTarget
 
     model = GarchTarget(series)
-    omega = np.asarray(omega, dtype=float)
-    return model._h_path(omega, model._band(omega[2]), np.empty(series.length))
-
-
-def garch_h_derivatives(series, omega):
-    """(T, 3) array of dh_t/domega_i from GarchTarget's banded solves at omega.
-
-    With h_1 = omega_1 + omega_3 h_0 (r_0 = 0) the first row is (1, 0, h0) and
-    dh_t/domega_1 sums the geometric series (1 - omega_3^t)/(1 - omega_3).
-    """
-    from zvmcmc import GarchTarget
-
-    model = GarchTarget(series)
-    omega = np.asarray(omega, dtype=float)
-    band = model._band(omega[2])
-    return model._h_derivatives(model._h_path(omega, band, np.empty(series.length)), band)
+    band, h, _ = model._work
+    return model._h_path(np.asarray(omega, dtype=float), band, h)
 
 
 def reference_garch_grad_rows(model, omega):
-    """GarchTarget._loglik_grad_rows written with a temporary per step, an
-    oracle for the allocation-free loop.
+    """The likelihood's gradient rows of GarchTarget's batch gradient, written
+    with a temporary per step, an oracle for its allocation-free loop.
 
     The h and dh recursions are stepped on (m,) rows in the same order of
     operations, so the two agree bit for bit.

@@ -73,6 +73,22 @@ def test_run_single_replication_prints_point_only(tmp_path, capsys):
     assert printed.count("(point only)") == 2
 
 
+@pytest.mark.parametrize("replications", [1, 3])
+def test_coverage_prints_the_worst_mean_z_per_degree(tmp_path, capsys, replications):
+    path = write_config(tmp_path, single_chain=True, reference_length=5000,
+                        replications=replications)
+    assert main(["coverage", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "out" / "coverage.json") as fh:
+        written = json.load(fh)
+    if replications == 1:
+        want = "degree 1 n/a, degree 2 n/a"
+    else:
+        want = ", ".join(f"degree {p} {abs(entry['z_scores']['x']):.4g} (x)"
+                         for p, entry in written["coverage"].items())
+    assert printed[-2] == "mean ZV estimate against the reference point, worst |z|: " + want
+
+
 def test_diagnose_returned_report_equals_written(tmp_path):
     path = write_config(tmp_path)
     returned = run_diagnose(ExperimentConfig.from_file(path))

@@ -24,7 +24,9 @@ from zvmcmc import (
     synthetic_banknote,
 )
 from zvmcmc import experiments
+from zvmcmc.diagnostics import ReferenceReport
 from zvmcmc.experiments import (
+    _coverage_entry,
     _openblas_thread_controls,
     _single_threaded_blas,
     build_model,
@@ -573,10 +575,35 @@ class TestRunCoverage:
             assert set(cov["per_parameter"]) == {"x"}
         # the exact linear control variate pins every estimate to mu
         assert report["coverage"]["1"]["fraction"] == 1.0
+        for p in ("1", "2"):
+            z = report["coverage"][p]["z_scores"]["x"]
+            ref_se = np.sqrt(ref["asvar"][0] / ref["length"])
+            zv = np.array(report["study"]["per_replication_estimates"]["zv"][p])[:, 0]
+            se = np.sqrt(zv.var(ddof=1) / 6 + ref_se**2)
+            assert z == pytest.approx((zv.mean() - ref["point"][0]) / se, rel=1e-12)
         assert "timing" not in report["study"]
         assert report["study"]["schema"] == "zvmcmc-study-v1"
         assert set(report["timing"]) == {"reference_seconds", "study_seconds", "total_seconds"}
 
+
+    def test_mean_z_score_does_not_rest_on_the_reference_interval(self):
+        # a reference interval far narrower than the estimates' spread: every
+        # estimate falls outside it, while their mean agrees with the
+        # reference point and gets a small z-score by the combined standard
+        # error; estimates as tight but off the reference get a large one
+        point, half = np.array([1.0, -2.0]), np.array([1e-4, 1e-4])
+        reference = ReferenceReport(point=point, lower=point - half, upper=point + half,
+                                    length=100_000, asvar=(half / 1.96) ** 2 * 100_000)
+        spread = np.array([[-0.02], [0.03], [-0.01], [0.025], [-0.025]]) * np.array([1.0, 2.0])
+        entry = _coverage_entry(point + spread, reference, ("a", "b"))
+        assert (entry["events_inside"], entry["events_total"], entry["fraction"]) == (0, 10, 0.0)
+        assert entry["per_parameter"] == {"a": 0.0, "b": 0.0}
+        assert set(entry["z_scores"]) == {"a", "b"}
+        assert all(abs(z) < 0.2 for z in entry["z_scores"].values())
+        off = _coverage_entry(point + 0.05 + spread / 10, reference, ("a", "b"))
+        assert all(z > 20 for z in off["z_scores"].values())
+        one = _coverage_entry(point[None, :], reference, ("a", "b"))
+        assert one["events_inside"] == 2 and all(np.isnan(z) for z in one["z_scores"].values())
 
     def test_reference_chain_starts_at_the_configured_init(self, monkeypatch):
         starts = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from helpers import (
     fd_gradient,
-    garch_h_derivatives,
     garch_variance_path,
     reference_garch_grad_rows,
 )
@@ -269,30 +268,6 @@ def test_garch_variance_path_matches_hand_loop():
     assert h[0] == pytest.approx(omega[0] + omega[2] * series.h0)
 
 
-def test_garch_h_derivatives_first_row_and_omega1_series():
-    series = small_series()
-    omega = np.array([0.4 * series.h0, 0.2, 0.6])
-    dh = garch_h_derivatives(series, omega)
-    assert dh.shape == (series.length, 3)
-    assert np.allclose(dh[0], [1.0, 0.0, series.h0])
-    t = np.arange(1, series.length + 1)
-    geom = (1.0 - omega[2] ** t) / (1.0 - omega[2])
-    assert np.allclose(dh[:, 0], geom, rtol=1e-10)
-
-
-def test_garch_h_derivatives_match_finite_differences():
-    series = small_series()
-    omega = np.array([0.4 * series.h0, 0.2, 0.6])
-    dh = garch_h_derivatives(series, omega)
-    for j in range(3):
-        h = 1e-6 * (abs(omega[j]) + 1.0)
-        hi, lo = omega.copy(), omega.copy()
-        hi[j] += h
-        lo[j] -= h
-        fd = (garch_variance_path(series, hi) - garch_variance_path(series, lo)) / (2 * h)
-        assert np.allclose(dh[:, j], fd, rtol=1e-4, atol=1e-10)
-
-
 def hand_garch_recursions(series, omega):
     """h_t and dh_t/domega by the literal recursions, one t at a time."""
     h_prev, r_prev, d_prev = series.h0, 0.0, np.zeros(3)
@@ -307,13 +282,16 @@ def hand_garch_recursions(series, omega):
 
 
 def test_garch_recursions_match_hand_loop_when_explosive():
-    # omega_3 > 1 grows h geometrically; the banded solves must still follow it
+    # omega_3 > 1 grows h geometrically; the banded solve and the gradient's
+    # recursion must still follow it
     series = small_series()
     omega = np.array([0.3 * series.h0, 0.25, 1.05])
     h_hand, dh_hand = hand_garch_recursions(series, omega)
     assert h_hand[-1] > 10 * h_hand[0]
     assert np.allclose(garch_variance_path(series, omega), h_hand, rtol=1e-12)
-    assert np.allclose(garch_h_derivatives(series, omega), dh_hand, rtol=1e-12)
+    w = 0.5 * (series.returns**2 / h_hand**2 - 1.0 / h_hand)
+    grad_hand = w @ dh_hand - omega / GarchPrior().prior_sd**2
+    assert np.allclose(GarchTarget(series).grad_log_density(omega), grad_hand, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +304,16 @@ def batch_cases():
     h0 = series.h0
     garch_rows = np.array([[0.7 * h0, 0.15, 0.55], [0.3 * h0, 0.25, 1.05], [2.0 * h0, 0.01, 0.2]])
     coef_rows = np.array([[0.25, -0.4, 0.6], [-1.0, 0.3, 2.5], [0.0, 0.0, 0.0]])
-    # tolerance relative to each row's largest entry: the toys use the point
-    # formula itself, the regressions' matrix products may sum in another
-    # order, GARCH's batch recursion sums over t in another order
+    # tolerance of an m-row batch against its rows one at a time, relative to
+    # each row's largest entry: the toys' and GARCH's gradients work entry by
+    # entry, the regressions' matrix products may sum in another order
     return [
         (GaussianTarget(mu=2.0, sigma2=3.0), np.array([[0.7], [-1.2], [4.0]]), 0.0),
         (ExponentialTarget(lam=1.5), np.array([[0.9], [0.01], [3.0]]), 0.0),
         (GammaTarget(shape=3.0, scale=1.0), np.array([[2.2], [0.3], [5.0]]), 0.0),
         (ProbitTarget(data), coef_rows, 1e-12),
         (LogitTarget(data), coef_rows, 1e-12),
-        (GarchTarget(series), garch_rows, 1e-10),
+        (GarchTarget(series), garch_rows, 0.0),
     ]
 
 
@@ -346,6 +324,9 @@ def test_batched_gradient_equals_row_by_row(model, rows, tol):
     for got, row in zip(batch, rows):
         want = model.grad_log_density(row)
         assert want.shape == (model.dimension,)
+        # a point is the batch of one, bit for bit, in any argument form
+        assert np.array_equal(want, model.grad_log_density(row[None])[0])
+        assert np.array_equal(want, model.grad_log_density(row.tolist()))
         assert np.all(np.abs(got - want) <= tol * np.abs(want).max())
     assert model.grad_log_density(rows[:1]).shape == (1, model.dimension)
 
@@ -466,8 +447,9 @@ def test_one_point_and_batch_checks_reject_alike(model, point, support, interior
         with raises_exactly(support):
             model.log_density(point)
     inside = model.default_init()
-    # the one-point gradient, and a batch with the point in either row
-    for arg in (point, np.array([inside, point]), np.array([point, inside])):
+    # the one-point gradient, the batch of one, and a batch with the point in
+    # either row
+    for arg in (point, point[None], np.array([inside, point]), np.array([point, inside])):
         with raises_exactly(interior):
             model.grad_log_density(arg)
 
@@ -679,12 +661,19 @@ def test_garch_gradients_do_not_see_log_density_calls():
     assert np.array_equal(m.grad_log_density(points), fresh.grad_log_density(points))
 
 
-@pytest.mark.parametrize("m", [1, 7, 1024])
-def test_garch_batch_gradient_loop_equals_the_reference_loop(m):
+@pytest.mark.parametrize("m,explosive", [(1, False), (7, False), (1024, False), (7, True)],
+                         ids=["1", "7", "1024", "7-explosive"])
+def test_garch_batch_gradient_loop_equals_the_reference_loop(m, explosive):
     series = synthetic_demgbp_returns(seed=333)
     model = GarchTarget(series)
     omega = interior_garch_points(series, m, seed=m)
-    assert np.array_equal(model._loglik_grad_rows(omega), reference_garch_grad_rows(model, omega))
+    if explosive:
+        # omega_3 > 1 grows h and dh geometrically over the whole series
+        omega[:, 2] = np.linspace(1.01, 1.1, m)
+    want = -omega / model._prior_var + reference_garch_grad_rows(model, omega)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(model.grad_log_density(omega), want)
+    assert np.array_equal(model.grad_log_density(omega[0]), want[0])
 
 
 def test_garch_gradient_needs_strict_interior():
