@@ -10,10 +10,11 @@ in a fresh process started from its own tree, and the side that goes first
 switches every pair, so drift of a busy machine falls on both sides alike.
 A run's metrics are the JSON object perfbench prints last.
 
-Prints each end-to-end metric's median and quartiles on both sides and in
+Prints each end-to-end metric's median and quartiles on both sides, in
 how many pairs the working tree was better, in the direction the working
-tree's BENCHMARK.json gives (ties count for neither side).  A run that fails
-its checks, or prints no result, is reported and its pair left out.  Exits 0
+tree's BENCHMARK.json gives (ties count for neither side), and a verdict
+(see verdict) against that metric's bound there.  A run that fails its
+checks, or prints no result, is reported and its pair left out.  Exits 0
 when every run passed, 1 when one failed, 2 when the revision cannot be
 extracted.
 """
@@ -31,6 +32,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 # the benchmark command, run from the root of each tree
 BENCH_COMMAND = [sys.executable, "perfbench/run.py"]
+# complete pairs a gain needs; fewer cannot show one
+GAIN_PAIRS = 10
 
 
 def extract_tree(rev, into, path=None):
@@ -61,9 +64,37 @@ def run_bench(tree, workload, seed, seconds):
 
 
 def directions():
-    """End-to-end metric name -> (unit, "lower" or "higher"), from the working tree's BENCHMARK.json."""
+    """End-to-end metric name -> (unit, "lower" or "higher", bound), from the working tree's BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
+    return {m["name"]: (m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def verdict(old, new, better, bound):
+    """The verdict on a metric from paired runs old[k] (revision) and new[k] (working tree).
+
+    gain        the working tree is better in at least 9/10 of at least
+                GAIN_PAIRS pairs and its median beats the revision's by more
+                than the revision's interquartile range (with fewer pairs,
+                what would be a gain is unresolved)
+    regression  the working tree's median is worse than the revision's by more
+                than the share bound of the revision's median
+    unresolved  the revision's spread (interquartile range / |median|) is wider
+                than bound, and not every working-tree run beats every
+                revision run
+    no change   otherwise
+    """
+    # flipped so that higher is better on both sides
+    sign = -1.0 if better == "lower" else 1.0
+    old, new = sign * np.asarray(old, dtype=float), sign * np.asarray(new, dtype=float)
+    q1, median, q3 = np.percentile(old, [25, 50, 75])
+    gap = np.median(new) - median
+    if np.sum(new > old) >= 0.9 * old.size and gap > q3 - q1:
+        return "gain" if old.size >= GAIN_PAIRS else "unresolved"
+    if -gap > bound * abs(median):
+        return "regression"
+    if q3 - q1 > bound * abs(median) and not new.min() > old.max():
+        return "unresolved"
+    return "no change"
 
 
 def spread(values):
@@ -72,17 +103,18 @@ def spread(values):
 
 
 def report(pairs, rev):
-    """Print each metric both sides report, with the pairs the working tree won."""
+    """Print each metric both sides report, with the pairs the working tree won and the verdict."""
     print(f"{'metric':<18} {'unit':<6} {rev + ' median (q1, q3)':<30} "
-          f"{'working tree median (q1, q3)':<30} working tree better")
-    for name, (unit, better) in directions().items():
+          f"{'working tree median (q1, q3)':<30} {'working tree better':<36} verdict")
+    for name, (unit, better, bound) in directions().items():
         both = [(r[name], t[name]) for r, t in pairs if name in r and name in t]
         if not both:
             continue
         old, new = np.array(both).T
         won = int(np.sum(new < old if better == "lower" else new > old))
         print(f"{name:<18} {unit:<6} {spread(old):<30} {spread(new):<30} "
-              f"{won}/{len(both)} pairs ({better} is better)")
+              f"{f'{won}/{len(both)} pairs ({better} is better)':<36} "
+              f"{verdict(old, new, better, bound)} (bound {bound:g})")
 
 
 def main(argv=None):

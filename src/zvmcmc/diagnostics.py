@@ -195,17 +195,17 @@ def cv_zero_mean_test(G, batch_count: int | None = None) -> ZeroMeanReport:
 
 
 def _running_mean_flags(series_matrix):
-    """Stability heuristic per column of an (N, K) matrix.
+    """(last running mean, divergent flags) per column of an (N, K) matrix.
 
     Divergent when the running mean over the second half of the chain exceeds
     twice the median of the whole running-mean trace.  Advisory only.
     """
     N = series_matrix.shape[0]
-    counts = np.arange(1, N + 1)[:, None]
-    running = np.cumsum(series_matrix, axis=0) / counts
+    running = np.cumsum(series_matrix, axis=0)
+    running /= np.arange(1, N + 1)[:, None]
     median = np.median(running, axis=0)
     tail_max = running[N // 2 :].max(axis=0)
-    return running, tail_max > 2.0 * median
+    return running[-1].copy(), tail_max > 2.0 * median
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,8 @@ class LinnikReport:
 
 
 def linnik_estimate(chain: ChainOutput) -> LinnikReport:
-    running, divergent = _running_mean_flags(chain.gradients**2)
-    return LinnikReport(estimates=running[-1].copy(), divergent=divergent)
+    estimates, divergent = _running_mean_flags(chain.gradients**2)
+    return LinnikReport(estimates=estimates, divergent=divergent)
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,8 @@ def moment_diagnostic(G, delta: float = 0.5) -> MomentReport:
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     series = np.abs(G) ** (2.0 + delta)
-    running, divergent = _running_mean_flags(series)
-    return MomentReport(means=running[-1].copy(), stable=~divergent, delta=delta)
+    means, divergent = _running_mean_flags(series)
+    return MomentReport(means=means, stable=~divergent, delta=delta)
 
 
 # ---------------------------------------------------------------------------

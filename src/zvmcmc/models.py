@@ -4,7 +4,6 @@ Toy 1-d targets (gaussian, exponential, gamma) and three Bayesian posteriors
 (probit, logit, GARCH(1,1)) share one interface:
 
     dimension, tag, parameter_names, constrained_coordinates
-    in_support(beta) -> bool
     log_density(beta) -> float        (additive constants dropped consistently)
     grad_log_density(B) -> (m, d)     (row by row, each strictly interior to the support)
     grad_log_density(beta) -> (d,)    (row 0 of the gradient of the batch of one beta[None])
@@ -13,22 +12,23 @@ Toy 1-d targets (gaussian, exponential, gamma) and three Bayesian posteriors
 
 log_density and grad_log_density raise SupportError outside the support
 (the strict interior for gradients; one offending row fails a whole batch)
-and ValueError on a wrongly shaped argument.  Samplers rely on the former:
-random-walk Metropolis calls log_density on every proposal and reads
-SupportError as a rejection, so each proposal is validated once.
+and ValueError on a wrongly shaped argument.  That SupportError is the only
+check of a point: random-walk Metropolis calls log_density on every proposal
+and reads SupportError as a rejection, so each proposal is validated once.
 
 Every support is "all coordinates finite" plus lower bounds of 0 on some
 coordinates.  Each target declares its bounds once, as the support tuple of
 (j, strict, message) entries on its class, and the _Target base checks them
-for in_support and for every density and gradient call: _point checks one
-point on its Python floats, which costs far less than numpy reductions over
-a few numbers, and grad_log_density checks an (m, d) batch with numpy
-reductions.  Both make the same checks in the same order and fail with the
-same messages.  The base's grad_log_density hands the target's _grad_batch
-the checked batch, a point as the batch of one, and the base serves
-rough_scale and default_init from values each target sets when it is built.
-So a target writes only its data, its log_density and its batch gradient
-rows; the toys share a 1-d base on top of that.
+on every density and gradient call, a gradient's then each non-strict bound
+again as strict (_gradient_bounds): _point checks one point on its Python
+floats, which costs far less than numpy reductions over a few numbers, and
+grad_log_density checks an (m, d) batch with numpy reductions.  Both make
+the same checks in the same order and fail with the same messages.  The
+base's grad_log_density hands the target's _grad_batch the checked batch, a
+point as the batch of one, and the base serves rough_scale and default_init
+from values each target sets when it is built.  So a target writes only its
+data, its log_density and its batch gradient rows; the toys share a 1-d base
+on top of that.
 """
 from __future__ import annotations
 
@@ -83,8 +83,6 @@ class _Target:
     """
 
     support = ()
-    # the bounds a gradient's argument must meet, the support's when None
-    interior = None
     constrained_coordinates = ()
 
     def grad_log_density(self, beta):
@@ -96,25 +94,25 @@ class _Target:
         message of the first check any row fails.
         """
         beta = np.asarray(beta, dtype=float)
+        bounds = self._gradient_bounds()
         if beta.ndim != 2:
-            return self._grad_batch(self._point(beta, self.interior)[None])[0]
+            return self._grad_batch(self._point(beta, bounds)[None])[0]
         if beta.shape[1] != self.dimension:
             raise ValueError(f"a batch of parameters must have shape (m, {self.dimension}), "
                              f"got {beta.shape}")
         if not np.isfinite(beta).all():
             raise SupportError(_FINITE)
-        for j, strict, message in self.support if self.interior is None else self.interior:
+        for j, strict, message in bounds:
             column = beta[:, j]
             if ((column <= 0.0) if strict else (column < 0.0)).any():
                 raise SupportError(message)
         return self._grad_batch(beta)
 
-    def in_support(self, beta):
-        try:
-            self._point(beta)
-        except SupportError:
-            return False
-        return True
+    def _gradient_bounds(self):
+        """The support's bounds, then each non-strict one again as strict (the open face)."""
+        return self.support + tuple(
+            (j, True, f"{self.parameter_names[j]} must be > 0 strictly inside the support")
+            for j, strict, _ in self.support if not strict)
 
     def rough_scale(self):
         return np.array(self._crude_scale, dtype=float)
@@ -452,12 +450,6 @@ _GARCH_SUPPORT = (
     (1, False, "omega_2 must be >= 0"),
     (2, False, "omega_3 must be >= 0"),
 )
-# the gradient also needs the open faces omega_2 > 0 and omega_3 > 0, checked
-# after the whole support
-_GARCH_INTERIOR = _GARCH_SUPPORT + (
-    (1, True, "omega_2 must be > 0 strictly inside the support"),
-    (2, True, "omega_3 must be > 0 strictly inside the support"),
-)
 
 
 class GarchTarget(_Target):
@@ -488,7 +480,6 @@ class GarchTarget(_Target):
     dimension = 3
     parameter_names = ("omega_1", "omega_2", "omega_3")
     support = _GARCH_SUPPORT
-    interior = _GARCH_INTERIOR
 
     def __init__(self, series: ReturnsSeries, prior: GarchPrior | None = None):
         self.series = series

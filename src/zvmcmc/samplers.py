@@ -12,8 +12,9 @@ retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
-and reading SupportError as a rejection.  All randomness comes from
-SamplerConfig.seed: both samplers spawn two numpy Generators from
+and reading SupportError as a rejection; resolve_init checks the start with
+the same call and names the init and the failed bound.  All randomness comes
+from SamplerConfig.seed: both samplers spawn two numpy Generators from
 SeedSequence(seed) (_streams), one for normals and one for uniforms, and
 draw each in blocks, random-walk Metropolis of _RNG_BLOCK steps and Gibbs of
 _GIBBS_UNIFORMS // n sweeps (the draws do not depend on the block sizes).
@@ -139,14 +140,16 @@ def resolve_proposal_sd(model, proposal_sd):
 
 
 def resolve_init(model, init):
-    """init, or the model's default, as a (d,) point; SupportError outside the support."""
+    """(init or the model's default as a (d,) point, its log-density); SupportError outside."""
     x = np.asarray(model.default_init() if init is None else init, dtype=float)
     if x.shape != (model.dimension,):
         raise ValueError(f"init must have {model.dimension} entries for model {model.tag}, "
                          f"got {x.size}")
-    if not model.in_support(x):
-        raise SupportError(f"init {x.tolist()} is outside the support of {model.tag}")
-    return x
+    try:
+        return x, model.log_density(x)
+    except SupportError as exc:
+        raise SupportError(f"init {x.tolist()} is outside the support of {model.tag}: "
+                           f"{exc}") from None
 
 
 def _chain_gradients(model, config, draws, moved):
@@ -182,8 +185,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     normals, uniforms = _streams(config.seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    x = resolve_init(model, config.init)
-    logp = model.log_density(x)
+    x, logp = resolve_init(model, config.init)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 
@@ -289,7 +291,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # by +-1 is exact, so the draws equal those of the unfolded latent
     s_proj = model.xtx_inv @ s_design.T
 
-    beta = resolve_init(model, config.init)
+    beta, _ = resolve_init(model, config.init)
     length, burn_in, thin = config.length, config.burn_in, config.thin
     total = burn_in + length * thin
     draws = np.empty((length, d))

@@ -138,8 +138,7 @@ def reference_rw_metropolis(model, config):
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    x = resolve_init(model, config.init)
-    logp = model.log_density(x)
+    x, logp = resolve_init(model, config.init)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 

@@ -148,7 +148,8 @@ MODEL_SIZED_FIELD_ERRORS = [
     ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]},
      "proposal_sd entries must be finite and > 0"),
     ({"model_kind": "logit", "init": [0.0, 0.0]}, "init must have 4 entries for model logit, got 2"),
-    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]}, "init [-1.0, 0.1, 0.5] is outside the support of garch"),
+    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]},
+     "init [-1.0, 0.1, 0.5] is outside the support of garch: omega_1 must be > 0"),
 ]
 
 # malformed values of plain config fields, each a ConfigError naming the field

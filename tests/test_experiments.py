@@ -237,6 +237,18 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="not found"):
             build_model(cfg)
 
+    @pytest.mark.parametrize("kind,init,bound", [
+        ("exponential", [0.0], "x must be > 0"),
+        ("gamma", [-1.0], "x must be > 0"),
+        ("garch", [0.0, 0.1, 0.5], "omega_1 must be > 0"),
+        ("garch", [1e-5, -0.1, 0.5], "omega_2 must be >= 0"),
+        ("garch", [1e-5, 0.1, -0.5], "omega_3 must be >= 0"),
+    ])
+    def test_an_init_outside_the_support_names_its_bound(self, kind, init, bound):
+        with pytest.raises(ConfigError) as raised:
+            build_model(ExperimentConfig(model_kind=kind, init=init))
+        assert str(raised.value) == f"init {init} is outside the support of {kind}: {bound}"
+
 
 # ---------------------------------------------------------------------------
 # run_study on a cheap closed-form target

@@ -352,11 +352,9 @@ def test_batched_gradient_shape_errors():
         GarchTarget(small_series()).grad_log_density(np.ones((2, 2, 3)))
     with pytest.raises(ValueError):
         GaussianTarget().grad_log_density(np.ones(4))
-    # log_density and in_support stay one-point calls
+    # log_density stays a one-point call
     with pytest.raises(ValueError):
         GaussianTarget().log_density(np.ones((4, 1)))
-    with pytest.raises(ValueError):
-        GaussianTarget().in_support(np.ones((4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +362,33 @@ def test_batched_gradient_shape_errors():
 
 
 def test_support_predicates():
-    assert not ExponentialTarget().in_support([0.0])
-    assert not GammaTarget().in_support([-1.0])
-    assert GaussianTarget().in_support([-1e8])
+    with pytest.raises(SupportError):
+        ExponentialTarget().log_density([0.0])
+    with pytest.raises(SupportError):
+        GammaTarget().log_density([-1.0])
+    assert np.isfinite(GaussianTarget().log_density([-1e8]))
     m = GarchTarget(small_series())
-    assert m.in_support([0.1, 0.0, 0.0])
-    assert not m.in_support([0.0, 0.1, 0.1])
-    assert not m.in_support([0.1, -0.01, 0.1])
+    assert np.isfinite(m.log_density([0.1, 0.0, 0.0]))
+    with pytest.raises(SupportError):
+        m.log_density([0.0, 0.1, 0.1])
+    with pytest.raises(SupportError):
+        m.log_density([0.1, -0.01, 0.1])
+
+
+def test_gradient_bounds_derive_from_the_support():
+    # the tuple GARCH stated by hand beside its support, before it was derived
+    assert GarchTarget(small_series())._gradient_bounds() == (
+        (0, True, "omega_1 must be > 0"),
+        (1, False, "omega_2 must be >= 0"),
+        (2, False, "omega_3 must be >= 0"),
+        (1, True, "omega_2 must be > 0 strictly inside the support"),
+        (2, True, "omega_3 must be > 0 strictly inside the support"),
+    )
+    # every other support is strict, so its gradients check it as it is
+    data = small_regression_data()
+    for model in (GaussianTarget(), ExponentialTarget(), GammaTarget(), ProbitTarget(data),
+                  LogitTarget(data)):
+        assert model._gradient_bounds() == model.support
 
 
 def test_log_density_raises_outside_support():
@@ -440,7 +458,6 @@ def raises_exactly(message):
 @pytest.mark.parametrize("model,point,support,interior", support_cases(),
                          ids=lambda v: getattr(v, "tag", None))
 def test_one_point_and_batch_checks_reject_alike(model, point, support, interior):
-    assert model.in_support(point) is (support is None)
     if support is None:
         assert np.isfinite(model.log_density(point))
     else:
@@ -462,9 +479,8 @@ def one_point_contract():
     """(model, argument, outcome) for the one-point argument forms.
 
     The outcome is None when log_density takes the argument as the (d,)
-    float array np.array(argument, dtype=float).reshape(d) and in_support
-    is True, else the (exception type, message) both calls raise, except
-    that in_support returns False where log_density raises SupportError.
+    float array np.array(argument, dtype=float).reshape(d), else the
+    (exception type, message) it raises.
     """
     data = small_regression_data()
     series = small_series()
@@ -523,18 +539,11 @@ def test_one_point_argument_contract(model, argument, outcome):
         as_array = np.array(argument, dtype=float).reshape(model.dimension)
         value = model.log_density(argument)
         assert type(value) is float and value == model.log_density(as_array)
-        assert model.in_support(argument) is True
         return
     kind, message = outcome
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         model.log_density(argument)
     assert type(raised.value) is kind
-    if kind is SupportError:
-        assert model.in_support(argument) is False
-    else:
-        with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
-            model.in_support(argument)
-        assert type(raised.value) is kind
 
 
 def old_garch_log_density(model, omega):
@@ -737,5 +746,5 @@ def test_interface_consistency_across_models():
         assert np.all(np.isfinite(scale)) and np.all(scale > 0)
         init = m.default_init()
         assert init.shape == (m.dimension,)
-        assert m.in_support(init)
+        assert np.isfinite(m.log_density(init))
         assert all(c in range(m.dimension) for c in m.constrained_coordinates)
