@@ -9,22 +9,26 @@ working tree's, each command in a fresh process:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
   --threads 1 and at --threads 2;
+  run --seed 7 --keep-chains on configs/toys.json, 4 replications at
+  --threads 2, which also writes every sampled chain under <out>/chains;
   diagnose --seed 7 on logit (--length 50000) and on GARCH (--length 20000);
   coverage --seed 7, 4 replications, on a temporary copy of configs/toys.json
   with single_chain true and a 20,000-draw reference chain.
 
---config limits the run and diagnose commands to the given configs and
-leaves out the coverage command; a config outside the shipped four gets the
-runs at 4 replications and no diagnose.  --replications replaces every run's
+--config limits the run and diagnose commands to the given configs (the
+--keep-chains run comes with configs/toys.json) and leaves out the coverage
+command; a config outside the shipped four gets the runs at 4 replications
+and no diagnose.  --replications replaces every run's
 replication count.  Both sides read the working tree's config files.
 
 Each pair of reports is compared with compare_reports.differences, which
 skips every timing block and config.output_dir, each pair of study CSVs
-must be byte-identical, and the two sides must print the same lines once
-each side's output directory is replaced by one placeholder.  Prints one
-line per command; a command whose outputs differ names the largest relative
-difference in each JSON report, says whether the CSV bytes differ and names
-the first printed line that differs.  Exits 0 when every pair is equal, 1
+must be byte-identical, both sides must write the same non-empty set of
+chain CSVs, each byte-identical, and the two sides must print the same
+lines once each side's output directory is replaced by one placeholder.
+Prints one line per command; a command whose outputs differ names the
+largest relative difference in each JSON report, says whether the CSV
+bytes differ and names the first printed line that differs.  Exits 0 when every pair is equal, 1
 when a pair differs or a command fails, and 2 when the revision cannot be
 extracted.
 """
@@ -50,6 +54,8 @@ STUDIES = {
     "configs/toys.json": 4,
     "configs/garch_demgbp.json": 2,
 }
+# the shipped config that also gets a --keep-chains run, at --threads 2
+KEEP_CHAINS = "configs/toys.json"
 # shipped config -> diagnose chain length
 DIAGNOSES = {
     "configs/logit_banknote.json": 50_000,
@@ -69,6 +75,9 @@ def protocol(configs, replications):
         for threads in THREADS:
             steps.append((["run", "--config", key, "--replications", str(reps),
                            "--threads", str(threads)], ("study.json", "study.csv")))
+        if key == KEEP_CHAINS:
+            steps.append((["run", "--config", key, "--replications", str(reps), "--threads", "2",
+                           "--keep-chains"], ("study.json", "study.csv", "chains/")))
         if key in DIAGNOSES:
             steps.append((["diagnose", "--config", key, "--length", str(DIAGNOSES[key])],
                           ("diagnose.json",)))
@@ -110,11 +119,24 @@ def largest_differences(rev_dir, tree_dir, files):
     """How the two output directories differ, or None when they are equal.
 
     Names, for each JSON report, the largest relative difference and where
-    it occurs, and each CSV whose bytes differ.
+    it occurs, and each CSV whose bytes differ.  A name ending in "/" is a
+    directory of CSVs: each side must hold the same files, at least one, and
+    the first file whose bytes differ is named with the count of such files.
     """
     found = []
     for name in files:
         a, b = Path(rev_dir, name), Path(tree_dir, name)
+        if name.endswith("/"):
+            held = [sorted(p.name for p in d.iterdir()) if d.is_dir() else [] for d in (a, b)]
+            if held[0] != held[1]:
+                found.append(f"{name} holds different files ({len(held[0])} vs {len(held[1])})")
+            elif not held[0]:
+                found.append(f"{name} is empty on both sides")
+            else:
+                differ = [f for f in held[0] if (a / f).read_bytes() != (b / f).read_bytes()]
+                if differ:
+                    found.append(f"{name}{differ[0]} bytes differ ({len(differ)} of {len(held[0])} files)")
+            continue
         if name.endswith(".csv"):
             if a.read_bytes() != b.read_bytes():
                 found.append(f"{name} bytes differ")

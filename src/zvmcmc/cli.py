@@ -7,6 +7,11 @@ Subcommands:
   validate  check a config (and its data file) without sampling
   version   print the package version
 
+Each command's run function returns its report in the written JSON form,
+the dict export_study writes; the command prints its summary from that
+dict and writes it unchanged (run also writes study.csv from it, and with
+keep_chains its chains under <output_dir>/chains).
+
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
 or any value of the wrong type or out of range, found before any sampling.
@@ -124,8 +129,7 @@ def _fmt_ratio(entry: dict) -> str:
 
 
 def _cmd_run(config) -> dict:
-    chains_dir = os.path.join(config.output_dir, "chains") if config.keep_chains else None
-    _, report = run_study(config, chains_dir=chains_dir)
+    report = run_study(config)
 
     print(f"model {report['model']['kind']} (dimension {report['model']['dimension']}), "
           f"sampler {report['model']['sampler']}, protocol {report['protocol']}")
@@ -147,7 +151,7 @@ def _cmd_run(config) -> dict:
 
 
 def _cmd_coverage(config) -> dict:
-    _, report = run_coverage(config)
+    report = run_coverage(config)
 
     print(f"model {report['model']['kind']} (dimension {report['model']['dimension']}), "
           f"sampler {report['model']['sampler']}")
@@ -159,7 +163,8 @@ def _cmd_coverage(config) -> dict:
               f"({entry['fraction']:.1%}; {per})")
     worst = []
     for p, entry in report["coverage"].items():
-        z = np.abs([entry["z_scores"][n] for n in names])
+        # a null z-score (one replication) reads as NaN and prints n/a
+        z = np.abs(np.asarray([entry["z_scores"][n] for n in names], dtype=float))
         j = int(np.nanargmax(z)) if not np.all(np.isnan(z)) else None
         worst.append(f"degree {p} " + ("n/a" if j is None else f"{_fmt_float(z[j])} ({names[j]})"))
     print("mean ZV estimate against the reference point, worst |z|: " + ", ".join(worst))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import ChainOutput
+from .samplers import ChainOutput, checked_integer
 from .zv import degenerate_columns
 
 __all__ = [
@@ -40,9 +40,7 @@ def batch_means_asvar(series, batch_count: int) -> float | np.ndarray:
         raise ValueError("series must be 1-d or 2-d")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite entries")
-    if int(batch_count) != batch_count or batch_count < MIN_BATCH_COUNT:
-        raise ValueError(f"batch_count must be an integer >= {MIN_BATCH_COUNT}, got {batch_count}")
-    batch_count = int(batch_count)
+    batch_count = checked_integer("batch_count", batch_count, MIN_BATCH_COUNT)
     n = x.shape[0]
     if n < 2 * batch_count:
         raise ValueError(f"need at least {2 * batch_count} points for {batch_count} batches, got {n}")

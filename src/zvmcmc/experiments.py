@@ -49,7 +49,8 @@ from .models import (
     ProbitTarget,
     SupportError,
 )
-from .samplers import SamplerConfig, resolve_init, resolve_proposal_sd, sample_chain
+from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_proposal_sd,
+                       sample_chain)
 from .zv import (
     InsufficientSampleError,
     MonomialBasis,
@@ -65,7 +66,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "build_model", "control_variate_ba
 
 MODEL_KINDS = ("gaussian", "exponential", "gamma", "probit", "logit", "garch")
 SAMPLER_TYPES = ("auto", "rwmh", "gibbs")
-F_TRANSFORMS = ("identity", "square", "exp")
+# f_transform name -> (f applied to an array of draws, its label for a parameter name)
+F_TRANSFORMS = {"identity": (lambda v: v, lambda s: s),
+                "square": (lambda v: v * v, lambda s: f"{s}^2"),
+                "exp": (np.exp, lambda s: f"exp({s})")}
 
 # seed offsets for streams outside the per-replication pairs; far above any
 # realistic 2 * replications
@@ -79,14 +83,6 @@ STUDY_RATIO_METHOD = "bootstrap-percentile"
 
 class ConfigError(ValueError):
     """Configuration rejected before any sampling started."""
-
-
-def _is_integer(value) -> bool:
-    # JSON true and false are Python ints, but never a count or a seed
-    try:
-        return not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _is_real(value) -> bool:
@@ -104,7 +100,7 @@ def _numbers(name, value) -> tuple:
 
 def _integers(name, value) -> tuple:
     try:
-        if not isinstance(value, str) and all(_is_integer(v) for v in value):
+        if not isinstance(value, str) and all(is_integer(v) for v in value):
             return tuple(int(v) for v in value)
     except TypeError:
         pass
@@ -161,8 +157,8 @@ class ExperimentConfig:
             raise ConfigError(f"sampler_type must be one of {SAMPLER_TYPES}, got {self.sampler_type!r}")
         if self.sampler_type == "gibbs" and self.model_kind != "probit":
             raise ConfigError("sampler_type 'gibbs' is only available for model_kind 'probit'")
-        if self.f_transform not in F_TRANSFORMS:
-            raise ConfigError(f"f_transform must be one of {F_TRANSFORMS}, got {self.f_transform!r}")
+        if not isinstance(self.f_transform, str) or self.f_transform not in F_TRANSFORMS:
+            raise ConfigError(f"f_transform must be one of {tuple(F_TRANSFORMS)}, got {self.f_transform!r}")
         degrees = _integers("degrees", self.degrees)
         if not degrees or any(p not in (1, 2, 3) for p in degrees):
             raise ConfigError(f"degrees must be a non-empty subset of [1, 2, 3], got {list(degrees)}")
@@ -175,13 +171,9 @@ class ExperimentConfig:
                             ("replications", 1), ("bootstrap_resamples", 1),
                             ("reference_length", 2 * MIN_BATCH_COUNT),
                             ("diagnose_length", MIN_ZERO_MEAN_DRAWS), ("threads", 0), ("base_seed", 0)):
-            v = getattr(self, name)
-            if not _is_integer(v) or v < least:
-                what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
-                raise ConfigError(f"{name} must be {what}, got {v!r}")
-            setattr(self, name, int(v))
+            setattr(self, name, checked_integer(name, getattr(self, name), least, ConfigError))
         if self.synthetic_seed is not None:
-            if not _is_integer(self.synthetic_seed) or self.synthetic_seed < 0:
+            if not is_integer(self.synthetic_seed) or self.synthetic_seed < 0:
                 raise ConfigError(f"synthetic_seed must be null or a non-negative integer, "
                                   f"got {self.synthetic_seed!r}")
             self.synthetic_seed = int(self.synthetic_seed)
@@ -248,15 +240,6 @@ class ExperimentConfig:
         if self.sampler_type == "auto":
             return "gibbs" if self.model_kind == "probit" else "rwmh"
         return self.sampler_type
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("prior_sd", "degrees", "proposal_sd", "init"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        if not isinstance(out["exclusions"], str):
-            out["exclusions"] = [list(e) for e in out["exclusions"]]
-        return out
 
 
 def build_model(config: ExperimentConfig):
@@ -333,23 +316,15 @@ def _target(config: ExperimentConfig):
     return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
 
 
-def _transform_by_name(name):
-    if name == "identity":
-        return (lambda v: v), (lambda s: s)
-    if name == "square":
-        return (lambda v: v * v), (lambda s: f"{s}^2")
-    return np.exp, (lambda s: f"exp({s})")
-
-
 def _model_entry(config: ExperimentConfig, model, parameters) -> dict:
-    return {"kind": model.tag, "dimension": model.dimension, "parameters": list(parameters),
+    return {"kind": model.tag, "dimension": model.dimension, "parameters": parameters,
             "sampler": config.sampler}
 
 
 def _summary(estimates) -> dict:
     # across-replication mean and variance; one replication has no variance
-    return {"estimate_mean": float(estimates.mean()),
-            "variance": float(estimates.var(ddof=1)) if estimates.size > 1 else None}
+    return {"estimate_mean": estimates.mean(),
+            "variance": estimates.var(ddof=1) if estimates.size > 1 else None}
 
 
 def control_variate_bases(config: ExperimentConfig, model) -> dict[int, MonomialBasis]:
@@ -386,7 +361,7 @@ _REPLICATION_FAILURES = (SupportError, FloatingPointError, InsufficientSampleErr
 
 
 def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
-    apply_f, _ = _transform_by_name(config.f_transform)
+    apply_f, _ = F_TRANSFORMS[config.f_transform]
     fit_seed = config.base_seed + 2 * r
     eval_seed = config.base_seed + 2 * r + 1
     out = {"r": r, "error": None, "fit_seed": fit_seed, "eval_seed": eval_seed}
@@ -484,12 +459,15 @@ def _single_threaded_blas():
             put(count)
 
 
-def run_study(config: ExperimentConfig, chains_dir=None):
+def run_study(config: ExperimentConfig) -> dict:
     """Run the full replication study.
 
-    Returns (study, report): the ReplicationStudy with one row per successful
-    replication and a JSON-ready report dict.  Wall-clock numbers live only
-    under report["timing"] so the rest is reproducible byte for byte.
+    Returns the report in its written JSON form, the form export_study writes
+    to study.json (see run_diagnose).  Wall-clock numbers live only under
+    report["timing"] so the rest is reproducible byte for byte.  With
+    config.keep_chains every sampled chain is written to
+    <config.output_dir>/chains/rep<r>_fit.csv and, on the two-chain protocol,
+    rep<r>_eval.csv.
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors
@@ -510,7 +488,8 @@ def run_study(config: ExperimentConfig, chains_dir=None):
     outside "timing" is the same.
     """
     model = build_model(config)
-    return _study(config, model, control_variate_bases(config, model), chains_dir)
+    chains_dir = os.path.join(config.output_dir, "chains") if config.keep_chains else None
+    return _jsonable(_study(config, model, control_variate_bases(config, model), chains_dir))
 
 
 def _usable_cpus():
@@ -522,9 +501,10 @@ def _usable_cpus():
 
 
 def _study(config: ExperimentConfig, model, bases, chains_dir):
-    """run_study on a built model and its control_variate_bases."""
+    """run_study's report before its JSON conversion, on a built model and its
+    control_variate_bases: estimates are arrays and degree keys are ints."""
     replicate = partial(_replicate, config, model, bases, chains_dir)
-    _, name_f = _transform_by_name(config.f_transform)
+    _, name_f = F_TRANSFORMS[config.f_transform]
     parameter_names = tuple(name_f(n) for n in model.parameter_names)
     if chains_dir is not None:
         os.makedirs(chains_dir, exist_ok=True)
@@ -537,7 +517,6 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
             rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:
         rows = [replicate(r) for r in reps]
-    rows.sort(key=lambda row: row["r"])
     total_seconds = time.perf_counter() - t_start
 
     good = [row for row in rows if row["error"] is None]
@@ -579,9 +558,9 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
             else:
                 deg_entry.update(ratio=None, ratio_infinite=False, ratio_lower=None,
                                  ratio_upper=None, ratio_method="unavailable")
-            deg_entry["dropped_column_replications"] = int(sum(row["dropped"][p] for row in good))
-            deg_entry["ridge_replications"] = int(sum(row["ridge"][p] for row in good))
-            entry["zv"][str(p)] = deg_entry
+            deg_entry["dropped_column_replications"] = sum(row["dropped"][p] for row in good)
+            deg_entry["ridge_replications"] = sum(row["ridge"][p] for row in good)
+            entry["zv"][p] = deg_entry
         results[name] = entry
 
     pilot_rates = [row["pilot_accept"] for row in good if row["pilot_accept"] is not None]
@@ -592,10 +571,10 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
     report = {
         "schema": "zvmcmc-study-v1",
         "package_version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "model": _model_entry(config, model, parameter_names),
         "protocol": "single-chain" if config.single_chain else "two-chain",
-        "degrees": list(config.degrees),
+        "degrees": config.degrees,
         "replications_requested": config.replications,
         "replications_completed": len(good),
         "partial": bool(errors),
@@ -605,15 +584,11 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
             "fit": [row["fit_seed"] for row in good],
             "eval": [row["eval_seed"] for row in good],
         },
-        "per_replication_estimates": {
-            "ordinary": [[float(v) for v in row] for row in ordinary],
-            "zv": {str(p): [[float(v) for v in row] for row in zv_estimates[p]]
-                   for p in config.degrees},
-        },
+        "per_replication_estimates": {"ordinary": ordinary, "zv": zv_estimates},
         "accept": {
-            "fit_rate_mean": float(np.mean([row["fit_accept"] for row in good])),
-            "eval_rate_mean": float(np.mean([row["eval_accept"] for row in good])),
-            "pilot_rate_mean": float(np.mean(pilot_rates)) if pilot_rates else None,
+            "fit_rate_mean": np.mean([row["fit_accept"] for row in good]),
+            "eval_rate_mean": np.mean([row["eval_accept"] for row in good]),
+            "pilot_rate_mean": np.mean(pilot_rates) if pilot_rates else None,
         },
         "results": results,
         "timing": {
@@ -626,7 +601,7 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
             "zv_over_ordinary": (t_zv / t_ordinary) if t_ordinary > 0 else None,
         },
     }
-    return study, report
+    return report
 
 
 def write_study_csv(report: dict, path) -> None:
@@ -663,15 +638,15 @@ def _coverage_entry(est, reference, names):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (est.mean(axis=0) - reference.point) / np.sqrt(var / R + reference.asvar / reference.length)
     return {
-        "fraction": float(mask.mean()),
-        "events_inside": int(mask.sum()),
-        "events_total": int(mask.size),
-        "per_parameter": {name: float(mask[:, j].mean()) for j, name in enumerate(names)},
-        "z_scores": {name: float(z[j]) for j, name in enumerate(names)},
+        "fraction": mask.mean(),
+        "events_inside": mask.sum(),
+        "events_total": mask.size,
+        "per_parameter": dict(zip(names, mask.mean(axis=0))),
+        "z_scores": dict(zip(names, z)),
     }
 
 
-def run_coverage(config: ExperimentConfig):
+def run_coverage(config: ExperimentConfig) -> dict:
     """Unbiasedness check against a long ordinary reference chain.
 
     One ordinary chain of reference_length draws (no gradients) gives a 95%
@@ -682,7 +657,13 @@ def run_coverage(config: ExperimentConfig):
     Next to the counts, each degree gives per parameter the z-score of the
     mean ZV estimate against the reference point by their combined standard
     error sqrt(var(ZV, ddof=1)/R + asvar/N).  Unlike the counts, it does not
-    rest on the reference interval being wider than the estimates' spread.
+    rest on the reference interval being wider than the estimates' spread;
+    with R = 1 it is NaN, written null.
+
+    Returns the report in its written JSON form, the form export_study writes
+    to coverage.json (see run_diagnose).  The replications' own study report,
+    without its timing block, is the report's "study" block.  No chain CSVs
+    are written: config.keep_chains is read by run_study only.
     """
     if not config.single_chain:
         raise ConfigError("the coverage protocol estimates from single chains; set single_chain to true")
@@ -699,36 +680,33 @@ def run_coverage(config: ExperimentConfig):
     reference = long_chain_reference(ref_chain)
     t_reference = time.perf_counter() - t0
 
-    study, study_report = _study(config, model, bases, None)
-    coverage = {str(p): _coverage_entry(est, reference, study.parameter_names)
-                for p, est in study.zv_estimates.items()}
-
-    study_block = {k: v for k, v in study_report.items() if k != "timing"}
-    report = {
+    study = _study(config, model, bases, None)
+    coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"])
+                for p, est in study["per_replication_estimates"]["zv"].items()}
+    return _jsonable({
         "schema": "zvmcmc-coverage-v1",
         "package_version": __version__,
-        "config": config.to_dict(),
-        "model": study_report["model"],
+        "config": asdict(config),
+        "model": study["model"],
         "reference": {
             "length": reference.length,
             "seed": ref_seed,
-            "point": [float(v) for v in reference.point],
-            "lower": [float(v) for v in reference.lower],
-            "upper": [float(v) for v in reference.upper],
-            "asvar": [float(v) for v in reference.asvar],
+            "point": reference.point,
+            "lower": reference.lower,
+            "upper": reference.upper,
+            "asvar": reference.asvar,
         },
         "coverage": coverage,
-        "study": study_block,
+        "study": {k: v for k, v in study.items() if k != "timing"},
         "timing": {
             "reference_seconds": t_reference,
-            "study_seconds": study_report["timing"]["total_seconds"],
+            "study_seconds": study["timing"]["total_seconds"],
             "total_seconds": time.perf_counter() - t0,
         },
-    }
-    return study, report
+    })
 
 
-def run_diagnose(config: ExperimentConfig):
+def run_diagnose(config: ExperimentConfig) -> dict:
     """Draw one chain and run every diagnostic on it.
 
     The reference point and interval come from the same chain, so this stays
@@ -755,7 +733,7 @@ def run_diagnose(config: ExperimentConfig):
     return _jsonable({
         "schema": "zvmcmc-diagnose-v1",
         "package_version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "model": _model_entry(config, model, model.parameter_names),
         "chain": {
             "length": chain.length,
@@ -767,8 +745,8 @@ def run_diagnose(config: ExperimentConfig):
         "basis": {
             "degree": p_max,
             "size": basis.size,
-            "exponents": [list(a) for a in basis.active],
-            "excluded": [list(a) for a in basis.excluded],
+            "exponents": basis.active,
+            "excluded": basis.excluded,
         },
         "zero_mean": {
             "z_scores": zero_mean.z_scores,

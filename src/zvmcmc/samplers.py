@@ -49,6 +49,25 @@ _GIBBS_UNIFORMS = 1 << 16
 _GIBBS_GRADIENT_ROWS = 64
 
 
+def is_integer(value) -> bool:
+    """The package's one integer rule: an integral number that is not a bool.
+
+    3 and 3.0 pass; True, "3", None, NaN and infinities do not.
+    """
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def checked_integer(name, value, least, error=ValueError) -> int:
+    """int(value) when it passes is_integer and is >= least; else error naming name and repr(value)."""
+    if not (is_integer(value) and value >= least):
+        what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise error(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SamplerConfig:
     """Chain length bookkeeping.
@@ -80,12 +99,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name, least in (("length", 1), ("burn_in", 0), ("thin", 1)):
-            v = getattr(self, name)
-            if int(v) != v or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v}")
-            setattr(self, name, int(v))
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a u64, got {self.seed}")
+            setattr(self, name, checked_integer(name, getattr(self, name), least))
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a u64, got {self.seed!r}")
         self.seed = int(self.seed)
 
 

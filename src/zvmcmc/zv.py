@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import ChainOutput
+from .samplers import ChainOutput, checked_integer, is_integer
 
 __all__ = [
     "InsufficientSampleError",
@@ -84,11 +84,10 @@ def monomial_basis(dimension: int, degree: int, exclusions=()) -> MonomialBasis:
     The full basis has C(dimension + degree, dimension) - 1 elements before
     exclusions.  Each exclusion must name an exponent tuple that exists.
     """
-    if int(dimension) != dimension or dimension < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension}")
-    if degree not in SUPPORTED_DEGREES:
-        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree}")
-    dimension = int(dimension)
+    dimension = checked_integer("dimension", dimension, 1)
+    if not is_integer(degree) or degree not in SUPPORTED_DEGREES:
+        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
+    degree = int(degree)
     exponents = tuple(
         alpha for total in range(1, degree + 1) for alpha in _compositions(dimension, total)
     )

@@ -17,11 +17,12 @@ def test_check_identity_against_head_on_the_toy_config(tmp_path):
                            "--replications", "2"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[:2] == [
+    assert lines == [
         "run --config configs/toys.json --replications 2 --threads 1: identical",
         "run --config configs/toys.json --replications 2 --threads 2: identical",
+        "run --config configs/toys.json --replications 2 --threads 2 --keep-chains: identical",
+        "every report equals HEAD's",
     ]
-    assert lines[2] == "every report equals HEAD's"
 
 
 def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch):
@@ -44,6 +45,34 @@ def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch)
         "study.json largest at per_replication_estimates.zv.2.0.1 (relative 1e-06); "
         "study.csv bytes differ")
     assert largest_differences(tmp_path / "rev", tmp_path / "rev", files) is None
+
+
+def test_chain_csvs_must_be_the_same_files_and_bytes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import largest_differences, protocol
+
+    # the toy config's --keep-chains run compares its chains/ directory
+    keep = [files for argv, files in protocol([str(ROOT / "configs" / "toys.json")], None)
+            if "--keep-chains" in argv]
+    assert keep == [("study.json", "study.csv", "chains/")]
+
+    def chains(side, **files):
+        (tmp_path / side / "chains").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / side / "chains" / f"{name}.csv").write_text(text)
+        return tmp_path / side
+
+    same = chains("rev", rep0000_fit="1,2\n", rep0001_fit="3,4\n")
+    assert largest_differences(same, chains("tree", rep0000_fit="1,2\n", rep0001_fit="3,4\n"),
+                               ("chains/",)) is None
+    assert largest_differences(same, chains("bytes", rep0000_fit="1,2\n", rep0001_fit="3,5\n"),
+                               ("chains/",)) == "chains/rep0001_fit.csv bytes differ (1 of 2 files)"
+    assert largest_differences(same, chains("fewer", rep0000_fit="1,2\n"), ("chains/",)) == (
+        "chains/ holds different files (2 vs 1)")
+    assert largest_differences(same, tmp_path / "missing", ("chains/",)) == (
+        "chains/ holds different files (2 vs 0)")
+    assert largest_differences(chains("empty"), tmp_path / "missing", ("chains/",)) == (
+        "chains/ is empty on both sides")
 
 
 def test_a_differing_printed_line_is_named(monkeypatch):

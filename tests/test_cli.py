@@ -11,7 +11,8 @@ import pytest
 
 import zvmcmc
 import zvmcmc.samplers
-from zvmcmc import ExperimentConfig, SamplerConfig, SupportError, run_diagnose, sample_chain
+from zvmcmc import (ExperimentConfig, SamplerConfig, SupportError, run_coverage, run_diagnose,
+                    run_study, sample_chain)
 from zvmcmc.cli import main
 from zvmcmc.experiments import build_model
 
@@ -89,13 +90,26 @@ def test_coverage_prints_the_worst_mean_z_per_degree(tmp_path, capsys, replicati
     assert printed[-2] == "mean ZV estimate against the reference point, worst |z|: " + want
 
 
-def test_diagnose_returned_report_equals_written(tmp_path):
-    path = write_config(tmp_path)
-    returned = run_diagnose(ExperimentConfig.from_file(path))
-    assert main(["diagnose", "--config", str(path)]) == 0
-    with open(tmp_path / "out" / "diagnose.json") as fh:
+@pytest.mark.parametrize("command,overrides", [
+    ("run", {"replications": 1}),
+    ("run", {"replications": 3}),
+    # one replication: every coverage z-score is NaN, written null
+    ("coverage", {"single_chain": True, "replications": 1, "reference_length": 5000}),
+    ("diagnose", {}),
+], ids=["run-1", "run-3", "coverage-1", "diagnose"])
+def test_returned_report_equals_the_written_file(tmp_path, command, overrides):
+    path = write_config(tmp_path, **overrides)
+    run, name = {"run": (run_study, "study.json"), "coverage": (run_coverage, "coverage.json"),
+                 "diagnose": (run_diagnose, "diagnose.json")}[command]
+    returned = run(ExperimentConfig.from_file(path))
+    assert json.loads(json.dumps(returned, allow_nan=False)) == returned
+    assert main([command, "--config", str(path)]) == 0
+    with open(tmp_path / "out" / name) as fh:
         written = json.load(fh)
     assert without_timing(returned) == without_timing(written)
+    if command == "coverage":
+        assert [z for entry in returned["coverage"].values() for z in entry["z_scores"].values()] == \
+            [None, None]
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

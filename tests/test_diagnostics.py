@@ -88,6 +88,14 @@ def test_batch_means_asvar_validation():
         batch_means_asvar(np.ones(15), 10)
 
 
+@pytest.mark.parametrize("batch_count", [None, "20", True, 20.5, float("inf")])
+def test_batch_means_asvar_takes_an_integer_batch_count(batch_count):
+    with pytest.raises(ValueError) as raised:
+        batch_means_asvar(np.ones(100), batch_count)
+    assert str(raised.value) == f"batch_count must be an integer >= 10, got {batch_count!r}"
+    assert batch_means_asvar(np.arange(100.0), 20.0) == batch_means_asvar(np.arange(100.0), 20)
+
+
 # ---------------------------------------------------------------------------
 # variance ratios
 

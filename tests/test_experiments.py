@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +95,11 @@ class TestConfigValidation:
         ExperimentConfig(model_kind="probit", sampler_type="gibbs")
 
     def test_bad_f_transform(self):
-        with pytest.raises(ConfigError, match="f_transform"):
-            ExperimentConfig(model_kind="gaussian", f_transform="cube")
+        for value in ("cube", ["exp"], None):
+            with pytest.raises(ConfigError) as raised:
+                ExperimentConfig(model_kind="gaussian", f_transform=value)
+            assert str(raised.value) == \
+                f"f_transform must be one of ('identity', 'square', 'exp'), got {value!r}"
 
     @pytest.mark.parametrize("degrees", [[], [0], [4], [1, 2, 4], "12", [1, 1]])
     def test_bad_degrees(self, degrees):
@@ -155,12 +159,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="notes"):
             ExperimentConfig(model_kind="gaussian", notes=42)
 
-    def test_to_dict_roundtrip(self):
-        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], init=[0.0]))
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        # JSON-clean: every tuple flattened to a list
-        json.dumps(cfg.to_dict())
+    def test_written_config_reads_back(self):
+        # a report's config block is asdict(config) with every tuple written as a list
+        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], init=[0.0],
+                                                       exclusions=[[2]]))
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -272,11 +275,16 @@ def without_timing(report):
     return out
 
 
+def zv_column(report, p, j=0):
+    """Column j of the degree-p per-replication ZV estimates of a study report."""
+    return np.array(report["per_replication_estimates"]["zv"][str(p)])[:, j]
+
+
 class TestRunStudy:
     def test_report_schema(self, gaussian_config, gaussian_run):
-        study, report = gaussian_run
+        report = gaussian_run
         assert report["schema"] == "zvmcmc-study-v1"
-        assert report["config"] == gaussian_config.to_dict()
+        assert report["config"] == json.loads(json.dumps(asdict(gaussian_config)))
         assert report["model"] == {
             "kind": "gaussian", "dimension": 1, "parameters": ["x"], "sampler": "rwmh",
         }
@@ -288,28 +296,28 @@ class TestRunStudy:
         assert report["replication_errors"] == []
 
     def test_seed_arithmetic(self, gaussian_run):
-        _, report = gaussian_run
+        report = gaussian_run
         assert report["seeds"]["base"] == 7
         assert report["seeds"]["fit"] == [7, 9, 11, 13]
         assert report["seeds"]["eval"] == [8, 10, 12, 14]
 
     def test_per_replication_estimates_shape(self, gaussian_run):
-        study, report = gaussian_run
-        per = report["per_replication_estimates"]
-        assert len(per["ordinary"]) == 4 and len(per["ordinary"][0]) == 1
-        assert set(per["zv"]) == {"1", "2"}
-        assert np.allclose(per["ordinary"], study.ordinary_estimates)
-        assert np.allclose(per["zv"]["1"], study.zv_estimates[1])
+        per = gaussian_run["per_replication_estimates"]
+        assert np.shape(per["ordinary"]) == (4, 1)
+        assert list(per["zv"]) == ["1", "2"]
+        assert all(np.shape(per["zv"][p]) == (4, 1) for p in ("1", "2"))
+        assert all(type(v) is float for rows in (per["ordinary"], *per["zv"].values())
+                   for row in rows for v in row)
 
     def test_accept_rates(self, gaussian_run):
-        _, report = gaussian_run
+        report = gaussian_run
         acc = report["accept"]
         assert 0.0 < acc["fit_rate_mean"] <= 1.0
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
         assert 0.0 < acc["pilot_rate_mean"] <= 1.0
 
     def test_results_block(self, gaussian_run):
-        _, report = gaussian_run
+        report = gaussian_run
         entry = report["results"]["x"]
         assert abs(entry["ordinary"]["estimate_mean"] - MU) < 0.5
         assert entry["ordinary"]["variance"] > 0
@@ -324,11 +332,10 @@ class TestRunStudy:
     def test_linear_cv_is_exact_for_gaussian(self, gaussian_run):
         # residual of x against the degree-1 control variate is constant, so
         # every replication lands on mu to rounding error
-        study, _ = gaussian_run
-        assert np.allclose(study.zv_estimates[1][:, 0], MU, atol=1e-8)
+        assert np.allclose(zv_column(gaussian_run, 1), MU, atol=1e-8)
 
     def test_timing_block(self, gaussian_run):
-        _, report = gaussian_run
+        report = gaussian_run
         t = report["timing"]
         for key in ("fit_chain_seconds", "eval_chain_seconds", "post_seconds",
                     "total_seconds", "ordinary_seconds", "zv_seconds", "zv_over_ordinary"):
@@ -336,15 +343,15 @@ class TestRunStudy:
         assert t["zv_over_ordinary"] > 1.0
 
     def test_deterministic_given_config(self, gaussian_config, gaussian_run):
-        _, first = gaussian_run
-        _, second = run_study(ExperimentConfig.from_dict(gaussian_config.to_dict()))
+        first = gaussian_run
+        second = run_study(ExperimentConfig.from_dict(asdict(gaussian_config)))
         assert json.dumps(without_timing(first), sort_keys=True) == \
             json.dumps(without_timing(second), sort_keys=True)
 
     def test_threads_do_not_change_results(self, gaussian_config, gaussian_run):
-        _, serial = gaussian_run
-        cfg = ExperimentConfig.from_dict({**gaussian_config.to_dict(), "threads": 2})
-        _, pooled = run_study(cfg)
+        serial = gaussian_run
+        cfg = ExperimentConfig.from_dict({**asdict(gaussian_config), "threads": 2})
+        pooled = run_study(cfg)
         serial = without_timing(serial)
         pooled = without_timing(pooled)
         serial["config"].pop("threads")
@@ -359,7 +366,7 @@ class TestRunStudy:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         cfg = ExperimentConfig.from_dict(gaussian_dict(replications=2, threads=0))
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["replications_completed"] == 2
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
@@ -368,7 +375,7 @@ class TestRunStudy:
         assert experiments._usable_cpus() == 3
 
     def test_study_csv(self, gaussian_run, tmp_path):
-        study, report = gaussian_run
+        report = gaussian_run
         path = tmp_path / "study.csv"
         write_study_csv(report, path)
         lines = path.read_text().strip().split("\n")
@@ -377,7 +384,7 @@ class TestRunStudy:
         assert len(lines) == 1 + 4 * 1 * 3
         first = lines[1].split(",")
         assert first[:3] == ["0", "x", "ordinary"]
-        assert float(first[3]) == study.ordinary_estimates[0, 0]
+        assert float(first[3]) == report["per_replication_estimates"]["ordinary"][0][0]
         assert first[4:] == ["7", "8"]
 
 
@@ -387,7 +394,7 @@ def blas_study(kind, threads):
     config = ExperimentConfig.from_file(CONFIGS / f"{kind}_banknote.json", {
         "burn_in": 200, "fit_length": 1100, "eval_length": 1100, "replications": 4,
         "bootstrap_resamples": 50, "threads": threads})
-    _, report = run_study(config)
+    report = run_study(config)
     report = without_timing(report)
     report["config"].pop("threads")
     return json.dumps(report, sort_keys=True)
@@ -437,8 +444,9 @@ class TestRunStudyVariants:
         # eval_length governs the one chain; build_model rejects a fit_length
         chains = tmp_path / "chains"
         cfg = ExperimentConfig.from_dict(gaussian_dict(
-            single_chain=True, eval_length=500, replications=2))
-        _, report = run_study(cfg, chains_dir=str(chains))
+            single_chain=True, eval_length=500, replications=2, keep_chains=True,
+            output_dir=str(tmp_path)))
+        report = run_study(cfg)
         assert report["protocol"] == "single-chain"
         assert report["accept"]["fit_rate_mean"] == report["accept"]["eval_rate_mean"]
         files = sorted(f.name for f in chains.iterdir())
@@ -447,25 +455,30 @@ class TestRunStudyVariants:
         assert len(rows) == 1 + 500
 
     def test_two_chain_exports_both(self, tmp_path):
-        chains = tmp_path / "chains"
-        cfg = ExperimentConfig.from_dict(gaussian_dict(replications=1))
-        run_study(cfg, chains_dir=str(chains))
-        files = sorted(f.name for f in chains.iterdir())
+        # keep_chains alone asks for the chains, under <output_dir>/chains
+        cfg = ExperimentConfig.from_dict(gaussian_dict(
+            replications=1, keep_chains=True, output_dir=str(tmp_path / "out")))
+        run_study(cfg)
+        files = sorted(f.name for f in (tmp_path / "out" / "chains").iterdir())
         assert files == ["rep0000_eval.csv", "rep0000_fit.csv"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        run_study(ExperimentConfig.from_dict(gaussian_dict(
+            replications=1, output_dir=str(tmp_path / "none"))))
+        assert not (tmp_path / "none").exists()
 
     def test_square_transform(self):
         # x^2 is spanned by the quadratic control variates, so the degree-2
         # estimates hit E[x^2] = mu^2 + sigma2 exactly
         cfg = ExperimentConfig.from_dict(gaussian_dict(f_transform="square", replications=6))
-        study, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["model"]["parameters"] == ["x^2"]
         truth = MU**2 + SIGMA2
         assert abs(report["results"]["x^2"]["ordinary"]["estimate_mean"] - truth) < 1.0
-        assert np.allclose(study.zv_estimates[2][:, 0], truth, atol=1e-6)
+        assert np.allclose(zv_column(report, 2), truth, atol=1e-6)
 
     def test_exp_transform(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict(f_transform="exp", replications=2))
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["model"]["parameters"] == ["exp(x)"]
         assert np.isfinite(report["results"]["exp(x)"]["ordinary"]["estimate_mean"])
 
@@ -473,8 +486,9 @@ class TestRunStudyVariants:
         # excluding the only degree-1 monomial leaves nothing to fit, so the
         # zv arm must reproduce the ordinary estimates and a unit ratio
         cfg = ExperimentConfig.from_dict(gaussian_dict(degrees=[1], exclusions=[[1]]))
-        study, report = run_study(cfg)
-        assert np.array_equal(study.zv_estimates[1], study.ordinary_estimates)
+        report = run_study(cfg)
+        per = report["per_replication_estimates"]
+        assert per["zv"]["1"] == per["ordinary"]
         deg = report["results"]["x"]["zv"]["1"]
         assert deg["ratio"] == 1.0
         assert deg["dropped_column_replications"] == 0
@@ -495,15 +509,15 @@ class TestRunStudyVariants:
         monkeypatch.setattr("zvmcmc.zv.fit_coefficients", spy)
         cfg = ExperimentConfig(model_kind="logit", synthetic_seed=101, burn_in=100, fit_length=200,
                                eval_length=200, degrees=(1, 2), replications=3, threads=1)
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["replications_completed"] == 3
         assert shapes == [(200, 4)] * (3 * 2)
 
     def test_thinning_changes_estimates_not_schema(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict(thin=3, replications=2))
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["replications_completed"] == 2
-        base = run_study(ExperimentConfig.from_dict(gaussian_dict(replications=2)))[1]
+        base = run_study(ExperimentConfig.from_dict(gaussian_dict(replications=2)))
         assert report["per_replication_estimates"] != base["per_replication_estimates"]
 
 
@@ -529,7 +543,7 @@ class TestReplicationFailures:
         cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
         # replication 1 fails on its fit chain
         fail_one_replication(monkeypatch, exc, cfg.base_seed + 2)
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         assert report["partial"] is True
         assert report["replications_completed"] == cfg.replications - 1
         assert report["replication_errors"] == [
@@ -538,7 +552,7 @@ class TestReplicationFailures:
     def test_study_csv_labels_rows_by_replication_id(self, monkeypatch, tmp_path):
         cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
         fail_one_replication(monkeypatch, FloatingPointError("NaN log-density"), cfg.base_seed + 2)
-        _, report = run_study(cfg)
+        report = run_study(cfg)
         path = tmp_path / "study.csv"
         write_study_csv(report, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -572,7 +586,7 @@ class TestRunCoverage:
     def test_gaussian_coverage_report(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict(
             single_chain=True, replications=6, reference_length=30_000, base_seed=3))
-        study, report = run_coverage(cfg)
+        report = run_coverage(cfg)
         assert report["schema"] == "zvmcmc-coverage-v1"
         ref = report["reference"]
         assert ref["length"] == 30_000
@@ -630,7 +644,7 @@ class TestRunCoverage:
         cfg = ExperimentConfig.from_dict(gaussian_dict(
             single_chain=True, replications=2, reference_length=3000, init=[9.0],
             proposal_sd=[1e-9], threads=1))
-        _, report = run_coverage(cfg)
+        report = run_coverage(cfg)
         assert starts == [(3000, [9.0]), (400, [9.0]), (400, [9.0])]
         assert report["reference"]["point"][0] == pytest.approx(9.0, abs=1e-6)
 

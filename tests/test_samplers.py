@@ -523,6 +523,29 @@ def test_sampler_config_bounds(length, burn, thin):
             SamplerConfig(length=length, burn_in=burn, thin=thin)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("length", True, "length must be an integer >= 1, got True"),
+    ("thin", True, "thin must be an integer >= 1, got True"),
+    ("burn_in", np.False_, f"burn_in must be a non-negative integer, got {np.False_!r}"),
+    ("length", None, "length must be an integer >= 1, got None"),
+    ("length", "3", "length must be an integer >= 1, got '3'"),
+    ("thin", float("nan"), "thin must be an integer >= 1, got nan"),
+    ("burn_in", 0.5, "burn_in must be a non-negative integer, got 0.5"),
+    ("seed", True, "seed must be a u64, got True"),
+    ("seed", None, "seed must be a u64, got None"),
+    ("seed", "3", "seed must be a u64, got '3'"),
+])
+def test_sampler_config_takes_integers_only(field, value, message):
+    with pytest.raises(ValueError) as raised:
+        SamplerConfig(**{"length": 10, field: value})
+    assert str(raised.value) == message
+
+
+def test_sampler_config_takes_integral_numbers_as_ints():
+    config = SamplerConfig(length=3.0, burn_in=np.int64(2), thin=np.uint8(1), seed=np.uint64(5))
+    assert [type(v) for v in (config.length, config.burn_in, config.thin, config.seed)] == [int] * 4
+
+
 def test_sampler_config_rejects_bad_seed():
     with pytest.raises(ValueError):
         SamplerConfig(length=10, seed=-1)

@@ -74,6 +74,22 @@ def test_basis_exclusions():
         monomial_basis(0, 1)
 
 
+@pytest.mark.parametrize("dimension,degree,message", [
+    (True, 1, "dimension must be an integer >= 1, got True"),
+    (None, 1, "dimension must be an integer >= 1, got None"),
+    ("2", 1, "dimension must be an integer >= 1, got '2'"),
+    (1.5, 1, "dimension must be an integer >= 1, got 1.5"),
+    (2, True, "degree must be one of (1, 2, 3), got True"),
+    (2, None, "degree must be one of (1, 2, 3), got None"),
+    (2, "2", "degree must be one of (1, 2, 3), got '2'"),
+])
+def test_monomial_basis_takes_integers_only(dimension, degree, message):
+    with pytest.raises(ValueError) as raised:
+        monomial_basis(dimension, degree)
+    assert str(raised.value) == message
+    assert monomial_basis(2.0, np.int64(2)) == monomial_basis(2, 2)
+
+
 def test_default_exclusions_per_model():
     assert default_exclusions(GaussianTarget()) == ()
     assert default_exclusions(ExponentialTarget()) == ((1,),)
