@@ -11,7 +11,8 @@ working tree's, each command in a fresh process:
   --threads 1 and at --threads 2;
   run --seed 7 --keep-chains on configs/toys.json, 4 replications at
   --threads 2, which also writes every sampled chain under <out>/chains;
-  diagnose --seed 7 on logit (--length 50000) and on GARCH (--length 20000);
+  diagnose --seed 7 on logit (--length 50000), on probit, whose Gibbs chain
+  no other diagnose runs, and on GARCH (both --length 20000);
   coverage --seed 7, 4 replications, on a temporary copy of configs/toys.json
   with single_chain true and a 20,000-draw reference chain.
 
@@ -21,16 +22,17 @@ command; a config outside the shipped four gets the runs at 4 replications
 and no diagnose.  --replications replaces every run's
 replication count.  Both sides read the working tree's config files.
 
-Each pair of reports is compared with compare_reports.differences, which
+Each pair of reports is compared with compare_reports.compare, which
 skips every timing block and config.output_dir, each pair of study CSVs
 must be byte-identical, both sides must write the same non-empty set of
 chain CSVs, each byte-identical, and the two sides must print the same
 lines once each side's output directory is replaced by one placeholder.
-Prints one line per command; a command whose outputs differ names the
-largest relative difference in each JSON report, says whether the CSV
-bytes differ and names the first printed line that differs.  Exits 0 when every pair is equal, 1
-when a pair differs or a command fails, and 2 when the revision cannot be
-extracted.
+Prints one line per command; a command whose outputs differ names, for
+each JSON report that differs, the largest relative difference over the
+leaves both sides hold and the keys only one side holds, says whether the
+CSV bytes differ and names the first printed line that differs.  Exits 0
+when every pair is equal, 1 when a pair differs or a command fails, and 2
+when the revision cannot be extracted.
 """
 import argparse
 import itertools
@@ -42,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 from ab_bench import ROOT, extract_tree
-from compare_reports import differences
+from compare_reports import compare, dotted
 
 SEED = 7
 THREADS = (1, 2)
@@ -59,6 +61,7 @@ KEEP_CHAINS = "configs/toys.json"
 # shipped config -> diagnose chain length
 DIAGNOSES = {
     "configs/logit_banknote.json": 50_000,
+    "configs/probit_banknote.json": 20_000,
     "configs/garch_demgbp.json": 20_000,
 }
 # the coverage command's config: a shipped config with these keys replaced
@@ -118,10 +121,12 @@ def stdout_difference(rev_out, tree_out):
 def largest_differences(rev_dir, tree_dir, files):
     """How the two output directories differ, or None when they are equal.
 
-    Names, for each JSON report, the largest relative difference and where
-    it occurs, and each CSV whose bytes differ.  A name ending in "/" is a
-    directory of CSVs: each side must hold the same files, at least one, and
-    the first file whose bytes differ is named with the count of such files.
+    Names, for each JSON report that differs, the largest relative difference
+    over the leaves both sides hold and where it occurs ("shared values
+    equal" when there is none) and the keys only one side holds, and each
+    CSV whose bytes differ.  A name ending in "/" is a directory of CSVs:
+    each side must hold the same files, at least one, and the first file
+    whose bytes differ is named with the count of such files.
     """
     found = []
     for name in files:
@@ -142,10 +147,15 @@ def largest_differences(rev_dir, tree_dir, files):
                 found.append(f"{name} bytes differ")
             continue
         with open(a) as fa, open(b) as fb:
-            path, rel = max(differences(json.load(fa), json.load(fb)),
-                            key=lambda leaf: leaf[1], default=((), 0.0))
-        if rel != 0.0:
-            found.append(f"{name} largest at {'.'.join(map(str, path))} (relative {rel:.3g})")
+            shared, one_sided = compare(json.load(fa), json.load(fb))
+        path, rel = max(shared, key=lambda leaf: leaf[1], default=((), 0.0))
+        parts = [f"largest at {dotted(path)} (relative {rel:.3g})" if rel else "shared values equal"]
+        for side, label in (("a", "rev"), ("b", "tree")):
+            keys = [dotted(p) for p, s in one_sided if s == side]
+            if keys:
+                parts.append(f"only in {label}: {', '.join(keys)}")
+        if rel or one_sided:
+            found.append(f"{name} " + ", ".join(parts))
     return "; ".join(found) or None
 
 

@@ -6,10 +6,13 @@
 Walks both reports side by side, skipping every "timing" block and
 config.output_dir, the only parts that change between runs of one config and
 seed.  For each top-level key it prints the largest relative difference
-|a - b| / max(|a|, |b|) found under it and where.  Missing keys, lists of
-different lengths, unequal strings, booleans or nulls count as an infinite
-difference.  Exits 0 when no difference exceeds rtol (default 0: the reports
-are equal), 1 when one does, and 2 when a file cannot be read.
+|a - b| / max(|a|, |b|) over the leaves both reports hold under it, and
+where.  Lists of different lengths, unequal strings, booleans or nulls count
+as an infinite difference.  A key only one report holds is listed on its own
+line, so a key added on one side cannot hide a change in a value both sides
+hold.  Exits 0 when no difference exceeds rtol (default 0: the reports are
+equal) and no key is on one side only, 1 otherwise, and 2 when a file cannot
+be read.
 """
 import argparse
 import json
@@ -31,29 +34,44 @@ def _relative(a, b):
     return 0.0 if type(a) is type(b) and a == b else math.inf
 
 
-def differences(a, b, path=()):
-    """Yield (path, relative difference) for every leaf of two JSON values."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            if key == "timing" or (key == "output_dir" and path[-1:] == ("config",)):
-                continue
-            if key not in a or key not in b:
-                yield path + (key,), math.inf
-            else:
-                yield from differences(a[key], b[key], path + (key,))
-    elif isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            yield path, math.inf
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from differences(x, y, path + (i,))
-    else:
-        yield path, _relative(a, b)
+def compare(a, b):
+    """(shared, one_sided) for two JSON values a and b.
+
+    shared lists (path, relative difference) for every leaf both values hold;
+    one_sided lists (path, side) for every dict key that only side "a" or "b"
+    holds.
+    """
+    shared, one_sided = [], []
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(set(x) | set(y)):
+                if key == "timing" or (key == "output_dir" and path[-1:] == ("config",)):
+                    continue
+                if key in x and key in y:
+                    walk(x[key], y[key], path + (key,))
+                else:
+                    one_sided.append((path + (key,), "a" if key in x else "b"))
+        elif isinstance(x, list) and isinstance(y, list):
+            if len(x) != len(y):
+                shared.append((path, math.inf))
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, path + (i,))
+        else:
+            shared.append((path, _relative(x, y)))
+
+    walk(a, b, ())
+    return shared, one_sided
 
 
-def largest_by_key(a, b):
-    """{top-level key: (largest relative difference, path where it occurs)}."""
+def dotted(path):
+    return ".".join(map(str, path))
+
+
+def largest_by_key(shared):
+    """{top-level key: (largest relative difference, path where it occurs)} of shared leaves."""
     out = {}
-    for path, rel in differences(a, b):
+    for path, rel in shared:
         key = path[0] if path else ""
         if key not in out or rel > out[key][0]:
             out[key] = (rel, path)
@@ -75,14 +93,17 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
+    shared, one_sided = compare(*reports)
     worst = 0.0
-    for key, (rel, path) in largest_by_key(*reports).items():
-        where = ".".join(str(p) for p in path)
-        print(f"{key}: {rel:.3g}" + (f" at {where}" if rel > 0.0 else ""))
+    for key, (rel, path) in largest_by_key(shared).items():
+        print(f"{key}: {rel:.3g}" + (f" at {dotted(path)}" if rel > 0.0 else ""))
         worst = max(worst, rel)
+    for path, side in one_sided:
+        print(f"only in {args.a if side == 'a' else args.b}: {dotted(path)}")
     verdict = "within" if worst <= args.rtol else "above"
-    print(f"largest relative difference {worst:.3g}, {verdict} rtol {args.rtol:g}")
-    return 0 if worst <= args.rtol else 1
+    print(f"largest relative difference {worst:.3g}, {verdict} rtol {args.rtol:g}"
+          + (f"; {len(one_sided)} key(s) on one side only" if one_sided else ""))
+    return 0 if worst <= args.rtol and not one_sided else 1
 
 
 if __name__ == "__main__":

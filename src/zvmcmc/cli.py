@@ -9,8 +9,9 @@ Subcommands:
 
 Each command's run function returns its report in the written JSON form,
 the dict export_study writes; the command prints its summary from that
-dict and writes it unchanged (run also writes study.csv from it, and with
-keep_chains its chains under <output_dir>/chains).
+dict and writes it unchanged (run also writes study.csv from it).  With
+keep_chains (run also takes --keep-chains) every command writes its chains
+with gradients under <output_dir>/chains, diagnose's as diagnose.csv.
 
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,

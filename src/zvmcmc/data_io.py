@@ -10,6 +10,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -143,6 +144,9 @@ def export_chain(chain: ChainOutput, path) -> None:
 
 
 def _jsonable(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        # a result or config object is written as its fields, in declaration order
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -170,17 +170,19 @@ class ZeroMeanReport:
 MIN_ZERO_MEAN_DRAWS = 1000
 
 
-def cv_zero_mean_test(G, batch_count: int | None = None) -> ZeroMeanReport:
+def cv_zero_mean_test(G) -> ZeroMeanReport:
     """Check that every column of the (N, K) control variate array G averages to zero.
 
-    |z| persistently above about 4 points at a violated unbiasedness condition
-    (wrong gradient, unhandled boundary) rather than bad luck.  Degenerate
-    (constant) columns get NaN and a flag instead of a z-score.
+    z is each column's mean over its batch-means standard error, from
+    max(MIN_BATCH_COUNT, floor(sqrt(N))) batches.  |z| persistently above
+    about 4 points at a violated unbiasedness condition (wrong gradient,
+    unhandled boundary) rather than bad luck.  Degenerate (constant) columns
+    get NaN and a flag instead of a z-score.
     """
     N, K = G.shape
     if N < MIN_ZERO_MEAN_DRAWS:
         raise ValueError(f"need at least {MIN_ZERO_MEAN_DRAWS} draws, got {N}")
-    bc = batch_count if batch_count is not None else _default_batch_count(N)
+    bc = _default_batch_count(N)
     # contiguous rows, as in batch_means_asvar: each column's sums as on its
     # own; batch_means_asvar takes their transpose without a second copy
     rows = np.ascontiguousarray(G.T)
@@ -228,22 +230,24 @@ def linnik_estimate(chain: ChainOutput) -> LinnikReport:
 class MomentReport:
     """Running means of |g|^(2+delta) per control variate column."""
 
+    delta: float
     means: np.ndarray
     stable: np.ndarray
-    delta: float
 
 
-def moment_diagnostic(G, delta: float = 0.5) -> MomentReport:
+MOMENT_DELTA = 0.5
+
+
+def moment_diagnostic(G) -> MomentReport:
     """Check the 2+delta moments of G's (N, K) columns that variance-ratio asymptotics lean on.
 
-    A column whose running mean of |g|^(2+delta) keeps drifting signals that
-    the CLT behind the ratio intervals is on thin ice for this target.
+    delta is MOMENT_DELTA.  A column whose running mean of |g|^(2+delta) keeps
+    drifting signals that the CLT behind the ratio intervals is on thin ice
+    for this target.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    series = np.abs(G) ** (2.0 + delta)
+    series = np.abs(G) ** (2.0 + MOMENT_DELTA)
     means, divergent = _running_mean_flags(series)
-    return MomentReport(means=means, stable=~divergent, delta=delta)
+    return MomentReport(delta=MOMENT_DELTA, means=means, stable=~divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +265,16 @@ class ReferenceReport:
     asvar: np.ndarray
 
 
-def long_chain_reference(chain: ChainOutput, batch_count: int | None = None) -> ReferenceReport:
+def long_chain_reference(chain: ChainOutput) -> ReferenceReport:
     """Ordinary estimates of all coordinate means from one long sampled chain.
 
-    Intervals are mean +- 1.96 sqrt(asvar/N), with batch-means asymptotic
-    variances over batch_count batches (by default chosen from N).
+    asvar is each coordinate mean's batch-means asymptotic variance over
+    max(MIN_BATCH_COUNT, floor(sqrt(N))) batches, and the intervals are
+    mean +- 1.96 sqrt(asvar/N).
     """
     N = chain.length
-    bc = batch_count if batch_count is not None else _default_batch_count(N)
     point = chain.draws.mean(axis=0)
-    asvar = batch_means_asvar(chain.draws, bc)
+    asvar = batch_means_asvar(chain.draws, _default_batch_count(N))
     half = 1.96 * np.sqrt(asvar / N)
     return ReferenceReport(
         point=point,

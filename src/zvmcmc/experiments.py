@@ -3,8 +3,9 @@
 A study runs R independent replications.  Replication r draws a fit chain
 with seed base_seed + 2r and an evaluation chain with seed base_seed + 2r+1,
 estimates control variate coefficients on the first, and averages both the
-plain f and the renormalized ftilde on the second.  Across-replication
-variances of those averages give the variance-reduction ratios.
+plain f and the renormalized ftilde on the second; a single-chain study's
+one chain, seed base_seed + 2r, is both.  Across-replication variances of
+those averages give the variance-reduction ratios.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -363,7 +364,7 @@ _REPLICATION_FAILURES = (SupportError, FloatingPointError, InsufficientSampleErr
 def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
     apply_f, _ = F_TRANSFORMS[config.f_transform]
     fit_seed = config.base_seed + 2 * r
-    eval_seed = config.base_seed + 2 * r + 1
+    eval_seed = fit_seed if config.single_chain else fit_seed + 1
     out = {"r": r, "error": None, "fit_seed": fit_seed, "eval_seed": eval_seed}
     try:
         t0 = time.perf_counter()
@@ -488,8 +489,7 @@ def run_study(config: ExperimentConfig) -> dict:
     outside "timing" is the same.
     """
     model = build_model(config)
-    chains_dir = os.path.join(config.output_dir, "chains") if config.keep_chains else None
-    return _jsonable(_study(config, model, control_variate_bases(config, model), chains_dir))
+    return _jsonable(_study(config, model, control_variate_bases(config, model)))
 
 
 def _usable_cpus():
@@ -500,14 +500,21 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _study(config: ExperimentConfig, model, bases, chains_dir):
+def _chains_dir(config: ExperimentConfig):
+    """<output_dir>/chains, made if missing, with config.keep_chains; else None."""
+    if not config.keep_chains:
+        return None
+    chains_dir = os.path.join(config.output_dir, "chains")
+    os.makedirs(chains_dir, exist_ok=True)
+    return chains_dir
+
+
+def _study(config: ExperimentConfig, model, bases):
     """run_study's report before its JSON conversion, on a built model and its
     control_variate_bases: estimates are arrays and degree keys are ints."""
-    replicate = partial(_replicate, config, model, bases, chains_dir)
+    replicate = partial(_replicate, config, model, bases, _chains_dir(config))
     _, name_f = F_TRANSFORMS[config.f_transform]
     parameter_names = tuple(name_f(n) for n in model.parameter_names)
-    if chains_dir is not None:
-        os.makedirs(chains_dir, exist_ok=True)
 
     t_start = time.perf_counter()
     reps = range(config.replications)
@@ -571,7 +578,7 @@ def _study(config: ExperimentConfig, model, bases, chains_dir):
     report = {
         "schema": "zvmcmc-study-v1",
         "package_version": __version__,
-        "config": asdict(config),
+        "config": config,
         "model": _model_entry(config, model, parameter_names),
         "protocol": "single-chain" if config.single_chain else "two-chain",
         "degrees": config.degrees,
@@ -661,9 +668,11 @@ def run_coverage(config: ExperimentConfig) -> dict:
     with R = 1 it is NaN, written null.
 
     Returns the report in its written JSON form, the form export_study writes
-    to coverage.json (see run_diagnose).  The replications' own study report,
-    without its timing block, is the report's "study" block.  No chain CSVs
-    are written: config.keep_chains is read by run_study only.
+    to coverage.json (see run_diagnose).  Its "reference" block is the
+    reference chain's seed and then the fields of its ReferenceReport.  The
+    replications' own study report, without its timing block, is the
+    "study" block.  With config.keep_chains each replication's chain is
+    written as in run_study; the reference chain has no gradients and is not.
     """
     if not config.single_chain:
         raise ConfigError("the coverage protocol estimates from single chains; set single_chain to true")
@@ -680,22 +689,15 @@ def run_coverage(config: ExperimentConfig) -> dict:
     reference = long_chain_reference(ref_chain)
     t_reference = time.perf_counter() - t0
 
-    study = _study(config, model, bases, None)
+    study = _study(config, model, bases)
     coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"])
                 for p, est in study["per_replication_estimates"]["zv"].items()}
     return _jsonable({
         "schema": "zvmcmc-coverage-v1",
         "package_version": __version__,
-        "config": asdict(config),
+        "config": config,
         "model": study["model"],
-        "reference": {
-            "length": reference.length,
-            "seed": ref_seed,
-            "point": reference.point,
-            "lower": reference.lower,
-            "upper": reference.upper,
-            "asvar": reference.asvar,
-        },
+        "reference": {"seed": ref_seed, **vars(reference)},
         "coverage": coverage,
         "study": {k: v for k, v in study.items() if k != "timing"},
         "timing": {
@@ -709,8 +711,11 @@ def run_coverage(config: ExperimentConfig) -> dict:
 def run_diagnose(config: ExperimentConfig) -> dict:
     """Draw one chain and run every diagnostic on it.
 
-    The reference point and interval come from the same chain, so this stays
-    a single-chain operation.  All flags are advisory.
+    The blocks zero_mean, linnik, moment_2_plus_delta and reference are the
+    fields of the diagnostics functions' results.  The reference point,
+    interval and batch-means asymptotic variance come from the same chain,
+    so this stays a single-chain operation.  All flags are advisory.  With
+    config.keep_chains the chain is written to <output_dir>/chains/diagnose.csv.
 
     The report is returned in its written JSON form, the form export_study
     writes to diagnose.json: arrays are lists, NaN is None and +-inf are the
@@ -724,16 +729,16 @@ def run_diagnose(config: ExperimentConfig) -> dict:
                          method=config.sampler)
     center, scale = standardization_from_chain(chain, model.constrained_coordinates)
     cv = eval_control_variates(chain, basis, center=center, scale=scale)
-    zero_mean = cv_zero_mean_test(cv)
-    linnik = linnik_estimate(chain)
-    moments = moment_diagnostic(cv)
-    reference = long_chain_reference(chain)
+    checks = {"zero_mean": cv_zero_mean_test(cv), "linnik": linnik_estimate(chain),
+              "moment_2_plus_delta": moment_diagnostic(cv), "reference": long_chain_reference(chain)}
     elapsed = time.perf_counter() - t0
+    if config.keep_chains:
+        export_chain(chain, os.path.join(_chains_dir(config), "diagnose.csv"))
 
     return _jsonable({
         "schema": "zvmcmc-diagnose-v1",
         "package_version": __version__,
-        "config": asdict(config),
+        "config": config,
         "model": _model_entry(config, model, model.parameter_names),
         "chain": {
             "length": chain.length,
@@ -748,25 +753,6 @@ def run_diagnose(config: ExperimentConfig) -> dict:
             "exponents": basis.active,
             "excluded": basis.excluded,
         },
-        "zero_mean": {
-            "z_scores": zero_mean.z_scores,
-            "degenerate": zero_mean.degenerate,
-            "batch_count": zero_mean.batch_count,
-        },
-        "linnik": {
-            "estimates": linnik.estimates,
-            "divergent": linnik.divergent,
-        },
-        "moment_2_plus_delta": {
-            "delta": moments.delta,
-            "means": moments.means,
-            "stable": moments.stable,
-        },
-        "reference": {
-            "point": reference.point,
-            "lower": reference.lower,
-            "upper": reference.upper,
-            "length": reference.length,
-        },
+        **checks,
         "timing": {"total_seconds": elapsed},
     })

@@ -47,6 +47,37 @@ def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch)
     assert largest_differences(tmp_path / "rev", tmp_path / "rev", files) is None
 
 
+def test_keys_on_one_side_are_named_apart_from_the_largest_shared_difference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import largest_differences
+
+    def report(side, **reference):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "diagnose.json").write_text(json.dumps({"reference": reference}))
+        return tmp_path / side
+
+    rev = report("rev", point=[1.0, 2.0], length=10, seed=3)
+    files = ("diagnose.json",)
+    assert largest_differences(rev, report("added", point=[1.0, 2.0], length=10, seed=3,
+                                           asvar=[0.5, 0.5]), files) == (
+        "diagnose.json shared values equal, only in tree: reference.asvar")
+    # the added key does not hide a change in a value both sides hold
+    assert largest_differences(rev, report("moved", point=[1.0, 2.5], length=10,
+                                           asvar=[0.5, 0.5]), files) == (
+        "diagnose.json largest at reference.point.1 (relative 0.2), only in rev: reference.seed, "
+        "only in tree: reference.asvar")
+
+
+def test_the_protocol_diagnoses_a_gibbs_chain(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import protocol
+
+    steps = protocol([str(ROOT / "configs" / "probit_banknote.json")], None)
+    assert [argv for argv, _ in steps if argv[0] == "diagnose"] == [
+        ["diagnose", "--config", "configs/probit_banknote.json", "--length", "20000"]]
+    assert json.loads((ROOT / "configs" / "probit_banknote.json").read_text())["sampler_type"] == "gibbs"
+
+
 def test_chain_csvs_must_be_the_same_files_and_bytes(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from check_identity import largest_differences, protocol

@@ -35,3 +35,33 @@ def test_compare_reports_equal_and_different_pairs(tmp_path):
     assert "per_replication_estimates: 1e-09 at per_replication_estimates.zv.2.1.0" in different.stdout
     assert "accept: 0\n" in different.stdout
     assert compare(a, c, "--rtol", "1e-6").returncode == 0
+
+
+def test_a_key_on_one_side_is_listed_and_hides_no_value_difference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    from compare_reports import compare as compare_values
+
+    assert compare_values({"a": 1, "x": {"y": 2.0}, "timing": {"s": 1}},
+                          {"b": 1, "x": {"y": 2.5, "z": [1]}}) == (
+        [(("x", "y"), 0.2)], [(("a",), "a"), (("b",), "b"), (("x", "z"), "b")])
+
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"reference": {"point": [1.0, 2.0], "length": 100}}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"reference": {"point": [1.0, 2.0 * (1.0 + 1e-6)], "length": 100,
+                                           "asvar": [3.0, 4.0]}}))
+    different = compare(a, b)
+    assert different.returncode == 1
+    assert different.stdout.splitlines() == [
+        "reference: 1e-06 at reference.point.1",
+        f"only in {b}: reference.asvar",
+        "largest relative difference 1e-06, above rtol 0; 1 key(s) on one side only"]
+    # a one-sided key fails whatever the tolerance, and equal values read 0
+    assert compare(a, b, "--rtol", "1e-3").returncode == 1
+    b.write_text(json.dumps({"reference": {"point": [1.0, 2.0], "length": 100, "asvar": [3.0]}}))
+    added = compare(a, b)
+    assert added.returncode == 1
+    assert added.stdout.splitlines() == [
+        "reference: 0", f"only in {b}: reference.asvar",
+        "largest relative difference 0, within rtol 0; 1 key(s) on one side only"]
+    assert compare(b, a).stdout.splitlines()[1] == f"only in {b}: reference.asvar"

@@ -8,6 +8,7 @@ from zvmcmc import (
     ChainOutput,
     DataLoadError,
     GaussianTarget,
+    ReferenceReport,
     SamplerConfig,
     export_chain,
     export_study,
@@ -17,6 +18,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
+from zvmcmc.data_io import _jsonable
 
 # ---------------------------------------------------------------------------
 # CSV loaders
@@ -145,6 +147,18 @@ def test_export_study_sanitizes_nonfinite(tmp_path):
     export_study(report, path)
     loaded = json.loads(path.read_text())
     assert loaded == {"a": "inf", "b": None, "c": 2.5, "d": [3, [1, 2]]}
+
+
+def test_jsonable_writes_a_dataclass_as_its_fields_and_leaves_a_dataclass_class_alone():
+    report = ReferenceReport(point=np.array([1.0, np.nan]), lower=np.array([0.5, -np.inf]),
+                             upper=np.array([1.5, np.inf]), length=np.int64(100),
+                             asvar=np.array([2.0, 3.0]))
+    written = _jsonable({"reference": report})["reference"]
+    assert list(written) == ["point", "lower", "upper", "length", "asvar"]
+    assert written == {"point": [1.0, None], "lower": [0.5, "-inf"], "upper": [1.5, "inf"],
+                       "length": 100, "asvar": [2.0, 3.0]}
+    assert type(written["length"]) is int
+    assert _jsonable(ReferenceReport) is ReferenceReport
 
 
 # ---------------------------------------------------------------------------

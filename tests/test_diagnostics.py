@@ -26,6 +26,8 @@ from zvmcmc import (
 )
 from test_zv import make_chain
 
+from zvmcmc.diagnostics import MOMENT_DELTA
+
 # ---------------------------------------------------------------------------
 # batch means
 
@@ -286,13 +288,11 @@ def test_moment_diagnostic_stable_for_gaussian():
     model = GaussianTarget()
     chain = rw_metropolis(model, SamplerConfig(length=5000, burn_in=500, seed=44))
     cv = eval_control_variates(chain, monomial_basis(1, 2))
-    rep = moment_diagnostic(cv, delta=0.5)
-    assert rep.delta == 0.5
+    rep = moment_diagnostic(cv)
+    assert rep.delta == MOMENT_DELTA == 0.5
     assert rep.means.shape == (2,)
     assert np.all(rep.means > 0)
     assert rep.stable.all()
-    with pytest.raises(ValueError):
-        moment_diagnostic(cv, delta=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,12 @@ from zvmcmc import (
     LogitTarget,
     ProbitTarget,
     SupportError,
+    cv_zero_mean_test,
+    eval_control_variates,
     fit_coefficients,
+    linnik_estimate,
+    long_chain_reference,
+    moment_diagnostic,
     run_coverage,
     run_diagnose,
     run_study,
@@ -25,6 +30,7 @@ from zvmcmc import (
     synthetic_banknote,
 )
 from zvmcmc import experiments
+from zvmcmc.data_io import _jsonable
 from zvmcmc.diagnostics import ReferenceReport
 from zvmcmc.experiments import (
     _coverage_entry,
@@ -300,6 +306,35 @@ class TestRunStudy:
         assert report["seeds"]["base"] == 7
         assert report["seeds"]["fit"] == [7, 9, 11, 13]
         assert report["seeds"]["eval"] == [8, 10, 12, 14]
+
+    @pytest.mark.parametrize("command,single_chain",
+                             [("run", False), ("run", True), ("coverage", True)])
+    def test_every_reported_seed_is_the_seed_of_a_sampled_chain(self, monkeypatch, tmp_path,
+                                                                command, single_chain):
+        used = []
+
+        def spy(model, config, method="rwmh"):
+            chain = sample_chain(model, config, method=method)
+            used.append(chain.seed_used)
+            return chain
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
+        cfg = ExperimentConfig.from_dict(gaussian_dict(
+            single_chain=single_chain, replications=3, reference_length=2000, threads=1))
+        if command == "run":
+            report = study = run_study(cfg)
+        else:
+            report = run_coverage(cfg)
+            study = report["study"]
+            assert report["reference"]["seed"] in used
+        seeds = study["seeds"]
+        assert len(seeds["fit"]) == len(seeds["eval"]) == 3
+        assert set(seeds["fit"]) | set(seeds["eval"]) <= set(used)
+        # one chain per replication under single-chain: its seed is both seeds
+        assert (seeds["eval"] == seeds["fit"]) == single_chain
+        write_study_csv(study, tmp_path / "study.csv")
+        rows = [line.split(",") for line in (tmp_path / "study.csv").read_text().splitlines()[1:]]
+        assert {int(row[k]) for row in rows for k in (4, 5)} <= set(used)
 
     def test_per_replication_estimates_shape(self, gaussian_run):
         per = gaussian_run["per_replication_estimates"]
@@ -672,6 +707,27 @@ class TestRunCoverage:
         run_coverage(cfg)
         assert calls == [101]
 
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_keep_chains_writes_the_replication_chains(self, tmp_path, keep):
+        # the reference chain has no gradients and is never written
+        out = tmp_path / "out"
+        run_coverage(ExperimentConfig.from_dict(gaussian_dict(
+            single_chain=True, replications=2, reference_length=2000, keep_chains=keep,
+            output_dir=str(out))))
+        if keep:
+            assert sorted(f.name for f in (out / "chains").iterdir()) == [
+                "rep0000_fit.csv", "rep0001_fit.csv"]
+            assert len((out / "chains" / "rep0000_fit.csv").read_text().splitlines()) == 1 + 400
+        else:
+            assert not out.exists()
+
+    def test_reference_block_has_the_keys_of_diagnoses_and_the_seed(self):
+        cfg = ExperimentConfig.from_dict(gaussian_dict(
+            single_chain=True, replications=2, reference_length=2000, diagnose_length=2000))
+        diagnosed = run_diagnose(cfg)["reference"]
+        assert list(run_coverage(cfg)["reference"]) == ["seed", *diagnosed]
+        assert list(diagnosed) == ["point", "lower", "upper", "length", "asvar"]
+
 
 # ---------------------------------------------------------------------------
 # run_diagnose
@@ -698,6 +754,41 @@ class TestRunDiagnose:
         assert report["moment_2_plus_delta"]["stable"] == [True, True]
         assert report["reference"]["lower"][0] < report["reference"]["upper"][0]
         assert report["timing"]["total_seconds"] > 0
+
+    def test_each_diagnostics_block_is_the_written_form_of_its_result(self, monkeypatch):
+        chains, arrays = [], []
+
+        def chain_spy(model, config, method="rwmh"):
+            chains.append(sample_chain(model, config, method=method))
+            return chains[-1]
+
+        def array_spy(chain, basis, center=None, scale=None):
+            arrays.append(eval_control_variates(chain, basis, center=center, scale=scale))
+            return arrays[-1]
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", chain_spy)
+        monkeypatch.setattr("zvmcmc.experiments.eval_control_variates", array_spy)
+        report = run_diagnose(ExperimentConfig.from_dict(gaussian_dict(diagnose_length=2000)))
+        (chain,), (G,) = chains, arrays
+        expected = {"zero_mean": cv_zero_mean_test(G), "linnik": linnik_estimate(chain),
+                    "moment_2_plus_delta": moment_diagnostic(G),
+                    "reference": long_chain_reference(chain)}
+        for key, result in expected.items():
+            assert report[key] == _jsonable(result)
+            assert list(report[key]) == [f.name for f in fields(result)]
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_keep_chains_writes_the_chain(self, tmp_path, keep):
+        out = tmp_path / "out"
+        report = run_diagnose(ExperimentConfig.from_dict(gaussian_dict(
+            diagnose_length=2000, keep_chains=keep, output_dir=str(out))))
+        if keep:
+            assert [f.name for f in (out / "chains").iterdir()] == ["diagnose.csv"]
+            rows = np.loadtxt(out / "chains" / "diagnose.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (2000, 3)
+            assert rows[:, 1].mean() == pytest.approx(report["reference"]["point"][0], rel=1e-12)
+        else:
+            assert not out.exists()
 
     def test_exponential_degree2_control_variate_has_zero_mean(self):
         # centering x would leak the boundary term of pi(0) > 0 into (x - c)^2
