@@ -29,10 +29,11 @@ chain CSVs, each byte-identical, and the two sides must print the same
 lines once each side's output directory is replaced by one placeholder.
 Prints one line per command; a command whose outputs differ names, for
 each JSON report that differs, the largest relative difference over the
-leaves both sides hold and the keys only one side holds, says whether the
-CSV bytes differ and names the first printed line that differs.  Exits 0
-when every pair is equal, 1 when a pair differs or a command fails, and 2
-when the revision cannot be extracted.
+leaves both sides hold, the keys only one side holds and the objects whose
+keys come in another order, says whether the CSV bytes differ and names the
+first printed line that differs.  Exits 0 when every pair is equal, 1 when a
+pair differs or a command fails, and 2 when the revision cannot be
+extracted.
 """
 import argparse
 import itertools
@@ -123,10 +124,11 @@ def largest_differences(rev_dir, tree_dir, files):
 
     Names, for each JSON report that differs, the largest relative difference
     over the leaves both sides hold and where it occurs ("shared values
-    equal" when there is none) and the keys only one side holds, and each
-    CSV whose bytes differ.  A name ending in "/" is a directory of CSVs:
-    each side must hold the same files, at least one, and the first file
-    whose bytes differ is named with the count of such files.
+    equal" when there is none), the keys only one side holds and the objects
+    whose shared keys come in another order, and each CSV whose bytes
+    differ.  A name ending in "/" is a directory of CSVs: each side must
+    hold the same files, at least one, and the first file whose bytes differ
+    is named with the count of such files.
     """
     found = []
     for name in files:
@@ -147,14 +149,16 @@ def largest_differences(rev_dir, tree_dir, files):
                 found.append(f"{name} bytes differ")
             continue
         with open(a) as fa, open(b) as fb:
-            shared, one_sided = compare(json.load(fa), json.load(fb))
+            shared, one_sided, reordered = compare(json.load(fa), json.load(fb))
         path, rel = max(shared, key=lambda leaf: leaf[1], default=((), 0.0))
         parts = [f"largest at {dotted(path)} (relative {rel:.3g})" if rel else "shared values equal"]
         for side, label in (("a", "rev"), ("b", "tree")):
             keys = [dotted(p) for p, s in one_sided if s == side]
             if keys:
                 parts.append(f"only in {label}: {', '.join(keys)}")
-        if rel or one_sided:
+        if reordered:
+            parts.append(f"key order differs: {', '.join(map(dotted, reordered))}")
+        if rel or one_sided or reordered:
             found.append(f"{name} " + ", ".join(parts))
     return "; ".join(found) or None
 

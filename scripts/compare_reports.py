@@ -10,9 +10,11 @@ seed.  For each top-level key it prints the largest relative difference
 where.  Lists of different lengths, unequal strings, booleans or nulls count
 as an infinite difference.  A key only one report holds is listed on its own
 line, so a key added on one side cannot hide a change in a value both sides
-hold.  Exits 0 when no difference exceeds rtol (default 0: the reports are
-equal) and no key is on one side only, 1 otherwise, and 2 when a file cannot
-be read.
+hold.  So is each object whose shared keys, timing and output_dir among
+them, come in a different order, since the written bytes then differ.
+Exits 0 when no difference exceeds rtol (default 0: the reports are equal),
+no key is on one side only and no keys are reordered, 1 otherwise, and 2
+when a file cannot be read.
 """
 import argparse
 import json
@@ -35,16 +37,19 @@ def _relative(a, b):
 
 
 def compare(a, b):
-    """(shared, one_sided) for two JSON values a and b.
+    """(shared, one_sided, reordered) for two JSON values a and b.
 
     shared lists (path, relative difference) for every leaf both values hold;
     one_sided lists (path, side) for every dict key that only side "a" or "b"
-    holds.
+    holds; reordered lists the path of every dict whose shared keys come in a
+    different order on the two sides.
     """
-    shared, one_sided = [], []
+    shared, one_sided, reordered = [], [], []
 
     def walk(x, y, path):
         if isinstance(x, dict) and isinstance(y, dict):
+            if [k for k in x if k in y] != [k for k in y if k in x]:
+                reordered.append(path)
             for key in sorted(set(x) | set(y)):
                 if key == "timing" or (key == "output_dir" and path[-1:] == ("config",)):
                     continue
@@ -61,11 +66,11 @@ def compare(a, b):
             shared.append((path, _relative(x, y)))
 
     walk(a, b, ())
-    return shared, one_sided
+    return shared, one_sided, reordered
 
 
 def dotted(path):
-    return ".".join(map(str, path))
+    return ".".join(map(str, path)) or "(top level)"
 
 
 def largest_by_key(shared):
@@ -93,17 +98,20 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-    shared, one_sided = compare(*reports)
+    shared, one_sided, reordered = compare(*reports)
     worst = 0.0
     for key, (rel, path) in largest_by_key(shared).items():
         print(f"{key}: {rel:.3g}" + (f" at {dotted(path)}" if rel > 0.0 else ""))
         worst = max(worst, rel)
     for path, side in one_sided:
         print(f"only in {args.a if side == 'a' else args.b}: {dotted(path)}")
+    for path in reordered:
+        print(f"key order differs: {dotted(path)}")
     verdict = "within" if worst <= args.rtol else "above"
     print(f"largest relative difference {worst:.3g}, {verdict} rtol {args.rtol:g}"
-          + (f"; {len(one_sided)} key(s) on one side only" if one_sided else ""))
-    return 0 if worst <= args.rtol and not one_sided else 1
+          + (f"; {len(one_sided)} key(s) on one side only" if one_sided else "")
+          + (f"; {len(reordered)} object(s) with keys in another order" if reordered else ""))
+    return 0 if worst <= args.rtol and not one_sided and not reordered else 1
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ Subcommands:
 Each command's run function returns its report in the written JSON form,
 the dict export_study writes; the command prints its summary from that
 dict and writes it unchanged (run also writes study.csv from it).  With
-keep_chains (run also takes --keep-chains) every command writes its chains
-with gradients under <output_dir>/chains, diagnose's as diagnose.csv.
+keep_chains (or --keep-chains) every command writes its chains with
+gradients under <output_dir>/chains, diagnose's as diagnose.csv.
 
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
@@ -66,13 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="worker processes (0 = one per CPU this process may use); pool "
                                "workers run BLAS single-threaded, one process keeps the library "
                                "default")
+    run_args.add_argument("--keep-chains", action="store_true", default=None,
+                          help="write every sampled chain to CSV under the output directory")
 
     run_p = sub.add_parser("run", parents=[run_args], help="run a replication study")
     run_p.add_argument("--replications", type=int, default=None, help="override replication count")
     run_p.add_argument("--single-chain", action="store_true", default=None,
                        help="fit and evaluate on the same chain")
-    run_p.add_argument("--keep-chains", action="store_true", default=None,
-                       help="write every sampled chain to CSV under the output directory")
 
     cov_p = sub.add_parser("coverage", parents=[run_args],
                            help="check ZV estimates against a long reference chain")

@@ -49,6 +49,7 @@ from .models import (
     LogitTarget,
     ProbitTarget,
     SupportError,
+    _Toy,
 )
 from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_proposal_sd,
                        sample_chain)
@@ -65,8 +66,15 @@ from .zv import (
 __all__ = ["ConfigError", "ExperimentConfig", "build_model", "control_variate_bases", "run_study",
            "run_coverage", "run_diagnose", "write_study_csv"]
 
-MODEL_KINDS = ("gaussian", "exponential", "gamma", "probit", "logit", "garch")
-SAMPLER_TYPES = ("auto", "rwmh", "gibbs")
+# model kind -> (target class, the config keys its constructor reads, the sampler
+# that runs it); the toys take those keys as their arguments, probit and logit
+# read their data and garch its data and prior
+_KINDS = {"gaussian": (GaussianTarget, ("mu", "sigma2"), "rwmh"),
+          "exponential": (ExponentialTarget, ("lam",), "rwmh"),
+          "gamma": (GammaTarget, ("gamma_shape", "gamma_scale"), "rwmh"),
+          "probit": (ProbitTarget, (), "gibbs"),
+          "logit": (LogitTarget, (), "rwmh"),
+          "garch": (GarchTarget, ("prior_sd",), "rwmh")}
 # f_transform name -> (f applied to an array of draws, its label for a parameter name)
 F_TRANSFORMS = {"identity": (lambda v: v, lambda s: s),
                 "square": (lambda v: v * v, lambda s: f"{s}^2"),
@@ -113,7 +121,8 @@ class ExperimentConfig:
     """Flat experiment description; one JSON object, every field overridable.
 
     Defaults follow the shipped experiment protocol: 1000 burn-in, 2000-draw
-    fit chains, replications with paired seeds, two-chain estimation.
+    fit chains, replications with paired seeds, two-chain estimation.  The
+    model kind picks the sampler (see sampler); no key chooses it.
 
     With single_chain the one chain per replication has eval_length draws and
     serves both roles; fit_length is not used by that protocol, and
@@ -130,7 +139,6 @@ class ExperimentConfig:
     gamma_shape: float = 3.0
     gamma_scale: float = 1.0
     prior_sd: tuple = (1000.0, 1000.0, 1000.0)
-    sampler_type: str = "auto"
     burn_in: int = 1000
     fit_length: int = 2000
     eval_length: int = 2000
@@ -152,12 +160,8 @@ class ExperimentConfig:
     notes: str | None = None
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
-        if self.sampler_type not in SAMPLER_TYPES:
-            raise ConfigError(f"sampler_type must be one of {SAMPLER_TYPES}, got {self.sampler_type!r}")
-        if self.sampler_type == "gibbs" and self.model_kind != "probit":
-            raise ConfigError("sampler_type 'gibbs' is only available for model_kind 'probit'")
+        if self.model_kind not in _KINDS:
+            raise ConfigError(f"model_kind must be one of {tuple(_KINDS)}, got {self.model_kind!r}")
         if not isinstance(self.f_transform, str) or self.f_transform not in F_TRANSFORMS:
             raise ConfigError(f"f_transform must be one of {tuple(F_TRANSFORMS)}, got {self.f_transform!r}")
         degrees = _integers("degrees", self.degrees)
@@ -237,21 +241,22 @@ class ExperimentConfig:
 
     @property
     def sampler(self) -> str:
-        """The sampler method that runs: sampler_type with "auto" resolved per model."""
-        if self.sampler_type == "auto":
-            return "gibbs" if self.model_kind == "probit" else "rwmh"
-        return self.sampler_type
+        """The sampler method that runs: the model kind's, Gibbs for probit and
+        random-walk Metropolis for every other kind."""
+        return _KINDS[self.model_kind][2]
 
 
 def build_model(config: ExperimentConfig):
-    """Construct the target described by the config, loading or generating data.
+    """Construct the model kind's target, loading or generating its data.
 
-    Every driver and `zvmcmc validate` build the model before anything else, so
-    this is also where the chain inputs sized by the model are checked, once
-    and before any sampling, through the samplers' own resolve_proposal_sd
-    (rwmh only) and resolve_init.  Last, a key set away from its default that
-    the model kind, data source or sampler never reads is rejected by name.
-    Raises ConfigError otherwise.
+    The target class and the model keys it reads come from the kind's row of
+    _KINDS, as does the sampler that config.sampler names.  Every driver and
+    `zvmcmc validate` build the model before anything else, so this is also
+    where the chain inputs sized by the model are checked, once and before
+    any sampling, through the samplers' own resolve_proposal_sd (rwmh only)
+    and resolve_init.  Last, a key set away from its default that the model
+    kind, data source or sampler never reads is rejected by name.  Raises
+    ConfigError otherwise.
     """
     model = _target(config)
     try:
@@ -267,25 +272,17 @@ def build_model(config: ExperimentConfig):
     return model
 
 
-# toy kind -> (target class, the config keys its constructor takes in order)
-_TOYS = {"gaussian": (GaussianTarget, ("mu", "sigma2")),
-         "exponential": (ExponentialTarget, ("lam",)),
-         "gamma": (GammaTarget, ("gamma_shape", "gamma_scale"))}
-
-
 def _unread_keys(config: ExperimentConfig) -> dict:
     """{key: why} for each model, data or sampler key that this config's run never reads."""
     kind = config.model_kind
-    unread = {key: f"only model {toy} reads it" for toy, (_, keys) in _TOYS.items()
-              if toy != kind for key in keys}
-    if kind in _TOYS:
+    unread = {key: f"only model {other} reads it" for other, (_, keys, _) in _KINDS.items()
+              if other != kind for key in keys}
+    if issubclass(_KINDS[kind][0], _Toy):
         unread.update(data_path="toy models read no data", synthetic_seed="toy models read no data")
     elif config.data_path is not None:
         unread["synthetic_seed"] = "data_path replaces the synthetic data"
     if kind not in ("probit", "logit") or config.data_path is None:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
-    if kind != "garch":
-        unread["prior_sd"] = "only model garch reads it"
     if config.sampler == "gibbs":
         unread["proposal_sd"] = "the gibbs sampler takes no proposal"
     if config.single_chain:
@@ -294,27 +291,21 @@ def _unread_keys(config: ExperimentConfig) -> dict:
 
 
 def _target(config: ExperimentConfig):
-    kind = config.model_kind
-    if kind in _TOYS:
-        target, keys = _TOYS[kind]
+    target, keys, _ = _KINDS[config.model_kind]
+    if issubclass(target, _Toy):
         return target(*(getattr(config, key) for key in keys))
-    # only the regression and GARCH targets read a data file
+    # only the regression and GARCH targets read a data file; with no
+    # synthetic_seed the generator's own default seed applies
     if config.data_path is not None and not os.path.exists(config.data_path):
         raise ConfigError(f"data file not found: {config.data_path}")
-    if kind in ("probit", "logit"):
-        if config.data_path is not None:
-            data = load_design_matrix(config.data_path, add_intercept=config.add_intercept)
-        else:
-            seed = config.synthetic_seed if config.synthetic_seed is not None else 101
-            data = synthetic_banknote(seed=seed)
-        return ProbitTarget(data) if kind == "probit" else LogitTarget(data)
-    # garch, the one kind left: __post_init__ rejects any other
-    if config.data_path is not None:
-        series = load_returns(config.data_path)
-    else:
-        seed = config.synthetic_seed if config.synthetic_seed is not None else 333
-        series = synthetic_demgbp_returns(seed=seed)
-    return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
+    seed = {} if config.synthetic_seed is None else {"seed": config.synthetic_seed}
+    if target is GarchTarget:
+        series = (load_returns(config.data_path) if config.data_path is not None
+                  else synthetic_demgbp_returns(**seed))
+        return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
+    data = (load_design_matrix(config.data_path, add_intercept=config.add_intercept)
+            if config.data_path is not None else synthetic_banknote(**seed))
+    return target(data)
 
 
 def _model_entry(config: ExperimentConfig, model, parameters) -> dict:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 from helpers import head_checkout_with_these_scripts, in_git_checkout
 
+from zvmcmc import ExperimentConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -68,6 +70,24 @@ def test_keys_on_one_side_are_named_apart_from_the_largest_shared_difference(tmp
         "only in tree: reference.asvar")
 
 
+def test_keys_in_another_order_are_named(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import largest_differences
+
+    for side, report in (("rev", {"model": {"kind": "probit"}, "reference": {"seed": 3, "length": 10}}),
+                         ("tree", {"model": {"kind": "probit"}, "reference": {"length": 10, "seed": 3}}),
+                         ("moved", {"reference": {"length": 10, "seed": 4}, "model": {"kind": "logit"}})):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "coverage.json").write_text(json.dumps(report))
+    files = ("coverage.json",)
+    assert largest_differences(tmp_path / "rev", tmp_path / "tree", files) == (
+        "coverage.json shared values equal, key order differs: reference")
+    # a reordering is named next to the largest shared difference
+    assert largest_differences(tmp_path / "rev", tmp_path / "moved", files) == (
+        "coverage.json largest at model.kind (relative inf), key order differs: (top level), reference")
+    assert largest_differences(tmp_path / "tree", tmp_path / "tree", files) is None
+
+
 def test_the_protocol_diagnoses_a_gibbs_chain(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from check_identity import protocol
@@ -75,7 +95,7 @@ def test_the_protocol_diagnoses_a_gibbs_chain(monkeypatch):
     steps = protocol([str(ROOT / "configs" / "probit_banknote.json")], None)
     assert [argv for argv, _ in steps if argv[0] == "diagnose"] == [
         ["diagnose", "--config", "configs/probit_banknote.json", "--length", "20000"]]
-    assert json.loads((ROOT / "configs" / "probit_banknote.json").read_text())["sampler_type"] == "gibbs"
+    assert ExperimentConfig.from_file(ROOT / "configs" / "probit_banknote.json").sampler == "gibbs"
 
 
 def test_chain_csvs_must_be_the_same_files_and_bytes(tmp_path, monkeypatch):

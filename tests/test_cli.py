@@ -128,14 +128,36 @@ def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsy
     for command in ("validate", "run", "coverage", "diagnose"):
         args = parser.parse_args([command, "--config", "c.json", "--add-intercept"])
         assert (args.command, args.config, args.add_intercept) == (command, "c.json", True)
-    assert sorted(vars(args)) == ["add_intercept", "command", "config", "degrees", "length", "out",
-                                  "seed", "threads"]
+    assert sorted(vars(args)) == ["add_intercept", "command", "config", "degrees", "keep_chains",
+                                  "length", "out", "seed", "threads"]
     assert sorted(vars(parser.parse_args(["validate", "--config", "c.json"]))) == [
         "add_intercept", "command", "config"]
-    for flag in (["--out", "x"], ["--seed", "3"], ["--degrees", "1"], ["--threads", "1"]):
+    # run, coverage and diagnose all take --keep-chains, validate does not
+    for command in ("run", "coverage", "diagnose"):
+        assert parser.parse_args([command, "--config", "c.json", "--keep-chains"]).keep_chains is True
+    for flag in (["--out", "x"], ["--seed", "3"], ["--degrees", "1"], ["--threads", "1"],
+                 ["--keep-chains"]):
         with pytest.raises(SystemExit):
             parser.parse_args(["validate", "--config", "c.json", *flag])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_diagnose_keep_chains_flag_writes_the_chain(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["diagnose", "--config", str(path), "--keep-chains"]) == 0
+    out = tmp_path / "out"
+    assert [f.name for f in (out / "chains").iterdir()] == ["diagnose.csv"]
+    assert len((out / "chains" / "diagnose.csv").read_text().splitlines()) == 1 + 2000
+    assert json.loads((out / "diagnose.json").read_text())["config"]["keep_chains"] is True
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "coverage", "diagnose"])
+def test_a_config_naming_a_sampler_is_rejected(tmp_path, capsys, command):
+    # the model kind picks the sampler, so sampler_type is no config key
+    path = write_config(tmp_path, model_kind="probit", sampler_type="gibbs")
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: sampler_type\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
@@ -274,7 +296,6 @@ UNREAD_KEYS = [
     ({"model_kind": "garch", "gamma_scale": 2.0}, "gamma_scale"),
     ({"model_kind": "logit", "prior_sd": [1, 2, 3]}, "prior_sd"),
     ({"model_kind": "probit", "proposal_sd": [0.1, 0.1]}, "proposal_sd"),
-    ({"model_kind": "probit", "sampler_type": "gibbs", "proposal_sd": [0.1]}, "proposal_sd"),
     ({"model_kind": "logit", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "garch", "data_path": "prices", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "logit", "data_path": "design", "synthetic_seed": 3}, "synthetic_seed"),
@@ -286,7 +307,7 @@ UNREAD_KEYS = [
 @pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
     "toy-data-path", "toy-add-intercept", "toy-synthetic-seed", "toy-prior-sd", "mu-off-gaussian",
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
-    "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
+    "prior-sd-off-garch", "proposal-sd-gibbs", "add-intercept-synthetic",
     "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices",
     "fit-length-single-chain"])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):

@@ -43,7 +43,7 @@ def test_a_key_on_one_side_is_listed_and_hides_no_value_difference(tmp_path, mon
 
     assert compare_values({"a": 1, "x": {"y": 2.0}, "timing": {"s": 1}},
                           {"b": 1, "x": {"y": 2.5, "z": [1]}}) == (
-        [(("x", "y"), 0.2)], [(("a",), "a"), (("b",), "b"), (("x", "z"), "b")])
+        [(("x", "y"), 0.2)], [(("a",), "a"), (("b",), "b"), (("x", "z"), "b")], [])
 
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"reference": {"point": [1.0, 2.0], "length": 100}}))
@@ -65,3 +65,30 @@ def test_a_key_on_one_side_is_listed_and_hides_no_value_difference(tmp_path, mon
         "reference: 0", f"only in {b}: reference.asvar",
         "largest relative difference 0, within rtol 0; 1 key(s) on one side only"]
     assert compare(b, a).stdout.splitlines()[1] == f"only in {b}: reference.asvar"
+
+
+def test_keys_in_another_order_are_listed_and_fail(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    from compare_reports import compare as compare_values
+
+    # an added key reorders nothing; only the order of the shared keys counts
+    assert compare_values({"x": 1, "y": {"a": 1, "b": 2}}, {"x": 1, "y": {"a": 1, "c": 0, "b": 2}}) == (
+        [(("x",), 0.0), (("y", "a"), 0.0), (("y", "b"), 0.0)], [(("y", "c"), "b")], [])
+    assert compare_values({"x": 1, "y": {"a": 1, "b": [{"c": 1, "d": 2}]}},
+                          {"y": {"b": [{"d": 2, "c": 1}], "a": 1}, "x": 1})[2] == [
+        (), ("y",), ("y", "b", 0)]
+    # a timing block is skipped, but not its place among its siblings
+    assert compare_values({"timing": {}, "a": 1}, {"a": 1, "timing": {}})[2] == [()]
+
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"reference": {"seed": 3, "point": [1.0, 2.0]}}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"reference": {"point": [1.0, 2.0], "seed": 3}}))
+    reordered = compare(a, b)
+    assert reordered.returncode == 1
+    assert reordered.stdout.splitlines() == [
+        "reference: 0", "key order differs: reference",
+        "largest relative difference 0, within rtol 0; 1 object(s) with keys in another order"]
+    # a reordering fails whatever the tolerance
+    assert compare(a, b, "--rtol", "1e-3").returncode == 1
+    assert compare(a, a).returncode == 0

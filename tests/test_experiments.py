@@ -69,7 +69,7 @@ def gaussian_dict(**overrides):
 class TestConfigValidation:
     def test_minimal_config_uses_defaults(self):
         cfg = ExperimentConfig.from_dict({"model_kind": "gaussian"})
-        assert cfg.sampler_type == "auto"
+        assert cfg.sampler == "rwmh"
         assert cfg.degrees == (1, 2)
         assert cfg.fit_length == 2000 and cfg.eval_length == 2000
         assert cfg.single_chain is False
@@ -91,14 +91,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model_kind"):
             ExperimentConfig(model_kind="weibull")
 
-    def test_bad_sampler_type(self):
-        with pytest.raises(ConfigError, match="sampler_type"):
-            ExperimentConfig(model_kind="gaussian", sampler_type="hmc")
-
-    def test_gibbs_requires_probit(self):
-        with pytest.raises(ConfigError, match="gibbs"):
-            ExperimentConfig(model_kind="logit", sampler_type="gibbs")
-        ExperimentConfig(model_kind="probit", sampler_type="gibbs")
+    def test_sampler_type_is_an_unknown_key(self):
+        # the model kind picks the sampler; no key restates or overrides it
+        for value in ("auto", "rwmh", "gibbs", "hmc"):
+            with pytest.raises(ConfigError, match="^unknown config keys: sampler_type$"):
+                ExperimentConfig.from_dict({"model_kind": "probit", "sampler_type": value})
 
     def test_bad_f_transform(self):
         for value in ("cube", ["exp"], None):
@@ -201,7 +198,31 @@ class TestConfigValidation:
 # model construction
 
 
+class _Stop(Exception):
+    """Raised by a sampler spy to end a run once it has seen the call."""
+
+
 class TestBuildModel:
+    @pytest.mark.parametrize("kind,target,sampler", [
+        ("gaussian", GaussianTarget, "rwmh"), ("exponential", ExponentialTarget, "rwmh"),
+        ("gamma", GammaTarget, "rwmh"), ("probit", ProbitTarget, "gibbs"),
+        ("logit", LogitTarget, "rwmh"), ("garch", GarchTarget, "rwmh")])
+    def test_the_model_kind_picks_the_target_and_the_sampler(self, monkeypatch, kind, target,
+                                                             sampler):
+        calls = []
+
+        def spy(model, config, method="rwmh"):
+            calls.append((type(model), method))
+            raise _Stop
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
+        cfg = ExperimentConfig(model_kind=kind)
+        assert type(build_model(cfg)) is target
+        assert cfg.sampler == sampler
+        with pytest.raises(_Stop):
+            run_diagnose(cfg)
+        assert calls == [(target, sampler)]
+
     def test_gaussian(self):
         model = build_model(ExperimentConfig(model_kind="gaussian", mu=1.5, sigma2=4.0))
         assert isinstance(model, GaussianTarget)
@@ -697,15 +718,16 @@ class TestRunCoverage:
     def test_builds_the_model_once(self, monkeypatch):
         calls = []
 
-        def spy(seed):
-            calls.append(seed)
-            return synthetic_banknote(seed=seed)
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return synthetic_banknote(**kwargs)
 
         monkeypatch.setattr("zvmcmc.experiments.synthetic_banknote", spy)
         cfg = ExperimentConfig(model_kind="probit", single_chain=True, burn_in=100, eval_length=200,
                                degrees=(1,), replications=2, reference_length=2000, threads=1)
         run_coverage(cfg)
-        assert calls == [101]
+        # with no synthetic_seed the generator's own default seed applies
+        assert calls == [{}]
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_keep_chains_writes_the_replication_chains(self, tmp_path, keep):
