@@ -296,6 +296,7 @@ UNREAD_KEYS = [
     ({"model_kind": "garch", "gamma_scale": 2.0}, "gamma_scale"),
     ({"model_kind": "logit", "prior_sd": [1, 2, 3]}, "prior_sd"),
     ({"model_kind": "probit", "proposal_sd": [0.1, 0.1]}, "proposal_sd"),
+    ({"model_kind": "probit", "data_path": "design", "proposal_sd": [0.1]}, "proposal_sd"),
     ({"model_kind": "logit", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "garch", "data_path": "prices", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "logit", "data_path": "design", "synthetic_seed": 3}, "synthetic_seed"),
@@ -307,7 +308,7 @@ UNREAD_KEYS = [
 @pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
     "toy-data-path", "toy-add-intercept", "toy-synthetic-seed", "toy-prior-sd", "mu-off-gaussian",
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
-    "prior-sd-off-garch", "proposal-sd-gibbs", "add-intercept-synthetic",
+    "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
     "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices",
     "fit-length-single-chain"])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
