@@ -52,7 +52,7 @@ from .models import (
     _Toy,
 )
 from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_proposal_sd,
-                       sample_chain)
+                       resolve_surrogate, sample_chain)
 from .zv import (
     InsufficientSampleError,
     MonomialBasis,
@@ -127,6 +127,13 @@ class ExperimentConfig:
     With single_chain the one chain per replication has eval_length draws and
     serves both roles; fit_length is not used by that protocol, and
     build_model rejects one set away from its default.
+
+    surrogate_mean (d numbers) and surrogate_cov (d lists of d numbers,
+    symmetric positive definite) give the Gaussian with which random-walk
+    Metropolis screens each proposal before it calls the likelihood
+    (samplers.rw_metropolis); both are null (no screen) or both set.  Their
+    shapes and the matrix are checked by build_model, and the Gibbs sampler
+    rejects them.
     """
 
     model_kind: str
@@ -144,6 +151,8 @@ class ExperimentConfig:
     eval_length: int = 2000
     thin: int = 1
     proposal_sd: tuple | None = None
+    surrogate_mean: tuple | None = None
+    surrogate_cov: tuple | None = None
     init: tuple | None = None
     base_seed: int = 0
     degrees: tuple = (1, 2)
@@ -204,6 +213,14 @@ class ExperimentConfig:
         self.prior_sd = prior_sd
         if self.proposal_sd is not None:
             self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
+        if self.surrogate_mean is not None:
+            self.surrogate_mean = _numbers("surrogate_mean", self.surrogate_mean)
+        if self.surrogate_cov is not None:
+            try:
+                self.surrogate_cov = tuple(_numbers("surrogate_cov", row) for row in self.surrogate_cov)
+            except (TypeError, ConfigError):
+                raise ConfigError(f"surrogate_cov must be a list of lists of numbers, "
+                                  f"got {self.surrogate_cov!r}") from None
         if self.init is not None:
             self.init = _numbers("init", self.init)
         for name in ("data_path", "output_dir", "notes"):
@@ -253,15 +270,16 @@ def build_model(config: ExperimentConfig):
     _KINDS, as does the sampler that config.sampler names.  Every driver and
     `zvmcmc validate` build the model before anything else, so this is also
     where the chain inputs sized by the model are checked, once and before
-    any sampling, through the samplers' own resolve_proposal_sd (rwmh only)
-    and resolve_init.  Last, a key set away from its default that the model
-    kind, data source or sampler never reads is rejected by name.  Raises
-    ConfigError otherwise.
+    any sampling, through the samplers' own resolve_proposal_sd and
+    resolve_surrogate (rwmh only) and resolve_init.  Last, a key set away
+    from its default that the model kind, data source or sampler never reads
+    is rejected by name.  Raises ConfigError otherwise.
     """
     model = _target(config)
     try:
         if config.sampler == "rwmh":
             resolve_proposal_sd(model, config.proposal_sd)
+            resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
         resolve_init(model, config.init)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -285,6 +303,7 @@ def _unread_keys(config: ExperimentConfig) -> dict:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
     if config.sampler == "gibbs":
         unread["proposal_sd"] = "the gibbs sampler takes no proposal"
+        unread["surrogate_mean"] = unread["surrogate_cov"] = "the gibbs sampler takes no surrogate"
     if config.single_chain:
         unread["fit_length"] = "a single-chain run samples one chain of eval_length draws"
     return unread
@@ -340,9 +359,11 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
 
 def _chain_config(config: ExperimentConfig, length, seed, thin=1,
                   compute_gradients=True) -> SamplerConfig:
-    # build_model has rejected a proposal_sd on the Gibbs sampler, which takes none
+    # build_model has rejected a proposal_sd or surrogate on the Gibbs
+    # sampler, which takes neither
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
                          thin=thin, proposal_sd=config.proposal_sd,
+                         surrogate_mean=config.surrogate_mean, surrogate_cov=config.surrogate_cov,
                          compute_gradients=compute_gradients)
 
 

@@ -13,17 +13,24 @@ its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection; resolve_init checks the start with
-the same call and names the init and the failed bound.  All randomness comes
-from SamplerConfig.seed: both samplers spawn two numpy Generators from
-SeedSequence(seed) (_streams), one for normals and one for uniforms, and
-draw each in blocks, random-walk Metropolis of _RNG_BLOCK steps and Gibbs of
-_GIBBS_UNIFORMS // n sweeps (the draws do not depend on the block sizes).
-Identical configs give bit-identical output.
+the same call and names the init and the failed bound.  Given a Gaussian
+surrogate N(m, Sigma) of the target (SamplerConfig.surrogate_mean and
+surrogate_cov, checked by resolve_surrogate), random-walk Metropolis screens
+each proposal with it first and calls log_density only for proposals that
+pass (delayed acceptance, Christen & Fox 2005); the chain still leaves pi
+invariant.  All randomness comes from SamplerConfig.seed: both samplers
+spawn two numpy Generators from SeedSequence(seed) (_streams), one for
+normals and one for uniforms, and draw each in blocks, random-walk
+Metropolis of _RNG_BLOCK steps and Gibbs of _GIBBS_UNIFORMS // n sweeps (the
+draws do not depend on the block sizes).  Identical configs give
+bit-identical output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -82,6 +89,10 @@ class SamplerConfig:
     proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
                  None means 2.4/sqrt(d) times model.rough_scale();
                  resolve_proposal_sd checks it
+    surrogate_mean, surrogate_cov  mean m (d entries) and covariance Sigma
+                 (d x d, symmetric positive definite) of the Gaussian that
+                 rw_metropolis screens proposals with; both None (no
+                 screen) or both set; resolve_surrogate checks them
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
@@ -94,6 +105,8 @@ class SamplerConfig:
     seed: int = 0
     init: np.ndarray | None = None
     proposal_sd: np.ndarray | float | None = None
+    surrogate_mean: np.ndarray | None = None
+    surrogate_cov: np.ndarray | None = None
     thin: int = 1
     compute_gradients: bool = True
 
@@ -155,6 +168,44 @@ def resolve_proposal_sd(model, proposal_sd):
     return np.broadcast_to(sd, (d,)).copy()
 
 
+def _finite_array(name, value, shape, what, model):
+    """value as a float array of the given shape; ValueError naming name unless it is one, all finite."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != shape or not np.all(np.isfinite(array)):
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ValueError(f"{name} must be {what} for model {model.tag}, got {shown!r}")
+    return array
+
+
+def resolve_surrogate(model, mean, cov):
+    """(m, P = Sigma^-1) of the surrogate N(m, Sigma), or None when neither is set.
+
+    ValueError naming the key unless both are set or both are None, m has d
+    finite entries and Sigma is a finite, symmetric, positive definite d x d
+    matrix.  P is symmetrized, so it is exactly symmetric.
+    """
+    if mean is None and cov is None:
+        return None
+    if mean is None or cov is None:
+        missing = "surrogate_mean" if mean is None else "surrogate_cov"
+        raise ValueError(f"surrogate_mean and surrogate_cov must be set together; {missing} is not")
+    d = model.dimension
+    m = _finite_array("surrogate_mean", mean, (d,), f"{d} finite numbers", model)
+    sigma = _finite_array("surrogate_cov", cov, (d, d), f"a {d} x {d} matrix of finite numbers",
+                          model)
+    if not np.array_equal(sigma, sigma.T):
+        raise ValueError("surrogate_cov must be symmetric")
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError("surrogate_cov must be positive definite") from None
+    precision = np.linalg.inv(sigma)
+    return m, 0.5 * (precision + precision.T)
+
+
 def resolve_init(model, init):
     """(init or the model's default as a (d,) point, its log-density); SupportError outside."""
     x = np.asarray(model.default_init() if init is None else init, dtype=float)
@@ -188,22 +239,46 @@ def _streams(seed):
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    Step k proposes x + sd * z_k and accepts iff log u_k < log pi(proposal) -
-    log pi(x), where z_k is row k of the first stream's normals and u_k the
-    k-th uniform of the second (see _streams); every step takes one of each,
-    whether it needs the uniform or not.  A proposal outside the support
-    (log_density raises SupportError), or whose log-density underflows to
-    -inf, has difference -inf and is never accepted, even when u_k = 0;
-    NaN log-density is fatal.  The acceptance rate is measured over the
-    retained phase, the first min(500, burn_in) steps double as a
-    reporting-only pilot.
+    Step k proposes y = x + v_k, v_k = sd * z_k, where z_k is row k of the
+    first stream's normals, and reads u_k, the k-th uniform of the second
+    (see _streams); every step takes one of each, whether it needs the
+    uniform or not.  Without a surrogate the step accepts iff
+    log u_k < log pi(y) - log pi(x).
+
+    With a surrogate q = N(m, Sigma), P = Sigma^-1 (see resolve_surrogate),
+    let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
+    step accepts iff
+
+        log u_k < min(0, dq) + min(0, log pi(y) - log pi(x) - dq),
+
+    with probability min(1, q(y)/q(x)) min(1, pi(y) q(x) / (pi(x) q(y))):
+    the delayed-acceptance kernel, which leaves pi invariant.  When
+    log u_k >= min(0, dq) the step rejects without calling log_density, so
+    only the proposals that pass the screen pay for the likelihood; the one
+    uniform serves both stages.  With dq = 0 the rule is the unscreened one.
+    In floating point, P v_k is the sum of v_kj times row j of P and
+    v_k.(P v_k) the sum of v_kj (P v_k)_j, both over j = 0, 1, ... in order;
+    the second is then halved.  (x - m).(P v_k) is math.fsum of the d
+    products, x - m is taken at the start and after every accepted move,
+    and every expression is evaluated left to right as written.
+
+    A proposal outside the support (log_density raises SupportError), or
+    whose log-density underflows to -inf, has difference -inf and is never
+    accepted, even when u_k = 0; NaN log-density is fatal.  The acceptance
+    rate, the share of steps that move, is measured over the retained phase;
+    the first min(500, burn_in) steps double as a reporting-only pilot.
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
+    surrogate = resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
     x, logp = resolve_init(model, config.init)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
+    screened = surrogate is not None
+    if screened:
+        mean, precision = surrogate
+        xc = (x - mean).tolist()
 
     draws = np.empty((config.length, d))
     # moved[i]: the chain accepted a proposal since retained draw i - 1
@@ -219,7 +294,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     # the loop runs on locals, which saves an attribute or global lookup per
     # name per step
     log_density = model.log_density
-    isnan = math.isnan
+    fsum = math.fsum
     neg_inf = -math.inf
     i = 0
     next_kept = burn_in  # the step whose state is retained draw i
@@ -233,23 +308,52 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         moves = normals.standard_normal((n, d))
         moves *= sd
         log_u = np.log(uniforms.random(n)).tolist()
-        for step, move, lu in zip(range(start, start + n), moves, log_u):
-            prop = x + move
-            try:
-                lp = log_density(prop)
-            except SupportError:
-                lp = neg_inf
-            # log_density returns a Python float; math.isnan is the cheaper test
-            if isnan(lp):
-                raise FloatingPointError(f"NaN log-density at proposal {prop}")
-            if lu < lp - logp:
-                x = prop
-                logp = lp
-                since_kept = True
-                if step < pilot_steps:
-                    pilot_accepts += 1
-                if step >= burn_in:
-                    retained_accepts += 1
+        if screened:
+            # each move's P v and v.(P v) / 2, by elementwise operations in
+            # the order the docstring states, so no row depends on the block
+            pd = moves[:, :1] * precision[0]
+            for j in range(1, d):
+                pd += moves[:, j:j + 1] * precision[j]
+            halves = moves[:, 0] * pd[:, 0]
+            for j in range(1, d):
+                halves += moves[:, j] * pd[:, j]
+            halves *= 0.5
+            # the rows of P v as d-tuples of one flat list: a list of row
+            # lists would hold a block's worth of containers at once and set
+            # off the garbage collector, whose full pass in a forked pool
+            # worker touches every page the worker shares with its parent
+            screens = zip(zip(*[iter(pd.ravel().tolist())] * d), halves.tolist())
+        else:
+            screens = repeat(None, n)
+        for step, move, lu, screen in zip(range(start, start + n), moves, log_u, screens):
+            if screen is not None:
+                pdk, half = screen
+                dq = -fsum(map(mul, xc, pdk)) - half
+                first = dq if dq < 0.0 else 0.0
+            if screen is None or lu < first:
+                prop = x + move
+                try:
+                    lp = log_density(prop)
+                except SupportError:
+                    lp = neg_inf
+                # log_density returns a Python float, and NaN is the one
+                # float unequal to itself: cheaper than calling math.isnan
+                if lp != lp:
+                    raise FloatingPointError(f"NaN log-density at proposal {prop}")
+                diff = lp - logp
+                if screen is not None:
+                    diff -= dq
+                    diff = first + (diff if diff < 0.0 else 0.0)
+                if lu < diff:
+                    x = prop
+                    logp = lp
+                    if screen is not None:
+                        xc = (x - mean).tolist()
+                    since_kept = True
+                    if step < pilot_steps:
+                        pilot_accepts += 1
+                    if step >= burn_in:
+                        retained_accepts += 1
             if step == next_kept:
                 draws[i] = x
                 moved[i] = since_kept
@@ -291,6 +395,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
+    if config.surrogate_mean is not None or config.surrogate_cov is not None:
+        raise ValueError("gibbs_probit does not take a surrogate")
     normals, uniforms = _streams(config.seed)
     s_design = model.s_design
     n, d = s_design.shape

@@ -117,10 +117,16 @@ def reference_rw_metropolis(model, config):
 
     The two generators are spawned from SeedSequence(config.seed).  Each
     step draws one normal row z from the first and one uniform u from the
-    second, without blocks; the proposal is x + sd * z and is accepted when
-    log u < log pi(proposal) - log pi(x).  Retained draws are picked by
-    step % thin.  Proposal sizing, the start point and the chain's gradients
-    come from the package, so only the loop itself is under test.
+    second, without blocks; the proposal is y = x + v, v = sd * z.  With a
+    surrogate N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2,
+    and dq = 0 without one.  The step rejects without calling log_density
+    when log u >= min(0, dq), and otherwise accepts when
+    log u < min(0, dq) + min(0, log pi(y) - log pi(x) - dq).  P v sums
+    v_j times row j of P, and v.(P v) the products v_j (P v)_j, in order of
+    j; (x - m).(P v) is math.fsum of its products.  Retained draws are
+    picked by step % thin.  Proposal sizing, the surrogate's checks, the
+    start point and the chain's gradients come from the package, so only
+    the loop itself is under test.
     """
     import math
 
@@ -131,6 +137,7 @@ def reference_rw_metropolis(model, config):
         _chain_gradients,
         resolve_init,
         resolve_proposal_sd,
+        resolve_surrogate,
     )
 
     normal_seed, uniform_seed = np.random.SeedSequence(config.seed).spawn(2)
@@ -138,6 +145,7 @@ def reference_rw_metropolis(model, config):
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
+    surrogate = resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
     x, logp = resolve_init(model, config.init)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
@@ -152,15 +160,29 @@ def reference_rw_metropolis(model, config):
     total = config.burn_in + retained_steps
 
     for step in range(total):
-        prop = x + sd * normal_rng.standard_normal(d)
-        u = uniform_rng.random()
-        try:
-            lp = model.log_density(prop)
-        except SupportError:
-            lp = -np.inf
-        if math.isnan(lp):
-            raise FloatingPointError(f"NaN log-density at proposal {prop}")
-        if np.log(u) < lp - logp:
+        move = sd * normal_rng.standard_normal(d)
+        log_u = np.log(uniform_rng.random())
+        dq = 0.0
+        if surrogate is not None:
+            mean, precision = surrogate
+            pd = move[0] * precision[0]
+            for j in range(1, d):
+                pd = pd + move[j] * precision[j]
+            quad = move[0] * pd[0]
+            for j in range(1, d):
+                quad = quad + move[j] * pd[j]
+            dq = -math.fsum(float(a * b) for a, b in zip(x - mean, pd)) - 0.5 * quad
+        accept = False
+        if log_u < min(0.0, dq):
+            prop = x + move
+            try:
+                lp = model.log_density(prop)
+            except SupportError:
+                lp = -np.inf
+            if math.isnan(lp):
+                raise FloatingPointError(f"NaN log-density at proposal {prop}")
+            accept = log_u < min(0.0, dq) + min(0.0, lp - logp - dq)
+        if accept:
             x = prop
             logp = lp
             since_kept = True

@@ -302,6 +302,8 @@ UNREAD_KEYS = [
     ({"model_kind": "logit", "data_path": "design", "synthetic_seed": 3}, "synthetic_seed"),
     ({"model_kind": "garch", "data_path": "prices", "synthetic_seed": 3}, "synthetic_seed"),
     ({"single_chain": True, "fit_length": 500}, "fit_length"),
+    ({"model_kind": "probit", "surrogate_mean": [0.0, 0.0, 0.0, 0.0]}, "surrogate_mean"),
+    ({"model_kind": "probit", "surrogate_cov": [[1.0, 0.0], [0.0, 1.0]]}, "surrogate_cov"),
 ]
 
 
@@ -310,7 +312,7 @@ UNREAD_KEYS = [
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
     "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
     "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices",
-    "fit-length-single-chain"])
+    "fit-length-single-chain", "surrogate-mean-gibbs", "surrogate-cov-gibbs"])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
     files = data_files(tmp_path)
     fields = {k: files.get(v, v) if k == "data_path" else v for k, v in fields.items()}

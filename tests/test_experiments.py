@@ -46,6 +46,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # config construction and validation
 
 
+# the shipped GARCH surrogate covariance
+GARCH_COV = [[4.533e-06, 1.856e-05, -4.131e-05], [1.856e-05, 0.0004226, -0.0004255],
+             [-4.131e-05, -0.0004255, 0.0006005]]
+
+
 def gaussian_dict(**overrides):
     base = {
         "model_kind": "gaussian",
@@ -278,6 +283,56 @@ class TestBuildModel:
         with pytest.raises(ConfigError) as raised:
             build_model(ExperimentConfig(model_kind=kind, init=init))
         assert str(raised.value) == f"init {init} is outside the support of {kind}: {bound}"
+
+    @pytest.mark.parametrize("fields,key,message", [
+        ({"surrogate_mean": [0.01, 0.16, 0.8]}, "surrogate_cov", "must be set together"),
+        ({"surrogate_cov": GARCH_COV}, "surrogate_mean", "must be set together"),
+        ({"surrogate_mean": [0.01, 0.16], "surrogate_cov": GARCH_COV}, "surrogate_mean",
+         "must be 3 finite numbers"),
+        ({"surrogate_mean": 0.01, "surrogate_cov": GARCH_COV}, "surrogate_mean",
+         "must be a list of numbers"),
+        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [row[:2] for row in GARCH_COV[:2]]},
+         "surrogate_cov", "must be a 3 x 3 matrix"),
+        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [GARCH_COV[0], GARCH_COV[1][:2],
+                                                                 GARCH_COV[2]]},
+         "surrogate_cov", "must be a 3 x 3 matrix"),
+        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": GARCH_COV[0]}, "surrogate_cov",
+         "must be a list of lists of numbers"),
+        ({"surrogate_mean": [0.01, 0.16, 0.8],
+          "surrogate_cov": [GARCH_COV[0], GARCH_COV[1], [0.0, *GARCH_COV[2][1:]]]},
+         "surrogate_cov", "must be symmetric"),
+        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                                                 [0.0, 0.0, 1.0]]},
+         "surrogate_cov", "must be positive definite"),
+    ], ids=["mean-alone", "cov-alone", "mean-length", "mean-not-a-list", "cov-shape", "cov-ragged",
+            "cov-not-nested", "cov-not-symmetric", "cov-not-positive-definite"])
+    def test_a_bad_surrogate_is_rejected_naming_its_key(self, fields, key, message):
+        with pytest.raises(ConfigError) as raised:
+            build_model(ExperimentConfig.from_dict({"model_kind": "garch", **fields}))
+        assert str(raised.value).startswith(key) or f"; {key} is not" in str(raised.value)
+        assert message in str(raised.value)
+
+    @pytest.mark.parametrize("key", ["surrogate_mean", "surrogate_cov"])
+    def test_the_gibbs_sampler_takes_no_surrogate(self, key):
+        value = [0.0] * 4 if key == "surrogate_mean" else np.eye(4).tolist()
+        with pytest.raises(ConfigError,
+                           match=f"^{key} is set but never read: the gibbs sampler takes no surrogate$"):
+            build_model(ExperimentConfig.from_dict({"model_kind": "probit", key: value}))
+
+    def test_the_surrogate_reaches_the_sampler(self, monkeypatch):
+        configs = []
+
+        def spy(model, config, method="rwmh"):
+            configs.append(config)
+            raise _Stop
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
+        cfg = ExperimentConfig.from_dict({"model_kind": "garch", "surrogate_mean": [0.01, 0.16, 0.8],
+                                          "surrogate_cov": GARCH_COV, "replications": 1})
+        with pytest.raises(_Stop):
+            run_diagnose(cfg)
+        assert configs[0].surrogate_mean == cfg.surrogate_mean
+        assert configs[0].surrogate_cov == cfg.surrogate_cov
 
 
 # ---------------------------------------------------------------------------

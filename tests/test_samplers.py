@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
+from zvmcmc.samplers import resolve_surrogate
 
 # ---------------------------------------------------------------------------
 # truncated normal
@@ -202,6 +206,148 @@ def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model,
     assert np.array_equal(small.gradients, large.gradients)
     assert small.accept_rate == large.accept_rate
     assert small.pilot_accept_rate == large.pilot_accept_rate
+
+
+SHIPPED_GARCH = json.loads((Path(__file__).resolve().parents[1] / "configs" / "garch_demgbp.json")
+                           .read_text())
+
+
+def screened_cases():
+    # (model, proposal_sd, init, surrogate mean, surrogate cov): the shipped
+    # GARCH screen from its shipped init and from the default init far out
+    # in the tails, a correlated logit screen, a screen whose proposals
+    # often leave the exponential's support, a gaussian screened by a
+    # deliberately wrong gaussian, and the stepped gaussian
+    garch = GarchTarget(synthetic_demgbp_returns(seed=333))
+    logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
+                 [0.0, 0.0, 0.01, 0.002]]
+    return [
+        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], SHIPPED_GARCH["init"],
+                     SHIPPED_GARCH["surrogate_mean"], SHIPPED_GARCH["surrogate_cov"],
+                     id="garch-shipped"),
+        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["surrogate_mean"],
+                     SHIPPED_GARCH["surrogate_cov"], id="garch-default-init"),
+        pytest.param(LogitTarget(synthetic_banknote(seed=101)), [0.63, 1.03, 0.78, 0.035], None,
+                     [0.5, -1.0, 1.0, 0.05], logit_cov, id="logit"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, [0.0], [[0.5]],
+                     id="gaussian-wrong-surrogate"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]],
+                     id="stepped-gaussian"),
+    ]
+
+
+def screened_config(proposal_sd, init, mean, cov, **fields):
+    return SamplerConfig(proposal_sd=proposal_sd, init=None if init is None else np.array(init),
+                         surrogate_mean=mean, surrogate_cov=cov, **fields)
+
+
+@pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
+@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases())
+def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
+                                                                  cov, burn_in, thin):
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
+                          seed=21)
+    out = rw_metropolis(model, cfg)
+    ref = reference_rw_metropolis(model, cfg)
+    assert np.array_equal(out.draws, ref.draws)
+    assert np.array_equal(out.gradients, ref.gradients)
+    assert out.accept_rate == ref.accept_rate
+    assert out.pilot_accept_rate == ref.pilot_accept_rate
+
+
+@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases()[::2])
+def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
+                                                         mean, cov):
+    import zvmcmc.samplers
+
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
+    chains = []
+    for block in (7, 4096):
+        monkeypatch.setattr(zvmcmc.samplers, "_RNG_BLOCK", block)
+        chains.append(rw_metropolis(model, cfg))
+    small, large = chains
+    assert np.array_equal(small.draws, large.draws)
+    assert np.array_equal(small.gradients, large.gradients)
+    assert small.accept_rate == large.accept_rate
+
+
+def test_a_wrong_surrogate_leaves_the_target_invariant():
+    # the screen N(0, 0.5) sits 2.8 target sd below the mean and has a
+    # sixth of the variance; the second stage corrects for it.  Short steps
+    # keep the chain moving where the screen's tails are far lighter than
+    # the target's
+    model = GaussianTarget(mu=2.0, sigma2=3.0)
+    cfg = SamplerConfig(length=200_000, burn_in=1000, seed=4, proposal_sd=0.4,
+                        surrogate_mean=[0.0], surrogate_cov=[[0.5]], compute_gradients=False)
+    x = rw_metropolis(model, cfg).draws[:, 0]
+    batches = math.isqrt(x.size)
+    for values, expected in ((x, 2.0), ((x - 2.0) ** 2, 3.0)):
+        se = math.sqrt(batch_means_asvar(values, batches) / values.size)
+        assert abs(values.mean() - expected) < 4 * se
+
+
+def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkeypatch):
+    calls = []
+    original = GarchTarget.log_density
+
+    def spy(self, omega):
+        calls.append(1)
+        return original(self, omega)
+
+    monkeypatch.setattr(GarchTarget, "log_density", spy)
+    model = GarchTarget(synthetic_demgbp_returns(seed=333))
+    cfg = screened_config(SHIPPED_GARCH["proposal_sd"], SHIPPED_GARCH["init"],
+                          SHIPPED_GARCH["surrogate_mean"], SHIPPED_GARCH["surrogate_cov"],
+                          length=400, burn_in=100, thin=2, seed=5, compute_gradients=False)
+    out = rw_metropolis(model, cfg)
+    sampled = len(calls)
+    calls.clear()
+    # the oracle calls log_density once per proposal that passes the screen
+    ref = reference_rw_metropolis(model, cfg)
+    passed = len(calls)
+    assert np.array_equal(out.draws, ref.draws)
+    steps = cfg.burn_in + cfg.length * cfg.thin
+    # both counts include the one call that checks the init; every accepted
+    # proposal passed the screen, and most proposals did not
+    assert sampled == passed
+    assert 1 + round(out.accept_rate * cfg.length * cfg.thin) <= passed < steps / 2
+
+
+@pytest.mark.parametrize("mean,cov,message", [
+    ([0.0], None, "surrogate_mean and surrogate_cov must be set together; surrogate_cov is not"),
+    (None, [[1.0]], "surrogate_mean and surrogate_cov must be set together; surrogate_mean is not"),
+    ([0.0, 1.0], [[1.0]], "surrogate_mean must be 1 finite numbers"),
+    ([math.nan], [[1.0]], "surrogate_mean must be 1 finite numbers"),
+    ([0.0], [1.0], "surrogate_cov must be a 1 x 1 matrix"),
+    ([0.0], [[1.0, 0.0]], "surrogate_cov must be a 1 x 1 matrix"),
+    ([0.0], [[math.inf]], "surrogate_cov must be a 1 x 1 matrix"),
+    ([0.0], [[1.0], [0.0, 1.0]], "surrogate_cov must be a 1 x 1 matrix"),
+    ([0.0], [[-1.0]], "surrogate_cov must be positive definite"),
+])
+def test_rw_metropolis_rejects_a_bad_surrogate(mean, cov, message):
+    cfg = SamplerConfig(length=10, seed=0, surrogate_mean=mean, surrogate_cov=cov)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        rw_metropolis(GaussianTarget(), cfg)
+
+
+def test_the_surrogate_precision_is_exactly_symmetric():
+    cov = np.array([[4.533e-06, 1.856e-05, -4.131e-05], [1.856e-05, 0.0004226, -0.0004255],
+                    [-4.131e-05, -0.0004255, 0.0006005]])
+    mean, precision = resolve_surrogate(GarchTarget(synthetic_demgbp_returns(seed=333)),
+                                        [0.01, 0.16, 0.8], cov)
+    assert np.array_equal(precision, precision.T)
+    assert np.allclose(precision @ cov, np.eye(3), atol=1e-8)
+    cov[0, 1] = np.nextafter(cov[0, 1], 1.0)
+    with pytest.raises(ValueError, match="^surrogate_cov must be symmetric$"):
+        resolve_surrogate(GarchTarget(synthetic_demgbp_returns(seed=333)), [0.01, 0.16, 0.8], cov)
+
+
+def test_gibbs_takes_no_surrogate():
+    model = ProbitTarget(synthetic_banknote(seed=101, n=80))
+    cfg = SamplerConfig(length=10, seed=0, surrogate_mean=[0.0] * 4, surrogate_cov=np.eye(4))
+    with pytest.raises(ValueError, match="gibbs_probit does not take a surrogate"):
+        gibbs_probit(model, cfg)
 
 
 class ZeroUniforms:
