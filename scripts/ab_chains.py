@@ -77,7 +77,7 @@ def timed(package, model, chain_configs, method):
 
 def identical(a, b):
     return all(np.array_equal(x.draws, y.draws) and np.array_equal(x.gradients, y.gradients)
-               and x.accept_rate == y.accept_rate and x.pilot_accept_rate == y.pilot_accept_rate
+               and x.accept_rate == y.accept_rate
                for x, y in zip(a, b, strict=True))
 
 

@@ -14,14 +14,11 @@ working tree's, each command in a fresh process:
   diagnose --seed 7 on logit (--length 50000), on probit, whose Gibbs chain
   no other diagnose runs, and on GARCH (both --length 20000);
   coverage --seed 7, 4 replications, on a temporary copy of configs/toys.json
-  with single_chain true and a 20,000-draw reference chain;
-  run --seed 7, 4 replications at --threads 1 and at --threads 2, on a
-  temporary copy of configs/logit_banknote.json without synthetic_seed, so
-  the synthetic data come from the generator's own default seed.
+  with single_chain true and a 20,000-draw reference chain.
 
 --config limits the run and diagnose commands to the given configs (the
---keep-chains run comes with configs/toys.json) and leaves out the commands
-on temporary copies; a config outside the shipped four gets the runs at 4
+--keep-chains run comes with configs/toys.json) and leaves out the coverage
+command on its temporary copy; a config outside the shipped four gets the runs at 4
 replications and no diagnose.  --replications replaces every run's
 replication count.  Both sides read the working tree's config files.
 
@@ -70,8 +67,6 @@ DIAGNOSES = {
 }
 # the coverage command's config: a shipped config with these keys replaced
 COVERAGE = ("configs/toys.json", {"single_chain": True, "reference_length": 20_000})
-# a shipped data config whose runs also go through a copy without this key
-UNSEEDED = ("configs/logit_banknote.json", "synthetic_seed")
 
 
 def protocol(configs, replications):
@@ -93,28 +88,14 @@ def protocol(configs, replications):
     return steps
 
 
-def config_copy(tmp, key, prefix, overrides=(), without=()):
-    """Path of a copy, written under tmp, of shipped config key with overrides set and without dropped."""
-    raw = {**json.loads((ROOT / key).read_text()), **dict(overrides)}
-    config = Path(tmp, prefix + Path(key).name)
-    config.write_text(json.dumps({k: v for k, v in raw.items() if k not in without}))
-    return str(config)
-
-
 def coverage_step(tmp):
-    """(CLI arguments but the seed, files to compare) of the coverage command."""
+    """(CLI arguments but the seed, files to compare) of the coverage command,
+    whose config is written under tmp."""
     key, overrides = COVERAGE
-    config = config_copy(tmp, key, "coverage_", overrides)
-    return (["coverage", "--config", config, "--replications", str(DEFAULT_REPLICATIONS)],
+    config = Path(tmp, "coverage_" + Path(key).name)
+    config.write_text(json.dumps({**json.loads((ROOT / key).read_text()), **overrides}))
+    return (["coverage", "--config", str(config), "--replications", str(DEFAULT_REPLICATIONS)],
             ("coverage.json",))
-
-
-def unseeded_steps(tmp):
-    """The run commands, one per thread count, on the copy of the UNSEEDED config without its key."""
-    key, dropped = UNSEEDED
-    config = config_copy(tmp, key, "unseeded_", without=(dropped,))
-    return [(["run", "--config", config, "--replications", str(STUDIES[key]),
-              "--threads", str(threads)], ("study.json", "study.csv")) for threads in THREADS]
 
 
 def run_side(python_path, argv, out_dir):
@@ -207,7 +188,7 @@ def main(argv=None):
         sides = {"rev": str(Path(tmp, "src")), "tree": str(ROOT / "src")}
         steps = protocol(configs, args.replications)
         if args.config is None:
-            steps += [coverage_step(tmp), *unseeded_steps(tmp)]
+            steps.append(coverage_step(tmp))
         for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
             done = {side: run_side(sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])

@@ -43,7 +43,6 @@ from .diagnostics import (
 from .models import (
     ExponentialTarget,
     GammaTarget,
-    GarchPrior,
     GarchTarget,
     GaussianTarget,
     LogitTarget,
@@ -67,18 +66,15 @@ __all__ = ["ConfigError", "ExperimentConfig", "build_model", "control_variate_ba
            "run_coverage", "run_diagnose", "write_study_csv"]
 
 # model kind -> (target class, the config keys its constructor reads, the sampler
-# that runs it); the toys take those keys as their arguments, probit and logit
-# read their data and garch its data and prior
+# that runs it); the toys take those keys as their arguments (the exponential
+# and gamma take none and run at their constructors' defaults), probit and
+# logit read their data and garch its data
 _KINDS = {"gaussian": (GaussianTarget, ("mu", "sigma2"), "rwmh"),
-          "exponential": (ExponentialTarget, ("lam",), "rwmh"),
-          "gamma": (GammaTarget, ("gamma_shape", "gamma_scale"), "rwmh"),
+          "exponential": (ExponentialTarget, (), "rwmh"),
+          "gamma": (GammaTarget, (), "rwmh"),
           "probit": (ProbitTarget, (), "gibbs"),
           "logit": (LogitTarget, (), "rwmh"),
-          "garch": (GarchTarget, ("prior_sd",), "rwmh")}
-# f_transform name -> (f applied to an array of draws, its label for a parameter name)
-F_TRANSFORMS = {"identity": (lambda v: v, lambda s: s),
-                "square": (lambda v: v * v, lambda s: f"{s}^2"),
-                "exp": (np.exp, lambda s: f"exp({s})")}
+          "garch": (GarchTarget, (), "rwmh")}
 
 # seed offsets for streams outside the per-replication pairs; far above any
 # realistic 2 * replications
@@ -134,18 +130,24 @@ class ExperimentConfig:
     (samplers.rw_metropolis); both are null (no screen) or both set.  Their
     shapes and the matrix are checked by build_model, and the Gibbs sampler
     rejects them.
+
+    A key exists when a shipped config, benchmark workload, script or CLI
+    flag varies it, or when it is a deployment input (data_path,
+    add_intercept, output_dir).  Everything else runs at the library's
+    default, reachable from the library: other toy parameters through the
+    ExponentialTarget and GammaTarget constructors, another GARCH prior
+    through GarchTarget(series, GarchPrior(sd)), other synthetic data through
+    synthetic_banknote(seed=) and synthetic_demgbp_returns(seed=), other
+    monomials through monomial_basis(dimension, degree, exclusions), any f
+    through zv.fit_and_renormalize(..., f_fit, f_eval), and another bootstrap
+    size through diagnostics.variance_ratio(..., resamples=).
     """
 
     model_kind: str
     data_path: str | None = None
     add_intercept: bool = False
-    synthetic_seed: int | None = None
     mu: float = 0.0
     sigma2: float = 1.0
-    lam: float = 1.0
-    gamma_shape: float = 3.0
-    gamma_scale: float = 1.0
-    prior_sd: tuple = (1000.0, 1000.0, 1000.0)
     burn_in: int = 1000
     fit_length: int = 2000
     eval_length: int = 2000
@@ -156,11 +158,8 @@ class ExperimentConfig:
     init: tuple | None = None
     base_seed: int = 0
     degrees: tuple = (1, 2)
-    exclusions: object = "default"
     single_chain: bool = False
-    f_transform: str = "identity"
     replications: int = 100
-    bootstrap_resamples: int = 1000
     reference_length: int = 1_000_000
     diagnose_length: int = 20_000
     threads: int = 0
@@ -171,8 +170,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model_kind not in _KINDS:
             raise ConfigError(f"model_kind must be one of {tuple(_KINDS)}, got {self.model_kind!r}")
-        if not isinstance(self.f_transform, str) or self.f_transform not in F_TRANSFORMS:
-            raise ConfigError(f"f_transform must be one of {tuple(F_TRANSFORMS)}, got {self.f_transform!r}")
         degrees = _integers("degrees", self.degrees)
         if not degrees or any(p not in (1, 2, 3) for p in degrees):
             raise ConfigError(f"degrees must be a non-empty subset of [1, 2, 3], got {list(degrees)}")
@@ -182,35 +179,18 @@ class ExperimentConfig:
         # a fit or eval phase needs 100 draws, and a reference or diagnose
         # chain must be long enough for its own checks
         for name, least in (("burn_in", 0), ("fit_length", 100), ("eval_length", 100), ("thin", 1),
-                            ("replications", 1), ("bootstrap_resamples", 1),
-                            ("reference_length", 2 * MIN_BATCH_COUNT),
+                            ("replications", 1), ("reference_length", 2 * MIN_BATCH_COUNT),
                             ("diagnose_length", MIN_ZERO_MEAN_DRAWS), ("threads", 0), ("base_seed", 0)):
             setattr(self, name, checked_integer(name, getattr(self, name), least, ConfigError))
-        if self.synthetic_seed is not None:
-            if not is_integer(self.synthetic_seed) or self.synthetic_seed < 0:
-                raise ConfigError(f"synthetic_seed must be null or a non-negative integer, "
-                                  f"got {self.synthetic_seed!r}")
-            self.synthetic_seed = int(self.synthetic_seed)
         for name in ("add_intercept", "single_chain", "keep_chains"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("mu", "sigma2", "lam", "gamma_shape", "gamma_scale"):
+        for name in ("mu", "sigma2"):
             v, positive = getattr(self, name), name != "mu"
             if not (_is_real(v) and math.isfinite(v) and (v > 0.0 or not positive)):
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
         if self.base_seed >= 2**63:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
-        if not isinstance(self.exclusions, str):
-            try:
-                self.exclusions = tuple(_integers("exclusions", e) for e in self.exclusions)
-            except (TypeError, ConfigError):
-                raise ConfigError(f"exclusions must be 'default' or a list of exponent lists") from None
-        elif self.exclusions != "default":
-            raise ConfigError(f"exclusions must be 'default' or a list of exponent lists, got {self.exclusions!r}")
-        prior_sd = _numbers("prior_sd", self.prior_sd)
-        if len(prior_sd) != 3 or any(not np.isfinite(v) or v <= 0 for v in prior_sd):
-            raise ConfigError(f"prior_sd must be 3 positive numbers, got {self.prior_sd!r}")
-        self.prior_sd = prior_sd
         if self.proposal_sd is not None:
             self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
         if self.surrogate_mean is not None:
@@ -296,9 +276,7 @@ def _unread_keys(config: ExperimentConfig) -> dict:
     unread = {key: f"only model {other} reads it" for other, (_, keys, _) in _KINDS.items()
               if other != kind for key in keys}
     if issubclass(_KINDS[kind][0], _Toy):
-        unread.update(data_path="toy models read no data", synthetic_seed="toy models read no data")
-    elif config.data_path is not None:
-        unread["synthetic_seed"] = "data_path replaces the synthetic data"
+        unread["data_path"] = "toy models read no data"
     if kind not in ("probit", "logit") or config.data_path is None:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
     if config.sampler == "gibbs":
@@ -313,18 +291,15 @@ def _target(config: ExperimentConfig):
     target, keys, _ = _KINDS[config.model_kind]
     if issubclass(target, _Toy):
         return target(*(getattr(config, key) for key in keys))
-    # only the regression and GARCH targets read a data file; with no
-    # synthetic_seed the generator's own default seed applies
+    # only the regression and GARCH targets read a data file; without one
+    # they read the synthetic data set of the generator's default seed
     if config.data_path is not None and not os.path.exists(config.data_path):
         raise ConfigError(f"data file not found: {config.data_path}")
-    seed = {} if config.synthetic_seed is None else {"seed": config.synthetic_seed}
     if target is GarchTarget:
-        series = (load_returns(config.data_path) if config.data_path is not None
-                  else synthetic_demgbp_returns(**seed))
-        return GarchTarget(series, GarchPrior(np.asarray(config.prior_sd)))
-    data = (load_design_matrix(config.data_path, add_intercept=config.add_intercept)
-            if config.data_path is not None else synthetic_banknote(**seed))
-    return target(data)
+        return GarchTarget(load_returns(config.data_path) if config.data_path is not None
+                           else synthetic_demgbp_returns())
+    return target(load_design_matrix(config.data_path, add_intercept=config.add_intercept)
+                  if config.data_path is not None else synthetic_banknote())
 
 
 def _model_entry(config: ExperimentConfig, model, parameters) -> dict:
@@ -341,18 +316,12 @@ def _summary(estimates) -> dict:
 def control_variate_bases(config: ExperimentConfig, model) -> dict[int, MonomialBasis]:
     """The monomial basis of each configured degree, keyed in config.degrees order.
 
-    Each basis keeps the configured exclusions (model defaults for "default")
-    of total degree up to its own.  Bases list monomials in graded order, so
-    every lower-degree basis is a column prefix of the top-degree one, as
-    zv.fit_and_renormalize requires.  Raises ConfigError for an exclusion that
-    names no exponent of the model's degree-3 basis, so callers learn of it
-    before any sampling.
+    Each basis leaves out the model's default_exclusions of total degree up
+    to its own.  Bases list monomials in graded order, so every lower-degree
+    basis is a column prefix of the top-degree one, as zv.fit_and_renormalize
+    requires.
     """
-    exclusions = default_exclusions(model) if config.exclusions == "default" else config.exclusions
-    try:
-        monomial_basis(model.dimension, 3, exclusions)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    exclusions = default_exclusions(model)
     return {p: monomial_basis(model.dimension, p, tuple(e for e in exclusions if sum(e) <= p))
             for p in config.degrees}
 
@@ -374,7 +343,6 @@ _REPLICATION_FAILURES = (SupportError, FloatingPointError, InsufficientSampleErr
 
 
 def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
-    apply_f, _ = F_TRANSFORMS[config.f_transform]
     fit_seed = config.base_seed + 2 * r
     eval_seed = fit_seed if config.single_chain else fit_seed + 1
     out = {"r": r, "error": None, "fit_seed": fit_seed, "eval_seed": eval_seed}
@@ -401,10 +369,9 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
                 export_chain(eval_chain, os.path.join(chains_dir, f"rep{r:04d}_eval.csv"))
 
         center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
-        f_eval = apply_f(eval_chain.draws)
-        fits = fit_and_renormalize(fit_chain, eval_chain, bases, apply_f(fit_chain.draws), f_eval,
+        fits = fit_and_renormalize(fit_chain, eval_chain, bases, fit_chain.draws, eval_chain.draws,
                                    center, scale)
-        out.update(ordinary=f_eval.mean(axis=0),
+        out.update(ordinary=eval_chain.draws.mean(axis=0),
                    zv={p: ftilde.mean(axis=0) for p, (_, ftilde) in fits.items()},
                    dropped={p: bool(fit.dropped_columns) for p, (fit, _) in fits.items()},
                    ridge={p: fit.ridge_applied for p, (fit, _) in fits.items()})
@@ -412,7 +379,6 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
 
         out["fit_accept"] = fit_chain.accept_rate
         out["eval_accept"] = eval_chain.accept_rate
-        out["pilot_accept"] = fit_chain.pilot_accept_rate
         out["t_fit"] = t1 - t0
         out["t_eval"] = t2 - t1
         out["t_post"] = t3 - t2
@@ -489,8 +455,8 @@ def run_study(config: ExperimentConfig) -> dict:
     Every coordinate and degree carries the variance ratio var(ordinary) /
     var(ZV).  With R >= 2 completed replications its ratio_method is
     "bootstrap-percentile", and ratio_lower and ratio_upper are the 95% paired
-    percentile bootstrap interval from diagnostics.variance_ratio with
-    config.bootstrap_resamples resamples; that function's default floor of 20
+    percentile bootstrap interval from diagnostics.variance_ratio with that
+    function's default of 1000 resamples; its default floor of 20
     replications does not apply to studies.  With a single replication the
     ratio and its bounds are None and ratio_method is "unavailable".
 
@@ -525,8 +491,7 @@ def _study(config: ExperimentConfig, model, bases):
     """run_study's report before its JSON conversion, on a built model and its
     control_variate_bases: estimates are arrays and degree keys are ints."""
     replicate = partial(_replicate, config, model, bases, _chains_dir(config))
-    _, name_f = F_TRANSFORMS[config.f_transform]
-    parameter_names = tuple(name_f(n) for n in model.parameter_names)
+    parameter_names = model.parameter_names
 
     t_start = time.perf_counter()
     reps = range(config.replications)
@@ -565,8 +530,7 @@ def _study(config: ExperimentConfig, model, bases):
         for p in config.degrees:
             deg_entry = _summary(zv_estimates[p][:, j])
             if len(good) > 1:
-                rep = variance_ratio(study, j, p, resamples=config.bootstrap_resamples,
-                                     seed=boot_seed + j * 10 + p, min_replications=2)
+                rep = variance_ratio(study, j, p, seed=boot_seed + j * 10 + p, min_replications=2)
                 deg_entry.update(
                     ratio=rep.point,
                     ratio_infinite=rep.infinite,
@@ -582,7 +546,6 @@ def _study(config: ExperimentConfig, model, bases):
             entry["zv"][p] = deg_entry
         results[name] = entry
 
-    pilot_rates = [row["pilot_accept"] for row in good if row["pilot_accept"] is not None]
     # the zv arm pays for both chains plus the post-processing; in single-chain
     # mode the one chain (booked under t_fit) serves both estimators
     t_ordinary = t_fit if config.single_chain else t_eval
@@ -607,7 +570,6 @@ def _study(config: ExperimentConfig, model, bases):
         "accept": {
             "fit_rate_mean": np.mean([row["fit_accept"] for row in good]),
             "eval_rate_mean": np.mean([row["eval_accept"] for row in good]),
-            "pilot_rate_mean": np.mean(pilot_rates) if pilot_rates else None,
         },
         "results": results,
         "timing": {
@@ -688,8 +650,6 @@ def run_coverage(config: ExperimentConfig) -> dict:
     """
     if not config.single_chain:
         raise ConfigError("the coverage protocol estimates from single chains; set single_chain to true")
-    if config.f_transform != "identity":
-        raise ConfigError("coverage compares coordinate means; f_transform must be 'identity'")
     model = build_model(config)
     bases = control_variate_bases(config, model)
 
@@ -755,9 +715,8 @@ def run_diagnose(config: ExperimentConfig) -> dict:
         "chain": {
             "length": chain.length,
             "burn_in": config.burn_in,
-            "seed": chain.seed_used,
+            "seed": config.base_seed,
             "accept_rate": chain.accept_rate,
-            "pilot_accept_rate": chain.pilot_accept_rate,
         },
         "basis": {
             "degree": p_max,

@@ -45,7 +45,6 @@ __all__ = [
     "sample_chain",
 ]
 
-_PILOT_STEPS = 500
 # steps per block of random-walk normals and uniforms; the chain's draws are
 # the same for any block size
 _RNG_BLOCK = 4096
@@ -129,8 +128,6 @@ class ChainOutput:
     draws: np.ndarray
     gradients: np.ndarray
     accept_rate: float
-    seed_used: int
-    pilot_accept_rate: float | None = None
 
     def __post_init__(self):
         self.draws.setflags(write=False)
@@ -265,8 +262,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     A proposal outside the support (log_density raises SupportError), or
     whose log-density underflows to -inf, has difference -inf and is never
     accepted, even when u_k = 0; NaN log-density is fatal.  The acceptance
-    rate, the share of steps that move, is measured over the retained phase;
-    the first min(500, burn_in) steps double as a reporting-only pilot.
+    rate, the share of steps that move, is measured over the retained phase.
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
@@ -286,8 +282,6 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     since_kept = True
     burn_in = config.burn_in
     thin = config.thin
-    pilot_steps = min(_PILOT_STEPS, burn_in)
-    pilot_accepts = 0
     retained_accepts = 0
     retained_steps = config.length * thin
     total = burn_in + retained_steps
@@ -350,8 +344,6 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
                     if screen is not None:
                         xc = (x - mean).tolist()
                     since_kept = True
-                    if step < pilot_steps:
-                        pilot_accepts += 1
                     if step >= burn_in:
                         retained_accepts += 1
             if step == next_kept:
@@ -365,8 +357,6 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         draws=draws,
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
-        seed_used=config.seed,
-        pilot_accept_rate=(pilot_accepts / pilot_steps) if pilot_steps else None,
     )
 
 
@@ -465,13 +455,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
                 gradients[i - r:i + 1] = model.grad_from_predictor(st_rows[:r + 1],
                                                                    log_phi_rows[:r + 1])
 
-    return ChainOutput(
-        draws=draws,
-        gradients=gradients,
-        accept_rate=1.0,
-        seed_used=config.seed,
-        pilot_accept_rate=None,
-    )
+    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0)
 
 
 def sample_chain(model, config: SamplerConfig, method: str = "rwmh") -> ChainOutput:

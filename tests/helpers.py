@@ -132,7 +132,6 @@ def reference_rw_metropolis(model, config):
 
     from zvmcmc.models import SupportError
     from zvmcmc.samplers import (
-        _PILOT_STEPS,
         ChainOutput,
         _chain_gradients,
         resolve_init,
@@ -153,8 +152,6 @@ def reference_rw_metropolis(model, config):
     draws = np.empty((config.length, d))
     moved = np.empty(config.length, dtype=bool)
     since_kept = True
-    pilot_steps = min(_PILOT_STEPS, config.burn_in)
-    pilot_accepts = 0
     retained_accepts = 0
     retained_steps = config.length * config.thin
     total = config.burn_in + retained_steps
@@ -186,8 +183,6 @@ def reference_rw_metropolis(model, config):
             x = prop
             logp = lp
             since_kept = True
-            if step < pilot_steps:
-                pilot_accepts += 1
             if step >= config.burn_in:
                 retained_accepts += 1
         offset = step - config.burn_in
@@ -201,8 +196,6 @@ def reference_rw_metropolis(model, config):
         draws=draws,
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
-        seed_used=config.seed,
-        pilot_accept_rate=(pilot_accepts / pilot_steps) if pilot_steps else None,
     )
 
 

@@ -98,21 +98,6 @@ def test_the_protocol_diagnoses_a_gibbs_chain(monkeypatch):
     assert ExperimentConfig.from_file(ROOT / "configs" / "probit_banknote.json").sampler == "gibbs"
 
 
-def test_the_protocol_runs_a_data_config_without_synthetic_seed(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    from check_identity import unseeded_steps
-
-    steps = unseeded_steps(tmp_path)
-    config = str(tmp_path / "unseeded_logit_banknote.json")
-    assert steps == [(["run", "--config", config, "--replications", "4", "--threads", threads],
-                      ("study.json", "study.csv")) for threads in ("1", "2")]
-    shipped = json.loads((ROOT / "configs" / "logit_banknote.json").read_text())
-    assert shipped["synthetic_seed"] is not None
-    shipped.pop("synthetic_seed")
-    assert json.loads(Path(config).read_text()) == shipped
-    assert ExperimentConfig.from_file(config).synthetic_seed is None
-
-
 def test_chain_csvs_must_be_the_same_files_and_bytes(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from check_identity import largest_differences, protocol

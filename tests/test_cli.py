@@ -11,8 +11,8 @@ import pytest
 
 import zvmcmc
 import zvmcmc.samplers
-from zvmcmc import (ExperimentConfig, SamplerConfig, SupportError, run_coverage, run_diagnose,
-                    run_study, sample_chain)
+from zvmcmc import (ConfigError, ExperimentConfig, SamplerConfig, SupportError, run_coverage,
+                    run_diagnose, run_study, sample_chain)
 from zvmcmc.cli import main
 from zvmcmc.experiments import build_model
 
@@ -27,7 +27,6 @@ def write_config(tmp_path, **overrides):
         "eval_length": 400,
         "degrees": [1, 2],
         "replications": 3,
-        "bootstrap_resamples": 200,
         "base_seed": 7,
         "threads": 1,
         "diagnose_length": 2000,
@@ -197,21 +196,20 @@ MALFORMED_FIELD_ERRORS = [
     ({"mu": None}, "mu must be a finite number, got None"),
     ({"sigma2": "abc"}, "sigma2 must be a finite number > 0, got 'abc'"),
     ({"sigma2": -1}, "sigma2 must be a finite number > 0, got -1"),
-    ({"model_kind": "gamma", "gamma_shape": -2}, "gamma_shape must be a finite number > 0, got -2"),
-    ({"model_kind": "exponential", "lam": 0}, "lam must be a finite number > 0, got 0"),
-    ({"model_kind": "logit", "synthetic_seed": 1.5},
-     "synthetic_seed must be null or a non-negative integer, got 1.5"),
-    ({"model_kind": "logit", "synthetic_seed": -1},
-     "synthetic_seed must be null or a non-negative integer, got -1"),
+    # a retired key is unknown, whatever its value
+    ({"model_kind": "gamma", "gamma_shape": -2}, "unknown config keys: gamma_shape"),
+    ({"model_kind": "exponential", "lam": 0}, "unknown config keys: lam"),
+    ({"model_kind": "logit", "synthetic_seed": 1.5}, "unknown config keys: synthetic_seed"),
+    ({"model_kind": "logit", "synthetic_seed": -1}, "unknown config keys: synthetic_seed"),
     ({"model_kind": "logit", "data_path": 7}, "data_path must be a string, got int"),
     ({"output_dir": 5}, "output_dir must be a string, got int"),
     ({"output_dir": ""}, "output_dir must not be empty"),
     # chains too short for the checks that read them
     ({"diagnose_length": 999}, "diagnose_length must be an integer >= 1000, got 999"),
     ({"reference_length": 10}, "reference_length must be an integer >= 20, got 10"),
-    ({"exclusions": [[5]]}, "exclusion (5,) is not a basis exponent for d=1, p=3"),
-    ({"exclusions": [[3, 1]]}, "exclusion (3, 1) is not a basis exponent for d=1, p=3"),
-    ({"exclusions": [[2, 0]]}, "exclusion (2, 0) is not a basis exponent for d=1, p=3"),
+    ({"exclusions": [[5]]}, "unknown config keys: exclusions"),
+    ({"exclusions": [[3, 1]]}, "unknown config keys: exclusions"),
+    ({"exclusions": [[2, 0]]}, "unknown config keys: exclusions"),
     # values of the wrong JSON type that Python would otherwise coerce
     ({"single_chain": "false"}, "single_chain must be true or false, got 'false'"),
     ({"keep_chains": 1}, "keep_chains must be true or false, got 1"),
@@ -219,8 +217,8 @@ MALFORMED_FIELD_ERRORS = [
     ({"degrees": [1.5, 2]}, "degrees must be a list of integers, got [1.5, 2]"),
     ({"replications": True}, "replications must be an integer >= 1, got True"),
     ({"sigma2": True}, "sigma2 must be a finite number > 0, got True"),
-    ({"prior_sd": [True, 1.0, 1.0]}, "prior_sd must be a list of numbers, got [True, 1.0, 1.0]"),
-    ({"exclusions": [[1.5]]}, "exclusions must be 'default' or a list of exponent lists"),
+    ({"prior_sd": [True, 1.0, 1.0]}, "unknown config keys: prior_sd"),
+    ({"exclusions": [[1.5]]}, "unknown config keys: exclusions"),
 ]
 
 
@@ -284,8 +282,8 @@ def data_files(tmp_path):
 
 # keys set away from their default that the model kind, data source or sampler never reads
 UNREAD_KEYS = [
-    ({"model_kind": "gaussian", "data_path": "no/such/file.csv", "add_intercept": True,
-      "prior_sd": [1, 2, 3], "synthetic_seed": 9}, "data_path"),
+    ({"model_kind": "gaussian", "data_path": "no/such/file.csv", "add_intercept": True},
+     "data_path"),
     ({"model_kind": "gaussian", "add_intercept": True}, "add_intercept"),
     ({"model_kind": "exponential", "synthetic_seed": 9}, "synthetic_seed"),
     ({"model_kind": "gamma", "prior_sd": [1, 2, 3]}, "prior_sd"),
@@ -307,6 +305,11 @@ UNREAD_KEYS = [
 ]
 
 
+# keys that no longer exist: never read by any run, each is refused as unknown
+RETIRED_KEYS = ("synthetic_seed", "prior_sd", "lam", "gamma_shape", "gamma_scale", "exclusions",
+                "f_transform", "bootstrap_resamples")
+
+
 @pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
     "toy-data-path", "toy-add-intercept", "toy-synthetic-seed", "toy-prior-sd", "mu-off-gaussian",
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
@@ -318,21 +321,37 @@ def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
     fields = {k: files.get(v, v) if k == "data_path" else v for k, v in fields.items()}
     path = write_config(tmp_path, **fields)
     assert main(["validate", "--config", str(path)]) == 2
-    assert f"error: {key} is set but never read" in capsys.readouterr().err
+    expected = (f"unknown config keys: {key}" if key in RETIRED_KEYS
+                else f"{key} is set but never read")
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_a_retired_key_is_refused_as_unknown(tmp_path, capsys, key):
+    # the value is each key's old default, so only the key itself is refused
+    value = {"synthetic_seed": None, "prior_sd": [1000.0, 1000.0, 1000.0], "lam": 1.0,
+             "gamma_shape": 3.0, "gamma_scale": 1.0, "exclusions": "default",
+             "f_transform": "identity", "bootstrap_resamples": 1000}[key]
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig.from_dict({"model_kind": "gaussian", key: value})
+    assert str(raised.value) == f"unknown config keys: {key}"
+    path = write_config(tmp_path, **{key: value})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
 
 
 def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):
     files = data_files(tmp_path)
     cases = [{"model_kind": "logit", "data_path": files["design"], "add_intercept": True},
              {"model_kind": "probit", "data_path": files["design"]},
-             {"model_kind": "garch", "data_path": files["prices"], "prior_sd": [1, 2, 3]},
-             {"model_kind": "garch", "synthetic_seed": 5, "proposal_sd": [0.01]},
-             {"model_kind": "gamma", "gamma_shape": 2.0, "gamma_scale": 0.5},
-             {"model_kind": "exponential", "lam": 2.0},
+             {"model_kind": "garch", "data_path": files["prices"]},
+             {"model_kind": "garch", "proposal_sd": [0.01]},
+             {"model_kind": "gamma"},
+             {"model_kind": "exponential"},
              {"single_chain": True, "fit_length": 2000},
              # written out at their defaults, keys count as unset
-             {"model_kind": "probit", "mu": 0.0, "lam": 1, "add_intercept": False,
-              "proposal_sd": None, "prior_sd": [1000, 1000, 1000], "data_path": None}]
+             {"model_kind": "probit", "mu": 0.0, "sigma2": 1, "add_intercept": False,
+              "proposal_sd": None, "surrogate_mean": None, "data_path": None}]
     for fields in cases:
         assert main(["validate", "--config", str(write_config(tmp_path, **fields))]) == 0
     # the benchmark's shortened GARCH chains

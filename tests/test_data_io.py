@@ -112,7 +112,7 @@ def test_chain_roundtrip_is_exact(tmp_path):
     draws, gradients = chain.draws.copy(), chain.gradients.copy()
     draws[:3, 0] = gradients[-3:, 0] = [-0.0, 1e-320, 5e300]
     path = tmp_path / "chain.csv"
-    export_chain(ChainOutput(draws, gradients, accept_rate=1.0, seed_used=3), path)
+    export_chain(ChainOutput(draws, gradients, accept_rate=1.0), path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], np.arange(50))
     # bit for bit: the sign of -0.0 and the subnormal survive
@@ -122,7 +122,7 @@ def test_chain_roundtrip_is_exact(tmp_path):
 def test_export_chain_bytes(tmp_path):
     chain = ChainOutput(draws=np.array([[-0.0, 1e-320], [5e300, 0.1]]),
                         gradients=np.array([[1.0, -2.5], [0.5, 3.0]]),
-                        accept_rate=1.0, seed_used=0)
+                        accept_rate=1.0)
     path = tmp_path / "chain.csv"
     export_chain(chain, path)
     assert path.read_bytes() == (

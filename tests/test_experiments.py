@@ -16,9 +16,11 @@ from zvmcmc import (
     InsufficientSampleError,
     LogitTarget,
     ProbitTarget,
+    SamplerConfig,
     SupportError,
     cv_zero_mean_test,
     eval_control_variates,
+    fit_and_renormalize,
     fit_coefficients,
     linnik_estimate,
     long_chain_reference,
@@ -27,6 +29,7 @@ from zvmcmc import (
     run_diagnose,
     run_study,
     sample_chain,
+    standardization_from_chain,
     synthetic_banknote,
 )
 from zvmcmc import experiments
@@ -37,6 +40,7 @@ from zvmcmc.experiments import (
     _openblas_thread_controls,
     _single_threaded_blas,
     build_model,
+    control_variate_bases,
     write_study_csv,
 )
 
@@ -61,7 +65,6 @@ def gaussian_dict(**overrides):
         "eval_length": 400,
         "degrees": [1, 2],
         "replications": 4,
-        "bootstrap_resamples": 200,
         "base_seed": 7,
     }
     if overrides.get("single_chain"):
@@ -78,7 +81,6 @@ class TestConfigValidation:
         assert cfg.degrees == (1, 2)
         assert cfg.fit_length == 2000 and cfg.eval_length == 2000
         assert cfg.single_chain is False
-        assert cfg.f_transform == "identity"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: fitlength"):
@@ -103,11 +105,11 @@ class TestConfigValidation:
                 ExperimentConfig.from_dict({"model_kind": "probit", "sampler_type": value})
 
     def test_bad_f_transform(self):
-        for value in ("cube", ["exp"], None):
-            with pytest.raises(ConfigError) as raised:
-                ExperimentConfig(model_kind="gaussian", f_transform=value)
-            assert str(raised.value) == \
-                f"f_transform must be one of ('identity', 'square', 'exp'), got {value!r}"
+        # every run estimates the coordinate means; any other f goes through
+        # zv.fit_and_renormalize, so no value of f_transform is a config
+        for value in ("identity", "square", "cube", ["exp"], None):
+            with pytest.raises(ConfigError, match="^unknown config keys: f_transform$"):
+                ExperimentConfig.from_dict({"model_kind": "gaussian", "f_transform": value})
 
     @pytest.mark.parametrize("degrees", [[], [0], [4], [1, 2, 4], "12", [1, 1]])
     def test_bad_degrees(self, degrees):
@@ -150,18 +152,16 @@ class TestConfigValidation:
         ExperimentConfig(model_kind="gaussian", base_seed=2**63 - 1)
 
     def test_exclusions_validation(self):
-        with pytest.raises(ConfigError, match="exclusions"):
-            ExperimentConfig(model_kind="gaussian", exclusions="all")
-        with pytest.raises(ConfigError, match="exclusions"):
-            ExperimentConfig(model_kind="gaussian", exclusions=[[0, "x"]])
-        cfg = ExperimentConfig(model_kind="garch", exclusions=[[0, 1, 0], [0, 0, 2]])
-        assert cfg.exclusions == ((0, 1, 0), (0, 0, 2))
+        # the bases always leave out the model's default_exclusions
+        for value in ("default", "all", [[0, "x"]], [[0, 1, 0], [0, 0, 2]]):
+            with pytest.raises(ConfigError, match="^unknown config keys: exclusions$"):
+                ExperimentConfig.from_dict({"model_kind": "garch", "exclusions": value})
 
     def test_prior_sd_validation(self):
-        with pytest.raises(ConfigError, match="prior_sd"):
-            ExperimentConfig(model_kind="garch", prior_sd=[1.0, 2.0])
-        with pytest.raises(ConfigError, match="prior_sd"):
-            ExperimentConfig(model_kind="garch", prior_sd=[1.0, -2.0, 3.0])
+        # GARCH runs under GarchPrior's default; another prior is GarchTarget's argument
+        for value in ([1000.0, 1000.0, 1000.0], [1.0, 2.0], [1.0, -2.0, 3.0]):
+            with pytest.raises(ConfigError, match="^unknown config keys: prior_sd$"):
+                ExperimentConfig.from_dict({"model_kind": "garch", "prior_sd": value})
 
     def test_notes_must_be_string(self):
         with pytest.raises(ConfigError, match="notes"):
@@ -169,8 +169,7 @@ class TestConfigValidation:
 
     def test_written_config_reads_back(self):
         # a report's config block is asdict(config) with every tuple written as a list
-        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], init=[0.0],
-                                                       exclusions=[[2]]))
+        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], init=[0.0]))
         assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_from_file(self, tmp_path):
@@ -234,28 +233,32 @@ class TestBuildModel:
         assert model.mu == 1.5 and model.sigma2 == 4.0
 
     def test_exponential(self):
-        model = build_model(ExperimentConfig(model_kind="exponential", lam=2.5))
+        # the exponential and gamma kinds are their constructors' defaults
+        model = build_model(ExperimentConfig(model_kind="exponential"))
         assert isinstance(model, ExponentialTarget)
-        assert model.lam == 2.5
+        assert model.lam == 1.0
 
     def test_gamma(self):
-        model = build_model(ExperimentConfig(model_kind="gamma", gamma_shape=4.0, gamma_scale=0.5))
+        model = build_model(ExperimentConfig(model_kind="gamma"))
         assert isinstance(model, GammaTarget)
+        assert (model.shape, model.scale) == (3.0, 1.0)
 
     def test_probit_synthetic(self):
-        model = build_model(ExperimentConfig(model_kind="probit", synthetic_seed=11))
+        model = build_model(ExperimentConfig(model_kind="probit"))
         assert isinstance(model, ProbitTarget)
         assert model.dimension == 4
 
     def test_logit_synthetic_seed_changes_data(self):
-        a = build_model(ExperimentConfig(model_kind="logit", synthetic_seed=1))
-        b = build_model(ExperimentConfig(model_kind="logit", synthetic_seed=2))
-        assert isinstance(a, LogitTarget)
+        # a config reads the generator's default data set; another seed is
+        # synthetic_banknote's argument
         x = np.full(4, 0.1)
-        assert a.log_density(x) != b.log_density(x)
+        built = build_model(ExperimentConfig(model_kind="logit"))
+        assert isinstance(built, LogitTarget)
+        assert built.log_density(x) == LogitTarget(synthetic_banknote()).log_density(x)
+        assert built.log_density(x) != LogitTarget(synthetic_banknote(seed=2)).log_density(x)
 
     def test_garch_synthetic(self):
-        model = build_model(ExperimentConfig(model_kind="garch", synthetic_seed=333))
+        model = build_model(ExperimentConfig(model_kind="garch"))
         assert isinstance(model, GarchTarget)
         assert model.dimension == 3
         assert len(model.series.returns) == 1974
@@ -391,7 +394,7 @@ class TestRunStudy:
 
         def spy(model, config, method="rwmh"):
             chain = sample_chain(model, config, method=method)
-            used.append(chain.seed_used)
+            used.append(config.seed)
             return chain
 
         monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
@@ -425,7 +428,7 @@ class TestRunStudy:
         acc = report["accept"]
         assert 0.0 < acc["fit_rate_mean"] <= 1.0
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
-        assert 0.0 < acc["pilot_rate_mean"] <= 1.0
+        assert list(acc) == ["fit_rate_mean", "eval_rate_mean"]
 
     def test_results_block(self, gaussian_run):
         report = gaussian_run
@@ -504,7 +507,7 @@ def blas_study(kind, threads):
     # products are large enough for a multi-threaded OpenBLAS to split
     config = ExperimentConfig.from_file(CONFIGS / f"{kind}_banknote.json", {
         "burn_in": 200, "fit_length": 1100, "eval_length": 1100, "replications": 4,
-        "bootstrap_resamples": 50, "threads": threads})
+        "threads": threads})
     report = run_study(config)
     report = without_timing(report)
     report["config"].pop("threads")
@@ -577,26 +580,42 @@ class TestRunStudyVariants:
             replications=1, output_dir=str(tmp_path / "none"))))
         assert not (tmp_path / "none").exists()
 
+    @staticmethod
+    def transformed_fits(f):
+        """{degree: (fit, ftilde)} for f of a study's first Gaussian chain pair.
+
+        Studies estimate the coordinate means; any other f goes through
+        zv.fit_and_renormalize, the path _replicate takes.
+        """
+        cfg = ExperimentConfig.from_dict(gaussian_dict())
+        model = build_model(cfg)
+        fit_chain, eval_chain = (
+            sample_chain(model, SamplerConfig(length=400, burn_in=200, seed=seed))
+            for seed in (7, 8))
+        center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
+        return eval_chain, fit_and_renormalize(fit_chain, eval_chain,
+                                               control_variate_bases(cfg, model),
+                                               f(fit_chain.draws), f(eval_chain.draws),
+                                               center, scale)
+
     def test_square_transform(self):
         # x^2 is spanned by the quadratic control variates, so the degree-2
-        # estimates hit E[x^2] = mu^2 + sigma2 exactly
-        cfg = ExperimentConfig.from_dict(gaussian_dict(f_transform="square", replications=6))
-        report = run_study(cfg)
-        assert report["model"]["parameters"] == ["x^2"]
+        # estimate hits E[x^2] = mu^2 + sigma2 exactly
+        eval_chain, fits = self.transformed_fits(np.square)
         truth = MU**2 + SIGMA2
-        assert abs(report["results"]["x^2"]["ordinary"]["estimate_mean"] - truth) < 1.0
-        assert np.allclose(zv_column(report, 2), truth, atol=1e-6)
+        assert abs(np.mean(eval_chain.draws**2) - truth) < 2.0
+        assert np.allclose(fits[2][1].mean(axis=0), truth, atol=1e-6)
 
     def test_exp_transform(self):
-        cfg = ExperimentConfig.from_dict(gaussian_dict(f_transform="exp", replications=2))
-        report = run_study(cfg)
-        assert report["model"]["parameters"] == ["exp(x)"]
-        assert np.isfinite(report["results"]["exp(x)"]["ordinary"]["estimate_mean"])
+        _, fits = self.transformed_fits(np.exp)
+        assert all(np.isfinite(ftilde.mean(axis=0)).all() for _, ftilde in fits.values())
 
     def test_empty_basis_falls_back_to_ordinary(self):
-        # excluding the only degree-1 monomial leaves nothing to fit, so the
-        # zv arm must reproduce the ordinary estimates and a unit ratio
-        cfg = ExperimentConfig.from_dict(gaussian_dict(degrees=[1], exclusions=[[1]]))
+        # the exponential's default exclusions drop its only degree-1
+        # monomial, which leaves nothing to fit, so the zv arm must reproduce
+        # the ordinary estimates and a unit ratio
+        cfg = ExperimentConfig(model_kind="exponential", burn_in=200, fit_length=400,
+                               eval_length=400, degrees=(1,), replications=4, base_seed=7)
         report = run_study(cfg)
         per = report["per_replication_estimates"]
         assert per["zv"]["1"] == per["ordinary"]
@@ -605,9 +624,9 @@ class TestRunStudyVariants:
         assert deg["dropped_column_replications"] == 0
 
     def test_bad_exclusion_fails_fast(self):
-        cfg = ExperimentConfig.from_dict(gaussian_dict(exclusions=[[1, 1]]))
-        with pytest.raises(ValueError, match="not a basis exponent"):
-            run_study(cfg)
+        # exclusions is no config key, so a config naming one never reaches a sampler
+        with pytest.raises(ConfigError, match="^unknown config keys: exclusions$"):
+            ExperimentConfig.from_dict(gaussian_dict(exclusions=[[1, 1]]))
 
     def test_one_fit_per_replication_and_degree(self, monkeypatch):
         # all d coordinates share one fit per degree; Sigma_gg depends only on G
@@ -618,7 +637,7 @@ class TestRunStudyVariants:
             return fit_coefficients(cv, f_values)
 
         monkeypatch.setattr("zvmcmc.zv.fit_coefficients", spy)
-        cfg = ExperimentConfig(model_kind="logit", synthetic_seed=101, burn_in=100, fit_length=200,
+        cfg = ExperimentConfig(model_kind="logit", burn_in=100, fit_length=200,
                                eval_length=200, degrees=(1, 2), replications=3, threads=1)
         report = run_study(cfg)
         assert report["replications_completed"] == 3
@@ -687,11 +706,6 @@ class TestRunCoverage:
     def test_requires_single_chain(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict())
         with pytest.raises(ConfigError, match="single_chain"):
-            run_coverage(cfg)
-
-    def test_requires_identity_transform(self):
-        cfg = ExperimentConfig.from_dict(gaussian_dict(single_chain=True, f_transform="square"))
-        with pytest.raises(ConfigError, match="identity"):
             run_coverage(cfg)
 
     def test_gaussian_coverage_report(self):
@@ -763,7 +777,7 @@ class TestRunCoverage:
         # proposal_sd tunes only the random walk, so a Gibbs config carrying it is an error
         sampled = []
         monkeypatch.setattr("zvmcmc.experiments.sample_chain", lambda *a, **k: sampled.append(a))
-        cfg = ExperimentConfig(model_kind="probit", synthetic_seed=101, single_chain=True,
+        cfg = ExperimentConfig(model_kind="probit", single_chain=True,
                                burn_in=100, eval_length=200, degrees=(1,), replications=2,
                                reference_length=2000, proposal_sd=(0.1, 0.1, 0.1, 0.1), threads=1)
         with pytest.raises(ConfigError, match="proposal_sd is set but never read"):
@@ -781,7 +795,7 @@ class TestRunCoverage:
         cfg = ExperimentConfig(model_kind="probit", single_chain=True, burn_in=100, eval_length=200,
                                degrees=(1,), replications=2, reference_length=2000, threads=1)
         run_coverage(cfg)
-        # with no synthetic_seed the generator's own default seed applies
+        # the generator's own default seed applies
         assert calls == [{}]
 
     @pytest.mark.parametrize("keep", [True, False])
@@ -875,7 +889,7 @@ class TestRunDiagnose:
         assert max(abs(z) for z in report["zero_mean"]["z_scores"]) < 4
 
     def test_probit_diagnose_uses_gibbs(self):
-        cfg = ExperimentConfig(model_kind="probit", synthetic_seed=101,
+        cfg = ExperimentConfig(model_kind="probit",
                                burn_in=200, diagnose_length=1200, degrees=(1,))
         report = run_diagnose(cfg)
         assert report["model"]["sampler"] == "gibbs"

@@ -77,8 +77,6 @@ def test_rw_metropolis_gaussian_moments():
     assert abs(x.mean() - 2.0) < 5 * se
     assert x.var(ddof=1) == pytest.approx(3.0, rel=0.15)
     assert 0.1 < out.accept_rate < 0.9
-    assert out.pilot_accept_rate is not None
-    assert out.seed_used == 11
 
 
 def test_rw_metropolis_gradients_align_with_model():
@@ -187,7 +185,6 @@ def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, ini
     assert np.array_equal(out.draws, ref.draws)
     assert np.array_equal(out.gradients, ref.gradients)
     assert out.accept_rate == ref.accept_rate
-    assert out.pilot_accept_rate == ref.pilot_accept_rate
 
 
 @pytest.mark.parametrize("model,proposal_sd,init", oracle_cases()[::2])
@@ -205,7 +202,6 @@ def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model,
     assert np.array_equal(small.draws, large.draws)
     assert np.array_equal(small.gradients, large.gradients)
     assert small.accept_rate == large.accept_rate
-    assert small.pilot_accept_rate == large.pilot_accept_rate
 
 
 SHIPPED_GARCH = json.loads((Path(__file__).resolve().parents[1] / "configs" / "garch_demgbp.json")
@@ -253,7 +249,6 @@ def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposa
     assert np.array_equal(out.draws, ref.draws)
     assert np.array_equal(out.gradients, ref.gradients)
     assert out.accept_rate == ref.accept_rate
-    assert out.pilot_accept_rate == ref.pilot_accept_rate
 
 
 @pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases()[::2])
@@ -642,8 +637,8 @@ def test_gibbs_rejects_a_numerically_rank_deficient_design(monkeypatch):
 def test_sample_chain_dispatch():
     data = synthetic_banknote(seed=101, n=80)
     out = sample_chain(ProbitTarget(data), SamplerConfig(length=10, seed=0), method="gibbs")
-    # the Gibbs sampler: every sweep is a move and there is no pilot phase
-    assert out.accept_rate == 1.0 and out.pilot_accept_rate is None
+    # the Gibbs sampler: every sweep is a move
+    assert out.accept_rate == 1.0
     with pytest.raises(ValueError):
         sample_chain(GaussianTarget(), SamplerConfig(length=10, seed=0), method="gibbs")
     with pytest.raises(ValueError):

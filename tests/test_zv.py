@@ -27,7 +27,7 @@ from zvmcmc import (
 def make_chain(draws, gradients):
     draws = np.asarray(draws, dtype=float)
     gradients = np.asarray(gradients, dtype=float)
-    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0, seed_used=0)
+    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0)
 
 
 # ---------------------------------------------------------------------------
