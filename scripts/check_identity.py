@@ -3,9 +3,12 @@
 
     python scripts/check_identity.py --rev HEAD~1 [--config configs/toys.json ...] [--replications 2]
 
-Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev,
-extracted with scripts/ab_bench.py's extract_tree, and once with the
-working tree's, each command in a fresh process:
+Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev
+and once with the working tree's, each command in a fresh process.  The rev
+side runs from a temporary root that holds src/zvmcmc and configs/ at --rev,
+extracted with scripts/ab_bench.py's extract_tree, so each side reads its
+own revision's shipped configs, and a key renamed between the two reads on
+both.  The commands are:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
   --threads 1 and at --threads 2;
@@ -20,7 +23,9 @@ working tree's, each command in a fresh process:
 --keep-chains run comes with configs/toys.json) and leaves out the coverage
 command on its temporary copy; a config outside the shipped four gets the runs at 4
 replications and no diagnose.  --replications replaces every run's
-replication count.  Both sides read the working tree's config files.
+replication count.  A config outside configs/, like the coverage command's
+temporary copy of the working tree's configs/toys.json, is one file that
+both sides read.
 
 Each pair of reports is compared with compare_reports.compare, which
 skips every timing block and config.output_dir, each pair of study CSVs
@@ -73,8 +78,10 @@ def protocol(configs, replications):
     """(CLI arguments but the seed, files to compare) for each command of the protocol."""
     steps = []
     for config in configs:
-        # relative to the repository root, where the commands run
-        key = os.path.relpath(Path(config).resolve(), ROOT)
+        # a shipped config relative to each side's root, where its commands
+        # run; any other config as the one absolute path both sides read
+        path = Path(config).resolve()
+        key = str(path.relative_to(ROOT) if path.is_relative_to(ROOT / "configs") else path)
         reps = replications or STUDIES.get(key, DEFAULT_REPLICATIONS)
         for threads in THREADS:
             steps.append((["run", "--config", key, "--replications", str(reps),
@@ -98,14 +105,14 @@ def coverage_step(tmp):
             ("coverage.json",))
 
 
-def run_side(python_path, argv, out_dir):
-    """Run one CLI command with the zvmcmc under python_path: (its stdout with
-    out_dir replaced by "<out>", None) on success, else (None, the tail of its
-    stderr)."""
+def run_side(root, argv, out_dir):
+    """Run one CLI command from root with the zvmcmc under root/src: (its stdout
+    with out_dir replaced by "<out>", None) on success, else (None, the tail of
+    its stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [python_path, os.environ.get("PYTHONPATH")])))
+        filter(None, [str(Path(root, "src")), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "zvmcmc.cli", *argv, "--out", out_dir],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+                          cwd=root, env=env, capture_output=True, text=True)
     if done.returncode == 0:
         return done.stdout.replace(out_dir, "<out>"), None
     return None, (done.stderr.strip().splitlines() or ["no output"])[-1]
@@ -179,13 +186,14 @@ def main(argv=None):
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            extract_tree(args.rev, tmp, "src/zvmcmc")
+            for path in ("src/zvmcmc", "configs"):
+                extract_tree(args.rev, tmp, path)
         except subprocess.CalledProcessError as exc:
-            print(f"cannot extract src/zvmcmc at {args.rev}: {exc.stderr.decode().strip()}",
+            print(f"cannot extract {path} at {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
         # each side runs in its own processes, so both packages keep their name
-        sides = {"rev": str(Path(tmp, "src")), "tree": str(ROOT / "src")}
+        sides = {"rev": tmp, "tree": str(ROOT)}
         steps = protocol(configs, args.replications)
         if args.config is None:
             steps.append(coverage_step(tmp))

@@ -13,6 +13,9 @@ dict and writes it unchanged (run also writes study.csv from it).  With
 keep_chains (or --keep-chains) every command writes its chains with
 gradients under <output_dir>/chains, diagnose's as diagnose.csv.
 
+The flags --seed, --out, --threads, --replications, --length and
+--keep-chains override config keys; every other key is set in the file.
+
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
 or any value of the wrong type or out of range, found before any sampling.
@@ -51,17 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zvmcmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # every command but version reads a config; validate takes only these two
+    # every command but version reads a config; validate takes only that
     config_args = argparse.ArgumentParser(add_help=False)
     config_args.add_argument("--config", required=True, help="path to a JSON config file")
-    config_args.add_argument("--add-intercept", action="store_true", default=None,
-                             help="prepend an intercept column to loaded regression data")
     # what run, coverage and diagnose also take
     run_args = argparse.ArgumentParser(add_help=False, parents=[config_args])
     run_args.add_argument("--out", default=None, help="output directory (default from config)")
     run_args.add_argument("--seed", type=int, default=None, help="override base_seed")
-    run_args.add_argument("--degrees", default=None,
-                          help="comma-separated polynomial degrees, e.g. 1,2,3")
     run_args.add_argument("--threads", type=int, default=None,
                           help="worker processes (0 = one per CPU this process may use); pool "
                                "workers run BLAS single-threaded, one process keeps the library "
@@ -71,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", parents=[run_args], help="run a replication study")
     run_p.add_argument("--replications", type=int, default=None, help="override replication count")
-    run_p.add_argument("--single-chain", action="store_true", default=None,
-                       help="fit and evaluate on the same chain")
 
     cov_p = sub.add_parser("coverage", parents=[run_args],
                            help="check ZV estimates against a long reference chain")
@@ -94,17 +91,10 @@ def _load_config(args) -> ExperimentConfig:
         "replications": "replications",
         "threads": "threads",
         "length": "diagnose_length",
+        "keep_chains": "keep_chains",
     }
     overrides = {key: getattr(args, arg_name) for arg_name, key in keys.items()
                  if getattr(args, arg_name, None) is not None}
-    for flag in ("single_chain", "keep_chains", "add_intercept"):
-        if getattr(args, flag, None):
-            overrides[flag] = True
-    if getattr(args, "degrees", None) is not None:
-        try:
-            overrides["degrees"] = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"--degrees expects comma-separated integers, got {args.degrees!r}") from None
     return ExperimentConfig.from_file(args.config, overrides)
 
 

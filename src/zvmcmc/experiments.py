@@ -50,8 +50,8 @@ from .models import (
     SupportError,
     _Toy,
 )
-from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_proposal_sd,
-                       resolve_surrogate, sample_chain)
+from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_pilot,
+                       resolve_proposal_sd, sample_chain)
 from .zv import (
     InsufficientSampleError,
     MonomialBasis,
@@ -124,17 +124,18 @@ class ExperimentConfig:
     serves both roles; fit_length is not used by that protocol, and
     build_model rejects one set away from its default.
 
-    surrogate_mean (d numbers) and surrogate_cov (d lists of d numbers,
-    symmetric positive definite) give the Gaussian with which random-walk
-    Metropolis screens each proposal before it calls the likelihood
-    (samplers.rw_metropolis); both are null (no screen) or both set.  Their
-    shapes and the matrix are checked by build_model, and the Gibbs sampler
-    rejects them.
+    pilot_mean (d numbers) and pilot_cov (d lists of d numbers, symmetric
+    positive definite), the mean and covariance of a pilot chain, give the
+    Gaussian with which random-walk Metropolis screens each proposal before
+    it calls the likelihood (samplers.rw_metropolis); the chain starts at
+    pilot_mean.  Both are null or both set; build_model checks them, and the
+    Gibbs sampler rejects them.
 
-    A key exists when a shipped config, benchmark workload, script or CLI
-    flag varies it, or when it is a deployment input (data_path,
-    add_intercept, output_dir).  Everything else runs at the library's
-    default, reachable from the library: other toy parameters through the
+    A key exists when a shipped config, workload or script sets it, directly
+    or through a flag it passes, or when it is a deployment input
+    (data_path, add_intercept, output_dir).  Everything else runs at the
+    library's default, reachable from the library: another start through
+    SamplerConfig(init=), other toy parameters through the
     ExponentialTarget and GammaTarget constructors, another GARCH prior
     through GarchTarget(series, GarchPrior(sd)), other synthetic data through
     synthetic_banknote(seed=) and synthetic_demgbp_returns(seed=), other
@@ -153,9 +154,8 @@ class ExperimentConfig:
     eval_length: int = 2000
     thin: int = 1
     proposal_sd: tuple | None = None
-    surrogate_mean: tuple | None = None
-    surrogate_cov: tuple | None = None
-    init: tuple | None = None
+    pilot_mean: tuple | None = None
+    pilot_cov: tuple | None = None
     base_seed: int = 0
     degrees: tuple = (1, 2)
     single_chain: bool = False
@@ -193,16 +193,14 @@ class ExperimentConfig:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
         if self.proposal_sd is not None:
             self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
-        if self.surrogate_mean is not None:
-            self.surrogate_mean = _numbers("surrogate_mean", self.surrogate_mean)
-        if self.surrogate_cov is not None:
+        if self.pilot_mean is not None:
+            self.pilot_mean = _numbers("pilot_mean", self.pilot_mean)
+        if self.pilot_cov is not None:
             try:
-                self.surrogate_cov = tuple(_numbers("surrogate_cov", row) for row in self.surrogate_cov)
+                self.pilot_cov = tuple(_numbers("pilot_cov", row) for row in self.pilot_cov)
             except (TypeError, ConfigError):
-                raise ConfigError(f"surrogate_cov must be a list of lists of numbers, "
-                                  f"got {self.surrogate_cov!r}") from None
-        if self.init is not None:
-            self.init = _numbers("init", self.init)
+                raise ConfigError(f"pilot_cov must be a list of lists of numbers, "
+                                  f"got {self.pilot_cov!r}") from None
         for name in ("data_path", "output_dir", "notes"):
             v = getattr(self, name)
             if not (isinstance(v, str) or (v is None and name != "output_dir")):
@@ -249,24 +247,25 @@ def build_model(config: ExperimentConfig):
     The target class and the model keys it reads come from the kind's row of
     _KINDS, as does the sampler that config.sampler names.  Every driver and
     `zvmcmc validate` build the model before anything else, so this is also
-    where the chain inputs sized by the model are checked, once and before
-    any sampling, through the samplers' own resolve_proposal_sd and
-    resolve_surrogate (rwmh only) and resolve_init.  Last, a key set away
-    from its default that the model kind, data source or sampler never reads
-    is rejected by name.  Raises ConfigError otherwise.
+    where the config is checked against the model, once and before any
+    sampling.  First, a key set away from its default that the model kind,
+    data source or sampler never reads is rejected by name.  Then the chain
+    inputs sized by the model go through the samplers' own
+    resolve_proposal_sd (rwmh only), resolve_pilot and resolve_init, so a bad
+    start reads as the sampler would print it.  Raises ConfigError otherwise.
     """
     model = _target(config)
-    try:
-        if config.sampler == "rwmh":
-            resolve_proposal_sd(model, config.proposal_sd)
-            resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
-        resolve_init(model, config.init)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     unread = _unread_keys(config)
     for field in fields(ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
+    try:
+        if config.sampler == "rwmh":
+            resolve_proposal_sd(model, config.proposal_sd)
+        resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+        resolve_init(model, None, config.pilot_mean)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return model
 
 
@@ -281,7 +280,7 @@ def _unread_keys(config: ExperimentConfig) -> dict:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
     if config.sampler == "gibbs":
         unread["proposal_sd"] = "the gibbs sampler takes no proposal"
-        unread["surrogate_mean"] = unread["surrogate_cov"] = "the gibbs sampler takes no surrogate"
+        unread["pilot_mean"] = unread["pilot_cov"] = "the gibbs sampler takes no pilot"
     if config.single_chain:
         unread["fit_length"] = "a single-chain run samples one chain of eval_length draws"
     return unread
@@ -328,12 +327,16 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
 
 def _chain_config(config: ExperimentConfig, length, seed, thin=1,
                   compute_gradients=True) -> SamplerConfig:
-    # build_model has rejected a proposal_sd or surrogate on the Gibbs
-    # sampler, which takes neither
-    return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, init=config.init,
-                         thin=thin, proposal_sd=config.proposal_sd,
-                         surrogate_mean=config.surrogate_mean, surrogate_cov=config.surrogate_cov,
-                         compute_gradients=compute_gradients)
+    # build_model has rejected a proposal_sd or pilot on the Gibbs sampler,
+    # which takes neither
+    return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, thin=thin,
+                         proposal_sd=config.proposal_sd, pilot_mean=config.pilot_mean,
+                         pilot_cov=config.pilot_cov, compute_gradients=compute_gradients)
+
+
+def _calls_per_step(config: ExperimentConfig, chain, thin):
+    """The chain's log_density calls per step; it took config.burn_in + length * thin steps."""
+    return chain.log_density_calls / (config.burn_in + chain.length * thin)
 
 
 # the numerical failures that cost one replication; anything else is a bug
@@ -379,6 +382,8 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
 
         out["fit_accept"] = fit_chain.accept_rate
         out["eval_accept"] = eval_chain.accept_rate
+        out["fit_calls"] = _calls_per_step(config, fit_chain, config.thin)
+        out["eval_calls"] = _calls_per_step(config, eval_chain, config.thin)
         out["t_fit"] = t1 - t0
         out["t_eval"] = t2 - t1
         out["t_post"] = t3 - t2
@@ -447,6 +452,11 @@ def run_study(config: ExperimentConfig) -> dict:
     config.keep_chains every sampled chain is written to
     <config.output_dir>/chains/rep<r>_fit.csv and, on the two-chain protocol,
     rep<r>_eval.csv.
+
+    The accept block holds the fit and eval chains' mean accept rates and
+    their mean log_density calls per step, burn-in included: 1 for an
+    unscreened random-walk chain, the share of proposals that pass the
+    screen for a screened one, and 0 for Gibbs.
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors
@@ -570,6 +580,8 @@ def _study(config: ExperimentConfig, model, bases):
         "accept": {
             "fit_rate_mean": np.mean([row["fit_accept"] for row in good]),
             "eval_rate_mean": np.mean([row["eval_accept"] for row in good]),
+            "fit_calls_per_step_mean": np.mean([row["fit_calls"] for row in good]),
+            "eval_calls_per_step_mean": np.mean([row["eval_calls"] for row in good]),
         },
         "results": results,
         "timing": {
@@ -686,8 +698,10 @@ def run_diagnose(config: ExperimentConfig) -> dict:
     The blocks zero_mean, linnik, moment_2_plus_delta and reference are the
     fields of the diagnostics functions' results.  The reference point,
     interval and batch-means asymptotic variance come from the same chain,
-    so this stays a single-chain operation.  All flags are advisory.  With
-    config.keep_chains the chain is written to <output_dir>/chains/diagnose.csv.
+    so this stays a single-chain operation.  The chain block gives its
+    accept rate and log_density calls per step (see run_study).  All flags
+    are advisory.  With config.keep_chains the chain is written to
+    <output_dir>/chains/diagnose.csv.
 
     The report is returned in its written JSON form, the form export_study
     writes to diagnose.json: arrays are lists, NaN is None and +-inf are the
@@ -717,6 +731,7 @@ def run_diagnose(config: ExperimentConfig) -> dict:
             "burn_in": config.burn_in,
             "seed": config.base_seed,
             "accept_rate": chain.accept_rate,
+            "calls_per_step": _calls_per_step(config, chain, 1),
         },
         "basis": {
             "degree": p_max,

@@ -12,15 +12,16 @@ retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
-and reading SupportError as a rejection; resolve_init checks the start with
-the same call and names the init and the failed bound.  Given a Gaussian
-surrogate N(m, Sigma) of the target (SamplerConfig.surrogate_mean and
-surrogate_cov, checked by resolve_surrogate), random-walk Metropolis screens
-each proposal with it first and calls log_density only for proposals that
-pass (delayed acceptance, Christen & Fox 2005); the chain still leaves pi
-invariant.  All randomness comes from SamplerConfig.seed: both samplers
-spawn two numpy Generators from SeedSequence(seed) (_streams), one for
-normals and one for uniforms, and draw each in blocks, random-walk
+and reading SupportError as a rejection; resolve_init checks the start
+(init, else pilot_mean, else the model's default) with the same call and
+names its key and the failed bound.  Given the Gaussian N(m, Sigma) of a
+pilot chain (SamplerConfig.pilot_mean and pilot_cov, checked by
+resolve_pilot), random-walk Metropolis screens each proposal with it first
+and calls log_density, as ChainOutput.log_density_calls counts, only for
+proposals that pass (delayed acceptance, Christen & Fox 2005); the chain
+still leaves pi invariant.  All randomness comes from SamplerConfig.seed:
+both samplers spawn two numpy Generators from SeedSequence(seed) (_streams),
+one for normals and one for uniforms, and draw each in blocks, random-walk
 Metropolis of _RNG_BLOCK steps and Gibbs of _GIBBS_UNIFORMS // n sweeps (the
 draws do not depend on the block sizes).  Identical configs give
 bit-identical output.
@@ -83,15 +84,15 @@ class SamplerConfig:
     seed      u64 seed of the chain's random numbers: each sampler draws
               its normals from the first and its uniforms from the second
               Generator of SeedSequence(seed).spawn(2)
-    init      starting point, model.default_init() when None; resolve_init
-              checks it
+    init      starting point; None starts at pilot_mean when it is set, else
+              at model.default_init(); resolve_init checks the start
     proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
                  None means 2.4/sqrt(d) times model.rough_scale();
                  resolve_proposal_sd checks it
-    surrogate_mean, surrogate_cov  mean m (d entries) and covariance Sigma
-                 (d x d, symmetric positive definite) of the Gaussian that
-                 rw_metropolis screens proposals with; both None (no
-                 screen) or both set; resolve_surrogate checks them
+    pilot_mean, pilot_cov  mean m (d entries) and covariance Sigma (d x d,
+                 symmetric positive definite) of a pilot chain, the Gaussian
+                 that rw_metropolis screens proposals with; both None (no
+                 screen) or both set; resolve_pilot checks them
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
@@ -104,8 +105,8 @@ class SamplerConfig:
     seed: int = 0
     init: np.ndarray | None = None
     proposal_sd: np.ndarray | float | None = None
-    surrogate_mean: np.ndarray | None = None
-    surrogate_cov: np.ndarray | None = None
+    pilot_mean: np.ndarray | None = None
+    pilot_cov: np.ndarray | None = None
     thin: int = 1
     compute_gradients: bool = True
 
@@ -122,12 +123,16 @@ class ChainOutput:
     """Immutable chain: draws (N, d), gradients (N, d) aligned row by row.
 
     A chain sampled with compute_gradients=False carries a (0, d) gradients
-    array; has_gradients distinguishes the two.
+    array; has_gradients distinguishes the two.  log_density_calls counts
+    the model's log_density calls made by the chain's steps, burn-in
+    included and the check of the start excluded: one per step without a
+    screen, one per proposal that passes it with one, none for Gibbs.
     """
 
     draws: np.ndarray
     gradients: np.ndarray
     accept_rate: float
+    log_density_calls: int = 0
 
     def __post_init__(self):
         self.draws.setflags(write=False)
@@ -172,13 +177,13 @@ def _finite_array(name, value, shape, what, model):
     except (TypeError, ValueError):
         array = None
     if array is None or array.shape != shape or not np.all(np.isfinite(array)):
-        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        shown = value if array is None else array.tolist()
         raise ValueError(f"{name} must be {what} for model {model.tag}, got {shown!r}")
     return array
 
 
-def resolve_surrogate(model, mean, cov):
-    """(m, P = Sigma^-1) of the surrogate N(m, Sigma), or None when neither is set.
+def resolve_pilot(model, mean, cov):
+    """(m, P = Sigma^-1) of the pilot Gaussian N(m, Sigma), or None when neither is set.
 
     ValueError naming the key unless both are set or both are None, m has d
     finite entries and Sigma is a finite, symmetric, positive definite d x d
@@ -187,32 +192,39 @@ def resolve_surrogate(model, mean, cov):
     if mean is None and cov is None:
         return None
     if mean is None or cov is None:
-        missing = "surrogate_mean" if mean is None else "surrogate_cov"
-        raise ValueError(f"surrogate_mean and surrogate_cov must be set together; {missing} is not")
+        missing = "pilot_mean" if mean is None else "pilot_cov"
+        raise ValueError(f"pilot_mean and pilot_cov must be set together; {missing} is not")
     d = model.dimension
-    m = _finite_array("surrogate_mean", mean, (d,), f"{d} finite numbers", model)
-    sigma = _finite_array("surrogate_cov", cov, (d, d), f"a {d} x {d} matrix of finite numbers",
-                          model)
+    m = _finite_array("pilot_mean", mean, (d,), f"{d} finite numbers", model)
+    sigma = _finite_array("pilot_cov", cov, (d, d), f"a {d} x {d} matrix of finite numbers", model)
     if not np.array_equal(sigma, sigma.T):
-        raise ValueError("surrogate_cov must be symmetric")
+        raise ValueError("pilot_cov must be symmetric")
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise ValueError("surrogate_cov must be positive definite") from None
+        raise ValueError("pilot_cov must be positive definite") from None
     precision = np.linalg.inv(sigma)
     return m, 0.5 * (precision + precision.T)
 
 
-def resolve_init(model, init):
-    """(init or the model's default as a (d,) point, its log-density); SupportError outside."""
-    x = np.asarray(model.default_init() if init is None else init, dtype=float)
+def resolve_init(model, init, pilot_mean):
+    """(the chain's start as a (d,) point, its log-density); the start is init if set,
+    else pilot_mean if set, else model.default_init().  ValueError (wrong length) or
+    SupportError (outside the support) names the key the start came from."""
+    if init is not None:
+        key, start = "init", init
+    elif pilot_mean is not None:
+        key, start = "pilot_mean", pilot_mean
+    else:
+        key, start = "init", model.default_init()
+    x = np.asarray(start, dtype=float)
     if x.shape != (model.dimension,):
-        raise ValueError(f"init must have {model.dimension} entries for model {model.tag}, "
+        raise ValueError(f"{key} must have {model.dimension} entries for model {model.tag}, "
                          f"got {x.size}")
     try:
         return x, model.log_density(x)
     except SupportError as exc:
-        raise SupportError(f"init {x.tolist()} is outside the support of {model.tag}: "
+        raise SupportError(f"{key} {x.tolist()} is outside the support of {model.tag}: "
                            f"{exc}") from None
 
 
@@ -239,10 +251,10 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     Step k proposes y = x + v_k, v_k = sd * z_k, where z_k is row k of the
     first stream's normals, and reads u_k, the k-th uniform of the second
     (see _streams); every step takes one of each, whether it needs the
-    uniform or not.  Without a surrogate the step accepts iff
+    uniform or not.  Without a pilot the step accepts iff
     log u_k < log pi(y) - log pi(x).
 
-    With a surrogate q = N(m, Sigma), P = Sigma^-1 (see resolve_surrogate),
+    With a pilot q = N(m, Sigma), P = Sigma^-1 (see resolve_pilot),
     let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
     step accepts iff
 
@@ -267,13 +279,13 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     normals, uniforms = _streams(config.seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    surrogate = resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
-    x, logp = resolve_init(model, config.init)
+    pilot = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    x, logp = resolve_init(model, config.init, config.pilot_mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
-    screened = surrogate is not None
+    screened = pilot is not None
     if screened:
-        mean, precision = surrogate
+        mean, precision = pilot
         xc = (x - mean).tolist()
 
     draws = np.empty((config.length, d))
@@ -283,6 +295,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     burn_in = config.burn_in
     thin = config.thin
     retained_accepts = 0
+    calls = 0
     retained_steps = config.length * thin
     total = burn_in + retained_steps
     # the loop runs on locals, which saves an attribute or global lookup per
@@ -326,6 +339,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
                 first = dq if dq < 0.0 else 0.0
             if screen is None or lu < first:
                 prop = x + move
+                calls += 1
                 try:
                     lp = log_density(prop)
                 except SupportError:
@@ -357,6 +371,7 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         draws=draws,
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
+        log_density_calls=calls,
     )
 
 
@@ -385,8 +400,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
     if config.proposal_sd is not None:
         raise ValueError("gibbs_probit does not take a proposal_sd")
-    if config.surrogate_mean is not None or config.surrogate_cov is not None:
-        raise ValueError("gibbs_probit does not take a surrogate")
+    if config.pilot_mean is not None or config.pilot_cov is not None:
+        raise ValueError("gibbs_probit does not take a pilot")
     normals, uniforms = _streams(config.seed)
     s_design = model.s_design
     n, d = s_design.shape
@@ -403,7 +418,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # by +-1 is exact, so the draws equal those of the unfolded latent
     s_proj = model.xtx_inv @ s_design.T
 
-    beta, _ = resolve_init(model, config.init)
+    beta, _ = resolve_init(model, config.init, config.pilot_mean)
     length, burn_in, thin = config.length, config.burn_in, config.thin
     total = burn_in + length * thin
     draws = np.empty((length, d))

@@ -118,15 +118,16 @@ def reference_rw_metropolis(model, config):
     The two generators are spawned from SeedSequence(config.seed).  Each
     step draws one normal row z from the first and one uniform u from the
     second, without blocks; the proposal is y = x + v, v = sd * z.  With a
-    surrogate N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2,
+    pilot N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2,
     and dq = 0 without one.  The step rejects without calling log_density
     when log u >= min(0, dq), and otherwise accepts when
     log u < min(0, dq) + min(0, log pi(y) - log pi(x) - dq).  P v sums
     v_j times row j of P, and v.(P v) the products v_j (P v)_j, in order of
     j; (x - m).(P v) is math.fsum of its products.  Retained draws are
-    picked by step % thin.  Proposal sizing, the surrogate's checks, the
-    start point and the chain's gradients come from the package, so only
-    the loop itself is under test.
+    picked by step % thin.  log_density_calls counts the steps' calls, the
+    start's check excluded.  Proposal sizing, the pilot's checks, the start
+    point and the chain's gradients come from the package, so only the loop
+    itself is under test.
     """
     import math
 
@@ -135,8 +136,8 @@ def reference_rw_metropolis(model, config):
         ChainOutput,
         _chain_gradients,
         resolve_init,
+        resolve_pilot,
         resolve_proposal_sd,
-        resolve_surrogate,
     )
 
     normal_seed, uniform_seed = np.random.SeedSequence(config.seed).spawn(2)
@@ -144,8 +145,8 @@ def reference_rw_metropolis(model, config):
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    surrogate = resolve_surrogate(model, config.surrogate_mean, config.surrogate_cov)
-    x, logp = resolve_init(model, config.init)
+    pilot = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    x, logp = resolve_init(model, config.init, config.pilot_mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 
@@ -153,6 +154,7 @@ def reference_rw_metropolis(model, config):
     moved = np.empty(config.length, dtype=bool)
     since_kept = True
     retained_accepts = 0
+    calls = 0
     retained_steps = config.length * config.thin
     total = config.burn_in + retained_steps
 
@@ -160,8 +162,8 @@ def reference_rw_metropolis(model, config):
         move = sd * normal_rng.standard_normal(d)
         log_u = np.log(uniform_rng.random())
         dq = 0.0
-        if surrogate is not None:
-            mean, precision = surrogate
+        if pilot is not None:
+            mean, precision = pilot
             pd = move[0] * precision[0]
             for j in range(1, d):
                 pd = pd + move[j] * precision[j]
@@ -172,6 +174,7 @@ def reference_rw_metropolis(model, config):
         accept = False
         if log_u < min(0.0, dq):
             prop = x + move
+            calls += 1
             try:
                 lp = model.log_density(prop)
             except SupportError:
@@ -196,6 +199,7 @@ def reference_rw_metropolis(model, config):
         draws=draws,
         gradients=_chain_gradients(model, config, draws, moved),
         accept_rate=retained_accepts / retained_steps,
+        log_density_calls=calls,
     )
 
 

@@ -27,6 +27,26 @@ def test_check_identity_against_head_on_the_toy_config(tmp_path):
     ]
 
 
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
+def test_each_side_reads_the_shipped_configs_of_its_own_revision(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
+    toys = clone / "configs" / "toys.json"
+    toys.write_text(json.dumps({**json.loads(toys.read_text()), "mu": 2.5}))
+    done = subprocess.run([sys.executable, str(clone / "scripts" / "check_identity.py"),
+                           "--rev", "HEAD", "--config", str(toys), "--replications", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(": ")[0] for line in lines[:3]] == [
+        "run --config configs/toys.json --replications 2 --threads 1",
+        "run --config configs/toys.json --replications 2 --threads 2",
+        "run --config configs/toys.json --replications 2 --threads 2 --keep-chains",
+    ]
+    assert all(line.split(": ")[1].startswith("DIFFERS, study.json largest at ")
+               for line in lines[:3])
+    assert lines[3:] == ["3 command(s) differ or fail"]
+
+
 def test_a_differing_command_names_the_largest_difference(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from check_identity import largest_differences

@@ -7,6 +7,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zvmcmc
@@ -125,20 +126,25 @@ def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsy
 
     parser = _build_parser()
     for command in ("validate", "run", "coverage", "diagnose"):
-        args = parser.parse_args([command, "--config", "c.json", "--add-intercept"])
-        assert (args.command, args.config, args.add_intercept) == (command, "c.json", True)
-    assert sorted(vars(args)) == ["add_intercept", "command", "config", "degrees", "keep_chains",
-                                  "length", "out", "seed", "threads"]
+        args = parser.parse_args([command, "--config", "c.json"])
+        assert (args.command, args.config) == (command, "c.json")
+    assert sorted(vars(args)) == ["command", "config", "keep_chains", "length", "out", "seed",
+                                  "threads"]
     assert sorted(vars(parser.parse_args(["validate", "--config", "c.json"]))) == [
-        "add_intercept", "command", "config"]
+        "command", "config"]
     # run, coverage and diagnose all take --keep-chains, validate does not
     for command in ("run", "coverage", "diagnose"):
         assert parser.parse_args([command, "--config", "c.json", "--keep-chains"]).keep_chains is True
-    for flag in (["--out", "x"], ["--seed", "3"], ["--degrees", "1"], ["--threads", "1"],
-                 ["--keep-chains"]):
+    for flag in (["--out", "x"], ["--seed", "3"], ["--threads", "1"], ["--keep-chains"]):
         with pytest.raises(SystemExit):
             parser.parse_args(["validate", "--config", "c.json", *flag])
         assert "unrecognized arguments" in capsys.readouterr().err
+    # degrees, single_chain and add_intercept are set in the config file only
+    for command in ("validate", "run", "coverage", "diagnose"):
+        for flag in (["--degrees", "1,2"], ["--single-chain"], ["--add-intercept"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--config", "c.json", *flag])
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_diagnose_keep_chains_flag_writes_the_chain(tmp_path, capsys):
@@ -182,9 +188,11 @@ MODEL_SIZED_FIELD_ERRORS = [
      "proposal_sd must have 1 or 4 entries for model logit, got 3"),
     ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]},
      "proposal_sd entries must be finite and > 0"),
-    ({"model_kind": "logit", "init": [0.0, 0.0]}, "init must have 4 entries for model logit, got 2"),
-    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]},
-     "init [-1.0, 0.1, 0.5] is outside the support of garch: omega_1 must be > 0"),
+    # the chain starts at the pilot mean
+    ({"model_kind": "logit", "pilot_mean": [0.0, 0.0], "pilot_cov": np.eye(4).tolist()},
+     "pilot_mean must be 4 finite numbers for model logit, got [0.0, 0.0]"),
+    ({"model_kind": "garch", "pilot_mean": [-1, 0.1, 0.5], "pilot_cov": np.eye(3).tolist()},
+     "pilot_mean [-1.0, 0.1, 0.5] is outside the support of garch: omega_1 must be > 0"),
 ]
 
 # malformed values of plain config fields, each a ConfigError naming the field
@@ -246,9 +254,11 @@ def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monke
 
 def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
     # one proposal sd serves every coordinate
-    for fields in ({"model_kind": "logit", "proposal_sd": [0.1], "init": [0.0, 0.0, 0.0, 0.0]},
-                   {"model_kind": "probit", "init": [0.0, 0.0, 0.0, 0.0]},
-                   {"model_kind": "garch", "init": [1e-5, 0.0, 0.5]}):
+    for fields in ({"model_kind": "logit", "proposal_sd": [0.1], "pilot_mean": [0.0, 0.0, 0.0, 0.0],
+                    "pilot_cov": np.eye(4).tolist()},
+                   {"model_kind": "exponential", "pilot_mean": [0.5], "pilot_cov": [[1.0]]},
+                   {"model_kind": "garch", "pilot_mean": [1e-5, 0.0, 0.5],
+                    "pilot_cov": np.eye(3).tolist()}):
         path = write_config(tmp_path, **fields)
         assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.count("config ok") == 3
@@ -257,8 +267,9 @@ def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
 @pytest.mark.parametrize("fields,error", [
     ({"model_kind": "logit", "proposal_sd": [0.1, 0.1, 0.1]}, ValueError),
     ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]}, ValueError),
-    ({"model_kind": "logit", "init": [0.0, 0.0]}, ValueError),
-    ({"model_kind": "garch", "init": [-1, 0.1, 0.5]}, SupportError),
+    ({"model_kind": "logit", "pilot_mean": [0.0, 0.0], "pilot_cov": np.eye(4).tolist()}, ValueError),
+    ({"model_kind": "garch", "pilot_mean": [-1, 0.1, 0.5], "pilot_cov": np.eye(3).tolist()},
+     SupportError),
 ], ids=["proposal-length", "proposal-zero", "init-length", "init-support"])
 def test_validate_and_the_sampler_reject_a_chain_input_with_one_message(tmp_path, capsys, fields,
                                                                           error):
@@ -302,12 +313,14 @@ UNREAD_KEYS = [
     ({"single_chain": True, "fit_length": 500}, "fit_length"),
     ({"model_kind": "probit", "surrogate_mean": [0.0, 0.0, 0.0, 0.0]}, "surrogate_mean"),
     ({"model_kind": "probit", "surrogate_cov": [[1.0, 0.0], [0.0, 1.0]]}, "surrogate_cov"),
+    ({"model_kind": "probit", "pilot_mean": [0.0, 0.0]}, "pilot_mean"),
+    ({"model_kind": "probit", "pilot_cov": [[1.0, 0.0], [0.0, 1.0]]}, "pilot_cov"),
 ]
 
 
 # keys that no longer exist: never read by any run, each is refused as unknown
 RETIRED_KEYS = ("synthetic_seed", "prior_sd", "lam", "gamma_shape", "gamma_scale", "exclusions",
-                "f_transform", "bootstrap_resamples")
+                "f_transform", "bootstrap_resamples", "init", "surrogate_mean", "surrogate_cov")
 
 
 @pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
@@ -315,7 +328,8 @@ RETIRED_KEYS = ("synthetic_seed", "prior_sd", "lam", "gamma_shape", "gamma_scale
     "sigma2-off-gaussian", "lam-off-exponential", "gamma-shape-off-gamma", "gamma-scale-off-gamma",
     "prior-sd-off-garch", "proposal-sd-auto-gibbs", "proposal-sd-gibbs", "add-intercept-synthetic",
     "add-intercept-garch-data", "synthetic-seed-with-design", "synthetic-seed-with-prices",
-    "fit-length-single-chain", "surrogate-mean-gibbs", "surrogate-cov-gibbs"])
+    "fit-length-single-chain", "surrogate-mean-gibbs", "surrogate-cov-gibbs", "pilot-mean-gibbs",
+    "pilot-cov-gibbs"])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, capsys, fields, key):
     files = data_files(tmp_path)
     fields = {k: files.get(v, v) if k == "data_path" else v for k, v in fields.items()}
@@ -331,7 +345,8 @@ def test_a_retired_key_is_refused_as_unknown(tmp_path, capsys, key):
     # the value is each key's old default, so only the key itself is refused
     value = {"synthetic_seed": None, "prior_sd": [1000.0, 1000.0, 1000.0], "lam": 1.0,
              "gamma_shape": 3.0, "gamma_scale": 1.0, "exclusions": "default",
-             "f_transform": "identity", "bootstrap_resamples": 1000}[key]
+             "f_transform": "identity", "bootstrap_resamples": 1000, "init": None,
+             "surrogate_mean": None, "surrogate_cov": None}[key]
     with pytest.raises(ConfigError) as raised:
         ExperimentConfig.from_dict({"model_kind": "gaussian", key: value})
     assert str(raised.value) == f"unknown config keys: {key}"
@@ -351,7 +366,7 @@ def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):
              {"single_chain": True, "fit_length": 2000},
              # written out at their defaults, keys count as unset
              {"model_kind": "probit", "mu": 0.0, "sigma2": 1, "add_intercept": False,
-              "proposal_sd": None, "surrogate_mean": None, "data_path": None}]
+              "proposal_sd": None, "pilot_mean": None, "data_path": None}]
     for fields in cases:
         assert main(["validate", "--config", str(write_config(tmp_path, **fields))]) == 0
     # the benchmark's shortened GARCH chains

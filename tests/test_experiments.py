@@ -50,7 +50,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # config construction and validation
 
 
-# the shipped GARCH surrogate covariance
+# the shipped GARCH pilot covariance
 GARCH_COV = [[4.533e-06, 1.856e-05, -4.131e-05], [1.856e-05, 0.0004226, -0.0004255],
              [-4.131e-05, -0.0004255, 0.0006005]]
 
@@ -169,7 +169,8 @@ class TestConfigValidation:
 
     def test_written_config_reads_back(self):
         # a report's config block is asdict(config) with every tuple written as a list
-        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], init=[0.0]))
+        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], pilot_mean=[0.0],
+                                                       pilot_cov=[[1.0]]))
         assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_from_file(self, tmp_path):
@@ -275,6 +276,7 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="not found"):
             build_model(cfg)
 
+    # init: the chain's start, which a config sets as its pilot_mean
     @pytest.mark.parametrize("kind,init,bound", [
         ("exponential", [0.0], "x must be > 0"),
         ("gamma", [-1.0], "x must be > 0"),
@@ -283,30 +285,30 @@ class TestBuildModel:
         ("garch", [1e-5, 0.1, -0.5], "omega_3 must be >= 0"),
     ])
     def test_an_init_outside_the_support_names_its_bound(self, kind, init, bound):
+        cov = GARCH_COV if kind == "garch" else [[1.0]]
         with pytest.raises(ConfigError) as raised:
-            build_model(ExperimentConfig(model_kind=kind, init=init))
-        assert str(raised.value) == f"init {init} is outside the support of {kind}: {bound}"
+            build_model(ExperimentConfig(model_kind=kind, pilot_mean=init, pilot_cov=cov))
+        assert str(raised.value) == f"pilot_mean {init} is outside the support of {kind}: {bound}"
 
     @pytest.mark.parametrize("fields,key,message", [
-        ({"surrogate_mean": [0.01, 0.16, 0.8]}, "surrogate_cov", "must be set together"),
-        ({"surrogate_cov": GARCH_COV}, "surrogate_mean", "must be set together"),
-        ({"surrogate_mean": [0.01, 0.16], "surrogate_cov": GARCH_COV}, "surrogate_mean",
+        ({"pilot_mean": [0.01, 0.16, 0.8]}, "pilot_cov", "must be set together"),
+        ({"pilot_cov": GARCH_COV}, "pilot_mean", "must be set together"),
+        ({"pilot_mean": [0.01, 0.16], "pilot_cov": GARCH_COV}, "pilot_mean",
          "must be 3 finite numbers"),
-        ({"surrogate_mean": 0.01, "surrogate_cov": GARCH_COV}, "surrogate_mean",
-         "must be a list of numbers"),
-        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [row[:2] for row in GARCH_COV[:2]]},
-         "surrogate_cov", "must be a 3 x 3 matrix"),
-        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [GARCH_COV[0], GARCH_COV[1][:2],
-                                                                 GARCH_COV[2]]},
-         "surrogate_cov", "must be a 3 x 3 matrix"),
-        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": GARCH_COV[0]}, "surrogate_cov",
+        ({"pilot_mean": 0.01, "pilot_cov": GARCH_COV}, "pilot_mean", "must be a list of numbers"),
+        ({"pilot_mean": [0.01, 0.16, 0.8], "pilot_cov": [row[:2] for row in GARCH_COV[:2]]},
+         "pilot_cov", "must be a 3 x 3 matrix"),
+        ({"pilot_mean": [0.01, 0.16, 0.8], "pilot_cov": [GARCH_COV[0], GARCH_COV[1][:2],
+                                                         GARCH_COV[2]]},
+         "pilot_cov", "must be a 3 x 3 matrix"),
+        ({"pilot_mean": [0.01, 0.16, 0.8], "pilot_cov": GARCH_COV[0]}, "pilot_cov",
          "must be a list of lists of numbers"),
-        ({"surrogate_mean": [0.01, 0.16, 0.8],
-          "surrogate_cov": [GARCH_COV[0], GARCH_COV[1], [0.0, *GARCH_COV[2][1:]]]},
-         "surrogate_cov", "must be symmetric"),
-        ({"surrogate_mean": [0.01, 0.16, 0.8], "surrogate_cov": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
-                                                                 [0.0, 0.0, 1.0]]},
-         "surrogate_cov", "must be positive definite"),
+        ({"pilot_mean": [0.01, 0.16, 0.8],
+          "pilot_cov": [GARCH_COV[0], GARCH_COV[1], [0.0, *GARCH_COV[2][1:]]]},
+         "pilot_cov", "must be symmetric"),
+        ({"pilot_mean": [0.01, 0.16, 0.8], "pilot_cov": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                                         [0.0, 0.0, 1.0]]},
+         "pilot_cov", "must be positive definite"),
     ], ids=["mean-alone", "cov-alone", "mean-length", "mean-not-a-list", "cov-shape", "cov-ragged",
             "cov-not-nested", "cov-not-symmetric", "cov-not-positive-definite"])
     def test_a_bad_surrogate_is_rejected_naming_its_key(self, fields, key, message):
@@ -315,11 +317,11 @@ class TestBuildModel:
         assert str(raised.value).startswith(key) or f"; {key} is not" in str(raised.value)
         assert message in str(raised.value)
 
-    @pytest.mark.parametrize("key", ["surrogate_mean", "surrogate_cov"])
+    @pytest.mark.parametrize("key", ["pilot_mean", "pilot_cov"])
     def test_the_gibbs_sampler_takes_no_surrogate(self, key):
-        value = [0.0] * 4 if key == "surrogate_mean" else np.eye(4).tolist()
+        value = [0.0] * 4 if key == "pilot_mean" else np.eye(4).tolist()
         with pytest.raises(ConfigError,
-                           match=f"^{key} is set but never read: the gibbs sampler takes no surrogate$"):
+                           match=f"^{key} is set but never read: the gibbs sampler takes no pilot$"):
             build_model(ExperimentConfig.from_dict({"model_kind": "probit", key: value}))
 
     def test_the_surrogate_reaches_the_sampler(self, monkeypatch):
@@ -330,12 +332,14 @@ class TestBuildModel:
             raise _Stop
 
         monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
-        cfg = ExperimentConfig.from_dict({"model_kind": "garch", "surrogate_mean": [0.01, 0.16, 0.8],
-                                          "surrogate_cov": GARCH_COV, "replications": 1})
+        cfg = ExperimentConfig.from_dict({"model_kind": "garch", "pilot_mean": [0.01, 0.16, 0.8],
+                                          "pilot_cov": GARCH_COV, "replications": 1})
         with pytest.raises(_Stop):
             run_diagnose(cfg)
-        assert configs[0].surrogate_mean == cfg.surrogate_mean
-        assert configs[0].surrogate_cov == cfg.surrogate_cov
+        assert configs[0].pilot_mean == cfg.pilot_mean
+        assert configs[0].pilot_cov == cfg.pilot_cov
+        # no config key sets init, so the chain starts at the pilot mean
+        assert configs[0].init is None
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,28 @@ class TestRunStudy:
         acc = report["accept"]
         assert 0.0 < acc["fit_rate_mean"] <= 1.0
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
-        assert list(acc) == ["fit_rate_mean", "eval_rate_mean"]
+        assert list(acc) == ["fit_rate_mean", "eval_rate_mean", "fit_calls_per_step_mean",
+                             "eval_calls_per_step_mean"]
+        # an unscreened random-walk chain calls log_density once per step
+        assert acc["fit_calls_per_step_mean"] == acc["eval_calls_per_step_mean"] == 1.0
+
+    def test_the_accept_block_reports_the_screens_calls_per_step(self, monkeypatch):
+        chains = []
+
+        def spy(model, config, method="rwmh"):
+            chains.append((sample_chain(model, config, method=method), config))
+            return chains[-1][0]
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
+        shipped = json.loads((CONFIGS / "garch_demgbp.json").read_text())
+        cfg = ExperimentConfig.from_dict({**shipped, "burn_in": 200, "fit_length": 100,
+                                          "eval_length": 100, "thin": 2, "degrees": [1],
+                                          "replications": 2, "threads": 1})
+        acc = run_study(cfg)["accept"]
+        rates = [chain.log_density_calls / (c.burn_in + c.length * c.thin) for chain, c in chains]
+        assert all(0.0 < rate < 1.0 for rate in rates)
+        assert acc["fit_calls_per_step_mean"] == np.mean(rates[0::2])
+        assert acc["eval_calls_per_step_mean"] == np.mean(rates[1::2])
 
     def test_results_block(self, gaussian_run):
         report = gaussian_run
@@ -760,17 +785,18 @@ class TestRunCoverage:
         starts = []
 
         def spy(model, config, method="rwmh"):
-            starts.append((config.length, None if config.init is None else list(config.init)))
-            return sample_chain(model, config, method=method)
+            chain = sample_chain(model, config, method=method)
+            starts.append((config.length, round(chain.draws[0, 0], 6)))
+            return chain
 
         monkeypatch.setattr("zvmcmc.experiments.sample_chain", spy)
-        # a step of 1e-9 keeps every chain at its start, so the reference
-        # point shows where the reference chain began
+        # a step of 1e-9 keeps every chain at its start, the pilot mean, so
+        # the reference point shows where the reference chain began
         cfg = ExperimentConfig.from_dict(gaussian_dict(
-            single_chain=True, replications=2, reference_length=3000, init=[9.0],
-            proposal_sd=[1e-9], threads=1))
+            single_chain=True, replications=2, reference_length=3000, pilot_mean=[9.0],
+            pilot_cov=[[1.0]], proposal_sd=[1e-9], threads=1))
         report = run_coverage(cfg)
-        assert starts == [(3000, [9.0]), (400, [9.0]), (400, [9.0])]
+        assert starts == [(3000, 9.0), (400, 9.0), (400, 9.0)]
         assert report["reference"]["point"][0] == pytest.approx(9.0, abs=1e-6)
 
     def test_gibbs_coverage_rejects_proposal_sd(self, monkeypatch):
@@ -832,6 +858,7 @@ class TestRunDiagnose:
         assert report["model"]["sampler"] == "rwmh"
         assert report["chain"]["length"] == 2000
         assert report["chain"]["seed"] == 7
+        assert report["chain"]["calls_per_step"] == 1.0
         basis = report["basis"]
         assert basis["degree"] == 2 and basis["size"] == 2
         assert basis["exponents"] == [[1], [2]]
@@ -894,4 +921,5 @@ class TestRunDiagnose:
         report = run_diagnose(cfg)
         assert report["model"]["sampler"] == "gibbs"
         assert report["chain"]["accept_rate"] == 1.0
+        assert report["chain"]["calls_per_step"] == 0.0
         assert report["basis"]["size"] == 4

@@ -27,7 +27,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
-from zvmcmc.samplers import resolve_surrogate
+from zvmcmc.samplers import resolve_pilot
 
 # ---------------------------------------------------------------------------
 # truncated normal
@@ -143,6 +143,24 @@ def test_an_init_outside_the_support_names_its_bound(model, init, bound):
         assert str(raised.value) == want
 
 
+def test_the_chain_starts_at_init_else_at_the_pilot_mean():
+    def chain(init=None):
+        return rw_metropolis(GaussianTarget(), SamplerConfig(
+            length=5, seed=3, init=init, proposal_sd=1e-10, pilot_mean=[5.0], pilot_cov=[[1.0]]))
+
+    # without init the chain starts at the pilot mean, as if init were set to it
+    assert np.array_equal(chain().draws, chain(np.array([5.0])).draws)
+    assert np.all(np.abs(chain().draws - 5.0) < 1e-6)
+    # init wins over the pilot mean
+    assert np.all(np.abs(chain(np.array([-3.0])).draws + 3.0) < 1e-6)
+    # a start outside the support names the key it came from
+    cfg = SamplerConfig(length=5, pilot_mean=[-1.0, 0.1, 0.5], pilot_cov=np.eye(3))
+    with pytest.raises(SupportError) as raised:
+        rw_metropolis(GARCH, cfg)
+    assert str(raised.value) == ("pilot_mean [-1.0, 0.1, 0.5] is outside the support of garch: "
+                                 "omega_1 must be > 0")
+
+
 def test_chain_respects_support():
     model = ExponentialTarget(lam=1.0)
     out = rw_metropolis(
@@ -185,6 +203,7 @@ def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, ini
     assert np.array_equal(out.draws, ref.draws)
     assert np.array_equal(out.gradients, ref.gradients)
     assert out.accept_rate == ref.accept_rate
+    assert out.log_density_calls == ref.log_density_calls
 
 
 @pytest.mark.parametrize("model,proposal_sd,init", oracle_cases()[::2])
@@ -209,20 +228,20 @@ SHIPPED_GARCH = json.loads((Path(__file__).resolve().parents[1] / "configs" / "g
 
 
 def screened_cases():
-    # (model, proposal_sd, init, surrogate mean, surrogate cov): the shipped
-    # GARCH screen from its shipped init and from the default init far out
-    # in the tails, a correlated logit screen, a screen whose proposals
+    # (model, proposal_sd, init, pilot mean, pilot cov): the shipped GARCH
+    # screen from its pilot mean and from the default init far out in the
+    # tails, a correlated logit screen, a screen whose proposals
     # often leave the exponential's support, a gaussian screened by a
     # deliberately wrong gaussian, and the stepped gaussian
     garch = GarchTarget(synthetic_demgbp_returns(seed=333))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
     return [
-        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], SHIPPED_GARCH["init"],
-                     SHIPPED_GARCH["surrogate_mean"], SHIPPED_GARCH["surrogate_cov"],
-                     id="garch-shipped"),
-        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["surrogate_mean"],
-                     SHIPPED_GARCH["surrogate_cov"], id="garch-default-init"),
+        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
+                     SHIPPED_GARCH["pilot_cov"], id="garch-shipped"),
+        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], garch.default_init(),
+                     SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+                     id="garch-default-init"),
         pytest.param(LogitTarget(synthetic_banknote(seed=101)), [0.63, 1.03, 0.78, 0.035], None,
                      [0.5, -1.0, 1.0, 0.05], logit_cov, id="logit"),
         pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], id="exponential"),
@@ -235,7 +254,7 @@ def screened_cases():
 
 def screened_config(proposal_sd, init, mean, cov, **fields):
     return SamplerConfig(proposal_sd=proposal_sd, init=None if init is None else np.array(init),
-                         surrogate_mean=mean, surrogate_cov=cov, **fields)
+                         pilot_mean=mean, pilot_cov=cov, **fields)
 
 
 @pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
@@ -249,6 +268,7 @@ def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposa
     assert np.array_equal(out.draws, ref.draws)
     assert np.array_equal(out.gradients, ref.gradients)
     assert out.accept_rate == ref.accept_rate
+    assert out.log_density_calls == ref.log_density_calls
 
 
 @pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases()[::2])
@@ -274,7 +294,7 @@ def test_a_wrong_surrogate_leaves_the_target_invariant():
     # the target's
     model = GaussianTarget(mu=2.0, sigma2=3.0)
     cfg = SamplerConfig(length=200_000, burn_in=1000, seed=4, proposal_sd=0.4,
-                        surrogate_mean=[0.0], surrogate_cov=[[0.5]], compute_gradients=False)
+                        pilot_mean=[0.0], pilot_cov=[[0.5]], compute_gradients=False)
     x = rw_metropolis(model, cfg).draws[:, 0]
     batches = math.isqrt(x.size)
     for values, expected in ((x, 2.0), ((x - 2.0) ** 2, 3.0)):
@@ -292,9 +312,9 @@ def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkey
 
     monkeypatch.setattr(GarchTarget, "log_density", spy)
     model = GarchTarget(synthetic_demgbp_returns(seed=333))
-    cfg = screened_config(SHIPPED_GARCH["proposal_sd"], SHIPPED_GARCH["init"],
-                          SHIPPED_GARCH["surrogate_mean"], SHIPPED_GARCH["surrogate_cov"],
-                          length=400, burn_in=100, thin=2, seed=5, compute_gradients=False)
+    cfg = screened_config(SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
+                          SHIPPED_GARCH["pilot_cov"], length=400, burn_in=100, thin=2, seed=5,
+                          compute_gradients=False)
     out = rw_metropolis(model, cfg)
     sampled = len(calls)
     calls.clear()
@@ -303,25 +323,28 @@ def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkey
     passed = len(calls)
     assert np.array_equal(out.draws, ref.draws)
     steps = cfg.burn_in + cfg.length * cfg.thin
-    # both counts include the one call that checks the init; every accepted
+    # both counts include the one call that checks the start; every accepted
     # proposal passed the screen, and most proposals did not
     assert sampled == passed
     assert 1 + round(out.accept_rate * cfg.length * cfg.thin) <= passed < steps / 2
+    # the chain counts the calls of its steps, not the start's check
+    assert out.log_density_calls == ref.log_density_calls == sampled - 1
+    assert 0.0 < out.log_density_calls / steps < 1.0
 
 
 @pytest.mark.parametrize("mean,cov,message", [
-    ([0.0], None, "surrogate_mean and surrogate_cov must be set together; surrogate_cov is not"),
-    (None, [[1.0]], "surrogate_mean and surrogate_cov must be set together; surrogate_mean is not"),
-    ([0.0, 1.0], [[1.0]], "surrogate_mean must be 1 finite numbers"),
-    ([math.nan], [[1.0]], "surrogate_mean must be 1 finite numbers"),
-    ([0.0], [1.0], "surrogate_cov must be a 1 x 1 matrix"),
-    ([0.0], [[1.0, 0.0]], "surrogate_cov must be a 1 x 1 matrix"),
-    ([0.0], [[math.inf]], "surrogate_cov must be a 1 x 1 matrix"),
-    ([0.0], [[1.0], [0.0, 1.0]], "surrogate_cov must be a 1 x 1 matrix"),
-    ([0.0], [[-1.0]], "surrogate_cov must be positive definite"),
+    ([0.0], None, "pilot_mean and pilot_cov must be set together; pilot_cov is not"),
+    (None, [[1.0]], "pilot_mean and pilot_cov must be set together; pilot_mean is not"),
+    ([0.0, 1.0], [[1.0]], "pilot_mean must be 1 finite numbers"),
+    ([math.nan], [[1.0]], "pilot_mean must be 1 finite numbers"),
+    ([0.0], [1.0], "pilot_cov must be a 1 x 1 matrix"),
+    ([0.0], [[1.0, 0.0]], "pilot_cov must be a 1 x 1 matrix"),
+    ([0.0], [[math.inf]], "pilot_cov must be a 1 x 1 matrix"),
+    ([0.0], [[1.0], [0.0, 1.0]], "pilot_cov must be a 1 x 1 matrix"),
+    ([0.0], [[-1.0]], "pilot_cov must be positive definite"),
 ])
 def test_rw_metropolis_rejects_a_bad_surrogate(mean, cov, message):
-    cfg = SamplerConfig(length=10, seed=0, surrogate_mean=mean, surrogate_cov=cov)
+    cfg = SamplerConfig(length=10, seed=0, pilot_mean=mean, pilot_cov=cov)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         rw_metropolis(GaussianTarget(), cfg)
 
@@ -329,19 +352,19 @@ def test_rw_metropolis_rejects_a_bad_surrogate(mean, cov, message):
 def test_the_surrogate_precision_is_exactly_symmetric():
     cov = np.array([[4.533e-06, 1.856e-05, -4.131e-05], [1.856e-05, 0.0004226, -0.0004255],
                     [-4.131e-05, -0.0004255, 0.0006005]])
-    mean, precision = resolve_surrogate(GarchTarget(synthetic_demgbp_returns(seed=333)),
+    mean, precision = resolve_pilot(GarchTarget(synthetic_demgbp_returns(seed=333)),
                                         [0.01, 0.16, 0.8], cov)
     assert np.array_equal(precision, precision.T)
     assert np.allclose(precision @ cov, np.eye(3), atol=1e-8)
     cov[0, 1] = np.nextafter(cov[0, 1], 1.0)
-    with pytest.raises(ValueError, match="^surrogate_cov must be symmetric$"):
-        resolve_surrogate(GarchTarget(synthetic_demgbp_returns(seed=333)), [0.01, 0.16, 0.8], cov)
+    with pytest.raises(ValueError, match="^pilot_cov must be symmetric$"):
+        resolve_pilot(GarchTarget(synthetic_demgbp_returns(seed=333)), [0.01, 0.16, 0.8], cov)
 
 
 def test_gibbs_takes_no_surrogate():
     model = ProbitTarget(synthetic_banknote(seed=101, n=80))
-    cfg = SamplerConfig(length=10, seed=0, surrogate_mean=[0.0] * 4, surrogate_cov=np.eye(4))
-    with pytest.raises(ValueError, match="gibbs_probit does not take a surrogate"):
+    cfg = SamplerConfig(length=10, seed=0, pilot_mean=[0.0] * 4, pilot_cov=np.eye(4))
+    with pytest.raises(ValueError, match="gibbs_probit does not take a pilot"):
         gibbs_probit(model, cfg)
 
 
@@ -428,8 +451,10 @@ def test_rw_metropolis_validates_once_and_batches_gradients():
     cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]), proposal_sd=1.0)
     out = rw_metropolis(model, cfg)
     steps = cfg.burn_in + cfg.length * cfg.thin
-    # the start is checked by the one log_density call the chain starts from
+    # the start is checked by the one log_density call the chain starts from;
+    # the chain counts only its steps' calls, one per step without a screen
     assert model.calls == {"log_density": steps + 1}
+    assert out.log_density_calls == steps
     assert np.all(out.draws > 0.0)
     distinct = 1 + np.count_nonzero(np.any(np.diff(out.draws, axis=0) != 0.0, axis=1))
     assert distinct < out.length  # some retained draws repeat
@@ -637,8 +662,9 @@ def test_gibbs_rejects_a_numerically_rank_deficient_design(monkeypatch):
 def test_sample_chain_dispatch():
     data = synthetic_banknote(seed=101, n=80)
     out = sample_chain(ProbitTarget(data), SamplerConfig(length=10, seed=0), method="gibbs")
-    # the Gibbs sampler: every sweep is a move
+    # the Gibbs sampler: every sweep is a move, and none calls log_density
     assert out.accept_rate == 1.0
+    assert out.log_density_calls == 0
     with pytest.raises(ValueError):
         sample_chain(GaussianTarget(), SamplerConfig(length=10, seed=0), method="gibbs")
     with pytest.raises(ValueError):
