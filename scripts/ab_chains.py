@@ -6,16 +6,19 @@
 src/zvmcmc at --rev is extracted with ab_bench.py's extract_tree into a
 temporary package under another name, next to the working tree's zvmcmc;
 the sources import each other only relatively, so the two copies do not
-mix.  For each config both sides sample the chains of replication 0 as a
-study samples them: the fit chain and then the eval chain, or the one chain
-of a single-chain config, each with the seed, length, thinning and sampler
-the study gives it, gradients included.  Each side does so once untimed,
-then --pairs times, alternately, the side that goes first switching every
-pair.  A timing
-repeats the whole replication's sampling until at least MIN_TIMING_S
-seconds have passed and gives the seconds per replication, so a fixed cost
-per chain weighs as a study pays it, and a replication of a few ms is
-still timed over a window that the machine's noise does not swamp.
+mix.  configs/ at --rev is extracted next to it, so a config under
+configs/ is read by each side at its own revision, and a key renamed or
+added between the two reads on both; a config outside configs/ is one file
+that both sides read.  For each config both sides sample the chains of
+replication 0 as a study samples them: the fit chain and then the eval
+chain, or the one chain of a single-chain config, each with the seed,
+length, thinning and sampler the study gives it, gradients included.  Each
+side does so once untimed, then --pairs times, alternately, the side that
+goes first switching every pair.  A timing repeats the whole
+replication's sampling until at least MIN_TIMING_S seconds have passed and
+gives the seconds per replication, so a fixed cost per chain weighs as a
+study pays it, and a replication of a few ms is still timed over a window
+that the machine's noise does not swamp.
 Interleaving in one process lets a kernel change be ranked on a busy
 machine, where separate runs drift by more than the change.  Chains are
 timed in this one process only, so effects of a study's worker pool, such as
@@ -86,9 +89,14 @@ def spread(seconds):
     return f"median {1e3 * median:9.1f} ms per replication  (q1 {1e3 * q1:.1f}, q3 {1e3 * q3:.1f})"
 
 
-def compare(old, new, config_path, pairs, rev):
-    sides = {"rev": replication_chains(old, config_path),
-             "tree": replication_chains(new, config_path)}
+def compare(old, new, config_path, rev_root, pairs, rev):
+    # a config under configs/ is read from each side's own configs/, any
+    # other config is one file that both sides read
+    tree_config = Path(config_path).resolve()
+    rev_config = (Path(rev_root, tree_config.relative_to(ROOT))
+                  if tree_config.is_relative_to(ROOT / "configs") else tree_config)
+    sides = {"rev": replication_chains(old, rev_config),
+             "tree": replication_chains(new, tree_config)}
     same = identical(timed(*sides["rev"])[1], timed(*sides["tree"])[1])
     seconds = {"rev": [], "tree": []}
     for k in range(pairs):
@@ -119,16 +127,17 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            extract_tree(args.rev, tmp, "src/zvmcmc")
+            for path in ("src/zvmcmc", "configs"):
+                extract_tree(args.rev, tmp, path)
         except subprocess.CalledProcessError as exc:
-            print(f"cannot extract src/zvmcmc at {args.rev}: {exc.stderr.decode().strip()}",
+            print(f"cannot extract {path} at {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
         (Path(tmp) / "src" / "zvmcmc").rename(Path(tmp) / REV_PACKAGE)
         sys.path[:0] = [tmp, str(ROOT / "src")]
         old = importlib.import_module(REV_PACKAGE)
         new = importlib.import_module("zvmcmc")
-        same = [compare(old, new, path, args.pairs, args.rev) for path in configs]
+        same = [compare(old, new, path, tmp, args.pairs, args.rev) for path in configs]
     return 0 if all(same) else 1
 
 

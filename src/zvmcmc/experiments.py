@@ -129,7 +129,9 @@ class ExperimentConfig:
     Gaussian with which random-walk Metropolis screens each proposal before
     it calls the likelihood (samplers.rw_metropolis); the chain starts at
     pilot_mean.  Both are null or both set; build_model checks them, and the
-    Gibbs sampler rejects them.
+    Gibbs sampler rejects them.  Both null give the flat screen, which
+    passes every proposal: the chain is plain Metropolis from the model's
+    default start.
 
     A key exists when a shipped config, workload or script sets it, directly
     or through a flag it passes, or when it is a deployment input
@@ -454,9 +456,9 @@ def run_study(config: ExperimentConfig) -> dict:
     rep<r>_eval.csv.
 
     The accept block holds the fit and eval chains' mean accept rates and
-    their mean log_density calls per step, burn-in included: 1 for an
-    unscreened random-walk chain, the share of proposals that pass the
-    screen for a screened one, and 0 for Gibbs.
+    their mean log_density calls per step, burn-in included: the share of
+    proposals that pass the screen for a random-walk chain (1 without a
+    pilot, whose flat screen passes all), and 0 for Gibbs.
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors

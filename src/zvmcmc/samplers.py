@@ -14,23 +14,23 @@ _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection; resolve_init checks the start
 (init, else pilot_mean, else the model's default) with the same call and
-names its key and the failed bound.  Given the Gaussian N(m, Sigma) of a
-pilot chain (SamplerConfig.pilot_mean and pilot_cov, checked by
-resolve_pilot), random-walk Metropolis screens each proposal with it first
-and calls log_density, as ChainOutput.log_density_calls counts, only for
-proposals that pass (delayed acceptance, Christen & Fox 2005); the chain
-still leaves pi invariant.  All randomness comes from SamplerConfig.seed:
-both samplers spawn two numpy Generators from SeedSequence(seed) (_streams),
-one for normals and one for uniforms, and draw each in blocks, random-walk
-Metropolis of _RNG_BLOCK steps and Gibbs of _GIBBS_UNIFORMS // n sweeps (the
-draws do not depend on the block sizes).  Identical configs give
-bit-identical output.
+names its key and the failed bound.  Random-walk Metropolis has one step
+rule: it screens each proposal with a pilot Gaussian N(m, Sigma)
+(SamplerConfig.pilot_mean and pilot_cov, checked by resolve_pilot) and calls
+log_density, as ChainOutput.log_density_calls counts, only for proposals
+that pass (delayed acceptance, Christen & Fox 2005); the chain still leaves
+pi invariant.  Without a pilot the screen is flat (m = 0, Sigma^-1 = 0),
+passes every proposal, and the rule is plain Metropolis.  All randomness
+comes from SamplerConfig.seed: both samplers spawn two numpy Generators from
+SeedSequence(seed) (_streams), one for normals and one for uniforms, and
+draw each in blocks, random-walk Metropolis of _RNG_BLOCK steps and Gibbs of
+_GIBBS_UNIFORMS // n sweeps (the draws do not depend on the block sizes).
+Identical configs give bit-identical output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 
 import numpy as np
@@ -91,8 +91,9 @@ class SamplerConfig:
                  resolve_proposal_sd checks it
     pilot_mean, pilot_cov  mean m (d entries) and covariance Sigma (d x d,
                  symmetric positive definite) of a pilot chain, the Gaussian
-                 that rw_metropolis screens proposals with; both None (no
-                 screen) or both set; resolve_pilot checks them
+                 that rw_metropolis screens proposals with; both None (the
+                 flat screen, plain Metropolis) or both set; resolve_pilot
+                 checks them
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
@@ -125,8 +126,8 @@ class ChainOutput:
     A chain sampled with compute_gradients=False carries a (0, d) gradients
     array; has_gradients distinguishes the two.  log_density_calls counts
     the model's log_density calls made by the chain's steps, burn-in
-    included and the check of the start excluded: one per step without a
-    screen, one per proposal that passes it with one, none for Gibbs.
+    included and the check of the start excluded: one per proposal that
+    passes the screen (every proposal without a pilot), none for Gibbs.
     """
 
     draws: np.ndarray
@@ -183,18 +184,19 @@ def _finite_array(name, value, shape, what, model):
 
 
 def resolve_pilot(model, mean, cov):
-    """(m, P = Sigma^-1) of the pilot Gaussian N(m, Sigma), or None when neither is set.
+    """(m, P = Sigma^-1) of the pilot Gaussian N(m, Sigma); the flat pilot
+    (zeros(d), zeros((d, d))) when neither is set.
 
     ValueError naming the key unless both are set or both are None, m has d
     finite entries and Sigma is a finite, symmetric, positive definite d x d
     matrix.  P is symmetrized, so it is exactly symmetric.
     """
+    d = model.dimension
     if mean is None and cov is None:
-        return None
+        return np.zeros(d), np.zeros((d, d))
     if mean is None or cov is None:
         missing = "pilot_mean" if mean is None else "pilot_cov"
         raise ValueError(f"pilot_mean and pilot_cov must be set together; {missing} is not")
-    d = model.dimension
     m = _finite_array("pilot_mean", mean, (d,), f"{d} finite numbers", model)
     sigma = _finite_array("pilot_cov", cov, (d, d), f"a {d} x {d} matrix of finite numbers", model)
     if not np.array_equal(sigma, sigma.T):
@@ -251,10 +253,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     Step k proposes y = x + v_k, v_k = sd * z_k, where z_k is row k of the
     first stream's normals, and reads u_k, the k-th uniform of the second
     (see _streams); every step takes one of each, whether it needs the
-    uniform or not.  Without a pilot the step accepts iff
-    log u_k < log pi(y) - log pi(x).
+    uniform or not.
 
-    With a pilot q = N(m, Sigma), P = Sigma^-1 (see resolve_pilot),
+    With the pilot q = N(m, Sigma), P = Sigma^-1 (see resolve_pilot),
     let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
     step accepts iff
 
@@ -264,7 +265,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     the delayed-acceptance kernel, which leaves pi invariant.  When
     log u_k >= min(0, dq) the step rejects without calling log_density, so
     only the proposals that pass the screen pay for the likelihood; the one
-    uniform serves both stages.  With dq = 0 the rule is the unscreened one.
+    uniform serves both stages.  Without a pilot P = 0 and m = 0, so dq = +-0:
+    every proposal passes (log u_k < 0, even for u_k = 0), and the step
+    accepts iff log u_k < log pi(y) - log pi(x), plain Metropolis bit for bit.
     In floating point, P v_k is the sum of v_kj times row j of P and
     v_k.(P v_k) the sum of v_kj (P v_k)_j, both over j = 0, 1, ... in order;
     the second is then halved.  (x - m).(P v_k) is math.fsum of the d
@@ -279,14 +282,11 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     normals, uniforms = _streams(config.seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    pilot = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
     x, logp = resolve_init(model, config.init, config.pilot_mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
-    screened = pilot is not None
-    if screened:
-        mean, precision = pilot
-        xc = (x - mean).tolist()
+    xc = (x - mean).tolist()
 
     draws = np.empty((config.length, d))
     # moved[i]: the chain accepted a proposal since retained draw i - 1
@@ -315,29 +315,24 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
         moves = normals.standard_normal((n, d))
         moves *= sd
         log_u = np.log(uniforms.random(n)).tolist()
-        if screened:
-            # each move's P v and v.(P v) / 2, by elementwise operations in
-            # the order the docstring states, so no row depends on the block
-            pd = moves[:, :1] * precision[0]
-            for j in range(1, d):
-                pd += moves[:, j:j + 1] * precision[j]
-            halves = moves[:, 0] * pd[:, 0]
-            for j in range(1, d):
-                halves += moves[:, j] * pd[:, j]
-            halves *= 0.5
-            # the rows of P v as d-tuples of one flat list: a list of row
-            # lists would hold a block's worth of containers at once and set
-            # off the garbage collector, whose full pass in a forked pool
-            # worker touches every page the worker shares with its parent
-            screens = zip(zip(*[iter(pd.ravel().tolist())] * d), halves.tolist())
-        else:
-            screens = repeat(None, n)
-        for step, move, lu, screen in zip(range(start, start + n), moves, log_u, screens):
-            if screen is not None:
-                pdk, half = screen
-                dq = -fsum(map(mul, xc, pdk)) - half
-                first = dq if dq < 0.0 else 0.0
-            if screen is None or lu < first:
+        # each move's P v and v.(P v) / 2, by elementwise operations in the
+        # order the docstring states, so no row depends on the block
+        pd = moves[:, :1] * precision[0]
+        for j in range(1, d):
+            pd += moves[:, j:j + 1] * precision[j]
+        halves = moves[:, 0] * pd[:, 0]
+        for j in range(1, d):
+            halves += moves[:, j] * pd[:, j]
+        halves *= 0.5
+        # the rows of P v as d-tuples of one flat list: a list of row lists
+        # would hold a block's worth of containers at once and set off the
+        # garbage collector, whose full pass in a forked pool worker touches
+        # every page the worker shares with its parent
+        screens = zip(zip(*[iter(pd.ravel().tolist())] * d), halves.tolist())
+        for step, move, lu, (pdk, half) in zip(range(start, start + n), moves, log_u, screens):
+            dq = -fsum(map(mul, xc, pdk)) - half
+            first = dq if dq < 0.0 else 0.0
+            if lu < first:
                 prop = x + move
                 calls += 1
                 try:
@@ -348,15 +343,12 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
                 # float unequal to itself: cheaper than calling math.isnan
                 if lp != lp:
                     raise FloatingPointError(f"NaN log-density at proposal {prop}")
-                diff = lp - logp
-                if screen is not None:
-                    diff -= dq
-                    diff = first + (diff if diff < 0.0 else 0.0)
+                diff = lp - logp - dq
+                diff = first + (diff if diff < 0.0 else 0.0)
                 if lu < diff:
                     x = prop
                     logp = lp
-                    if screen is not None:
-                        xc = (x - mean).tolist()
+                    xc = (x - mean).tolist()
                     since_kept = True
                     if step >= burn_in:
                         retained_accepts += 1

@@ -118,8 +118,10 @@ def reference_rw_metropolis(model, config):
     The two generators are spawned from SeedSequence(config.seed).  Each
     step draws one normal row z from the first and one uniform u from the
     second, without blocks; the proposal is y = x + v, v = sd * z.  With a
-    pilot N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2,
-    and dq = 0 without one.  The step rejects without calling log_density
+    pilot N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2.
+    Without one (both config keys None) dq = 0.0 exactly, decided here and
+    not by the package, so plain Metropolis is an independent oracle for the
+    sampler's flat pilot.  The step rejects without calling log_density
     when log u >= min(0, dq), and otherwise accepts when
     log u < min(0, dq) + min(0, log pi(y) - log pi(x) - dq).  P v sums
     v_j times row j of P, and v.(P v) the products v_j (P v)_j, in order of
@@ -145,7 +147,8 @@ def reference_rw_metropolis(model, config):
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
     sd = resolve_proposal_sd(model, config.proposal_sd)
-    pilot = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    screened = not (config.pilot_mean is None and config.pilot_cov is None)
     x, logp = resolve_init(model, config.init, config.pilot_mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
@@ -162,8 +165,7 @@ def reference_rw_metropolis(model, config):
         move = sd * normal_rng.standard_normal(d)
         log_u = np.log(uniform_rng.random())
         dq = 0.0
-        if pilot is not None:
-            mean, precision = pilot
+        if screened:
             pd = move[0] * precision[0]
             for j in range(1, d):
                 pd = pd + move[j] * precision[j]

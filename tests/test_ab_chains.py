@@ -38,6 +38,16 @@ def test_ab_chains_times_the_one_chain_of_a_single_chain_config(tmp_path):
     assert "bit-identical" in done.stdout
 
 
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
+def test_each_side_reads_the_shipped_configs_of_its_own_revision(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
+    toys = clone / "configs" / "toys.json"
+    toys.write_text(json.dumps({**json.loads(toys.read_text()), "mu": 2.5}))
+    done = ab_chains(clone, toys)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "CHAINS DIFFER" in done.stdout
+
+
 @pytest.mark.parametrize("single_chain", [False, True])
 def test_replication_chains_are_those_a_study_samples(tmp_path, monkeypatch, single_chain):
     monkeypatch.syspath_prepend(str(SCRIPT.parent))

@@ -434,7 +434,8 @@ class TestRunStudy:
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
         assert list(acc) == ["fit_rate_mean", "eval_rate_mean", "fit_calls_per_step_mean",
                              "eval_calls_per_step_mean"]
-        # an unscreened random-walk chain calls log_density once per step
+        # without a pilot the flat screen passes every proposal: one
+        # log_density call per step
         assert acc["fit_calls_per_step_mean"] == acc["eval_calls_per_step_mean"] == 1.0
 
     def test_the_accept_block_reports_the_screens_calls_per_step(self, monkeypatch):

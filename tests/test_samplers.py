@@ -223,16 +223,17 @@ def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model,
     assert small.accept_rate == large.accept_rate
 
 
-SHIPPED_GARCH = json.loads((Path(__file__).resolve().parents[1] / "configs" / "garch_demgbp.json")
-                           .read_text())
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_GARCH = json.loads((CONFIGS / "garch_demgbp.json").read_text())
+SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
 def screened_cases():
     # (model, proposal_sd, init, pilot mean, pilot cov): the shipped GARCH
     # screen from its pilot mean and from the default init far out in the
-    # tails, a correlated logit screen, a screen whose proposals
-    # often leave the exponential's support, a gaussian screened by a
-    # deliberately wrong gaussian, and the stepped gaussian
+    # tails, a correlated logit screen, a screen whose proposals often leave
+    # the exponential's support, a gaussian screened by a deliberately wrong
+    # gaussian, the stepped gaussian, and the shipped logit screen
     garch = GarchTarget(synthetic_demgbp_returns(seed=333))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
@@ -249,6 +250,8 @@ def screened_cases():
                      id="gaussian-wrong-surrogate"),
         pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]],
                      id="stepped-gaussian"),
+        pytest.param(LogitTarget(synthetic_banknote(seed=101)), SHIPPED_LOGIT["proposal_sd"], None,
+                     SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"], id="logit-shipped"),
     ]
 
 
@@ -347,6 +350,23 @@ def test_rw_metropolis_rejects_a_bad_surrogate(mean, cov, message):
     cfg = SamplerConfig(length=10, seed=0, pilot_mean=mean, pilot_cov=cov)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         rw_metropolis(GaussianTarget(), cfg)
+
+
+@pytest.mark.parametrize("model", [GaussianTarget(), LogitTarget(synthetic_banknote(seed=101, n=80)),
+                                   GarchTarget(synthetic_demgbp_returns(seed=333))],
+                         ids=["gaussian", "logit", "garch"])
+def test_without_a_pilot_the_pilot_is_flat(model):
+    d = model.dimension
+    mean, precision = resolve_pilot(model, None, None)
+    assert mean.shape == (d,) and precision.shape == (d, d)
+    assert not mean.any() and not precision.any()
+    # one key alone is still refused
+    with pytest.raises(ValueError, match="^pilot_mean and pilot_cov must be set together; "
+                                         "pilot_cov is not$"):
+        resolve_pilot(model, [0.0] * d, None)
+    with pytest.raises(ValueError, match="^pilot_mean and pilot_cov must be set together; "
+                                         "pilot_mean is not$"):
+        resolve_pilot(model, None, np.eye(d))
 
 
 def test_the_surrogate_precision_is_exactly_symmetric():
@@ -452,7 +472,8 @@ def test_rw_metropolis_validates_once_and_batches_gradients():
     out = rw_metropolis(model, cfg)
     steps = cfg.burn_in + cfg.length * cfg.thin
     # the start is checked by the one log_density call the chain starts from;
-    # the chain counts only its steps' calls, one per step without a screen
+    # the chain counts only its steps' calls: without a pilot the flat
+    # screen passes every proposal, so one per step
     assert model.calls == {"log_density": steps + 1}
     assert out.log_density_calls == steps
     assert np.all(out.draws > 0.0)
