@@ -16,16 +16,16 @@ both.  The commands are:
   --threads 2, which also writes every sampled chain under <out>/chains;
   diagnose --seed 7 on logit (--length 50000), on probit, whose Gibbs chain
   no other diagnose runs, and on GARCH (both --length 20000);
-  coverage --seed 7, 4 replications, on a temporary copy of configs/toys.json
-  with single_chain true and a 20,000-draw reference chain.
+  coverage --seed 7 --keep-chains, 4 replications, on a temporary copy of
+  configs/toys.json with single_chain true and a 20,000-draw reference
+  chain; each side copies its own revision's configs/toys.json, and the
+  command's printed name shows the copy's path with {side} for the side.
 
 --config limits the run and diagnose commands to the given configs (the
 --keep-chains run comes with configs/toys.json) and leaves out the coverage
-command on its temporary copy; a config outside the shipped four gets the runs at 4
-replications and no diagnose.  --replications replaces every run's
-replication count.  A config outside configs/, like the coverage command's
-temporary copy of the working tree's configs/toys.json, is one file that
-both sides read.
+command; a config outside the shipped four gets the runs at 4 replications
+and no diagnose.  --replications replaces every run's replication count.  A
+config outside configs/ is one file that both sides read.
 
 Each pair of reports is compared with compare_reports.compare, which
 skips every timing block and config.output_dir, each pair of study CSVs
@@ -95,14 +95,22 @@ def protocol(configs, replications):
     return steps
 
 
-def coverage_step(tmp):
-    """(CLI arguments but the seed, files to compare) of the coverage command,
-    whose config is written under tmp."""
+def coverage_step(tmp, roots):
+    """(CLI arguments but the seed, files to compare) of the coverage command.
+
+    For each side of roots ({side: root}) the config is written to
+    <tmp>/<side>/, a copy of that root's own configs/toys.json with
+    COVERAGE's keys replaced; in the arguments "{side}" stands for the side.
+    """
     key, overrides = COVERAGE
-    config = Path(tmp, "coverage_" + Path(key).name)
-    config.write_text(json.dumps({**json.loads((ROOT / key).read_text()), **overrides}))
-    return (["coverage", "--config", str(config), "--replications", str(DEFAULT_REPLICATIONS)],
-            ("coverage.json",))
+    name = "coverage_" + Path(key).name
+    for side, root in roots.items():
+        Path(tmp, side).mkdir()
+        Path(tmp, side, name).write_text(
+            json.dumps({**json.loads(Path(root, key).read_text()), **overrides}))
+    return (["coverage", "--config", str(Path(tmp, "{side}", name)),
+             "--replications", str(DEFAULT_REPLICATIONS), "--keep-chains"],
+            ("coverage.json", "chains/"))
 
 
 def run_side(root, argv, out_dir):
@@ -196,10 +204,11 @@ def main(argv=None):
         sides = {"rev": tmp, "tree": str(ROOT)}
         steps = protocol(configs, args.replications)
         if args.config is None:
-            steps.append(coverage_step(tmp))
+            steps.append(coverage_step(tmp, sides))
         for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
-            done = {side: run_side(sides[side], cli_argv + ["--seed", str(SEED)], dirs[side])
+            done = {side: run_side(sides[side], [arg.replace("{side}", side) for arg in cli_argv]
+                                   + ["--seed", str(SEED)], dirs[side])
                     for side in sides}
             found = [f"{side} failed: {err}" for side, (_, err) in done.items() if err is not None]
             if not found:

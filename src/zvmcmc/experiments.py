@@ -1,11 +1,12 @@
 """Replication studies tying models, samplers and control variates together.
 
-A study runs R independent replications.  Replication r draws a fit chain
-with seed base_seed + 2r and an evaluation chain with seed base_seed + 2r+1,
-estimates control variate coefficients on the first, and averages both the
-plain f and the renormalized ftilde on the second; a single-chain study's
-one chain, seed base_seed + 2r, is both.  Across-replication variances of
-those averages give the variance-reduction ratios.
+A study runs R independent replications.  Replication r samples a list of
+chains, each (file role, draws, seed): ("fit", fit_length, base_seed + 2r)
+then ("eval", eval_length, base_seed + 2r + 1), or under single_chain the
+one ("fit", eval_length, base_seed + 2r).  It fits control variate
+coefficients on the first chain and averages both the plain f and the
+renormalized ftilde on the last.  Across-replication variances of those
+averages give the variance-reduction ratios.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .models import (
 from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_pilot,
                        resolve_proposal_sd, sample_chain)
 from .zv import (
+    SUPPORTED_DEGREES,
     InsufficientSampleError,
     MonomialBasis,
     default_exclusions,
@@ -173,8 +175,9 @@ class ExperimentConfig:
         if self.model_kind not in _KINDS:
             raise ConfigError(f"model_kind must be one of {tuple(_KINDS)}, got {self.model_kind!r}")
         degrees = _integers("degrees", self.degrees)
-        if not degrees or any(p not in (1, 2, 3) for p in degrees):
-            raise ConfigError(f"degrees must be a non-empty subset of [1, 2, 3], got {list(degrees)}")
+        if not degrees or any(p not in SUPPORTED_DEGREES for p in degrees):
+            raise ConfigError(f"degrees must be a non-empty subset of {list(SUPPORTED_DEGREES)}, "
+                              f"got {list(degrees)}")
         if len(set(degrees)) != len(degrees):
             raise ConfigError(f"degrees must not repeat, got {list(degrees)}")
         self.degrees = degrees
@@ -348,47 +351,37 @@ _REPLICATION_FAILURES = (SupportError, FloatingPointError, InsufficientSampleErr
 
 
 def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
-    fit_seed = config.base_seed + 2 * r
-    eval_seed = fit_seed if config.single_chain else fit_seed + 1
-    out = {"r": r, "error": None, "fit_seed": fit_seed, "eval_seed": eval_seed}
+    seed = config.base_seed + 2 * r
+    # (file role, draws, seed) of each chain in sampling order; the controls
+    # are fitted on the first chain and averaged on the last
+    plan = ([("fit", config.eval_length, seed)] if config.single_chain else
+            [("fit", config.fit_length, seed), ("eval", config.eval_length, seed + 1)])
+    out = {"r": r, "error": None, "fit_seed": seed, "eval_seed": plan[-1][2]}
     try:
+        chains, seconds = [], []
+        for _, length, chain_seed in plan:
+            t0 = time.perf_counter()
+            chains.append(sample_chain(model, _chain_config(config, length, chain_seed, config.thin),
+                                       method=config.sampler))
+            seconds.append(time.perf_counter() - t0)
+
         t0 = time.perf_counter()
-        if config.single_chain:
-            fit_chain = eval_chain = sample_chain(
-                model, _chain_config(config, config.eval_length, fit_seed, config.thin),
-                method=config.sampler)
-            t1 = t2 = time.perf_counter()
-        else:
-            fit_chain = sample_chain(
-                model, _chain_config(config, config.fit_length, fit_seed, config.thin),
-                method=config.sampler)
-            t1 = time.perf_counter()
-            eval_chain = sample_chain(
-                model, _chain_config(config, config.eval_length, eval_seed, config.thin),
-                method=config.sampler)
-            t2 = time.perf_counter()
-
         if chains_dir is not None:
-            export_chain(fit_chain, os.path.join(chains_dir, f"rep{r:04d}_fit.csv"))
-            if eval_chain is not fit_chain:
-                export_chain(eval_chain, os.path.join(chains_dir, f"rep{r:04d}_eval.csv"))
+            for (role, _, _), chain in zip(plan, chains):
+                export_chain(chain, os.path.join(chains_dir, f"rep{r:04d}_{role}.csv"))
 
+        fit_chain, eval_chain = chains[0], chains[-1]
         center, scale = standardization_from_chain(fit_chain, model.constrained_coordinates)
         fits = fit_and_renormalize(fit_chain, eval_chain, bases, fit_chain.draws, eval_chain.draws,
                                    center, scale)
         out.update(ordinary=eval_chain.draws.mean(axis=0),
                    zv={p: ftilde.mean(axis=0) for p, (_, ftilde) in fits.items()},
                    dropped={p: bool(fit.dropped_columns) for p, (fit, _) in fits.items()},
-                   ridge={p: fit.ridge_applied for p, (fit, _) in fits.items()})
-        t3 = time.perf_counter()
-
-        out["fit_accept"] = fit_chain.accept_rate
-        out["eval_accept"] = eval_chain.accept_rate
-        out["fit_calls"] = _calls_per_step(config, fit_chain, config.thin)
-        out["eval_calls"] = _calls_per_step(config, eval_chain, config.thin)
-        out["t_fit"] = t1 - t0
-        out["t_eval"] = t2 - t1
-        out["t_post"] = t3 - t2
+                   ridge={p: fit.ridge_applied for p, (fit, _) in fits.items()},
+                   accept=[chain.accept_rate for chain in chains],
+                   calls=[_calls_per_step(config, chain, config.thin) for chain in chains],
+                   seconds=seconds,
+                   t_post=time.perf_counter() - t0)
     except _REPLICATION_FAILURES as exc:  # recorded, not fatal
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
@@ -450,15 +443,20 @@ def run_study(config: ExperimentConfig) -> dict:
 
     Returns the report in its written JSON form, the form export_study writes
     to study.json (see run_diagnose).  Wall-clock numbers live only under
-    report["timing"] so the rest is reproducible byte for byte.  With
-    config.keep_chains every sampled chain is written to
-    <config.output_dir>/chains/rep<r>_fit.csv and, on the two-chain protocol,
-    rep<r>_eval.csv.
+    report["timing"] so the rest is reproducible byte for byte.
 
-    The accept block holds the fit and eval chains' mean accept rates and
-    their mean log_density calls per step, burn-in included: the share of
-    proposals that pass the screen for a random-walk chain (1 without a
-    pilot, whose flat screen passes all), and 0 for Gibbs.
+    Replication r samples the list of chains the module docstring gives;
+    seeds.fit and seeds.eval hold its first and last chains' seeds, and with
+    config.keep_chains each chain is written to
+    <config.output_dir>/chains/rep<r>_<role>.csv.  timing books the first
+    chain's seconds as fit_chain_seconds and the rest as eval_chain_seconds
+    (0 under single_chain); the ordinary arm pays for the last chain, the ZV
+    arm for every chain plus post_seconds.
+
+    The accept block holds the first (fit) and last (eval) chains' mean
+    accept rates and their mean log_density calls per step, burn-in
+    included: the share of proposals that pass the screen for a random-walk
+    chain (1 without a pilot, whose flat screen passes all), and 0 for Gibbs.
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors
@@ -525,9 +523,6 @@ def _study(config: ExperimentConfig, model, bases):
     ordinary = np.vstack([row["ordinary"] for row in good])
     zv_estimates = {p: np.vstack([row["zv"][p] for row in good]) for p in config.degrees}
     seeds = np.array([row["fit_seed"] for row in good], dtype=np.uint64)
-    t_fit = sum(row["t_fit"] for row in good)
-    t_eval = sum(row["t_eval"] for row in good)
-    t_post = sum(row["t_post"] for row in good)
     study = ReplicationStudy(
         ordinary_estimates=ordinary,
         zv_estimates=zv_estimates,
@@ -558,10 +553,11 @@ def _study(config: ExperimentConfig, model, bases):
             entry["zv"][p] = deg_entry
         results[name] = entry
 
-    # the zv arm pays for both chains plus the post-processing; in single-chain
-    # mode the one chain (booked under t_fit) serves both estimators
-    t_ordinary = t_fit if config.single_chain else t_eval
-    t_zv = (t_fit + t_post) if config.single_chain else (t_fit + t_eval + t_post)
+    t_fit = sum(row["seconds"][0] for row in good)
+    t_eval = sum((t for row in good for t in row["seconds"][1:]), 0.0)
+    t_post = sum(row["t_post"] for row in good)
+    t_ordinary = sum(row["seconds"][-1] for row in good)
+    t_zv = t_fit + t_eval + t_post
     report = {
         "schema": "zvmcmc-study-v1",
         "package_version": __version__,
@@ -580,10 +576,10 @@ def _study(config: ExperimentConfig, model, bases):
         },
         "per_replication_estimates": {"ordinary": ordinary, "zv": zv_estimates},
         "accept": {
-            "fit_rate_mean": np.mean([row["fit_accept"] for row in good]),
-            "eval_rate_mean": np.mean([row["eval_accept"] for row in good]),
-            "fit_calls_per_step_mean": np.mean([row["fit_calls"] for row in good]),
-            "eval_calls_per_step_mean": np.mean([row["eval_calls"] for row in good]),
+            "fit_rate_mean": np.mean([row["accept"][0] for row in good]),
+            "eval_rate_mean": np.mean([row["accept"][-1] for row in good]),
+            "fit_calls_per_step_mean": np.mean([row["calls"][0] for row in good]),
+            "eval_calls_per_step_mean": np.mean([row["calls"][-1] for row in good]),
         },
         "results": results,
         "timing": {

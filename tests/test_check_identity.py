@@ -156,3 +156,22 @@ def test_a_differing_printed_line_is_named(monkeypatch):
         "stdout differs at line 1: 'replications 2/2' vs 'replications 1/2'")
     assert stdout_difference(printed, printed.rsplit("wrote", 1)[0]) == (
         "stdout differs at line 3: 'wrote <out>/study.csv' vs None")
+
+
+def test_each_side_of_the_coverage_command_reads_its_own_toys_config(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import COVERAGE, coverage_step
+
+    toys = json.loads((ROOT / "configs" / "toys.json").read_text())
+    roots = {}
+    for side, mu in (("rev", 2.5), ("tree", toys["mu"])):
+        roots[side] = tmp_path / f"{side}_root"
+        (roots[side] / "configs").mkdir(parents=True)
+        (roots[side] / "configs" / "toys.json").write_text(json.dumps({**toys, "mu": mu}))
+    (tmp_path / "work").mkdir()
+    argv, files = coverage_step(tmp_path / "work", roots)
+    assert argv[:2] == ["coverage", "--config"] and "--keep-chains" in argv
+    assert files == ("coverage.json", "chains/")
+    for side, mu in (("rev", 2.5), ("tree", toys["mu"])):
+        copy = json.loads(Path(argv[2].replace("{side}", side)).read_text())
+        assert copy == {**toys, "mu": mu, **COVERAGE[1]}

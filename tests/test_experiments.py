@@ -481,6 +481,13 @@ class TestRunStudy:
                     "total_seconds", "ordinary_seconds", "zv_seconds", "zv_over_ordinary"):
             assert key in t
         assert t["zv_over_ordinary"] > 1.0
+        # two chains: the ordinary arm pays for the eval chain, the zv arm
+        # for both chains and the post-processing
+        assert t["eval_chain_seconds"] > 0.0
+        assert t["ordinary_seconds"] == t["eval_chain_seconds"]
+        assert t["zv_seconds"] == pytest.approx(
+            t["fit_chain_seconds"] + t["eval_chain_seconds"] + t["post_seconds"], rel=1e-12)
+        assert [e - f for f, e in zip(report["seeds"]["fit"], report["seeds"]["eval"])] == [1] * 4
 
     def test_deterministic_given_config(self, gaussian_config, gaussian_run):
         first = gaussian_run
@@ -589,6 +596,13 @@ class TestRunStudyVariants:
         report = run_study(cfg)
         assert report["protocol"] == "single-chain"
         assert report["accept"]["fit_rate_mean"] == report["accept"]["eval_rate_mean"]
+        assert report["seeds"]["eval"] == report["seeds"]["fit"]
+        # the one chain is booked as the fit chain and pays for both arms
+        t = report["timing"]
+        assert t["eval_chain_seconds"] == 0
+        assert t["ordinary_seconds"] == t["fit_chain_seconds"] > 0.0
+        assert t["zv_seconds"] == pytest.approx(
+            t["fit_chain_seconds"] + t["eval_chain_seconds"] + t["post_seconds"], rel=1e-12)
         files = sorted(f.name for f in chains.iterdir())
         assert files == ["rep0000_fit.csv", "rep0001_fit.csv"]
         rows = (chains / "rep0000_fit.csv").read_text().strip().split("\n")

@@ -177,82 +177,54 @@ class SteppedGaussian(GaussianTarget):
         return float(math.floor(super().log_density(beta)))
 
 
-def oracle_cases():
-    # (model, proposal_sd, init): the shipped logit and GARCH step sizes, a
-    # wide exponential step from near 0 whose proposals often leave the
-    # support, a plain gaussian, and a stepped gaussian whose flat steps
-    # make many deltas exactly 0
-    return [
-        pytest.param(LogitTarget(synthetic_banknote(seed=101)), [0.63, 1.03, 0.78, 0.035], None,
-                     id="logit"),
-        pytest.param(GarchTarget(synthetic_demgbp_returns(seed=333)), [0.0022, 0.0233, 0.0269],
-                     None, id="garch"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, id="gaussian"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, id="stepped-gaussian"),
-    ]
-
-
-@pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
-@pytest.mark.parametrize("model,proposal_sd,init", oracle_cases())
-def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, burn_in, thin):
-    cfg = SamplerConfig(length=150, burn_in=burn_in, thin=thin, seed=21, proposal_sd=proposal_sd,
-                        init=None if init is None else np.array(init))
-    out = rw_metropolis(model, cfg)
-    ref = reference_rw_metropolis(model, cfg)
-    assert np.array_equal(out.draws, ref.draws)
-    assert np.array_equal(out.gradients, ref.gradients)
-    assert out.accept_rate == ref.accept_rate
-    assert out.log_density_calls == ref.log_density_calls
-
-
-@pytest.mark.parametrize("model,proposal_sd,init", oracle_cases()[::2])
-def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init):
-    import zvmcmc.samplers
-
-    # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
-    cfg = SamplerConfig(length=150, burn_in=11, thin=3, seed=21, proposal_sd=proposal_sd,
-                        init=None if init is None else np.array(init))
-    chains = []
-    for block in (7, 4096):
-        monkeypatch.setattr(zvmcmc.samplers, "_RNG_BLOCK", block)
-        chains.append(rw_metropolis(model, cfg))
-    small, large = chains
-    assert np.array_equal(small.draws, large.draws)
-    assert np.array_equal(small.gradients, large.gradients)
-    assert small.accept_rate == large.accept_rate
-
-
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED_GARCH = json.loads((CONFIGS / "garch_demgbp.json").read_text())
 SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
-def screened_cases():
-    # (model, proposal_sd, init, pilot mean, pilot cov): the shipped GARCH
-    # screen from its pilot mean and from the default init far out in the
-    # tails, a correlated logit screen, a screen whose proposals often leave
-    # the exponential's support, a gaussian screened by a deliberately wrong
-    # gaussian, the stepped gaussian, and the shipped logit screen
+def rw_cases():
+    # (model, proposal_sd, init, pilot mean, pilot cov).  Without a pilot
+    # (flat-*) the flat screen must step as plain Metropolis: the shipped
+    # logit and GARCH step sizes, a wide exponential step from near 0 whose
+    # proposals often leave the support, a plain gaussian, and a stepped
+    # gaussian whose flat steps make many deltas exactly 0.  With one: the
+    # shipped GARCH screen from its pilot mean and from the default init far
+    # out in the tails, a correlated logit screen, a screen whose proposals
+    # often leave the exponential's support, a gaussian screened by a
+    # deliberately wrong gaussian, the stepped gaussian, and the shipped
+    # logit screen
     garch = GarchTarget(synthetic_demgbp_returns(seed=333))
+    logit = LogitTarget(synthetic_banknote(seed=101))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
     return [
+        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, id="flat-logit"),
+        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, id="flat-garch"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, id="flat-exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None,
+                     id="flat-gaussian"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None,
+                     id="flat-stepped-gaussian"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
                      SHIPPED_GARCH["pilot_cov"], id="garch-shipped"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], garch.default_init(),
                      SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
                      id="garch-default-init"),
-        pytest.param(LogitTarget(synthetic_banknote(seed=101)), [0.63, 1.03, 0.78, 0.035], None,
-                     [0.5, -1.0, 1.0, 0.05], logit_cov, id="logit"),
+        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, [0.5, -1.0, 1.0, 0.05], logit_cov,
+                     id="logit"),
         pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], id="exponential"),
         pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, [0.0], [[0.5]],
                      id="gaussian-wrong-surrogate"),
         pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]],
                      id="stepped-gaussian"),
-        pytest.param(LogitTarget(synthetic_banknote(seed=101)), SHIPPED_LOGIT["proposal_sd"], None,
-                     SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"], id="logit-shipped"),
+        pytest.param(logit, SHIPPED_LOGIT["proposal_sd"], None, SHIPPED_LOGIT["pilot_mean"],
+                     SHIPPED_LOGIT["pilot_cov"], id="logit-shipped"),
     ]
+
+
+# the rw_cases rows whose draws are also checked against another block size
+BLOCK_SIZE_CASES = ("flat-logit", "flat-exponential", "flat-stepped-gaussian", "garch-shipped",
+                    "logit", "gaussian-wrong-surrogate", "logit-shipped")
 
 
 def screened_config(proposal_sd, init, mean, cov, **fields):
@@ -261,7 +233,7 @@ def screened_config(proposal_sd, init, mean, cov, **fields):
 
 
 @pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
-@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases())
+@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", rw_cases())
 def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
                                                                   cov, burn_in, thin):
     cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
@@ -274,11 +246,13 @@ def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposa
     assert out.log_density_calls == ref.log_density_calls
 
 
-@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", screened_cases()[::2])
+@pytest.mark.parametrize("model,proposal_sd,init,mean,cov",
+                         [case for case in rw_cases() if case.id in BLOCK_SIZE_CASES])
 def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
                                                          mean, cov):
     import zvmcmc.samplers
 
+    # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
     cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
     chains = []
     for block in (7, 4096):
