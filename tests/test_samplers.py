@@ -182,10 +182,11 @@ SHIPPED_GARCH = json.loads((CONFIGS / "garch_demgbp.json").read_text())
 SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
-def rw_cases():
-    # (model, proposal_sd, init, pilot mean, pilot cov).  Without a pilot
-    # (flat-*) the flat screen must step as plain Metropolis: the shipped
-    # logit and GARCH step sizes, a wide exponential step from near 0 whose
+def rw_cases(pilot, ids=None):
+    # The rows (model, proposal_sd, init, pilot mean, pilot cov) with or
+    # without a pilot, all of them or only those named in ids.  Without a
+    # pilot the flat screen must step as plain Metropolis: the shipped logit
+    # and GARCH step sizes, a wide exponential step from near 0 whose
     # proposals often leave the support, a plain gaussian, and a stepped
     # gaussian whose flat steps make many deltas exactly 0.  With one: the
     # shipped GARCH screen from its pilot mean and from the default init far
@@ -197,14 +198,13 @@ def rw_cases():
     logit = LogitTarget(synthetic_banknote(seed=101))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
-    return [
-        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, id="flat-logit"),
-        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, id="flat-garch"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, id="flat-exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None,
-                     id="flat-gaussian"),
+    cases = [
+        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, id="logit"),
+        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, id="garch"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, id="gaussian"),
         pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None,
-                     id="flat-stepped-gaussian"),
+                     id="stepped-gaussian"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
                      SHIPPED_GARCH["pilot_cov"], id="garch-shipped"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], garch.default_init(),
@@ -220,11 +220,15 @@ def rw_cases():
         pytest.param(logit, SHIPPED_LOGIT["proposal_sd"], None, SHIPPED_LOGIT["pilot_mean"],
                      SHIPPED_LOGIT["pilot_cov"], id="logit-shipped"),
     ]
+    return [case for case in cases
+            if (case.values[3] is not None) == pilot and (ids is None or case.id in ids)]
 
 
 # the rw_cases rows whose draws are also checked against another block size
-BLOCK_SIZE_CASES = ("flat-logit", "flat-exponential", "flat-stepped-gaussian", "garch-shipped",
-                    "logit", "gaussian-wrong-surrogate", "logit-shipped")
+BLOCK_SIZE_CASES = ("logit", "exponential", "stepped-gaussian", "garch-shipped",
+                    "gaussian-wrong-surrogate", "logit-shipped")
+RW_CASE_FIELDS = "model,proposal_sd,init,mean,cov"
+BURN_IN_AND_THIN = pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
 
 
 def screened_config(proposal_sd, init, mean, cov, **fields):
@@ -232,12 +236,7 @@ def screened_config(proposal_sd, init, mean, cov, **fields):
                          pilot_mean=mean, pilot_cov=cov, **fields)
 
 
-@pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
-@pytest.mark.parametrize("model,proposal_sd,init,mean,cov", rw_cases())
-def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
-                                                                  cov, burn_in, thin):
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
-                          seed=21)
+def assert_equals_the_reference_loop(model, cfg):
     out = rw_metropolis(model, cfg)
     ref = reference_rw_metropolis(model, cfg)
     assert np.array_equal(out.draws, ref.draws)
@@ -246,14 +245,9 @@ def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposa
     assert out.log_density_calls == ref.log_density_calls
 
 
-@pytest.mark.parametrize("model,proposal_sd,init,mean,cov",
-                         [case for case in rw_cases() if case.id in BLOCK_SIZE_CASES])
-def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
-                                                         mean, cov):
+def assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg):
     import zvmcmc.samplers
 
-    # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
     chains = []
     for block in (7, 4096):
         monkeypatch.setattr(zvmcmc.samplers, "_RNG_BLOCK", block)
@@ -262,6 +256,39 @@ def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, prop
     assert np.array_equal(small.draws, large.draws)
     assert np.array_equal(small.gradients, large.gradients)
     assert small.accept_rate == large.accept_rate
+
+
+@BURN_IN_AND_THIN
+@pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False))
+def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean, cov,
+                                                         burn_in, thin):
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
+                          seed=21)
+    assert_equals_the_reference_loop(model, cfg)
+
+
+@BURN_IN_AND_THIN
+@pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True))
+def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
+                                                                  cov, burn_in, thin):
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
+                          seed=21)
+    assert_equals_the_reference_loop(model, cfg)
+
+
+# 7 divides neither the burn-in nor the step count, so blocks end mid-phase
+@pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False, ids=BLOCK_SIZE_CASES))
+def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
+                                                             mean, cov):
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
+    assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
+
+
+@pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True, ids=BLOCK_SIZE_CASES))
+def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
+                                                         mean, cov):
+    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
+    assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
 def test_a_wrong_surrogate_leaves_the_target_invariant():
