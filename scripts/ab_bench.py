@@ -17,6 +17,11 @@ tree's BENCHMARK.json gives (ties count for neither side), and a verdict
 checks, or prints no result, is reported and its pair left out.  Exits 0
 when every run passed, 1 when one failed, 2 when the revision cannot be
 extracted.
+
+ab_chains.py and check_identity.py, which run the revision's package next to
+the working tree's, take three helpers from here: extract_tree, checkout,
+which extracts the package and its configs at a revision, and shipped, which
+says which file of a config each side reads.
 """
 import argparse
 import io
@@ -43,6 +48,28 @@ def extract_tree(rev, into, path=None):
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+
+
+def checkout(rev, into):
+    """Extract src/zvmcmc and configs/ of rev into into: None, or the message of
+    the first extraction that failed."""
+    for path in ("src/zvmcmc", "configs"):
+        try:
+            extract_tree(rev, into, path)
+        except subprocess.CalledProcessError as exc:
+            return f"cannot extract {path} at {rev}: {exc.stderr.decode().strip()}"
+    return None
+
+
+def shipped(config):
+    """The path of config that each side of a comparison reads, from its own root.
+
+    A config under configs/ comes back relative to the root, so each side
+    reads its own revision's copy; any other config comes back absolute, one
+    file that both sides read (a root joined with it leaves it as it is).
+    """
+    path = Path(config).resolve()
+    return path.relative_to(ROOT) if path.is_relative_to(ROOT / "configs") else path
 
 
 def run_bench(tree, workload, seed, seconds):

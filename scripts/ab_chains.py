@@ -3,22 +3,22 @@
 
     python scripts/ab_chains.py --rev HEAD~1 [--config configs/logit_banknote.json ...] [--pairs 12]
 
-src/zvmcmc at --rev is extracted with ab_bench.py's extract_tree into a
-temporary package under another name, next to the working tree's zvmcmc;
-the sources import each other only relatively, so the two copies do not
-mix.  configs/ at --rev is extracted next to it, so a config under
-configs/ is read by each side at its own revision, and a key renamed or
-added between the two reads on both; a config outside configs/ is one file
-that both sides read.  For each config both sides sample the chains of
-replication 0 as a study samples them: the fit chain and then the eval
-chain, or the one chain of a single-chain config, each with the seed,
-length, thinning and sampler the study gives it, gradients included.  Each
-side does so once untimed, then --pairs times, alternately, the side that
-goes first switching every pair.  A timing repeats the whole
-replication's sampling until at least MIN_TIMING_S seconds have passed and
-gives the seconds per replication, so a fixed cost per chain weighs as a
-study pays it, and a replication of a few ms is still timed over a window
-that the machine's noise does not swamp.
+ab_bench.py's checkout extracts src/zvmcmc and configs/ at --rev into a
+temporary directory, and the package is imported under another name, next
+to the working tree's zvmcmc; the sources import each other only
+relatively, so the two copies do not mix.  ab_bench.py's shipped picks the
+file each side reads: a config under configs/ is read by each side at its
+own revision, so a key renamed or added between the two reads on both; a
+config outside configs/ is one file that both sides read.  For each config
+both sides sample the chains of replication 0 as a study samples them: the
+fit chain and then the eval chain, or the one chain of a single-chain
+config, each with the seed, length, thinning and sampler the study gives
+it, gradients included.  Each side does so once untimed, then --pairs
+times, alternately, the side that goes first switching every pair.  A
+timing repeats the whole replication's sampling until at least MIN_TIMING_S
+seconds have passed and gives the seconds per replication, so a fixed cost
+per chain weighs as a study pays it, and a replication of a few ms is still
+timed over a window that the machine's noise does not swamp.
 Interleaving in one process lets a kernel change be ranked on a busy
 machine, where separate runs drift by more than the change.  Chains are
 timed in this one process only, so effects of a study's worker pool, such as
@@ -28,18 +28,20 @@ here.
 Prints, per config, each side's median and quartiles in ms per replication,
 in how many pairs the working tree was faster, and whether the two sides'
 draws, gradients and accept rates are bit-identical, chain by chain.  Exits
-1 when they differ on any config, 2 when the revision cannot be extracted.
+1 when they differ on any config, 2 when the revision cannot be extracted
+or one side cannot read a config, for example one that is missing at --rev
+or that sets a key the revision does not know; the reader's message is
+printed as "error: <message>".
 """
 import argparse
 import importlib
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
-from ab_bench import ROOT, extract_tree
+from ab_bench import ROOT, checkout, shipped
 
 REV_PACKAGE = "zvmcmc_at_rev"
 MIN_TIMING_S = 0.2
@@ -90,13 +92,8 @@ def spread(seconds):
 
 
 def compare(old, new, config_path, rev_root, pairs, rev):
-    # a config under configs/ is read from each side's own configs/, any
-    # other config is one file that both sides read
-    tree_config = Path(config_path).resolve()
-    rev_config = (Path(rev_root, tree_config.relative_to(ROOT))
-                  if tree_config.is_relative_to(ROOT / "configs") else tree_config)
-    sides = {"rev": replication_chains(old, rev_config),
-             "tree": replication_chains(new, tree_config)}
+    sides = {"rev": replication_chains(old, Path(rev_root, shipped(config_path))),
+             "tree": replication_chains(new, ROOT / shipped(config_path))}
     same = identical(timed(*sides["rev"])[1], timed(*sides["tree"])[1])
     seconds = {"rev": [], "tree": []}
     for k in range(pairs):
@@ -126,18 +123,21 @@ def main(argv=None):
     configs = args.config or [str(ROOT / "configs" / "logit_banknote.json")]
 
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            for path in ("src/zvmcmc", "configs"):
-                extract_tree(args.rev, tmp, path)
-        except subprocess.CalledProcessError as exc:
-            print(f"cannot extract {path} at {args.rev}: {exc.stderr.decode().strip()}",
-                  file=sys.stderr)
+        failed = checkout(args.rev, tmp)
+        if failed:
+            print(failed, file=sys.stderr)
             return 2
         (Path(tmp) / "src" / "zvmcmc").rename(Path(tmp) / REV_PACKAGE)
         sys.path[:0] = [tmp, str(ROOT / "src")]
         old = importlib.import_module(REV_PACKAGE)
         new = importlib.import_module("zvmcmc")
-        same = [compare(old, new, path, tmp, args.pairs, args.rev) for path in configs]
+        unreadable = tuple(error for package in (old, new) for error in (
+            package.experiments.ConfigError, package.data_io.DataLoadError))
+        try:
+            same = [compare(old, new, path, tmp, args.pairs, args.rev) for path in configs]
+        except unreadable as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(same) else 1
 
 

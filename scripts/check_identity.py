@@ -6,9 +6,10 @@
 Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev
 and once with the working tree's, each command in a fresh process.  The rev
 side runs from a temporary root that holds src/zvmcmc and configs/ at --rev,
-extracted with scripts/ab_bench.py's extract_tree, so each side reads its
-own revision's shipped configs, and a key renamed between the two reads on
-both.  The commands are:
+extracted with scripts/ab_bench.py's checkout, and ab_bench.py's shipped
+names each config relative to the root when it is under configs/, so each
+side reads its own revision's shipped configs, and a key renamed between
+the two reads on both.  The commands are:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
   --threads 1 and at --threads 2;
@@ -19,7 +20,8 @@ both.  The commands are:
   coverage --seed 7 --keep-chains, 4 replications, on a temporary copy of
   configs/toys.json with single_chain true and a 20,000-draw reference
   chain; each side copies its own revision's configs/toys.json, and the
-  command's printed name shows the copy's path with {side} for the side.
+  command's printed name shows the copy's path with <tmp> for the
+  temporary directory and {side} for the side.
 
 --config limits the run and diagnose commands to the given configs (the
 --keep-chains run comes with configs/toys.json) and leaves out the coverage
@@ -49,7 +51,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ab_bench import ROOT, extract_tree
+from ab_bench import ROOT, checkout, shipped
 from compare_reports import compare, dotted
 
 SEED = 7
@@ -78,10 +80,8 @@ def protocol(configs, replications):
     """(CLI arguments but the seed, files to compare) for each command of the protocol."""
     steps = []
     for config in configs:
-        # a shipped config relative to each side's root, where its commands
-        # run; any other config as the one absolute path both sides read
-        path = Path(config).resolve()
-        key = str(path.relative_to(ROOT) if path.is_relative_to(ROOT / "configs") else path)
+        # each side's commands run from its own root
+        key = str(shipped(config))
         reps = replications or STUDIES.get(key, DEFAULT_REPLICATIONS)
         for threads in THREADS:
             steps.append((["run", "--config", key, "--replications", str(reps),
@@ -100,7 +100,8 @@ def coverage_step(tmp, roots):
 
     For each side of roots ({side: root}) the config is written to
     <tmp>/<side>/, a copy of that root's own configs/toys.json with
-    COVERAGE's keys replaced; in the arguments "{side}" stands for the side.
+    COVERAGE's keys replaced; in the arguments "<tmp>" stands for tmp and
+    "{side}" for the side, so the command prints the same on every run.
     """
     key, overrides = COVERAGE
     name = "coverage_" + Path(key).name
@@ -108,7 +109,7 @@ def coverage_step(tmp, roots):
         Path(tmp, side).mkdir()
         Path(tmp, side, name).write_text(
             json.dumps({**json.loads(Path(root, key).read_text()), **overrides}))
-    return (["coverage", "--config", str(Path(tmp, "{side}", name)),
+    return (["coverage", "--config", str(Path("<tmp>", "{side}", name)),
              "--replications", str(DEFAULT_REPLICATIONS), "--keep-chains"],
             ("coverage.json", "chains/"))
 
@@ -193,12 +194,9 @@ def main(argv=None):
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            for path in ("src/zvmcmc", "configs"):
-                extract_tree(args.rev, tmp, path)
-        except subprocess.CalledProcessError as exc:
-            print(f"cannot extract {path} at {args.rev}: {exc.stderr.decode().strip()}",
-                  file=sys.stderr)
+        failed = checkout(args.rev, tmp)
+        if failed:
+            print(failed, file=sys.stderr)
             return 2
         # each side runs in its own processes, so both packages keep their name
         sides = {"rev": tmp, "tree": str(ROOT)}
@@ -207,8 +205,9 @@ def main(argv=None):
             steps.append(coverage_step(tmp, sides))
         for k, (cli_argv, files) in enumerate(steps):
             dirs = {side: os.path.join(tmp, f"out{k}_{side}") for side in sides}
-            done = {side: run_side(sides[side], [arg.replace("{side}", side) for arg in cli_argv]
-                                   + ["--seed", str(SEED)], dirs[side])
+            done = {side: run_side(sides[side], [arg.replace("<tmp>", tmp).replace("{side}", side)
+                                                 for arg in cli_argv] + ["--seed", str(SEED)],
+                                   dirs[side])
                     for side in sides}
             found = [f"{side} failed: {err}" for side, (_, err) in done.items() if err is not None]
             if not found:

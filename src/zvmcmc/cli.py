@@ -5,7 +5,8 @@ Subcommands:
   coverage  check single-chain ZV estimates against a long reference chain
   diagnose  single-chain diagnostics for a config
   validate  check a config (and its data file) without sampling
-  version   print the package version
+
+zvmcmc --version prints the package version.
 
 Each command's run function returns its report in the written JSON form,
 the dict export_study writes; the command prints its summary from that
@@ -14,7 +15,8 @@ keep_chains (or --keep-chains) every command writes its chains with
 gradients under <output_dir>/chains, diagnose's as diagnose.csv.
 
 The flags --seed, --out, --threads, --replications, --length and
---keep-chains override config keys; every other key is set in the file.
+--keep-chains override config keys, each parsed under its key's name;
+every other key is set in the file.
 
 Exit codes: 0 success (including a partial study, flagged in the report),
 1 runtime failure, 2 bad usage, bad data file or bad config: an unknown key,
@@ -25,6 +27,7 @@ checks and an empty output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -54,13 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zvmcmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # every command but version reads a config; validate takes only that
+    # every command reads a config; validate takes only that
     config_args = argparse.ArgumentParser(add_help=False)
     config_args.add_argument("--config", required=True, help="path to a JSON config file")
-    # what run, coverage and diagnose also take
+    # what run, coverage and diagnose also take, each flag under the config key it overrides
     run_args = argparse.ArgumentParser(add_help=False, parents=[config_args])
-    run_args.add_argument("--out", default=None, help="output directory (default from config)")
-    run_args.add_argument("--seed", type=int, default=None, help="override base_seed")
+    run_args.add_argument("--out", dest="output_dir", metavar="OUT", default=None,
+                          help="output directory (default from config)")
+    run_args.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, default=None,
+                          help="override base_seed")
     run_args.add_argument("--threads", type=int, default=None,
                           help="worker processes (0 = one per CPU this process may use); pool "
                                "workers run BLAS single-threaded, one process keeps the library "
@@ -76,25 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
     cov_p.add_argument("--replications", type=int, default=None, help="override replication count")
 
     diag_p = sub.add_parser("diagnose", parents=[run_args], help="run single-chain diagnostics")
-    diag_p.add_argument("--length", type=int, default=None, help="override diagnostic chain length")
+    diag_p.add_argument("--length", dest="diagnose_length", metavar="LENGTH", type=int,
+                        default=None, help="override diagnostic chain length")
 
     sub.add_parser("validate", parents=[config_args], help="validate a config without sampling")
-
-    sub.add_parser("version", help="print the package version")
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
-    keys = {
-        "seed": "base_seed",
-        "out": "output_dir",
-        "replications": "replications",
-        "threads": "threads",
-        "length": "diagnose_length",
-        "keep_chains": "keep_chains",
-    }
-    overrides = {key: getattr(args, arg_name) for arg_name, key in keys.items()
-                 if getattr(args, arg_name, None) is not None}
+    keys = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in keys and value is not None}
     return ExperimentConfig.from_file(args.config, overrides)
 
 
@@ -202,9 +199,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "version":
-        print(f"zvmcmc {__version__}")
-        return 0
     try:
         config = _load_config(args)
         if args.command == "validate":

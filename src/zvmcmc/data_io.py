@@ -204,31 +204,23 @@ _BANKNOTE_CORR = (
 )
 
 
-def synthetic_banknote(seed: int = 101, n: int = 200, dimension: int = 4) -> BinaryRegressionData:
+def synthetic_banknote(seed: int = 101, n: int = 200) -> BinaryRegressionData:
     """Seeded stand-in for a two-class banknote measurement dataset.
 
     n rows split evenly between two classes of correlated Gaussian
-    measurement vectors (response 1 for the second class), dimension <= 4
-    columns taken from fixed per-class templates.  The classes are close to
-    separated along the last kept column, giving a skewed posterior for the
+    measurement vectors (response 1 for the second class), four columns
+    drawn from fixed per-class templates.  The classes are close to
+    separated along the last column, giving a skewed posterior for the
     no-intercept binary regressions fitted to it.
     """
-    if not 1 <= dimension <= 4:
-        raise ValueError(f"dimension must be in [1, 4], got {dimension}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    cols = list(range(4 - dimension, 4))
-    mu_a = np.array(_BANKNOTE_MEAN_A)[cols]
-    mu_b = np.array(_BANKNOTE_MEAN_B)[cols]
-    sd_a = np.array(_BANKNOTE_SD_A)[cols]
-    sd_b = np.array(_BANKNOTE_SD_B)[cols]
-    corr = np.array(_BANKNOTE_CORR)[np.ix_(cols, cols)]
-    L = np.linalg.cholesky(corr)
+    L = np.linalg.cholesky(np.array(_BANKNOTE_CORR))
     n_a = n // 2
     n_b = n - n_a
-    X_a = mu_a + (rng.standard_normal((n_a, dimension)) @ L.T) * sd_a
-    X_b = mu_b + (rng.standard_normal((n_b, dimension)) @ L.T) * sd_b
+    X_a = np.array(_BANKNOTE_MEAN_A) + (rng.standard_normal((n_a, 4)) @ L.T) * _BANKNOTE_SD_A
+    X_b = np.array(_BANKNOTE_MEAN_B) + (rng.standard_normal((n_b, 4)) @ L.T) * _BANKNOTE_SD_B
     X = np.vstack([X_a, X_b])
     y = np.concatenate([np.zeros(n_a), np.ones(n_b)])
     return BinaryRegressionData(design=X, response=y)

@@ -48,6 +48,20 @@ def test_each_side_reads_the_shipped_configs_of_its_own_revision(tmp_path):
     assert "CHAINS DIFFER" in done.stdout
 
 
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
+def test_a_config_the_revision_does_not_hold_is_an_error_not_a_traceback(tmp_path):
+    clone = head_checkout_with_these_scripts(tmp_path / "clone")
+    # a new config under configs/, which each side reads from its own tree
+    added = clone / "configs" / "toys_new.json"
+    added.write_text((clone / "configs" / "toys.json").read_text())
+    done = ab_chains(clone, added)
+    assert done.returncode == 2, done.stdout + done.stderr
+    # one line, naming the revision's copy, which is missing
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: config file not found: ")
+    assert line.endswith("/configs/toys_new.json") and str(clone) not in line
+
+
 @pytest.mark.parametrize("single_chain", [False, True])
 def test_replication_chains_are_those_a_study_samples(tmp_path, monkeypatch, single_chain):
     monkeypatch.syspath_prepend(str(SCRIPT.parent))

@@ -170,8 +170,10 @@ def test_each_side_of_the_coverage_command_reads_its_own_toys_config(tmp_path, m
         (roots[side] / "configs" / "toys.json").write_text(json.dumps({**toys, "mu": mu}))
     (tmp_path / "work").mkdir()
     argv, files = coverage_step(tmp_path / "work", roots)
-    assert argv[:2] == ["coverage", "--config"] and "--keep-chains" in argv
+    # the printed command names neither the temporary directory nor a side
+    assert argv[:3] == ["coverage", "--config", "<tmp>/{side}/coverage_toys.json"]
+    assert "--keep-chains" in argv
     assert files == ("coverage.json", "chains/")
     for side, mu in (("rev", 2.5), ("tree", toys["mu"])):
-        copy = json.loads(Path(argv[2].replace("{side}", side)).read_text())
+        copy = json.loads(Path(tmp_path, "work", side, "coverage_toys.json").read_text())
         assert copy == {**toys, "mu": mu, **COVERAGE[1]}

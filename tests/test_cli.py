@@ -128,8 +128,9 @@ def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsy
     for command in ("validate", "run", "coverage", "diagnose"):
         args = parser.parse_args([command, "--config", "c.json"])
         assert (args.command, args.config) == (command, "c.json")
-    assert sorted(vars(args)) == ["command", "config", "keep_chains", "length", "out", "seed",
-                                  "threads"]
+    # every flag but --config is parsed under the name of the config key it overrides
+    assert sorted(vars(args)) == ["base_seed", "command", "config", "diagnose_length", "keep_chains",
+                                  "output_dir", "threads"]
     assert sorted(vars(parser.parse_args(["validate", "--config", "c.json"]))) == [
         "command", "config"]
     # run, coverage and diagnose all take --keep-chains, validate does not
@@ -145,6 +146,50 @@ def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsy
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--config", "c.json", *flag])
             assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_the_version_is_a_flag_and_not_a_command(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--version"])
+    assert raised.value.code == 0
+    assert capsys.readouterr().out == f"zvmcmc {zvmcmc.__version__}\n"
+    with pytest.raises(SystemExit) as raised:
+        main(["version"])
+    assert raised.value.code == 2
+    assert "invalid choice: 'version'" in capsys.readouterr().err
+
+
+def fail_chains(monkeypatch, seeds=None):
+    """Make every chain, or the chains with the given seeds, raise FloatingPointError."""
+
+    def chain(model, config, method="rwmh"):
+        if seeds is None or config.seed in seeds:
+            raise FloatingPointError("NaN log-density at proposal [1.0]")
+        return sample_chain(model, config, method=method)
+
+    monkeypatch.setattr("zvmcmc.experiments.sample_chain", chain)
+
+
+def test_a_study_whose_every_replication_fails_exits_1(tmp_path, capsys, monkeypatch):
+    fail_chains(monkeypatch)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == (
+        "error: RuntimeError: every replication failed; first error: "
+        "FloatingPointError: NaN log-density at proposal [1.0]\n")
+    assert not (tmp_path / "out" / "study.json").exists()
+
+
+def test_a_partial_study_says_so_and_exits_0(tmp_path, capsys, monkeypatch):
+    # replication 1's fit chain has seed base_seed + 2
+    fail_chains(monkeypatch, seeds={9})
+    assert main(["run", "--config", str(write_config(tmp_path, base_seed=7))]) == 0
+    assert "replications 2/3 (partial; see replication_errors in the report)\n" in \
+        capsys.readouterr().out
+    with open(tmp_path / "out" / "study.json") as fh:
+        written = json.load(fh)
+    assert written["partial"] is True
+    assert written["replication_errors"] == [
+        {"replication": 1, "error": "FloatingPointError: NaN log-density at proposal [1.0]"}]
 
 
 def test_diagnose_keep_chains_flag_writes_the_chain(tmp_path, capsys):

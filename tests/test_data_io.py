@@ -58,6 +58,17 @@ def test_load_design_matrix_errors(tmp_path):
         load_design_matrix(write(tmp_path, "d.csv", "x1,y\nfoo,0\n1,1\n"))
     with pytest.raises(DataLoadError):
         load_design_matrix(write(tmp_path, "e.csv", "x1,y\n1,2\n2,0\n"))  # y not 0/1
+    # each message names the file, and the line when one line is at fault
+    for name, text, where in (
+        ("f.csv", "y\n1\n0\n", ":1: no regressor columns besides 'y'"),
+        ("g.csv", "x1,y\n", ":2: no data rows"),
+        # equal columns: the design is rank deficient
+        ("h.csv", "x1,x2,y\n1,1,0\n2,2,1\n3,3,1\n", ": design is rank deficient"),
+    ):
+        path = write(tmp_path, name, text)
+        with pytest.raises(DataLoadError) as raised:
+            load_design_matrix(path)
+        assert str(raised.value) == f"{path}{where}"
 
 
 @pytest.mark.parametrize("load", [load_design_matrix, load_returns])
@@ -174,16 +185,8 @@ def test_synthetic_banknote_shape_and_determinism():
     assert a.response.sum() == 100  # balanced classes
     c = synthetic_banknote(seed=102)
     assert not np.array_equal(a.design, c.design)
-
-
-def test_synthetic_banknote_dimension_slices_last_columns():
-    full = synthetic_banknote(seed=101, n=60, dimension=4)
-    narrow = synthetic_banknote(seed=101, n=60, dimension=2)
-    assert narrow.dimension == 2
-    # the margin-like separating column is always retained as the last one
-    assert abs(full.design[:, 3].mean() - narrow.design[:, 1].mean()) < 2.0
-    with pytest.raises(ValueError):
-        synthetic_banknote(dimension=5)
+    with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+        synthetic_banknote(n=1)
 
 
 def test_synthetic_demgbp_returns_frozen():

@@ -729,6 +729,18 @@ class TestReplicationFailures:
         # replication 1 failed, so its id appears nowhere and 2 and 3 keep theirs
         assert sorted({(r[0], r[4]) for r in rows}) == [("0", "7"), ("2", "11"), ("3", "13")]
 
+    def test_a_study_whose_every_replication_fails_names_the_first_error(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(gaussian_dict(threads=1))
+
+        def chain(model, config, method="rwmh"):
+            raise FloatingPointError(f"NaN log-density in the chain with seed {config.seed}")
+
+        monkeypatch.setattr("zvmcmc.experiments.sample_chain", chain)
+        with pytest.raises(RuntimeError) as raised:
+            run_study(cfg)
+        assert str(raised.value) == ("every replication failed; first error: FloatingPointError: "
+                                     f"NaN log-density in the chain with seed {cfg.base_seed}")
+
     @pytest.mark.parametrize("exc", [TypeError("unsupported operand"), KeyError("zv")],
                              ids=lambda e: type(e).__name__)
     def test_programming_error_fails_the_study(self, monkeypatch, exc):

@@ -717,6 +717,15 @@ def test_binary_regression_data_validation():
     bad = np.ones((5, 2))
     with pytest.raises(ValueError):
         BinaryRegressionData(design=bad, response=y)  # rank deficient
+    for design, response, message in (
+        (np.ones(4), np.ones(4), "design must be a 2-d array"),
+        (np.eye(2, 3), np.ones(2), "need at least as many rows as columns, got 2 rows, 3 columns"),
+        ([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], np.ones(3), "design contains non-finite entries"),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], np.ones(3), "design row 2 is all zeros"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            BinaryRegressionData(design=design, response=response)
+        assert str(raised.value) == message
 
 
 def test_returns_series_validation():
@@ -724,10 +733,19 @@ def test_returns_series_validation():
         ReturnsSeries(returns=np.array([0.1, 0.2]), h0=0.0)
     with pytest.raises(ValueError):
         ReturnsSeries(returns=np.array([0.1, np.inf]), h0=1.0)
+    with pytest.raises(ValueError, match=r"^returns must be a 1-d array with at least 2 entries$"):
+        ReturnsSeries(returns=np.array([0.1]), h0=1.0)
     s = ReturnsSeries(returns=np.array([0.1, -0.2, 0.05]), h0=0.5)
     assert s.length == 3
     with pytest.raises(ValueError):
         s.returns[0] = 9.0
+
+
+def test_garch_prior_validation():
+    with pytest.raises(ValueError, match=r"^prior_sd must have shape \(3,\), got \(2,\)$"):
+        GarchPrior(prior_sd=np.ones(2))
+    with pytest.raises(ValueError, match="^prior_sd entries must be finite and > 0$"):
+        GarchPrior(prior_sd=np.array([1.0, 0.0, 1.0]))
 
 
 def test_interface_consistency_across_models():

@@ -449,6 +449,24 @@ def test_nan_log_density_at_a_proposal_is_fatal():
         rw_metropolis(NanAwayFromInit(), SamplerConfig(length=10, seed=0, init=np.array([0.0])))
 
 
+@pytest.mark.parametrize("sampler,model,fields,error,message", [
+    (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)), {"proposal_sd": 0.1}, ValueError,
+     "gibbs_probit does not take a proposal_sd"),
+    (rw_metropolis, GaussianTarget(), {"init": np.zeros(2)}, ValueError,
+     "init must have 1 entries for model gaussian, got 2"),
+    (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)), {"init": np.zeros(3)}, ValueError,
+     "init must have 4 entries for model probit, got 3"),
+    (rw_metropolis, NanAwayFromInit(), {"init": np.array([1.0])}, FloatingPointError,
+     "non-finite log-density nan at init [1.]"),
+], ids=["gibbs-proposal-sd", "rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init"])
+def test_a_chain_input_the_sampler_cannot_start_from_is_rejected(sampler, model, fields, error,
+                                                                 message):
+    with pytest.raises(error) as raised:
+        sampler(model, SamplerConfig(length=10, seed=0, **fields))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 class SpyGamma(GammaTarget):
     """Counts model calls and records the shape of every gradient argument."""
 
