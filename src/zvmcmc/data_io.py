@@ -202,6 +202,8 @@ _BANKNOTE_CORR = (
     (0.3, 0.6, 1.0, 0.2),
     (0.1, 0.2, 0.2, 1.0),
 )
+# design columns, one per template entry; a design needs at least as many rows
+_BANKNOTE_COLUMNS = len(_BANKNOTE_MEAN_A)
 
 
 def synthetic_banknote(seed: int = 101, n: int = 200) -> BinaryRegressionData:
@@ -209,18 +211,19 @@ def synthetic_banknote(seed: int = 101, n: int = 200) -> BinaryRegressionData:
 
     n rows split evenly between two classes of correlated Gaussian
     measurement vectors (response 1 for the second class), four columns
-    drawn from fixed per-class templates.  The classes are close to
-    separated along the last column, giving a skewed posterior for the
-    no-intercept binary regressions fitted to it.
+    drawn from fixed per-class templates, so n must be at least 4.  The
+    classes are close to separated along the last column, giving a skewed
+    posterior for the no-intercept binary regressions fitted to it.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if n < _BANKNOTE_COLUMNS:
+        raise ValueError(f"n must be >= {_BANKNOTE_COLUMNS}, the number of design columns, got {n}")
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(np.array(_BANKNOTE_CORR))
     n_a = n // 2
     n_b = n - n_a
-    X_a = np.array(_BANKNOTE_MEAN_A) + (rng.standard_normal((n_a, 4)) @ L.T) * _BANKNOTE_SD_A
-    X_b = np.array(_BANKNOTE_MEAN_B) + (rng.standard_normal((n_b, 4)) @ L.T) * _BANKNOTE_SD_B
+    columns = _BANKNOTE_COLUMNS
+    X_a = np.array(_BANKNOTE_MEAN_A) + (rng.standard_normal((n_a, columns)) @ L.T) * _BANKNOTE_SD_A
+    X_b = np.array(_BANKNOTE_MEAN_B) + (rng.standard_normal((n_b, columns)) @ L.T) * _BANKNOTE_SD_B
     X = np.vstack([X_a, X_b])
     y = np.concatenate([np.zeros(n_a), np.ones(n_b)])
     return BinaryRegressionData(design=X, response=y)

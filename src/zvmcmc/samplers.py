@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
-from .models import ProbitTarget, SupportError
+from .models import ProbitTarget, SupportError, special
 
 __all__ = [
     "SamplerConfig",
@@ -409,6 +408,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # and the projection, a sweep works on s * latent = s t - q; multiplying
     # by +-1 is exact, so the draws equal those of the unfolded latent
     s_proj = model.xtx_inv @ s_design.T
+    # bound once per chain, so the sweep pays no attribute lookup
+    log_ndtr, ndtri_exp = special.log_ndtr, special.ndtri_exp
 
     beta, _ = resolve_init(model, config.init, config.pilot_mean)
     length, burn_in, thin = config.length, config.burn_in, config.thin

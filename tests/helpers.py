@@ -7,7 +7,7 @@ explicit loops instead of vectorized identities.
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import expit, log_ndtr, ndtr, ndtri, ndtri_exp
 
 
 def in_git_checkout():
@@ -43,6 +43,22 @@ def head_checkout_with_these_scripts(into):
     for script in (root / "scripts").glob("*.py"):
         shutil.copy(script, clone / "scripts" / script.name)
     return clone
+
+
+def run_fresh(code, stdin=b""):
+    """Run code in a fresh interpreter that imports this checkout's zvmcmc.
+
+    stdin goes to the interpreter as bytes; returns its CompletedProcess,
+    with stdout as bytes, and raises if it exits nonzero.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
 
 
 def fd_gradient(fn, x, rel_h=1e-5):
@@ -266,6 +282,12 @@ def garch_variance_path(series, omega):
     model = GarchTarget(series)
     band, h, _ = model._work
     return model._h_path(np.asarray(omega, dtype=float), band, h)
+
+
+def reference_logit_grad_rows(data, beta):
+    """Logit gradient rows (y - expit(X beta)) X at (m, d) rows, with scipy's expit."""
+    beta = np.asarray(beta, dtype=float)
+    return np.stack([(data.response - expit(data.design @ b)) @ data.design for b in beta])
 
 
 def reference_garch_grad_rows(model, omega):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import run_fresh
 
 import zvmcmc
 import zvmcmc.samplers
@@ -119,6 +120,42 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the compiled cores of scipy.special and scipy.linalg, loaded with them
+SCIPY_CORES = ("scipy.special._ufuncs", "scipy.linalg._fblas")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def scipy_cores_after(code):
+    """The SCIPY_CORES in sys.modules after code runs in a fresh interpreter."""
+    report = f"\nimport sys\nprint(*(m for m in {SCIPY_CORES!r} if m in sys.modules))"
+    return run_fresh(code + report).stdout.decode().splitlines()[-1].split()
+
+
+def test_cli_import_and_the_logit_and_toy_models_leave_scipy_unloaded():
+    code = ("import zvmcmc.cli\n"
+            "from zvmcmc.experiments import ExperimentConfig, build_model\n"
+            "for kind in ('logit', 'gaussian', 'exponential', 'gamma'):\n"
+            "    build_model(ExperimentConfig.from_dict({'model_kind': kind}))")
+    assert scipy_cores_after(code) == []
+
+
+def test_a_logit_run_leaves_scipy_unloaded(tmp_path):
+    argv = ["run", "--config", str(CONFIGS / "logit_banknote.json"), "--replications", "1",
+            "--threads", "1", "--out", str(tmp_path)]
+    code = f"from zvmcmc.cli import main\nassert main({argv!r}) == 0"
+    assert scipy_cores_after(code) == []
+    assert json.loads((tmp_path / "study.json").read_text())["replications_completed"] == 1
+
+
+@pytest.mark.parametrize("config,loaded", [("probit_banknote.json", ["scipy.special._ufuncs"]),
+                                           ("garch_demgbp.json", ["scipy.linalg._fblas"])],
+                         ids=["probit", "garch"])
+def test_building_a_model_loads_only_the_scipy_subpackage_it_needs(config, loaded):
+    code = ("from zvmcmc.experiments import ExperimentConfig, build_model\n"
+            f"build_model(ExperimentConfig.from_file({str(CONFIGS / config)!r}))")
+    assert scipy_cores_after(code) == loaded
 
 
 def test_validate_takes_the_config_flags_of_the_other_commands_and_no_more(capsys):

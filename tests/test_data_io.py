@@ -185,8 +185,15 @@ def test_synthetic_banknote_shape_and_determinism():
     assert a.response.sum() == 100  # balanced classes
     c = synthetic_banknote(seed=102)
     assert not np.array_equal(a.design, c.design)
-    with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+    with pytest.raises(ValueError, match="^n must be >= 4, the number of design columns, got 1$"):
         synthetic_banknote(n=1)
+
+
+def test_synthetic_banknote_needs_a_row_per_design_column():
+    with pytest.raises(ValueError, match="^n must be >= 4, the number of design columns, got 3$"):
+        synthetic_banknote(n=3)
+    data = synthetic_banknote(n=4)
+    assert data.design.shape == (4, 4) and data.response.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_synthetic_demgbp_returns_frozen():

@@ -8,6 +8,8 @@ from helpers import (
     fd_gradient,
     garch_variance_path,
     reference_garch_grad_rows,
+    reference_logit_grad_rows,
+    run_fresh,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,61 @@ def test_logit_log_density_is_quiet_far_in_the_tails():
         flipped = model.log_density(-beta)
     assert math.isfinite(value) and value < 0.0 and math.isfinite(flipped)
     assert value == pytest.approx(fsum_logit_log_density(data, beta), rel=1e-13)
+
+
+def test_logit_gradient_matches_the_expit_oracle():
+    # the model's numpy sigmoid against scipy's expit, on two blocks of rows
+    # (the second partial) and rows far enough out that sigmoid is within
+    # 1e-13 of 0 or 1
+    model = LogitTarget(synthetic_banknote(seed=101))
+    rng = np.random.default_rng(29)
+    rows = rng.standard_normal((1100, 4)) * (3.0 * model.rough_scale())
+    rows[::10] *= 30.0
+    tails = np.abs(rows @ model.data.design.T).max(axis=1) > 30.0
+    assert 100 <= tails.sum() < len(rows)
+    want = reference_logit_grad_rows(model.data, rows)
+    # relative to each row's largest entry: an entry that cancels to near 0
+    # keeps the absolute error of the row's sum
+    error = np.abs(model.grad_log_density(rows) - want) / np.abs(want).max(axis=1, keepdims=True)
+    assert error.max() <= 1e-13
+
+
+def test_logit_gradient_is_quiet_far_in_the_tails():
+    data = small_regression_data()
+    model = LogitTarget(data)
+    # |x_i'beta| of order 1e3: exp(-u) overflows to inf, whose reciprocal is
+    # sigmoid's limit 0, without a warning
+    beta = np.array([[0.0, 1e3, -1e3], [0.0, -1e3, 1e3]])
+    assert np.abs(beta @ data.design.T).max() > 710.0
+    with np.errstate(over="raise", invalid="raise"):
+        got = model.grad_log_density(beta)
+    want = reference_logit_grad_rows(data, beta)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
+
+
+def test_probit_and_garch_unpickled_in_a_fresh_interpreter_agree_bit_for_bit():
+    # as under the spawn and forkserver start methods: the child never built a
+    # model, so the scipy handles resolve on its first calls
+    series = small_series()
+    h0 = series.h0
+    cases = [(ProbitTarget(small_regression_data()),
+              np.array([[0.25, -0.4, 0.6], [-1.0, 0.3, 2.5]])),
+             (GarchTarget(series), np.array([[0.7 * h0, 0.15, 0.55], [0.3 * h0, 0.25, 1.05]]))]
+    code = (
+        "import pickle, sys\n"
+        "cases = pickle.load(sys.stdin.buffer)\n"
+        "loaded = [m for m in ('scipy.special._ufuncs', 'scipy.linalg._fblas') if m in sys.modules]\n"
+        "values = [([model.log_density(row) for row in rows],\n"
+        "           [model.grad_log_density(row) for row in rows],\n"
+        "           model.grad_log_density(rows)) for model, rows in cases]\n"
+        "pickle.dump((loaded, values), sys.stdout.buffer)\n")
+    loaded, values = pickle.loads(run_fresh(code, pickle.dumps(cases)).stdout)
+    assert loaded == []
+    for (model, rows), (densities, points, batch) in zip(cases, values):
+        assert densities == [model.log_density(row) for row in rows]
+        for row, got in zip(rows, points):
+            assert np.array_equal(got, model.grad_log_density(row))
+        assert np.array_equal(batch, model.grad_log_density(rows))
 
 
 def test_garch_log_density_matches_hand_recursion():

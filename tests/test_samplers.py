@@ -346,8 +346,9 @@ def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkey
     ([0.0], [[math.inf]], "pilot_cov must be a 1 x 1 matrix"),
     ([0.0], [[1.0], [0.0, 1.0]], "pilot_cov must be a 1 x 1 matrix"),
     ([0.0], [[-1.0]], "pilot_cov must be positive definite"),
-])
-def test_rw_metropolis_rejects_a_bad_surrogate(mean, cov, message):
+], ids=["mean-alone", "cov-alone", "mean-length", "mean-not-finite", "cov-not-nested", "cov-shape",
+        "cov-not-finite", "cov-ragged", "cov-not-positive"])
+def test_rw_metropolis_rejects_a_bad_pilot(mean, cov, message):
     cfg = SamplerConfig(length=10, seed=0, pilot_mean=mean, pilot_cov=cov)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         rw_metropolis(GaussianTarget(), cfg)
@@ -741,7 +742,8 @@ def test_sampler_config_bounds(length, burn, thin):
     ("seed", True, "seed must be a u64, got True"),
     ("seed", None, "seed must be a u64, got None"),
     ("seed", "3", "seed must be a u64, got '3'"),
-])
+], ids=["length-bool", "thin-bool", "burn_in-numpy-bool", "length-none", "length-str", "thin-nan",
+        "burn_in-fraction", "seed-bool", "seed-none", "seed-str"])
 def test_sampler_config_takes_integers_only(field, value, message):
     with pytest.raises(ValueError) as raised:
         SamplerConfig(**{"length": 10, field: value})

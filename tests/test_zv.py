@@ -82,6 +82,14 @@ def test_basis_exclusions():
     (2, True, "degree must be one of (1, 2, 3), got True"),
     (2, None, "degree must be one of (1, 2, 3), got None"),
     (2, "2", "degree must be one of (1, 2, 3), got '2'"),
+], ids=[  # fixed at the names these cases always ran under, so a message edit renames none
+    "True-1-dimension must be an integer >= 1, got True",
+    "None-1-dimension must be an integer >= 1, got None",
+    "2-1-dimension must be an integer >= 1, got '2'",
+    "1.5-1-dimension must be an integer >= 1, got 1.5",
+    "2-True-degree must be one of (1, 2, 3), got True",
+    "2-None-degree must be one of (1, 2, 3), got None",
+    "2-2-degree must be one of (1, 2, 3), got '2'",
 ])
 def test_monomial_basis_takes_integers_only(dimension, degree, message):
     with pytest.raises(ValueError) as raised:
