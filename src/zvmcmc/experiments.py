@@ -52,7 +52,7 @@ from .models import (
     _Toy,
 )
 from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_pilot,
-                       resolve_proposal_sd, sample_chain)
+                       resolve_proposal, sample_chain)
 from .zv import (
     SUPPORTED_DEGREES,
     InsufficientSampleError,
@@ -135,6 +135,11 @@ class ExperimentConfig:
     passes every proposal: the chain is plain Metropolis from the model's
     default start.
 
+    A random-walk chain steps by proposal_sd * z, or, when proposal_scale s
+    is set, by s * chol(pilot_cov) z (samplers.resolve_proposal).  s must be
+    a finite number > 0, and build_model rejects it without pilot_cov, next
+    to proposal_sd, or on the Gibbs sampler.
+
     A key exists when a shipped config, workload or script sets it, directly
     or through a flag it passes, or when it is a deployment input
     (data_path, add_intercept, output_dir).  Everything else runs at the
@@ -158,6 +163,7 @@ class ExperimentConfig:
     eval_length: int = 2000
     thin: int = 1
     proposal_sd: tuple | None = None
+    proposal_scale: float | None = None
     pilot_mean: tuple | None = None
     pilot_cov: tuple | None = None
     base_seed: int = 0
@@ -190,8 +196,10 @@ class ExperimentConfig:
         for name in ("add_intercept", "single_chain", "keep_chains"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("mu", "sigma2"):
+        for name in ("mu", "sigma2", "proposal_scale"):
             v, positive = getattr(self, name), name != "mu"
+            if name == "proposal_scale" and v is None:
+                continue
             if not (_is_real(v) and math.isfinite(v) and (v > 0.0 or not positive)):
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
         if self.base_seed >= 2**63:
@@ -255,9 +263,9 @@ def build_model(config: ExperimentConfig):
     where the config is checked against the model, once and before any
     sampling.  First, a key set away from its default that the model kind,
     data source or sampler never reads is rejected by name.  Then the chain
-    inputs sized by the model go through the samplers' own
-    resolve_proposal_sd (rwmh only), resolve_pilot and resolve_init, so a bad
-    start reads as the sampler would print it.  Raises ConfigError otherwise.
+    inputs sized by the model go through the samplers' own resolve_pilot,
+    resolve_proposal (rwmh only) and resolve_init, so a bad start reads as
+    the sampler would print it.  Raises ConfigError otherwise.
     """
     model = _target(config)
     unread = _unread_keys(config)
@@ -265,9 +273,9 @@ def build_model(config: ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     try:
-        if config.sampler == "rwmh":
-            resolve_proposal_sd(model, config.proposal_sd)
         resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+        if config.sampler == "rwmh":
+            resolve_proposal(model, config.proposal_sd, config.proposal_scale, config.pilot_cov)
         resolve_init(model, None, config.pilot_mean)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -284,7 +292,7 @@ def _unread_keys(config: ExperimentConfig) -> dict:
     if kind not in ("probit", "logit") or config.data_path is None:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
     if config.sampler == "gibbs":
-        unread["proposal_sd"] = "the gibbs sampler takes no proposal"
+        unread["proposal_sd"] = unread["proposal_scale"] = "the gibbs sampler takes no proposal"
         unread["pilot_mean"] = unread["pilot_cov"] = "the gibbs sampler takes no pilot"
     if config.single_chain:
         unread["fit_length"] = "a single-chain run samples one chain of eval_length draws"
@@ -332,11 +340,12 @@ def control_variate_bases(config: ExperimentConfig, model) -> dict[int, Monomial
 
 def _chain_config(config: ExperimentConfig, length, seed, thin=1,
                   compute_gradients=True) -> SamplerConfig:
-    # build_model has rejected a proposal_sd or pilot on the Gibbs sampler,
+    # build_model has rejected a proposal or pilot on the Gibbs sampler,
     # which takes neither
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, thin=thin,
-                         proposal_sd=config.proposal_sd, pilot_mean=config.pilot_mean,
-                         pilot_cov=config.pilot_cov, compute_gradients=compute_gradients)
+                         proposal_sd=config.proposal_sd, proposal_scale=config.proposal_scale,
+                         pilot_mean=config.pilot_mean, pilot_cov=config.pilot_cov,
+                         compute_gradients=compute_gradients)
 
 
 def _calls_per_step(config: ExperimentConfig, chain, thin):

@@ -14,8 +14,11 @@ _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
 and reading SupportError as a rejection; resolve_init checks the start
 (init, else pilot_mean, else the model's default) with the same call and
-names its key and the failed bound.  Random-walk Metropolis has one step
-rule: it screens each proposal with a pilot Gaussian N(m, Sigma)
+names its key and the failed bound.  Random-walk Metropolis has one move
+rule: step k proposes x + A z_k, where A is the lower-triangular (d, d)
+factor that resolve_proposal makes of the config, diag(proposal_sd), or
+proposal_scale * chol(pilot_cov) when proposal_scale is set.  It has one
+step rule: it screens each proposal with a pilot Gaussian N(m, Sigma)
 (SamplerConfig.pilot_mean and pilot_cov, checked by resolve_pilot) and calls
 log_density, as ChainOutput.log_density_calls counts, only for proposals
 that pass (delayed acceptance, Christen & Fox 2005); the chain still leaves
@@ -30,6 +33,7 @@ Identical configs give bit-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import mul
 
@@ -86,8 +90,11 @@ class SamplerConfig:
     init      starting point; None starts at pilot_mean when it is set, else
               at model.default_init(); resolve_init checks the start
     proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
-                 None means 2.4/sqrt(d) times model.rough_scale();
-                 resolve_proposal_sd checks it
+                 None means 2.4/sqrt(d) times model.rough_scale()
+    proposal_scale  s > 0: the random walk steps by s * chol(pilot_cov) z
+                 in place of proposal_sd * z; needs pilot_cov and excludes
+                 proposal_sd (checked_scale).  Either way a step is A z for
+                 the one lower-triangular factor A of resolve_proposal
     pilot_mean, pilot_cov  mean m (d entries) and covariance Sigma (d x d,
                  symmetric positive definite) of a pilot chain, the Gaussian
                  that rw_metropolis screens proposals with; both None (the
@@ -105,6 +112,7 @@ class SamplerConfig:
     seed: int = 0
     init: np.ndarray | None = None
     proposal_sd: np.ndarray | float | None = None
+    proposal_scale: float | None = None
     pilot_mean: np.ndarray | None = None
     pilot_cov: np.ndarray | None = None
     thin: int = 1
@@ -116,6 +124,7 @@ class SamplerConfig:
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a u64, got {self.seed!r}")
         self.seed = int(self.seed)
+        self.proposal_scale = checked_scale(self.proposal_sd, self.proposal_scale, self.pilot_cov)
 
 
 @dataclass(frozen=True)
@@ -155,9 +164,36 @@ class ChainOutput:
 # random walk Metropolis-Hastings
 
 
-def resolve_proposal_sd(model, proposal_sd):
-    """proposal_sd as the model's (d,) step; ValueError unless it fits (see SamplerConfig)."""
+def checked_scale(proposal_sd, proposal_scale, pilot_cov):
+    """proposal_scale as a float, or None when it is unset.
+
+    ValueError unless it is unset, or a finite number > 0 given with
+    pilot_cov and without proposal_sd.
+    """
+    if proposal_scale is None:
+        return None
+    if not (isinstance(proposal_scale, numbers.Real) and not isinstance(proposal_scale, bool)
+            and math.isfinite(proposal_scale) and proposal_scale > 0):
+        raise ValueError(f"proposal_scale must be a finite number > 0, got {proposal_scale!r}")
+    if proposal_sd is not None:
+        raise ValueError("proposal_sd and proposal_scale must not both be set")
+    if pilot_cov is None:
+        raise ValueError("proposal_scale scales chol(pilot_cov), and pilot_cov is not set")
+    return float(proposal_scale)
+
+
+def resolve_proposal(model, proposal_sd, proposal_scale, pilot_cov):
+    """A, the lower-triangular (d, d) factor of the random walk's step A z.
+
+    A is proposal_scale * chol(pilot_cov) when proposal_scale is set (pass a
+    pilot_cov that resolve_pilot accepts), else diag(proposal_sd), a scalar
+    or d entries; proposal_sd None means 2.4/sqrt(d) times
+    model.rough_scale().  ValueError unless the keys fit (see SamplerConfig).
+    """
     d = model.dimension
+    scale = checked_scale(proposal_sd, proposal_scale, pilot_cov)
+    if scale is not None:
+        return scale * np.linalg.cholesky(np.asarray(pilot_cov, dtype=float))
     if proposal_sd is None:
         sd = (2.4 / np.sqrt(d)) * model.rough_scale()
     else:
@@ -167,7 +203,7 @@ def resolve_proposal_sd(model, proposal_sd):
                              f"got {sd.size}")
     if not np.all(np.isfinite(sd) & (sd > 0.0)):
         raise ValueError(f"proposal_sd entries must be finite and > 0, got {sd.ravel().tolist()}")
-    return np.broadcast_to(sd, (d,)).copy()
+    return np.diag(np.broadcast_to(sd, (d,)))
 
 
 def _finite_array(name, value, shape, what, model):
@@ -249,10 +285,12 @@ def _streams(seed):
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    Step k proposes y = x + v_k, v_k = sd * z_k, where z_k is row k of the
-    first stream's normals, and reads u_k, the k-th uniform of the second
-    (see _streams); every step takes one of each, whether it needs the
-    uniform or not.
+    Step k proposes y = x + v_k, v_k = A z_k, where A is the factor of
+    resolve_proposal and z_k is row k of the first stream's normals, and
+    reads u_k, the k-th uniform of the second (see _streams); every step
+    takes one of each, whether it needs the uniform or not.  v_k is the sum
+    of z_kj times column j of A over j = 0, 1, ... in order, so for a
+    diagonal A it is sd * z_k bit for bit.
 
     With the pilot q = N(m, Sigma), P = Sigma^-1 (see resolve_pilot),
     let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
@@ -280,8 +318,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
-    sd = resolve_proposal_sd(model, config.proposal_sd)
     mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    factor = resolve_proposal(model, config.proposal_sd, config.proposal_scale,
+                              config.pilot_cov).T
     x, logp = resolve_init(model, config.init, config.pilot_mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
@@ -307,12 +346,15 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
 
     for start in range(0, total, _RNG_BLOCK):
         n = min(_RNG_BLOCK, total - start)
-        # one (n, d) block of normals, scaled once, gives the steps' moves;
-        # the log-uniforms become Python floats, so the accept test compares
-        # floats.  np.log, not math.log: the two differ in the last bit on
-        # some uniforms
-        moves = normals.standard_normal((n, d))
-        moves *= sd
+        # one (n, d) block of normals gives the steps' moves A z, each the
+        # sum of z_j times column j of A in order of j: elementwise, not a
+        # dgemm, whose rounding can depend on n.  The log-uniforms become
+        # Python floats, so the accept test compares floats.  np.log, not
+        # math.log: the two differ in the last bit on some uniforms
+        z = normals.standard_normal((n, d))
+        moves = z[:, :1] * factor[0]
+        for j in range(1, d):
+            moves += z[:, j:j + 1] * factor[j]
         log_u = np.log(uniforms.random(n)).tolist()
         # each move's P v and v.(P v) / 2, by elementwise operations in the
         # order the docstring states, so no row depends on the block
@@ -389,8 +431,9 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     """
     if model.tag != "probit":
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
-    if config.proposal_sd is not None:
-        raise ValueError("gibbs_probit does not take a proposal_sd")
+    for key in ("proposal_sd", "proposal_scale"):
+        if getattr(config, key) is not None:
+            raise ValueError(f"gibbs_probit does not take a {key}")
     if config.pilot_mean is not None or config.pilot_cov is not None:
         raise ValueError("gibbs_probit does not take a pilot")
     normals, uniforms = _streams(config.seed)

@@ -153,29 +153,51 @@ def eval_control_variates(
         X = (X - c) / s
         # z of the transformed density: z'_j = scale_j * z_j
         Z = Z * s
-    # powers 0..degree per coordinate, reused across columns
-    pw = [[np.ones(N)] for _ in range(d)]
+    # contiguous rows per coordinate, and its powers 1..degree, reused
+    # across columns; power 0 is never formed
+    Z = np.ascontiguousarray(Z.T)
+    pw = [[None, np.ascontiguousarray(x)] for x in X.T]
     for j in range(d):
-        for k in range(basis.degree):
-            pw[j].append(pw[j][k] * X[:, j])
+        for k in range(1, basis.degree):
+            pw[j].append(pw[j][k] * pw[j][1])
 
+    def factors(alpha, j, down):
+        # x_k^(alpha_k - down [k = j]) in order of k, leaving out x^0 = 1
+        return [pw[k][a - down * (k == j)] for k, a in enumerate(alpha) if a - down * (k == j)]
+
+    # Column alpha is the sum over j with alpha_j > 0, in order of j, of
+    # alpha_j z_j prod_k x_k^(alpha_k - [k = j]), each followed when
+    # alpha_j >= 2 by -alpha_j (alpha_j - 1) / 2 prod_k x_k^(alpha_k - 2 [k = j]),
+    # every product taken left to right.  Multiplying by 1 is exact, so the
+    # factors x^0 and alpha_j = 1 are left out, and the column starts from
+    # its first term instead of 0 + that term; one work array takes the rest
     active = basis.active
-    G = np.empty((N, len(active)))
+    G = np.empty((len(active), N))
+    work = np.empty(N)
     for col, alpha in enumerate(active):
-        nz = [j for j in range(d) if alpha[j] > 0]
-        acc = np.zeros(N)
-        for j in nz:
-            prod = Z[:, j].copy()
-            for k in nz:
-                prod *= pw[k][alpha[k] - (1 if k == j else 0)]
-            acc += alpha[j] * prod
+        acc = G[col]
+        for n, j in enumerate(j for j in range(d) if alpha[j] > 0):
+            term = work if n else acc
+            np.copyto(term, Z[j])
+            for factor in factors(alpha, j, 1):
+                term *= factor
+            if alpha[j] != 1:
+                term *= alpha[j]
+            if n:
+                acc += work
             if alpha[j] >= 2:
-                prod2 = np.full(N, -0.5 * alpha[j] * (alpha[j] - 1))
-                for k in nz:
-                    prod2 *= pw[k][alpha[k] - (2 if k == j else 0)]
-                acc += prod2
-        G[:, col] = acc
-    return G
+                half = -0.5 * alpha[j] * (alpha[j] - 1)
+                rest = factors(alpha, j, 2)
+                if not rest:
+                    acc += half
+                    continue
+                np.multiply(rest[0], half, out=work)
+                for factor in rest[1:]:
+                    work *= factor
+                acc += work
+    # back to (N, K) rows; adding 0.0 turns a -0.0 into 0.0, as the sum from
+    # 0 does, so G equals that sum bit for bit
+    return np.add(G.T, 0.0, out=np.empty((N, len(active))))
 
 
 def degenerate_columns(G) -> np.ndarray:
@@ -183,12 +205,21 @@ def degenerate_columns(G) -> np.ndarray:
     DEGENERATE_REL_TOL times their mean square, both as sums over the N rows:
     fit_coefficients drops these columns, cv_zero_mean_test gives them no z-score.
     """
-    return _degenerate(G, G - G.mean(axis=0))
+    return _moments(G)[2]
 
 
-def _degenerate(G, Gc):
-    # degenerate_columns on G and its column-centered copy Gc
-    return np.einsum("ij,ij->j", Gc, Gc) <= DEGENERATE_REL_TOL * np.einsum("ij,ij->j", G, G)
+def _moments(G):
+    """(centered copy Gc, Gram matrix Gc'Gc, degenerate_columns flags) of an (N, K) G.
+
+    A column's sum of squares about its mean is its diagonal entry of the
+    Gram matrix, and its sum of squares that plus N mean^2.
+    """
+    g_mean = G.mean(axis=0)
+    Gc = G - g_mean
+    gram = Gc.T @ Gc
+    centered = np.diag(gram)
+    degenerate = centered <= DEGENERATE_REL_TOL * (centered + G.shape[0] * g_mean**2)
+    return Gc, gram, degenerate
 
 
 @dataclass(frozen=True)
@@ -231,14 +262,12 @@ def fit_coefficients(G, f_values) -> ZVFit:
     # second moments agree in population; in finite samples the raw-moment
     # solve lets the regression cancel part of the nonzero mean of f against
     # chance fluctuations of the g means, badly distorting the coefficients.
-    g_mean = G.mean(axis=0)
-    Gc = G - g_mean
+    Gc, gram, dropped = _moments(G)
     fc = f - f.mean(axis=0)
-    sigma_gg = (Gc.T @ Gc) / N
+    sigma_gg = gram / N
     sigma_gg = 0.5 * (sigma_gg + sigma_gg.T)
     sigma_gf = (Gc.T @ fc) / N
 
-    dropped = _degenerate(G, Gc)
     keep = ~dropped
     coefficients = np.zeros((K,) + f.shape[1:])
     condition, ridge_applied = 1.0, False

@@ -127,13 +127,59 @@ def hand_control_variate(alpha, x, z):
     return total
 
 
+def reference_control_variates(chain, basis, center=None, scale=None):
+    """G written one column at a time by the defining sum, an oracle for
+    eval_control_variates that must agree bit for bit.
+
+    Column alpha starts from 0 and adds, for each j with alpha_j > 0 in
+    order of j, alpha_j times z_j x_0^e_0 x_1^e_1 ... (e = alpha with
+    e_j - 1, every factor x^0 = 1 included), then, when alpha_j >= 2,
+    -alpha_j (alpha_j - 1) / 2 times x_0^e_0 x_1^e_1 ... (e = alpha with
+    e_j - 2), each product taken left to right.  x^e is 1 times x, e times.
+    x and z are those of the standardized chain when center or scale is set.
+    """
+    x = np.array(chain.draws, dtype=float)
+    z = -0.5 * chain.gradients
+    d = x.shape[1]
+    if center is not None or scale is not None:
+        c = np.zeros(d) if center is None else np.broadcast_to(np.asarray(center, float), (d,))
+        s = np.ones(d) if scale is None else np.broadcast_to(np.asarray(scale, float), (d,))
+        x = (x - c) / s
+        z = z * s
+
+    def power(k, e):
+        out = np.ones(x.shape[0])
+        for _ in range(e):
+            out = out * x[:, k]
+        return out
+
+    G = np.empty((x.shape[0], basis.size))
+    for col, alpha in enumerate(basis.active):
+        nz = [j for j in range(d) if alpha[j] > 0]
+        column = np.zeros(x.shape[0])
+        for j in nz:
+            term = z[:, j].copy()
+            for k in nz:
+                term = term * power(k, alpha[k] - (k == j))
+            column = column + alpha[j] * term
+            if alpha[j] >= 2:
+                term = np.full(x.shape[0], -0.5 * alpha[j] * (alpha[j] - 1))
+                for k in nz:
+                    term = term * power(k, alpha[k] - 2 * (k == j))
+                column = column + term
+        G[:, col] = column
+    return G
+
+
 def reference_rw_metropolis(model, config):
     """Random-walk Metropolis written as a plain per-step loop, an oracle for
     the sampler's optimised loop.
 
     The two generators are spawned from SeedSequence(config.seed).  Each
     step draws one normal row z from the first and one uniform u from the
-    second, without blocks; the proposal is y = x + v, v = sd * z.  With a
+    second, without blocks; the proposal is y = x + v, v = A z, where A is
+    the package's resolve_proposal factor and v = z_0 A[:, 0] + z_1 A[:, 1]
+    + ..., summed in order of j one step at a time.  With a
     pilot N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2.
     Without one (both config keys None) dq = 0.0 exactly, decided here and
     not by the package, so plain Metropolis is an independent oracle for the
@@ -143,9 +189,9 @@ def reference_rw_metropolis(model, config):
     v_j times row j of P, and v.(P v) the products v_j (P v)_j, in order of
     j; (x - m).(P v) is math.fsum of its products.  Retained draws are
     picked by step % thin.  log_density_calls counts the steps' calls, the
-    start's check excluded.  Proposal sizing, the pilot's checks, the start
-    point and the chain's gradients come from the package, so only the loop
-    itself is under test.
+    start's check excluded.  The proposal factor, the pilot's checks, the
+    start point and the chain's gradients come from the package, so only the
+    loop itself is under test.
     """
     import math
 
@@ -155,14 +201,14 @@ def reference_rw_metropolis(model, config):
         _chain_gradients,
         resolve_init,
         resolve_pilot,
-        resolve_proposal_sd,
+        resolve_proposal,
     )
 
     normal_seed, uniform_seed = np.random.SeedSequence(config.seed).spawn(2)
     normal_rng = np.random.default_rng(normal_seed)
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
-    sd = resolve_proposal_sd(model, config.proposal_sd)
+    factor = resolve_proposal(model, config.proposal_sd, config.proposal_scale, config.pilot_cov)
     mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
     screened = not (config.pilot_mean is None and config.pilot_cov is None)
     x, logp = resolve_init(model, config.init, config.pilot_mean)
@@ -178,7 +224,10 @@ def reference_rw_metropolis(model, config):
     total = config.burn_in + retained_steps
 
     for step in range(total):
-        move = sd * normal_rng.standard_normal(d)
+        z = normal_rng.standard_normal(d)
+        move = z[0] * factor[:, 0]
+        for j in range(1, d):
+            move = move + z[j] * factor[:, j]
         log_u = np.log(uniform_rng.random())
         dq = 0.0
         if screened:

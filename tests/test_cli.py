@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -250,7 +251,7 @@ def test_a_config_naming_a_sampler_is_rejected(tmp_path, capsys, command):
 def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp", "coverage_probit",
-                 "coverage_garch"):
+                 "coverage_garch", "coverage_logit"):
         assert main(["validate", "--config", str(configs / f"{name}.json")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
@@ -261,7 +262,40 @@ def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
         "config ok: model probit (dimension 4), sampler gibbs, degree 1: 4 terms, degree 2: 14 terms",
         "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
         "degree 3: 19 terms",
+        "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
     ]
+
+
+LOGIT_PILOT = {"pilot_mean": [0.0] * 4, "pilot_cov": np.eye(4).tolist()}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "coverage", "diagnose"])
+@pytest.mark.parametrize("fields,message", [
+    ({"model_kind": "logit", "proposal_scale": 1.6, "proposal_sd": [0.1], **LOGIT_PILOT},
+     "proposal_sd and proposal_scale must not both be set"),
+    ({"model_kind": "logit", "proposal_scale": 1.6},
+     "proposal_scale scales chol(pilot_cov), and pilot_cov is not set"),
+    ({"model_kind": "logit", "proposal_scale": 0, **LOGIT_PILOT},
+     "proposal_scale must be a finite number > 0, got 0"),
+    ({"model_kind": "logit", "proposal_scale": -1.6, **LOGIT_PILOT},
+     "proposal_scale must be a finite number > 0, got -1.6"),
+    ({"model_kind": "logit", "proposal_scale": math.inf, **LOGIT_PILOT},
+     "proposal_scale must be a finite number > 0, got inf"),
+    ({"model_kind": "logit", "proposal_scale": True, **LOGIT_PILOT},
+     "proposal_scale must be a finite number > 0, got True"),
+    ({"model_kind": "probit", "proposal_scale": 1.6},
+     "proposal_scale is set but never read: the gibbs sampler takes no proposal"),
+], ids=["scale-beside-sd", "scale-without-pilot", "scale-zero", "scale-negative",
+        "scale-infinite", "scale-bool", "scale-gibbs"])
+def test_a_bad_proposal_scale_is_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
+                                                          fields, message):
+    sampled = []
+    for name in ("rw_metropolis", "gibbs_probit"):
+        monkeypatch.setattr(zvmcmc.samplers, name, lambda *args, **kwargs: sampled.append(args))
+    path = write_config(tmp_path, **{"single_chain": True, **fields})
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sampled == []
 
 
 MODEL_SIZED_FIELD_ERRORS = [

@@ -27,7 +27,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
-from zvmcmc.samplers import resolve_pilot
+from zvmcmc.samplers import resolve_pilot, resolve_proposal
 
 # ---------------------------------------------------------------------------
 # truncated normal
@@ -183,8 +183,9 @@ SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
 def rw_cases(pilot, ids=None):
-    # The rows (model, proposal_sd, init, pilot mean, pilot cov) with or
-    # without a pilot, all of them or only those named in ids.  Without a
+    # The rows (model, proposal_sd, init, pilot mean, pilot cov, proposal
+    # scale) with or without a pilot, all of them or only those named in
+    # ids.  Without a
     # pilot the flat screen must step as plain Metropolis: the shipped logit
     # and GARCH step sizes, a wide exponential step from near 0 whose
     # proposals often leave the support, a plain gaussian, and a stepped
@@ -193,32 +194,39 @@ def rw_cases(pilot, ids=None):
     # out in the tails, a correlated logit screen, a screen whose proposals
     # often leave the exponential's support, a gaussian screened by a
     # deliberately wrong gaussian, the stepped gaussian, and the shipped
-    # logit screen
+    # logit screen and proposal.  Two more step by s * chol(pilot_cov): the
+    # correlated logit pilot, and the shipped GARCH pilot at s = 2.5
     garch = GarchTarget(synthetic_demgbp_returns(seed=333))
     logit = LogitTarget(synthetic_banknote(seed=101))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
     cases = [
-        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, id="logit"),
-        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, id="garch"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, id="gaussian"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None,
+        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, None, id="logit"),
+        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, None, id="garch"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, None, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, None,
+                     id="gaussian"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None, None,
                      id="stepped-gaussian"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
-                     SHIPPED_GARCH["pilot_cov"], id="garch-shipped"),
+                     SHIPPED_GARCH["pilot_cov"], None, id="garch-shipped"),
         pytest.param(garch, SHIPPED_GARCH["proposal_sd"], garch.default_init(),
-                     SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+                     SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"], None,
                      id="garch-default-init"),
         pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, [0.5, -1.0, 1.0, 0.05], logit_cov,
-                     id="logit"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, [0.0], [[0.5]],
+                     None, id="logit"),
+        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], None,
+                     id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, [0.0], [[0.5]], None,
                      id="gaussian-wrong-surrogate"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]],
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]], None,
                      id="stepped-gaussian"),
-        pytest.param(logit, SHIPPED_LOGIT["proposal_sd"], None, SHIPPED_LOGIT["pilot_mean"],
-                     SHIPPED_LOGIT["pilot_cov"], id="logit-shipped"),
+        pytest.param(logit, None, None, SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"],
+                     SHIPPED_LOGIT["proposal_scale"], id="logit-shipped"),
+        pytest.param(logit, None, None, [0.5, -1.0, 1.0, 0.05], logit_cov, 1.6,
+                     id="logit-scaled"),
+        pytest.param(garch, None, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+                     2.5, id="garch-scaled"),
     ]
     return [case for case in cases
             if (case.values[3] is not None) == pilot and (ids is None or case.id in ids)]
@@ -226,14 +234,14 @@ def rw_cases(pilot, ids=None):
 
 # the rw_cases rows whose draws are also checked against another block size
 BLOCK_SIZE_CASES = ("logit", "exponential", "stepped-gaussian", "garch-shipped",
-                    "gaussian-wrong-surrogate", "logit-shipped")
-RW_CASE_FIELDS = "model,proposal_sd,init,mean,cov"
+                    "gaussian-wrong-surrogate", "logit-shipped", "logit-scaled", "garch-scaled")
+RW_CASE_FIELDS = "model,proposal_sd,init,mean,cov,scale"
 BURN_IN_AND_THIN = pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
 
 
-def screened_config(proposal_sd, init, mean, cov, **fields):
+def screened_config(proposal_sd, init, mean, cov, scale=None, **fields):
     return SamplerConfig(proposal_sd=proposal_sd, init=None if init is None else np.array(init),
-                         pilot_mean=mean, pilot_cov=cov, **fields)
+                         pilot_mean=mean, pilot_cov=cov, proposal_scale=scale, **fields)
 
 
 def assert_equals_the_reference_loop(model, cfg):
@@ -261,8 +269,8 @@ def assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg):
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False))
 def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean, cov,
-                                                         burn_in, thin):
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
+                                                         scale, burn_in, thin):
+    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
@@ -270,8 +278,8 @@ def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, ini
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True))
 def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
-                                                                  cov, burn_in, thin):
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=burn_in, thin=thin,
+                                                                  cov, scale, burn_in, thin):
+    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
@@ -279,15 +287,15 @@ def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposa
 # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False, ids=BLOCK_SIZE_CASES))
 def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
-                                                             mean, cov):
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
+                                                             mean, cov, scale):
+    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True, ids=BLOCK_SIZE_CASES))
 def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
-                                                         mean, cov):
-    cfg = screened_config(proposal_sd, init, mean, cov, length=150, burn_in=11, thin=3, seed=21)
+                                                         mean, cov, scale):
+    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
@@ -459,13 +467,49 @@ def test_nan_log_density_at_a_proposal_is_fatal():
      "init must have 4 entries for model probit, got 3"),
     (rw_metropolis, NanAwayFromInit(), {"init": np.array([1.0])}, FloatingPointError,
      "non-finite log-density nan at init [1.]"),
-], ids=["gibbs-proposal-sd", "rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init"])
+    (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)),
+     {"proposal_scale": 1.6, "pilot_mean": [0.0] * 4, "pilot_cov": np.eye(4)}, ValueError,
+     "gibbs_probit does not take a proposal_scale"),
+], ids=["gibbs-proposal-sd", "rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init",
+        "gibbs-proposal-scale"])
 def test_a_chain_input_the_sampler_cannot_start_from_is_rejected(sampler, model, fields, error,
                                                                  message):
     with pytest.raises(error) as raised:
         sampler(model, SamplerConfig(length=10, seed=0, **fields))
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+PILOT = {"pilot_mean": [0.0], "pilot_cov": [[1.0]]}
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"proposal_sd": 0.5, "proposal_scale": 1.6, **PILOT},
+     "proposal_sd and proposal_scale must not both be set"),
+    ({"proposal_scale": 1.6}, "proposal_scale scales chol(pilot_cov), and pilot_cov is not set"),
+    ({"proposal_scale": math.inf, **PILOT}, "proposal_scale must be a finite number > 0, got inf"),
+    ({"proposal_scale": math.nan, **PILOT}, "proposal_scale must be a finite number > 0, got nan"),
+    ({"proposal_scale": 0.0, **PILOT}, "proposal_scale must be a finite number > 0, got 0.0"),
+    ({"proposal_scale": -1.6, **PILOT}, "proposal_scale must be a finite number > 0, got -1.6"),
+    ({"proposal_scale": True, **PILOT}, "proposal_scale must be a finite number > 0, got True"),
+    ({"proposal_scale": "1.6", **PILOT}, "proposal_scale must be a finite number > 0, got '1.6'"),
+], ids=["scale-beside-sd", "scale-without-pilot", "scale-infinite", "scale-nan", "scale-zero",
+        "scale-negative", "scale-bool", "scale-str"])
+def test_sampler_config_rejects_a_bad_proposal_scale(fields, message):
+    with pytest.raises(ValueError) as raised:
+        SamplerConfig(length=10, **fields)
+    assert str(raised.value) == message
+
+
+def test_the_proposal_factor_is_diag_sd_or_the_scaled_pilot_cholesky():
+    model = GarchTarget(synthetic_demgbp_returns(seed=333))
+    sd = SHIPPED_GARCH["proposal_sd"]
+    assert np.array_equal(resolve_proposal(model, sd, None, None), np.diag(sd))
+    cov = np.array(SHIPPED_GARCH["pilot_cov"])
+    factor = resolve_proposal(model, None, 2.5, cov)
+    assert np.array_equal(factor, 2.5 * np.linalg.cholesky(cov))
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.allclose(factor @ factor.T, 6.25 * cov, rtol=1e-12, atol=0.0)
 
 
 class SpyGamma(GammaTarget):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import hand_control_variate
+from helpers import hand_control_variate, reference_control_variates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from zvmcmc import (
     rw_metropolis,
     standardization_from_chain,
 )
+from zvmcmc.zv import degenerate_columns
 
 
 def make_chain(draws, gradients):
@@ -122,6 +123,29 @@ def test_eval_matches_hand_formula():
             assert G[i, col] == pytest.approx(
                 hand_control_variate(alpha, draws[i], z[i]), rel=1e-12, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("d,exclusions", [(3, ()), (3, ((1, 0, 0),)), (1, ((1,),)), (4, ())],
+                         ids=["garch-full", "garch-excluded", "gamma", "regression"])
+@pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+def test_eval_equals_the_per_column_oracle_bit_for_bit(d, exclusions, degree, standardized):
+    rng = np.random.default_rng(17)
+    draws = rng.normal(1.0, 2.0, size=(500, d))
+    grads = rng.normal(size=(500, d))
+    center = np.round(draws.mean(axis=0), 3)
+    # exact zeros of x (raw or standardized) and a -0.0 gradient, where the
+    # sign of a zero sum shows
+    draws[7] = center if standardized else 0.0
+    grads[7, 0] = -0.0
+    grads[11] = 0.0
+    chain = make_chain(draws, grads)
+    basis = monomial_basis(d, degree, exclusions)
+    scaling = (center, np.round(draws.std(axis=0), 3)) if standardized else (None, None)
+    G = eval_control_variates(chain, basis, *scaling)
+    expected = reference_control_variates(chain, basis, *scaling)
+    assert G.shape == (500, basis.size) and G.flags.c_contiguous
+    assert G.tobytes() == expected.tobytes()
 
 
 def test_eval_with_standardization_matches_transformed_chain():
@@ -227,6 +251,20 @@ def test_partial_degeneracy_keeps_live_columns():
     assert fit.dropped_columns == (0,)
     assert fit.coefficients[0] == 0.0
     assert fit.coefficients[1] != 0.0
+
+
+def test_degenerate_columns_and_the_fit_drop_the_same_columns():
+    # a constant column, and near-constant ones below and above the
+    # tolerance of var / mean square = 1e-12
+    rng = np.random.default_rng(13)
+    noise = rng.normal(size=2000)
+    G = np.column_stack([np.full(2000, 3.0), 5.0 + 1e-7 * noise, 5.0 + 1e-5 * noise,
+                         rng.normal(size=2000)])
+    flags = degenerate_columns(G)
+    assert flags.tolist() == [True, True, False, False]
+    fit = fit_coefficients(G, rng.normal(size=2000))
+    assert fit.dropped_columns == tuple(np.flatnonzero(flags)) == (0, 1)
+    assert np.all(fit.coefficients[[0, 1]] == 0.0)
 
 
 def test_near_duplicate_columns_trigger_ridge():
