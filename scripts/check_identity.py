@@ -2,6 +2,7 @@
 """Check that a git revision and the working tree write the same reports.
 
     python scripts/check_identity.py --rev HEAD~1 [--config configs/toys.json ...] [--replications 2]
+                                     [--expect-key config.proposal_sd ...]
 
 Runs the standing identity protocol once with the CLI of src/zvmcmc at --rev
 and once with the working tree's, each command in a fresh process.  The rev
@@ -38,9 +39,16 @@ Prints one line per command; a command whose outputs differ names, for
 each JSON report that differs, the largest relative difference over the
 leaves both sides hold, the keys only one side holds and the objects whose
 keys come in another order, says whether the CSV bytes differ and names the
-first printed line that differs.  Exits 0 when every pair is equal, 1 when a
-pair differs or a command fails, and 2 when the revision cannot be
-extracted.
+first printed line that differs.
+
+--expect-key KEY (repeatable) names a report key, dotted as the lines print
+it (config.proposal_sd), that a change adds, removes or alters on purpose:
+its value, and everything under it, may differ or be held by one side only.
+A command whose only JSON differences lie under expected keys reads
+"identical apart from" them; every other value, the CSV bytes and the
+printed lines must still be equal.  Exits 0 when every pair is equal in that
+sense, 1 when a pair differs or a command fails, and 2 when the revision
+cannot be extracted.
 """
 import argparse
 import itertools
@@ -136,7 +144,13 @@ def stdout_difference(rev_out, tree_out):
     return None
 
 
-def largest_differences(rev_dir, tree_dir, files):
+def is_expected(path, expected):
+    """True when the dotted path is one of the expected keys or lies under one."""
+    name = dotted(path)
+    return any(name == key or name.startswith(key + ".") for key in expected)
+
+
+def largest_differences(rev_dir, tree_dir, files, expected=(), excused=None):
     """How the two output directories differ, or None when they are equal.
 
     Names, for each JSON report that differs, the largest relative difference
@@ -145,7 +159,9 @@ def largest_differences(rev_dir, tree_dir, files):
     whose shared keys come in another order, and each CSV whose bytes
     differ.  A name ending in "/" is a directory of CSVs: each side must
     hold the same files, at least one, and the first file whose bytes differ
-    is named with the count of such files.
+    is named with the count of such files.  A JSON difference at or under
+    one of the expected keys is left out, and its dotted key is added to the
+    set excused when one is given.
     """
     found = []
     for name in files:
@@ -167,6 +183,12 @@ def largest_differences(rev_dir, tree_dir, files):
             continue
         with open(a) as fa, open(b) as fb:
             shared, one_sided, reordered = compare(json.load(fa), json.load(fb))
+        differing = [p for p, rel in shared if rel] + [p for p, _ in one_sided] + reordered
+        if excused is not None:
+            excused.update(dotted(p) for p in differing if is_expected(p, expected))
+        shared = [leaf for leaf in shared if not is_expected(leaf[0], expected)]
+        one_sided = [key for key in one_sided if not is_expected(key[0], expected)]
+        reordered = [p for p in reordered if not is_expected(p, expected)]
         path, rel = max(shared, key=lambda leaf: leaf[1], default=((), 0.0))
         parts = [f"largest at {dotted(path)} (relative {rel:.3g})" if rel else "shared values equal"]
         for side, label in (("a", "rev"), ("b", "tree")):
@@ -187,6 +209,9 @@ def main(argv=None):
                         help="config file (repeatable; default the four shipped configs)")
     parser.add_argument("--replications", type=int, default=None,
                         help="replications of every run (default 4, GARCH 2)")
+    parser.add_argument("--expect-key", action="append", default=[], metavar="KEY",
+                        help="dotted report key that may differ or be on one side only "
+                             "(repeatable)")
     args = parser.parse_args(argv)
     if args.replications is not None and args.replications < 1:
         parser.error("--replications must be >= 1")
@@ -210,14 +235,18 @@ def main(argv=None):
                                    dirs[side])
                     for side in sides}
             found = [f"{side} failed: {err}" for side, (_, err) in done.items() if err is not None]
+            excused = set()
             if not found:
-                found = [d for d in (largest_differences(dirs["rev"], dirs["tree"], files),
+                found = [d for d in (largest_differences(dirs["rev"], dirs["tree"], files,
+                                                         args.expect_key, excused),
                                      stdout_difference(done["rev"][0], done["tree"][0])) if d]
             failures += bool(found)
-            print(" ".join(cli_argv) + ": " + ("DIFFERS, " + "; ".join(found) if found else "identical"),
+            same = "identical" + (f" apart from {', '.join(sorted(excused))}" if excused else "")
+            print(" ".join(cli_argv) + ": " + ("DIFFERS, " + "; ".join(found) if found else same),
                   flush=True)
     print(f"{failures} command(s) differ or fail" if failures else
-          f"every report equals {args.rev}'s")
+          f"every report equals {args.rev}'s"
+          + (f" apart from the expected keys {', '.join(args.expect_key)}" if args.expect_key else ""))
     return 1 if failures else 0
 
 

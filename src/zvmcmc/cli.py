@@ -148,7 +148,8 @@ def _cmd_coverage(config) -> dict:
     for p, entry in report["coverage"].items():
         per = ", ".join(f"{n} {entry['per_parameter'][n]:.0%}" for n in names)
         print(f"  degree {p}: {entry['events_inside']}/{entry['events_total']} inside "
-              f"({entry['fraction']:.1%}; {per})")
+              f"({entry['fraction']:.1%}; {per})"
+              + ("; empty basis, so the estimate is the plain mean" if entry["empty_basis"] else ""))
     worst = []
     for p, entry in report["coverage"].items():
         # a null z-score (one replication) reads as NaN and prints n/a

@@ -52,7 +52,7 @@ from .models import (
     _Toy,
 )
 from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_pilot,
-                       resolve_proposal, sample_chain)
+                       sample_chain)
 from .zv import (
     SUPPORTED_DEGREES,
     InsufficientSampleError,
@@ -127,18 +127,13 @@ class ExperimentConfig:
     build_model rejects one set away from its default.
 
     pilot_mean (d numbers) and pilot_cov (d lists of d numbers, symmetric
-    positive definite), the mean and covariance of a pilot chain, give the
-    Gaussian with which random-walk Metropolis screens each proposal before
-    it calls the likelihood (samplers.rw_metropolis); the chain starts at
-    pilot_mean.  Both are null or both set; build_model checks them, and the
-    Gibbs sampler rejects them.  Both null give the flat screen, which
-    passes every proposal: the chain is plain Metropolis from the model's
-    default start.
-
-    A random-walk chain steps by proposal_sd * z, or, when proposal_scale s
-    is set, by s * chol(pilot_cov) z (samplers.resolve_proposal).  s must be
-    a finite number > 0, and build_model rejects it without pilot_cov, next
-    to proposal_sd, or on the Gibbs sampler.
+    positive definite), the mean m and covariance Sigma of a pilot chain,
+    give the Gaussian that random-walk Metropolis starts at, screens each
+    proposal with before it calls the likelihood, and steps by: it proposes
+    x + s chol(Sigma) z with s = proposal_scale, or 2.38/sqrt(d) when that is
+    null (samplers.rw_metropolis).  Both pilot keys are null or both set;
+    both null take the model's default_pilot() (models).  build_model checks
+    them and s, a finite number > 0; the Gibbs sampler rejects all three.
 
     A key exists when a shipped config, workload or script sets it, directly
     or through a flag it passes, or when it is a deployment input
@@ -162,7 +157,6 @@ class ExperimentConfig:
     fit_length: int = 2000
     eval_length: int = 2000
     thin: int = 1
-    proposal_sd: tuple | None = None
     proposal_scale: float | None = None
     pilot_mean: tuple | None = None
     pilot_cov: tuple | None = None
@@ -204,8 +198,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
         if self.base_seed >= 2**63:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
-        if self.proposal_sd is not None:
-            self.proposal_sd = _numbers("proposal_sd", self.proposal_sd)
         if self.pilot_mean is not None:
             self.pilot_mean = _numbers("pilot_mean", self.pilot_mean)
         if self.pilot_cov is not None:
@@ -262,10 +254,12 @@ def build_model(config: ExperimentConfig):
     `zvmcmc validate` build the model before anything else, so this is also
     where the config is checked against the model, once and before any
     sampling.  First, a key set away from its default that the model kind,
-    data source or sampler never reads is rejected by name.  Then the chain
-    inputs sized by the model go through the samplers' own resolve_pilot,
-    resolve_proposal (rwmh only) and resolve_init, so a bad start reads as
-    the sampler would print it.  Raises ConfigError otherwise.
+    data source or sampler never reads is rejected by name.  Then a
+    random-walk chain's pilot goes through the samplers' own resolve_pilot,
+    and its start, or a Gibbs chain's zero start, through resolve_init, so a
+    bad pilot or start reads as the sampler would print it and the start's
+    log_density call loads what the model imports lazily before a pool
+    forks.  Raises ConfigError otherwise.
     """
     model = _target(config)
     unread = _unread_keys(config)
@@ -273,10 +267,11 @@ def build_model(config: ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     try:
-        resolve_pilot(model, config.pilot_mean, config.pilot_cov)
         if config.sampler == "rwmh":
-            resolve_proposal(model, config.proposal_sd, config.proposal_scale, config.pilot_cov)
-        resolve_init(model, None, config.pilot_mean)
+            start, _, _ = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+        else:
+            start = np.zeros(model.dimension)
+        resolve_init(model, None, start)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return model
@@ -292,7 +287,7 @@ def _unread_keys(config: ExperimentConfig) -> dict:
     if kind not in ("probit", "logit") or config.data_path is None:
         unread["add_intercept"] = "only a probit or logit design loaded from data_path reads it"
     if config.sampler == "gibbs":
-        unread["proposal_sd"] = unread["proposal_scale"] = "the gibbs sampler takes no proposal"
+        unread["proposal_scale"] = "the gibbs sampler takes no proposal"
         unread["pilot_mean"] = unread["pilot_cov"] = "the gibbs sampler takes no pilot"
     if config.single_chain:
         unread["fit_length"] = "a single-chain run samples one chain of eval_length draws"
@@ -343,9 +338,8 @@ def _chain_config(config: ExperimentConfig, length, seed, thin=1,
     # build_model has rejected a proposal or pilot on the Gibbs sampler,
     # which takes neither
     return SamplerConfig(length=length, burn_in=config.burn_in, seed=seed, thin=thin,
-                         proposal_sd=config.proposal_sd, proposal_scale=config.proposal_scale,
-                         pilot_mean=config.pilot_mean, pilot_cov=config.pilot_cov,
-                         compute_gradients=compute_gradients)
+                         proposal_scale=config.proposal_scale, pilot_mean=config.pilot_mean,
+                         pilot_cov=config.pilot_cov, compute_gradients=compute_gradients)
 
 
 def _calls_per_step(config: ExperimentConfig, chain, thin):
@@ -465,7 +459,7 @@ def run_study(config: ExperimentConfig) -> dict:
     The accept block holds the first (fit) and last (eval) chains' mean
     accept rates and their mean log_density calls per step, burn-in
     included: the share of proposals that pass the screen for a random-walk
-    chain (1 without a pilot, whose flat screen passes all), and 0 for Gibbs.
+    chain, and 0 for Gibbs.
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors
@@ -630,14 +624,15 @@ def write_study_csv(report: dict, path) -> None:
                                      fit_seeds[i], eval_seeds[i]])
 
 
-def _coverage_entry(est, reference, names):
-    """One degree's coverage block for the (R, d) ZV estimates est; z is NaN when R < 2."""
+def _coverage_entry(est, reference, names, basis):
+    """One degree's coverage block for the (R, d) ZV estimates est of basis; z is NaN when R < 2."""
     mask = (est >= reference.lower[None, :]) & (est <= reference.upper[None, :])
     R = est.shape[0]
     var = est.var(axis=0, ddof=1) if R > 1 else np.full(est.shape[1], np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (est.mean(axis=0) - reference.point) / np.sqrt(var / R + reference.asvar / reference.length)
     return {
+        "empty_basis": basis.size == 0,
         "fraction": mask.mean(),
         "events_inside": mask.sum(),
         "events_total": mask.size,
@@ -658,7 +653,11 @@ def run_coverage(config: ExperimentConfig) -> dict:
     mean ZV estimate against the reference point by their combined standard
     error sqrt(var(ZV, ddof=1)/R + asvar/N).  Unlike the counts, it does not
     rest on the reference interval being wider than the estimates' spread;
-    with R = 1 it is NaN, written null.
+    with R = 1 it is NaN, written null.  A degree whose basis is empty (the
+    exponential and gamma toys at degree 1) is marked empty_basis: its ZV
+    estimate is the plain mean of a short chain, whose spread can be far
+    wider than the reference interval, so its fraction is no test; its
+    z-score still is.
 
     Returns the report in its written JSON form, the form export_study writes
     to coverage.json (see run_diagnose).  Its "reference" block is the
@@ -681,7 +680,7 @@ def run_coverage(config: ExperimentConfig) -> dict:
     t_reference = time.perf_counter() - t0
 
     study = _study(config, model, bases)
-    coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"])
+    coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"], bases[p])
                 for p, est in study["per_replication_estimates"]["zv"].items()}
     return _jsonable({
         "schema": "zvmcmc-coverage-v1",

@@ -7,8 +7,9 @@ Toy 1-d targets (gaussian, exponential, gamma) and three Bayesian posteriors
     log_density(beta) -> float        (additive constants dropped consistently)
     grad_log_density(B) -> (m, d)     (row by row, each strictly interior to the support)
     grad_log_density(beta) -> (d,)    (row 0 of the gradient of the batch of one beta[None])
-    rough_scale() -> (d,)             (crude posterior scale, proposal sizing)
-    default_init() -> (d,)
+    default_pilot() -> (mean (d,), cov (d, d))
+                                      (the random-walk chain's start, screen and step
+                                      when a config gives no pilot)
 
 log_density and grad_log_density raise SupportError outside the support
 (the strict interior for gradients; one offending row fails a whole batch)
@@ -25,10 +26,15 @@ floats, which costs far less than numpy reductions over a few numbers, and
 grad_log_density checks an (m, d) batch with numpy reductions.  Both make
 the same checks in the same order and fail with the same messages.  The
 base's grad_log_density hands the target's _grad_batch the checked batch, a
-point as the batch of one, and the base serves rough_scale and default_init
-from values each target sets when it is built.  So a target writes only its
-data, its log_density and its batch gradient rows; the toys share a 1-d base
-on top of that.
+point as the batch of one.  So a target writes only its data, its
+log_density, its batch gradient rows and its default pilot; the toys share a
+1-d base on top of that.
+
+default_pilot is the Gaussian N(mean, cov) that random-walk Metropolis
+starts at, screens with and steps by when a config sets no pilot_mean and
+pilot_cov: the toys give their exact mean and variance, probit and logit
+zeros and _noise_scale^2 (X'X)^-1, and GARCH a crude start with a diagonal
+covariance of crude scales.  Each call returns new arrays.
 
 scipy.special (probit's log Phi) and scipy.linalg (GARCH's banded solve)
 are the lazy module handles special and linalg, imported on first attribute
@@ -104,8 +110,7 @@ class _Target:
     """The protocol around a target's two formulas, written once.
 
     A subclass sets dimension and support, the (j, strict, message) bounds
-    its densities and gradients check, and in __init__ _crude_scale and
-    _start, the values rough_scale and default_init return.  Its
+    its densities and gradients check, and writes default_pilot.  Its
     log_density validates the argument with _point; its _grad_batch takes
     checked (m, d) rows.
     """
@@ -141,12 +146,6 @@ class _Target:
         return self.support + tuple(
             (j, True, f"{self.parameter_names[j]} must be > 0 strictly inside the support")
             for j, strict, _ in self.support if not strict)
-
-    def rough_scale(self):
-        return np.array(self._crude_scale, dtype=float)
-
-    def default_init(self):
-        return np.array(self._start, dtype=float)
 
     def _point(self, beta, bounds=None):
         """beta as a (d,) float array, checked against the support.
@@ -286,8 +285,9 @@ class GaussianTarget(_Toy):
     def __init__(self, mu=0.0, sigma2=1.0):
         self.sigma2 = _positive("sigma2", sigma2)
         self.mu = float(mu)
-        self._crude_scale = [np.sqrt(self.sigma2)]
-        self._start = [self.mu]
+
+    def default_pilot(self):
+        return np.array([self.mu]), np.array([[self.sigma2]])
 
     def log_density(self, beta):
         d = self._point(beta)[0] - self.mu
@@ -309,7 +309,9 @@ class ExponentialTarget(_Toy):
 
     def __init__(self, lam=1.0):
         self.lam = _positive("lam", lam)
-        self._crude_scale = self._start = [1.0 / self.lam]
+
+    def default_pilot(self):
+        return np.array([1.0 / self.lam]), np.array([[1.0 / self.lam**2]])
 
     def log_density(self, beta):
         return float(-self.lam * self._point(beta)[0])
@@ -328,8 +330,9 @@ class GammaTarget(_Toy):
     def __init__(self, shape=3.0, scale=1.0):
         self.shape = _positive("shape", shape)
         self.scale = _positive("scale", scale)
-        self._crude_scale = [np.sqrt(self.shape) * self.scale]
-        self._start = [self.shape * self.scale]
+
+    def default_pilot(self):
+        return np.array([self.shape * self.scale]), np.array([[self.shape * self.scale**2]])
 
     def log_density(self, beta):
         x = self._point(beta)[0]
@@ -348,22 +351,27 @@ class GammaTarget(_Toy):
 
 
 class _RegressionTarget(_Target):
-    # the crude posterior scale is this times sqrt(diag((X'X)^{-1}))
+    # the default pilot covariance is this squared times (X'X)^{-1}
     _noise_scale = 1.0
 
     def __init__(self, data: BinaryRegressionData):
         self.data = data
         self.dimension = data.dimension
         self.parameter_names = tuple(f"beta_{j + 1}" for j in range(self.dimension))
-        # the probit Gibbs sweep draws with both; the inverse also sizes proposals
+        # the probit Gibbs sweep draws with both; the inverse also gives the
+        # default pilot covariance
         self.xtx = data.design.T @ data.design
         self.xtx_inv = np.linalg.inv(self.xtx)
-        self._crude_scale = self._noise_scale * np.sqrt(np.diag(self.xtx_inv))
-        self._start = np.zeros(self.dimension)
         # rows s_i x_i with s_i = 2 y_i - 1: s_i x_i'beta is the signed linear
         # predictor both likelihoods are written in.  A +-1 factor is exact,
         # so products with it equal the unfolded ones with the sign applied
         self.s_design = (2.0 * data.response - 1.0)[:, None] * data.design
+
+    def default_pilot(self):
+        # inv rounds (X'X)^{-1} a little asymmetrically; the mean of it and
+        # its transpose is exactly symmetric
+        cov = 0.5 * (self.xtx_inv + self.xtx_inv.T)
+        return np.zeros(self.dimension), self._noise_scale**2 * cov
 
     def _grad_batch(self, beta):
         # each subclass writes _grad_rows, the gradient at (m, d) rows; blocks
@@ -528,12 +536,14 @@ class GarchTarget(_Target):
         self._r2 = series.returns**2
         # r_0 := 0 puts a zero in front of the lagged squared returns
         self._r2_lag = np.concatenate(([0.0], self._r2[:-1]))
-        # crude, order of magnitude only; shipped configs override proposals
-        self._crude_scale = [0.05 * series.h0, 0.1, 0.1]
-        self._start = [0.2 * series.h0, 0.1, 0.6]
         # log_density's work arrays: the band, h and the log-likelihood terms
         T = series.length
         self._work = (np.zeros((2, T), order="F"), np.empty(T), np.empty(T))
+
+    def default_pilot(self):
+        # crude, order of magnitude only; the shipped configs set their pilot
+        h0 = self.series.h0
+        return np.array([0.2 * h0, 0.1, 0.6]), np.diag(np.array([0.05 * h0, 0.1, 0.1])**2)
 
     def _h_path(self, omega, band, h):
         """h_1..h_T at omega, solved in the (T,) vector h, which is returned."""

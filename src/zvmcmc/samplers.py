@@ -12,22 +12,22 @@ retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
-and reading SupportError as a rejection; resolve_init checks the start
-(init, else pilot_mean, else the model's default) with the same call and
-names its key and the failed bound.  Random-walk Metropolis has one move
-rule: step k proposes x + A z_k, where A is the lower-triangular (d, d)
-factor that resolve_proposal makes of the config, diag(proposal_sd), or
-proposal_scale * chol(pilot_cov) when proposal_scale is set.  It has one
-step rule: it screens each proposal with a pilot Gaussian N(m, Sigma)
-(SamplerConfig.pilot_mean and pilot_cov, checked by resolve_pilot) and calls
+and reading SupportError as a rejection; resolve_init checks the start (init
+if set, else the pilot mean) with the same call and names its key and the
+failed bound.  Every random-walk chain takes its geometry from one pilot
+Gaussian N(m, Sigma): SamplerConfig.pilot_mean and pilot_cov when they are
+set, else the model's default_pilot() (resolve_pilot checks either).  The
+chain starts at m unless init is set, and has one move rule: step k proposes
+x + A z_k with the lower-triangular A = s chol(Sigma) of resolve_proposal,
+s = proposal_scale or 2.38/sqrt(d) (Roberts, Gelman & Gilks 1997).  It has
+one step rule: it screens each proposal with the pilot and calls
 log_density, as ChainOutput.log_density_calls counts, only for proposals
 that pass (delayed acceptance, Christen & Fox 2005); the chain still leaves
-pi invariant.  Without a pilot the screen is flat (m = 0, Sigma^-1 = 0),
-passes every proposal, and the rule is plain Metropolis.  All randomness
-comes from SamplerConfig.seed: both samplers spawn two numpy Generators from
-SeedSequence(seed) (_streams), one for normals and one for uniforms, and
-draw each in blocks, random-walk Metropolis of _RNG_BLOCK steps and Gibbs of
-_GIBBS_UNIFORMS // n sweeps (the draws do not depend on the block sizes).
+pi invariant.  All randomness comes from SamplerConfig.seed: both samplers
+spawn two numpy Generators from SeedSequence(seed) (_streams), one for
+normals and one for uniforms, and draw each in blocks, random-walk
+Metropolis of _RNG_BLOCK steps and Gibbs of _GIBBS_UNIFORMS // n sweeps
+(the draws do not depend on the block sizes).
 Identical configs give bit-identical output.
 """
 from __future__ import annotations
@@ -87,19 +87,16 @@ class SamplerConfig:
     seed      u64 seed of the chain's random numbers: each sampler draws
               its normals from the first and its uniforms from the second
               Generator of SeedSequence(seed).spawn(2)
-    init      starting point; None starts at pilot_mean when it is set, else
-              at model.default_init(); resolve_init checks the start
-    proposal_sd  per-coordinate random walk step, scalar, 1 or d entries;
-                 None means 2.4/sqrt(d) times model.rough_scale()
-    proposal_scale  s > 0: the random walk steps by s * chol(pilot_cov) z
-                 in place of proposal_sd * z; needs pilot_cov and excludes
-                 proposal_sd (checked_scale).  Either way a step is A z for
-                 the one lower-triangular factor A of resolve_proposal
+    init      starting point; None starts a random-walk chain at the pilot
+              mean and a Gibbs chain at zeros; resolve_init checks the start
+    proposal_scale  s > 0 (checked_scale): the random walk steps by
+                 s * chol(Sigma) z, the factor A of resolve_proposal; None
+                 means s = 2.38/sqrt(d)
     pilot_mean, pilot_cov  mean m (d entries) and covariance Sigma (d x d,
                  symmetric positive definite) of a pilot chain, the Gaussian
-                 that rw_metropolis screens proposals with; both None (the
-                 flat screen, plain Metropolis) or both set; resolve_pilot
-                 checks them
+                 that rw_metropolis starts at, screens proposals with and
+                 steps by; both None (the model's default_pilot()) or both
+                 set; resolve_pilot checks them
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
@@ -111,7 +108,6 @@ class SamplerConfig:
     burn_in: int = 0
     seed: int = 0
     init: np.ndarray | None = None
-    proposal_sd: np.ndarray | float | None = None
     proposal_scale: float | None = None
     pilot_mean: np.ndarray | None = None
     pilot_cov: np.ndarray | None = None
@@ -124,7 +120,7 @@ class SamplerConfig:
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a u64, got {self.seed!r}")
         self.seed = int(self.seed)
-        self.proposal_scale = checked_scale(self.proposal_sd, self.proposal_scale, self.pilot_cov)
+        self.proposal_scale = checked_scale(self.proposal_scale)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class ChainOutput:
     array; has_gradients distinguishes the two.  log_density_calls counts
     the model's log_density calls made by the chain's steps, burn-in
     included and the check of the start excluded: one per proposal that
-    passes the screen (every proposal without a pilot), none for Gibbs.
+    passes the screen, none for Gibbs.
     """
 
     draws: np.ndarray
@@ -164,46 +160,25 @@ class ChainOutput:
 # random walk Metropolis-Hastings
 
 
-def checked_scale(proposal_sd, proposal_scale, pilot_cov):
-    """proposal_scale as a float, or None when it is unset.
-
-    ValueError unless it is unset, or a finite number > 0 given with
-    pilot_cov and without proposal_sd.
-    """
+def checked_scale(proposal_scale):
+    """proposal_scale as a float, or None when it is unset; ValueError unless
+    it is unset or a finite number > 0."""
     if proposal_scale is None:
         return None
     if not (isinstance(proposal_scale, numbers.Real) and not isinstance(proposal_scale, bool)
             and math.isfinite(proposal_scale) and proposal_scale > 0):
         raise ValueError(f"proposal_scale must be a finite number > 0, got {proposal_scale!r}")
-    if proposal_sd is not None:
-        raise ValueError("proposal_sd and proposal_scale must not both be set")
-    if pilot_cov is None:
-        raise ValueError("proposal_scale scales chol(pilot_cov), and pilot_cov is not set")
     return float(proposal_scale)
 
 
-def resolve_proposal(model, proposal_sd, proposal_scale, pilot_cov):
-    """A, the lower-triangular (d, d) factor of the random walk's step A z.
+def resolve_proposal(proposal_scale, sigma):
+    """A = s chol(sigma), the lower-triangular (d, d) factor of the random walk's step A z.
 
-    A is proposal_scale * chol(pilot_cov) when proposal_scale is set (pass a
-    pilot_cov that resolve_pilot accepts), else diag(proposal_sd), a scalar
-    or d entries; proposal_sd None means 2.4/sqrt(d) times
-    model.rough_scale().  ValueError unless the keys fit (see SamplerConfig).
+    sigma is the pilot covariance of resolve_pilot; s is proposal_scale (as
+    checked_scale returns it), or 2.38/sqrt(d) when it is None.
     """
-    d = model.dimension
-    scale = checked_scale(proposal_sd, proposal_scale, pilot_cov)
-    if scale is not None:
-        return scale * np.linalg.cholesky(np.asarray(pilot_cov, dtype=float))
-    if proposal_sd is None:
-        sd = (2.4 / np.sqrt(d)) * model.rough_scale()
-    else:
-        sd = np.asarray(proposal_sd, dtype=float)
-        if sd.ndim > 1 or sd.size not in (1, d):
-            raise ValueError(f"proposal_sd must have 1 or {d} entries for model {model.tag}, "
-                             f"got {sd.size}")
-    if not np.all(np.isfinite(sd) & (sd > 0.0)):
-        raise ValueError(f"proposal_sd entries must be finite and > 0, got {sd.ravel().tolist()}")
-    return np.diag(np.broadcast_to(sd, (d,)))
+    scale = 2.38 / math.sqrt(sigma.shape[0]) if proposal_scale is None else proposal_scale
+    return scale * np.linalg.cholesky(sigma)
 
 
 def _finite_array(name, value, shape, what, model):
@@ -219,8 +194,8 @@ def _finite_array(name, value, shape, what, model):
 
 
 def resolve_pilot(model, mean, cov):
-    """(m, P = Sigma^-1) of the pilot Gaussian N(m, Sigma); the flat pilot
-    (zeros(d), zeros((d, d))) when neither is set.
+    """(m, Sigma, P = Sigma^-1) of the pilot Gaussian N(m, Sigma): the given
+    mean and cov, or model.default_pilot() when neither is set.
 
     ValueError naming the key unless both are set or both are None, m has d
     finite entries and Sigma is a finite, symmetric, positive definite d x d
@@ -228,8 +203,8 @@ def resolve_pilot(model, mean, cov):
     """
     d = model.dimension
     if mean is None and cov is None:
-        return np.zeros(d), np.zeros((d, d))
-    if mean is None or cov is None:
+        mean, cov = model.default_pilot()
+    elif mean is None or cov is None:
         missing = "pilot_mean" if mean is None else "pilot_cov"
         raise ValueError(f"pilot_mean and pilot_cov must be set together; {missing} is not")
     m = _finite_array("pilot_mean", mean, (d,), f"{d} finite numbers", model)
@@ -241,19 +216,15 @@ def resolve_pilot(model, mean, cov):
     except np.linalg.LinAlgError:
         raise ValueError("pilot_cov must be positive definite") from None
     precision = np.linalg.inv(sigma)
-    return m, 0.5 * (precision + precision.T)
+    return m, sigma, 0.5 * (precision + precision.T)
 
 
-def resolve_init(model, init, pilot_mean):
-    """(the chain's start as a (d,) point, its log-density); the start is init if set,
-    else pilot_mean if set, else model.default_init().  ValueError (wrong length) or
-    SupportError (outside the support) names the key the start came from."""
-    if init is not None:
-        key, start = "init", init
-    elif pilot_mean is not None:
-        key, start = "pilot_mean", pilot_mean
-    else:
-        key, start = "init", model.default_init()
+def resolve_init(model, init, mean):
+    """(the chain's start as a (d,) point, its log-density); the start is init if
+    set, else mean (a random-walk chain's pilot mean, a Gibbs chain's zeros).
+    ValueError (wrong length) or SupportError (outside the support) names the
+    key the start came from, init or pilot_mean."""
+    key, start = ("init", init) if init is not None else ("pilot_mean", mean)
     x = np.asarray(start, dtype=float)
     if x.shape != (model.dimension,):
         raise ValueError(f"{key} must have {model.dimension} entries for model {model.tag}, "
@@ -285,15 +256,16 @@ def _streams(seed):
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    Step k proposes y = x + v_k, v_k = A z_k, where A is the factor of
-    resolve_proposal and z_k is row k of the first stream's normals, and
-    reads u_k, the k-th uniform of the second (see _streams); every step
-    takes one of each, whether it needs the uniform or not.  v_k is the sum
-    of z_kj times column j of A over j = 0, 1, ... in order, so for a
-    diagonal A it is sd * z_k bit for bit.
+    The pilot q = N(m, Sigma), P = Sigma^-1, comes from resolve_pilot: the
+    config's pilot_mean and pilot_cov, else the model's default_pilot().  The
+    chain starts at init, else at m.  Step k proposes y = x + v_k,
+    v_k = A z_k, where A = s chol(Sigma) is the factor of resolve_proposal
+    and z_k is row k of the first stream's normals, and reads u_k, the k-th
+    uniform of the second (see _streams); every step takes one of each,
+    whether it needs the uniform or not.  v_k is the sum of z_kj times
+    column j of A over j = 0, 1, ... in order.
 
-    With the pilot q = N(m, Sigma), P = Sigma^-1 (see resolve_pilot),
-    let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
+    Let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
     step accepts iff
 
         log u_k < min(0, dq) + min(0, log pi(y) - log pi(x) - dq),
@@ -302,12 +274,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     the delayed-acceptance kernel, which leaves pi invariant.  When
     log u_k >= min(0, dq) the step rejects without calling log_density, so
     only the proposals that pass the screen pay for the likelihood; the one
-    uniform serves both stages.  Without a pilot P = 0 and m = 0, so dq = +-0:
-    every proposal passes (log u_k < 0, even for u_k = 0), and the step
-    accepts iff log u_k < log pi(y) - log pi(x), plain Metropolis bit for bit.
-    In floating point, P v_k is the sum of v_kj times row j of P and
-    v_k.(P v_k) the sum of v_kj (P v_k)_j, both over j = 0, 1, ... in order;
-    the second is then halved.  (x - m).(P v_k) is math.fsum of the d
+    uniform serves both stages.  In floating point, P v_k is the sum of v_kj
+    times row j of P and v_k.(P v_k) the sum of v_kj (P v_k)_j, both over
+    j = 0, 1, ... in order; the second is then halved.  (x - m).(P v_k) is math.fsum of the d
     products, x - m is taken at the start and after every accepted move,
     and every expression is evaluated left to right as written.
 
@@ -318,10 +287,9 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
-    mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
-    factor = resolve_proposal(model, config.proposal_sd, config.proposal_scale,
-                              config.pilot_cov).T
-    x, logp = resolve_init(model, config.init, config.pilot_mean)
+    mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    factor = resolve_proposal(config.proposal_scale, sigma).T
+    x, logp = resolve_init(model, config.init, mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
     xc = (x - mean).tolist()
@@ -431,9 +399,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     """
     if model.tag != "probit":
         raise ValueError(f"gibbs sampling is implemented for probit only, got {model.tag}")
-    for key in ("proposal_sd", "proposal_scale"):
-        if getattr(config, key) is not None:
-            raise ValueError(f"gibbs_probit does not take a {key}")
+    if config.proposal_scale is not None:
+        raise ValueError("gibbs_probit does not take a proposal_scale")
     if config.pilot_mean is not None or config.pilot_cov is not None:
         raise ValueError("gibbs_probit does not take a pilot")
     normals, uniforms = _streams(config.seed)
@@ -454,7 +421,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # bound once per chain, so the sweep pays no attribute lookup
     log_ndtr, ndtri_exp = special.log_ndtr, special.ndtri_exp
 
-    beta, _ = resolve_init(model, config.init, config.pilot_mean)
+    beta, _ = resolve_init(model, config.init, np.zeros(d))
     length, burn_in, thin = config.length, config.burn_in, config.thin
     total = burn_in + length * thin
     draws = np.empty((length, d))

@@ -179,19 +179,17 @@ def reference_rw_metropolis(model, config):
     step draws one normal row z from the first and one uniform u from the
     second, without blocks; the proposal is y = x + v, v = A z, where A is
     the package's resolve_proposal factor and v = z_0 A[:, 0] + z_1 A[:, 1]
-    + ..., summed in order of j one step at a time.  With a
-    pilot N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2.
-    Without one (both config keys None) dq = 0.0 exactly, decided here and
-    not by the package, so plain Metropolis is an independent oracle for the
-    sampler's flat pilot.  The step rejects without calling log_density
-    when log u >= min(0, dq), and otherwise accepts when
-    log u < min(0, dq) + min(0, log pi(y) - log pi(x) - dq).  P v sums
-    v_j times row j of P, and v.(P v) the products v_j (P v)_j, in order of
-    j; (x - m).(P v) is math.fsum of its products.  Retained draws are
-    picked by step % thin.  log_density_calls counts the steps' calls, the
-    start's check excluded.  The proposal factor, the pilot's checks, the
-    start point and the chain's gradients come from the package, so only the
-    loop itself is under test.
+    + ..., summed in order of j one step at a time.  With the pilot
+    N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2.  The step
+    rejects without calling log_density when log u >= min(0, dq), and
+    otherwise accepts when log u < min(0, dq) + min(0, log pi(y) - log pi(x)
+    - dq).  P v sums v_j times row j of P, and v.(P v) the products
+    v_j (P v)_j, in order of j; (x - m).(P v) is math.fsum of its products.
+    Retained draws are picked by step % thin.  log_density_calls counts the
+    steps' calls, the start's check excluded.  The pilot (the config's or the
+    model's default) with its checks, the proposal factor, the start point
+    and the chain's gradients come from the package, so only the loop itself
+    is under test.
     """
     import math
 
@@ -208,10 +206,9 @@ def reference_rw_metropolis(model, config):
     normal_rng = np.random.default_rng(normal_seed)
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
-    factor = resolve_proposal(model, config.proposal_sd, config.proposal_scale, config.pilot_cov)
-    mean, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
-    screened = not (config.pilot_mean is None and config.pilot_cov is None)
-    x, logp = resolve_init(model, config.init, config.pilot_mean)
+    mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
+    factor = resolve_proposal(config.proposal_scale, sigma)
+    x, logp = resolve_init(model, config.init, mean)
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 
@@ -229,15 +226,13 @@ def reference_rw_metropolis(model, config):
         for j in range(1, d):
             move = move + z[j] * factor[:, j]
         log_u = np.log(uniform_rng.random())
-        dq = 0.0
-        if screened:
-            pd = move[0] * precision[0]
-            for j in range(1, d):
-                pd = pd + move[j] * precision[j]
-            quad = move[0] * pd[0]
-            for j in range(1, d):
-                quad = quad + move[j] * pd[j]
-            dq = -math.fsum(float(a * b) for a, b in zip(x - mean, pd)) - 0.5 * quad
+        pd = move[0] * precision[0]
+        for j in range(1, d):
+            pd = pd + move[j] * precision[j]
+        quad = move[0] * pd[0]
+        for j in range(1, d):
+            quad = quad + move[j] * pd[j]
+        dq = -math.fsum(float(a * b) for a, b in zip(x - mean, pd)) - 0.5 * quad
         accept = False
         if log_u < min(0.0, dq):
             prop = x + move

@@ -177,3 +177,60 @@ def test_each_side_of_the_coverage_command_reads_its_own_toys_config(tmp_path, m
     for side, mu in (("rev", 2.5), ("tree", toys["mu"])):
         copy = json.loads(Path(tmp_path, "work", side, "coverage_toys.json").read_text())
         assert copy == {**toys, "mu": mu, **COVERAGE[1]}
+
+
+def test_an_expected_key_may_differ_or_be_on_one_side_only(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from check_identity import largest_differences
+
+    def report(side, config, x=1.0):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "study.json").write_text(json.dumps({"config": config, "x": x}))
+        return tmp_path / side
+
+    files = ("study.json",)
+    rev = report("rev", {"proposal_sd": None, "seed": 1})
+    tree = report("tree", {"seed": 1, "proposal_scale": 2.5})
+    excused = set()
+    assert largest_differences(rev, tree, files, ("config.proposal_sd", "config.proposal_scale"),
+                               excused) is None
+    assert excused == {"config.proposal_sd", "config.proposal_scale"}
+    # a key that is not named still differs
+    assert largest_differences(rev, tree, files, ("config.proposal_sd",)) == (
+        "study.json shared values equal, only in tree: config.proposal_scale")
+    # an expected key covers what lies under it, and nothing beside it
+    moved = report("moved", {"proposal_sd": [0.1, 0.2], "seed": 1}, x=2.0)
+    excused.clear()
+    assert largest_differences(rev, moved, files, ("config.proposal_sd",), excused) == (
+        "study.json largest at x (relative 0.5)")
+    assert excused == {"config.proposal_sd"}
+
+
+def test_expect_key_names_what_it_excused_and_exits_0(tmp_path, monkeypatch, capsys):
+    # stands in for a CLI command: each side writes its study and prints the same lines
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import check_identity as script
+
+    def run_side(root, argv, out_dir):
+        tree = root == str(ROOT)
+        Path(out_dir).mkdir(parents=True)
+        config = {"seed": 7, **({} if tree else {"proposal_sd": None})}
+        Path(out_dir, "study.json").write_text(json.dumps({"config": config, "x": 1.0}))
+        Path(out_dir, "study.csv").write_text("a\n1\n")
+        return "wrote <out>\n", None
+
+    monkeypatch.setattr(script, "checkout", lambda rev, into: None)
+    monkeypatch.setattr(script, "run_side", run_side)
+    # a config outside the shipped four gets its runs and no diagnose
+    config = str(ROOT / "configs" / "coverage_probit.json")
+    argv = ["--rev", "R", "--config", config, "--replications", "2"]
+    assert script.main(argv) == 1
+    assert script.main([*argv, "--expect-key", "config.proposal_sd"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "run --config configs/coverage_probit.json --replications 2 --threads 1: identical apart "
+        "from config.proposal_sd",
+        "run --config configs/coverage_probit.json --replications 2 --threads 2: identical apart "
+        "from config.proposal_sd",
+        "every report equals R's apart from the expected keys config.proposal_sd",
+    ]

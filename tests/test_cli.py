@@ -251,7 +251,8 @@ def test_a_config_naming_a_sampler_is_rejected(tmp_path, capsys, command):
 def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("logit_banknote", "probit_banknote", "toys", "garch_demgbp", "coverage_probit",
-                 "coverage_garch", "coverage_logit"):
+                 "coverage_garch", "coverage_logit", "coverage_gaussian", "coverage_exponential",
+                 "coverage_gamma"):
         assert main(["validate", "--config", str(configs / f"{name}.json")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
@@ -263,6 +264,12 @@ def test_validate_prints_basis_sizes_of_shipped_configs(capsys):
         "config ok: model garch (dimension 3), sampler rwmh, degree 1: 3 terms, degree 2: 9 terms, "
         "degree 3: 19 terms",
         "config ok: model logit (dimension 4), sampler rwmh, degree 1: 4 terms, degree 2: 14 terms",
+        "config ok: model gaussian (dimension 1), sampler rwmh, degree 1: 1 terms, degree 2: 2 terms, "
+        "degree 3: 3 terms",
+        "config ok: model exponential (dimension 1), sampler rwmh, degree 1: 0 terms, "
+        "degree 2: 1 terms, degree 3: 2 terms",
+        "config ok: model gamma (dimension 1), sampler rwmh, degree 1: 0 terms, degree 2: 1 terms, "
+        "degree 3: 2 terms",
     ]
 
 
@@ -271,10 +278,12 @@ LOGIT_PILOT = {"pilot_mean": [0.0] * 4, "pilot_cov": np.eye(4).tolist()}
 
 @pytest.mark.parametrize("command", ["validate", "run", "coverage", "diagnose"])
 @pytest.mark.parametrize("fields,message", [
+    # proposal_sd is retired, so a scale beside it is refused for the key
     ({"model_kind": "logit", "proposal_scale": 1.6, "proposal_sd": [0.1], **LOGIT_PILOT},
-     "proposal_sd and proposal_scale must not both be set"),
-    ({"model_kind": "logit", "proposal_scale": 1.6},
-     "proposal_scale scales chol(pilot_cov), and pilot_cov is not set"),
+     "unknown config keys: proposal_sd"),
+    # a scale needs the whole pilot or none of it (the model's default)
+    ({"model_kind": "logit", "proposal_scale": 1.6, "pilot_mean": [0.0] * 4},
+     "pilot_mean and pilot_cov must be set together; pilot_cov is not"),
     ({"model_kind": "logit", "proposal_scale": 0, **LOGIT_PILOT},
      "proposal_scale must be a finite number > 0, got 0"),
     ({"model_kind": "logit", "proposal_scale": -1.6, **LOGIT_PILOT},
@@ -298,12 +307,16 @@ def test_a_bad_proposal_scale_is_rejected_before_sampling(tmp_path, capsys, monk
     assert sampled == []
 
 
+# the proposal's geometry is the pilot covariance: a scalar, one of the wrong
+# size, and one with a zero variance
+SINGULAR_COV = np.diag([1.0, 0.0, 1.0, 1.0]).tolist()
 MODEL_SIZED_FIELD_ERRORS = [
-    ({"model_kind": "logit", "proposal_sd": 0.1}, "proposal_sd must be a list of numbers, got 0.1"),
-    ({"model_kind": "logit", "proposal_sd": [0.1, 0.1, 0.1]},
-     "proposal_sd must have 1 or 4 entries for model logit, got 3"),
-    ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]},
-     "proposal_sd entries must be finite and > 0"),
+    ({"model_kind": "logit", "pilot_mean": [0.0] * 4, "pilot_cov": 0.1},
+     "pilot_cov must be a list of lists of numbers, got 0.1"),
+    ({"model_kind": "logit", "pilot_mean": [0.0] * 4, "pilot_cov": np.eye(3).tolist()},
+     "pilot_cov must be a 4 x 4 matrix of finite numbers for model logit"),
+    ({"model_kind": "logit", "pilot_mean": [0.0] * 4, "pilot_cov": SINGULAR_COV},
+     "pilot_cov must be positive definite"),
     # the chain starts at the pilot mean
     ({"model_kind": "logit", "pilot_mean": [0.0, 0.0], "pilot_cov": np.eye(4).tolist()},
      "pilot_mean must be 4 finite numbers for model logit, got [0.0, 0.0]"),
@@ -369,9 +382,8 @@ def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monke
 
 
 def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
-    # one proposal sd serves every coordinate
-    for fields in ({"model_kind": "logit", "proposal_sd": [0.1], "pilot_mean": [0.0, 0.0, 0.0, 0.0],
-                    "pilot_cov": np.eye(4).tolist()},
+    # a scale without a pilot steps by the model's default pilot
+    for fields in ({"model_kind": "logit", "proposal_scale": 1.6},
                    {"model_kind": "exponential", "pilot_mean": [0.5], "pilot_cov": [[1.0]]},
                    {"model_kind": "garch", "pilot_mean": [1e-5, 0.0, 0.5],
                     "pilot_cov": np.eye(3).tolist()}):
@@ -381,8 +393,8 @@ def test_model_sized_fields_that_fit_pass_validate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields,error", [
-    ({"model_kind": "logit", "proposal_sd": [0.1, 0.1, 0.1]}, ValueError),
-    ({"model_kind": "logit", "proposal_sd": [0.1, 0.0, 0.1, 0.1]}, ValueError),
+    ({"model_kind": "logit", "pilot_mean": [0.0] * 4, "pilot_cov": np.eye(3).tolist()}, ValueError),
+    ({"model_kind": "logit", "pilot_mean": [0.0] * 4, "pilot_cov": SINGULAR_COV}, ValueError),
     ({"model_kind": "logit", "pilot_mean": [0.0, 0.0], "pilot_cov": np.eye(4).tolist()}, ValueError),
     ({"model_kind": "garch", "pilot_mean": [-1, 0.1, 0.5], "pilot_cov": np.eye(3).tolist()},
      SupportError),
@@ -436,7 +448,8 @@ UNREAD_KEYS = [
 
 # keys that no longer exist: never read by any run, each is refused as unknown
 RETIRED_KEYS = ("synthetic_seed", "prior_sd", "lam", "gamma_shape", "gamma_scale", "exclusions",
-                "f_transform", "bootstrap_resamples", "init", "surrogate_mean", "surrogate_cov")
+                "f_transform", "bootstrap_resamples", "init", "surrogate_mean", "surrogate_cov",
+                "proposal_sd")
 
 
 @pytest.mark.parametrize("fields,key", UNREAD_KEYS, ids=[
@@ -462,7 +475,7 @@ def test_a_retired_key_is_refused_as_unknown(tmp_path, capsys, key):
     value = {"synthetic_seed": None, "prior_sd": [1000.0, 1000.0, 1000.0], "lam": 1.0,
              "gamma_shape": 3.0, "gamma_scale": 1.0, "exclusions": "default",
              "f_transform": "identity", "bootstrap_resamples": 1000, "init": None,
-             "surrogate_mean": None, "surrogate_cov": None}[key]
+             "surrogate_mean": None, "surrogate_cov": None, "proposal_sd": None}[key]
     with pytest.raises(ConfigError) as raised:
         ExperimentConfig.from_dict({"model_kind": "gaussian", key: value})
     assert str(raised.value) == f"unknown config keys: {key}"
@@ -476,13 +489,13 @@ def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):
     cases = [{"model_kind": "logit", "data_path": files["design"], "add_intercept": True},
              {"model_kind": "probit", "data_path": files["design"]},
              {"model_kind": "garch", "data_path": files["prices"]},
-             {"model_kind": "garch", "proposal_sd": [0.01]},
+             {"model_kind": "garch", "proposal_scale": 2.5},
              {"model_kind": "gamma"},
              {"model_kind": "exponential"},
              {"single_chain": True, "fit_length": 2000},
              # written out at their defaults, keys count as unset
              {"model_kind": "probit", "mu": 0.0, "sigma2": 1, "add_intercept": False,
-              "proposal_sd": None, "pilot_mean": None, "data_path": None}]
+              "proposal_scale": None, "pilot_mean": None, "data_path": None}]
     for fields in cases:
         assert main(["validate", "--config", str(write_config(tmp_path, **fields))]) == 0
     # the benchmark's shortened GARCH chains

@@ -25,6 +25,7 @@ from zvmcmc import (
     linnik_estimate,
     long_chain_reference,
     moment_diagnostic,
+    monomial_basis,
     run_coverage,
     run_diagnose,
     run_study,
@@ -169,7 +170,7 @@ class TestConfigValidation:
 
     def test_written_config_reads_back(self):
         # a report's config block is asdict(config) with every tuple written as a list
-        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_sd=[1.5], pilot_mean=[0.0],
+        cfg = ExperimentConfig.from_dict(gaussian_dict(proposal_scale=1.5, pilot_mean=[0.0],
                                                        pilot_cov=[[1.0]]))
         assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
@@ -434,9 +435,13 @@ class TestRunStudy:
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
         assert list(acc) == ["fit_rate_mean", "eval_rate_mean", "fit_calls_per_step_mean",
                              "eval_calls_per_step_mean"]
-        # without a pilot the flat screen passes every proposal: one
-        # log_density call per step
-        assert acc["fit_calls_per_step_mean"] == acc["eval_calls_per_step_mean"] == 1.0
+        # the Gaussian toy's default pilot is the target itself: the screen
+        # passes under half of the proposals, and stage 2 accepts nearly
+        # every one it passes
+        for phase in ("fit", "eval"):
+            calls = acc[f"{phase}_calls_per_step_mean"]
+            assert 0.3 < calls < 0.6
+            assert abs(calls - acc[f"{phase}_rate_mean"]) < 0.05
 
     def test_the_accept_block_reports_the_screens_calls_per_step(self, monkeypatch):
         chains = []
@@ -798,15 +803,28 @@ class TestRunCoverage:
         reference = ReferenceReport(point=point, lower=point - half, upper=point + half,
                                     length=100_000, asvar=(half / 1.96) ** 2 * 100_000)
         spread = np.array([[-0.02], [0.03], [-0.01], [0.025], [-0.025]]) * np.array([1.0, 2.0])
-        entry = _coverage_entry(point + spread, reference, ("a", "b"))
+        basis = monomial_basis(2, 1)
+        entry = _coverage_entry(point + spread, reference, ("a", "b"), basis)
+        assert entry["empty_basis"] is False
         assert (entry["events_inside"], entry["events_total"], entry["fraction"]) == (0, 10, 0.0)
         assert entry["per_parameter"] == {"a": 0.0, "b": 0.0}
         assert set(entry["z_scores"]) == {"a", "b"}
         assert all(abs(z) < 0.2 for z in entry["z_scores"].values())
-        off = _coverage_entry(point + 0.05 + spread / 10, reference, ("a", "b"))
+        off = _coverage_entry(point + 0.05 + spread / 10, reference, ("a", "b"), basis)
         assert all(z > 20 for z in off["z_scores"].values())
-        one = _coverage_entry(point[None, :], reference, ("a", "b"))
+        one = _coverage_entry(point[None, :], reference, ("a", "b"), basis)
         assert one["events_inside"] == 2 and all(np.isnan(z) for z in one["z_scores"].values())
+
+    def test_a_degree_whose_basis_is_empty_is_marked(self):
+        # the exponential toy leaves out its linear monomial, so degree 1 has
+        # no control variate and its estimate is the plain mean
+        report = run_coverage(ExperimentConfig(
+            model_kind="exponential", single_chain=True, burn_in=100, eval_length=200,
+            degrees=(1, 2), replications=2, reference_length=2000, threads=1))
+        assert [report["coverage"][p]["empty_basis"] for p in ("1", "2")] == [True, False]
+        assert list(report["coverage"]["1"])[0] == "empty_basis"
+        study = report["study"]["per_replication_estimates"]
+        assert study["zv"]["1"] == study["ordinary"]
 
     def test_reference_chain_starts_at_the_configured_init(self, monkeypatch):
         starts = []
@@ -821,20 +839,21 @@ class TestRunCoverage:
         # the reference point shows where the reference chain began
         cfg = ExperimentConfig.from_dict(gaussian_dict(
             single_chain=True, replications=2, reference_length=3000, pilot_mean=[9.0],
-            pilot_cov=[[1.0]], proposal_sd=[1e-9], threads=1))
+            pilot_cov=[[1.0]], proposal_scale=1e-9, threads=1))
         report = run_coverage(cfg)
         assert starts == [(3000, 9.0), (400, 9.0), (400, 9.0)]
         assert report["reference"]["point"][0] == pytest.approx(9.0, abs=1e-6)
 
     def test_gibbs_coverage_rejects_proposal_sd(self, monkeypatch):
-        # proposal_sd tunes only the random walk, so a Gibbs config carrying it is an error
+        # proposal_sd is retired: a Gibbs config carrying it fails as an
+        # unknown key, and so does any other
         sampled = []
         monkeypatch.setattr("zvmcmc.experiments.sample_chain", lambda *a, **k: sampled.append(a))
-        cfg = ExperimentConfig(model_kind="probit", single_chain=True,
-                               burn_in=100, eval_length=200, degrees=(1,), replications=2,
-                               reference_length=2000, proposal_sd=(0.1, 0.1, 0.1, 0.1), threads=1)
-        with pytest.raises(ConfigError, match="proposal_sd is set but never read"):
-            run_coverage(cfg)
+        with pytest.raises(ConfigError, match="^unknown config keys: proposal_sd$"):
+            run_coverage(ExperimentConfig.from_dict(
+                {"model_kind": "probit", "single_chain": True, "burn_in": 100, "eval_length": 200,
+                 "degrees": [1], "replications": 2, "reference_length": 2000,
+                 "proposal_sd": [0.1, 0.1, 0.1, 0.1], "threads": 1}))
         assert sampled == []
 
     def test_builds_the_model_once(self, monkeypatch):
@@ -885,7 +904,8 @@ class TestRunDiagnose:
         assert report["model"]["sampler"] == "rwmh"
         assert report["chain"]["length"] == 2000
         assert report["chain"]["seed"] == 7
-        assert report["chain"]["calls_per_step"] == 1.0
+        # the screen passes under half of the proposals
+        assert 0.3 < report["chain"]["calls_per_step"] < 0.6
         basis = report["basis"]
         assert basis["degree"] == 2 and basis["size"] == 2
         assert basis["exponents"] == [[1], [2]]

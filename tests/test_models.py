@@ -112,10 +112,21 @@ def fsum_logit_log_density(data, beta):
     return math.fsum(terms)
 
 
+def pilot_sd(model):
+    """The standard deviations of the model's default pilot."""
+    return np.sqrt(np.diag(model.default_pilot()[1]))
+
+
 def logit_chain_points():
+    # the shipped logit pilot and scale
     model = LogitTarget(synthetic_banknote(seed=101))
-    cfg = SamplerConfig(length=100, burn_in=500, thin=5, seed=4,
-                        proposal_sd=[0.63, 1.03, 0.78, 0.035], compute_gradients=False)
+    cfg = SamplerConfig(length=100, burn_in=500, thin=5, seed=4, proposal_scale=1.6,
+                        pilot_mean=[-3.39, 2.795, 5.077, -0.1172],
+                        pilot_cov=[[0.5905, -0.1552, -0.2114, 0.01271],
+                                   [-0.1552, 1.363, -0.4409, -0.03288],
+                                   [-0.2114, -0.4409, 0.9205, 0.002872],
+                                   [0.01271, -0.03288, 0.002872, 0.001591]],
+                        compute_gradients=False)
     return model, rw_metropolis(model, cfg).draws
 
 
@@ -161,7 +172,7 @@ def test_logit_log_density_agrees_with_the_logaddexp_form():
     model = LogitTarget(synthetic_banknote(seed=101))
     X, y = model.data.design, model.data.response
     rng = np.random.default_rng(23)
-    for beta in rng.standard_normal((1000, 4)) * (3.0 * model.rough_scale()):
+    for beta in rng.standard_normal((1000, 4)) * (3.0 * pilot_sd(model)):
         t = X @ beta
         old = float(y @ t - np.sum(np.logaddexp(0.0, t)))
         assert abs(model.log_density(beta) - old) <= 1e-13 * abs(old)
@@ -186,7 +197,7 @@ def test_logit_gradient_matches_the_expit_oracle():
     # 1e-13 of 0 or 1
     model = LogitTarget(synthetic_banknote(seed=101))
     rng = np.random.default_rng(29)
-    rows = rng.standard_normal((1100, 4)) * (3.0 * model.rough_scale())
+    rows = rng.standard_normal((1100, 4)) * (3.0 * pilot_sd(model))
     rows[::10] *= 30.0
     tails = np.abs(rows @ model.data.design.T).max(axis=1) > 30.0
     assert 100 <= tails.sum() < len(rows)
@@ -462,8 +473,8 @@ def support_cases():
     """(model, point, message of the support check, message of the interior check).
 
     A message of None means the point passes that check.  Every point differs
-    from the model's default init, which is strictly interior, in the
-    coordinates it names.
+    from the mean of the model's default pilot, which is strictly interior,
+    in the coordinates it names.
     """
     data = small_regression_data()
     series = small_series()
@@ -474,7 +485,7 @@ def support_cases():
     for model in models:
         for j in range(model.dimension):
             for bad in (np.nan, np.inf, -np.inf):
-                point = model.default_init()
+                point = model.default_pilot()[0]
                 point[j] = bad
                 cases.append((model, point, FINITE, FINITE))
     for model in models[1:3]:
@@ -512,15 +523,36 @@ def raises_exactly(message):
     return pytest.raises(SupportError, match=f"^{re.escape(message)}$")
 
 
+# each message's part of a support case's test id, written out so that a
+# reworded message keeps the ids
+SUPPORT_CASE_IDS = {
+    None: "None",
+    FINITE: "parameter must be finite",
+    "x must be > 0": "x must be > 0",
+    "omega_1 must be > 0": "omega_1 must be > 0",
+    "omega_2 must be >= 0": "omega_2 must be >= 0",
+    "omega_3 must be >= 0": "omega_3 must be >= 0",
+    "omega_2 must be > 0 strictly inside the support":
+        "omega_2 must be > 0 strictly inside the support",
+    "omega_3 must be > 0 strictly inside the support":
+        "omega_3 must be > 0 strictly inside the support",
+}
+
+
+def support_case_ids(cases):
+    return [f"{model.tag}-point{k}-{SUPPORT_CASE_IDS[support]}-{SUPPORT_CASE_IDS[interior]}"
+            for k, (model, _, support, interior) in enumerate(cases)]
+
+
 @pytest.mark.parametrize("model,point,support,interior", support_cases(),
-                         ids=lambda v: getattr(v, "tag", None))
+                         ids=support_case_ids(support_cases()))
 def test_one_point_and_batch_checks_reject_alike(model, point, support, interior):
     if support is None:
         assert np.isfinite(model.log_density(point))
     else:
         with raises_exactly(support):
             model.log_density(point)
-    inside = model.default_init()
+    inside = model.default_pilot()[0]
     # the one-point gradient, the batch of one, and a batch with the point in
     # either row
     for arg in (point, point[None], np.array([inside, point]), np.array([point, inside])):
@@ -547,7 +579,7 @@ def one_point_contract():
     cases = []
     for model in (gaussian, exponential, gamma, probit, logit, garch):
         d = model.dimension
-        inside = model.default_init()
+        inside = model.default_pilot()[0]
         cases += [(model, inside.tolist(), None), (model, tuple(inside.tolist()), None),
                   (model, inside.astype(np.float32), None),
                   (model, [1.0] * (d + 1), shape_error(d, (d + 1,))),
@@ -647,7 +679,7 @@ def test_garch_log_density_work_arrays_do_not_carry_over():
     series = synthetic_demgbp_returns(seed=333, length=300)
     prior = GarchPrior(prior_sd=np.array([series.h0, 0.3, 0.5]))
     a, b = GarchTarget(series), GarchTarget(series, prior)
-    a.log_density(a.default_init())
+    a.log_density(a.default_pilot()[0])
     copy = pickle.loads(pickle.dumps(a))
     assert all(w is not v for w, v in zip(copy._work, a._work))
     assert copy._work[0].flags.f_contiguous
@@ -665,7 +697,7 @@ def test_logit_log_density_work_arrays_do_not_carry_over():
     # ships, each give a fresh instance's value bit for bit
     data, other = synthetic_banknote(seed=101), small_regression_data(n=60, d=4)
     a, b = LogitTarget(data), LogitTarget(other)
-    a.log_density(a.default_init())
+    a.log_density(a.default_pilot()[0])
     copy = pickle.loads(pickle.dumps(a))
     assert all(w is not v for w, v in zip(copy._work, a._work))
     points = np.random.default_rng(29).normal(scale=0.5, size=(40, 4))
@@ -816,10 +848,29 @@ def test_interface_consistency_across_models():
     ]
     for m in models:
         assert len(m.parameter_names) == m.dimension
-        scale = m.rough_scale()
-        assert scale.shape == (m.dimension,)
-        assert np.all(np.isfinite(scale)) and np.all(scale > 0)
-        init = m.default_init()
-        assert init.shape == (m.dimension,)
-        assert np.isfinite(m.log_density(init))
+        mean, cov = m.default_pilot()
+        assert mean.shape == (m.dimension,) and cov.shape == (m.dimension, m.dimension)
+        assert np.array_equal(cov, cov.T) and np.all(np.linalg.eigvalsh(cov) > 0)
+        assert np.isfinite(m.log_density(mean))
         assert all(c in range(m.dimension) for c in m.constrained_coordinates)
+
+
+def test_default_pilots_are_the_toys_moments_and_the_regressions_scaled_inverse():
+    data = synthetic_banknote(seed=101)
+    series = synthetic_demgbp_returns(seed=333, length=300)
+    h0 = series.h0
+    xtx_inv = np.linalg.inv(data.design.T @ data.design)
+    cases = [
+        (GaussianTarget(mu=2.0, sigma2=3.0), [2.0], [[3.0]]),
+        (ExponentialTarget(lam=2.0), [0.5], [[0.25]]),
+        (GammaTarget(shape=3.0, scale=2.0), [6.0], [[12.0]]),
+        (ProbitTarget(data), np.zeros(4), 0.5 * (xtx_inv + xtx_inv.T)),
+        (LogitTarget(data), np.zeros(4), 1.8**2 * (0.5 * (xtx_inv + xtx_inv.T))),
+        (GarchTarget(series), [0.2 * h0, 0.1, 0.6], np.diag(np.array([0.05 * h0, 0.1, 0.1])**2)),
+    ]
+    for model, mean, cov in cases:
+        got_mean, got_cov = model.default_pilot()
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_cov, cov), model.tag
+        # each call returns new arrays
+        got_mean[0] = got_cov[0, 0] = np.nan
+        assert np.array_equal(model.default_pilot()[0], mean)

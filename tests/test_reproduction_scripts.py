@@ -8,7 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 STUDIES = [("run", "toys"), ("run", "probit_banknote"), ("run", "logit_banknote"),
            ("run", "garch_demgbp"), ("coverage", "coverage_probit"), ("coverage", "coverage_garch"),
-           ("coverage", "coverage_logit")]
+           ("coverage", "coverage_logit"), ("coverage", "coverage_gaussian"),
+           ("coverage", "coverage_exponential"), ("coverage", "coverage_gamma")]
 
 
 def test_diagnose_models_runs_from_a_checkout(tmp_path):

@@ -118,7 +118,7 @@ def test_tiny_proposal_stays_near_init():
     model = GaussianTarget()
     out = rw_metropolis(
         model,
-        SamplerConfig(length=50, burn_in=0, seed=2, init=np.array([5.0]), proposal_sd=1e-10),
+        SamplerConfig(length=50, burn_in=0, seed=2, init=np.array([5.0]), proposal_scale=1e-10),
     )
     assert np.all(np.abs(out.draws - 5.0) < 1e-6)
 
@@ -146,11 +146,14 @@ def test_an_init_outside_the_support_names_its_bound(model, init, bound):
 def test_the_chain_starts_at_init_else_at_the_pilot_mean():
     def chain(init=None):
         return rw_metropolis(GaussianTarget(), SamplerConfig(
-            length=5, seed=3, init=init, proposal_sd=1e-10, pilot_mean=[5.0], pilot_cov=[[1.0]]))
+            length=5, seed=3, init=init, proposal_scale=1e-10, pilot_mean=[5.0], pilot_cov=[[1.0]]))
 
     # without init the chain starts at the pilot mean, as if init were set to it
     assert np.array_equal(chain().draws, chain(np.array([5.0])).draws)
     assert np.all(np.abs(chain().draws - 5.0) < 1e-6)
+    # without a pilot, at the mean of the model's default pilot
+    default = rw_metropolis(GaussianTarget(mu=2.0), SamplerConfig(length=5, proposal_scale=1e-10))
+    assert np.all(np.abs(default.draws - 2.0) < 1e-6)
     # init wins over the pilot mean
     assert np.all(np.abs(chain(np.array([-3.0])).draws + 3.0) < 1e-6)
     # a start outside the support names the key it came from
@@ -165,7 +168,7 @@ def test_chain_respects_support():
     model = ExponentialTarget(lam=1.0)
     out = rw_metropolis(
         model,
-        SamplerConfig(length=2000, burn_in=0, seed=8, init=np.array([0.01]), proposal_sd=1.0),
+        SamplerConfig(length=2000, burn_in=0, seed=8, init=np.array([0.01]), proposal_scale=1.0),
     )
     assert np.all(out.draws > 0.0)
 
@@ -183,65 +186,60 @@ SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
 def rw_cases(pilot, ids=None):
-    # The rows (model, proposal_sd, init, pilot mean, pilot cov, proposal
-    # scale) with or without a pilot, all of them or only those named in
-    # ids.  Without a
-    # pilot the flat screen must step as plain Metropolis: the shipped logit
-    # and GARCH step sizes, a wide exponential step from near 0 whose
-    # proposals often leave the support, a plain gaussian, and a stepped
-    # gaussian whose flat steps make many deltas exactly 0.  With one: the
-    # shipped GARCH screen from its pilot mean and from the default init far
-    # out in the tails, a correlated logit screen, a screen whose proposals
-    # often leave the exponential's support, a gaussian screened by a
-    # deliberately wrong gaussian, the stepped gaussian, and the shipped
-    # logit screen and proposal.  Two more step by s * chol(pilot_cov): the
-    # correlated logit pilot, and the shipped GARCH pilot at s = 2.5
+    # The rows (model, init, pilot mean, pilot cov, proposal scale) with or
+    # without a pilot of their own, all of them or only those named in ids.
+    # Without one the chain starts at, screens with and steps by the model's
+    # default pilot: logit and GARCH, a wide exponential step from near 0
+    # whose proposals often leave the support, a plain gaussian, and a
+    # stepped gaussian whose steps make many deltas exactly 0.  With one:
+    # the shipped GARCH pilot and scale from its pilot mean and from the
+    # default pilot's mean far out in the tails, a correlated logit screen,
+    # a screen whose proposals often leave the exponential's support, a
+    # gaussian screened by a deliberately wrong gaussian, the stepped
+    # gaussian, the shipped logit pilot and scale, the correlated logit
+    # pilot at s = 1.6, and the shipped GARCH pilot at s = 1.4
     garch = GarchTarget(synthetic_demgbp_returns(seed=333))
     logit = LogitTarget(synthetic_banknote(seed=101))
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
     cases = [
-        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, None, None, None, id="logit"),
-        pytest.param(garch, [0.0022, 0.0233, 0.0269], None, None, None, None, id="garch"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], None, None, None, id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, None,
-                     id="gaussian"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None, None,
+        pytest.param(logit, None, None, None, None, id="logit"),
+        pytest.param(garch, None, None, None, None, id="garch"),
+        pytest.param(ExponentialTarget(lam=1.0), [0.05], None, None, 1.5, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, id="gaussian"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None,
                      id="stepped-gaussian"),
-        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
-                     SHIPPED_GARCH["pilot_cov"], None, id="garch-shipped"),
-        pytest.param(garch, SHIPPED_GARCH["proposal_sd"], garch.default_init(),
-                     SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"], None,
+        pytest.param(garch, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+                     SHIPPED_GARCH["proposal_scale"], id="garch-shipped"),
+        pytest.param(garch, garch.default_pilot()[0], SHIPPED_GARCH["pilot_mean"],
+                     SHIPPED_GARCH["pilot_cov"], SHIPPED_GARCH["proposal_scale"],
                      id="garch-default-init"),
-        pytest.param(logit, [0.63, 1.03, 0.78, 0.035], None, [0.5, -1.0, 1.0, 0.05], logit_cov,
-                     None, id="logit"),
-        pytest.param(ExponentialTarget(lam=1.0), 1.5, [0.05], [1.0], [[1.0]], None,
-                     id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, [0.0], [[0.5]], None,
+        pytest.param(logit, None, [0.5, -1.0, 1.0, 0.05], logit_cov, None, id="logit"),
+        pytest.param(ExponentialTarget(lam=1.0), [0.05], [1.0], [[1.0]], 1.5, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, [0.0], [[0.5]], None,
                      id="gaussian-wrong-surrogate"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, [2.0], [[3.0]], None,
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, [2.0], [[3.0]], None,
                      id="stepped-gaussian"),
-        pytest.param(logit, None, None, SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"],
+        pytest.param(logit, None, SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"],
                      SHIPPED_LOGIT["proposal_scale"], id="logit-shipped"),
-        pytest.param(logit, None, None, [0.5, -1.0, 1.0, 0.05], logit_cov, 1.6,
-                     id="logit-scaled"),
-        pytest.param(garch, None, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
-                     2.5, id="garch-scaled"),
+        pytest.param(logit, None, [0.5, -1.0, 1.0, 0.05], logit_cov, 1.6, id="logit-scaled"),
+        pytest.param(garch, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"], 1.4,
+                     id="garch-scaled"),
     ]
     return [case for case in cases
-            if (case.values[3] is not None) == pilot and (ids is None or case.id in ids)]
+            if (case.values[2] is not None) == pilot and (ids is None or case.id in ids)]
 
 
 # the rw_cases rows whose draws are also checked against another block size
 BLOCK_SIZE_CASES = ("logit", "exponential", "stepped-gaussian", "garch-shipped",
                     "gaussian-wrong-surrogate", "logit-shipped", "logit-scaled", "garch-scaled")
-RW_CASE_FIELDS = "model,proposal_sd,init,mean,cov,scale"
+RW_CASE_FIELDS = "model,init,mean,cov,scale"
 BURN_IN_AND_THIN = pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
 
 
-def screened_config(proposal_sd, init, mean, cov, scale=None, **fields):
-    return SamplerConfig(proposal_sd=proposal_sd, init=None if init is None else np.array(init),
-                         pilot_mean=mean, pilot_cov=cov, proposal_scale=scale, **fields)
+def screened_config(init, mean, cov, scale=None, **fields):
+    return SamplerConfig(init=None if init is None else np.array(init), pilot_mean=mean,
+                         pilot_cov=cov, proposal_scale=scale, **fields)
 
 
 def assert_equals_the_reference_loop(model, cfg):
@@ -268,34 +266,34 @@ def assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg):
 
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False))
-def test_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean, cov,
-                                                         scale, burn_in, thin):
-    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
+def test_rw_metropolis_equals_the_reference_loop_exactly(model, init, mean, cov, scale,
+                                                         burn_in, thin):
+    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
 
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True))
-def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, proposal_sd, init, mean,
-                                                                  cov, scale, burn_in, thin):
-    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
+def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, init, mean, cov,
+                                                                  scale, burn_in, thin):
+    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
 
 # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False, ids=BLOCK_SIZE_CASES))
-def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
-                                                             mean, cov, scale):
-    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
+def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, init, mean,
+                                                             cov, scale):
+    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True, ids=BLOCK_SIZE_CASES))
-def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, proposal_sd, init,
-                                                         mean, cov, scale):
-    cfg = screened_config(proposal_sd, init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
+def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, init, mean, cov,
+                                                         scale):
+    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
@@ -305,7 +303,7 @@ def test_a_wrong_surrogate_leaves_the_target_invariant():
     # keep the chain moving where the screen's tails are far lighter than
     # the target's
     model = GaussianTarget(mu=2.0, sigma2=3.0)
-    cfg = SamplerConfig(length=200_000, burn_in=1000, seed=4, proposal_sd=0.4,
+    cfg = SamplerConfig(length=200_000, burn_in=1000, seed=4, proposal_scale=0.4 / math.sqrt(0.5),
                         pilot_mean=[0.0], pilot_cov=[[0.5]], compute_gradients=False)
     x = rw_metropolis(model, cfg).draws[:, 0]
     batches = math.isqrt(x.size)
@@ -324,8 +322,8 @@ def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkey
 
     monkeypatch.setattr(GarchTarget, "log_density", spy)
     model = GarchTarget(synthetic_demgbp_returns(seed=333))
-    cfg = screened_config(SHIPPED_GARCH["proposal_sd"], None, SHIPPED_GARCH["pilot_mean"],
-                          SHIPPED_GARCH["pilot_cov"], length=400, burn_in=100, thin=2, seed=5,
+    cfg = screened_config(None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+                          SHIPPED_GARCH["proposal_scale"], length=400, burn_in=100, thin=2, seed=5,
                           compute_gradients=False)
     out = rw_metropolis(model, cfg)
     sampled = len(calls)
@@ -365,11 +363,13 @@ def test_rw_metropolis_rejects_a_bad_pilot(mean, cov, message):
 @pytest.mark.parametrize("model", [GaussianTarget(), LogitTarget(synthetic_banknote(seed=101, n=80)),
                                    GarchTarget(synthetic_demgbp_returns(seed=333))],
                          ids=["gaussian", "logit", "garch"])
-def test_without_a_pilot_the_pilot_is_flat(model):
+def test_without_a_pilot_the_pilot_is_the_models_default(model):
     d = model.dimension
-    mean, precision = resolve_pilot(model, None, None)
-    assert mean.shape == (d,) and precision.shape == (d, d)
-    assert not mean.any() and not precision.any()
+    mean, sigma, precision = resolve_pilot(model, None, None)
+    default_mean, default_cov = model.default_pilot()
+    assert np.array_equal(mean, default_mean) and np.array_equal(sigma, default_cov)
+    assert np.array_equal(precision, precision.T)
+    assert np.allclose(precision @ sigma, np.eye(d), atol=1e-8)
     # one key alone is still refused
     with pytest.raises(ValueError, match="^pilot_mean and pilot_cov must be set together; "
                                          "pilot_cov is not$"):
@@ -382,8 +382,8 @@ def test_without_a_pilot_the_pilot_is_flat(model):
 def test_the_surrogate_precision_is_exactly_symmetric():
     cov = np.array([[4.533e-06, 1.856e-05, -4.131e-05], [1.856e-05, 0.0004226, -0.0004255],
                     [-4.131e-05, -0.0004255, 0.0006005]])
-    mean, precision = resolve_pilot(GarchTarget(synthetic_demgbp_returns(seed=333)),
-                                        [0.01, 0.16, 0.8], cov)
+    _, _, precision = resolve_pilot(GarchTarget(synthetic_demgbp_returns(seed=333)),
+                                    [0.01, 0.16, 0.8], cov)
     assert np.array_equal(precision, precision.T)
     assert np.allclose(precision @ cov, np.eye(3), atol=1e-8)
     cov[0, 1] = np.nextafter(cov[0, 1], 1.0)
@@ -411,8 +411,9 @@ def test_a_zero_uniform_never_accepts_a_proposal_outside_the_support(monkeypatch
     streams = zvmcmc.samplers._streams
     monkeypatch.setattr(zvmcmc.samplers, "_streams",
                         lambda seed: [streams(seed)[0], ZeroUniforms()])
-    # a wide step from near 0: some proposals land at x <= 0
-    cfg = SamplerConfig(length=2000, seed=8, init=np.array([0.05]), proposal_sd=1.0)
+    # a wide step from near 0: some proposals land at x <= 0.  The default
+    # pilot's variance is 1, so the step is z itself
+    cfg = SamplerConfig(length=2000, seed=8, init=np.array([0.05]), proposal_scale=1.0)
     with np.errstate(divide="ignore"):
         out = rw_metropolis(ExponentialTarget(lam=1.0), cfg)
     # log u = -inf accepts every proposal inside the support and no other
@@ -435,13 +436,18 @@ class FlatLogit(LogitTarget):
 def test_a_flat_target_walks_by_the_first_streams_normals():
     model = FlatLogit(synthetic_banknote(seed=101, n=80))
     sd = np.array([0.63, 1.03, 0.78, 0.035])
-    # more steps than one block of random numbers
-    cfg = SamplerConfig(length=5000, seed=13, proposal_sd=sd, compute_gradients=False)
+    # a pilot 2^50 times wider than the step: its screen moves dq by far less
+    # than the gap between log u and 0, so every proposal passes both
+    # stages.  A power of 2 scales exactly, and sqrt undoes the square, so
+    # the step factor is diag(sd) bit for bit.  More steps than one block of
+    # random numbers
+    cfg = SamplerConfig(length=5000, seed=13, proposal_scale=2.0**-50, pilot_mean=np.zeros(4),
+                        pilot_cov=np.diag((2.0**50 * sd)**2), compute_gradients=False)
     out = rw_metropolis(model, cfg)
     normal_seed, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     moves = sd * np.random.default_rng(normal_seed).standard_normal((cfg.length, 4))
     # the cumulative sum adds the moves one at a time, as the chain does
-    expected = np.cumsum(np.vstack([model.default_init(), moves]), axis=0)[1:]
+    expected = np.cumsum(np.vstack([np.zeros(4), moves]), axis=0)[1:]
     assert out.accept_rate == 1.0
     assert np.array_equal(out.draws, expected)
 
@@ -459,8 +465,6 @@ def test_nan_log_density_at_a_proposal_is_fatal():
 
 
 @pytest.mark.parametrize("sampler,model,fields,error,message", [
-    (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)), {"proposal_sd": 0.1}, ValueError,
-     "gibbs_probit does not take a proposal_sd"),
     (rw_metropolis, GaussianTarget(), {"init": np.zeros(2)}, ValueError,
      "init must have 1 entries for model gaussian, got 2"),
     (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)), {"init": np.zeros(3)}, ValueError,
@@ -470,7 +474,7 @@ def test_nan_log_density_at_a_proposal_is_fatal():
     (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)),
      {"proposal_scale": 1.6, "pilot_mean": [0.0] * 4, "pilot_cov": np.eye(4)}, ValueError,
      "gibbs_probit does not take a proposal_scale"),
-], ids=["gibbs-proposal-sd", "rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init",
+], ids=["rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init",
         "gibbs-proposal-scale"])
 def test_a_chain_input_the_sampler_cannot_start_from_is_rejected(sampler, model, fields, error,
                                                                  message):
@@ -480,36 +484,28 @@ def test_a_chain_input_the_sampler_cannot_start_from_is_rejected(sampler, model,
     assert str(raised.value) == message
 
 
-PILOT = {"pilot_mean": [0.0], "pilot_cov": [[1.0]]}
-
-
 @pytest.mark.parametrize("fields,message", [
-    ({"proposal_sd": 0.5, "proposal_scale": 1.6, **PILOT},
-     "proposal_sd and proposal_scale must not both be set"),
-    ({"proposal_scale": 1.6}, "proposal_scale scales chol(pilot_cov), and pilot_cov is not set"),
-    ({"proposal_scale": math.inf, **PILOT}, "proposal_scale must be a finite number > 0, got inf"),
-    ({"proposal_scale": math.nan, **PILOT}, "proposal_scale must be a finite number > 0, got nan"),
-    ({"proposal_scale": 0.0, **PILOT}, "proposal_scale must be a finite number > 0, got 0.0"),
-    ({"proposal_scale": -1.6, **PILOT}, "proposal_scale must be a finite number > 0, got -1.6"),
-    ({"proposal_scale": True, **PILOT}, "proposal_scale must be a finite number > 0, got True"),
-    ({"proposal_scale": "1.6", **PILOT}, "proposal_scale must be a finite number > 0, got '1.6'"),
-], ids=["scale-beside-sd", "scale-without-pilot", "scale-infinite", "scale-nan", "scale-zero",
-        "scale-negative", "scale-bool", "scale-str"])
+    ({"proposal_scale": math.inf}, "proposal_scale must be a finite number > 0, got inf"),
+    ({"proposal_scale": math.nan}, "proposal_scale must be a finite number > 0, got nan"),
+    ({"proposal_scale": 0.0}, "proposal_scale must be a finite number > 0, got 0.0"),
+    ({"proposal_scale": -1.6}, "proposal_scale must be a finite number > 0, got -1.6"),
+    ({"proposal_scale": True}, "proposal_scale must be a finite number > 0, got True"),
+    ({"proposal_scale": "1.6"}, "proposal_scale must be a finite number > 0, got '1.6'"),
+], ids=["scale-infinite", "scale-nan", "scale-zero", "scale-negative", "scale-bool", "scale-str"])
 def test_sampler_config_rejects_a_bad_proposal_scale(fields, message):
     with pytest.raises(ValueError) as raised:
         SamplerConfig(length=10, **fields)
     assert str(raised.value) == message
 
 
-def test_the_proposal_factor_is_diag_sd_or_the_scaled_pilot_cholesky():
-    model = GarchTarget(synthetic_demgbp_returns(seed=333))
-    sd = SHIPPED_GARCH["proposal_sd"]
-    assert np.array_equal(resolve_proposal(model, sd, None, None), np.diag(sd))
+def test_the_proposal_factor_is_the_scaled_pilot_cholesky():
     cov = np.array(SHIPPED_GARCH["pilot_cov"])
-    factor = resolve_proposal(model, None, 2.5, cov)
+    factor = resolve_proposal(2.5, cov)
     assert np.array_equal(factor, 2.5 * np.linalg.cholesky(cov))
     assert np.array_equal(factor, np.tril(factor))
     assert np.allclose(factor @ factor.T, 6.25 * cov, rtol=1e-12, atol=0.0)
+    # without a scale, s = 2.38/sqrt(d)
+    assert np.array_equal(resolve_proposal(None, cov), 2.38 / math.sqrt(3) * np.linalg.cholesky(cov))
 
 
 class SpyGamma(GammaTarget):
@@ -531,15 +527,17 @@ class SpyGamma(GammaTarget):
 
 def test_rw_metropolis_validates_once_and_batches_gradients():
     model = SpyGamma()
-    # a wide step from near the boundary: many proposals land at x <= 0
-    cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]), proposal_sd=1.0)
+    # a wide step from near the boundary (the default pilot's variance is 3,
+    # so the step is about z): many proposals land at x <= 0
+    cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]),
+                        proposal_scale=1.0 / math.sqrt(3.0))
     out = rw_metropolis(model, cfg)
     steps = cfg.burn_in + cfg.length * cfg.thin
     # the start is checked by the one log_density call the chain starts from;
-    # the chain counts only its steps' calls: without a pilot the flat
-    # screen passes every proposal, so one per step
-    assert model.calls == {"log_density": steps + 1}
-    assert out.log_density_calls == steps
+    # the chain counts only its steps' calls, one per proposal that passes
+    # the screen
+    assert model.calls == {"log_density": out.log_density_calls + 1}
+    assert 0 < out.log_density_calls < steps
     assert np.all(out.draws > 0.0)
     distinct = 1 + np.count_nonzero(np.any(np.diff(out.draws, axis=0) != 0.0, axis=1))
     assert distinct < out.length  # some retained draws repeat
@@ -563,7 +561,8 @@ def test_garch_chain_makes_one_gradient_call(monkeypatch):
 
     monkeypatch.setattr(GarchTarget, "grad_log_density", spy)
     model = GarchTarget(synthetic_demgbp_returns(seed=333, length=80))
-    cfg = SamplerConfig(length=2000, seed=6, proposal_sd=0.3 * model.rough_scale())
+    # a short step, 0.1 times the default pilot's sd, moves often
+    cfg = SamplerConfig(length=2000, seed=6, proposal_scale=0.1)
     out = rw_metropolis(model, cfg)
     moved = np.concatenate(([True], np.any(np.diff(out.draws, axis=0) != 0.0, axis=1)))
     assert np.count_nonzero(moved) > 1024
@@ -697,7 +696,12 @@ def test_gibbs_probit_agrees_with_random_walk():
     data = synthetic_banknote(seed=101, n=120)
     model = ProbitTarget(data)
     gi = gibbs_probit(ProbitTarget(data), SamplerConfig(length=4000, burn_in=500, seed=21))
-    rw = rw_metropolis(model, SamplerConfig(length=20000, burn_in=2000, seed=22, thin=1))
+    # the random walk takes the Gibbs chain's moments as its pilot: the
+    # default pilot, centred at zero, would hold it far from the posterior
+    cov = np.cov(gi.draws.T)
+    rw = rw_metropolis(model, SamplerConfig(length=20000, burn_in=2000, seed=22, thin=1,
+                                            pilot_mean=gi.draws.mean(axis=0),
+                                            pilot_cov=0.5 * (cov + cov.T)))
     assert gi.accept_rate == 1.0
     for j in range(model.dimension):
         mg = gi.draws[:, j].mean()
