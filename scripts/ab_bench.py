@@ -238,14 +238,14 @@ def against(old, new):
     """
     print(f"{'workload':<22} {'metric':<18} {'old median':>12} {'new median':>12} "
           f"{'change':>8}  verdict")
-    regressions = 0
+    regressions, spec = 0, directions()
     for workload, metrics in new["end_to_end"].items():
         for name, entry in metrics.items():
             before = old["end_to_end"].get(workload, {}).get(name)
             if before is None:
                 print(f"{workload:<22} {name:<18} {'-':>12} {entry['median']:>12.4g}")
                 continue
-            _, better, bound = directions()[name]
+            _, better, bound = spec[name]
             worse = regressed(before["median"], entry["median"], better, bound)
             regressions += worse
             change = (entry["median"] - before["median"]) / abs(before["median"]) \
