@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run every coverage config and fail on any z-score of 3 or more.
 
-    python scripts/check_coverage.py [--config configs/coverage_gamma.json ...] [--threads 2] [--seed 0]
+    python scripts/check_coverage.py [--config configs/coverage_gamma.json ...] [--threads 2 --seed 0 ...]
 
 Runs `zvmcmc coverage --config C` for each config, by default every
-configs/coverage_*.json in name order, each in a fresh process from the
-working tree (check_identity.py's run_side) with its report written to a
+configs/coverage_*.json in name order, with every other argument passed on
+as it is (--threads, --seed, ...), each in a fresh process from the working
+tree (check_identity.py's run_side) with its report written to a
 temporary directory.  Each coverage report gives, per degree and parameter,
 the z-score of the mean ZV estimate against a long reference chain's point
 (experiments.run_coverage).  Prints one line per config: the worst |z| of
@@ -60,13 +61,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", action="append", default=None,
                         help="coverage config (repeatable; default every configs/coverage_*.json)")
-    parser.add_argument("--threads", type=int, default=None, help="zvmcmc coverage --threads")
-    parser.add_argument("--seed", type=int, default=None, help="zvmcmc coverage --seed")
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     configs = ([Path(c).resolve() for c in args.config] if args.config else
                sorted((ROOT / "configs").glob("coverage_*.json")))
-    extra = [*(["--threads", str(args.threads)] if args.threads is not None else []),
-             *(["--seed", str(args.seed)] if args.seed is not None else [])]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:

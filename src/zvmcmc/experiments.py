@@ -51,7 +51,7 @@ from .models import (
     SupportError,
     _Toy,
 )
-from .samplers import (SamplerConfig, checked_integer, is_integer, resolve_init, resolve_pilot,
+from .samplers import (SamplerConfig, checked_integer, default_start, is_integer, resolve_init,
                        sample_chain)
 from .zv import (
     SUPPORTED_DEGREES,
@@ -254,12 +254,12 @@ def build_model(config: ExperimentConfig):
     `zvmcmc validate` build the model before anything else, so this is also
     where the config is checked against the model, once and before any
     sampling.  First, a key set away from its default that the model kind,
-    data source or sampler never reads is rejected by name.  Then a
-    random-walk chain's pilot goes through the samplers' own resolve_pilot,
-    and its start, or a Gibbs chain's zero start, through resolve_init, so a
-    bad pilot or start reads as the sampler would print it and the start's
-    log_density call loads what the model imports lazily before a pool
-    forks.  Raises ConfigError otherwise.
+    data source or sampler never reads is rejected by name.  Then the
+    chain's start, a random walk's pilot mean or a Gibbs chain's zeros, goes
+    through the samplers' own default_start and resolve_init, so a bad pilot
+    or start reads as the sampler would print it and the start's log_density
+    call loads what the model imports lazily before a pool forks.  Raises
+    ConfigError otherwise.
     """
     model = _target(config)
     unread = _unread_keys(config)
@@ -267,11 +267,8 @@ def build_model(config: ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     try:
-        if config.sampler == "rwmh":
-            start, _, _ = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
-        else:
-            start = np.zeros(model.dimension)
-        resolve_init(model, None, start)
+        resolve_init(model, None, *default_start(model, config.sampler, config.pilot_mean,
+                                                 config.pilot_cov))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return model

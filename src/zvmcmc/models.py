@@ -33,8 +33,9 @@ log_density, its batch gradient rows and its default pilot; the toys share a
 default_pilot is the Gaussian N(mean, cov) that random-walk Metropolis
 starts at, screens with and steps by when a config sets no pilot_mean and
 pilot_cov: the toys give their exact mean and variance, probit and logit
-zeros and _noise_scale^2 (X'X)^-1, and GARCH a crude start with a diagonal
-covariance of crude scales.  Each call returns new arrays.
+their Laplace approximation (the posterior mode and the inverse of the
+information there), and GARCH a crude start with a diagonal covariance of
+crude scales.  Each call returns new arrays.
 
 scipy.special (probit's log Phi) and scipy.linalg (GARCH's banded solve)
 are the lazy module handles special and linalg, imported on first attribute
@@ -97,6 +98,15 @@ _FINITE = "parameter must be finite"
 # rows per block of the regression targets' batch gradients, which keeps
 # their (rows, n) temporaries a few MB
 _GRADIENT_BLOCK = 1024
+# the regression targets' search for their mode (_RegressionTarget._mode):
+# at most this many Newton steps, each halved at most this many times, until
+# the Newton decrement g' (-H)^-1 g falls below the tolerance,
+_NEWTON_STEPS = 100
+_NEWTON_HALVINGS = 60
+_NEWTON_TOLERANCE = 1e-12
+# and a mode must have -H above this share of X'X in every direction (a
+# logit row weighs at most 1/4, a probit row at most 1)
+_LEAST_WEIGHT = 1e-8
 
 
 def _positive(name, value):
@@ -351,15 +361,11 @@ class GammaTarget(_Toy):
 
 
 class _RegressionTarget(_Target):
-    # the default pilot covariance is this squared times (X'X)^{-1}
-    _noise_scale = 1.0
-
     def __init__(self, data: BinaryRegressionData):
         self.data = data
         self.dimension = data.dimension
         self.parameter_names = tuple(f"beta_{j + 1}" for j in range(self.dimension))
-        # the probit Gibbs sweep draws with both; the inverse also gives the
-        # default pilot covariance
+        # the probit Gibbs sweep draws with both
         self.xtx = data.design.T @ data.design
         self.xtx_inv = np.linalg.inv(self.xtx)
         # rows s_i x_i with s_i = 2 y_i - 1: s_i x_i'beta is the signed linear
@@ -368,10 +374,55 @@ class _RegressionTarget(_Target):
         self.s_design = (2.0 * data.response - 1.0)[:, None] * data.design
 
     def default_pilot(self):
-        # inv rounds (X'X)^{-1} a little asymmetrically; the mean of it and
-        # its transpose is exactly symmetric
-        cov = 0.5 * (self.xtx_inv + self.xtx_inv.T)
-        return np.zeros(self.dimension), self._noise_scale**2 * cov
+        # the Laplace approximation: the mode, and there the inverse of the
+        # information -H = X' diag(w) X
+        beta, information = self._mode()
+        cov = np.linalg.inv(information)
+        # inv rounds a little asymmetrically; the mean of the inverse and its
+        # transpose is exactly symmetric
+        return beta, 0.5 * (cov + cov.T)
+
+    def _mode(self):
+        """(the posterior mode, the information there) by Newton steps from
+        zero, each halved until log pi does not fall.  Both log-likelihoods
+        are concave, so the steps reach the mode whenever there is one.
+        (Quasi-)separable data have none, and their flat-prior posterior is
+        improper: along a direction b that no row's s_i x_i'b opposes, log pi
+        keeps rising while the weights of the rows b moves vanish, so the
+        steps stall where b'(-H)b is a vanishing share of b'X'Xb.  That
+        raises ValueError."""
+        design = self.data.design
+        beta = np.zeros(self.dimension)
+        logp = self.log_density(beta)
+        for _ in range(_NEWTON_STEPS):
+            grad = self.grad_log_density(beta)
+            # each subclass's _curvature gives w from s_i x_i'beta
+            information = (design.T * self._curvature(self.s_design @ beta)) @ design
+            try:
+                step = np.linalg.solve(information, grad)
+            except np.linalg.LinAlgError:
+                break
+            # half of g' (-H)^-1 g, the Newton decrement, is about how far
+            # log pi still is below its maximum; when no halved step raises
+            # log pi, beta is the maximum to rounding
+            done = grad @ step < _NEWTON_TOLERANCE
+            for _ in range(0 if done else _NEWTON_HALVINGS):
+                trial = beta + step
+                trial_logp = self.log_density(trial)
+                if trial_logp >= logp:
+                    break
+                step = 0.5 * step
+            else:
+                # the smallest b'(-H)b / b'X'Xb, an eigenvalue of
+                # L^-1 (-H) L^-T with X'X = L L'
+                chol = np.linalg.cholesky(self.xtx)
+                scaled = np.linalg.solve(chol, np.linalg.solve(chol, information).T)
+                if np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0] > _LEAST_WEIGHT:
+                    return beta, information
+                break
+            beta, logp = trial, trial_logp
+        raise ValueError(f"the {self.tag} posterior has no mode to centre a default pilot on "
+                         f"(are the data separable?); set pilot_mean and pilot_cov")
 
     def _grad_batch(self, beta):
         # each subclass writes _grad_rows, the gradient at (m, d) rows; blocks
@@ -403,6 +454,11 @@ class ProbitTarget(_RegressionTarget):
     def _grad_rows(self, beta):
         st = beta @ self.s_design.T
         return self.grad_from_predictor(st, special.log_ndtr(st))
+
+    def _curvature(self, st):
+        # -d^2/du^2 log Phi(u) = lam (lam + u), lam = phi(u) / Phi(u)
+        lam = np.exp(-0.5 * st * st - _LOG_SQRT_2PI - special.log_ndtr(st))
+        return lam * (lam + st)
 
     def grad_from_predictor(self, st, log_phi):
         """grad log pi from st = s_design beta and log_phi = log Phi(st).
@@ -452,8 +508,6 @@ class LogitTarget(_RegressionTarget):
     """
 
     tag = "logit"
-    # logistic noise is wider than probit by about pi/sqrt(3)
-    _noise_scale = 1.8
 
     def __init__(self, data: BinaryRegressionData):
         super().__init__(data)
@@ -476,6 +530,12 @@ class LogitTarget(_RegressionTarget):
         np.minimum(u, self._zero, out=u)
         np.subtract(u, tail, u)
         return float(np.add.reduce(u))
+
+    def _curvature(self, u):
+        # -d^2/du^2 log sigmoid(u) = sigmoid(u) sigmoid(-u), written in
+        # exp(-|u|), which never overflows
+        e = np.exp(-np.abs(u))
+        return e / ((1.0 + e) * (1.0 + e))
 
     def _grad_rows(self, beta):
         # far in the lower tail exp(-u) overflows to inf, whose reciprocal

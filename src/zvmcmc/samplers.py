@@ -87,8 +87,9 @@ class SamplerConfig:
     seed      u64 seed of the chain's random numbers: each sampler draws
               its normals from the first and its uniforms from the second
               Generator of SeedSequence(seed).spawn(2)
-    init      starting point; None starts a random-walk chain at the pilot
-              mean and a Gibbs chain at zeros; resolve_init checks the start
+    init      starting point; None starts the chain at its default_start, a
+              random walk's pilot mean and a Gibbs chain's zeros;
+              resolve_init checks the start
     proposal_scale  s > 0 (checked_scale): the random walk steps by
                  s * chol(Sigma) z, the factor A of resolve_proposal; None
                  means s = 2.38/sqrt(d)
@@ -219,12 +220,23 @@ def resolve_pilot(model, mean, cov):
     return m, sigma, 0.5 * (precision + precision.T)
 
 
-def resolve_init(model, init, mean):
-    """(the chain's start as a (d,) point, its log-density); the start is init if
-    set, else mean (a random-walk chain's pilot mean, a Gibbs chain's zeros).
-    ValueError (wrong length) or SupportError (outside the support) names the
-    key the start came from, init or pilot_mean."""
-    key, start = ("init", init) if init is not None else ("pilot_mean", mean)
+def default_start(model, sampler, pilot_mean=None, pilot_cov=None):
+    """(start, key) of a chain whose init is unset, key naming the start in
+    resolve_init's errors.  A "gibbs" chain starts at zeros; an "rwmh" chain
+    at the mean of resolve_pilot(model, pilot_mean, pilot_cov), the config's
+    pilot_mean when it is set and the model's default pilot mean otherwise."""
+    if sampler == "gibbs":
+        return np.zeros(model.dimension), "the Gibbs start"
+    mean = resolve_pilot(model, pilot_mean, pilot_cov)[0]
+    return mean, "pilot_mean" if pilot_mean is not None else "the default pilot mean"
+
+
+def resolve_init(model, init, start, key):
+    """(the chain's start as a (d,) point, its log-density): init if set,
+    else start, the default_start that key names.  ValueError (wrong length)
+    or SupportError (outside the support) names init or key."""
+    if init is not None:
+        key, start = "init", init
     x = np.asarray(start, dtype=float)
     if x.shape != (model.dimension,):
         raise ValueError(f"{key} must have {model.dimension} entries for model {model.tag}, "
@@ -289,7 +301,8 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     d = model.dimension
     mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
     factor = resolve_proposal(config.proposal_scale, sigma).T
-    x, logp = resolve_init(model, config.init, mean)
+    x, logp = resolve_init(model, config.init,
+                           *default_start(model, "rwmh", config.pilot_mean, config.pilot_cov))
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
     xc = (x - mean).tolist()
@@ -421,7 +434,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # bound once per chain, so the sweep pays no attribute lookup
     log_ndtr, ndtri_exp = special.log_ndtr, special.ndtri_exp
 
-    beta, _ = resolve_init(model, config.init, np.zeros(d))
+    beta, _ = resolve_init(model, config.init, *default_start(model, "gibbs"))
     length, burn_in, thin = config.length, config.burn_in, config.thin
     total = burn_in + length * thin
     draws = np.empty((length, d))

@@ -197,6 +197,7 @@ def reference_rw_metropolis(model, config):
     from zvmcmc.samplers import (
         ChainOutput,
         _chain_gradients,
+        default_start,
         resolve_init,
         resolve_pilot,
         resolve_proposal,
@@ -208,7 +209,8 @@ def reference_rw_metropolis(model, config):
     d = model.dimension
     mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
     factor = resolve_proposal(config.proposal_scale, sigma)
-    x, logp = resolve_init(model, config.init, mean)
+    x, logp = resolve_init(model, config.init,
+                           *default_start(model, "rwmh", config.pilot_mean, config.pilot_cov))
     if not np.isfinite(logp):
         raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
 

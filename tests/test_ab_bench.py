@@ -195,7 +195,7 @@ def record(tmp_path, monkeypatch, name, values, against=None, correct=True):
     stub.write_text(RECORD_STUB.format(log=str(log), values=values, correct=correct))
     monkeypatch.setattr(script, "BENCH_COMMAND", [sys.executable, str(stub)])
     path = tmp_path / f"{name}.json"
-    code = script.main(["--record", str(path), "--seed", "5", "--seconds", "1",
+    code = script.main(["--record", str(path), "--seed", "5", "--seconds", "1", "--runs", "3",
                         *(["--against", str(against)] if against else [])])
     return code, path, [json.loads(line) for line in log.read_text().splitlines()]
 

@@ -34,12 +34,13 @@ def test_check_coverage_runs_every_coverage_config_and_passes_below_3(monkeypatc
     shipped = sorted(p.name for p in (ROOT / "configs").glob("coverage_*.json"))
     reports = {name: stub_report({"1": {"x": -1.5, "y": 0.5}, "2": {"x": 2.9, "y": 0.0}})
                for name in shipped}
-    code, calls = check_coverage(monkeypatch, ["--threads", "2"], reports)
+    code, calls = check_coverage(monkeypatch, ["--threads", "2", "--seed", "5"], reports)
     out = capsys.readouterr().out
     assert code == 0, out
     # each config in name order, from the working tree, with the flags passed on
     assert [(root, argv) for root, argv in calls] == [
-        (str(ROOT), ["coverage", "--config", str(ROOT / "configs" / name), "--threads", "2"])
+        (str(ROOT), ["coverage", "--config", str(ROOT / "configs" / name), "--threads", "2",
+                     "--seed", "5"])
         for name in shipped]
     lines = out.splitlines()
     assert len(lines) == len(shipped) + 1

@@ -413,7 +413,9 @@ def test_validate_and_the_sampler_reject_a_chain_input_with_one_message(tmp_path
 
 def data_files(tmp_path):
     design = tmp_path / "design.csv"
-    design.write_text("x1,y\n1.0,1\n-1.0,0\n2.0,1\n-2.0,0\n0.5,1\n-0.5,0\n")
+    # not separable: with x1 = 0.5 at y = 0 and -0.5 at y = 1, no line splits
+    # the responses, so the logit posterior has a mode for its default pilot
+    design.write_text("x1,y\n1.0,1\n-1.0,0\n2.0,1\n-2.0,0\n0.5,0\n-0.5,1\n")
     prices = tmp_path / "prices.csv"
     prices.write_text("date,price\n" + "".join(f"d{i},{1.0 + 0.01 * (i % 3)}\n" for i in range(30)))
     return {"design": str(design), "prices": str(prices)}
@@ -482,6 +484,16 @@ def test_a_retired_key_is_refused_as_unknown(tmp_path, capsys, key):
     path = write_config(tmp_path, **{key: value})
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+def test_separable_data_without_a_pilot_fail_validate(tmp_path, capsys):
+    design = tmp_path / "separable.csv"
+    design.write_text("x1,y\n1.0,1\n-1.0,0\n2.0,1\n-2.0,0\n0.5,1\n-0.5,0\n")
+    path = write_config(tmp_path, model_kind="logit", data_path=str(design), add_intercept=True)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: the logit posterior has no mode to centre a default "
+                                       "pilot on (are the data separable?); set pilot_mean and "
+                                       "pilot_cov\n")
 
 
 def test_keys_that_are_read_or_at_their_default_pass_validate(tmp_path, capsys):

@@ -118,15 +118,8 @@ def pilot_sd(model):
 
 
 def logit_chain_points():
-    # the shipped logit pilot and scale
     model = LogitTarget(synthetic_banknote(seed=101))
-    cfg = SamplerConfig(length=100, burn_in=500, thin=5, seed=4, proposal_scale=1.6,
-                        pilot_mean=[-3.39, 2.795, 5.077, -0.1172],
-                        pilot_cov=[[0.5905, -0.1552, -0.2114, 0.01271],
-                                   [-0.1552, 1.363, -0.4409, -0.03288],
-                                   [-0.2114, -0.4409, 0.9205, 0.002872],
-                                   [0.01271, -0.03288, 0.002872, 0.001591]],
-                        compute_gradients=False)
+    cfg = SamplerConfig(length=100, burn_in=500, thin=5, seed=4, compute_gradients=False)
     return model, rw_metropolis(model, cfg).draws
 
 
@@ -855,17 +848,13 @@ def test_interface_consistency_across_models():
         assert all(c in range(m.dimension) for c in m.constrained_coordinates)
 
 
-def test_default_pilots_are_the_toys_moments_and_the_regressions_scaled_inverse():
-    data = synthetic_banknote(seed=101)
+def test_default_pilots_are_the_toys_moments_and_the_garch_crude_scales():
     series = synthetic_demgbp_returns(seed=333, length=300)
     h0 = series.h0
-    xtx_inv = np.linalg.inv(data.design.T @ data.design)
     cases = [
         (GaussianTarget(mu=2.0, sigma2=3.0), [2.0], [[3.0]]),
         (ExponentialTarget(lam=2.0), [0.5], [[0.25]]),
         (GammaTarget(shape=3.0, scale=2.0), [6.0], [[12.0]]),
-        (ProbitTarget(data), np.zeros(4), 0.5 * (xtx_inv + xtx_inv.T)),
-        (LogitTarget(data), np.zeros(4), 1.8**2 * (0.5 * (xtx_inv + xtx_inv.T))),
         (GarchTarget(series), [0.2 * h0, 0.1, 0.6], np.diag(np.array([0.05 * h0, 0.1, 0.1])**2)),
     ]
     for model, mean, cov in cases:
@@ -874,3 +863,41 @@ def test_default_pilots_are_the_toys_moments_and_the_regressions_scaled_inverse(
         # each call returns new arrays
         got_mean[0] = got_cov[0, 0] = np.nan
         assert np.array_equal(model.default_pilot()[0], mean)
+
+
+@pytest.mark.parametrize("target", [ProbitTarget, LogitTarget], ids=["probit", "logit"])
+@pytest.mark.parametrize("n", [None, 120], ids=["n-default", "n-120"])
+def test_the_regressions_default_pilot_is_their_laplace_approximation(target, n):
+    data = synthetic_banknote(seed=101) if n is None else synthetic_banknote(seed=101, n=n)
+    model = target(data)
+    mean, cov = model.default_pilot()
+    sd = np.sqrt(np.diag(cov))
+    # the mode: the gradient vanishes to well below the curvature there
+    assert np.all(np.abs(model.grad_log_density(mean)) * sd < 1e-6)
+    # the covariance is the inverse of minus the Hessian at the mode, here by
+    # central differences of the gradient
+    h = 1e-5 * sd
+    hessian = np.array([(model.grad_log_density(mean + step) - model.grad_log_density(mean - step))
+                        / (2.0 * hj) for step, hj in zip(np.diag(h), h)])
+    assert np.allclose(np.linalg.inv(-hessian) / np.outer(sd, sd), cov / np.outer(sd, sd),
+                       rtol=0.0, atol=1e-6)
+    assert np.array_equal(cov, cov.T)
+    # each call returns new arrays
+    mean[0] = cov[0, 0] = np.nan
+    assert np.all(np.isfinite(model.default_pilot()[0]))
+
+
+@pytest.mark.parametrize("target", [ProbitTarget, LogitTarget], ids=["probit", "logit"])
+@pytest.mark.parametrize("x", [
+    # x > 0 exactly when y = 1
+    pytest.param([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], id="separable"),
+    # x > 0 only when y = 1, and both responses at x = 0
+    pytest.param([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], id="quasi-separable"),
+])
+def test_separable_data_have_no_default_pilot(target, x):
+    # the likelihood rises without bound along the coefficient of x
+    design = np.column_stack([np.ones(6), x])
+    model = target(BinaryRegressionData(design, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])))
+    with pytest.raises(ValueError, match=f"the {model.tag} posterior has no mode to centre a "
+                                         f"default pilot on"):
+        model.default_pilot()

@@ -27,7 +27,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
-from zvmcmc.samplers import resolve_pilot, resolve_proposal
+from zvmcmc.samplers import default_start, resolve_init, resolve_pilot, resolve_proposal
 
 # ---------------------------------------------------------------------------
 # truncated normal
@@ -162,6 +162,27 @@ def test_the_chain_starts_at_init_else_at_the_pilot_mean():
         rw_metropolis(GARCH, cfg)
     assert str(raised.value) == ("pilot_mean [-1.0, 0.1, 0.5] is outside the support of garch: "
                                  "omega_1 must be > 0")
+
+
+def test_the_default_start_is_the_pilot_mean_or_the_gibbs_zeros_and_named_by_its_source():
+    probit = ProbitTarget(synthetic_banknote(seed=101, n=80))
+    start, key = default_start(probit, "gibbs")
+    assert np.array_equal(start, np.zeros(4)) and key == "the Gibbs start"
+    start, key = default_start(GaussianTarget(mu=2.0), "rwmh")
+    assert np.array_equal(start, [2.0]) and key == "the default pilot mean"
+    start, key = default_start(GaussianTarget(mu=2.0), "rwmh", [5.0], [[1.0]])
+    assert np.array_equal(start, [5.0]) and key == "pilot_mean"
+
+    class OffSupport(ExponentialTarget):
+        def default_pilot(self):
+            return np.array([-1.0]), np.array([[1.0]])
+
+    # a start outside the support names where it came from: init, else its key
+    model = OffSupport()
+    with pytest.raises(SupportError, match=r"^the default pilot mean \[-1.0\] is outside"):
+        resolve_init(model, None, *default_start(model, "rwmh"))
+    with pytest.raises(SupportError, match=r"^init \[-2.0\] is outside"):
+        resolve_init(model, [-2.0], *default_start(model, "rwmh"))
 
 
 def test_chain_respects_support():
@@ -696,12 +717,7 @@ def test_gibbs_probit_agrees_with_random_walk():
     data = synthetic_banknote(seed=101, n=120)
     model = ProbitTarget(data)
     gi = gibbs_probit(ProbitTarget(data), SamplerConfig(length=4000, burn_in=500, seed=21))
-    # the random walk takes the Gibbs chain's moments as its pilot: the
-    # default pilot, centred at zero, would hold it far from the posterior
-    cov = np.cov(gi.draws.T)
-    rw = rw_metropolis(model, SamplerConfig(length=20000, burn_in=2000, seed=22, thin=1,
-                                            pilot_mean=gi.draws.mean(axis=0),
-                                            pilot_cov=0.5 * (cov + cov.T)))
+    rw = rw_metropolis(model, SamplerConfig(length=20000, burn_in=2000, seed=22, thin=1))
     assert gi.accept_rate == 1.0
     for j in range(model.dimension):
         mg = gi.draws[:, j].mean()
