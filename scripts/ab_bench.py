@@ -198,24 +198,30 @@ def workloads():
     return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def record(untraced, traced, seed, seconds):
+def revision():
+    """(the working tree's HEAD or None, whether any file differs from it)."""
+    status = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain"],
+                            capture_output=True, text=True).stdout
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                          capture_output=True, text=True).stdout.strip()
+    return head or None, bool(status.strip())
+
+
+def record(untraced, traced, seed, seconds, tree):
     """The benchmark file of k untraced and k traced runs of each workload.
 
     untraced and traced map each workload to its runs' metrics.  end_to_end
     holds, per workload and metric, the median, quartiles and runs of the
     untraced values, with the metric's unit, direction and bound; per_layer
     holds the median of the traced values.  env is the first untraced run's
-    env line; revision names the working tree's HEAD, and dirty says
-    whether files differed from it.
+    env line; tree is revision() as the runs' copy was made: revision names
+    the working tree's HEAD, and dirty says whether files differed from it.
     """
-    status = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain"],
-                            capture_output=True, text=True).stdout
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                          capture_output=True, text=True).stdout.strip()
     end_to_end, per_layer = directions(), directions("per_layer")
     first = next(iter(untraced.values()))
+    head, dirty = tree
     out = {"schema": RECORD_SCHEMA, "seed": seed, "seconds": seconds, "runs": len(first),
-           "revision": head or None, "dirty": bool(status.strip()), "env": first[0]["env"],
+           "revision": head, "dirty": dirty, "env": first[0]["env"],
            "end_to_end": {}, "per_layer": {}}
     for workload, runs in untraced.items():
         out["end_to_end"][workload] = {}
@@ -272,6 +278,7 @@ def record_main(args):
     """
     old = json.loads(Path(args.against).read_text()) if args.against else None
     with tempfile.TemporaryDirectory() as tmp:
+        tree = revision()
         extract_working_tree(tmp)
         runs = {0: {}, 1: {}}
         for trace in (0, 1):
@@ -283,7 +290,7 @@ def record_main(args):
                         return 1
                     runs[trace].setdefault(workload, []).append(metrics)
                 print(f"run {k + 1} trace {trace}: {len(runs[trace])} workloads", flush=True)
-    bench = record(runs[0], runs[1], args.seed, args.seconds)
+    bench = record(runs[0], runs[1], args.seed, args.seconds, tree)
     Path(args.record).write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {args.record}")
     if old is None:

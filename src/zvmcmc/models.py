@@ -403,26 +403,33 @@ class _RegressionTarget(_Target):
             except np.linalg.LinAlgError:
                 break
             # half of g' (-H)^-1 g, the Newton decrement, is about how far
-            # log pi still is below its maximum; when no halved step raises
-            # log pi, beta is the maximum to rounding
-            done = grad @ step < _NEWTON_TOLERANCE
-            for _ in range(0 if done else _NEWTON_HALVINGS):
-                trial = beta + step
-                trial_logp = self.log_density(trial)
-                if trial_logp >= logp:
-                    break
-                step = 0.5 * step
-            else:
-                # the smallest b'(-H)b / b'X'Xb, an eigenvalue of
-                # L^-1 (-H) L^-T with X'X = L L'
-                chol = np.linalg.cholesky(self.xtx)
-                scaled = np.linalg.solve(chol, np.linalg.solve(chol, information).T)
-                if np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0] > _LEAST_WEIGHT:
-                    return beta, information
-                break
-            beta, logp = trial, trial_logp
+            # log pi still is below its maximum
+            if grad @ step >= _NEWTON_TOLERANCE:
+                moved = self._rising_step(beta, logp, step)
+                if moved is not None:
+                    beta, logp = moved
+                    continue
+            # beta is the maximum to the tolerance, or to rounding when no
+            # halved step raises log pi; the smallest b'(-H)b / b'X'Xb is
+            # an eigenvalue of L^-1 (-H) L^-T with X'X = L L'
+            chol = np.linalg.cholesky(self.xtx)
+            scaled = np.linalg.solve(chol, np.linalg.solve(chol, information).T)
+            if np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0] > _LEAST_WEIGHT:
+                return beta, information
+            break
         raise ValueError(f"the {self.tag} posterior has no mode to centre a default pilot on "
                          f"(are the data separable?); set pilot_mean and pilot_cov")
+
+    def _rising_step(self, beta, logp, step):
+        """(beta + step / 2^k, its log pi) for the least k < _NEWTON_HALVINGS
+        at which log pi does not fall below logp, or None."""
+        for _ in range(_NEWTON_HALVINGS):
+            trial = beta + step
+            trial_logp = self.log_density(trial)
+            if trial_logp >= logp:
+                return trial, trial_logp
+            step = 0.5 * step
+        return None
 
     def _grad_batch(self, beta):
         # each subclass writes _grad_rows, the gradient at (m, d) rows; blocks

@@ -222,6 +222,24 @@ def test_record_writes_medians_quartiles_and_the_env_line(tmp_path, monkeypatch,
 
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
+def test_record_names_the_tree_as_its_copy_was_made(tmp_path, monkeypatch, capsys):
+    # files edited while the runs go on change neither the copy nor the
+    # revision and dirty flag the file records for it
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_bench as script
+
+    order, copy = [], script.extract_working_tree
+    monkeypatch.setattr(script, "revision", lambda: order.append("revision") or ("abc123", False))
+    monkeypatch.setattr(script, "extract_working_tree",
+                        lambda into: order.append("copy") or copy(into))
+    code, path, _ = record(tmp_path, monkeypatch, "bench", {"0": [1.0] * 3, "1": [1.0] * 3})
+    assert code == 0, capsys.readouterr().out
+    assert order == ["revision", "copy"]
+    bench = json.loads(path.read_text())
+    assert (bench["revision"], bench["dirty"]) == ("abc123", False)
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a HEAD commit")
 def test_against_applies_each_share_bound_to_the_medians(tmp_path, monkeypatch, capsys):
     _, old, _ = record(tmp_path, monkeypatch, "old", {"0": [1.0, 1.0, 1.0], "1": [5.0] * 3})
     # the same medians, and medians 20% up: within the 0.25 bounds of the
