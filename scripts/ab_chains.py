@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the chains of one replication per config at a git revision and in the working tree, in one process.
+"""Time one replication per config at a git revision and in the working tree, in one process.
 
     python scripts/ab_chains.py --rev HEAD~1 [--config configs/logit_banknote.json ...] [--pairs 12]
 
@@ -10,28 +10,30 @@ relatively, so the two copies do not mix.  ab_bench.py's shipped picks the
 file each side reads: a config under configs/ is read by each side at its
 own revision, so a key renamed or added between the two reads on both; a
 config outside configs/ is one file that both sides read.  For each config
-both sides sample the chains of replication 0 as a study samples them: the
-fit chain and then the eval chain, or the one chain of a single-chain
-config, each with the seed, length, thinning and sampler the study gives
-it, gradients included.  Each side does so once untimed, then --pairs
-times, alternately, the side that goes first switching every pair.  A
-timing repeats the whole replication's sampling until at least MIN_TIMING_S
-seconds have passed and gives the seconds per replication, so a fixed cost
-per chain weighs as a study pays it, and a replication of a few ms is still
-timed over a window that the machine's noise does not swamp.
-Interleaving in one process lets a kernel change be ranked on a busy
-machine, where separate runs drift by more than the change.  Chains are
-timed in this one process only, so effects of a study's worker pool, such as
-BLAS helper threads competing with the other workers for CPUs, do not show
-here.
+both sides run replication 0 of the study through their own
+experiments._replicate, which samples its chains (the fit chain and then
+the eval chain, or the one chain of a single-chain config), computes their
+gradients and fits and evaluates the control variates, exactly as a study
+does.  Each side does so once untimed, writing its chains to a directory of
+its own, then --pairs times, alternately, the side that goes first
+switching every pair.  A timing repeats the replication until at least
+MIN_TIMING_S seconds have passed and gives the seconds per replication, so
+a fixed cost per replication weighs as a study pays it, and a replication
+of a few ms is still timed over a window that the machine's noise does not
+swamp.  Interleaving in one process lets a kernel change be ranked on a
+busy machine, where separate runs drift by more than the change.
+Replications are timed in this one process only, so effects of a study's
+worker pool, such as BLAS helper threads competing with the other workers
+for CPUs, do not show here.
 
 Prints, per config, each side's median and quartiles in ms per replication,
-in how many pairs the working tree was faster, and whether the two sides'
-draws, gradients and accept rates are bit-identical, chain by chain.  Exits
-1 when they differ on any config, 2 when the revision cannot be extracted
-or one side cannot read a config, for example one that is missing at --rev
-or that sets a key the revision does not know; the reader's message is
-printed as "error: <message>".
+in how many pairs the working tree was faster, and whether the two sides
+are bit-identical: every entry of the replication's result that both sides
+hold, apart from its timings, and the bytes of every chain CSV.  Exits 1
+when they differ on any config, 2 when the revision cannot be extracted or
+one side cannot read a config, for example one that is missing at --rev or
+that sets a key the revision does not know; the reader's message is printed
+as "error: <message>".
 """
 import argparse
 import importlib
@@ -45,45 +47,53 @@ from ab_bench import ROOT, checkout, shipped
 
 REV_PACKAGE = "zvmcmc_at_rev"
 MIN_TIMING_S = 0.2
+# the entries of a replication's result that hold wall-clock seconds
+TIMING_KEYS = ("seconds", "t_post", "gradient_seconds")
 
 
-def replication_chains(package, config_path):
-    """(package, model, sampler configs, method) of replication 0's chains.
-
-    The sampler configs are those of the fit and eval chains, in that order,
-    or of the one chain of a single-chain config, with the seeds, lengths and
-    thinning that the study's replication 0 gives them.
-    """
+def replication(package, config_path):
+    """(package, config, model, bases) that run replication 0 of config_path's study."""
     experiments = package.experiments
     cfg = experiments.ExperimentConfig.from_file(config_path)
     model = experiments.build_model(cfg)
-    fit_seed, eval_seed = cfg.base_seed, cfg.base_seed + 1
-    if cfg.single_chain:
-        lengths_and_seeds = [(cfg.eval_length, fit_seed)]
-    else:
-        lengths_and_seeds = [(cfg.fit_length, fit_seed), (cfg.eval_length, eval_seed)]
-    chain_configs = [experiments._chain_config(cfg, length, seed, cfg.thin)
-                     for length, seed in lengths_and_seeds]
-    return package, model, chain_configs, cfg.sampler
+    return package, cfg, model, experiments.control_variate_bases(cfg, model)
 
 
-def timed(package, model, chain_configs, method):
-    """Seconds per replication to sample every chain of chain_configs in turn,
-    over as many replications as fill MIN_TIMING_S, and the last one's chains."""
+def run(package, cfg, model, bases, chains_dir=None):
+    """Replication 0's result, its chains written under chains_dir when it is set."""
+    return package.experiments._replicate(cfg, model, bases, chains_dir, 0)
+
+
+def timed(*side):
+    """Seconds per replication over as many replications as fill MIN_TIMING_S."""
     runs = 0
     t0 = time.perf_counter()
     while True:
-        chains = [package.samplers.sample_chain(model, c, method=method) for c in chain_configs]
+        run(*side)
         runs += 1
         elapsed = time.perf_counter() - t0
         if elapsed >= MIN_TIMING_S:
-            return elapsed / runs, chains
+            return elapsed / runs
 
 
-def identical(a, b):
-    return all(np.array_equal(x.draws, y.draws) and np.array_equal(x.gradients, y.gradients)
-               and x.accept_rate == y.accept_rate
-               for x, y in zip(a, b, strict=True))
+def equal(a, b):
+    """a == b exactly, through dicts, lists and arrays."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(equal(x, y) for x, y in zip(a, b))
+    return bool(np.array_equal(a, b))
+
+
+def identical(old, new):
+    """True when two (result, chains directory) pairs agree on every entry
+    both results hold outside TIMING_KEYS, and on the names and bytes of
+    every chain CSV."""
+    (old, old_dir), (new, new_dir) = old, new
+    files = sorted(p.name for p in Path(old_dir).iterdir())
+    return (all(equal(old[k], new[k]) for k in (old.keys() & new.keys()) - set(TIMING_KEYS))
+            and files == sorted(p.name for p in Path(new_dir).iterdir())
+            and all(Path(old_dir, f).read_bytes() == Path(new_dir, f).read_bytes() for f in files))
 
 
 def spread(seconds):
@@ -92,22 +102,26 @@ def spread(seconds):
 
 
 def compare(old, new, config_path, rev_root, pairs, rev):
-    sides = {"rev": replication_chains(old, Path(rev_root, shipped(config_path))),
-             "tree": replication_chains(new, ROOT / shipped(config_path))}
-    same = identical(timed(*sides["rev"])[1], timed(*sides["tree"])[1])
+    sides = {"rev": replication(old, Path(rev_root, shipped(config_path))),
+             "tree": replication(new, ROOT / shipped(config_path))}
+    written = []
+    for side in sides.values():
+        chains_dir = tempfile.mkdtemp(dir=rev_root)
+        written.append((run(*side, chains_dir=chains_dir), chains_dir))
+    same = identical(*written)
     seconds = {"rev": [], "tree": []}
     for k in range(pairs):
         for side in (("rev", "tree") if k % 2 == 0 else ("tree", "rev")):
-            seconds[side].append(timed(*sides[side])[0])
+            seconds[side].append(timed(*sides[side]))
     wins = sum(t < r for r, t in zip(seconds["rev"], seconds["tree"]))
     ratio = np.median(seconds["tree"]) / np.median(seconds["rev"])
-    chains = len(sides["tree"][2])
+    single = sides["tree"][1].single_chain
     print(f"{config_path}: replication 0, "
-          + ("fit and eval chains" if chains == 2 else "the one chain of a single-chain config"))
+          + ("the one chain of a single-chain config" if single else "fit and eval chains"))
     print(f"  {rev:>12}  {spread(seconds['rev'])}")
     print(f"  {'working tree':>12}  {spread(seconds['tree'])}")
     print(f"  working tree faster in {wins}/{pairs} pairs, ratio of medians {ratio:.3f}; "
-          + ("draws, gradients and accept rates bit-identical" if same else "CHAINS DIFFER"))
+          + ("replication results and chain CSVs bit-identical" if same else "CHAINS DIFFER"))
     return same
 
 

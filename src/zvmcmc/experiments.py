@@ -51,8 +51,8 @@ from .models import (
     SupportError,
     _Toy,
 )
-from .samplers import (SamplerConfig, checked_integer, default_start, is_integer, resolve_init,
-                       sample_chain)
+from .samplers import (SamplerConfig, chain_gradients, checked_integer, default_start,
+                       defers_gradients, is_integer, resolve_init, sample_chain)
 from .zv import (
     SUPPORTED_DEGREES,
     InsufficientSampleError,
@@ -357,13 +357,26 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
     plan = ([("fit", config.eval_length, seed)] if config.single_chain else
             [("fit", config.fit_length, seed), ("eval", config.eval_length, seed + 1)])
     out = {"r": r, "error": None, "fit_seed": seed, "eval_seed": plan[-1][2]}
+    # chains whose gradients are a function of their draws are sampled
+    # without them, and one model call then computes every chain's rows
+    deferred = defers_gradients(config.sampler)
     try:
         chains, seconds = [], []
         for _, length, chain_seed in plan:
             t0 = time.perf_counter()
-            chains.append(sample_chain(model, _chain_config(config, length, chain_seed, config.thin),
+            chains.append(sample_chain(model, _chain_config(config, length, chain_seed, config.thin,
+                                                            compute_gradients=not deferred),
                                        method=config.sampler))
             seconds.append(time.perf_counter() - t0)
+        gradient_seconds = 0.0
+        if deferred:
+            t0 = time.perf_counter()
+            chains = chain_gradients(model, chains)
+            gradient_seconds = time.perf_counter() - t0
+            # each chain pays for its share of the pass's rows
+            rows = sum(chain.gradient_rows for chain in chains)
+            seconds = [t + gradient_seconds * chain.gradient_rows / rows
+                       for t, chain in zip(seconds, chains)]
 
         t0 = time.perf_counter()
         if chains_dir is not None:
@@ -380,7 +393,9 @@ def _replicate(config: ExperimentConfig, model, bases, chains_dir, r):
                    ridge={p: fit.ridge_applied for p, (fit, _) in fits.items()},
                    accept=[chain.accept_rate for chain in chains],
                    calls=[_calls_per_step(config, chain, config.thin) for chain in chains],
+                   gradient_rows=[chain.gradient_rows / chain.length for chain in chains],
                    seconds=seconds,
+                   gradient_seconds=gradient_seconds,
                    t_post=time.perf_counter() - t0)
     except _REPLICATION_FAILURES as exc:  # recorded, not fatal
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -422,11 +437,15 @@ def _openblas_thread_controls() -> list:
 def _single_threaded_blas():
     """Hold every loaded OpenBLAS at one thread; give back the caller's counts on exit.
 
-    Entered in the parent before a process pool forks, so each worker inherits
-    a count of 1 and never starts a BLAS thread pool of its own, whose helper
-    threads would busy-wait on CPUs the other workers need.  Setting the count
-    inside a freshly forked worker instead starts that pool there.  With no
-    OpenBLAS found this does nothing; results are the same either way.
+    Each driver enters it around its whole run, after build_model has loaded
+    every OpenBLAS the model uses.  A process pool forked inside it gives each
+    worker a count of 1, so no worker starts a BLAS thread pool of its own,
+    whose helper threads would busy-wait on CPUs the other workers need;
+    setting the count inside a freshly forked worker instead starts that pool
+    there.  In one process, a small product such as the batched regression
+    gradient's (1024, 4) x (4, 200) sometimes cost about nine times as much on
+    several threads as on one.  With no OpenBLAS found this does nothing;
+    results are the same either way.
     """
     saved = [(put, get()) for get, put in _openblas_thread_controls()]
     for put, _ in saved:
@@ -451,12 +470,18 @@ def run_study(config: ExperimentConfig) -> dict:
     <config.output_dir>/chains/rep<r>_<role>.csv.  timing books the first
     chain's seconds as fit_chain_seconds and the rest as eval_chain_seconds
     (0 under single_chain); the ordinary arm pays for the last chain, the ZV
-    arm for every chain plus post_seconds.
+    arm for every chain plus post_seconds.  A random-walk replication
+    samples its chains without gradients and then computes all their
+    gradient rows in one chain_gradients call; gradient_seconds sums those
+    calls, and each chain's seconds are its sampling time plus the share of
+    its replication's call that its gradient rows make up.
 
     The accept block holds the first (fit) and last (eval) chains' mean
-    accept rates and their mean log_density calls per step, burn-in
-    included: the share of proposals that pass the screen for a random-walk
-    chain, and 0 for Gibbs.
+    accept rates, their mean log_density calls per step, burn-in included
+    (the share of proposals that pass the screen for a random-walk chain,
+    and 0 for Gibbs), and their mean gradient rows per draw (the share of a
+    random-walk chain's draws that differ from the draw before them, and 1
+    for Gibbs).
 
     A replication that fails numerically (SupportError, FloatingPointError,
     InsufficientSampleError, LinAlgError) is listed under replication_errors
@@ -472,12 +497,13 @@ def run_study(config: ExperimentConfig) -> dict:
 
     With more than one worker (config.threads, 0 = one per CPU this process
     may use, but never more than config.replications) replications run in a
-    process pool whose workers compute BLAS single-threaded; a one-process
-    run keeps the BLAS library's default thread count.  Either way the report
-    outside "timing" is the same.
+    process pool.  Every driver computes BLAS single-threaded, in one
+    process or in a pool (_single_threaded_blas), and the report outside
+    "timing" is the same for any worker count.
     """
     model = build_model(config)
-    return _jsonable(_study(config, model, control_variate_bases(config, model)))
+    with _single_threaded_blas():
+        return _jsonable(_study(config, model, control_variate_bases(config, model)))
 
 
 def _usable_cpus():
@@ -507,7 +533,7 @@ def _study(config: ExperimentConfig, model, bases):
     reps = range(config.replications)
     workers = min(config.threads if config.threads > 0 else _usable_cpus(), config.replications)
     if workers > 1:
-        with _single_threaded_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(replicate, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:
         rows = [replicate(r) for r in reps]
@@ -580,12 +606,16 @@ def _study(config: ExperimentConfig, model, bases):
             "eval_rate_mean": np.mean([row["accept"][-1] for row in good]),
             "fit_calls_per_step_mean": np.mean([row["calls"][0] for row in good]),
             "eval_calls_per_step_mean": np.mean([row["calls"][-1] for row in good]),
+            "fit_gradient_rows_per_draw_mean": np.mean([row["gradient_rows"][0] for row in good]),
+            "eval_gradient_rows_per_draw_mean": np.mean([row["gradient_rows"][-1]
+                                                         for row in good]),
         },
         "results": results,
         "timing": {
             "fit_chain_seconds": t_fit,
             "eval_chain_seconds": t_eval,
             "post_seconds": t_post,
+            "gradient_seconds": sum(row["gradient_seconds"] for row in good),
             "total_seconds": total_seconds,
             "ordinary_seconds": t_ordinary,
             "zv_seconds": t_zv,
@@ -666,33 +696,34 @@ def run_coverage(config: ExperimentConfig) -> dict:
     if not config.single_chain:
         raise ConfigError("the coverage protocol estimates from single chains; set single_chain to true")
     model = build_model(config)
-    bases = control_variate_bases(config, model)
+    with _single_threaded_blas():
+        bases = control_variate_bases(config, model)
 
-    t0 = time.perf_counter()
-    ref_seed = config.base_seed + _REFERENCE_SEED_OFFSET
-    ref_chain = sample_chain(
-        model, _chain_config(config, config.reference_length, ref_seed, compute_gradients=False),
-        method=config.sampler)
-    reference = long_chain_reference(ref_chain)
-    t_reference = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ref_seed = config.base_seed + _REFERENCE_SEED_OFFSET
+        ref_chain = sample_chain(
+            model, _chain_config(config, config.reference_length, ref_seed, compute_gradients=False),
+            method=config.sampler)
+        reference = long_chain_reference(ref_chain)
+        t_reference = time.perf_counter() - t0
 
-    study = _study(config, model, bases)
-    coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"], bases[p])
-                for p, est in study["per_replication_estimates"]["zv"].items()}
-    return _jsonable({
-        "schema": "zvmcmc-coverage-v1",
-        "package_version": __version__,
-        "config": config,
-        "model": study["model"],
-        "reference": {"seed": ref_seed, **vars(reference)},
-        "coverage": coverage,
-        "study": {k: v for k, v in study.items() if k != "timing"},
-        "timing": {
-            "reference_seconds": t_reference,
-            "study_seconds": study["timing"]["total_seconds"],
-            "total_seconds": time.perf_counter() - t0,
-        },
-    })
+        study = _study(config, model, bases)
+        coverage = {p: _coverage_entry(est, reference, study["model"]["parameters"], bases[p])
+                    for p, est in study["per_replication_estimates"]["zv"].items()}
+        return _jsonable({
+            "schema": "zvmcmc-coverage-v1",
+            "package_version": __version__,
+            "config": config,
+            "model": study["model"],
+            "reference": {"seed": ref_seed, **vars(reference)},
+            "coverage": coverage,
+            "study": {k: v for k, v in study.items() if k != "timing"},
+            "timing": {
+                "reference_seconds": t_reference,
+                "study_seconds": study["timing"]["total_seconds"],
+                "total_seconds": time.perf_counter() - t0,
+            },
+        })
 
 
 def run_diagnose(config: ExperimentConfig) -> dict:
@@ -711,37 +742,38 @@ def run_diagnose(config: ExperimentConfig) -> dict:
     strings "inf" and "-inf".
     """
     model = build_model(config)
-    p_max = max(config.degrees)
-    basis = control_variate_bases(config, model)[p_max]
-    t0 = time.perf_counter()
-    chain = sample_chain(model, _chain_config(config, config.diagnose_length, config.base_seed),
-                         method=config.sampler)
-    center, scale = standardization_from_chain(chain, model.constrained_coordinates)
-    cv = eval_control_variates(chain, basis, center=center, scale=scale)
-    checks = {"zero_mean": cv_zero_mean_test(cv), "linnik": linnik_estimate(chain),
-              "moment_2_plus_delta": moment_diagnostic(cv), "reference": long_chain_reference(chain)}
-    elapsed = time.perf_counter() - t0
-    if config.keep_chains:
-        export_chain(chain, os.path.join(_chains_dir(config), "diagnose.csv"))
+    with _single_threaded_blas():
+        p_max = max(config.degrees)
+        basis = control_variate_bases(config, model)[p_max]
+        t0 = time.perf_counter()
+        chain = sample_chain(model, _chain_config(config, config.diagnose_length, config.base_seed),
+                             method=config.sampler)
+        center, scale = standardization_from_chain(chain, model.constrained_coordinates)
+        cv = eval_control_variates(chain, basis, center=center, scale=scale)
+        checks = {"zero_mean": cv_zero_mean_test(cv), "linnik": linnik_estimate(chain),
+                  "moment_2_plus_delta": moment_diagnostic(cv), "reference": long_chain_reference(chain)}
+        elapsed = time.perf_counter() - t0
+        if config.keep_chains:
+            export_chain(chain, os.path.join(_chains_dir(config), "diagnose.csv"))
 
-    return _jsonable({
-        "schema": "zvmcmc-diagnose-v1",
-        "package_version": __version__,
-        "config": config,
-        "model": _model_entry(config, model, model.parameter_names),
-        "chain": {
-            "length": chain.length,
-            "burn_in": config.burn_in,
-            "seed": config.base_seed,
-            "accept_rate": chain.accept_rate,
-            "calls_per_step": _calls_per_step(config, chain, 1),
-        },
-        "basis": {
-            "degree": p_max,
-            "size": basis.size,
-            "exponents": basis.active,
-            "excluded": basis.excluded,
-        },
-        **checks,
-        "timing": {"total_seconds": elapsed},
-    })
+        return _jsonable({
+            "schema": "zvmcmc-diagnose-v1",
+            "package_version": __version__,
+            "config": config,
+            "model": _model_entry(config, model, model.parameter_names),
+            "chain": {
+                "length": chain.length,
+                "burn_in": config.burn_in,
+                "seed": config.base_seed,
+                "accept_rate": chain.accept_rate,
+                "calls_per_step": _calls_per_step(config, chain, 1),
+            },
+            "basis": {
+                "degree": p_max,
+                "size": basis.size,
+                "exponents": basis.active,
+                "excluded": basis.excluded,
+            },
+            **checks,
+            "timing": {"total_seconds": elapsed},
+        })

@@ -2,11 +2,15 @@
 
 Every retained draw carries grad log pi evaluated at that draw, so the
 control variate stage never re-touches the model.  Random-walk Metropolis
-stores draws only in its loop.  After the loop, and still inside the sampler
-call, its gradients are computed with one call of the model's batch form
-grad_log_density((m, d)) at the draws where the chain moved (a model whose
-batch form needs (m, n) temporaries bounds them itself); a repeated
-(rejected) draw copies the gradient of the draw it repeats.  The probit
+stores draws only in its loop; its gradients are a function of the draws
+alone, and chain_gradients computes them for a list of chains with one call
+of the model's batch form grad_log_density((m, d)) (a model whose batch form
+needs (m, n) temporaries bounds them itself).  The call takes each row that
+differs from the row before it in its chain, and every other row copies the
+gradient of the row it repeats.  A random-walk chain sampled with
+compute_gradients calls it on itself after its loop; a study's replication
+samples its chains without gradients and calls it once on all of them
+(defers_gradients says which sampler's chains allow that).  The probit
 Gibbs sampler takes its gradients from its own sweeps: the sweep after a
 retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -101,8 +105,9 @@ class SamplerConfig:
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
-              (see the module docstring); False skips it
-              (the output then cannot feed the control variate stage)
+              (see the module docstring); False skips it (the output then
+              cannot feed the control variate stage until chain_gradients
+              gives it its gradients)
     """
 
     length: int
@@ -132,13 +137,17 @@ class ChainOutput:
     array; has_gradients distinguishes the two.  log_density_calls counts
     the model's log_density calls made by the chain's steps, burn-in
     included and the check of the start excluded: one per proposal that
-    passes the screen, none for Gibbs.
+    passes the screen, none for Gibbs.  gradient_rows counts the gradient
+    rows computed for it: a random-walk chain's rows that differ from the
+    row before them (chain_gradients), every draw of a Gibbs chain, and 0
+    for a chain without gradients.
     """
 
     draws: np.ndarray
     gradients: np.ndarray
     accept_rate: float
     log_density_calls: int = 0
+    gradient_rows: int = 0
 
     def __post_init__(self):
         self.draws.setflags(write=False)
@@ -248,16 +257,35 @@ def resolve_init(model, init, start, key):
                            f"{exc}") from None
 
 
-def _chain_gradients(model, config, draws, moved):
-    """grad log pi at every row of draws, or (0, d) when config skips them.
+def defers_gradients(method) -> bool:
+    """True when the chains of sampler method take their gradients from a
+    later chain_gradients call: random-walk Metropolis, whose gradients are a
+    function of its draws.  A Gibbs chain takes them from its own sweeps."""
+    return method == "rwmh"
 
-    The model is called once, on the rows where moved is True.  Row 0 must
-    be marked moved; every other unmoved row repeats the row before it and
-    copies its gradient.
+
+def chain_gradients(model, chains):
+    """The chains again, each with grad log pi at every row of its draws,
+    from one call of the model's batch gradient.
+
+    A row gets its own gradient when its bits differ from those of the row
+    before it in its chain; row 0 always does.  The call takes those rows of
+    every chain, in chain order, and every other row copies the gradient of
+    the row before it, which it equals: the gradient is a function of the
+    row.  Each returned chain's gradient_rows counts its own rows.
     """
-    if not config.compute_gradients:
-        return np.empty((0, draws.shape[1]))
-    return model.grad_log_density(draws[moved])[np.cumsum(moved) - 1]
+    own = []
+    for chain in chains:
+        bits = np.ascontiguousarray(chain.draws).view(np.int64)
+        own.append(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    grads = model.grad_log_density(np.concatenate([c.draws[k] for c, k in zip(chains, own)]))
+    out, start = [], 0
+    for chain, k in zip(chains, own):
+        rows = int(np.count_nonzero(k))
+        out.append(replace(chain, gradients=grads[start:start + rows][np.cumsum(k) - 1],
+                           gradient_rows=rows))
+        start += rows
+    return out
 
 
 def _streams(seed):
@@ -296,6 +324,10 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     whose log-density underflows to -inf, has difference -inf and is never
     accepted, even when u_k = 0; NaN log-density is fatal.  The acceptance
     rate, the share of steps that move, is measured over the retained phase.
+    The loop stores only draws.  With config.compute_gradients the chain
+    then takes its gradients from chain_gradients, one batch call on its
+    rows that differ from the row before them; without, a study's
+    replication passes it to chain_gradients with its other chains.
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
@@ -308,9 +340,6 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     xc = (x - mean).tolist()
 
     draws = np.empty((config.length, d))
-    # moved[i]: the chain accepted a proposal since retained draw i - 1
-    moved = np.empty(config.length, dtype=bool)
-    since_kept = True
     burn_in = config.burn_in
     thin = config.thin
     retained_accepts = 0
@@ -371,22 +400,16 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
                     x = prop
                     logp = lp
                     xc = (x - mean).tolist()
-                    since_kept = True
                     if step >= burn_in:
                         retained_accepts += 1
             if step == next_kept:
                 draws[i] = x
-                moved[i] = since_kept
-                since_kept = False
                 i += 1
                 next_kept += thin
 
-    return ChainOutput(
-        draws=draws,
-        gradients=_chain_gradients(model, config, draws, moved),
-        accept_rate=retained_accepts / retained_steps,
-        log_density_calls=calls,
-    )
+    chain = ChainOutput(draws=draws, gradients=np.empty((0, d)),
+                        accept_rate=retained_accepts / retained_steps, log_density_calls=calls)
+    return chain_gradients(model, [chain])[0] if config.compute_gradients else chain
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +509,8 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
                 gradients[i - r:i + 1] = model.grad_from_predictor(st_rows[:r + 1],
                                                                    log_phi_rows[:r + 1])
 
-    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0)
+    return ChainOutput(draws=draws, gradients=gradients, accept_rate=1.0,
+                       gradient_rows=gradients.shape[0])
 
 
 def sample_chain(model, config: SamplerConfig, method: str = "rwmh") -> ChainOutput:

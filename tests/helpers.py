@@ -187,16 +187,19 @@ def reference_rw_metropolis(model, config):
     v_j (P v)_j, in order of j; (x - m).(P v) is math.fsum of its products.
     Retained draws are picked by step % thin.  log_density_calls counts the
     steps' calls, the start's check excluded.  The pilot (the config's or the
-    model's default) with its checks, the proposal factor, the start point
-    and the chain's gradients come from the package, so only the loop itself
-    is under test.
+    model's default) with its checks, the proposal factor and the start
+    point come from the package, so only the loop itself is under test.
+    The gradients keep the rule the loop once kept itself: a retained draw
+    is marked moved when the chain accepted a proposal since the draw before
+    it (row 0 always is), one grad_log_density call takes the moved rows,
+    and every other row copies the gradient of the row before it.
+    gradient_rows counts the moved rows.
     """
     import math
 
     from zvmcmc.models import SupportError
     from zvmcmc.samplers import (
         ChainOutput,
-        _chain_gradients,
         default_start,
         resolve_init,
         resolve_pilot,
@@ -259,11 +262,16 @@ def reference_rw_metropolis(model, config):
             moved[i] = since_kept
             since_kept = False
 
+    if config.compute_gradients:
+        gradients = model.grad_log_density(draws[moved])[np.cumsum(moved) - 1]
+    else:
+        gradients = np.empty((0, d))
     return ChainOutput(
         draws=draws,
-        gradients=_chain_gradients(model, config, draws, moved),
+        gradients=gradients,
         accept_rate=retained_accepts / retained_steps,
         log_density_calls=calls,
+        gradient_rows=int(np.count_nonzero(moved)) if config.compute_gradients else 0,
     )
 
 

@@ -62,26 +62,36 @@ def test_a_config_the_revision_does_not_hold_is_an_error_not_a_traceback(tmp_pat
     assert line.endswith("/configs/toys_new.json") and str(clone) not in line
 
 
-@pytest.mark.parametrize("single_chain", [False, True])
-def test_replication_chains_are_those_a_study_samples(tmp_path, monkeypatch, single_chain):
+def test_identity_reads_every_result_entry_but_the_timings_and_every_chain_csv_byte(
+        tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPT.parent))
     import ab_chains as script
     import zvmcmc
-    from zvmcmc import experiments
 
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**json.loads((ROOT / "configs" / "toys.json").read_text()),
-                                  "base_seed": 4, "single_chain": single_chain}))
-    _, _, chain_configs, method = script.replication_chains(zvmcmc, config)
-    sampled = []
-
-    def spy(model, chain_config, method="rwmh"):
-        sampled.append((chain_config, method))
-        return zvmcmc.sample_chain(model, chain_config, method=method)
-
-    monkeypatch.setattr(experiments, "sample_chain", spy)
-    cfg = experiments.ExperimentConfig.from_file(config)
-    model = experiments.build_model(cfg)
-    experiments._replicate(cfg, model, experiments.control_variate_bases(cfg, model), None, 0)
-    assert sampled == [(c, method) for c in chain_configs]
-    assert len(chain_configs) == (1 if single_chain else 2)
+                                  "burn_in": 100, "fit_length": 200, "eval_length": 300}))
+    side = script.replication(zvmcmc, config)
+    written = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        written.append((script.run(*side, chains_dir=str(tmp_path / name)), tmp_path / name))
+    (a, _), (b, b_dir) = written
+    assert sorted(p.name for p in b_dir.iterdir()) == ["rep0000_eval.csv", "rep0000_fit.csv"]
+    # timings, and an entry one side holds alone, are not compared
+    b.update(seconds=[1.0, 2.0], t_post=3.0, gradient_seconds=4.0, new_entry=5.0)
+    assert script.identical(*written)
+    b["ordinary"] = b["ordinary"] + 1e-12
+    assert not script.identical(*written)
+    b["ordinary"] = a["ordinary"]
+    b["zv"] = {**a["zv"], 2: a["zv"][2] + 1e-12}
+    assert not script.identical(*written)
+    b["zv"] = a["zv"]
+    assert script.identical(*written)
+    chain = b_dir / "rep0000_eval.csv"
+    text = chain.read_bytes()
+    chain.write_bytes(text[:-2] + bytes([text[-2] ^ 1]) + text[-1:])
+    assert not script.identical(*written)
+    chain.write_bytes(text)
+    (b_dir / "rep0000_fit.csv").unlink()
+    assert not script.identical(*written)

@@ -44,6 +44,7 @@ from zvmcmc.experiments import (
     control_variate_bases,
     write_study_csv,
 )
+from zvmcmc.samplers import chain_gradients
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -434,7 +435,8 @@ class TestRunStudy:
         assert 0.0 < acc["fit_rate_mean"] <= 1.0
         assert 0.0 < acc["eval_rate_mean"] <= 1.0
         assert list(acc) == ["fit_rate_mean", "eval_rate_mean", "fit_calls_per_step_mean",
-                             "eval_calls_per_step_mean"]
+                             "eval_calls_per_step_mean", "fit_gradient_rows_per_draw_mean",
+                             "eval_gradient_rows_per_draw_mean"]
         # the Gaussian toy's default pilot is the target itself: the screen
         # passes under half of the proposals, and stage 2 accepts nearly
         # every one it passes
@@ -442,6 +444,11 @@ class TestRunStudy:
             calls = acc[f"{phase}_calls_per_step_mean"]
             assert 0.3 < calls < 0.6
             assert abs(calls - acc[f"{phase}_rate_mean"]) < 0.05
+            # unthinned, a draw gets its own gradient row when the step that
+            # kept it moved, and row 0 always does: rows and accepts per
+            # draw differ by at most one in the 400 draws
+            rows = acc[f"{phase}_gradient_rows_per_draw_mean"]
+            assert abs(rows - acc[f"{phase}_rate_mean"]) <= 1 / 400
 
     def test_the_accept_block_reports_the_screens_calls_per_step(self, monkeypatch):
         chains = []
@@ -540,6 +547,86 @@ class TestRunStudy:
         assert first[4:] == ["7", "8"]
 
 
+def small_study(name, **overrides):
+    """A shipped config with short chains, one replication at a time."""
+    return ExperimentConfig.from_file(CONFIGS / name, {
+        "burn_in": 200, "fit_length": 300, "eval_length": 400, "replications": 2, "threads": 1,
+        **overrides})
+
+
+def replicated(monkeypatch, cfg, r):
+    """(the row of replication r, the chains it sampled, the chains
+    chain_gradients returned to it) of a study of cfg."""
+    sampled, passed = [], []
+
+    def sample(model, config, method="rwmh"):
+        sampled.append(sample_chain(model, config, method=method))
+        return sampled[-1]
+
+    def gradients(model, chains):
+        passed.extend(chain_gradients(model, chains))
+        return passed[-len(chains):]
+
+    monkeypatch.setattr(experiments, "sample_chain", sample)
+    monkeypatch.setattr(experiments, "chain_gradients", gradients)
+    model = build_model(cfg)
+    row = experiments._replicate(cfg, model, control_variate_bases(cfg, model), None, r)
+    assert row["error"] is None
+    return row, sampled, passed
+
+
+class TestGradientPass:
+    def test_a_random_walk_replication_makes_one_gradient_call(self, monkeypatch):
+        shapes = []
+        original = GarchTarget.grad_log_density
+
+        def spy(self, omega):
+            shapes.append(np.shape(omega))
+            return original(self, omega)
+
+        monkeypatch.setattr(GarchTarget, "grad_log_density", spy)
+        row, sampled, passed = replicated(monkeypatch, small_study("garch_demgbp.json"), 0)
+        # the chains come out of the sampler without gradients, and one call
+        # takes the rows of both that differ from the row before them
+        assert [chain.has_gradients for chain in sampled] == [False, False]
+        changed = [1 + np.count_nonzero(np.any(np.diff(c.draws, axis=0) != 0.0, axis=1))
+                   for c in sampled]
+        assert shapes == [(sum(changed), 3)]
+        assert [chain.gradient_rows for chain in passed] == changed
+        assert row["gradient_rows"] == [n / c.length for n, c in zip(changed, sampled)]
+        assert row["gradient_seconds"] > 0.0
+
+    def test_a_gibbs_replication_makes_no_gradient_call(self, monkeypatch):
+        def spy(self, beta):
+            raise AssertionError("grad_log_density called")
+
+        monkeypatch.setattr(ProbitTarget, "grad_log_density", spy)
+        row, sampled, passed = replicated(monkeypatch, small_study("probit_banknote.json"), 0)
+        assert [chain.has_gradients for chain in sampled] == [True, True]
+        assert passed == []
+        assert row["gradient_rows"] == [1.0, 1.0] and row["gradient_seconds"] == 0.0
+
+    @pytest.mark.parametrize("name,single_chain", [
+        ("logit_banknote.json", False), ("garch_demgbp.json", False), ("toys.json", False),
+        ("toys.json", True)])
+    def test_the_merged_pass_gives_each_chain_the_gradients_it_has_alone(self, monkeypatch,
+                                                                         name, single_chain):
+        overrides = {"single_chain": True, "fit_length": 2000} if single_chain else {}
+        cfg = small_study(name, **overrides)
+        model = build_model(cfg)
+        for r in range(2):
+            _, _, passed = replicated(monkeypatch, cfg, r)
+            plan = ([(cfg.eval_length, cfg.base_seed + 2 * r)] if single_chain else
+                    [(cfg.fit_length, cfg.base_seed + 2 * r),
+                     (cfg.eval_length, cfg.base_seed + 2 * r + 1)])
+            assert len(passed) == len(plan)
+            for chain, (length, seed) in zip(passed, plan):
+                alone = sample_chain(model, experiments._chain_config(cfg, length, seed, cfg.thin))
+                assert np.array_equal(chain.draws, alone.draws)
+                assert np.array_equal(chain.gradients, alone.gradients)
+                assert chain.gradient_rows == alone.gradient_rows
+
+
 def blas_study(kind, threads):
     # 1100-draw chains give each chain one full 1024-row gradient block, whose
     # products are large enough for a multi-threaded OpenBLAS to split
@@ -569,6 +656,31 @@ class TestBlasThreads:
         found = blas_study("logit", 2)
         monkeypatch.setattr(experiments, "_openblas_thread_controls", lambda: [])
         assert blas_study("logit", 2) == found
+
+    @pytest.mark.parametrize("command", ["run", "diagnose", "coverage"])
+    def test_every_driver_holds_one_thread_in_one_process(self, monkeypatch, command):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        seen = []
+
+        def spy(model, config, method="rwmh"):
+            seen.append(blas_thread_counts())
+            return sample_chain(model, config, method=method)
+
+        monkeypatch.setattr(experiments, "sample_chain", spy)
+        cfg = ExperimentConfig.from_dict(gaussian_dict(
+            replications=2, threads=1, reference_length=2000, single_chain=command == "coverage"))
+        before = blas_thread_counts()
+        try:
+            for _, put in controls:
+                put(2)
+            {"run": run_study, "diagnose": run_diagnose, "coverage": run_coverage}[command](cfg)
+            assert blas_thread_counts() == [2] * len(controls)
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
 
     def test_holds_one_thread_and_restores_the_callers_counts(self):
         controls = _openblas_thread_controls()

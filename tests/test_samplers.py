@@ -591,6 +591,19 @@ def test_garch_chain_makes_one_gradient_call(monkeypatch):
     assert np.array_equal(out.gradients[moved], original(model, out.draws[moved]))
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e-15])
+def test_a_move_that_rounds_back_to_its_draw_copies_the_gradient(scale):
+    # steps this short round x + v back to x on every (1e-30) or some
+    # (1e-15) accepted move: the reference loop's moved rows then outnumber
+    # the rows that differ, and the gradients still agree bit for bit
+    model = GaussianTarget(mu=2.0, sigma2=3.0)
+    cfg = SamplerConfig(length=300, burn_in=10, seed=3, proposal_scale=scale)
+    assert_equals_the_reference_loop(model, cfg)
+    out, ref = rw_metropolis(model, cfg), reference_rw_metropolis(model, cfg)
+    changed = 1 + np.count_nonzero(np.any(np.diff(out.draws, axis=0) != 0.0, axis=1))
+    assert out.gradient_rows == changed < ref.gradient_rows == cfg.length
+
+
 def test_gibbs_probit_batches_gradients(monkeypatch):
     import zvmcmc.samplers
 
