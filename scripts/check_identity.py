@@ -13,9 +13,8 @@ side reads its own revision's shipped configs, and a key renamed between
 the two reads on both.  The commands are:
 
   run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
-  --threads 1 and at --threads 2;
-  run --seed 7 --keep-chains on configs/toys.json, 4 replications at
-  --threads 2, which also writes every sampled chain under <out>/chains;
+  --threads 1, at --threads 2, and at --threads 2 with --keep-chains, which
+  also writes every sampled chain, draws and gradients, under <out>/chains;
   diagnose --seed 7 on logit (--length 50000), on probit, whose Gibbs chain
   no other diagnose runs, and on GARCH (both --length 20000);
   coverage --seed 7 --keep-chains, 4 replications, on a temporary copy of
@@ -24,10 +23,10 @@ the two reads on both.  The commands are:
   command's printed name shows the copy's path with <tmp> for the
   temporary directory and {side} for the side.
 
---config limits the run and diagnose commands to the given configs (the
---keep-chains run comes with configs/toys.json) and leaves out the coverage
-command; a config outside the shipped four gets the runs at 4 replications
-and no diagnose.  --replications replaces every run's replication count.  A
+--config limits the run and diagnose commands to the given configs and
+leaves out the coverage command; a config outside the shipped four gets the
+runs at --threads 1 and 2, at 4 replications, and no --keep-chains run or
+diagnose.  --replications replaces every run's replication count.  A
 config outside configs/ is one file that both sides read.
 
 Each pair of reports is compared with compare_reports.compare, which
@@ -72,8 +71,6 @@ STUDIES = {
     "configs/toys.json": 4,
     "configs/garch_demgbp.json": 2,
 }
-# the shipped config that also gets a --keep-chains run, at --threads 2
-KEEP_CHAINS = "configs/toys.json"
 # shipped config -> diagnose chain length
 DIAGNOSES = {
     "configs/logit_banknote.json": 50_000,
@@ -94,7 +91,7 @@ def protocol(configs, replications):
         for threads in THREADS:
             steps.append((["run", "--config", key, "--replications", str(reps),
                            "--threads", str(threads)], ("study.json", "study.csv")))
-        if key == KEEP_CHAINS:
+        if key in STUDIES:
             steps.append((["run", "--config", key, "--replications", str(reps), "--threads", "2",
                            "--keep-chains"], ("study.json", "study.csv", "chains/")))
         if key in DIAGNOSES:

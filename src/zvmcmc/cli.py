@@ -67,9 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_args.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, default=None,
                           help="override base_seed")
     run_args.add_argument("--threads", type=int, default=None,
-                          help="worker processes (0 = one per CPU this process may use); pool "
-                               "workers run BLAS single-threaded, one process keeps the library "
-                               "default")
+                          help="worker processes (0 = one per CPU this process may use); every "
+                               "run holds BLAS at one thread, in one process too")
     run_args.add_argument("--keep-chains", action="store_true", default=None,
                           help="write every sampled chain to CSV under the output directory")
 
@@ -100,11 +99,8 @@ def _fmt_float(v) -> str:
         return "n/a"
     if isinstance(v, str):
         return v
-    if np.isnan(v):
-        return "n/a"
-    if np.isinf(v):
-        return "inf"
-    return f"{v:.4g}"
+    # an infinity formats as inf or -inf
+    return "n/a" if np.isnan(v) else f"{v:.4g}"
 
 
 def _fmt_ratio(entry: dict) -> str:

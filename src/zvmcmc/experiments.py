@@ -51,8 +51,8 @@ from .models import (
     SupportError,
     _Toy,
 )
-from .samplers import (SamplerConfig, chain_gradients, checked_integer, default_start,
-                       defers_gradients, is_integer, resolve_init, sample_chain)
+from .samplers import (SamplerConfig, chain_gradients, chain_start, checked_integer,
+                       checked_scale, defers_gradients, is_integer, sample_chain)
 from .zv import (
     SUPPORTED_DEGREES,
     InsufficientSampleError,
@@ -132,20 +132,20 @@ class ExperimentConfig:
     proposal with before it calls the likelihood, and steps by: it proposes
     x + s chol(Sigma) z with s = proposal_scale, or 2.38/sqrt(d) when that is
     null (samplers.rw_metropolis).  Both pilot keys are null or both set;
-    both null take the model's default_pilot() (models).  build_model checks
-    them and s, a finite number > 0; the Gibbs sampler rejects all three.
+    both null take the model's default_pilot() (models).  s is a finite
+    number > 0 (samplers.checked_scale), build_model checks the pilot, and
+    the Gibbs sampler, whose chain starts at zeros, rejects all three.
 
     A key exists when a shipped config, workload or script sets it, directly
     or through a flag it passes, or when it is a deployment input
     (data_path, add_intercept, output_dir).  Everything else runs at the
-    library's default, reachable from the library: another start through
-    SamplerConfig(init=), other toy parameters through the
-    ExponentialTarget and GammaTarget constructors, another GARCH prior
-    through GarchTarget(series, GarchPrior(sd)), other synthetic data through
-    synthetic_banknote(seed=) and synthetic_demgbp_returns(seed=), other
-    monomials through monomial_basis(dimension, degree, exclusions), any f
-    through zv.fit_and_renormalize(..., f_fit, f_eval), and another bootstrap
-    size through diagnostics.variance_ratio(..., resamples=).
+    library's default, reachable from the library: other toy parameters
+    through the ExponentialTarget and GammaTarget constructors, another GARCH
+    prior through GarchTarget(series, GarchPrior(sd)), other synthetic data
+    through synthetic_banknote(seed=) and synthetic_demgbp_returns(seed=),
+    other monomials through monomial_basis(dimension, degree, exclusions),
+    any f through zv.fit_and_renormalize(..., f_fit, f_eval), and another
+    bootstrap size through diagnostics.variance_ratio(..., resamples=).
     """
 
     model_kind: str
@@ -190,12 +190,14 @@ class ExperimentConfig:
         for name in ("add_intercept", "single_chain", "keep_chains"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("mu", "sigma2", "proposal_scale"):
+        for name in ("mu", "sigma2"):
             v, positive = getattr(self, name), name != "mu"
-            if name == "proposal_scale" and v is None:
-                continue
             if not (_is_real(v) and math.isfinite(v) and (v > 0.0 or not positive)):
                 raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {v!r}")
+        try:
+            checked_scale(self.proposal_scale)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.base_seed >= 2**63:
             raise ConfigError(f"base_seed too large for the seed arithmetic, got {self.base_seed}")
         if self.pilot_mean is not None:
@@ -256,9 +258,9 @@ def build_model(config: ExperimentConfig):
     sampling.  First, a key set away from its default that the model kind,
     data source or sampler never reads is rejected by name.  Then the
     chain's start, a random walk's pilot mean or a Gibbs chain's zeros, goes
-    through the samplers' own default_start and resolve_init, so a bad pilot
-    or start reads as the sampler would print it and the start's log_density
-    call loads what the model imports lazily before a pool forks.  Raises
+    through the samplers' own chain_start, so a bad pilot or start reads as
+    the sampler would print it and the start's log_density call loads what
+    the model imports lazily before a pool forks.  Raises
     ConfigError otherwise.
     """
     model = _target(config)
@@ -267,8 +269,7 @@ def build_model(config: ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     try:
-        resolve_init(model, None, *default_start(model, config.sampler, config.pilot_mean,
-                                                 config.pilot_cov))
+        chain_start(model, config.sampler, config.pilot_mean, config.pilot_cov)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return model

@@ -16,22 +16,24 @@ retained draw computes that draw's signed linear predictor s_i x_i'beta and
 its log Phi, and ProbitTarget.grad_from_predictor turns blocks of
 _GIBBS_GRADIENT_ROWS such rows into gradient rows.
 Random-walk Metropolis validates each proposal once, by calling log_density
-and reading SupportError as a rejection; resolve_init checks the start (init
-if set, else the pilot mean) with the same call and names its key and the
-failed bound.  Every random-walk chain takes its geometry from one pilot
-Gaussian N(m, Sigma): SamplerConfig.pilot_mean and pilot_cov when they are
-set, else the model's default_pilot() (resolve_pilot checks either).  The
-chain starts at m unless init is set, and has one move rule: step k proposes
-x + A z_k with the lower-triangular A = s chol(Sigma) of resolve_proposal,
-s = proposal_scale or 2.38/sqrt(d) (Roberts, Gelman & Gilks 1997).  It has
-one step rule: it screens each proposal with the pilot and calls
-log_density, as ChainOutput.log_density_calls counts, only for proposals
-that pass (delayed acceptance, Christen & Fox 2005); the chain still leaves
-pi invariant.  All randomness comes from SamplerConfig.seed: both samplers
-spawn two numpy Generators from SeedSequence(seed) (_streams), one for
-normals and one for uniforms, and draw each in blocks, random-walk
-Metropolis of _RNG_BLOCK steps and Gibbs of _GIBBS_UNIFORMS // n sweeps
-(the draws do not depend on the block sizes).
+and reading SupportError as a rejection.  Every random-walk chain takes its
+start and its geometry from one pilot Gaussian N(m, Sigma):
+SamplerConfig.pilot_mean and pilot_cov when they are set, else the model's
+default_pilot().  resolve_pilot checks either and turns it into (m, A, P)
+with one Cholesky of Sigma.  The chain starts at m, where start_log_density
+takes its log-density and names the start and the failed bound when m is
+outside the support; a Gibbs chain starts at zeros (chain_start states
+both).  The random walk has one move rule: step k proposes x + A z_k with
+the lower-triangular A = s chol(Sigma), s = proposal_scale or 2.38/sqrt(d)
+(Roberts, Gelman & Gilks 1997).  It has one step rule: it screens each
+proposal with the pilot and calls log_density, as
+ChainOutput.log_density_calls counts, only for proposals that pass (delayed
+acceptance, Christen & Fox 2005); the chain still leaves pi invariant.
+All randomness comes from SamplerConfig.seed: both samplers spawn two numpy
+Generators from SeedSequence(seed) (_streams), one for normals and one for
+uniforms, and draw each in blocks, random-walk Metropolis of _RNG_BLOCK
+steps and Gibbs of _GIBBS_UNIFORMS // n sweeps (the draws do not depend on
+the block sizes).
 Identical configs give bit-identical output.
 """
 from __future__ import annotations
@@ -91,17 +93,15 @@ class SamplerConfig:
     seed      u64 seed of the chain's random numbers: each sampler draws
               its normals from the first and its uniforms from the second
               Generator of SeedSequence(seed).spawn(2)
-    init      starting point; None starts the chain at its default_start, a
-              random walk's pilot mean and a Gibbs chain's zeros;
-              resolve_init checks the start
     proposal_scale  s > 0 (checked_scale): the random walk steps by
-                 s * chol(Sigma) z, the factor A of resolve_proposal; None
+                 s * chol(Sigma) z, the factor A of resolve_pilot; None
                  means s = 2.38/sqrt(d)
     pilot_mean, pilot_cov  mean m (d entries) and covariance Sigma (d x d,
                  symmetric positive definite) of a pilot chain, the Gaussian
-                 that rw_metropolis starts at, screens proposals with and
-                 steps by; both None (the model's default_pilot()) or both
-                 set; resolve_pilot checks them
+                 whose mean a random walk starts at and that it screens
+                 proposals with and steps by; both None (the model's
+                 default_pilot()) or both set; resolve_pilot checks them.
+                 A Gibbs chain starts at zeros
     thin      keep every thin-th post-burn-in step; the chain advances
               burn_in + length * thin steps in total
     compute_gradients  True computes grad log pi at every retained draw
@@ -113,7 +113,6 @@ class SamplerConfig:
     length: int
     burn_in: int = 0
     seed: int = 0
-    init: np.ndarray | None = None
     proposal_scale: float | None = None
     pilot_mean: np.ndarray | None = None
     pilot_cov: np.ndarray | None = None
@@ -181,16 +180,6 @@ def checked_scale(proposal_scale):
     return float(proposal_scale)
 
 
-def resolve_proposal(proposal_scale, sigma):
-    """A = s chol(sigma), the lower-triangular (d, d) factor of the random walk's step A z.
-
-    sigma is the pilot covariance of resolve_pilot; s is proposal_scale (as
-    checked_scale returns it), or 2.38/sqrt(d) when it is None.
-    """
-    scale = 2.38 / math.sqrt(sigma.shape[0]) if proposal_scale is None else proposal_scale
-    return scale * np.linalg.cholesky(sigma)
-
-
 def _finite_array(name, value, shape, what, model):
     """value as a float array of the given shape; ValueError naming name unless it is one, all finite."""
     try:
@@ -203,13 +192,17 @@ def _finite_array(name, value, shape, what, model):
     return array
 
 
-def resolve_pilot(model, mean, cov):
-    """(m, Sigma, P = Sigma^-1) of the pilot Gaussian N(m, Sigma): the given
-    mean and cov, or model.default_pilot() when neither is set.
+def resolve_pilot(model, mean, cov, proposal_scale=None):
+    """(m, A, P) of the random walk's pilot Gaussian N(m, Sigma), the given
+    mean and cov or model.default_pilot() when neither is set: the mean m,
+    the lower-triangular step factor A = s chol(Sigma) and the precision
+    P = Sigma^-1.  s is proposal_scale (as checked_scale returns it), or
+    2.38/sqrt(d) when it is None.
 
     ValueError naming the key unless both are set or both are None, m has d
     finite entries and Sigma is a finite, symmetric, positive definite d x d
-    matrix.  P is symmetrized, so it is exactly symmetric.
+    matrix; the Cholesky factorization that gives A is the positive
+    definiteness check.  P is symmetrized, so it is exactly symmetric.
     """
     d = model.dimension
     if mean is None and cov is None:
@@ -222,39 +215,36 @@ def resolve_pilot(model, mean, cov):
     if not np.array_equal(sigma, sigma.T):
         raise ValueError("pilot_cov must be symmetric")
     try:
-        np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise ValueError("pilot_cov must be positive definite") from None
+    scale = 2.38 / math.sqrt(d) if proposal_scale is None else proposal_scale
     precision = np.linalg.inv(sigma)
-    return m, sigma, 0.5 * (precision + precision.T)
+    return m, scale * chol, 0.5 * (precision + precision.T)
 
 
-def default_start(model, sampler, pilot_mean=None, pilot_cov=None):
-    """(start, key) of a chain whose init is unset, key naming the start in
-    resolve_init's errors.  A "gibbs" chain starts at zeros; an "rwmh" chain
-    at the mean of resolve_pilot(model, pilot_mean, pilot_cov), the config's
-    pilot_mean when it is set and the model's default pilot mean otherwise."""
-    if sampler == "gibbs":
-        return np.zeros(model.dimension), "the Gibbs start"
-    mean = resolve_pilot(model, pilot_mean, pilot_cov)[0]
-    return mean, "pilot_mean" if pilot_mean is not None else "the default pilot mean"
-
-
-def resolve_init(model, init, start, key):
-    """(the chain's start as a (d,) point, its log-density): init if set,
-    else start, the default_start that key names.  ValueError (wrong length)
-    or SupportError (outside the support) names init or key."""
-    if init is not None:
-        key, start = "init", init
-    x = np.asarray(start, dtype=float)
-    if x.shape != (model.dimension,):
-        raise ValueError(f"{key} must have {model.dimension} entries for model {model.tag}, "
-                         f"got {x.size}")
+def start_log_density(model, x, pilot_mean):
+    """log pi at x, a random walk's start: the mean of its resolve_pilot.
+    SupportError names the start, pilot_mean when it is set and the default
+    pilot mean otherwise, and the bound x fails."""
     try:
-        return x, model.log_density(x)
+        return model.log_density(x)
     except SupportError as exc:
+        key = "pilot_mean" if pilot_mean is not None else "the default pilot mean"
         raise SupportError(f"{key} {x.tolist()} is outside the support of {model.tag}: "
                            f"{exc}") from None
+
+
+def chain_start(model, method, pilot_mean=None, pilot_cov=None):
+    """(x, log pi(x)) at the start of a chain of sampler method: the zeros a
+    "gibbs" chain starts at, or the mean of resolve_pilot(model, pilot_mean,
+    pilot_cov) that an "rwmh" chain starts at, through start_log_density.
+    build_model checks a config's start with it before any sampling."""
+    if method == "gibbs":
+        x = np.zeros(model.dimension)
+        return x, model.log_density(x)
+    x = resolve_pilot(model, pilot_mean, pilot_cov)[0]
+    return x, start_log_density(model, x, pilot_mean)
 
 
 def defers_gradients(method) -> bool:
@@ -296,13 +286,13 @@ def _streams(seed):
 def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """Gaussian random walk Metropolis-Hastings on the model's support.
 
-    The pilot q = N(m, Sigma), P = Sigma^-1, comes from resolve_pilot: the
-    config's pilot_mean and pilot_cov, else the model's default_pilot().  The
-    chain starts at init, else at m.  Step k proposes y = x + v_k,
-    v_k = A z_k, where A = s chol(Sigma) is the factor of resolve_proposal
-    and z_k is row k of the first stream's normals, and reads u_k, the k-th
-    uniform of the second (see _streams); every step takes one of each,
-    whether it needs the uniform or not.  v_k is the sum of z_kj times
+    The pilot q = N(m, Sigma), P = Sigma^-1, and the step factor
+    A = s chol(Sigma) come from resolve_pilot: the config's pilot_mean,
+    pilot_cov and proposal_scale, else the model's default_pilot().  The
+    chain starts at m, checked by start_log_density.  Step k proposes
+    y = x + v_k, v_k = A z_k, where z_k is row k of the first stream's
+    normals, and reads u_k, the k-th uniform of the second (see _streams);
+    every step takes one of each, whether it needs the uniform or not.  v_k is the sum of z_kj times
     column j of A over j = 0, 1, ... in order.
 
     Let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
@@ -331,12 +321,13 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     """
     normals, uniforms = _streams(config.seed)
     d = model.dimension
-    mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
-    factor = resolve_proposal(config.proposal_scale, sigma).T
-    x, logp = resolve_init(model, config.init,
-                           *default_start(model, "rwmh", config.pilot_mean, config.pilot_cov))
+    mean, factor, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov,
+                                            config.proposal_scale)
+    factor = factor.T
+    x = mean
+    logp = start_log_density(model, x, config.pilot_mean)
     if not np.isfinite(logp):
-        raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
+        raise FloatingPointError(f"non-finite log-density {logp} at the start {x}")
     xc = (x - mean).tolist()
 
     draws = np.empty((config.length, d))
@@ -457,7 +448,7 @@ def gibbs_probit(model: ProbitTarget, config: SamplerConfig) -> ChainOutput:
     # bound once per chain, so the sweep pays no attribute lookup
     log_ndtr, ndtri_exp = special.log_ndtr, special.ndtri_exp
 
-    beta, _ = resolve_init(model, config.init, *default_start(model, "gibbs"))
+    beta = np.zeros(d)
     length, burn_in, thin = config.length, config.burn_in, config.thin
     total = burn_in + length * thin
     draws = np.empty((length, d))

@@ -178,7 +178,7 @@ def reference_rw_metropolis(model, config):
     The two generators are spawned from SeedSequence(config.seed).  Each
     step draws one normal row z from the first and one uniform u from the
     second, without blocks; the proposal is y = x + v, v = A z, where A is
-    the package's resolve_proposal factor and v = z_0 A[:, 0] + z_1 A[:, 1]
+    the package's resolve_pilot factor and v = z_0 A[:, 0] + z_1 A[:, 1]
     + ..., summed in order of j one step at a time.  With the pilot
     N(m, Sigma), P = Sigma^-1, dq = -(x - m).(P v) - v.(P v) / 2.  The step
     rejects without calling log_density when log u >= min(0, dq), and
@@ -187,8 +187,9 @@ def reference_rw_metropolis(model, config):
     v_j (P v)_j, in order of j; (x - m).(P v) is math.fsum of its products.
     Retained draws are picked by step % thin.  log_density_calls counts the
     steps' calls, the start's check excluded.  The pilot (the config's or the
-    model's default) with its checks, the proposal factor and the start
-    point come from the package, so only the loop itself is under test.
+    model's default) with its checks and the proposal factor come from the
+    package's resolve_pilot, and the chain starts at its mean through the
+    package's start_log_density, so only the loop itself is under test.
     The gradients keep the rule the loop once kept itself: a retained draw
     is marked moved when the chain accepted a proposal since the draw before
     it (row 0 always is), one grad_log_density call takes the moved rows,
@@ -198,24 +199,18 @@ def reference_rw_metropolis(model, config):
     import math
 
     from zvmcmc.models import SupportError
-    from zvmcmc.samplers import (
-        ChainOutput,
-        default_start,
-        resolve_init,
-        resolve_pilot,
-        resolve_proposal,
-    )
+    from zvmcmc.samplers import ChainOutput, resolve_pilot, start_log_density
 
     normal_seed, uniform_seed = np.random.SeedSequence(config.seed).spawn(2)
     normal_rng = np.random.default_rng(normal_seed)
     uniform_rng = np.random.default_rng(uniform_seed)
     d = model.dimension
-    mean, sigma, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov)
-    factor = resolve_proposal(config.proposal_scale, sigma)
-    x, logp = resolve_init(model, config.init,
-                           *default_start(model, "rwmh", config.pilot_mean, config.pilot_cov))
+    mean, factor, precision = resolve_pilot(model, config.pilot_mean, config.pilot_cov,
+                                            config.proposal_scale)
+    x = mean
+    logp = start_log_density(model, x, config.pilot_mean)
     if not np.isfinite(logp):
-        raise FloatingPointError(f"non-finite log-density {logp} at init {x}")
+        raise FloatingPointError(f"non-finite log-density {logp} at the start {x}")
 
     draws = np.empty((config.length, d))
     moved = np.empty(config.length, dtype=bool)

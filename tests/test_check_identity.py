@@ -122,10 +122,12 @@ def test_chain_csvs_must_be_the_same_files_and_bytes(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     from check_identity import largest_differences, protocol
 
-    # the toy config's --keep-chains run compares its chains/ directory
-    keep = [files for argv, files in protocol([str(ROOT / "configs" / "toys.json")], None)
-            if "--keep-chains" in argv]
-    assert keep == [("study.json", "study.csv", "chains/")]
+    # every shipped config's --keep-chains run compares its chains/ directory
+    shipped = ["logit_banknote.json", "probit_banknote.json", "toys.json", "garch_demgbp.json"]
+    keep = [argv[2] for argv, files in protocol([str(ROOT / "configs" / name) for name in shipped],
+                                                None)
+            if "--keep-chains" in argv and files == ("study.json", "study.csv", "chains/")]
+    assert keep == [f"configs/{name}" for name in shipped]
 
     def chains(side, **files):
         (tmp_path / side / "chains").mkdir(parents=True)

@@ -16,7 +16,7 @@ import zvmcmc
 import zvmcmc.samplers
 from zvmcmc import (ConfigError, ExperimentConfig, SamplerConfig, SupportError, run_coverage,
                     run_diagnose, run_study, sample_chain)
-from zvmcmc.cli import main
+from zvmcmc.cli import _fmt_float, main
 from zvmcmc.experiments import build_model
 
 
@@ -74,6 +74,15 @@ def test_run_single_replication_prints_point_only(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 0
     printed = capsys.readouterr().out
     assert printed.count("(point only)") == 2
+
+
+# NaN reaches the printer as diagnose's worst |z| when every column is
+# degenerate, and infinities as unbounded ratios or interval ends
+@pytest.mark.parametrize("value,printed", [(math.nan, "n/a"), (np.float64(np.nan), "n/a"),
+                                           (math.inf, "inf"), (-np.inf, "-inf"),
+                                           (0.0123456, "0.01235")])
+def test_a_printed_float_reads_nan_as_missing_and_keeps_the_sign_of_infinity(value, printed):
+    assert _fmt_float(value) == printed
 
 
 @pytest.mark.parametrize("replications", [1, 3])
@@ -352,6 +361,7 @@ MALFORMED_FIELD_ERRORS = [
     ({"keep_chains": 1}, "keep_chains must be true or false, got 1"),
     ({"model_kind": "logit", "add_intercept": "true"}, "add_intercept must be true or false, got 'true'"),
     ({"degrees": [1.5, 2]}, "degrees must be a list of integers, got [1.5, 2]"),
+    ({"degrees": 5}, "degrees must be a list of integers, got 5"),
     ({"replications": True}, "replications must be an integer >= 1, got True"),
     ({"sigma2": True}, "sigma2 must be a finite number > 0, got True"),
     ({"prior_sd": [True, 1.0, 1.0]}, "unknown config keys: prior_sd"),
@@ -367,7 +377,7 @@ MALFORMED_FIELD_ERRORS = [
     "synthetic-seed-negative", "data-path-number", "output-dir-number", "output-dir-empty", "diagnose-length-short",
     "reference-length-short", "exclusion-above-degree-3",
     "exclusion-long-above-degree-3", "exclusion-long", "single-chain-text", "keep-chains-number",
-    "add-intercept-text", "degrees-fraction", "replications-bool", "sigma2-bool", "prior-sd-bool",
+    "add-intercept-text", "degrees-fraction", "degrees-scalar", "replications-bool", "sigma2-bool", "prior-sd-bool",
     "exclusion-fraction"])
 def test_model_sized_fields_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, command,
                                                          fields, message):

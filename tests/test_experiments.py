@@ -340,8 +340,6 @@ class TestBuildModel:
             run_diagnose(cfg)
         assert configs[0].pilot_mean == cfg.pilot_mean
         assert configs[0].pilot_cov == cfg.pilot_cov
-        # no config key sets init, so the chain starts at the pilot mean
-        assert configs[0].init is None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from zvmcmc import (
     synthetic_banknote,
     synthetic_demgbp_returns,
 )
-from zvmcmc.samplers import default_start, resolve_init, resolve_pilot, resolve_proposal
+from zvmcmc.samplers import chain_start, resolve_pilot
 
 # ---------------------------------------------------------------------------
 # truncated normal
@@ -115,47 +115,39 @@ def test_compute_gradients_false_skips_gradients():
 
 
 def test_tiny_proposal_stays_near_init():
+    # the chain starts at its pilot mean, 5 sd from the target's
     model = GaussianTarget()
-    out = rw_metropolis(
-        model,
-        SamplerConfig(length=50, burn_in=0, seed=2, init=np.array([5.0]), proposal_scale=1e-10),
-    )
+    out = rw_metropolis(model, SamplerConfig(length=50, burn_in=0, seed=2, proposal_scale=1e-10,
+                                             pilot_mean=[5.0], pilot_cov=[[1.0]]))
     assert np.all(np.abs(out.draws - 5.0) < 1e-6)
 
 
 GARCH = GarchTarget(synthetic_demgbp_returns(seed=3, length=50))
 
 
+# init: the chain's start, its pilot mean
 @pytest.mark.parametrize("model,init,bound", [
     (ExponentialTarget(), [0.0], "x must be > 0"),
     (GammaTarget(), [-1.0], "x must be > 0"),
     (GARCH, [0.0, 0.1, 0.5], "omega_1 must be > 0"),
     (GARCH, [0.1, -0.1, 0.5], "omega_2 must be >= 0"),
     (GARCH, [0.1, 0.1, -0.5], "omega_3 must be >= 0"),
-    (ProbitTarget(synthetic_banknote(seed=3)), [0.0, np.nan, 0.0, 0.0], "parameter must be finite"),
-], ids=["exponential", "gamma", "garch-omega-1", "garch-omega-2", "garch-omega-3", "probit"])
+], ids=["exponential", "gamma", "garch-omega-1", "garch-omega-2", "garch-omega-3"])
 def test_an_init_outside_the_support_names_its_bound(model, init, bound):
-    want = f"init {[float(v) for v in init]} is outside the support of {model.tag}: {bound}"
-    samplers = [rw_metropolis] + ([gibbs_probit] if isinstance(model, ProbitTarget) else [])
-    for sampler in samplers:
-        with pytest.raises(SupportError) as raised:
-            sampler(model, SamplerConfig(length=10, init=np.array(init)))
-        assert str(raised.value) == want
+    cfg = SamplerConfig(length=10, pilot_mean=init, pilot_cov=np.eye(len(init)))
+    with pytest.raises(SupportError) as raised:
+        rw_metropolis(model, cfg)
+    assert str(raised.value) == f"pilot_mean {init} is outside the support of {model.tag}: {bound}"
 
 
-def test_the_chain_starts_at_init_else_at_the_pilot_mean():
-    def chain(init=None):
-        return rw_metropolis(GaussianTarget(), SamplerConfig(
-            length=5, seed=3, init=init, proposal_scale=1e-10, pilot_mean=[5.0], pilot_cov=[[1.0]]))
-
-    # without init the chain starts at the pilot mean, as if init were set to it
-    assert np.array_equal(chain().draws, chain(np.array([5.0])).draws)
-    assert np.all(np.abs(chain().draws - 5.0) < 1e-6)
+def test_the_chain_starts_at_the_pilot_mean():
+    # a step of 1e-10 keeps the chain at its start
+    piloted = rw_metropolis(GaussianTarget(), SamplerConfig(
+        length=5, seed=3, proposal_scale=1e-10, pilot_mean=[5.0], pilot_cov=[[1.0]]))
+    assert np.all(np.abs(piloted.draws - 5.0) < 1e-6)
     # without a pilot, at the mean of the model's default pilot
     default = rw_metropolis(GaussianTarget(mu=2.0), SamplerConfig(length=5, proposal_scale=1e-10))
     assert np.all(np.abs(default.draws - 2.0) < 1e-6)
-    # init wins over the pilot mean
-    assert np.all(np.abs(chain(np.array([-3.0])).draws + 3.0) < 1e-6)
     # a start outside the support names the key it came from
     cfg = SamplerConfig(length=5, pilot_mean=[-1.0, 0.1, 0.5], pilot_cov=np.eye(3))
     with pytest.raises(SupportError) as raised:
@@ -166,31 +158,33 @@ def test_the_chain_starts_at_init_else_at_the_pilot_mean():
 
 def test_the_default_start_is_the_pilot_mean_or_the_gibbs_zeros_and_named_by_its_source():
     probit = ProbitTarget(synthetic_banknote(seed=101, n=80))
-    start, key = default_start(probit, "gibbs")
-    assert np.array_equal(start, np.zeros(4)) and key == "the Gibbs start"
-    start, key = default_start(GaussianTarget(mu=2.0), "rwmh")
-    assert np.array_equal(start, [2.0]) and key == "the default pilot mean"
-    start, key = default_start(GaussianTarget(mu=2.0), "rwmh", [5.0], [[1.0]])
-    assert np.array_equal(start, [5.0]) and key == "pilot_mean"
+    start, logp = chain_start(probit, "gibbs")
+    assert np.array_equal(start, np.zeros(4)) and logp == probit.log_density(np.zeros(4))
+    start, logp = chain_start(GaussianTarget(mu=2.0), "rwmh")
+    assert np.array_equal(start, [2.0]) and logp == 0.0
+    start, logp = chain_start(GaussianTarget(mu=2.0), "rwmh", [5.0], [[1.0]])
+    assert np.array_equal(start, [5.0]) and logp == -4.5
 
     class OffSupport(ExponentialTarget):
         def default_pilot(self):
             return np.array([-1.0]), np.array([[1.0]])
 
-    # a start outside the support names where it came from: init, else its key
+    # a start outside the support names where it came from, for the chain
+    # as for the check of a config's start
     model = OffSupport()
-    with pytest.raises(SupportError, match=r"^the default pilot mean \[-1.0\] is outside"):
-        resolve_init(model, None, *default_start(model, "rwmh"))
-    with pytest.raises(SupportError, match=r"^init \[-2.0\] is outside"):
-        resolve_init(model, [-2.0], *default_start(model, "rwmh"))
+    for start in (lambda: chain_start(model, "rwmh"),
+                  lambda: rw_metropolis(model, SamplerConfig(length=5))):
+        with pytest.raises(SupportError, match=r"^the default pilot mean \[-1.0\] is outside"):
+            start()
+    with pytest.raises(SupportError, match=r"^pilot_mean \[-2.0\] is outside"):
+        chain_start(model, "rwmh", [-2.0], [[1.0]])
 
 
 def test_chain_respects_support():
     model = ExponentialTarget(lam=1.0)
-    out = rw_metropolis(
-        model,
-        SamplerConfig(length=2000, burn_in=0, seed=8, init=np.array([0.01]), proposal_scale=1.0),
-    )
+    # a step of sd 1 from its start near 0
+    out = rw_metropolis(model, SamplerConfig(length=2000, burn_in=0, seed=8, proposal_scale=1.0,
+                                             pilot_mean=[0.01], pilot_cov=[[1.0]]))
     assert np.all(out.draws > 0.0)
 
 
@@ -207,15 +201,16 @@ SHIPPED_LOGIT = json.loads((CONFIGS / "logit_banknote.json").read_text())
 
 
 def rw_cases(pilot, ids=None):
-    # The rows (model, init, pilot mean, pilot cov, proposal scale) with or
+    # The rows (model, pilot mean, pilot cov, proposal scale) with or
     # without a pilot of their own, all of them or only those named in ids.
-    # Without one the chain starts at, screens with and steps by the model's
-    # default pilot: logit and GARCH, a wide exponential step from near 0
-    # whose proposals often leave the support, a plain gaussian, and a
-    # stepped gaussian whose steps make many deltas exactly 0.  With one:
-    # the shipped GARCH pilot and scale from its pilot mean and from the
-    # default pilot's mean far out in the tails, a correlated logit screen,
-    # a screen whose proposals often leave the exponential's support, a
+    # Each chain starts at its pilot mean.  Without a pilot the chain starts
+    # at, screens with and steps by the model's default pilot: logit and
+    # GARCH, a wide exponential step whose proposals often leave the
+    # support, a plain gaussian, and a stepped gaussian whose steps make
+    # many deltas exactly 0.  With one: the shipped GARCH pilot and scale,
+    # and the same covariance and scale about the default pilot's mean far
+    # out in the tails, a correlated logit screen, a screen from near 0
+    # whose proposals often leave the exponential's support, a
     # gaussian screened by a deliberately wrong gaussian, the stepped
     # gaussian, the shipped logit pilot and scale, the correlated logit
     # pilot at s = 1.6, and the shipped GARCH pilot at s = 1.4
@@ -224,43 +219,41 @@ def rw_cases(pilot, ids=None):
     logit_cov = [[0.4, 0.1, 0.0, 0.0], [0.1, 1.0, -0.3, 0.0], [0.0, -0.3, 0.6, 0.01],
                  [0.0, 0.0, 0.01, 0.002]]
     cases = [
-        pytest.param(logit, None, None, None, None, id="logit"),
-        pytest.param(garch, None, None, None, None, id="garch"),
-        pytest.param(ExponentialTarget(lam=1.0), [0.05], None, None, 1.5, id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, None, id="gaussian"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None, None,
+        pytest.param(logit, None, None, None, id="logit"),
+        pytest.param(garch, None, None, None, id="garch"),
+        pytest.param(ExponentialTarget(lam=1.0), None, None, 1.5, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, None, None, id="gaussian"),
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, None, None,
                      id="stepped-gaussian"),
-        pytest.param(garch, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+        pytest.param(garch, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
                      SHIPPED_GARCH["proposal_scale"], id="garch-shipped"),
-        pytest.param(garch, garch.default_pilot()[0], SHIPPED_GARCH["pilot_mean"],
-                     SHIPPED_GARCH["pilot_cov"], SHIPPED_GARCH["proposal_scale"],
-                     id="garch-default-init"),
-        pytest.param(logit, None, [0.5, -1.0, 1.0, 0.05], logit_cov, None, id="logit"),
-        pytest.param(ExponentialTarget(lam=1.0), [0.05], [1.0], [[1.0]], 1.5, id="exponential"),
-        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), None, [0.0], [[0.5]], None,
+        pytest.param(garch, garch.default_pilot()[0], SHIPPED_GARCH["pilot_cov"],
+                     SHIPPED_GARCH["proposal_scale"], id="garch-default-init"),
+        pytest.param(logit, [0.5, -1.0, 1.0, 0.05], logit_cov, None, id="logit"),
+        pytest.param(ExponentialTarget(lam=1.0), [0.05], [[1.0]], 1.5, id="exponential"),
+        pytest.param(GaussianTarget(mu=2.0, sigma2=3.0), [0.0], [[0.5]], None,
                      id="gaussian-wrong-surrogate"),
-        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), None, [2.0], [[3.0]], None,
+        pytest.param(SteppedGaussian(mu=2.0, sigma2=3.0), [2.0], [[3.0]], None,
                      id="stepped-gaussian"),
-        pytest.param(logit, None, SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"],
+        pytest.param(logit, SHIPPED_LOGIT["pilot_mean"], SHIPPED_LOGIT["pilot_cov"],
                      SHIPPED_LOGIT["proposal_scale"], id="logit-shipped"),
-        pytest.param(logit, None, [0.5, -1.0, 1.0, 0.05], logit_cov, 1.6, id="logit-scaled"),
-        pytest.param(garch, None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"], 1.4,
+        pytest.param(logit, [0.5, -1.0, 1.0, 0.05], logit_cov, 1.6, id="logit-scaled"),
+        pytest.param(garch, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"], 1.4,
                      id="garch-scaled"),
     ]
     return [case for case in cases
-            if (case.values[2] is not None) == pilot and (ids is None or case.id in ids)]
+            if (case.values[1] is not None) == pilot and (ids is None or case.id in ids)]
 
 
 # the rw_cases rows whose draws are also checked against another block size
 BLOCK_SIZE_CASES = ("logit", "exponential", "stepped-gaussian", "garch-shipped",
                     "gaussian-wrong-surrogate", "logit-shipped", "logit-scaled", "garch-scaled")
-RW_CASE_FIELDS = "model,init,mean,cov,scale"
+RW_CASE_FIELDS = "model,mean,cov,scale"
 BURN_IN_AND_THIN = pytest.mark.parametrize("burn_in,thin", [(0, 1), (7, 3), (600, 10)])
 
 
-def screened_config(init, mean, cov, scale=None, **fields):
-    return SamplerConfig(init=None if init is None else np.array(init), pilot_mean=mean,
-                         pilot_cov=cov, proposal_scale=scale, **fields)
+def screened_config(mean, cov, scale=None, **fields):
+    return SamplerConfig(pilot_mean=mean, pilot_cov=cov, proposal_scale=scale, **fields)
 
 
 def assert_equals_the_reference_loop(model, cfg):
@@ -287,34 +280,32 @@ def assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg):
 
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False))
-def test_rw_metropolis_equals_the_reference_loop_exactly(model, init, mean, cov, scale,
-                                                         burn_in, thin):
-    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
+def test_rw_metropolis_equals_the_reference_loop_exactly(model, mean, cov, scale, burn_in, thin):
+    cfg = screened_config(mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
 
 @BURN_IN_AND_THIN
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True))
-def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, init, mean, cov,
-                                                                  scale, burn_in, thin):
-    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
+def test_screened_rw_metropolis_equals_the_reference_loop_exactly(model, mean, cov, scale,
+                                                                  burn_in, thin):
+    cfg = screened_config(mean, cov, scale, length=150, burn_in=burn_in, thin=thin,
                           seed=21)
     assert_equals_the_reference_loop(model, cfg)
 
 
 # 7 divides neither the burn-in nor the step count, so blocks end mid-phase
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=False, ids=BLOCK_SIZE_CASES))
-def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, init, mean,
-                                                             cov, scale):
-    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
+def test_rw_metropolis_draws_do_not_depend_on_the_block_size(monkeypatch, model, mean, cov,
+                                                             scale):
+    cfg = screened_config(mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
 @pytest.mark.parametrize(RW_CASE_FIELDS, rw_cases(pilot=True, ids=BLOCK_SIZE_CASES))
-def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, init, mean, cov,
-                                                         scale):
-    cfg = screened_config(init, mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
+def test_screened_draws_do_not_depend_on_the_block_size(monkeypatch, model, mean, cov, scale):
+    cfg = screened_config(mean, cov, scale, length=150, burn_in=11, thin=3, seed=21)
     assert_draws_do_not_depend_on_the_block_size(monkeypatch, model, cfg)
 
 
@@ -343,7 +334,7 @@ def test_the_screen_calls_the_likelihood_only_for_the_proposals_it_passes(monkey
 
     monkeypatch.setattr(GarchTarget, "log_density", spy)
     model = GarchTarget(synthetic_demgbp_returns(seed=333))
-    cfg = screened_config(None, SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
+    cfg = screened_config(SHIPPED_GARCH["pilot_mean"], SHIPPED_GARCH["pilot_cov"],
                           SHIPPED_GARCH["proposal_scale"], length=400, burn_in=100, thin=2, seed=5,
                           compute_gradients=False)
     out = rw_metropolis(model, cfg)
@@ -386,11 +377,12 @@ def test_rw_metropolis_rejects_a_bad_pilot(mean, cov, message):
                          ids=["gaussian", "logit", "garch"])
 def test_without_a_pilot_the_pilot_is_the_models_default(model):
     d = model.dimension
-    mean, sigma, precision = resolve_pilot(model, None, None)
+    mean, factor, precision = resolve_pilot(model, None, None)
     default_mean, default_cov = model.default_pilot()
-    assert np.array_equal(mean, default_mean) and np.array_equal(sigma, default_cov)
+    assert np.array_equal(mean, default_mean)
+    assert np.array_equal(factor, 2.38 / math.sqrt(d) * np.linalg.cholesky(default_cov))
     assert np.array_equal(precision, precision.T)
-    assert np.allclose(precision @ sigma, np.eye(d), atol=1e-8)
+    assert np.allclose(precision @ default_cov, np.eye(d), atol=1e-8)
     # one key alone is still refused
     with pytest.raises(ValueError, match="^pilot_mean and pilot_cov must be set together; "
                                          "pilot_cov is not$"):
@@ -398,6 +390,22 @@ def test_without_a_pilot_the_pilot_is_the_models_default(model):
     with pytest.raises(ValueError, match="^pilot_mean and pilot_cov must be set together; "
                                          "pilot_mean is not$"):
         resolve_pilot(model, None, np.eye(d))
+
+
+def test_an_unpiloted_chain_searches_for_its_mode_once(monkeypatch):
+    # the default pilot of a regression target is a Laplace approximation,
+    # a Newton search for the mode that the chain pays for once
+    searches = []
+    mode = LogitTarget._mode
+
+    def spy(self):
+        searches.append(self)
+        return mode(self)
+
+    monkeypatch.setattr(LogitTarget, "_mode", spy)
+    model = LogitTarget(synthetic_banknote(seed=101, n=80))
+    rw_metropolis(model, SamplerConfig(length=10, seed=0))
+    assert searches == [model]
 
 
 def test_the_surrogate_precision_is_exactly_symmetric():
@@ -432,9 +440,10 @@ def test_a_zero_uniform_never_accepts_a_proposal_outside_the_support(monkeypatch
     streams = zvmcmc.samplers._streams
     monkeypatch.setattr(zvmcmc.samplers, "_streams",
                         lambda seed: [streams(seed)[0], ZeroUniforms()])
-    # a wide step from near 0: some proposals land at x <= 0.  The default
-    # pilot's variance is 1, so the step is z itself
-    cfg = SamplerConfig(length=2000, seed=8, init=np.array([0.05]), proposal_scale=1.0)
+    # a wide step from near 0: some proposals land at x <= 0.  The pilot's
+    # variance is 1, so the step is z itself
+    cfg = SamplerConfig(length=2000, seed=8, proposal_scale=1.0, pilot_mean=[0.05],
+                        pilot_cov=[[1.0]])
     with np.errstate(divide="ignore"):
         out = rw_metropolis(ExponentialTarget(lam=1.0), cfg)
     # log u = -inf accepts every proposal inside the support and no other
@@ -473,8 +482,8 @@ def test_a_flat_target_walks_by_the_first_streams_normals():
     assert np.array_equal(out.draws, expected)
 
 
-class NanAwayFromInit(GaussianTarget):
-    """A gaussian whose log-density is NaN everywhere but at the init."""
+class NanAwayFromZero(GaussianTarget):
+    """A gaussian whose log-density is NaN everywhere but at 0, its default pilot mean."""
 
     def log_density(self, beta):
         return super().log_density(beta) if beta[0] == 0.0 else math.nan
@@ -482,21 +491,16 @@ class NanAwayFromInit(GaussianTarget):
 
 def test_nan_log_density_at_a_proposal_is_fatal():
     with pytest.raises(FloatingPointError, match="NaN log-density at proposal"):
-        rw_metropolis(NanAwayFromInit(), SamplerConfig(length=10, seed=0, init=np.array([0.0])))
+        rw_metropolis(NanAwayFromZero(), SamplerConfig(length=10, seed=0))
 
 
 @pytest.mark.parametrize("sampler,model,fields,error,message", [
-    (rw_metropolis, GaussianTarget(), {"init": np.zeros(2)}, ValueError,
-     "init must have 1 entries for model gaussian, got 2"),
-    (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)), {"init": np.zeros(3)}, ValueError,
-     "init must have 4 entries for model probit, got 3"),
-    (rw_metropolis, NanAwayFromInit(), {"init": np.array([1.0])}, FloatingPointError,
-     "non-finite log-density nan at init [1.]"),
+    (rw_metropolis, NanAwayFromZero(), {"pilot_mean": [1.0], "pilot_cov": [[1.0]]},
+     FloatingPointError, "non-finite log-density nan at the start [1.]"),
     (gibbs_probit, ProbitTarget(synthetic_banknote(seed=3)),
      {"proposal_scale": 1.6, "pilot_mean": [0.0] * 4, "pilot_cov": np.eye(4)}, ValueError,
      "gibbs_probit does not take a proposal_scale"),
-], ids=["rwmh-init-length", "gibbs-init-length", "rwmh-nan-at-init",
-        "gibbs-proposal-scale"])
+], ids=["rwmh-nan-at-init", "gibbs-proposal-scale"])
 def test_a_chain_input_the_sampler_cannot_start_from_is_rejected(sampler, model, fields, error,
                                                                  message):
     with pytest.raises(error) as raised:
@@ -520,13 +524,14 @@ def test_sampler_config_rejects_a_bad_proposal_scale(fields, message):
 
 
 def test_the_proposal_factor_is_the_scaled_pilot_cholesky():
-    cov = np.array(SHIPPED_GARCH["pilot_cov"])
-    factor = resolve_proposal(2.5, cov)
+    mean, cov = SHIPPED_GARCH["pilot_mean"], np.array(SHIPPED_GARCH["pilot_cov"])
+    factor = resolve_pilot(GARCH, mean, cov, 2.5)[1]
     assert np.array_equal(factor, 2.5 * np.linalg.cholesky(cov))
     assert np.array_equal(factor, np.tril(factor))
     assert np.allclose(factor @ factor.T, 6.25 * cov, rtol=1e-12, atol=0.0)
     # without a scale, s = 2.38/sqrt(d)
-    assert np.array_equal(resolve_proposal(None, cov), 2.38 / math.sqrt(3) * np.linalg.cholesky(cov))
+    assert np.array_equal(resolve_pilot(GARCH, mean, cov)[1],
+                          2.38 / math.sqrt(3) * np.linalg.cholesky(cov))
 
 
 class SpyGamma(GammaTarget):
@@ -548,10 +553,9 @@ class SpyGamma(GammaTarget):
 
 def test_rw_metropolis_validates_once_and_batches_gradients():
     model = SpyGamma()
-    # a wide step from near the boundary (the default pilot's variance is 3,
-    # so the step is about z): many proposals land at x <= 0
-    cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, init=np.array([0.05]),
-                        proposal_scale=1.0 / math.sqrt(3.0))
+    # a step of sd 1 from near the boundary: many proposals land at x <= 0
+    cfg = SamplerConfig(length=60, burn_in=5, thin=2, seed=8, proposal_scale=1.0,
+                        pilot_mean=[0.05], pilot_cov=[[1.0]])
     out = rw_metropolis(model, cfg)
     steps = cfg.burn_in + cfg.length * cfg.thin
     # the start is checked by the one log_density call the chain starts from;
@@ -766,13 +770,20 @@ def test_gibbs_reads_the_model_and_builds_no_second_one(monkeypatch):
     assert np.array_equal(out.draws, gibbs_probit(model, cfg).draws)
 
 
+class Unreached:
+    """Stands in for a module whose functions sampling reads: any use fails the test."""
+
+    def __getattr__(self, name):
+        pytest.fail("sampling started")
+
+
 def test_gibbs_rejects_a_numerically_rank_deficient_design(monkeypatch):
     # X'X without a Cholesky factor, as rounding can leave a nearly collinear
     # design that matrix_rank still calls full rank
     model = ProbitTarget(synthetic_banknote(seed=101, n=80))
     model.xtx = model.xtx.copy()
     model.xtx[0, 0] = -1.0
-    monkeypatch.setattr("zvmcmc.samplers.resolve_init", lambda *args: pytest.fail("sampling started"))
+    monkeypatch.setattr("zvmcmc.samplers.special", Unreached())
     with pytest.raises(ValueError, match="numerically rank deficient"):
         sample_chain(model, SamplerConfig(length=10, seed=0), method="gibbs")
 

@@ -172,6 +172,10 @@ def test_eval_requires_gradients_and_matching_dimension():
     good = make_chain(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
     with pytest.raises(ValueError):
         eval_control_variates(good, monomial_basis(3, 1))
+    for center, scale in (([np.nan, 0.0], None), (None, [1.0, 0.0]), (None, -1.0),
+                          (None, [1.0, np.inf])):
+        with pytest.raises(ValueError, match="^center must be finite and scale finite positive$"):
+            eval_control_variates(good, monomial_basis(2, 1), center=center, scale=scale)
 
 
 def test_standardization_from_chain():
@@ -308,6 +312,9 @@ def test_renormalize_validation():
     fit = fit_coefficients(cv, draws[:, 0])
     with pytest.raises(ValueError):
         renormalize(draws[:10, 0], cv, fit)
+    wider = eval_control_variates(make_chain(draws, grads), monomial_basis(1, 2))
+    with pytest.raises(ValueError, match="^fit and control variates disagree on column count$"):
+        renormalize(draws[:, 0], wider, fit)
 
 
 # ---------------------------------------------------------------------------
