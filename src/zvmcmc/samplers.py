@@ -292,8 +292,8 @@ def rw_metropolis(model, config: SamplerConfig) -> ChainOutput:
     chain starts at m, checked by start_log_density.  Step k proposes
     y = x + v_k, v_k = A z_k, where z_k is row k of the first stream's
     normals, and reads u_k, the k-th uniform of the second (see _streams);
-    every step takes one of each, whether it needs the uniform or not.  v_k is the sum of z_kj times
-    column j of A over j = 0, 1, ... in order.
+    every step takes one of each, whether it needs the uniform or not.
+    v_k is the sum of z_kj times column j of A over j = 0, 1, ... in order.
 
     Let dq = log q(y) - log q(x) = -(x - m).(P v_k) - v_k.(P v_k) / 2.  The
     step accepts iff
