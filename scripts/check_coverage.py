@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Run every coverage config and fail on any z-score of 3 or more.
+"""Run coverage on every shipped config and fail on any z-score of 3 or more.
 
-    python scripts/check_coverage.py [--config configs/coverage_gamma.json ...] [--threads 2 --seed 0 ...]
+    python scripts/check_coverage.py [--config configs/gamma.json ...] [--threads 2 --seed 0 ...]
 
 Runs `zvmcmc coverage --config C` for each config, by default every
-configs/coverage_*.json in name order, with every other argument passed on
-as it is (--threads, --seed, ...), each in a fresh process from the working
-tree (check_identity.py's run_side) with its report written to a
-temporary directory.  Each coverage report gives, per degree and parameter,
-the z-score of the mean ZV estimate against a long reference chain's point
-(experiments.run_coverage).  Prints one line per config: the worst |z| of
-each degree, with "empty basis" beside a degree whose basis is empty (its
-fraction inside the reference interval is no test, its z-score is), and the
-command's seconds.  A last line gives the verdict.  Exits 0 when every
+configs/*.json in name order, so each shipped config is checked at the
+protocol and lengths it runs under `zvmcmc run`.  Every other argument is
+passed on as it is (--threads, --seed, ...), and each command runs in a
+fresh process from the working tree (check_identity.py's run_side) with its
+report written to a temporary directory.  Each coverage report gives, per
+degree and parameter, the z-score of the mean ZV estimate against a long
+reference chain's point (experiments.run_coverage).  Prints one line per
+config: the worst |z| of each degree, with "empty basis" beside a degree
+whose basis is empty (its fraction inside the reference interval is no
+test, its z-score is), and the command's seconds.  A last line gives the verdict.  Exits 0 when every
 command ran and every |z| < 3, 1 otherwise (a null z-score, from a single
 replication, counts as a failure).
 """
@@ -60,10 +61,10 @@ def check(config, extra, out_dir):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", action="append", default=None,
-                        help="coverage config (repeatable; default every configs/coverage_*.json)")
+                        help="config (repeatable; default every configs/*.json)")
     args, extra = parser.parse_known_args(argv)
     configs = ([Path(c).resolve() for c in args.config] if args.config else
-               sorted((ROOT / "configs").glob("coverage_*.json")))
+               sorted((ROOT / "configs").glob("*.json")))
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:

@@ -12,7 +12,8 @@ names each config relative to the root when it is under configs/, so each
 side reads its own revision's shipped configs, and a key renamed between
 the two reads on both.  The commands are:
 
-  run --seed 7 on the four shipped configs, 4 replications (GARCH 2), at
+  run --seed 7 on the four configs of STUDIES (logit, probit, the Gaussian
+  toy and GARCH), 4 replications (GARCH 2), at
   --threads 1, at --threads 2, and at --threads 2 with --keep-chains, which
   also writes every sampled chain, draws and gradients, under <out>/chains;
   diagnose --seed 7 on logit (--length 50000), on probit, whose Gibbs chain
@@ -24,7 +25,7 @@ the two reads on both.  The commands are:
   temporary directory and {side} for the side.
 
 --config limits the run and diagnose commands to the given configs and
-leaves out the coverage command; a config outside the shipped four gets the
+leaves out the coverage command; a config outside those four gets the
 runs at --threads 1 and 2, at 4 replications, and no --keep-chains run or
 diagnose.  --replications replaces every run's replication count.  A
 config outside configs/ is one file that both sides read.
@@ -203,7 +204,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="git revision to compare the working tree with")
     parser.add_argument("--config", action="append", default=None,
-                        help="config file (repeatable; default the four shipped configs)")
+                        help="config file (repeatable; default the four configs of STUDIES)")
     parser.add_argument("--replications", type=int, default=None,
                         help="replications of every run (default 4, GARCH 2)")
     parser.add_argument("--expect-key", action="append", default=[], metavar="KEY",

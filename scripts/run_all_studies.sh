@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Reproduce every shipped study from a checkout: the replication studies of
-# the three models and the toy smoke test (study.json / study.csv under
-# out/<name>/), then the probit, GARCH, logit and toy coverage checks
-# (coverage.json under out/coverage_<model>/).  Extra arguments go to every command, e.g.
-# --threads 2.  --out DIR writes each report to DIR/<config name>/ instead.
-# PYTHON names the interpreter (default python3).
+# Reproduce every shipped config from a checkout: `run` on each of the six
+# (study.json / study.csv), then `coverage` on each of the same six
+# (coverage.json), each under its config's output_dir.  Extra arguments go to
+# every command, e.g. --threads 2.  --out DIR writes each report to
+# DIR/<config name>/ instead, so a config's coverage.json sits beside its
+# study.json.  PYTHON names the interpreter (default python3).
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 root=$(dirname "$here")
@@ -19,14 +19,11 @@ while (($#)); do
         *) args+=("$1"); shift ;;
     esac
 done
-for name in toys probit_banknote logit_banknote garch_demgbp; do
-    echo "== run $name =="
-    "${PYTHON:-python3}" -m zvmcmc.cli run --config "$root/configs/$name.json" \
-        ${out:+--out "$out/$name"} "${args[@]}"
-done
-for name in coverage_probit coverage_garch coverage_logit coverage_gaussian coverage_exponential \
-        coverage_gamma; do
-    echo "== coverage $name =="
-    "${PYTHON:-python3}" -m zvmcmc.cli coverage --config "$root/configs/$name.json" \
-        ${out:+--out "$out/$name"} "${args[@]}"
+configs=(toys probit_banknote logit_banknote garch_demgbp exponential gamma)
+for command in run coverage; do
+    for name in "${configs[@]}"; do
+        echo "== $command $name =="
+        "${PYTHON:-python3}" -m zvmcmc.cli "$command" --config "$root/configs/$name.json" \
+            ${out:+--out "$out/$name"} "${args[@]}"
+    done
 done

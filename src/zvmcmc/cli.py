@@ -2,7 +2,8 @@
 
 Subcommands:
   run       execute a replication study from a JSON config
-  coverage  check single-chain ZV estimates against a long reference chain
+  coverage  check the ZV estimates of the config's own protocol against a
+            long reference chain
   diagnose  single-chain diagnostics for a config
   validate  check a config (and its data file) without sampling
 
@@ -76,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replications", type=int, default=None, help="override replication count")
 
     cov_p = sub.add_parser("coverage", parents=[run_args],
-                           help="check ZV estimates against a long reference chain")
+                           help="check the ZV estimates of the config's own protocol against a "
+                                "long reference chain")
     cov_p.add_argument("--replications", type=int, default=None, help="override replication count")
 
     diag_p = sub.add_parser("diagnose", parents=[run_args], help="run single-chain diagnostics")

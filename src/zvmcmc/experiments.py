@@ -260,7 +260,8 @@ def build_model(config: ExperimentConfig):
     chain's start, a random walk's pilot mean or a Gibbs chain's zeros, goes
     through the samplers' own chain_start, so a bad pilot or start reads as
     the sampler would print it and the start's log_density call loads what
-    the model imports lazily before a pool forks.  Raises
+    the model imports lazily before a pool forks; a start whose log-density
+    is not finite, where every chain would fail, is rejected too.  Raises
     ConfigError otherwise.
     """
     model = _target(config)
@@ -269,9 +270,11 @@ def build_model(config: ExperimentConfig):
         if field.name in unread and getattr(config, field.name) != field.default:
             raise ConfigError(f"{field.name} is set but never read: {unread[field.name]}")
     try:
-        chain_start(model, config.sampler, config.pilot_mean, config.pilot_cov)
+        x, logp = chain_start(model, config.sampler, config.pilot_mean, config.pilot_cov)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not math.isfinite(logp):
+        raise ConfigError(f"non-finite log-density {logp} at the start {x.tolist()}")
     return model
 
 
@@ -673,10 +676,11 @@ def run_coverage(config: ExperimentConfig) -> dict:
     """Unbiasedness check against a long ordinary reference chain.
 
     One ordinary chain of reference_length draws (no gradients) gives a 95%
-    batch-means interval per coordinate.  Each of the R replications then
-    draws a single short chain of eval_length draws, fits and evaluates the
-    control variates on it, and the report counts how often each ZV estimate
-    lands inside the reference interval, per degree, pooled over coordinates.
+    batch-means interval per coordinate.  The R replications then run the
+    config's own protocol, two-chain or single-chain, through the study that
+    run_study runs, so coverage checks the estimator the config ships; the
+    report counts how often each ZV estimate lands inside the reference
+    interval, per degree, pooled over coordinates.
     Next to the counts, each degree gives per parameter the z-score of the
     mean ZV estimate against the reference point by their combined standard
     error sqrt(var(ZV, ddof=1)/R + asvar/N).  Unlike the counts, it does not
@@ -691,11 +695,9 @@ def run_coverage(config: ExperimentConfig) -> dict:
     to coverage.json (see run_diagnose).  Its "reference" block is the
     reference chain's seed and then the fields of its ReferenceReport.  The
     replications' own study report, without its timing block, is the
-    "study" block.  With config.keep_chains each replication's chain is
+    "study" block.  With config.keep_chains each replication's chains are
     written as in run_study; the reference chain has no gradients and is not.
     """
-    if not config.single_chain:
-        raise ConfigError("the coverage protocol estimates from single chains; set single_chain to true")
     model = build_model(config)
     with _single_threaded_blas():
         bases = control_variate_bases(config, model)

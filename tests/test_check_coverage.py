@@ -31,7 +31,7 @@ def check_coverage(monkeypatch, argv, reports, fail=()):
 
 
 def test_check_coverage_runs_every_coverage_config_and_passes_below_3(monkeypatch, capsys):
-    shipped = sorted(p.name for p in (ROOT / "configs").glob("coverage_*.json"))
+    shipped = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
     reports = {name: stub_report({"1": {"x": -1.5, "y": 0.5}, "2": {"x": 2.9, "y": 0.0}})
                for name in shipped}
     code, calls = check_coverage(monkeypatch, ["--threads", "2", "--seed", "5"], reports)

@@ -224,15 +224,15 @@ def test_expect_key_names_what_it_excused_and_exits_0(tmp_path, monkeypatch, cap
     monkeypatch.setattr(script, "checkout", lambda rev, into: None)
     monkeypatch.setattr(script, "run_side", run_side)
     # a config outside the shipped four gets its runs and no diagnose
-    config = str(ROOT / "configs" / "coverage_probit.json")
+    config = str(ROOT / "configs" / "exponential.json")
     argv = ["--rev", "R", "--config", config, "--replications", "2"]
     assert script.main(argv) == 1
     assert script.main([*argv, "--expect-key", "config.proposal_sd"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3:] == [
-        "run --config configs/coverage_probit.json --replications 2 --threads 1: identical apart "
+        "run --config configs/exponential.json --replications 2 --threads 1: identical apart "
         "from config.proposal_sd",
-        "run --config configs/coverage_probit.json --replications 2 --threads 2: identical apart "
+        "run --config configs/exponential.json --replications 2 --threads 2: identical apart "
         "from config.proposal_sd",
         "every report equals R's apart from the expected keys config.proposal_sd",
     ]

@@ -870,10 +870,14 @@ class TestReplicationFailures:
 
 
 class TestRunCoverage:
-    def test_requires_single_chain(self):
-        cfg = ExperimentConfig.from_dict(gaussian_dict())
-        with pytest.raises(ConfigError, match="single_chain"):
-            run_coverage(cfg)
+    def test_checks_the_study_the_config_runs(self):
+        # a two-chain config: coverage runs the replications run_study runs
+        cfg = ExperimentConfig.from_dict(gaussian_dict(replications=3, reference_length=2000,
+                                                       threads=1))
+        study = run_study(cfg)
+        assert study["protocol"] == "two-chain"
+        del study["timing"]
+        assert run_coverage(cfg)["study"] == study
 
     def test_gaussian_coverage_report(self):
         cfg = ExperimentConfig.from_dict(gaussian_dict(

@@ -6,10 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-STUDIES = [("run", "toys"), ("run", "probit_banknote"), ("run", "logit_banknote"),
-           ("run", "garch_demgbp"), ("coverage", "coverage_probit"), ("coverage", "coverage_garch"),
-           ("coverage", "coverage_logit"), ("coverage", "coverage_gaussian"),
-           ("coverage", "coverage_exponential"), ("coverage", "coverage_gamma")]
+CONFIGS = ["toys", "probit_banknote", "logit_banknote", "garch_demgbp", "exponential", "gamma"]
+STUDIES = [(command, name) for command in ("run", "coverage") for name in CONFIGS]
 
 
 def test_diagnose_models_runs_from_a_checkout(tmp_path):
